@@ -79,7 +79,7 @@ bench-json:
 ## and whole train steps must not allocate (see internal/*/alloc_test.go;
 ## these files are excluded under -race, so the race job cannot cover them)
 alloc-test:
-	$(GO) test -run 'AllocFree' -v ./internal/tensor ./internal/nn ./internal/fl ./internal/metrics ./internal/obs ./internal/transport ./internal/parallel
+	$(GO) test -run 'AllocFree|AllocBudget' -v ./internal/tensor ./internal/nn ./internal/fl ./internal/metrics ./internal/obs ./internal/transport ./internal/parallel
 
 ## obs-test: the observability gate — registry/logger/span/ops-endpoint
 ## unit tests (DESIGN.md §11) plus the remote-run metrics integration

@@ -172,7 +172,7 @@ func main() {
 		server.Audit = flight
 		startRound := setupDurability(server, logger, *ckptDir, *ckptEvery, *ckptFolds, *resume)
 		logger.Info("serve: fleet training start",
-			"fleet", fleetAddr, "population", reg.Len(),
+			"fleet", fleetAddr, "population", reg.Len(), "params", template.NumParams(),
 			"select", *sel, "streaming", *streaming, "rounds", server.Config().Rounds)
 		for round := startRound; round < server.Config().Rounds; round++ {
 			res := server.RoundDetail(round)

@@ -86,7 +86,9 @@ type Participant interface {
 	// ID identifies the client.
 	ID() int
 	// LocalUpdate trains on the client's data starting from the global
-	// parameter vector and returns the update delta (x_i − w_t).
+	// parameter vector and returns the update delta (x_i − w_t). global is
+	// the caller's — shared by the whole cohort in process, pooled behind a
+	// wire handler — so it must not be modified, nor retained past the call.
 	LocalUpdate(global []float64, round int) []float64
 	// Dataset exposes the client's local shard (the defense uses it for
 	// activation recording and fine-tuning participation).

@@ -69,6 +69,9 @@ var M = struct {
 	// Update-path bandwidth (DESIGN.md §15): payload bytes of /v1/update
 	// responses as successfully decoded by RemoteClient, any encoding.
 	TransportUpdateBytesRecv *Counter
+	// Request-path bandwidth (DESIGN.md §15): body bytes of every request
+	// attempt RemoteClient sends, any endpoint.
+	TransportRequestBytesSent *Counter
 
 	// Worker pool (internal/parallel).
 	PoolTasks      *Counter // tasks submitted to parallel.Pool
@@ -136,6 +139,8 @@ var M = struct {
 	TransportReportBytesSent: Default.Counter("transport_report_bytes_sent_total"),
 	TransportReportBytesRecv: Default.Counter("transport_report_bytes_recv_total"),
 	TransportUpdateBytesRecv: Default.Counter("transport_update_bytes_recv_total"),
+
+	TransportRequestBytesSent: Default.Counter("transport_request_bytes_sent_total"),
 
 	PoolTasks:      Default.Counter("parallel_pool_tasks_total"),
 	PoolQueueDepth: Default.Gauge("parallel_pool_queue_depth"),

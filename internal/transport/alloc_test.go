@@ -3,16 +3,21 @@
 package transport
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"github.com/fedcleanse/fedcleanse/internal/fl"
 	"github.com/fedcleanse/fedcleanse/internal/metrics"
+	"github.com/fedcleanse/fedcleanse/internal/nn"
+	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
-// Allocation-regression gates for the compact report codec encode paths
+// Allocation-regression gates, excluded under the race detector, whose
+// instrumentation allocates. First the compact report codec encode paths
 // (ISSUE 8): a report server re-encoding into a reused buffer must not
-// allocate once the buffer has grown to payload size. Excluded under the
-// race detector, whose instrumentation allocates.
+// allocate once the buffer has grown to payload size.
 
 func TestCodecEncodeWarmAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
@@ -42,4 +47,71 @@ func TestCodecEncodeWarmAllocFree(t *testing.T) {
 			t.Errorf("warm Append%s: %v allocs/op, want 0", c.name, allocs)
 		}
 	}
+}
+
+// Gates for the envelope wire path (ISSUE 12). Encoding a request — from a
+// flat vector or straight from a model — or an update response into a
+// buffer that has been through one payload allocates nothing.
+func TestEnvelopeEncodeWarmAllocFree(t *testing.T) {
+	m := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rand.New(rand.NewSource(84)))
+	global := m.ParamsVector()
+	cases := []struct {
+		name   string
+		encode func(dst []byte) []byte
+	}{
+		{"update request", func(dst []byte) []byte {
+			return appendRequest(dst, wire.KindUpdateRequest, request{Global: global, Round: 9})
+		}},
+		{"vote request from a model", func(dst []byte) []byte {
+			return appendRequest(dst, wire.KindVoteRequest, request{Model: m, Layer: 3, Rate: 0.5})
+		}},
+		{"update response", func(dst []byte) []byte { return AppendVersionedUpdate(dst, global) }},
+	}
+	for _, c := range cases {
+		buf := c.encode(nil)
+		if allocs := testing.AllocsPerRun(10, func() { buf = c.encode(buf[:0]) }); allocs != 0 {
+			t.Errorf("warm %s encode: %v allocs/op, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestUpdateExchangeAllocBudget bounds the bytes one whole loopback update
+// exchange allocates — stub, net/http both ways, fleet handler and the
+// synthetic participant together — at four parameter vectors. Two are
+// owed: the delta the participant returns and the decoded delta the stub
+// hands the aggregator. Bodies and the handler-side global are pooled, so
+// the rest is net/http's per-request state (its 32 KiB body-copy buffer
+// above all). The gob path this replaced spent about eleven here, and
+// twenty-two on the benchmark's wire_batch ledger row.
+func TestUpdateExchangeAllocBudget(t *testing.T) {
+	template := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rand.New(rand.NewSource(85)))
+	global := template.ParamsVector()
+	fleet := NewFleet()
+	fleet.Add(&fl.SyntheticClient{Id: 0, Seed: 86})
+	addr, err := fleet.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = fleet.Shutdown(context.Background()) }()
+	rc := NewRemoteClient(0, FleetClientAddr(addr, 0))
+	exchange := func() {
+		if _, err := rc.TryLocalUpdate(context.Background(), global, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		exchange()
+	}
+	const runs = 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		exchange()
+	}
+	runtime.ReadMemStats(&after)
+	perExchange := (after.TotalAlloc - before.TotalAlloc) / runs
+	if budget := uint64(4 * 8 * len(global)); perExchange > budget {
+		t.Errorf("one update exchange allocates %d bytes, budget %d (4 x 8 x %d params)", perExchange, budget, len(global))
+	}
+	t.Logf("%d bytes per exchange = %.2f parameter vectors", perExchange, float64(perExchange)/float64(8*len(global)))
 }

@@ -3,10 +3,13 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"flag"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -118,7 +121,31 @@ func goldenFiles(t *testing.T) map[string][]byte {
 	files["report-votes-compact-v1.bin"] = AppendVoteBitmap(nil, compatVotes())
 
 	files["report-acts8-compact-v1.bin"] = AppendActs8(nil, metrics.QuantizeActivations(compatActs()))
+
+	for name, kind := range compatRequestKinds {
+		files[name] = appendRequest(nil, kind, compatRequest(kind))
+	}
 	return files
+}
+
+// compatRequestKinds maps the corpus's request files to their kinds.
+var compatRequestKinds = map[string]uint16{
+	"request-update-v1.bin":   wire.KindUpdateRequest,
+	"request-ranks-v1.bin":    wire.KindRankRequest,
+	"request-votes-v1.bin":    wire.KindVoteRequest,
+	"request-accuracy-v1.bin": wire.KindAccuracyRequest,
+}
+
+// compatRequest is the corpus's fixed request of a kind. Three ship the
+// delta vector as their global, IEEE specials included; the accuracy
+// request encodes straight from the seeded model, the way RemoteClient
+// sends every report request.
+func compatRequest(kind uint16) request {
+	if kind == wire.KindAccuracyRequest {
+		m, _, _ := compatModel()
+		return request{Model: m}
+	}
+	return request{Global: compatDelta(), Round: 7, Layer: 2, Rate: 0.25}
 }
 
 // loadGolden reads one corpus file, regenerating the corpus first under
@@ -358,5 +385,161 @@ func TestVersionedUpdateOverWire(t *testing.T) {
 	}
 	if !sameBits(serve(true), want) {
 		t.Fatal("versioned update differs from the in-process delta")
+	}
+}
+
+// TestRequestGoldenCorpus pins the four request envelopes the way
+// TestCrossVersionGoldenCorpus pins the response side: the checked-in
+// bytes sniff as versioned, equal the canonical re-encoding of the fixed
+// seeds, and decode on their endpoint to exactly the fields that went in —
+// and on no other endpoint.
+func TestRequestGoldenCorpus(t *testing.T) {
+	files := goldenFiles(t)
+	for name, kind := range compatRequestKinds {
+		data := loadGolden(t, files, name)
+		if got := wire.Sniff(data); got != wire.FormatVersioned {
+			t.Errorf("%s sniffs as %v, want versioned", name, got)
+		}
+		if !bytes.Equal(data, files[name]) {
+			t.Errorf("%s: checked-in bytes differ from canonical re-encoding", name)
+		}
+		got, err := decodeRequest(data, kind)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := compatRequest(kind)
+		if want.Model != nil {
+			want.Global = want.Model.ParamsVector()
+		}
+		if !sameBits(got.Global, want.Global) {
+			t.Errorf("%s: global differs from the seeded vector", name)
+		}
+		if kind == wire.KindUpdateRequest && got.Round != want.Round {
+			t.Errorf("%s: round %d, want %d", name, got.Round, want.Round)
+		}
+		if (kind == wire.KindRankRequest || kind == wire.KindVoteRequest) && got.Layer != want.Layer {
+			t.Errorf("%s: layer %d, want %d", name, got.Layer, want.Layer)
+		}
+		if kind == wire.KindVoteRequest && got.Rate != want.Rate {
+			t.Errorf("%s: rate %g, want %g", name, got.Rate, want.Rate)
+		}
+		got.release()
+		for other, otherKind := range compatRequestKinds {
+			if otherKind == kind {
+				continue
+			}
+			if _, err := decodeRequest(data, otherKind); err == nil {
+				t.Errorf("%s accepted on the endpoint of %s", name, other)
+			}
+		}
+	}
+}
+
+// TestRequestRejections: malformed request envelopes error, never panic,
+// and unknown sections are skipped.
+func TestRequestRejections(t *testing.T) {
+	global := wire.AppendFloat64s(wire.AppendUint(nil, 2), []float64{1, 2})
+	env := func(secs ...wire.Section) []byte {
+		e := wire.NewEncoder(wire.KindVoteRequest)
+		for _, s := range secs {
+			e.Section(s.Type, s.Payload)
+		}
+		return e.Bytes()
+	}
+	valid := env(wire.Section{Type: secReqGlobal, Payload: global})
+	cases := map[string][]byte{
+		"empty":        {},
+		"report-tag":   {TagRanksDelta, 0},
+		"bad-crc":      append(append([]byte(nil), valid[:len(valid)-1]...), valid[len(valid)-1]^1),
+		"truncated":    valid[:len(valid)-6],
+		"no-global":    env(wire.Section{Type: secReqLayer, Payload: []byte{2}}),
+		"two-globals":  env(wire.Section{Type: secReqGlobal, Payload: global}, wire.Section{Type: secReqGlobal, Payload: global}),
+		"count-lies":   env(wire.Section{Type: secReqGlobal, Payload: wire.AppendUint(nil, 1<<40)}),
+		"count-short":  env(wire.Section{Type: secReqGlobal, Payload: wire.AppendFloat64s(wire.AppendUint(nil, 3), []float64{1, 2})}),
+		"ragged-float": env(wire.Section{Type: secReqGlobal, Payload: append(append([]byte(nil), global...), 0)}),
+		"short-rate":   env(wire.Section{Type: secReqRate, Payload: []byte{1, 2, 3}}, wire.Section{Type: secReqGlobal, Payload: global}),
+		"layer-slack":  env(wire.Section{Type: secReqLayer, Payload: []byte{2, 0}}, wire.Section{Type: secReqGlobal, Payload: global}),
+		"layer-huge":   env(wire.Section{Type: secReqLayer, Payload: binary.AppendVarint(nil, 1<<40)}, wire.Section{Type: secReqGlobal, Payload: global}),
+	}
+	for name, data := range cases {
+		if _, err := decodeRequest(data, wire.KindVoteRequest); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	fwd := env(wire.Section{Type: 77, Payload: []byte("future")}, wire.Section{Type: secReqGlobal, Payload: global})
+	got, err := decodeRequest(fwd, wire.KindVoteRequest)
+	if err != nil || len(got.Global) != 2 || got.Global[1] != 2 {
+		t.Fatalf("unknown section not skipped: %v, %v", got.Global, err)
+	}
+	got.release()
+}
+
+// TestRequestEncodingsAgree is the request half of the migration story: a
+// legacy gob request (what an aggregator older than the envelope sends)
+// and the envelope request (what RemoteClient sends now) draw bit-identical
+// responses from the same handler, on every endpoint, from a ClientServer
+// and from a Fleet.
+func TestRequestEncodingsAgree(t *testing.T) {
+	template := nn.NewSmallCNN(nn.Input{C: 1, H: 8, W: 8}, 4, rand.New(rand.NewSource(95)))
+	global := template.ParamsVector()
+	layer := template.LastConvIndex()
+
+	cs := NewClientServer(&fl.SyntheticClient{Id: 3, Seed: 96, Units: 16}, template)
+	fleet := NewFleet()
+	fleet.Add(&fl.SyntheticClient{Id: 3, Seed: 96, Units: 16})
+	handlers := map[string]struct {
+		h      http.Handler
+		prefix string
+	}{
+		"ClientServer": {cs.Handler(), ""},
+		"Fleet":        {fleet.Handler(), "/c/3"},
+	}
+
+	gobBody := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	endpoints := []struct {
+		path     string
+		legacy   []byte
+		envelope []byte
+	}{
+		{"/v1/update", gobBody(UpdateRequest{Global: global, Round: 3}),
+			appendRequest(nil, wire.KindUpdateRequest, request{Global: global, Round: 3})},
+		{"/v1/ranks", gobBody(RankRequest{Global: global, Layer: layer}),
+			appendRequest(nil, wire.KindRankRequest, request{Model: template, Layer: layer})},
+		{"/v1/votes", gobBody(VoteRequest{Global: global, Layer: layer, Rate: 0.5}),
+			appendRequest(nil, wire.KindVoteRequest, request{Model: template, Layer: layer, Rate: 0.5})},
+		{"/v1/accuracy", gobBody(AccuracyRequest{Global: global}),
+			appendRequest(nil, wire.KindAccuracyRequest, request{Model: template})},
+	}
+	post := func(h http.Handler, path string, body []byte) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d: %s", path, rec.Code, rec.Body.String())
+		}
+		return rec.Body.Bytes()
+	}
+	for name, hd := range handlers {
+		for _, ep := range endpoints {
+			legacy := post(hd.h, hd.prefix+ep.path, ep.legacy)
+			envelope := post(hd.h, hd.prefix+ep.path, ep.envelope)
+			if !bytes.Equal(legacy, envelope) {
+				t.Errorf("%s %s: gob and envelope requests drew different responses", name, ep.path)
+			}
+		}
+		// The update response is also the in-process delta, bit for bit.
+		var up updatePayload
+		if err := up.DecodeBody(bytes.NewReader(post(hd.h, hd.prefix+"/v1/update", endpoints[0].envelope))); err != nil {
+			t.Fatal(err)
+		}
+		want := (&fl.SyntheticClient{Id: 3, Seed: 96}).LocalUpdate(global, 3)
+		if !sameBits(up.Delta, want) {
+			t.Errorf("%s: wire delta differs from the in-process delta", name)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -13,6 +12,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/fl"
 	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
+	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
 // Fleet hosts many federated participants behind ONE listener, which is
@@ -64,7 +64,8 @@ func NewFleet() *Fleet {
 		// No template bounds the request size here (the fleet is
 		// architecture-agnostic), so cap bodies at a size no legitimate
 		// parameter vector in this codebase approaches.
-		maxBody: 64 << 20,
+		maxBody:   64 << 20,
+		versioned: true,
 	}
 }
 
@@ -83,8 +84,9 @@ func (f *Fleet) SetReportQuant(q metrics.ReportQuant) {
 	f.quant = q
 }
 
-// SetVersionedUpdates selects the versioned envelope encoding for the
-// fleet's update responses (see ClientServer.SetVersionedUpdates).
+// SetVersionedUpdates selects between the versioned envelope encoding for
+// the fleet's update responses (the default) and legacy gob (see
+// ClientServer.SetVersionedUpdates).
 func (f *Fleet) SetVersionedUpdates(v bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -182,21 +184,12 @@ func (f *Fleet) route(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeFleetBody decodes one gob request under the fleet's body cap,
-// counting the bytes into fedload_bytes_in_total.
-func decodeFleetBody(w http.ResponseWriter, r *http.Request, maxBody int64, dst any) bool {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return false
-	}
-	body := &countingReader{r: http.MaxBytesReader(w, r.Body, maxBody)}
-	err := gob.NewDecoder(body).Decode(dst)
-	obs.M.FedloadBytesIn.Add(uint64(body.n))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return false
-	}
-	return true
+// readFleetRequest is readRequest under the fleet's body cap, counting the
+// bytes into fedload_bytes_in_total.
+func readFleetRequest(w http.ResponseWriter, r *http.Request, maxBody int64, kind uint16) (request, bool) {
+	req, n, ok := readRequest(w, r, maxBody, kind)
+	obs.M.FedloadBytesIn.Add(uint64(n))
+	return req, ok
 }
 
 // reportClient extracts the slot's reporting surface, answering 404 when
@@ -217,10 +210,11 @@ func reportClient(w http.ResponseWriter, slot *fleetSlot) (core.ReportClient, bo
 func (f *Fleet) handleRanks(w http.ResponseWriter, r *http.Request, slot *fleetSlot, maxBody int64, quant metrics.ReportQuant) {
 	sp := requestSpan(r, "fedload.ranks", nil).WithClient(slot.part.ID())
 	defer sp.End()
-	var req RankRequest
-	if !decodeFleetBody(w, r, maxBody, &req) {
+	req, ok := readFleetRequest(w, r, maxBody, wire.KindRankRequest)
+	if !ok {
 		return
 	}
+	defer req.release()
 	rc, ok := reportClient(w, slot)
 	if !ok {
 		return
@@ -239,10 +233,11 @@ func (f *Fleet) handleRanks(w http.ResponseWriter, r *http.Request, slot *fleetS
 func (f *Fleet) handleVotes(w http.ResponseWriter, r *http.Request, slot *fleetSlot, maxBody int64, quant metrics.ReportQuant) {
 	sp := requestSpan(r, "fedload.votes", nil).WithClient(slot.part.ID())
 	defer sp.End()
-	var req VoteRequest
-	if !decodeFleetBody(w, r, maxBody, &req) {
+	req, ok := readFleetRequest(w, r, maxBody, wire.KindVoteRequest)
+	if !ok {
 		return
 	}
+	defer req.release()
 	if !(req.Rate >= 0 && req.Rate <= 1) { // also rejects NaN
 		http.Error(w, fmt.Sprintf("bad request: rate %g outside [0,1]", req.Rate), http.StatusBadRequest)
 		return
@@ -264,10 +259,11 @@ func (f *Fleet) handleVotes(w http.ResponseWriter, r *http.Request, slot *fleetS
 func (f *Fleet) handleAccuracy(w http.ResponseWriter, r *http.Request, slot *fleetSlot, maxBody int64) {
 	sp := requestSpan(r, "fedload.accuracy", nil).WithClient(slot.part.ID())
 	defer sp.End()
-	var req AccuracyRequest
-	if !decodeFleetBody(w, r, maxBody, &req) {
+	req, ok := readFleetRequest(w, r, maxBody, wire.KindAccuracyRequest)
+	if !ok {
 		return
 	}
+	defer req.release()
 	ar, ok := slot.part.(core.AccuracyReporter)
 	if !ok {
 		http.Error(w, fmt.Sprintf("client %d serves no reports", slot.part.ID()), http.StatusNotFound)
@@ -285,21 +281,17 @@ func (f *Fleet) handleAccuracy(w http.ResponseWriter, r *http.Request, slot *fle
 func (f *Fleet) handleUpdate(w http.ResponseWriter, r *http.Request, slot *fleetSlot, maxBody int64, versioned bool) {
 	sp := requestSpan(r, "fedload.update", obs.M.FedloadUpdateSeconds).WithClient(slot.part.ID())
 	defer func() { sp.End() }()
-	var req UpdateRequest
-	if !decodeFleetBody(w, r, maxBody, &req) {
+	req, ok := readFleetRequest(w, r, maxBody, wire.KindUpdateRequest)
+	if !ok {
 		return
 	}
+	defer req.release()
 	sp = sp.WithRound(req.Round)
 	slot.mu.Lock()
 	delta := slot.part.LocalUpdate(req.Global, req.Round)
 	slot.mu.Unlock()
 	cw := &countingWriter{ResponseWriter: w}
-	if versioned {
-		cw.Header().Set("Content-Type", updateContentType)
-		_, _ = cw.Write(AppendVersionedUpdate(nil, delta))
-	} else {
-		encodeBody(cw, UpdateResponse{Delta: delta})
-	}
+	writeUpdate(cw, delta, versioned)
 	obs.M.FedloadBytesOut.Add(uint64(cw.n))
 	obs.M.FedloadUpdates.Inc()
 }
@@ -318,18 +310,6 @@ func recoverToError(next http.Handler) http.Handler {
 		}()
 		next.ServeHTTP(w, r)
 	})
-}
-
-// countingReader counts bytes read through it.
-type countingReader struct {
-	r interface{ Read([]byte) (int, error) }
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // countingWriter counts bytes written through it.

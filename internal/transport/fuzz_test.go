@@ -12,13 +12,14 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/tensor"
+	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
-// Fuzz targets for the gob decoders behind the four protocol endpoints.
-// The invariant under fuzzing: an arbitrary request body either decodes
-// into a well-formed request (HTTP 200) or is rejected with HTTP 400 —
-// the handler never panics and never returns any other status. Seed
-// corpora live in testdata/fuzz/.
+// Fuzz targets for the request decoders — versioned envelope and legacy
+// gob — behind the four protocol endpoints. The invariant under fuzzing:
+// an arbitrary request body either decodes into a well-formed request
+// (HTTP 200) or is rejected with HTTP 400 — the handler never panics and
+// never returns any other status. Seed corpora live in testdata/fuzz/.
 
 // stubFuzzParticipant answers instantly so fuzzing measures the decoder
 // and validators, not model training.
@@ -65,6 +66,36 @@ func gobBytes(t *testing.F, v any) []byte {
 	return buf.Bytes()
 }
 
+// envelopeSeeds are the versioned-envelope seeds of one endpoint: the
+// request RemoteClient would send, then the ways a peer can get it wrong —
+// a flipped CRC, another endpoint's kind, a count that disagrees with the
+// vector's length, a wrong-sized vector, a NaN rate, a bad layer, and a
+// body past the handler's cap.
+func envelopeSeeds(kind uint16, n int) [][]byte {
+	global := make([]float64, n)
+	valid := appendRequest(nil, kind, request{Global: global, Round: 1, Rate: 0.5})
+	badCRC := append([]byte(nil), valid...)
+	badCRC[len(badCRC)-1] ^= 0x01
+	wrongKind := wire.KindAccuracyRequest
+	if kind == wire.KindAccuracyRequest {
+		wrongKind = wire.KindUpdate
+	}
+	countLies := wire.NewEncoder(kind).
+		Section(secReqGlobal, wire.AppendFloat64s(wire.AppendUint(nil, uint64(n)+1), global)).Bytes()
+	oversized := append(append([]byte(nil), valid...), make([]byte, 17*n+1<<16)...)
+	return [][]byte{
+		valid,
+		valid[:len(valid)/2],
+		badCRC,
+		appendRequest(nil, wrongKind, request{Global: global}),
+		countLies,
+		appendRequest(nil, kind, request{Global: global[:3]}),
+		appendRequest(nil, kind, request{Global: global, Rate: math.NaN()}),
+		appendRequest(nil, kind, request{Global: global, Layer: 99, Rate: 0.5}),
+		oversized,
+	}
+}
+
 // fuzzEndpoint drives one endpoint with the fuzzed body and checks the
 // status invariant.
 func fuzzEndpoint(f *testing.F, path string, seeds [][]byte) {
@@ -85,47 +116,87 @@ func fuzzEndpoint(f *testing.F, path string, seeds [][]byte) {
 func FuzzHandleUpdate(f *testing.F) {
 	_, n := fuzzHandler()
 	valid := gobBytes(f, UpdateRequest{Global: make([]float64, n), Round: 1})
-	fuzzEndpoint(f, "/v1/update", [][]byte{
+	fuzzEndpoint(f, "/v1/update", append([][]byte{
 		valid,
 		valid[:len(valid)/2],
 		{},
 		[]byte("not gob at all"),
 		gobBytes(f, UpdateRequest{Global: []float64{1, 2, 3}}), // wrong length
-	})
+	}, envelopeSeeds(wire.KindUpdateRequest, n)...))
 }
 
 func FuzzHandleRanks(f *testing.F) {
 	_, n := fuzzHandler()
 	valid := gobBytes(f, RankRequest{Global: make([]float64, n), Layer: 0})
-	fuzzEndpoint(f, "/v1/ranks", [][]byte{
+	fuzzEndpoint(f, "/v1/ranks", append([][]byte{
 		valid,
 		valid[:len(valid)/2],
 		{},
 		[]byte("\x00\xff garbage"),
 		gobBytes(f, RankRequest{Global: make([]float64, n), Layer: 99}), // bad layer
-	})
+	}, envelopeSeeds(wire.KindRankRequest, n)...))
 }
 
 func FuzzHandleVotes(f *testing.F) {
 	_, n := fuzzHandler()
 	valid := gobBytes(f, VoteRequest{Global: make([]float64, n), Layer: 0, Rate: 0.5})
-	fuzzEndpoint(f, "/v1/votes", [][]byte{
+	fuzzEndpoint(f, "/v1/votes", append([][]byte{
 		valid,
 		valid[:len(valid)/2],
 		{},
 		gobBytes(f, VoteRequest{Global: make([]float64, n), Rate: math.NaN()}),
 		gobBytes(f, VoteRequest{Global: make([]float64, n), Rate: -3}),
-	})
+	}, envelopeSeeds(wire.KindVoteRequest, n)...))
 }
 
 func FuzzHandleAccuracy(f *testing.F) {
 	_, n := fuzzHandler()
 	valid := gobBytes(f, AccuracyRequest{Global: make([]float64, n)})
-	fuzzEndpoint(f, "/v1/accuracy", [][]byte{
+	fuzzEndpoint(f, "/v1/accuracy", append([][]byte{
 		valid,
 		valid[:len(valid)/2],
 		{},
 		[]byte("garbage"),
 		gobBytes(f, AccuracyRequest{Global: []float64{1}}),
-	})
+	}, envelopeSeeds(wire.KindAccuracyRequest, n)...))
+}
+
+// TestEnvelopeSeedStatuses pins what the envelope seeds above mean outside
+// a fuzzing run: the well-formed request is served, every malformed one is
+// a 400 — including the fields only some endpoints read.
+func TestEnvelopeSeedStatuses(t *testing.T) {
+	h, n := fuzzHandler()
+	for path, kind := range map[string]uint16{
+		"/v1/update":   wire.KindUpdateRequest,
+		"/v1/ranks":    wire.KindRankRequest,
+		"/v1/votes":    wire.KindVoteRequest,
+		"/v1/accuracy": wire.KindAccuracyRequest,
+	} {
+		reads := func(kinds ...uint16) int {
+			for _, k := range kinds {
+				if k == kind {
+					return http.StatusBadRequest
+				}
+			}
+			return http.StatusOK
+		}
+		want := []int{
+			http.StatusOK,                                     // valid
+			http.StatusBadRequest,                             // truncated
+			http.StatusBadRequest,                             // bad CRC
+			http.StatusBadRequest,                             // wrong kind
+			http.StatusBadRequest,                             // count ≠ length
+			http.StatusBadRequest,                             // wrong-sized vector
+			reads(wire.KindVoteRequest),                       // NaN rate
+			reads(wire.KindRankRequest, wire.KindVoteRequest), // bad layer
+			http.StatusBadRequest,                             // oversized
+		}
+		for i, body := range envelopeSeeds(kind, n) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if rec.Code != want[i] {
+				t.Errorf("%s seed %d: HTTP %d, want %d (%s)", path, i, rec.Code, want[i], bytes.TrimSpace(rec.Body.Bytes()))
+			}
+		}
+	}
 }

@@ -1,0 +1,239 @@
+package transport
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"math"
+	"net/http"
+	"sync"
+
+	"github.com/fedcleanse/fedcleanse/internal/nn"
+	"github.com/fedcleanse/fedcleanse/internal/wire"
+)
+
+// Versioned requests (DESIGN.md §15). Every request a server sends is a
+// wire envelope of the endpoint's kind (wire.KindUpdateRequest,
+// KindRankRequest, KindVoteRequest, KindAccuracyRequest) built from the
+// sections below, scalars first, then the parameter vector. Handlers still
+// read the legacy gob request structs — first-byte sniffing tells the two
+// apart — but nothing emits gob requests any more, so client-side servers
+// upgrade first and aggregators second.
+const (
+	// secReqGlobal is the global parameter vector: a uvarint coordinate
+	// count followed by the raw little-endian float64 values (the layout of
+	// secUpdateDelta).
+	secReqGlobal = 1
+	// secReqRound is the round number, one zigzag varint.
+	secReqRound = 2
+	// secReqLayer is the reported layer's index, one zigzag varint.
+	secReqLayer = 3
+	// secReqRate is the MVP pruning rate, one raw little-endian float64.
+	secReqRate = 4
+)
+
+// requestContentType marks a versioned request payload.
+const requestContentType = "application/x-fedcleanse-request"
+
+// request is any of the four protocol requests; which fields travel
+// depends on the kind.
+type request struct {
+	// Global is the parameter vector. On the handler side it may be pooled
+	// (see release): it is valid only until the handler returns, which is
+	// why a participant may not retain the global it is handed.
+	Global []float64
+	// Model, on the encoding side only, supplies the vector straight from
+	// a model's parameters instead of Global, sparing report calls a
+	// flattened copy.
+	Model *nn.Sequential
+	Round int
+	Layer int
+	Rate  float64
+
+	pooled *[]float64
+}
+
+// globalPool recycles the handler-side decoded parameter vectors.
+var globalPool sync.Pool
+
+// release returns a pooled Global for reuse; the request must not be used
+// afterwards.
+func (q *request) release() {
+	if q.pooled != nil {
+		globalPool.Put(q.pooled)
+		q.pooled, q.Global = nil, nil
+	}
+}
+
+// appendRequest appends the envelope of one request. The encoding is
+// canonical: a kind always carries the same sections in the same order.
+func appendRequest(dst []byte, kind uint16, q request) []byte {
+	w := wire.NewWriter(dst, kind)
+	switch kind {
+	case wire.KindUpdateRequest:
+		w.Section(secReqRound)
+		w.B = binary.AppendVarint(w.B, int64(q.Round))
+	case wire.KindRankRequest, wire.KindVoteRequest:
+		w.Section(secReqLayer)
+		w.B = binary.AppendVarint(w.B, int64(q.Layer))
+	}
+	if kind == wire.KindVoteRequest {
+		w.Section(secReqRate)
+		w.B = binary.LittleEndian.AppendUint64(w.B, math.Float64bits(q.Rate))
+	}
+	w.Section(secReqGlobal)
+	if q.Model == nil {
+		w.B = wire.AppendUint(w.B, uint64(len(q.Global)))
+		w.B = wire.AppendFloat64s(w.B, q.Global)
+	} else {
+		w.B = wire.AppendUint(w.B, uint64(q.Model.NumParams()))
+		for _, p := range q.Model.Params() {
+			w.B = wire.AppendFloat64s(w.B, p.Value.Data)
+		}
+	}
+	return w.Finish()
+}
+
+// decodeRequest parses the body of one request to the endpoint serving
+// kind: a versioned envelope of exactly that kind, or the endpoint's
+// legacy gob struct. It errors, never panics, on anything else. Global is
+// sized from the bytes actually present — a count that disagrees with its
+// section's length is rejected before any allocation — and decoded into a
+// pooled vector the caller gives back with release.
+func decodeRequest(data []byte, kind uint16) (request, error) {
+	switch wire.Sniff(data) {
+	case wire.FormatVersioned:
+		return decodeEnvelopeRequest(data, kind)
+	case wire.FormatGob:
+		return decodeGobRequest(data, kind)
+	}
+	return request{}, errors.New("transport: unrecognized request encoding")
+}
+
+func decodeEnvelopeRequest(data []byte, kind uint16) (request, error) {
+	secs, err := wire.DecodeKind(data, kind)
+	if err != nil {
+		return request{}, err
+	}
+	var q request
+	for _, s := range secs {
+		var err error
+		switch s.Type {
+		case secReqRound:
+			q.Round, err = readInt(s.Payload)
+		case secReqLayer:
+			q.Layer, err = readInt(s.Payload)
+		case secReqRate:
+			if len(s.Payload) == 8 {
+				q.Rate = math.Float64frombits(binary.LittleEndian.Uint64(s.Payload))
+			} else {
+				err = fmt.Errorf("%d bytes, want 8", len(s.Payload))
+			}
+		case secReqGlobal:
+			if q.pooled != nil {
+				err = errors.New("duplicate")
+			} else if q.pooled, err = decodeGlobal(s.Payload); err == nil {
+				q.Global = *q.pooled
+			}
+		}
+		if err != nil {
+			q.release()
+			return request{}, fmt.Errorf("transport: request section %d: %w", s.Type, err)
+		}
+	}
+	if q.pooled == nil {
+		return request{}, errors.New("transport: request envelope has no global section")
+	}
+	return q, nil
+}
+
+// decodeGlobal decodes a count-prefixed float64 vector into a pooled
+// slice.
+func decodeGlobal(p []byte) (*[]float64, error) {
+	n, rest, err := wire.ReadUint(p)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest)%8 != 0 || n != uint64(len(rest)/8) {
+		return nil, fmt.Errorf("claims %d values in %d bytes", n, len(rest))
+	}
+	v, _ := globalPool.Get().(*[]float64)
+	if v == nil {
+		v = new([]float64)
+	}
+	if cap(*v) < int(n) {
+		*v = make([]float64, n)
+	}
+	*v = (*v)[:n]
+	if err := wire.Float64sInto(*v, rest); err != nil {
+		globalPool.Put(v)
+		return nil, err
+	}
+	return v, nil
+}
+
+// readInt decodes a section holding exactly one zigzag varint that fits
+// an int32.
+func readInt(p []byte) (int, error) {
+	v, n := binary.Varint(p)
+	if n <= 0 || n != len(p) {
+		return 0, fmt.Errorf("%w: varint", wire.ErrTruncated)
+	}
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		return 0, fmt.Errorf("value %d outside int32", v)
+	}
+	return int(v), nil
+}
+
+// decodeGobRequest reads the legacy request struct of the endpoint serving
+// kind, as binaries before the envelope emitted it.
+func decodeGobRequest(data []byte, kind uint16) (request, error) {
+	dec := gob.NewDecoder(bytes.NewReader(data))
+	var q request
+	var err error
+	switch kind {
+	case wire.KindUpdateRequest:
+		var g UpdateRequest
+		err = dec.Decode(&g)
+		q = request{Global: g.Global, Round: g.Round}
+	case wire.KindRankRequest:
+		var g RankRequest
+		err = dec.Decode(&g)
+		q = request{Global: g.Global, Layer: g.Layer}
+	case wire.KindVoteRequest:
+		var g VoteRequest
+		err = dec.Decode(&g)
+		q = request{Global: g.Global, Layer: g.Layer, Rate: g.Rate}
+	case wire.KindAccuracyRequest:
+		var g AccuracyRequest
+		err = dec.Decode(&g)
+		q = request{Global: g.Global}
+	default:
+		err = fmt.Errorf("transport: kind %d is not a request", kind)
+	}
+	return q, err
+}
+
+// readRequest reads and decodes one request body under the handler's body
+// cap, answering 405 or 400 itself when it returns !ok. n is the number of
+// body bytes read either way. The body is gathered in a pooled buffer that
+// does not outlive this call; the caller releases the returned request.
+func readRequest(w http.ResponseWriter, r *http.Request, maxBody int64, kind uint16) (q request, n int, ok bool) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		return request{}, 0, false
+	}
+	buf := wire.GetBuffer()
+	defer buf.Release()
+	err := buf.ReadAll(http.MaxBytesReader(w, r.Body, maxBody), maxBody)
+	if err == nil {
+		q, err = decodeRequest(buf.B, kind)
+	}
+	if err != nil {
+		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+		return request{}, len(buf.B), false
+	}
+	return q, len(buf.B), true
+}

@@ -1,5 +1,5 @@
 // Package transport runs the federated protocol over real network
-// connections: each client is an HTTP server speaking a small gob-encoded
+// connections: each client is an HTTP server speaking a small binary
 // message protocol, and the aggregation server drives rounds through
 // RemoteClient stubs. The in-process simulator (internal/fl) and this
 // package share all interfaces, so a federation can mix local and remote
@@ -14,13 +14,15 @@
 //	POST /v1/votes     — MVP vote report for a layer at a rate
 //	POST /v1/accuracy  — client-reported accuracy (pruning feedback)
 //
-// Bodies are gob-encoded request/response structs. Model parameters travel
-// as flat vectors; both sides hold the architecture (as in cross-silo FL
-// deployments, where the model definition ships with the software).
-// Report responses default to the compact tagged codecs of codec.go
-// (varint-delta ranks, bit-packed votes, int8 activation payloads);
-// receivers sniff the 1-byte tag and fall back to gob, so either side may
-// run an older binary (DESIGN.md §14).
+// Requests and update responses are versioned wire envelopes
+// (request_codec.go, update_codec.go; DESIGN.md §15), encoded into and read
+// through pooled buffers. Model parameters travel as flat vectors; both
+// sides hold the architecture (as in cross-silo FL deployments, where the
+// model definition ships with the software). Report responses default to
+// the compact tagged codecs of codec.go (varint-delta ranks, bit-packed
+// votes, int8 activation payloads). Every reader sniffs the first byte and
+// still accepts the gob structs below, which older binaries emit
+// (DESIGN.md §14, §15).
 //
 // Failure model (DESIGN.md §10): every remote call can fail — crashes,
 // stragglers, partitions, corrupted responses. RemoteClient never panics;
@@ -42,7 +44,9 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/fedcleanse/fedcleanse/internal/core"
@@ -51,6 +55,8 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
+	"github.com/fedcleanse/fedcleanse/internal/parallel"
+	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
 // Protocol messages.
@@ -133,8 +139,8 @@ type ClientServer struct {
 	// precision shipped in compact mode (see handleRanks).
 	wire  ReportWire
 	quant metrics.ReportQuant
-	// versioned switches /v1/update responses to the versioned envelope
-	// encoding (update_codec.go) instead of legacy gob.
+	// versioned answers /v1/update with the versioned envelope encoding
+	// (update_codec.go), the default; false selects legacy gob.
 	versioned bool
 
 	mu sync.Mutex // serializes access to the participant
@@ -154,7 +160,8 @@ func NewClientServer(part participant, template *nn.Sequential) *ClientServer {
 		template: template.Clone(),
 		// A parameter vector gob-encodes to at most ~9 bytes per float64;
 		// 16x plus slack accommodates every legitimate request.
-		maxBody: int64(template.NumParams())*16 + 1<<16,
+		maxBody:   int64(template.NumParams())*16 + 1<<16,
+		versioned: true,
 	}
 }
 
@@ -162,10 +169,11 @@ func NewClientServer(part participant, template *nn.Sequential) *ClientServer {
 // before Serve or Handler.
 func (cs *ClientServer) SetReportWire(w ReportWire) { cs.wire = w }
 
-// SetVersionedUpdates selects the versioned envelope encoding for
-// /v1/update responses (DESIGN.md §15). Receivers interoperate with
-// either encoding transparently by first-byte sniffing, so a fleet can
-// be migrated one server at a time. It must be called before Serve or
+// SetVersionedUpdates selects between the versioned envelope encoding for
+// /v1/update responses (DESIGN.md §15; the default) and legacy gob, for
+// aggregators older than the envelope. Receivers interoperate with either
+// encoding transparently by first-byte sniffing, so a fleet can be
+// migrated one server at a time. It must be called before Serve or
 // Handler.
 func (cs *ClientServer) SetVersionedUpdates(v bool) { cs.versioned = v }
 
@@ -268,27 +276,46 @@ func requestSpan(r *http.Request, name string, hist *obs.Histogram) obs.Span {
 func (cs *ClientServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	sp := requestSpan(r, "client.update", nil).WithClient(cs.part.ID())
 	defer func() { sp.End() }()
-	var req UpdateRequest
-	if !cs.decodeBody(w, r, &req) || !cs.checkGlobal(w, req.Global) {
+	req, _, ok := readRequest(w, r, cs.maxBody, wire.KindUpdateRequest)
+	if !ok {
+		return
+	}
+	defer req.release()
+	if !cs.checkGlobal(w, req.Global) {
 		return
 	}
 	sp = sp.WithRound(req.Round)
 	cs.mu.Lock()
 	delta := cs.part.LocalUpdate(req.Global, req.Round)
 	cs.mu.Unlock()
-	if cs.versioned {
-		w.Header().Set("Content-Type", updateContentType)
-		_, _ = w.Write(AppendVersionedUpdate(nil, delta))
+	writeUpdate(w, delta, cs.versioned)
+}
+
+// writeUpdate sends one /v1/update response: the versioned envelope,
+// encoded into a pooled buffer that is done with once Write returns, or
+// the legacy gob struct.
+func writeUpdate(w http.ResponseWriter, delta []float64, versioned bool) {
+	if !versioned {
+		encodeBody(w, UpdateResponse{Delta: delta})
 		return
 	}
-	encodeBody(w, UpdateResponse{Delta: delta})
+	buf := wire.GetBuffer()
+	defer buf.Release()
+	buf.B = AppendVersionedUpdate(buf.B, delta)
+	w.Header().Set("Content-Type", updateContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf.B)))
+	_, _ = w.Write(buf.B)
 }
 
 func (cs *ClientServer) handleRanks(w http.ResponseWriter, r *http.Request) {
 	sp := requestSpan(r, "client.ranks", nil).WithClient(cs.part.ID())
 	defer sp.End()
-	var req RankRequest
-	if !cs.decodeBody(w, r, &req) || !cs.checkGlobal(w, req.Global) || !cs.checkLayer(w, req.Layer) {
+	req, _, ok := readRequest(w, r, cs.maxBody, wire.KindRankRequest)
+	if !ok {
+		return
+	}
+	defer req.release()
+	if !cs.checkGlobal(w, req.Global) || !cs.checkLayer(w, req.Layer) {
 		return
 	}
 	cs.mu.Lock()
@@ -306,8 +333,12 @@ func (cs *ClientServer) handleRanks(w http.ResponseWriter, r *http.Request) {
 func (cs *ClientServer) handleVotes(w http.ResponseWriter, r *http.Request) {
 	sp := requestSpan(r, "client.votes", nil).WithClient(cs.part.ID())
 	defer sp.End()
-	var req VoteRequest
-	if !cs.decodeBody(w, r, &req) || !cs.checkGlobal(w, req.Global) || !cs.checkLayer(w, req.Layer) {
+	req, _, ok := readRequest(w, r, cs.maxBody, wire.KindVoteRequest)
+	if !ok {
+		return
+	}
+	defer req.release()
+	if !cs.checkGlobal(w, req.Global) || !cs.checkLayer(w, req.Layer) {
 		return
 	}
 	if !(req.Rate >= 0 && req.Rate <= 1) { // also rejects NaN
@@ -365,21 +396,18 @@ func writeReport(w http.ResponseWriter, payload []byte) {
 // encodeReportGob is encodeBody plus the report byte counter, for the
 // legacy report encoding.
 func encodeReportGob(w http.ResponseWriter, v any) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-gob")
-	n, _ := w.Write(buf.Bytes())
-	obs.M.TransportReportBytesSent.Add(uint64(n))
+	obs.M.TransportReportBytesSent.Add(uint64(encodeBody(w, v)))
 }
 
 func (cs *ClientServer) handleAccuracy(w http.ResponseWriter, r *http.Request) {
 	sp := requestSpan(r, "client.accuracy", nil).WithClient(cs.part.ID())
 	defer sp.End()
-	var req AccuracyRequest
-	if !cs.decodeBody(w, r, &req) || !cs.checkGlobal(w, req.Global) {
+	req, _, ok := readRequest(w, r, cs.maxBody, wire.KindAccuracyRequest)
+	if !ok {
+		return
+	}
+	defer req.release()
+	if !cs.checkGlobal(w, req.Global) {
 		return
 	}
 	cs.mu.Lock()
@@ -388,27 +416,18 @@ func (cs *ClientServer) handleAccuracy(w http.ResponseWriter, r *http.Request) {
 	encodeBody(w, AccuracyResponse{Accuracy: acc})
 }
 
-func (cs *ClientServer) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return false
-	}
-	body := http.MaxBytesReader(w, r.Body, cs.maxBody)
-	if err := gob.NewDecoder(body).Decode(dst); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-func encodeBody(w http.ResponseWriter, v any) {
+// encodeBody sends a gob response struct — the accuracy response, and the
+// update and report responses when the legacy encodings are selected — and
+// returns the body bytes written.
+func encodeBody(w http.ResponseWriter, v any) int {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		return 0
 	}
 	w.Header().Set("Content-Type", "application/x-gob")
-	_, _ = w.Write(buf.Bytes())
+	n, _ := w.Write(buf.Bytes())
+	return n
 }
 
 // RetryPolicy bounds RemoteClient's per-call retry loop.
@@ -473,7 +492,7 @@ func (e *StatusError) Error() string {
 }
 
 // permanent reports whether err cannot be cured by retrying the same
-// bytes: client-side encode bugs and 4xx rejections.
+// bytes: 4xx rejections.
 func permanent(err error) bool {
 	var se *StatusError
 	return errors.As(err, &se) && se.Code >= 400 && se.Code < 500
@@ -488,9 +507,33 @@ func WithRetryPolicy(p RetryPolicy) RemoteOption {
 }
 
 // WithTransport installs a custom http.RoundTripper (fault injectors,
-// instrumented transports). nil restores http.DefaultTransport.
+// instrumented transports). nil restores the shared default.
 func WithTransport(rt http.RoundTripper) RemoteOption {
-	return func(rc *RemoteClient) { rc.httpc.Transport = rt }
+	return func(rc *RemoteClient) {
+		if rt == nil {
+			rt = sharedTransport()
+		}
+		rc.httpc.Transport = rt
+	}
+}
+
+// sharedTransport is the one http.Transport behind every stub that does
+// not install its own: a registry server builds a fresh stub per selected
+// client per round, so connection reuse has to live above the stubs.
+var sharedTransport = sync.OnceValue(newStubTransport)
+
+// newStubTransport is http.DefaultTransport with its idle pool sized to
+// the calls a round driver keeps in flight against one host — a fleet is
+// one host, and the streaming window is two per worker — where the
+// default of 2 closes and re-dials the surplus connections every round.
+func newStubTransport() *http.Transport {
+	t := &http.Transport{}
+	if dt, ok := http.DefaultTransport.(*http.Transport); ok {
+		t = dt.Clone()
+	}
+	t.MaxIdleConnsPerHost = max(2*parallel.Workers(), 64)
+	t.MaxIdleConns = max(t.MaxIdleConns, t.MaxIdleConnsPerHost)
+	return t
 }
 
 // RemoteClient is the server-side stub for a client reachable over HTTP.
@@ -525,7 +568,7 @@ func NewRemoteClient(id int, addr string, opts ...RemoteOption) *RemoteClient {
 	rc := &RemoteClient{
 		id:      id,
 		baseURL: "http://" + addr,
-		httpc:   &http.Client{},
+		httpc:   &http.Client{Transport: sharedTransport()},
 		retry:   DefaultRetryPolicy(),
 	}
 	for _, opt := range opts {
@@ -562,7 +605,7 @@ func (rc *RemoteClient) noteErr(err error) {
 // the legacy gob UpdateResponse — so one client release speaks to servers
 // on either side of the encoding migration.
 func (rc *RemoteClient) TryLocalUpdate(ctx context.Context, global []float64, round int) ([]float64, error) {
-	resp, err := call[updatePayload](rc, ctx, "/v1/update", UpdateRequest{Global: global, Round: round})
+	resp, err := call[updatePayload](rc, ctx, "/v1/update", wire.KindUpdateRequest, request{Global: global, Round: round})
 	if err != nil {
 		return nil, err
 	}
@@ -575,7 +618,7 @@ func (rc *RemoteClient) TryLocalUpdate(ctx context.Context, global []float64, ro
 // ranks server-side (core.RanksFromQuantized / RanksFromActivations), and
 // untagged bodies fall back to the legacy gob decode.
 func (rc *RemoteClient) TryRankReport(ctx context.Context, m *nn.Sequential, layerIdx int) ([]int, error) {
-	resp, err := call[rankPayload](rc, ctx, "/v1/ranks", RankRequest{Global: m.ParamsVector(), Layer: layerIdx})
+	resp, err := call[rankPayload](rc, ctx, "/v1/ranks", wire.KindRankRequest, request{Model: m, Layer: layerIdx})
 	if err != nil {
 		return nil, err
 	}
@@ -586,7 +629,7 @@ func (rc *RemoteClient) TryRankReport(ctx context.Context, m *nn.Sequential, lay
 // the same tag-sniffing decode as TryRankReport (an activation payload is
 // reconstructed into votes at the requested rate).
 func (rc *RemoteClient) TryVoteReport(ctx context.Context, m *nn.Sequential, layerIdx int, p float64) ([]bool, error) {
-	resp, err := callFrom(rc, ctx, "/v1/votes", VoteRequest{Global: m.ParamsVector(), Layer: layerIdx, Rate: p}, votePayload{Rate: p})
+	resp, err := callFrom(rc, ctx, "/v1/votes", wire.KindVoteRequest, request{Model: m, Layer: layerIdx, Rate: p}, votePayload{Rate: p})
 	if err != nil {
 		return nil, err
 	}
@@ -611,10 +654,12 @@ type rankPayload struct {
 
 // DecodeBody implements bodyDecoder.
 func (rp *rankPayload) DecodeBody(r io.Reader) error {
-	b, err := readReportBody(r)
+	buf, err := readBody(r, maxReportBody)
 	if err != nil {
-		return err
+		return fmt.Errorf("transport: read report body: %w", err)
 	}
+	defer buf.Release()
+	b := buf.B
 	switch {
 	case len(b) == 0:
 		return errors.New("transport: empty rank report")
@@ -656,10 +701,12 @@ type votePayload struct {
 
 // DecodeBody implements bodyDecoder.
 func (vp *votePayload) DecodeBody(r io.Reader) error {
-	b, err := readReportBody(r)
+	buf, err := readBody(r, maxReportBody)
 	if err != nil {
-		return err
+		return fmt.Errorf("transport: read report body: %w", err)
 	}
+	defer buf.Release()
+	b := buf.B
 	switch {
 	case len(b) == 0:
 		return errors.New("transport: empty vote report")
@@ -690,19 +737,22 @@ func (vp *votePayload) DecodeBody(r io.Reader) error {
 	return nil
 }
 
-// readReportBody slurps a bounded report response body.
-func readReportBody(r io.Reader) ([]byte, error) {
-	b, err := io.ReadAll(io.LimitReader(r, maxReportBody))
-	if err != nil {
-		return nil, fmt.Errorf("transport: read report body: %w", err)
+// readBody gathers a response body of at most limit bytes in a pooled
+// buffer. The caller decodes out of it — every decoder copies — and then
+// releases it.
+func readBody(r io.Reader, limit int64) (*wire.Buffer, error) {
+	buf := wire.GetBuffer()
+	if err := buf.ReadAll(r, limit); err != nil {
+		buf.Release()
+		return nil, err
 	}
-	return b, nil
+	return buf, nil
 }
 
 // TryReportAccuracy implements core.FallibleAccuracyReporter over the
 // wire.
 func (rc *RemoteClient) TryReportAccuracy(ctx context.Context, m *nn.Sequential) (float64, error) {
-	resp, err := call[AccuracyResponse](rc, ctx, "/v1/accuracy", AccuracyRequest{Global: m.ParamsVector()})
+	resp, err := call[AccuracyResponse](rc, ctx, "/v1/accuracy", wire.KindAccuracyRequest, request{Model: m})
 	if err != nil {
 		return 0, err
 	}
@@ -751,10 +801,11 @@ func (rc *RemoteClient) ReportAccuracy(m *nn.Sequential) float64 {
 	return a
 }
 
-// call runs one logical request through the retry loop: encode once, then
-// up to MaxAttempts HTTP attempts with capped exponential backoff between
-// them, each decoded into a fresh response value. Retries stop early on
-// context cancellation and on permanent (4xx) rejections.
+// call runs one logical request through the retry loop: encode once, into
+// a pooled buffer every attempt sends from, then up to MaxAttempts HTTP
+// attempts with capped exponential backoff between them, each decoded into
+// a fresh response value. Retries stop early on context cancellation and
+// on permanent (4xx) rejections.
 //
 // Every logical call is traced as an obs span feeding
 // transport_call_seconds — a child of the span context carried by ctx
@@ -762,32 +813,28 @@ func (rc *RemoteClient) ReportAccuracy(m *nn.Sequential) float64 {
 // attempt is a further child span with a fresh span ID, and that attempt
 // span's context rides the request as trace headers: the receiving
 // handler links under the exact attempt that reached it, retries
-// included. Each attempt counts into transport_attempts_total (retries —
-// and therefore backoff waits — into transport_retries_total),
+// included. Each attempt counts into transport_attempts_total and its
+// request bytes into transport_request_bytes_sent_total (retries — and
+// therefore backoff waits — into transport_retries_total),
 // per-attempt failures log at debug with client/path/attempt attributes,
 // and a call that exhausts its budget counts into
 // transport_call_failures_total.
-func call[Resp any](rc *RemoteClient, ctx context.Context, path string, req any) (Resp, error) {
+func call[Resp any](rc *RemoteClient, ctx context.Context, path string, kind uint16, req request) (Resp, error) {
 	var zero Resp
-	return callFrom(rc, ctx, path, req, zero)
+	return callFrom(rc, ctx, path, kind, req, zero)
 }
 
 // callFrom is call with a seeded response value: every attempt decodes
 // into a fresh copy of init, which lets a bodyDecoder response carry
 // request parameters (votePayload.Rate) into its decode.
-func callFrom[Resp any](rc *RemoteClient, ctx context.Context, path string, req any, init Resp) (Resp, error) {
+func callFrom[Resp any](rc *RemoteClient, ctx context.Context, path string, kind uint16, req request, init Resp) (Resp, error) {
 	sp := obs.StartChild(ctx, "transport.call", obs.M.TransportCallSeconds).WithClient(rc.id)
 	defer sp.End()
 	obs.M.TransportCalls.Inc()
 	var zero Resp
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(req); err != nil {
-		err = fmt.Errorf("transport: encode %s: %w", path, err)
-		obs.M.TransportCallFailures.Inc()
-		rc.noteErr(err)
-		return zero, err
-	}
-	payload := body.Bytes()
+	payload := callBody{buf: wire.GetBuffer()}
+	defer payload.release()
+	payload.buf.B = appendRequest(payload.buf.B, kind, req)
 	pol := rc.retry.withDefaults()
 	var lastErr error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
@@ -798,10 +845,11 @@ func callFrom[Resp any](rc *RemoteClient, ctx context.Context, path string, req 
 			}
 		}
 		obs.M.TransportAttempts.Inc()
+		obs.M.TransportRequestBytesSent.Add(uint64(len(payload.buf.B)))
 		asp := obs.StartChildOf(sp.Context(), "transport.attempt", nil).
 			WithClient(rc.id).WithAttempt(attempt + 1)
 		resp := init
-		err := rc.attempt(ctx, pol, path, payload, &resp, asp.Context())
+		err := rc.attempt(ctx, pol, path, &payload, &resp, asp.Context())
 		asp.End()
 		if err == nil {
 			rc.noteErr(nil)
@@ -823,21 +871,61 @@ func callFrom[Resp any](rc *RemoteClient, ctx context.Context, path string, req 
 	return zero, lastErr
 }
 
+// callBody is the one encoded request of a logical call, which every
+// attempt sends from. It sits in a pooled buffer, and http.Transport can
+// still be reading an attempt's body after Do has returned (the peer
+// answered early, the attempt was cancelled), so each reader handed out
+// reports its Close and release recycles the buffer only when none is
+// still open; otherwise the buffer is left to the garbage collector.
+type callBody struct {
+	buf  *wire.Buffer
+	open atomic.Int32 // readers handed out and not yet closed
+}
+
+// reader returns a fresh reader over the encoded request.
+func (b *callBody) reader() io.ReadCloser {
+	b.open.Add(1)
+	return &callBodyReader{Reader: *bytes.NewReader(b.buf.B), body: b}
+}
+
+func (b *callBody) release() {
+	if b.open.Load() == 0 {
+		b.buf.Release()
+	}
+}
+
+type callBodyReader struct {
+	bytes.Reader
+	body   *callBody
+	closed atomic.Bool
+}
+
+func (r *callBodyReader) Close() error {
+	if r.closed.CompareAndSwap(false, true) {
+		r.body.open.Add(-1)
+	}
+	return nil
+}
+
 // attempt performs a single HTTP exchange under the per-attempt timeout.
 // sc is the attempt span's context, injected as trace headers so the
-// receiving handler joins this attempt's tree; the headers are orthogonal
-// to the body encoding and ride gob and versioned-envelope requests alike.
-func (rc *RemoteClient) attempt(ctx context.Context, pol RetryPolicy, path string, payload []byte, resp any, sc obs.SpanContext) error {
+// receiving handler joins this attempt's tree.
+func (rc *RemoteClient) attempt(ctx context.Context, pol RetryPolicy, path string, payload *callBody, resp any, sc obs.SpanContext) error {
 	if pol.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, pol.AttemptTimeout)
 		defer cancel()
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, rc.baseURL+path, bytes.NewReader(payload))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, rc.baseURL+path, payload.reader())
 	if err != nil {
 		return fmt.Errorf("transport: %s: %w", path, err)
 	}
-	hreq.Header.Set("Content-Type", "application/x-gob")
+	// What NewRequest works out for a *bytes.Reader body: the length, so
+	// the request is not chunked, and GetBody, so the transport can resend
+	// it when a pooled connection turns out to be dead.
+	hreq.ContentLength = int64(len(payload.buf.B))
+	hreq.GetBody = func() (io.ReadCloser, error) { return payload.reader(), nil }
+	hreq.Header.Set("Content-Type", requestContentType)
 	obs.InjectHeaders(hreq.Header, sc)
 	hresp, err := rc.httpc.Do(hreq)
 	if err != nil {

@@ -31,13 +31,16 @@ const maxUpdateBody = 1 << 30
 // updateContentType marks a versioned update payload.
 const updateContentType = "application/x-fedcleanse-update"
 
-// AppendVersionedUpdate appends a KindUpdate envelope carrying the delta.
+// AppendVersionedUpdate appends a KindUpdate envelope carrying the delta,
+// written in place: with capacity in dst the warm path allocates nothing.
 // A nil delta (a participant that produced no update) encodes as a zero
 // count and decodes back to nil, preserving the gob response's semantics.
 func AppendVersionedUpdate(dst []byte, delta []float64) []byte {
-	payload := wire.AppendUint(nil, uint64(len(delta)))
-	payload = wire.AppendFloat64s(payload, delta)
-	return append(dst, wire.NewEncoder(wire.KindUpdate).Section(secUpdateDelta, payload).Bytes()...)
+	w := wire.NewWriter(dst, wire.KindUpdate)
+	w.Section(secUpdateDelta)
+	w.B = wire.AppendUint(w.B, uint64(len(delta)))
+	w.B = wire.AppendFloat64s(w.B, delta)
+	return w.Finish()
 }
 
 // DecodeVersionedUpdate parses a KindUpdate envelope back into the delta,
@@ -79,12 +82,15 @@ type updatePayload struct {
 	Delta []float64
 }
 
-// DecodeBody implements bodyDecoder.
+// DecodeBody implements bodyDecoder. The body is gathered in a pooled
+// buffer; the decoded delta is a fresh slice the caller owns.
 func (up *updatePayload) DecodeBody(r io.Reader) error {
-	b, err := wire.ReadPayload(r, maxUpdateBody)
+	buf, err := readBody(r, maxUpdateBody)
 	if err != nil {
 		return fmt.Errorf("transport: read update body: %w", err)
 	}
+	defer buf.Release()
+	b := buf.B
 	switch wire.Sniff(b) {
 	case wire.FormatVersioned:
 		up.Delta, err = DecodeVersionedUpdate(b)

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func sample() []byte {
@@ -187,5 +189,108 @@ func TestScalarHelpers(t *testing.T) {
 	bp[len(bp)-1] |= 0x80 // pad bit past element 8
 	if _, _, err := ReadBools(bp); err == nil {
 		t.Fatal("nonzero pad bits accepted")
+	}
+}
+
+// TestWriterMatchesLayout pins the append-style writer against the layout
+// in the package comment, assembled by hand, and against Encoder — behind
+// a prefix, so offsets are relative to the envelope and not the slice.
+func TestWriterMatchesLayout(t *testing.T) {
+	var want []byte
+	want = append(want, 0xFC, 'F', 'C', 'W')
+	want = append(want, 1, 0, 2, 0, 3, 0) // version 1, KindCheckpoint, 3 sections
+	want = append(want, 1, 0, 5, 0, 0, 0)
+	want = append(want, "alpha"...)
+	want = append(want, 2, 0, 0, 0, 0, 0)
+	want = append(want, 7, 0, 2, 0, 0, 0, 0xde, 0xad)
+	want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(want))
+	if !bytes.Equal(sample(), want) {
+		t.Fatalf("Encoder emits % x, layout says % x", sample(), want)
+	}
+
+	prefix := []byte("prefix")
+	w := NewWriter(append([]byte(nil), prefix...), KindCheckpoint)
+	w.Section(1)
+	w.B = append(w.B, "alpha"...)
+	w.Section(2)
+	w.Section(7)
+	w.B = append(w.B, 0xde)
+	w.B = append(w.B, 0xad)
+	got := w.Finish()
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("Writer emits % x after the prefix, want % x", got[len(prefix):], want)
+	}
+	if empty := NewWriter(nil, KindUpdate); !bytes.Equal(empty.Finish(), NewEncoder(KindUpdate).Bytes()) {
+		t.Fatal("sectionless Writer and Encoder envelopes differ")
+	}
+}
+
+// TestFloat64sBulk walks the lengths around the unrolled loop's stride and
+// checks the bulk codecs against the one-value-at-a-time definition.
+func TestFloat64sBulk(t *testing.T) {
+	specials := []float64{math.NaN(), math.Inf(-1), math.Copysign(0, -1), math.SmallestNonzeroFloat64}
+	for n := 0; n <= 13; n++ {
+		v := make([]float64, n)
+		var want []byte
+		for i := range v {
+			v[i] = float64(i)*1.25 - 3
+			if i%3 == 0 {
+				v[i] = specials[i%len(specials)]
+			}
+			want = binary.LittleEndian.AppendUint64(want, math.Float64bits(v[i]))
+		}
+		got := AppendFloat64s([]byte{0xAA}, v)
+		if got[0] != 0xAA || !bytes.Equal(got[1:], want) {
+			t.Fatalf("n=%d: AppendFloat64s = % x, want % x", n, got[1:], want)
+		}
+		back := make([]float64, n)
+		if err := Float64sInto(back, want); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for i := range v {
+			if math.Float64bits(back[i]) != math.Float64bits(v[i]) {
+				t.Fatalf("n=%d: value %d not bit-exact", n, i)
+			}
+		}
+		if err := Float64sInto(make([]float64, n+1), want); err == nil {
+			t.Fatalf("n=%d: short payload accepted", n)
+		}
+	}
+}
+
+// slowReader yields one byte per Read and its EOF on a separate call, the
+// least helpful reader Buffer.ReadAll can meet.
+type slowReader struct{ p []byte }
+
+func (r *slowReader) Read(p []byte) (int, error) {
+	if len(r.p) == 0 {
+		return 0, io.EOF
+	}
+	p[0] = r.p[0]
+	r.p = r.p[1:]
+	return 1, nil
+}
+
+func TestBufferReadAll(t *testing.T) {
+	data := bytes.Repeat([]byte("0123456789abcdef"), 1000) // several growth steps
+	b := GetBuffer()
+	defer b.Release()
+	if err := b.ReadAll(bytes.NewReader(data), int64(len(data))); err != nil || !bytes.Equal(b.B, data) {
+		t.Fatalf("ReadAll at exact budget: %v (%d bytes)", err, len(b.B))
+	}
+	// A second read into the grown buffer appends and allocates nothing.
+	b.B = b.B[:0]
+	if err := b.ReadAll(&slowReader{p: data[:100]}, 100); err != nil || !bytes.Equal(b.B, data[:100]) {
+		t.Fatalf("ReadAll from a slow reader: %v", err)
+	}
+	// Over budget: rejected having buffered at most limit+1 bytes, however
+	// much capacity the pool handed out and however long the stream runs.
+	b.B = b.B[:0]
+	endless := io.MultiReader(bytes.NewReader(data), bytes.NewReader(data))
+	if err := b.ReadAll(endless, 4999); err == nil || len(b.B) != 5000 {
+		t.Fatalf("over-budget stream: err %v with %d bytes buffered, want an error at 5000", err, len(b.B))
+	}
+	if err := b.ReadAll(iotest.ErrReader(io.ErrUnexpectedEOF), 1<<20); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("reader error not passed through: %v", err)
 	}
 }

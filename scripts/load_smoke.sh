@@ -13,6 +13,10 @@
 #   - the report-collection phase (RAP + MVP over one cohort) stayed at
 #     or under REPORT_CEIL bytes per report on the wire (compact codecs,
 #     REPORT_QUANT precision; DESIGN.md §14),
+#   - the update exchange stayed at raw-vector size both ways: received
+#     update bytes per completed update, and sent request bytes per
+#     attempt, each at or under 8 bytes per parameter + 64 (the versioned
+#     envelope, which both binaries emit by default; DESIGN.md §15),
 #   - a durable run SIGKILLed right after its first checkpoint restarts
 #     with -resume, actually resumes (fl_resumes_total), finishes the
 #     remaining rounds under the same heap bound, and leaves the fleet
@@ -32,14 +36,16 @@ cd "$(dirname "$0")/.."
 
 POP=${POP:-10000}
 SELECT=${SELECT:-256}
-ROUNDS=${ROUNDS:-3}
+# Enough rounds that fedserve is still running when its ops endpoint is
+# polled below: at envelope speed three rounds are over in a quarter of a
+# second.
+ROUNDS=${ROUNDS:-20}
 HEAP_BOUND=${HEAP_BOUND:-268435456} # 256 MiB
 TIMEOUT=${TIMEOUT:-120}
 OUT_DIR=${OUT_DIR:-load-smoke-artifacts}
 REPORT_QUANT=${REPORT_QUANT:-int8}
 REPORT_CEIL=${REPORT_CEIL:-256}
 RESUME_ROUNDS=${RESUME_ROUNDS:-$ROUNDS}
-VERSIONED_UPDATES=${VERSIONED_UPDATES:-true}
 
 workdir=$(mktemp -d)
 mkdir -p "$OUT_DIR"
@@ -58,7 +64,7 @@ fail() {
 go build -o "$workdir" ./cmd/fedload ./cmd/fedserve ./cmd/fedtrace
 
 "$workdir/fedload" -clients "$POP" -listen 127.0.0.1:0 -ops-addr 127.0.0.1:0 \
-	-report-quant "$REPORT_QUANT" -versioned-updates="$VERSIONED_UPDATES" \
+	-report-quant "$REPORT_QUANT" \
 	>"$workdir/fedload.log" 2>&1 &
 pids+=($!)
 
@@ -86,11 +92,11 @@ serve_pid=$!
 pids+=($serve_pid)
 
 serve_ops=
-for _ in $(seq 1 240); do
+for _ in $(seq 1 1200); do
 	serve_ops=$(sed -n 's/.*ops endpoint up addr=\(.*\)/\1/p' "$workdir/serve.log" | head -1)
 	[ -n "$serve_ops" ] && break
 	kill -0 "$serve_pid" 2>/dev/null || break
-	sleep 0.5
+	sleep 0.1
 done
 
 # Poll the server's JSON snapshot while it runs; the last capture before
@@ -112,7 +118,7 @@ while kill -0 "$serve_pid" 2>/dev/null; do
 				mv "$OUT_DIR/${ep#*:}.tmp" "$OUT_DIR/${ep#*:}" || true
 		done
 	fi
-	sleep 1
+	sleep 0.2
 done
 wait "$serve_pid" || { cat "$workdir/serve.log" >&2; fail "fedserve exited non-zero"; }
 cp "$workdir/serve.log" "$OUT_DIR/serve.log"
@@ -156,8 +162,29 @@ per_report=$(sed -n 's/.*bytes_per_report=\([0-9]*\).*/\1/p' "$workdir/serve.log
 [ "$per_report" -le "$REPORT_CEIL" ] ||
 	fail "report payloads average $per_report bytes ($REPORT_QUANT), exceeding ceiling $REPORT_CEIL"
 
+# Update-path bandwidth gate, both directions: an envelope is the raw
+# little-endian vector plus a few dozen bytes of framing, so anything
+# above 8 bytes per parameter + 64 means gob (or worse) is back on the
+# wire.
+params=$(sed -n 's/.*fleet training start.* params=\([0-9]*\).*/\1/p' "$workdir/serve.log" | head -1)
+[ -n "${params:-}" ] || { cat "$workdir/serve.log" >&2; fail "fedserve did not log the model's parameter count"; }
+update_ceil=$((8 * params + 64))
+completed=$(metric "$server_metrics" fl_completed_updates_total)
+update_recv=$(metric "$server_metrics" transport_update_bytes_recv_total)
+[ "${completed:-0}" -ge 1 ] || fail "server completed ${completed:-0} updates, want >= 1"
+per_update=$((${update_recv:-0} / completed))
+[ "$per_update" -ge 1 ] && [ "$per_update" -le "$update_ceil" ] ||
+	fail "update responses average $per_update bytes, want 1..$update_ceil (8 x $params params + 64)"
+attempts=$(metric "$server_metrics" transport_attempts_total)
+request_sent=$(metric "$server_metrics" transport_request_bytes_sent_total)
+[ "${attempts:-0}" -ge 1 ] || fail "server made ${attempts:-0} request attempts, want >= 1"
+per_request=$((${request_sent:-0} / attempts))
+[ "$per_request" -ge 1 ] && [ "$per_request" -le "$update_ceil" ] ||
+	fail "requests average $per_request bytes, want 1..$update_ceil (8 x $params params + 64)"
+
 echo "load smoke: OK (population=$POP cohort=$SELECT rounds=$applied applied," \
 	"fleet updates=$updates, reports=$reports at $per_report B/report ($REPORT_QUANT)," \
+	"$per_update B/update and $per_request B/request against a ceiling of $update_ceil," \
 	"server heap=$heap bytes, peak in-flight=$peak)"
 
 # ---- Tracing + audit-trail gates (DESIGN.md §16) ---------------------
