@@ -33,7 +33,7 @@ build:
 test:
 	$(GO) test ./...
 
-## race: race detector in short mode, with the worker pool forced wide so
+## race: race detector in short mode, with the worker count forced wide so
 ## every parallel path fans out even on single-core machines
 race:
 	FEDCLEANSE_WORKERS=4 $(GO) test -race -short ./...

@@ -10,6 +10,7 @@
 package fedcleanse
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -126,25 +127,35 @@ func BenchmarkFig10(b *testing.B) {
 	}
 }
 
-// benchFLRound measures one federated round over a 16-client cohort with
-// the worker count pinned (0 = automatic) and the clients' local training
-// on the given numeric backend: the serial-vs-parallel comparison for
-// concurrent per-client local training, and the float64-vs-float32
-// comparison for the local-training arithmetic (aggregation itself is
-// float64 on either backend).
-func benchFLRound(b *testing.B, workers int, backend nn.Backend) {
+// benchFLRound measures one federated round over a cohort of the given
+// size — the `attackers` clients just before the last one are
+// fl.NewAttacker, the rest benign — with the worker count pinned (0 = automatic) and the
+// clients' local training on the given numeric backend: the
+// serial-vs-parallel comparison for concurrent per-client local training,
+// and the float64-vs-float32 comparison for the local-training arithmetic
+// (aggregation itself is float64 on either backend).
+func benchFLRound(b *testing.B, workers int, backend nn.Backend, clients, attackers int) {
 	prev := parallel.SetWorkers(workers)
 	defer parallel.SetWorkers(prev)
-	const clients = 16
 	train, _ := dataset.GenSynthMNIST(dataset.GenConfig{TrainPerClass: 120, TestPerClass: 10, Seed: 31})
 	rng := rand.New(rand.NewSource(32))
 	template := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rng)
 	template.SetBackend(backend)
 	shards := dataset.PartitionKLabel(train, clients, 3, 60, rng)
 	cfg := fl.Config{Rounds: 1, LocalEpochs: 1, BatchSize: 20, LR: 0.05}
+	poison := dataset.PoisonConfig{
+		Trigger:     dataset.PixelPattern(3, dataset.Shape{C: 1, H: 16, W: 16}),
+		VictimLabel: 9,
+		TargetLabel: 2,
+		Copies:      2,
+	}
 	parts := make([]fl.Participant, clients)
 	for i := range parts {
-		parts[i] = fl.NewClient(i, shards[i], template, cfg, 40+int64(i))
+		if i >= clients-1-attackers && i < clients-1 {
+			parts[i] = fl.NewAttacker(i, shards[i], template, cfg, poison, 3, 40+int64(i))
+		} else {
+			parts[i] = fl.NewClient(i, shards[i], template, cfg, 40+int64(i))
+		}
 	}
 	server := fl.NewServer(template, parts, cfg, 50)
 	b.ReportAllocs()
@@ -154,13 +165,30 @@ func benchFLRound(b *testing.B, workers int, backend nn.Backend) {
 	}
 }
 
-func BenchmarkFLRound16ClientsSerial(b *testing.B)   { benchFLRound(b, 1, nn.Float64) }
-func BenchmarkFLRound16ClientsParallel(b *testing.B) { benchFLRound(b, 0, nn.Float64) }
+func BenchmarkFLRound16ClientsSerial(b *testing.B)   { benchFLRound(b, 1, nn.Float64, 16, 0) }
+func BenchmarkFLRound16ClientsParallel(b *testing.B) { benchFLRound(b, 0, nn.Float64, 16, 0) }
+
+// BenchmarkFLRoundPaperCohort is the round the paper's threat model
+// actually runs: 10 clients of which 4 (indices 5-8) are attackers
+// training 3x the local epochs on a poisoned (larger) shard, so client
+// cost is skewed where the 16-client pair above is uniform. Its
+// workers=1|2|4|8 sub-benchmarks are the scaling curve of the
+// work-conserving fan-out (DESIGN.md §7): a round should cost about the
+// summed client cost divided by the workers the host really has. The
+// nightly workflow records it on a multi-core runner.
+func BenchmarkFLRoundPaperCohort(b *testing.B) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		workers := workers
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchFLRound(b, workers, nn.Float64, 10, 4)
+		})
+	}
+}
 
 // BenchmarkFLRound16ClientsSerialFloat32 is the PR-7 headline: the same
 // round with every client training on the float32 backend. BENCH_7.json
 // compares it against the float64 baseline in bench_baseline_pr7.txt.
-func BenchmarkFLRound16ClientsSerialFloat32(b *testing.B) { benchFLRound(b, 1, nn.Float32) }
+func BenchmarkFLRound16ClientsSerialFloat32(b *testing.B) { benchFLRound(b, 1, nn.Float32, 16, 0) }
 
 // defenseBench is the shared fixture of the defense-loop benchmarks: an
 // (untrained) SmallCNN, the server's validation slice, the attack's test

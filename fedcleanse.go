@@ -68,7 +68,7 @@ var (
 )
 
 // Parallel execution knobs. Simulation and kernel hot paths fan out over a
-// bounded worker pool; results are bit-identical for any worker count
+// bounded set of workers; results are bit-identical for any worker count
 // (DESIGN.md §7). The count defaults to GOMAXPROCS and can be pinned via
 // SetWorkers or the FEDCLEANSE_WORKERS environment variable.
 var (

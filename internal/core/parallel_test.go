@@ -32,7 +32,7 @@ func (c *actClient) ReportAccuracy(m *nn.Sequential) float64 {
 }
 
 // TestGlobalPruneOrderParallelBitIdentical asserts that report collection
-// produces the same global pruning sequence for worker counts 1, 2 and 8,
+// produces the same global pruning sequence for worker counts 1, 2, 3 and 8,
 // for both RAP and MVP.
 func TestGlobalPruneOrderParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -57,7 +57,7 @@ func TestGlobalPruneOrderParallelBitIdentical(t *testing.T) {
 			return GlobalPruneOrder(m, clients, layerIdx, cfg)
 		}
 		ref := run(1)
-		for _, w := range []int{2, 8} {
+		for _, w := range []int{2, 3, 8} {
 			got := run(w)
 			for i := range got {
 				if got[i] != ref[i] {
@@ -83,7 +83,7 @@ func TestMeanReportedAccuracyParallelBitIdentical(t *testing.T) {
 		return MeanReportedAccuracy(m, clients)
 	}
 	ref := run(1)
-	for _, w := range []int{2, 8} {
+	for _, w := range []int{2, 3, 8} {
 		if got := run(w); got != ref {
 			t.Fatalf("workers=%d: mean accuracy %v, want %v (bit-identical)", w, got, ref)
 		}

@@ -300,12 +300,13 @@ func GlobalPruneOrder(m *nn.Sequential, clients []ReportClient, layerIdx int, cf
 //
 // Report collection fans out across clients: each one records activations
 // over its whole local shard, which is the defense's per-client hot path
-// (it scales linearly with cohort size). Every concurrent client gets its
-// own clone of m — inference mutates per-layer caches, so sharing the
-// model would race — and a clone carries identical parameters, so reports
-// are bit-identical to the serial path. Aggregation itself stays serial in
-// client-index order, so a cohort with wire failures aggregates
-// bit-identically to the same cohort with the failed clients removed.
+// (it scales linearly with cohort size). Every worker gets its own clone
+// of m (see workerClones) — inference mutates per-layer caches, so
+// sharing the model across goroutines would race — and a clone carries
+// identical parameters, so reports are bit-identical to the serial path.
+// Aggregation itself stays serial in client-index order, so a cohort with
+// wire failures aggregates bit-identically to the same cohort with the
+// failed clients removed.
 //
 // Clients implementing FallibleReportClient are collected through the
 // fallible path under cfg.ReportTimeout; a failed (or nil) report drops
@@ -328,8 +329,9 @@ func GlobalPruneOrderDetailCtx(ctx context.Context, m *nn.Sequential, clients []
 	case RAP:
 		reports := make([][]int, len(clients))
 		errs := make([]error, len(clients))
-		parallel.For(len(clients), func(i int) {
-			reports[i], errs[i] = rankReport(ctx, clients[i], m.Clone(), layerIdx)
+		clone := workerClones(m, len(clients))
+		parallel.ForWorker(len(clients), func(slot, i int) {
+			reports[i], errs[i] = rankReport(ctx, clients[i], clone(slot), layerIdx)
 		})
 		ok := compactReports(reports, errs, &res)
 		requireReportQuorum(len(ok), len(clients), cfg.ReportQuorum)
@@ -341,8 +343,9 @@ func GlobalPruneOrderDetailCtx(ctx context.Context, m *nn.Sequential, clients []
 		}
 		reports := make([][]bool, len(clients))
 		errs := make([]error, len(clients))
-		parallel.For(len(clients), func(i int) {
-			reports[i], errs[i] = voteReport(ctx, clients[i], m.Clone(), layerIdx, p)
+		clone := workerClones(m, len(clients))
+		parallel.ForWorker(len(clients), func(slot, i int) {
+			reports[i], errs[i] = voteReport(ctx, clients[i], clone(slot), layerIdx, p)
 		})
 		ok := compactReports(reports, errs, &res)
 		requireReportQuorum(len(ok), len(clients), cfg.ReportQuorum)
@@ -351,6 +354,22 @@ func GlobalPruneOrderDetailCtx(ctx context.Context, m *nn.Sequential, clients []
 		panic(fmt.Sprintf("core: unknown prune method %v", cfg.Method))
 	}
 	return res
+}
+
+// workerClones returns the model each parallel.ForWorker slot of an
+// n-client report fan-out hands its clients: one clone of m per worker,
+// made on the slot's first use, instead of one per client. Reports only
+// read parameters — what a forward pass leaves in the layer caches is
+// overwritten by the next one — so the clients a worker serves in turn
+// see exactly the model a fresh clone would give them.
+func workerClones(m *nn.Sequential, n int) func(slot int) *nn.Sequential {
+	clones := make([]*nn.Sequential, parallel.NumBlocks(n))
+	return func(slot int) *nn.Sequential {
+		if clones[slot] == nil {
+			clones[slot] = m.Clone()
+		}
+		return clones[slot]
+	}
 }
 
 // errNilReport marks an infallible client that returned no report
@@ -426,8 +445,8 @@ func reportCtx(parent context.Context, timeout time.Duration) (context.Context, 
 // implement AccuracyReporter are skipped entirely; among the reporters,
 // wire failures (FallibleAccuracyReporter errors, or NaN from the
 // infallible surface) drop out of the mean. It panics if no report
-// arrives. The per-client evaluations run concurrently (each on its own
-// model clone, see GlobalPruneOrderDetail); the mean is summed serially
+// arrives. The per-client evaluations run concurrently (each worker on
+// its own model clone, see workerClones); the mean is summed serially
 // in client order so the float result matches the serial path — and a
 // cohort with failures matches the same cohort without the failed
 // clients — exactly.
@@ -458,8 +477,9 @@ func MeanReportedAccuracyDetail(m *nn.Sequential, clients []ReportClient, cfg Pi
 	defer cancel()
 	accs := make([]float64, len(reporters))
 	errs := make([]error, len(reporters))
-	parallel.For(len(reporters), func(i int) {
-		accs[i], errs[i] = reportAccuracy(ctx, reporters[i].r, m.Clone())
+	clone := workerClones(m, len(reporters))
+	parallel.ForWorker(len(reporters), func(slot, i int) {
+		accs[i], errs[i] = reportAccuracy(ctx, reporters[i].r, clone(slot))
 	})
 	var dropped []int
 	sum, n := 0.0, 0

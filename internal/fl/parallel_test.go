@@ -8,30 +8,37 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
 )
 
-// buildFederation constructs a fresh identical federation (server + 6
-// clients, one attacker, per-client seeded RNGs) for determinism tests.
-// Every call rebuilds all state from the same seeds, so two federations
-// trained under different worker counts are comparable bit for bit.
-func buildFederation(t *testing.T) *Server {
+// buildCohort constructs a fresh identical federation (server + clients,
+// attackers where attackerAt says, per-client seeded RNGs) for determinism
+// tests. Every call rebuilds all state from the same seeds, so two
+// federations trained under different worker counts are comparable bit
+// for bit.
+func buildCohort(t *testing.T, clients int, attackerAt func(i int) bool) *Server {
 	t.Helper()
 	train, _, template, cfg := tinySetup(t, 21)
-	const clients = 6
 	shards := dataset.PartitionKLabel(train, clients, 3, 40, rand.New(rand.NewSource(22)))
+	poison := dataset.PoisonConfig{
+		Trigger:     dataset.PixelPattern(3, dataset.Shape{C: 1, H: 16, W: 16}),
+		VictimLabel: 9,
+		TargetLabel: 2,
+		Copies:      2,
+	}
 	parts := make([]Participant, clients)
-	for i := 0; i < clients; i++ {
-		if i == 0 {
-			poison := dataset.PoisonConfig{
-				Trigger:     dataset.PixelPattern(3, dataset.Shape{C: 1, H: 16, W: 16}),
-				VictimLabel: 9,
-				TargetLabel: 2,
-				Copies:      2,
-			}
-			parts[i] = NewAttacker(i, shards[i], template, cfg, poison, 3, 100)
+	for i := range parts {
+		if attackerAt(i) {
+			parts[i] = NewAttacker(i, shards[i], template, cfg, poison, 3, 100+int64(i))
 		} else {
 			parts[i] = NewClient(i, shards[i], template, cfg, 200+int64(i))
 		}
 	}
 	return NewServer(template, parts, cfg, 300)
+}
+
+// buildFederation is the small uniform-ish cohort: 6 clients, client 0 an
+// attacker.
+func buildFederation(t *testing.T) *Server {
+	t.Helper()
+	return buildCohort(t, 6, func(i int) bool { return i == 0 })
 }
 
 // TestRoundParallelBitIdentical is the tentpole determinism guarantee for

@@ -598,7 +598,7 @@ func (s *Server) collectAndFold(ctx context.Context, m *nn.Sequential, fold Fold
 	}
 	var inFlight, peak int64
 	// The producer admits at most window clients at a time; a slot is
-	// released only after the fold loop below has consumed that client — in
+	// released only after the fold loop below has folded that client — in
 	// participant order — so a slow early client throttles admission
 	// rather than growing the working set. At most window deltas exist at
 	// any instant, whatever the cohort size.
@@ -627,14 +627,18 @@ func (s *Server) collectAndFold(ctx context.Context, m *nn.Sequential, fold Fold
 		<-ready[i]
 		out := results[i]
 		results[i] = outcome{} // discard: once folded, the delta is dead
-		<-sem                  // client i consumed; admit the next one
 		if out.err != nil {
+			<-sem // a failed client holds no delta; admit the next one
 			res.noteWireFailure(p.ID(), t, out.err)
 			continue
 		}
 		res.Completed = append(res.Completed, p.ID())
 		fold.Fold(p.ID(), out.delta)
 		atomic.AddInt64(&inFlight, -1)
+		// Admit the next client only now that this delta is handed to the
+		// fold and uncounted — releasing earlier lets window+1 deltas be
+		// alive — but before the checkpoint, so its write overlaps collection.
+		<-sem
 		folds++
 		s.partialCheckpoint(m, res, fold, t, folds, durable, obs.SpanContextFrom(ctx))
 		s.crash(CrashMidCollection, t, folds)

@@ -14,7 +14,7 @@ import (
 func opsFixture() (*Registry, http.Handler) {
 	r := NewRegistry()
 	r.Counter("fl_rounds_total").Add(4)
-	r.Gauge("parallel_pool_queue_depth").Set(2)
+	r.Gauge("parallel_for_queue_depth").Set(2)
 	r.Histogram("fl_round_seconds", []float64{1, 10}).Observe(0.5)
 	return r, NewOpsHandler(r)
 }
@@ -38,7 +38,7 @@ func TestOpsMetricsText(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	for _, want := range []string{
 		"fl_rounds_total 4",
-		"parallel_pool_queue_depth 2",
+		"parallel_for_queue_depth 2",
 		`fl_round_seconds_bucket{le="1"} 1`,
 		"fl_round_seconds_count 1",
 	} {

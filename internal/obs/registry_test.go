@@ -208,8 +208,8 @@ func TestWellKnownMetricsRegistered(t *testing.T) {
 	if _, ok := Default.Snapshot().Histograms["fl_round_seconds"]; !ok {
 		t.Error("fl_round_seconds not registered on Default")
 	}
-	if _, ok := Default.Snapshot().Gauges["parallel_pool_queue_depth"]; !ok {
-		t.Error("parallel_pool_queue_depth not registered on Default")
+	if _, ok := Default.Snapshot().Gauges["parallel_for_queue_depth"]; !ok {
+		t.Error("parallel_for_queue_depth not registered on Default")
 	}
 }
 

@@ -73,13 +73,11 @@ var M = struct {
 	// attempt RemoteClient sends, any endpoint.
 	TransportRequestBytesSent *Counter
 
-	// Worker pool (internal/parallel).
-	PoolTasks      *Counter // tasks submitted to parallel.Pool
-	PoolQueueDepth *Gauge   // pool tasks submitted but not yet finished
-	// Bare For/ForBlocks loops (internal/parallel). Counted per block,
-	// never per index, so the kernels' warm paths stay atomic-add cheap.
-	ForTasks      *Counter // blocks executed by For/ForBlocks
-	ForQueueDepth *Gauge   // fanned-out blocks started but not yet finished
+	// For/ForWorker/ForBlocks fan-outs (internal/parallel). Counted per
+	// worker goroutine (a block, or a claim loop's slot), never per index,
+	// so the kernels' warm paths stay atomic-add cheap.
+	ForTasks      *Counter // worker goroutines' worth of work executed
+	ForQueueDepth *Gauge   // fanned-out workers started but not yet finished
 
 	// Tracing + flight recorder (DESIGN.md §16).
 	TraceSpans    *Counter // traced spans recorded into the span ring
@@ -142,10 +140,8 @@ var M = struct {
 
 	TransportRequestBytesSent: Default.Counter("transport_request_bytes_sent_total"),
 
-	PoolTasks:      Default.Counter("parallel_pool_tasks_total"),
-	PoolQueueDepth: Default.Gauge("parallel_pool_queue_depth"),
-	ForTasks:       Default.Counter("parallel_for_tasks_total"),
-	ForQueueDepth:  Default.Gauge("parallel_for_queue_depth"),
+	ForTasks:      Default.Counter("parallel_for_tasks_total"),
+	ForQueueDepth: Default.Gauge("parallel_for_queue_depth"),
 
 	TraceSpans:    Default.Counter("trace_spans_total"),
 	FlightRecords: Default.Counter("flight_records_total"),

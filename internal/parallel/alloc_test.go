@@ -28,8 +28,9 @@ func TestForBlocksInlineWarmAllocFree(t *testing.T) {
 	}
 }
 
-// TestForBlocksCounters pins the per-block accounting: one task per block,
-// and the queue-depth gauge drains back to its starting level.
+// TestForBlocksCounters pins the per-goroutine accounting: one task per
+// block (or claim-loop worker), and the queue-depth gauge drains back to
+// its starting level.
 func TestForBlocksCounters(t *testing.T) {
 	prev := SetWorkers(4)
 	defer SetWorkers(prev)
@@ -41,6 +42,12 @@ func TestForBlocksCounters(t *testing.T) {
 	}
 	if got := obs.M.ForQueueDepth.Value(); got != depth0 {
 		t.Errorf("queue depth did not drain: %d, want %d", got, depth0)
+	}
+	// The claim loop counts per worker goroutine too, never per index.
+	tasks0 = obs.M.ForTasks.Value()
+	For(100, func(int) {})
+	if got := obs.M.ForTasks.Value() - tasks0; got != 4 {
+		t.Errorf("fanned-out For counted %d tasks, want 4", got)
 	}
 	SetWorkers(1)
 	tasks0 = obs.M.ForTasks.Value()

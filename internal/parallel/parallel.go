@@ -1,14 +1,19 @@
-// Package parallel provides the bounded worker pool and deterministic work
-// partitioning behind the repository's concurrent hot paths: per-client
-// local training in internal/fl, per-client activation reports in
-// internal/core, and the row-blocked tensor kernels in internal/tensor.
+// Package parallel provides the deterministic fan-out behind the
+// repository's concurrent hot paths: per-client local training in
+// internal/fl, per-client activation reports in internal/core, and the
+// row-blocked tensor kernels in internal/tensor.
 //
-// Determinism contract: For and ForBlocks split [0,n) into contiguous
-// blocks whose boundaries depend only on n and the worker count, and every
-// index is owned by exactly one block. Callers that write results only
-// into per-index (or per-block) destinations therefore produce
-// bit-identical output for every worker count, including 1 — the property
-// the simulation and kernel tests assert.
+// Two shapes, two guarantees. ForBlocks/ForBlocksIndexed split [0,n) into
+// contiguous blocks whose boundaries depend only on n and the worker
+// count; a block is the unit of ownership, so kernels key scratch on it.
+// For/ForWorker hand out single indices to whichever worker is free next
+// (a claim loop), so uneven per-index cost never idles a worker while
+// indices remain; which goroutine runs an index is unspecified. Either
+// way every index is visited exactly once, so callers that write results
+// only into per-index (or per-block) destinations and reduce them
+// serially in index order produce bit-identical output for every worker
+// count, including 1 — the property the simulation and kernel tests
+// assert.
 //
 // The worker count resolves, in priority order, to the SetWorkers override,
 // the FEDCLEANSE_WORKERS environment variable, and finally GOMAXPROCS.
@@ -179,8 +184,9 @@ func ForBlocksIndexed(n int, f func(blk, lo, hi int)) {
 }
 
 // NumBlocks returns the number of blocks ForBlocks/ForBlocksIndexed will
-// split [0,n) into under the current worker count: min(Workers(), n), at
-// least 1 for positive n. Callers sizing per-block scratch use it.
+// split [0,n) into — and the number of worker slots ForWorker will run —
+// under the current worker count: min(Workers(), n), at least 1 for
+// positive n. Callers sizing per-block or per-slot scratch use it.
 func NumBlocks(n int) int {
 	if n <= 0 {
 		return 0
@@ -195,30 +201,49 @@ func NumBlocks(n int) int {
 	return w
 }
 
-// For runs f(i) for every i in [0,n) across the effective worker count.
+// For runs f(i) for every i in [0,n) across the effective worker count:
+// ForWorker without the slot.
+func For(n int, f func(i int)) {
+	ForWorker(n, func(_, i int) { f(i) })
+}
+
+// ForWorker runs f(slot, i) for every i in [0,n) on NumBlocks(n) worker
+// goroutines that each claim the next unclaimed index until none are left,
+// so no worker idles while indices remain, however uneven their cost.
+// slot identifies the worker: it lies in [0, NumBlocks(n)) and exactly one
+// goroutine per call carries it, so callers can key reusable per-worker
+// scratch on it without races. Which slot runs which index is unspecified.
+//
 // Every index is visited exactly once even when some calls panic: a panic
 // is caught per index, the remaining indices still run, and the first
-// panic is re-raised after all workers drain. Semantics are identical for
-// every worker count.
-func For(n int, f func(i int)) {
+// panic is re-raised after all workers drain.
+func ForWorker(n int, f func(slot, i int)) {
 	if n <= 0 {
 		return
 	}
 	var pr panicRecorder
-	ForBlocks(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			callRecover(&pr, f, i)
+	var next atomic.Int64
+	// One single-index block per worker: the block index is the slot, and
+	// the fan-out, its per-goroutine metrics and the inline single-worker
+	// path are ForBlocksIndexed's.
+	ForBlocksIndexed(NumBlocks(n), func(slot, _, _ int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			callRecover(&pr, f, slot, i)
 		}
 	})
 	pr.repanic()
 }
 
-// callRecover invokes f(i), diverting a panic into the recorder.
-func callRecover(pr *panicRecorder, f func(int), i int) {
+// callRecover invokes f(slot, i), diverting a panic into the recorder.
+func callRecover(pr *panicRecorder, f func(slot, i int), slot, i int) {
 	defer func() {
 		if v := recover(); v != nil {
 			pr.record(v)
 		}
 	}()
-	f(i)
+	f(slot, i)
 }

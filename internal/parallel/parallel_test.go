@@ -1,8 +1,10 @@
 package parallel
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // withWorkers runs f with the worker override pinned to n, restoring the
@@ -203,62 +205,79 @@ func TestForZeroAndNegative(t *testing.T) {
 	called := false
 	For(0, func(int) { called = true })
 	For(-3, func(int) { called = true })
+	ForWorker(0, func(int, int) { called = true })
+	ForWorker(-3, func(int, int) { called = true })
 	ForBlocks(0, func(int, int) { called = true })
 	if called {
 		t.Fatal("empty ranges invoked the body")
 	}
 }
 
-func TestPoolForVisitsEveryIndexOnce(t *testing.T) {
-	for _, w := range []int{1, 2, 8} {
-		p := NewPool(w)
-		const n = 500
-		counts := make([]int32, n)
-		p.For(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("pool workers=%d: index %d visited %d times", w, i, c)
-			}
-		}
-		p.Close()
-	}
-}
-
-func TestPoolSurvivesTaskPanic(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("pool swallowed the panic")
-			}
+// TestForIsWorkConserving: with 2 workers and 10 indices, index 0 blocks
+// until the other nine have run. A claim loop lets the free worker take
+// all nine; a contiguous pre-partition parks indices 1-4 behind index 0
+// and hangs. Timing-free: the timeout only bounds the failure.
+func TestForIsWorkConserving(t *testing.T) {
+	withWorkers(t, 2, func() {
+		const n = 10
+		othersDone := make(chan struct{})
+		var release sync.Once
+		var others atomic.Int32
+		finished := make(chan struct{})
+		go func() {
+			defer close(finished)
+			For(n, func(i int) {
+				if i == 0 {
+					<-othersDone
+					return
+				}
+				if others.Add(1) == n-1 {
+					release.Do(func() { close(othersDone) })
+				}
+			})
 		}()
-		p.For(10, func(i int) {
-			if i == 3 {
-				panic("boom")
-			}
-		})
-	}()
-	// The pool's workers must still be alive and usable after the panic.
-	var n int32
-	p.Run(func() { atomic.AddInt32(&n, 1) }, func() { atomic.AddInt32(&n, 1) })
-	if n != 2 {
-		t.Fatalf("pool ran %d tasks after panic, want 2", n)
-	}
-}
-
-func TestPoolCloseIdempotent(t *testing.T) {
-	p := NewPool(2)
-	p.Close()
-	p.Close()
-}
-
-func TestPoolWorkersDefault(t *testing.T) {
-	withWorkers(t, 5, func() {
-		p := NewPool(0)
-		defer p.Close()
-		if p.Workers() != 5 {
-			t.Fatalf("NewPool(0).Workers() = %d, want 5", p.Workers())
+		select {
+		case <-finished:
+		case <-time.After(10 * time.Second):
+			release.Do(func() { close(othersDone) }) // drain the parked For before failing
+			<-finished
+			t.Fatal("For left indices queued behind a blocked one while a worker sat idle")
 		}
 	})
+}
+
+// TestForWorkerSlotsAreExclusive: a slot is carried by one goroutine per
+// call, so plain (non-atomic) per-slot state is race-free — the -race job
+// is the assertion — and every slot lies below NumBlocks(n), also when n
+// is below the worker count.
+func TestForWorkerSlotsAreExclusive(t *testing.T) {
+	for _, tc := range []struct{ w, n int }{
+		{1, 1000}, {2, 1000}, {3, 1000}, {8, 1000}, {64, 1000}, {8, 3}, {8, 1},
+	} {
+		withWorkers(t, tc.w, func() {
+			slots := NumBlocks(tc.n)
+			perSlot := make([]int, slots)
+			seen := make([]int, tc.n)
+			ForWorker(tc.n, func(slot, i int) {
+				if slot < 0 || slot >= slots {
+					t.Errorf("workers=%d n=%d: slot %d outside [0,%d)", tc.w, tc.n, slot, slots)
+					return
+				}
+				perSlot[slot]++
+				seen[i]++
+			})
+			total := 0
+			for _, c := range perSlot {
+				total += c
+			}
+			if total != tc.n {
+				t.Fatalf("workers=%d n=%d: slots ran %d indices", tc.w, tc.n, total)
+			}
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("workers=%d n=%d: index %d visited %d times", tc.w, tc.n, i, c)
+				}
+			}
+		})
+	}
 }
