@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json alloc-test chaos-test obs-test ops-smoke load-smoke fmt vet lint check
+.PHONY: build test race bench bench-json alloc-test chaos-test obs-test ops-smoke load-smoke fmt vet gob-check lint check
 
 # The benchmarks joined against the PR-2 baseline capture: the matmul
 # kernel, the conv forward/backward passes, one full SGD train step and one
@@ -22,7 +22,7 @@ DEFENSE_BENCH_SET = BenchmarkPruneSweep$$|BenchmarkAWSweep$$|BenchmarkDefendPipe
 BACKEND_BENCH_SET = ^BenchmarkMatMulInto$$|^BenchmarkTrainStep$$|BenchmarkTrainStepFloat32$$|BenchmarkFLRound16ClientsSerial$$|BenchmarkFLRound16ClientsSerialFloat32$$
 
 # The report wire set (ISSUE 8): encoded bytes and encode+decode cost of
-# one rank+vote defense report per wire mode at a 512-unit layer.
+# one rank+vote defense report per report precision at a 512-unit layer.
 REPORT_BENCH_SET = ^BenchmarkReportBytes$$|^BenchmarkReportRoundtrip$$
 
 ## build: compile every package
@@ -104,12 +104,13 @@ load-smoke:
 ## chaos-test: the transport fault-tolerance gate under the race detector —
 ## fault-injected federations (chaos), quorum/drop equivalence, server
 ## lifecycle, the decoder fuzz seeds, and the durability suite
-## (kill-and-restart resume, torn checkpoints, cross-version wire compat).
+## (kill-and-restart resume, torn checkpoints, the wire golden corpus and
+## the refusal of the deleted gob wire format).
 ## Short mode skips the slowest full-pipeline chaos run; the plain `test`
 ## target covers it.
 chaos-test:
 	FEDCLEANSE_WORKERS=4 $(GO) test -race -short -count=1 \
-		-run 'Chaos|Fault|Quorum|FineTune|Serve|Shutdown|RemoteClient|RoundTimeout|Fuzz|Drop|Checkpoint|Resume|KillRestart|Torn|CrossVersion|Versioned' \
+		-run 'Chaos|Fault|Quorum|FineTune|Serve|Shutdown|RemoteClient|RoundTimeout|Fuzz|Drop|Checkpoint|Resume|KillRestart|Torn|CrossVersion|Versioned|Rejections|EncodingsAgree' \
 		./internal/transport ./internal/fl ./internal/nn ./internal/wire
 
 ## fmt: fail if any file needs gofmt
@@ -123,10 +124,20 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-## lint: the CI lint job locally — gofmt + vet always; staticcheck and
-## govulncheck when installed (CI installs them; offline machines skip
-## with a notice rather than failing on a missing tool)
-lint: fmt vet
+## gob-check: there is one wire format — outside tests, encoding/gob is
+## imported only by the read-only legacy model loader, so a second format
+## cannot grow back unnoticed
+gob-check:
+	@offenders=$$(grep -rl --include='*.go' '"encoding/gob"' . \
+		| grep -v '_test\.go$$' | grep -vx './internal/nn/serialize.go'); \
+	if [ -n "$$offenders" ]; then \
+		echo "encoding/gob imported outside internal/nn/serialize.go:"; echo "$$offenders"; exit 1; \
+	fi
+
+## lint: the CI lint job locally — gofmt, vet and gob-check always;
+## staticcheck and govulncheck when installed (CI installs them; offline
+## machines skip with a notice rather than failing on a missing tool)
+lint: fmt vet gob-check
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

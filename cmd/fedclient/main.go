@@ -37,7 +37,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "listen address")
 	seed := flag.Int64("seed", 0, "experiment seed (0 = scenario default)")
 	quantFlag := flag.String("report-quant", "float64", "activation report precision: float64 (reference) or int8 (quantized recording; ships Acts8 payloads)")
-	versionedUpdates := flag.Bool("versioned-updates", true, "serve update responses in the versioned wire envelope; false serves legacy gob, for an aggregator older than the envelope (aggregators sniff either)")
 	traceSeed := flag.Int64("trace-seed", 0, "seed for deterministic trace/span IDs (0 = unique per process)")
 	logf := obs.AddLogFlags()
 	flag.Parse()
@@ -81,7 +80,6 @@ func main() {
 	}
 	cs := transport.NewClientServer(full, template)
 	cs.SetReportQuant(quant)
-	cs.SetVersionedUpdates(*versionedUpdates)
 	addr, err := cs.Serve(*listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -35,7 +35,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "fleet seed (decorrelates whole fleets)")
 	scale := flag.Float64("scale", 0, "synthetic delta coordinate bound (0 = 1e-3)")
 	quantFlag := flag.String("report-quant", "float64", "report-endpoint precision: float64 (varint ranks + vote bitmaps) or int8 (quantized Acts8 payloads)")
-	versionedUpdates := flag.Bool("versioned-updates", true, "serve update responses in the versioned wire envelope; false serves legacy gob, for an aggregator older than the envelope (aggregators sniff either)")
 	traceSeed := flag.Int64("trace-seed", 0, "seed for deterministic trace/span IDs (0 = unique per process)")
 	logf := obs.AddLogFlags()
 	flag.Parse()
@@ -59,7 +58,6 @@ func main() {
 
 	fleet := transport.NewFleet()
 	fleet.SetReportQuant(quant)
-	fleet.SetVersionedUpdates(*versionedUpdates)
 	for id := 0; id < *clients; id++ {
 		fleet.Add(&fl.SyntheticClient{Id: id, Seed: *seed, Scale: *scale})
 	}

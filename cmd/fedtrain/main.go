@@ -89,14 +89,14 @@ func main() {
 	}
 }
 
-// saveModel snapshots the trained global model.
+// saveModel snapshots the trained global model as a versioned envelope
+// (nn.LoadAny reads it back).
 func saveModel(path, ds string, t *eval.Trained) error {
 	builder := map[string]string{"mnist": "small", "fashion": "fashion", "cifar": "minivgg"}[ds]
 	in := nn.Input{C: t.Test.Shape.C, H: t.Test.Shape.H, W: t.Test.Shape.W}
-	f, err := os.Create(path)
+	data, err := nn.EncodeVersionedModel(builder, in, t.Test.Classes, t.Server.Model)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return nn.Save(f, builder, in, t.Test.Classes, t.Server.Model)
+	return os.WriteFile(path, data, 0o644)
 }

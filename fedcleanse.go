@@ -293,7 +293,8 @@ var (
 type (
 	// RemoteClient is the server-side stub for a client reachable over HTTP.
 	RemoteClient = transport.RemoteClient
-	// ClientServer exposes one federated participant over HTTP.
+	// ClientServer exposes one federated participant over HTTP: a Fleet of
+	// one, mounted at the root.
 	ClientServer = transport.ClientServer
 	// RetryPolicy bounds RemoteClient's per-call retry loop.
 	RetryPolicy = transport.RetryPolicy
@@ -333,9 +334,8 @@ var (
 )
 
 // Compact report wire codecs (DESIGN.md §14). Lossless, canonical
-// (encode(decode(p)) == p), self-describing by a 1-byte tag; the report
-// endpoints fall back to gob on the first payload byte, so mixed-version
-// federations interoperate.
+// (encode(decode(p)) == p), self-describing by a 1-byte tag that names the
+// payload type; the report endpoints refuse anything else.
 var (
 	// AppendRanksDelta appends a varint delta-encoded rank vector.
 	AppendRanksDelta = transport.AppendRanksDelta

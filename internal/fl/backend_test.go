@@ -53,17 +53,17 @@ func TestFloat32RoundsAggregateInFloat64(t *testing.T) {
 }
 
 // A checkpoint of a float32-trained global model round-trips bit-exactly
-// through Save/Load, and the restored model keeps the canonical float64
+// through EncodeVersionedModel/LoadAny, and the restored model keeps the canonical float64
 // backend semantics (backends are a runtime choice, not serialized state).
 func TestFloat32TrainedCheckpointRoundTrip(t *testing.T) {
 	s := buildFederation32(t)
 	s.Train(nil)
-	var buf bytes.Buffer
 	in := nn.Input{C: 1, H: 16, W: 16}
-	if err := nn.Save(&buf, "small", in, 10, s.Model); err != nil {
+	data, err := nn.EncodeVersionedModel("small", in, 10, s.Model)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := nn.Load(&buf)
+	loaded, err := nn.LoadAny(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package fl
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -261,9 +260,17 @@ type RoundResult struct {
 	PeakInFlight int
 }
 
-// errNilUpdate marks an infallible participant that returned no delta
-// (transport.RemoteClient's fl.Participant surface does this on failure).
-var errNilUpdate = errors.New("fl: participant returned no update")
+// UpdateLengthError marks a participant whose update is not a delta over
+// the global vector it was handed: one of another length, or none at all
+// (transport.RemoteClient's infallible fl.Participant surface returns nil
+// on failure, and a remote peer can answer with anything). The round
+// records it as a dropout; it never reaches an aggregator, whose own
+// length checks panic because there they can only mean a bug.
+type UpdateLengthError struct{ Got, Want int }
+
+func (e *UpdateLengthError) Error() string {
+	return fmt.Sprintf("fl: participant returned an update of %d values, want %d", e.Got, e.Want)
+}
 
 // Round executes one federated round: select clients, collect their
 // updates from the current global parameters, aggregate, and apply. It
@@ -799,14 +806,20 @@ func (s *Server) windowSize(n int) int {
 }
 
 // localUpdate collects one client's update, preferring the fallible
-// context-aware path when the participant supports it.
+// context-aware path when the participant supports it, and refuses one
+// that is not as long as global.
 func localUpdate(ctx context.Context, p Participant, global []float64, round int) ([]float64, error) {
+	var d []float64
 	if fp, ok := p.(FallibleParticipant); ok {
-		return fp.TryLocalUpdate(ctx, global, round)
+		var err error
+		if d, err = fp.TryLocalUpdate(ctx, global, round); err != nil {
+			return nil, err
+		}
+	} else {
+		d = p.LocalUpdate(global, round)
 	}
-	d := p.LocalUpdate(global, round)
-	if d == nil {
-		return nil, errNilUpdate
+	if len(d) != len(global) {
+		return nil, &UpdateLengthError{Got: len(d), Want: len(global)}
 	}
 	return d, nil
 }

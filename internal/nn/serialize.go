@@ -7,12 +7,11 @@ import (
 	"math/rand"
 )
 
-// Snapshot is the serialized form of a model built by one of the model-zoo
-// constructors: the architecture descriptor plus the flat parameter vector
-// and the prune masks. It deliberately does not serialize arbitrary layer
-// graphs — reconstruction goes through the registered builders, which
-// keeps the format stable and the loader free of code execution beyond
-// the known architectures.
+// Snapshot is the gob form fedtrain wrote a model in before the versioned
+// envelope (serialize_versioned.go): the architecture descriptor plus the
+// flat parameter vector and the prune masks. Nothing writes it any more;
+// Load, behind LoadAny, is the repository's one remaining gob reader, kept
+// so those files still open.
 type Snapshot struct {
 	// Builder is the model-zoo name ("small", "large", "fashion",
 	// "minivgg").
@@ -27,44 +26,10 @@ type Snapshot struct {
 	Masks map[int][]bool
 }
 
-// Save writes a gob-encoded snapshot of m to w. builderName must identify
-// the constructor that built m (see BuilderByName); in and classes must
-// match the constructor arguments.
-func Save(w io.Writer, builderName string, in Input, classes int, m *Sequential) error {
-	if _, err := BuilderByName(builderName); err != nil {
-		return fmt.Errorf("nn: Save: %w", err)
-	}
-	snap := Snapshot{
-		Builder: builderName,
-		Input:   in,
-		Classes: classes,
-		Params:  m.ParamsVector(),
-		Masks:   map[int][]bool{},
-	}
-	for i, l := range m.Layers() {
-		p, ok := l.(Prunable)
-		if !ok {
-			continue
-		}
-		mask := make([]bool, p.Units())
-		any := false
-		for u := range mask {
-			mask[u] = p.UnitPruned(u)
-			any = any || mask[u]
-		}
-		if any {
-			snap.Masks[i] = mask
-		}
-	}
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("nn: Save: %w", err)
-	}
-	return nil
-}
-
-// Load reads a snapshot from r and reconstructs the model: the registered
-// builder recreates the architecture (with throwaway initialization), the
-// prune masks are re-installed, and the parameter vector is restored.
+// Load reads a gob snapshot from r and reconstructs the model: the
+// registered builder recreates the architecture (with throwaway
+// initialization), the prune masks are re-installed, and the parameter
+// vector is restored.
 func Load(r io.Reader) (*Sequential, error) {
 	var snap Snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -83,21 +48,8 @@ func Load(r io.Reader) (*Sequential, error) {
 			len(snap.Params), m.NumParams())
 	}
 	for li, mask := range snap.Masks {
-		if li < 0 || li >= m.NumLayers() {
-			return nil, fmt.Errorf("nn: Load: mask for layer %d of %d", li, m.NumLayers())
-		}
-		p, ok := m.Layer(li).(Prunable)
-		if !ok {
-			return nil, fmt.Errorf("nn: Load: layer %d is not prunable", li)
-		}
-		if len(mask) != p.Units() {
-			return nil, fmt.Errorf("nn: Load: mask length %d for layer %d with %d units",
-				len(mask), li, p.Units())
-		}
-		for u, pruned := range mask {
-			if pruned {
-				p.PruneUnit(u)
-			}
+		if err := installMask(m, li, mask); err != nil {
+			return nil, fmt.Errorf("nn: Load: %w", err)
 		}
 	}
 	// Parameters last: SetParamsVector re-applies the masks installed
@@ -106,7 +58,23 @@ func Load(r io.Reader) (*Sequential, error) {
 	return m, nil
 }
 
-// encodeSnapshot is a test hook encoding an arbitrary snapshot.
-func encodeSnapshot(w io.Writer, snap Snapshot) error {
-	return gob.NewEncoder(w).Encode(snap)
+// installMask prunes the units of layer li that mask marks, after checking
+// that the layer exists, is prunable and has len(mask) units.
+func installMask(m *Sequential, li int, mask []bool) error {
+	if li < 0 || li >= m.NumLayers() {
+		return fmt.Errorf("mask for layer %d of %d", li, m.NumLayers())
+	}
+	p, ok := m.Layer(li).(Prunable)
+	if !ok {
+		return fmt.Errorf("layer %d is not prunable", li)
+	}
+	if len(mask) != p.Units() {
+		return fmt.Errorf("mask length %d for layer %d with %d units", len(mask), li, p.Units())
+	}
+	for u, pruned := range mask {
+		if pruned {
+			p.PruneUnit(u)
+		}
+	}
+	return nil
 }

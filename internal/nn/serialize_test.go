@@ -2,22 +2,50 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"testing"
 
 	"github.com/fedcleanse/fedcleanse/internal/tensor"
 )
 
-func TestSaveLoadRoundTrip(t *testing.T) {
+// gobSnapshot encodes snap the way fedtrain builds older than the versioned
+// envelope wrote a model: one gob-encoded Snapshot.
+func gobSnapshot(t *testing.T, snap Snapshot) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// legacySnapshot is the gob file those builds wrote for m: parameters plus
+// the mask of every prunable layer with a pruned unit.
+func legacySnapshot(t *testing.T, builder string, in Input, classes int, m *Sequential) *bytes.Buffer {
+	t.Helper()
+	snap := Snapshot{Builder: builder, Input: in, Classes: classes,
+		Params: m.ParamsVector(), Masks: map[int][]bool{}}
+	for i, l := range m.Layers() {
+		p, ok := l.(Prunable)
+		if !ok || p.PrunedCount() == 0 {
+			continue
+		}
+		mask := make([]bool, p.Units())
+		for u := range mask {
+			mask[u] = p.UnitPruned(u)
+		}
+		snap.Masks[i] = mask
+	}
+	return gobSnapshot(t, snap)
+}
+
+func TestLegacyLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	in := Input{C: 1, H: 16, W: 16}
 	m := NewSmallCNN(in, 10, rng)
 	m.PruneModelUnit(m.LastConvIndex(), 2)
-	var buf bytes.Buffer
-	if err := Save(&buf, "small", in, 10, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
+	got, err := Load(legacySnapshot(t, "small", in, 10, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +67,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveLoadMiniVGGWithStats(t *testing.T) {
+func TestLegacyLoadMiniVGGWithStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	in := Input{C: 3, H: 16, W: 16}
 	m := NewMiniVGG(in, 10, rng)
@@ -47,25 +75,12 @@ func TestSaveLoadMiniVGGWithStats(t *testing.T) {
 	x := tensor.New(4, 3, 16, 16)
 	x.Randn(rng, 2)
 	m.Forward(x, true)
-	var buf bytes.Buffer
-	if err := Save(&buf, "minivgg", in, 10, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
+	got, err := Load(legacySnapshot(t, "minivgg", in, 10, m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !m.Forward(x, false).Equal(got.Forward(x, false), 0) {
 		t.Fatal("running statistics lost in round trip")
-	}
-}
-
-func TestSaveRejectsUnknownBuilder(t *testing.T) {
-	rng := rand.New(rand.NewSource(92))
-	m := NewSmallCNN(Input{C: 1, H: 16, W: 16}, 10, rng)
-	var buf bytes.Buffer
-	if err := Save(&buf, "resnet", Input{C: 1, H: 16, W: 16}, 10, m); err == nil {
-		t.Fatal("unknown builder accepted")
 	}
 }
 
@@ -78,28 +93,16 @@ func TestLoadRejectsCorruptSnapshots(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	in := Input{C: 1, H: 16, W: 16}
 	m := NewSmallCNN(in, 10, rng)
-	var buf bytes.Buffer
-	if err := Save(&buf, "small", in, 10, m); err != nil {
-		t.Fatal(err)
-	}
 	// Corruption: declare classes=3 in a fresh snapshot with the old
 	// parameter vector so the parameter count mismatches.
 	bad := Snapshot{Builder: "small", Input: in, Classes: 3, Params: m.ParamsVector()}
-	var buf2 bytes.Buffer
-	if err := encodeSnapshot(&buf2, bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf2); err == nil {
+	if _, err := Load(gobSnapshot(t, bad)); err == nil {
 		t.Fatal("mismatched parameter count accepted")
 	}
 	// Mask for a non-prunable layer.
 	bad = Snapshot{Builder: "small", Input: in, Classes: 10,
 		Params: m.ParamsVector(), Masks: map[int][]bool{1: {true}}}
-	var buf3 bytes.Buffer
-	if err := encodeSnapshot(&buf3, bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf3); err == nil {
+	if _, err := Load(gobSnapshot(t, bad)); err == nil {
 		t.Fatal("mask on non-prunable layer accepted")
 	}
 }

@@ -9,16 +9,15 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
-// Versioned model serialization (DESIGN.md §15). The gob Snapshot format
-// of serialize.go ties writer and reader to one binary version — gob
-// streams carry Go type descriptors, so a renamed field is a broken
-// federation. The versioned format encodes the same information as typed
-// wire sections over raw little-endian payloads: stable across binaries,
-// self-describing enough for readers to skip sections they do not know,
-// and closed by a CRC so a torn file decodes to an error instead of a
-// corrupt model. Load-side dispatch sniffs the first byte (wire.Sniff),
-// so readers accept both formats transparently and old gob files stay
-// readable forever.
+// Versioned model serialization (DESIGN.md §15): the one format models are
+// written in. A model is typed wire sections over raw little-endian
+// payloads — stable across binaries, self-describing enough for readers to
+// skip sections they do not know, and closed by a CRC so a torn file
+// decodes to an error instead of a corrupt model. It deliberately does not
+// serialize arbitrary layer graphs: reconstruction goes through the
+// registered builders, which keeps the format stable and the loader free
+// of code execution beyond the known architectures. LoadAny also opens the
+// gob snapshots older fedtrain builds wrote (serialize.go).
 
 // Section types of wire.KindModel payloads.
 const (
@@ -54,21 +53,8 @@ func EncodeVersionedModel(builderName string, in Input, classes int, m *Sequenti
 		Bytes(), nil
 }
 
-// SaveVersioned writes the versioned encoding of m to w; the arguments
-// mirror Save.
-func SaveVersioned(w io.Writer, builderName string, in Input, classes int, m *Sequential) error {
-	data, err := EncodeVersionedModel(builderName, in, classes, m)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(data); err != nil {
-		return fmt.Errorf("nn: SaveVersioned: %w", err)
-	}
-	return nil
-}
-
 // DecodeVersionedModel reconstructs a model from a wire.KindModel payload,
-// with the same validation as the gob Load path: the builder must be
+// validating it against the architecture: the builder must be
 // registered, the geometry positive, the parameter vector and masks sized
 // to the architecture. Unknown section types are skipped. It never
 // panics on malformed input.
@@ -115,16 +101,17 @@ func DecodeVersionedModel(data []byte) (*Sequential, error) {
 	return m, nil
 }
 
-// LoadAny reads one model of either serialization from r: the first byte
-// selects the versioned decoder or the legacy gob path (wire.Sniff). The
-// read is capped, so a hostile stream cannot balloon memory.
+// LoadAny reads one model from r: a versioned envelope, recognised by the
+// magic's first byte, or else a gob snapshot from a fedtrain build older
+// than the envelope. The read is capped, so a hostile stream cannot balloon
+// memory.
 func LoadAny(r io.Reader) (*Sequential, error) {
 	br := bufio.NewReader(r)
 	first, err := br.Peek(1)
 	if err != nil {
 		return nil, fmt.Errorf("nn: LoadAny: %w", err)
 	}
-	if wire.Sniff(first) == wire.FormatVersioned {
+	if first[0] == wire.Magic[0] {
 		data, err := wire.ReadPayload(br, maxModelBytes)
 		if err != nil {
 			return nil, fmt.Errorf("nn: LoadAny: %w", err)
@@ -216,22 +203,11 @@ func ApplyModelState(m *Sequential, p []byte) error {
 			return fmt.Errorf("nn: ApplyModelState: mask %d: %w", i, err)
 		}
 		rest = r3
-		li := int(li64)
 		if li64 >= uint64(m.NumLayers()) {
 			return fmt.Errorf("nn: ApplyModelState: mask for layer %d of %d", li64, m.NumLayers())
 		}
-		pr, ok := m.Layer(li).(Prunable)
-		if !ok {
-			return fmt.Errorf("nn: ApplyModelState: layer %d is not prunable", li)
-		}
-		if len(mask) != pr.Units() {
-			return fmt.Errorf("nn: ApplyModelState: mask length %d for layer %d with %d units",
-				len(mask), li, pr.Units())
-		}
-		for u, pruned := range mask {
-			if pruned {
-				pr.PruneUnit(u)
-			}
+		if err := installMask(m, int(li64), mask); err != nil {
+			return fmt.Errorf("nn: ApplyModelState: %w", err)
 		}
 	}
 	if len(rest) != 0 {

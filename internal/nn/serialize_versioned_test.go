@@ -65,14 +65,11 @@ func TestVersionedSaveLoadRoundTrip(t *testing.T) {
 	in := Input{C: 1, H: 16, W: 16}
 	m := NewSmallCNN(in, 10, rng)
 	m.PruneModelUnit(m.LastConvIndex(), 2)
-	var buf bytes.Buffer
-	if err := SaveVersioned(&buf, "small", in, 10, m); err != nil {
+	data, err := EncodeVersionedModel("small", in, 10, m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if wire.Sniff(buf.Bytes()) != wire.FormatVersioned {
-		t.Fatal("versioned save does not sniff as versioned")
-	}
-	got, err := LoadAny(bytes.NewReader(buf.Bytes()))
+	got, err := LoadAny(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +92,11 @@ func TestVersionedSaveLoadMiniVGGWithStats(t *testing.T) {
 	x := tensor.New(4, 3, 16, 16)
 	x.Randn(rng, 2)
 	m.Forward(x, true) // move the running statistics off their defaults
-	var buf bytes.Buffer
-	if err := SaveVersioned(&buf, "minivgg", in, 10, m); err != nil {
+	data, err := EncodeVersionedModel("minivgg", in, 10, m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadAny(&buf)
+	got, err := LoadAny(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,20 +105,14 @@ func TestVersionedSaveLoadMiniVGGWithStats(t *testing.T) {
 	}
 }
 
-// TestLoadAnyDispatchesLegacyGob: the same model saved with the legacy gob
-// format loads bit-identically through LoadAny.
+// TestLoadAnyDispatchesLegacyGob: the same model in the legacy gob format
+// loads bit-identically through LoadAny.
 func TestLoadAnyDispatchesLegacyGob(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	in := Input{C: 1, H: 16, W: 16}
 	m := NewSmallCNN(in, 10, rng)
 	m.PruneModelUnit(m.LastConvIndex(), 1)
-	var gobBuf bytes.Buffer
-	if err := Save(&gobBuf, "small", in, 10, m); err != nil {
-		t.Fatal(err)
-	}
-	if wire.Sniff(gobBuf.Bytes()) != wire.FormatGob {
-		t.Fatalf("gob snapshot misdetected as %v", wire.Sniff(gobBuf.Bytes()))
-	}
+	gobBuf := legacySnapshot(t, "small", in, 10, m)
 	viaAny, err := LoadAny(bytes.NewReader(gobBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +129,7 @@ func TestVersionedRejectsUnknownBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	in := Input{C: 1, H: 16, W: 16}
 	m := NewSmallCNN(in, 10, rng)
-	if err := SaveVersioned(&bytes.Buffer{}, "resnet", in, 10, m); err == nil {
+	if _, err := EncodeVersionedModel("resnet", in, 10, m); err == nil {
 		t.Fatal("unknown builder accepted")
 	}
 }

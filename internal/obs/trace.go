@@ -367,8 +367,7 @@ func SpanContextFrom(ctx context.Context) SpanContext {
 }
 
 // TraceHeader carries "trace-span" (two 16-hex-digit IDs) across process
-// boundaries. It is orthogonal to the body encoding: the same header pair
-// rides gob and versioned-envelope requests identically.
+// boundaries, beside the request body.
 const TraceHeader = "Fedcleanse-Trace"
 
 // InjectHeaders stamps sc onto h. Invalid contexts leave h untouched.

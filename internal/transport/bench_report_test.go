@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"testing"
 
@@ -35,7 +33,7 @@ func makeBenchReport(units int) benchReport {
 }
 
 // BenchmarkReportBytes measures the encoded size of one rank+vote report
-// per wire mode and exports it as report-bytes/op (gated by `make
+// per report precision and exports it as report-bytes/op (gated by `make
 // bench-json`). The int8 case also exports shrink-vs-float64: how much
 // smaller the quantized activation report is than the float64 activation
 // report of identical structure — the bandwidth claim of DESIGN.md §14.
@@ -52,17 +50,6 @@ func BenchmarkReportBytes(b *testing.B) {
 		})
 	}
 
-	bench("gob", func(dst []byte) []byte {
-		buf := bytes.NewBuffer(dst)
-		enc := gob.NewEncoder(buf)
-		if err := enc.Encode(RankResponse{Ranks: rep.ranks}); err != nil {
-			b.Fatal(err)
-		}
-		if err := enc.Encode(VoteResponse{Votes: rep.votes}); err != nil {
-			b.Fatal(err)
-		}
-		return buf.Bytes()
-	})
 	bench("float64", func(dst []byte) []byte {
 		return AppendVoteBitmap(AppendRanksDelta(dst, rep.ranks), rep.votes)
 	})
@@ -82,32 +69,10 @@ func BenchmarkReportBytes(b *testing.B) {
 }
 
 // BenchmarkReportRoundtrip measures encode+decode of one rank+vote report
-// per wire mode — construction of the report values is excluded.
+// per report precision — construction of the report values is excluded.
 func BenchmarkReportRoundtrip(b *testing.B) {
 	rep := makeBenchReport(512)
 
-	b.Run("gob", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			enc := gob.NewEncoder(&buf)
-			if err := enc.Encode(RankResponse{Ranks: rep.ranks}); err != nil {
-				b.Fatal(err)
-			}
-			if err := enc.Encode(VoteResponse{Votes: rep.votes}); err != nil {
-				b.Fatal(err)
-			}
-			dec := gob.NewDecoder(&buf)
-			var rr RankResponse
-			var vr VoteResponse
-			if err := dec.Decode(&rr); err != nil {
-				b.Fatal(err)
-			}
-			if err := dec.Decode(&vr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("float64", func(b *testing.B) {
 		b.ReportAllocs()
 		var p []byte

@@ -17,8 +17,7 @@ import (
 // apply — and restarted as a fresh process image that resumes from its
 // checkpoint directory. The resumed run must finish bit-identical to an
 // uninterrupted in-process run that drops the same faulty client by
-// policy, across worker counts, streaming shard counts and both update
-// encodings. This is the wire-served extension of internal/fl's
+// policy, across worker counts and streaming shard counts. This is the wire-served extension of internal/fl's
 // TestKillRestartBitIdentity: here the participants live behind HTTP
 // servers that keep running while the coordinator dies, one client faults
 // every exchange, and the restarted coordinator talks to the same fleet
@@ -56,12 +55,11 @@ const restartFaulty = 3
 // instant failures (resets, 500s) rather than hangs: the subject here is
 // checkpoint durability, and hang handling is already pinned by the round
 // -timeout chaos tests.
-func serveRestartFleet(t *testing.T, template *nn.Sequential, versioned bool) (addrs []string, shutdown func()) {
+func serveRestartFleet(t *testing.T, template *nn.Sequential) (addrs []string, shutdown func()) {
 	t.Helper()
 	var servers []*ClientServer
 	for _, p := range restartParts() {
 		cs := NewClientServer(p.(*fl.SyntheticClient), template)
-		cs.SetVersionedUpdates(versioned)
 		addr, err := cs.Serve("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -141,12 +139,11 @@ func runCoordinatorUntilCrash(t *testing.T, s *fl.Server, rounds int) (crashed b
 }
 
 // TestChaosKillRestartWireBitIdentity sweeps the kill-and-restart matrix:
-// workers 1/2/8 × streaming shards 1/8/64, the kill point and update
-// encoding rotating across the nine combinations. Every resumed run must
-// match the single uninterrupted drop-equivalent reference bit for bit —
-// which simultaneously pins that checkpoint resume, shard count, worker
-// count, wire faults and the update-encoding migration all leave the
-// arithmetic untouched.
+// workers 1/2/8 × streaming shards 1/8/64, the kill point rotating across
+// the nine combinations. Every resumed run must match the single
+// uninterrupted drop-equivalent reference bit for bit — which
+// simultaneously pins that checkpoint resume, shard count, worker count
+// and wire faults all leave the arithmetic untouched.
 func TestChaosKillRestartWireBitIdentity(t *testing.T) {
 	template := restartTemplate()
 	const rounds = 5
@@ -173,13 +170,12 @@ func TestChaosKillRestartWireBitIdentity(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
 		for _, shards := range []int{1, 8, 64} {
 			kill := kills[combo%len(kills)]
-			versioned := combo%2 == 0
 			combo++
-			name := fmt.Sprintf("workers=%d/shards=%d/%s/versioned=%v", w, shards, kill.name, versioned)
+			name := fmt.Sprintf("workers=%d/shards=%d/%s", w, shards, kill.name)
 			t.Run(name, func(t *testing.T) {
 				prev := parallel.SetWorkers(w)
 				defer parallel.SetWorkers(prev)
-				addrs, shutdown := serveRestartFleet(t, template, versioned)
+				addrs, shutdown := serveRestartFleet(t, template)
 				defer shutdown()
 				dir := t.TempDir()
 				cfg := restartCfg(shards)
@@ -224,7 +220,7 @@ func TestChaosRestartMidRoundRecordsWireDrops(t *testing.T) {
 		refRounds = append(refRounds, ref.RoundDetail(r))
 	}
 
-	addrs, shutdown := serveRestartFleet(t, template, true)
+	addrs, shutdown := serveRestartFleet(t, template)
 	defer shutdown()
 	dir := t.TempDir()
 	cfg := restartCfg(8)

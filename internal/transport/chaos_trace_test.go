@@ -30,7 +30,7 @@ func TestChaosFleetTraceAndAuditResume(t *testing.T) {
 	template := restartTemplate()
 	const rounds = 3
 	cfg := restartCfg(4)
-	addrs, shutdown := serveRestartFleet(t, template, true)
+	addrs, shutdown := serveRestartFleet(t, template)
 	defer shutdown()
 	dir := t.TempDir()
 	flightPath := filepath.Join(t.TempDir(), "flight.jsonl")

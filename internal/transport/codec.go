@@ -9,9 +9,8 @@ import (
 )
 
 // Compact report wire codecs (DESIGN.md §14). Defense report responses are
-// tiny and extremely numerous at fleet scale, so instead of gob they use
-// purpose-built losslessly-invertible encodings behind a self-describing
-// 1-byte tag:
+// tiny and extremely numerous at fleet scale, so they are purpose-built
+// losslessly-invertible encodings behind a self-describing 1-byte tag:
 //
 //	0x01 RanksDelta  uvarint n, then n zigzag-varint deltas between
 //	                 consecutive rank values (previous value starts at 0)
@@ -25,11 +24,9 @@ import (
 // varints and length headers larger than the remaining payload could
 // hold, so decoding allocates at most O(len(input)) and
 // encode(decode(p)) == p for every accepted p — the codecs are
-// canonical. Tag bytes cannot collide with
-// legacy gob bodies: a gob stream opens with the byte length of its first
-// message (a type descriptor, always tens of bytes), so its first byte is
-// well above 0x04 — receivers sniff the first byte and fall back to gob,
-// which keeps old binaries interoperable with new ones.
+// canonical. The tag names a payload type, not a wire format: a rank or
+// vote response is whichever of these the client's report precision
+// produces, and a body opening with any other byte is refused.
 //
 // RanksDelta carries arbitrary []int values as long as each fits in int32
 // (rank vectors are permutations of 1..P_L, far inside that); the bound is

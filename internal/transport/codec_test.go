@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 
@@ -211,26 +210,5 @@ func TestCodecsRejectMalformedInput(t *testing.T) {
 	p[len(p)-1] |= 0x80
 	if _, err := DecodeVoteBitmap(p); err == nil {
 		t.Fatal("votes: nonzero pad bits accepted")
-	}
-}
-
-// TestCodecTagsDodgeGob pins the backward-compatibility argument: a gob
-// stream's first byte is the length of its leading type-descriptor
-// message, which is always far above the codec tag range, so tag sniffing
-// can never mistake a legacy body for a compact payload.
-func TestCodecTagsDodgeGob(t *testing.T) {
-	for _, v := range []any{
-		RankResponse{Ranks: []int{1, 2, 3}},
-		VoteResponse{Votes: []bool{true}},
-		AccuracyResponse{Accuracy: 0.5},
-		UpdateResponse{Delta: []float64{1}},
-	} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatal(err)
-		}
-		if first := buf.Bytes()[0]; first <= TagActs64 {
-			t.Fatalf("gob %T starts with byte 0x%02x, colliding with codec tags", v, first)
-		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"flag"
 	"math"
 	"math/rand"
@@ -23,13 +22,17 @@ import (
 
 // The cross-version compatibility corpus (testdata/wire): one golden file
 // per encoding a deployed binary has ever produced — legacy gob models and
-// update responses, compact v1 report payloads, versioned envelopes — each
-// regenerated from fixed seeds with -update and then pinned. The table
-// test below decodes every file through the *sniffing dispatchers* the
-// current binary actually uses (nn.LoadAny, updatePayload, rankPayload,
-// votePayload) and asserts bit-identity with the value the original
-// decoder produces, so a wire or serialization change that silently breaks
-// an old peer or an old file on disk fails CI instead of a rollout.
+// responses, compact v1 report payloads, versioned envelopes. The files of
+// the current encodings are regenerated from fixed seeds with -update and
+// then pinned; the legacy gob files are frozen bytes nothing in the tree
+// can write any more. The table test below decodes every file through the
+// decoders the current binary actually uses (nn.LoadAny, updatePayload,
+// rankPayload, votePayload, accuracyPayload) and asserts bit-identity with
+// the seeded value — so a wire or serialization change that silently breaks
+// a peer or a file on disk fails CI instead of a rollout — and asserts that
+// the gob wire responses, which no peer sends any more, are refused with an
+// error. The gob model file still loads: old fedtrain snapshots stay
+// readable through nn.LoadAny.
 
 var updateGolden = flag.Bool("update", false, "regenerate the testdata/wire golden corpus")
 
@@ -81,17 +84,17 @@ func compatActs() []float64 {
 	return a
 }
 
-// goldenFiles materializes every corpus entry from the fixed seeds.
+// compatAccuracy is the corpus's fixed accuracy report.
+func compatAccuracy() float64 {
+	return rand.New(rand.NewSource(97)).Float64()
+}
+
+// goldenFiles materializes every regenerable corpus entry from the fixed
+// seeds; the four legacy gob files exist only on disk.
 func goldenFiles(t *testing.T) map[string][]byte {
 	t.Helper()
 	m, in, classes := compatModel()
 	files := map[string][]byte{}
-
-	var legacyModel bytes.Buffer
-	if err := nn.Save(&legacyModel, "small", in, classes, m); err != nil {
-		t.Fatal(err)
-	}
-	files["model-legacy-gob.bin"] = legacyModel.Bytes()
 
 	versionedModel, err := nn.EncodeVersionedModel("small", in, classes, m)
 	if err != nil {
@@ -99,28 +102,11 @@ func goldenFiles(t *testing.T) map[string][]byte {
 	}
 	files["model-versioned-v1.bin"] = versionedModel
 
-	var legacyUpdate bytes.Buffer
-	if err := gob.NewEncoder(&legacyUpdate).Encode(UpdateResponse{Delta: compatDelta()}); err != nil {
-		t.Fatal(err)
-	}
-	files["update-legacy-gob.bin"] = legacyUpdate.Bytes()
 	files["update-versioned-v1.bin"] = AppendVersionedUpdate(nil, compatDelta())
-
-	var legacyRanks bytes.Buffer
-	if err := gob.NewEncoder(&legacyRanks).Encode(RankResponse{Ranks: compatRanks()}); err != nil {
-		t.Fatal(err)
-	}
-	files["report-ranks-legacy-gob.bin"] = legacyRanks.Bytes()
 	files["report-ranks-compact-v1.bin"] = AppendRanksDelta(nil, compatRanks())
-
-	var legacyVotes bytes.Buffer
-	if err := gob.NewEncoder(&legacyVotes).Encode(VoteResponse{Votes: compatVotes()}); err != nil {
-		t.Fatal(err)
-	}
-	files["report-votes-legacy-gob.bin"] = legacyVotes.Bytes()
 	files["report-votes-compact-v1.bin"] = AppendVoteBitmap(nil, compatVotes())
-
 	files["report-acts8-compact-v1.bin"] = AppendActs8(nil, metrics.QuantizeActivations(compatActs()))
+	files["response-accuracy-v1.bin"] = appendAccuracy(nil, compatAccuracy())
 
 	for name, kind := range compatRequestKinds {
 		files[name] = appendRequest(nil, kind, compatRequest(kind))
@@ -148,12 +134,12 @@ func compatRequest(kind uint16) request {
 	return request{Global: compatDelta(), Round: 7, Layer: 2, Rate: 0.25}
 }
 
-// loadGolden reads one corpus file, regenerating the corpus first under
-// -update.
+// loadGolden reads one corpus file, regenerating it first under -update
+// if it is one goldenFiles can write.
 func loadGolden(t *testing.T, files map[string][]byte, name string) []byte {
 	t.Helper()
 	path := filepath.Join(goldenDir, name)
-	if *updateGolden {
+	if *updateGolden && files[name] != nil {
 		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -183,30 +169,54 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestCrossVersionGoldenCorpus decodes every golden payload through the
-// sniffing dispatchers and pins the result against the original decoder's
-// output. The legacy files are frozen bytes from the pre-envelope wire
-// format; if this test fails after a serialization change, the change
-// broke compatibility with deployed peers and files — fix the change, do
-// not regenerate the legacy files.
+// current decoders and pins the result against the seeded values. The
+// legacy files are frozen bytes from the pre-envelope wire format; if this
+// test fails after a serialization change, the change broke compatibility
+// with deployed peers and files — fix the change, do not regenerate the
+// files.
 func TestCrossVersionGoldenCorpus(t *testing.T) {
 	files := goldenFiles(t)
 	refModel, _, _ := compatModel()
 	refParams := refModel.ParamsVector()
 
-	t.Run("sniff", func(t *testing.T) {
-		for name, format := range map[string]wire.Format{
-			"model-legacy-gob.bin":        wire.FormatGob,
-			"model-versioned-v1.bin":      wire.FormatVersioned,
-			"update-legacy-gob.bin":       wire.FormatGob,
-			"update-versioned-v1.bin":     wire.FormatVersioned,
-			"report-ranks-legacy-gob.bin": wire.FormatGob,
-			"report-ranks-compact-v1.bin": wire.FormatReportTag,
-			"report-votes-legacy-gob.bin": wire.FormatGob,
-			"report-votes-compact-v1.bin": wire.FormatReportTag,
-			"report-acts8-compact-v1.bin": wire.FormatReportTag,
+	t.Run("first-byte", func(t *testing.T) {
+		// What tells the families apart: the envelope magic, a report tag,
+		// or — for gob — the length of a type descriptor, which is neither.
+		for name, want := range map[string]byte{
+			"model-versioned-v1.bin":      wire.Magic[0],
+			"update-versioned-v1.bin":     wire.Magic[0],
+			"response-accuracy-v1.bin":    wire.Magic[0],
+			"report-ranks-compact-v1.bin": TagRanksDelta,
+			"report-votes-compact-v1.bin": TagVoteBitmap,
+			"report-acts8-compact-v1.bin": TagActs8,
 		} {
-			if got := wire.Sniff(loadGolden(t, files, name)); got != format {
-				t.Errorf("%s sniffs as %v, want %v", name, got, format)
+			if got := loadGolden(t, files, name)[0]; got != want {
+				t.Errorf("%s opens with 0x%02x, want 0x%02x", name, got, want)
+			}
+		}
+		for _, name := range []string{"model-legacy-gob.bin", "update-legacy-gob.bin",
+			"report-ranks-legacy-gob.bin", "report-votes-legacy-gob.bin"} {
+			if got := loadGolden(t, files, name)[0]; got == wire.Magic[0] || got <= TagActs64 {
+				t.Errorf("%s opens with 0x%02x, colliding with the envelope magic or a report tag", name, got)
+			}
+		}
+	})
+
+	t.Run("legacy-gob-refused", func(t *testing.T) {
+		// Every gob wire response is refused by every response decoder — an
+		// error, which a round records as a dropout; never a misparse.
+		for _, name := range []string{"update-legacy-gob.bin",
+			"report-ranks-legacy-gob.bin", "report-votes-legacy-gob.bin"} {
+			data := loadGolden(t, files, name)
+			for what, dec := range map[string]bodyDecoder{
+				"update":   &updatePayload{Limit: 1 << 20},
+				"ranks":    &rankPayload{},
+				"votes":    &votePayload{Rate: 0.5},
+				"accuracy": &accuracyPayload{},
+			} {
+				if err := dec.DecodeBody(bytes.NewReader(data)); err == nil {
+					t.Errorf("%s accepted as a %s response", name, what)
+				}
 			}
 		}
 	})
@@ -219,7 +229,7 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 		for _, name := range []string{
 			"model-versioned-v1.bin", "update-versioned-v1.bin",
 			"report-ranks-compact-v1.bin", "report-votes-compact-v1.bin",
-			"report-acts8-compact-v1.bin",
+			"report-acts8-compact-v1.bin", "response-accuracy-v1.bin",
 		} {
 			if !bytes.Equal(loadGolden(t, files, name), files[name]) {
 				t.Errorf("%s: checked-in bytes differ from canonical re-encoding", name)
@@ -250,8 +260,8 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 
 	t.Run("updates", func(t *testing.T) {
 		want := compatDelta()
-		for _, name := range []string{"update-legacy-gob.bin", "update-versioned-v1.bin"} {
-			var up updatePayload
+		for _, name := range []string{"update-versioned-v1.bin"} {
+			up := updatePayload{Limit: 1 << 20}
 			if err := up.DecodeBody(bytes.NewReader(loadGolden(t, files, name))); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -263,7 +273,7 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 
 	t.Run("ranks", func(t *testing.T) {
 		want := compatRanks()
-		for _, name := range []string{"report-ranks-legacy-gob.bin", "report-ranks-compact-v1.bin"} {
+		for _, name := range []string{"report-ranks-compact-v1.bin"} {
 			var rp rankPayload
 			if err := rp.DecodeBody(bytes.NewReader(loadGolden(t, files, name))); err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -280,7 +290,7 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 
 	t.Run("votes", func(t *testing.T) {
 		want := compatVotes()
-		for _, name := range []string{"report-votes-legacy-gob.bin", "report-votes-compact-v1.bin"} {
+		for _, name := range []string{"report-votes-compact-v1.bin"} {
 			var vp votePayload
 			if err := vp.DecodeBody(bytes.NewReader(loadGolden(t, files, name))); err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -311,6 +321,42 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 			t.Fatalf("acts8 ranks %v, want %v", rp.Ranks, want)
 		}
 	})
+
+	t.Run("accuracy", func(t *testing.T) {
+		var ap accuracyPayload
+		if err := ap.DecodeBody(bytes.NewReader(loadGolden(t, files, "response-accuracy-v1.bin"))); err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(ap.Accuracy) != math.Float64bits(compatAccuracy()) {
+			t.Fatalf("accuracy %v, want %v", ap.Accuracy, compatAccuracy())
+		}
+	})
+}
+
+// TestAccuracyResponseRejections: a malformed accuracy envelope errors,
+// never panics, and unknown sections are skipped.
+func TestAccuracyResponseRejections(t *testing.T) {
+	valid := appendAccuracy(nil, 0.75)
+	value := valid[len(valid)-12 : len(valid)-4]
+	cases := map[string][]byte{
+		"empty":      {},
+		"bad-crc":    append(append([]byte(nil), valid[:len(valid)-1]...), valid[len(valid)-1]^1),
+		"truncated":  valid[:len(valid)-6],
+		"wrong-kind": AppendVersionedUpdate(nil, []float64{0.75}),
+		"no-value":   wire.NewEncoder(wire.KindAccuracy).Section(99, value).Bytes(),
+		"wrong-size": wire.NewEncoder(wire.KindAccuracy).Section(secAccuracyValue, value[:4]).Bytes(),
+		"oversized":  append(append([]byte(nil), valid...), make([]byte, envelopeSlack)...),
+	}
+	for name, data := range cases {
+		var ap accuracyPayload
+		if err := ap.DecodeBody(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	fwd := wire.NewEncoder(wire.KindAccuracy).Section(77, []byte("future")).Section(secAccuracyValue, value).Bytes()
+	if got, err := decodeAccuracy(fwd); err != nil || got != 0.75 {
+		t.Fatalf("unknown section not skipped: %v, %v", got, err)
+	}
 }
 
 // TestVersionedUpdateRoundTrip pins the codec itself: bit-exact floats,
@@ -358,47 +404,38 @@ func TestVersionedUpdateRejections(t *testing.T) {
 	}
 }
 
-// TestVersionedUpdateOverWire proves the migration story end to end: the
-// same participant served with legacy gob updates and with versioned
-// updates hands the same RemoteClient bit-identical deltas.
+// TestVersionedUpdateOverWire: a participant served over the wire hands a
+// RemoteClient the delta it computes in process, bit for bit.
 func TestVersionedUpdateOverWire(t *testing.T) {
 	template := nn.NewSmallCNN(nn.Input{C: 1, H: 8, W: 8}, 4, rand.New(rand.NewSource(95)))
 	global := template.ParamsVector()
-	serve := func(versioned bool) []float64 {
-		cs := NewClientServer(&fl.SyntheticClient{Id: 0, Seed: 96}, template)
-		cs.SetVersionedUpdates(versioned)
-		addr, err := cs.Serve("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = cs.Shutdown(context.Background()) }()
-		rc := NewRemoteClient(0, addr)
-		d, err := rc.TryLocalUpdate(context.Background(), global, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
+	cs := NewClientServer(&fl.SyntheticClient{Id: 0, Seed: 96}, template)
+	addr, err := cs.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cs.Shutdown(context.Background()) }()
+	got, err := NewRemoteClient(0, addr).TryLocalUpdate(context.Background(), global, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
 	want := (&fl.SyntheticClient{Id: 0, Seed: 96}).LocalUpdate(global, 3)
-	if !sameBits(serve(false), want) {
-		t.Fatal("legacy gob update differs from the in-process delta")
-	}
-	if !sameBits(serve(true), want) {
+	if !sameBits(got, want) {
 		t.Fatal("versioned update differs from the in-process delta")
 	}
 }
 
 // TestRequestGoldenCorpus pins the four request envelopes the way
 // TestCrossVersionGoldenCorpus pins the response side: the checked-in
-// bytes sniff as versioned, equal the canonical re-encoding of the fixed
+// bytes open with the envelope magic, equal the canonical re-encoding of the fixed
 // seeds, and decode on their endpoint to exactly the fields that went in —
 // and on no other endpoint.
 func TestRequestGoldenCorpus(t *testing.T) {
 	files := goldenFiles(t)
 	for name, kind := range compatRequestKinds {
 		data := loadGolden(t, files, name)
-		if got := wire.Sniff(data); got != wire.FormatVersioned {
-			t.Errorf("%s sniffs as %v, want versioned", name, got)
+		if !bytes.HasPrefix(data, wire.Magic[:]) {
+			t.Errorf("%s does not open with the envelope magic", name)
 		}
 		if !bytes.Equal(data, files[name]) {
 			t.Errorf("%s: checked-in bytes differ from canonical re-encoding", name)
@@ -472,13 +509,31 @@ func TestRequestRejections(t *testing.T) {
 		t.Fatalf("unknown section not skipped: %v, %v", got.Global, err)
 	}
 	got.release()
+
+	// The body cap of a slot with a template is the envelope's size for that
+	// architecture: a request padded (by a section the handler skips) to
+	// exactly 8 x params + slack is served, one byte more is a 400.
+	h, n := fuzzHandler()
+	params := wire.AppendFloat64s(wire.AppendUint(nil, uint64(n)), make([]float64, n))
+	padded := func(size int) []byte {
+		bare := wire.NewEncoder(wire.KindAccuracyRequest).Section(77, nil).Section(secReqGlobal, params).Bytes()
+		return wire.NewEncoder(wire.KindAccuracyRequest).Section(77, make([]byte, size-len(bare))).Section(secReqGlobal, params).Bytes()
+	}
+	limit := int(envelopeLimit(n))
+	for size, want := range map[int]int{limit: http.StatusOK, limit + 1: http.StatusBadRequest} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/accuracy", bytes.NewReader(padded(size))))
+		if rec.Code != want {
+			t.Errorf("%d-byte request: HTTP %d, want %d (%s)", size, rec.Code, want, bytes.TrimSpace(rec.Body.Bytes()))
+		}
+	}
 }
 
-// TestRequestEncodingsAgree is the request half of the migration story: a
-// legacy gob request (what an aggregator older than the envelope sends)
-// and the envelope request (what RemoteClient sends now) draw bit-identical
-// responses from the same handler, on every endpoint, from a ClientServer
-// and from a Fleet.
+// TestRequestEncodingsAgree pins that there is one request format and one
+// handler set. The gob request an aggregator older than the envelope sends
+// draws 400 — never 200, never a panic — from a ClientServer and from a
+// Fleet on every endpoint, and the envelope request RemoteClient sends
+// draws byte-identical responses from the two.
 func TestRequestEncodingsAgree(t *testing.T) {
 	template := nn.NewSmallCNN(nn.Input{C: 1, H: 8, W: 8}, 4, rand.New(rand.NewSource(95)))
 	global := template.ParamsVector()
@@ -487,59 +542,50 @@ func TestRequestEncodingsAgree(t *testing.T) {
 	cs := NewClientServer(&fl.SyntheticClient{Id: 3, Seed: 96, Units: 16}, template)
 	fleet := NewFleet()
 	fleet.Add(&fl.SyntheticClient{Id: 3, Seed: 96, Units: 16})
-	handlers := map[string]struct {
-		h      http.Handler
-		prefix string
-	}{
-		"ClientServer": {cs.Handler(), ""},
-		"Fleet":        {fleet.Handler(), "/c/3"},
+	served := func(h http.Handler, path string, body []byte) (int, []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec.Code, rec.Body.Bytes()
 	}
 
-	gobBody := func(v any) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	endpoints := []struct {
 		path     string
 		legacy   []byte
 		envelope []byte
 	}{
-		{"/v1/update", gobBody(UpdateRequest{Global: global, Round: 3}),
+		{"/v1/update", gobBody(t, UpdateRequest{Global: global, Round: 3}),
 			appendRequest(nil, wire.KindUpdateRequest, request{Global: global, Round: 3})},
-		{"/v1/ranks", gobBody(RankRequest{Global: global, Layer: layer}),
+		{"/v1/ranks", gobBody(t, RankRequest{Global: global, Layer: layer}),
 			appendRequest(nil, wire.KindRankRequest, request{Model: template, Layer: layer})},
-		{"/v1/votes", gobBody(VoteRequest{Global: global, Layer: layer, Rate: 0.5}),
+		{"/v1/votes", gobBody(t, VoteRequest{Global: global, Layer: layer, Rate: 0.5}),
 			appendRequest(nil, wire.KindVoteRequest, request{Model: template, Layer: layer, Rate: 0.5})},
-		{"/v1/accuracy", gobBody(AccuracyRequest{Global: global}),
+		{"/v1/accuracy", gobBody(t, AccuracyRequest{Global: global}),
 			appendRequest(nil, wire.KindAccuracyRequest, request{Model: template})},
 	}
-	post := func(h http.Handler, path string, body []byte) []byte {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: HTTP %d: %s", path, rec.Code, rec.Body.String())
+	for _, ep := range endpoints {
+		fromCS, bodyCS := served(cs.Handler(), ep.path, ep.envelope)
+		fromFleet, bodyFleet := served(fleet.Handler(), "/c/3"+ep.path, ep.envelope)
+		if fromCS != http.StatusOK || fromFleet != http.StatusOK {
+			t.Fatalf("%s: envelope request drew HTTP %d / %d", ep.path, fromCS, fromFleet)
 		}
-		return rec.Body.Bytes()
+		if !bytes.Equal(bodyCS, bodyFleet) {
+			t.Errorf("%s: ClientServer and Fleet answered the same request differently", ep.path)
+		}
+		if code, _ := served(cs.Handler(), ep.path, ep.legacy); code != http.StatusBadRequest {
+			t.Errorf("ClientServer %s: gob request drew HTTP %d, want 400", ep.path, code)
+		}
+		if code, _ := served(fleet.Handler(), "/c/3"+ep.path, ep.legacy); code != http.StatusBadRequest {
+			t.Errorf("Fleet %s: gob request drew HTTP %d, want 400", ep.path, code)
+		}
 	}
-	for name, hd := range handlers {
-		for _, ep := range endpoints {
-			legacy := post(hd.h, hd.prefix+ep.path, ep.legacy)
-			envelope := post(hd.h, hd.prefix+ep.path, ep.envelope)
-			if !bytes.Equal(legacy, envelope) {
-				t.Errorf("%s %s: gob and envelope requests drew different responses", name, ep.path)
-			}
-		}
-		// The update response is also the in-process delta, bit for bit.
-		var up updatePayload
-		if err := up.DecodeBody(bytes.NewReader(post(hd.h, hd.prefix+"/v1/update", endpoints[0].envelope))); err != nil {
-			t.Fatal(err)
-		}
-		want := (&fl.SyntheticClient{Id: 3, Seed: 96}).LocalUpdate(global, 3)
-		if !sameBits(up.Delta, want) {
-			t.Errorf("%s: wire delta differs from the in-process delta", name)
-		}
+	// The update response is also the in-process delta, bit for bit.
+	_, body := served(cs.Handler(), "/v1/update", endpoints[0].envelope)
+	up := updatePayload{Limit: int64(len(body))}
+	if err := up.DecodeBody(bytes.NewReader(body)); err != nil {
+		t.Fatal(err)
+	}
+	want := (&fl.SyntheticClient{Id: 3, Seed: 96}).LocalUpdate(global, 3)
+	if !sameBits(up.Delta, want) {
+		t.Error("wire delta differs from the in-process delta")
 	}
 }

@@ -35,7 +35,7 @@ const (
 	// participant.
 	FaultHTTP500
 	// FaultTruncate lets the exchange happen but cuts the response body
-	// in half, so the gob decode fails mid-stream. Note the participant
+	// in half, so the decode fails on a short body. Note the participant
 	// DOES run: a retried update request retrains (see DESIGN.md §10 on
 	// idempotency).
 	FaultTruncate

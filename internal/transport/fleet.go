@@ -7,10 +7,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/fl"
 	"github.com/fedcleanse/fedcleanse/internal/metrics"
+	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
@@ -27,87 +29,121 @@ import (
 // meaning the aggregation server drives a fleet through completely
 // unmodified RemoteClients.
 //
-// The fleet serves the full protocol: the update endpoint
-// (POST /c/<id>/v1/update) plus the defense's report endpoints
-// (/v1/ranks, /v1/votes, /v1/accuracy) for participants that implement
-// the reporting interfaces — fl.SyntheticClient answers them with canned
-// deterministic reports, so a load run exercises the report wire path
-// end to end. Report responses use the compact codecs of codec.go at the
-// fleet's configured quantization (SetReportQuant). Every request is
+// The fleet's handlers are the package's one implementation of the
+// protocol (ClientServer is a fleet of one, mounted at the root): the
+// update endpoint (POST /c/<id>/v1/update) plus the defense's report
+// endpoints (/v1/ranks, /v1/votes, /v1/accuracy) for participants that
+// implement the reporting interfaces — fl.SyntheticClient answers them with
+// canned deterministic reports, so a load run exercises the report wire
+// path end to end. Report responses use the compact codecs of codec.go at
+// the fleet's configured quantization (SetReportQuant). Every request is
 // instrumented into the fedload_* metrics, and a participant panic is
 // recovered to an HTTP 500 plus a fedload_handler_panics_total tick
 // instead of taking down the other tens of thousands of clients sharing
 // the process.
 type Fleet struct {
-	mu        sync.RWMutex
-	slots     map[int]*fleetSlot
-	maxBody   int64
-	quant     metrics.ReportQuant
-	versioned bool
+	mu    sync.RWMutex
+	slots map[int]*fleetSlot
+	quant atomic.Int32 // the metrics.ReportQuant of report responses
 
 	life lifecycle
 }
 
-// fleetSlot pairs a participant with the mutex serializing calls into it,
-// matching ClientServer's one-call-at-a-time participant contract.
-// (fl.SyntheticClient happens to be concurrency-safe, but the fleet does
-// not assume that of an arbitrary Participant.)
+// endpoint is one of the protocol's four: the request kind it reads, the
+// name its server-side span traces under and the histogram that span feeds.
+type endpoint struct {
+	kind uint16
+	span string
+	hist *obs.Histogram
+}
+
+// The four endpoints as a fleet mounts them, by path below /c/<id>/, and as
+// a ClientServer does, by path from the root.
+var (
+	fleetEndpoints = map[string]endpoint{
+		"v1/update":   {wire.KindUpdateRequest, "fedload.update", obs.M.FedloadUpdateSeconds},
+		"v1/ranks":    {wire.KindRankRequest, "fedload.ranks", nil},
+		"v1/votes":    {wire.KindVoteRequest, "fedload.votes", nil},
+		"v1/accuracy": {wire.KindAccuracyRequest, "fedload.accuracy", nil},
+	}
+	clientEndpoints = map[string]endpoint{
+		"/v1/update":   {wire.KindUpdateRequest, "client.update", nil},
+		"/v1/ranks":    {wire.KindRankRequest, "client.ranks", nil},
+		"/v1/votes":    {wire.KindVoteRequest, "client.votes", nil},
+		"/v1/accuracy": {wire.KindAccuracyRequest, "client.accuracy", nil},
+	}
+)
+
+// fleetSlot pairs a participant with the mutex serializing calls into it:
+// a participant is called one request at a time. (fl.SyntheticClient
+// happens to be concurrency-safe, but the fleet does not assume that of an
+// arbitrary Participant.)
 type fleetSlot struct {
 	mu   sync.Mutex
 	part fl.Participant
+	// template, in a slot that has one (NewClientServer), is the model
+	// architecture: requests are validated against it and report calls get
+	// a model rebuilt from it. A slot without one (Fleet.Add) is
+	// architecture-agnostic: it validates neither the parameter vector nor
+	// the layer index and hands the participant a nil model, which
+	// synthetic participants ignore.
+	template *nn.Sequential
+}
+
+// envelopeSlack is what an envelope may measure beyond the vector it
+// carries. Header, scalar sections, vector count and CRC come to under 100
+// bytes; the rest is room for sections a newer peer adds.
+const envelopeSlack = 1 << 10
+
+// envelopeLimit is the body cap for a request or update response carrying a
+// vector of n values.
+func envelopeLimit(n int) int64 { return 8*int64(n) + envelopeSlack }
+
+// fleetMaxBody caps a request to a slot without a template: a size no
+// parameter vector in this codebase approaches.
+const fleetMaxBody = 64 << 20
+
+// maxBody bounds a request body so a malicious or corrupted peer cannot
+// make the decoder allocate unboundedly.
+func (s *fleetSlot) maxBody() int64 {
+	if s.template == nil {
+		return fleetMaxBody
+	}
+	return envelopeLimit(s.template.NumParams())
 }
 
 // NewFleet builds an empty fleet.
 func NewFleet() *Fleet {
-	return &Fleet{
-		slots: make(map[int]*fleetSlot),
-		// No template bounds the request size here (the fleet is
-		// architecture-agnostic), so cap bodies at a size no legitimate
-		// parameter vector in this codebase approaches.
-		maxBody:   64 << 20,
-		versioned: true,
-	}
+	return &Fleet{slots: make(map[int]*fleetSlot)}
 }
 
-// SetMaxBody overrides the request-body cap (bytes).
-func (f *Fleet) SetMaxBody(n int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.maxBody = n
-}
-
-// SetReportQuant selects the precision of the fleet's report responses
-// (see ClientServer.SetReportQuant).
-func (f *Fleet) SetReportQuant(q metrics.ReportQuant) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.quant = q
-}
-
-// SetVersionedUpdates selects between the versioned envelope encoding for
-// the fleet's update responses (the default) and legacy gob (see
-// ClientServer.SetVersionedUpdates).
-func (f *Fleet) SetVersionedUpdates(v bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.versioned = v
-}
+// SetReportQuant selects the precision of compact activation report
+// payloads: ReportInt8 ships affine-quantized Acts8 payloads (the ~8x
+// bandwidth mode, DESIGN.md §14); ReportFloat64 — the default — ships the
+// client's losslessly-encoded rank/vote reports.
+func (f *Fleet) SetReportQuant(q metrics.ReportQuant) { f.quant.Store(int32(q)) }
 
 // Add registers participants under their IDs. A duplicate ID is a
 // programming error and panics.
 func (f *Fleet) Add(parts ...fl.Participant) {
-	f.mu.Lock()
 	for _, p := range parts {
-		id := p.ID()
-		if _, dup := f.slots[id]; dup {
-			f.mu.Unlock()
-			panic(fmt.Sprintf("transport: Fleet.Add: duplicate client %d", id))
-		}
-		f.slots[id] = &fleetSlot{part: p}
+		f.add(p, nil)
 	}
+}
+
+// add registers one participant, with the template its slot carries.
+func (f *Fleet) add(p fl.Participant, template *nn.Sequential) *fleetSlot {
+	slot := &fleetSlot{part: p, template: template}
+	f.mu.Lock()
+	if _, dup := f.slots[p.ID()]; dup {
+		f.mu.Unlock()
+		panic(fmt.Sprintf("transport: Fleet.Add: duplicate client %d", p.ID()))
+	}
+	f.slots[p.ID()] = slot
 	n := len(f.slots)
 	f.mu.Unlock()
 	obs.M.FedloadClients.Set(int64(n))
+	return slot
 }
 
 // Len reports the number of hosted participants.
@@ -133,63 +169,102 @@ func (f *Fleet) Handler() http.Handler {
 
 // Serve starts listening on addr ("127.0.0.1:0" for an ephemeral port)
 // and serves until Shutdown, returning the bound address. Serving runs on
-// a background goroutine; the terminal error arrives on Err.
+// a background goroutine; the terminal error arrives on Err. Serve can be
+// called at most once; a second call, or a call after Shutdown, returns an
+// error.
 func (f *Fleet) Serve(addr string) (string, error) {
 	return f.life.serve(addr, f.Handler())
 }
 
 // Err returns the channel delivering the terminal serve error (nil after
-// a clean Shutdown); nil before Serve.
+// a clean Shutdown, the net/http failure otherwise); nil before Serve.
 func (f *Fleet) Err() <-chan error { return f.life.errChan() }
 
-// Shutdown stops the fleet gracefully.
+// Shutdown stops the fleet gracefully. Calling it before Serve (or twice)
+// is safe; afterwards the fleet cannot serve again.
 func (f *Fleet) Shutdown(ctx context.Context) error {
 	return f.life.shutdown(ctx)
 }
 
 // route dispatches /c/<id>/v1/* to the participant's slot.
 func (f *Fleet) route(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/c/")
-	idStr, tail, ok := strings.Cut(rest, "/")
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
+	idStr, path, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/c/"), "/")
 	id, err := strconv.Atoi(idStr)
-	if err != nil {
+	ep, ok := fleetEndpoints[path]
+	if err != nil || !ok {
 		http.NotFound(w, r)
 		return
 	}
 	f.mu.RLock()
 	slot := f.slots[id]
-	maxBody := f.maxBody
-	quant := f.quant
-	versioned := f.versioned
 	f.mu.RUnlock()
 	if slot == nil {
 		http.Error(w, fmt.Sprintf("unknown client %d", id), http.StatusNotFound)
 		return
 	}
-	switch tail {
-	case "v1/update":
-		f.handleUpdate(w, r, slot, maxBody, versioned)
-	case "v1/ranks":
-		f.handleRanks(w, r, slot, maxBody, quant)
-	case "v1/votes":
-		f.handleVotes(w, r, slot, maxBody, quant)
-	case "v1/accuracy":
-		f.handleAccuracy(w, r, slot, maxBody)
-	default:
-		http.NotFound(w, r)
+	f.serve(w, r, slot, ep)
+}
+
+// serve answers one request to an endpoint from slot: the one place a
+// request is read, validated and traced, whichever way it was mounted.
+func (f *Fleet) serve(w http.ResponseWriter, r *http.Request, slot *fleetSlot, ep endpoint) {
+	sp := requestSpan(r, ep.span, ep.hist).WithClient(slot.part.ID())
+	defer func() { sp.End() }()
+	req, ok := slot.readRequest(w, r, ep.kind)
+	if !ok {
+		return
+	}
+	defer req.release()
+	quant := metrics.ReportQuant(f.quant.Load())
+	switch ep.kind {
+	case wire.KindUpdateRequest:
+		sp = sp.WithRound(req.Round)
+		handleUpdate(w, slot, req)
+	case wire.KindRankRequest:
+		handleRanks(w, slot, req, quant)
+	case wire.KindVoteRequest:
+		handleVotes(w, slot, req, quant)
+	case wire.KindAccuracyRequest:
+		handleAccuracy(w, slot, req)
 	}
 }
 
-// readFleetRequest is readRequest under the fleet's body cap, counting the
-// bytes into fedload_bytes_in_total.
-func readFleetRequest(w http.ResponseWriter, r *http.Request, maxBody int64, kind uint16) (request, bool) {
-	req, n, ok := readRequest(w, r, maxBody, kind)
+// readRequest reads one request to the slot under its body cap, counting
+// the bytes into fedload_bytes_in_total, and validates it against the
+// slot's template when there is one: without this a well-formed envelope
+// of the wrong size would panic SetParamsVector inside the handler. It
+// answers 405 or 400 itself when it returns !ok; the caller releases the
+// returned request.
+func (s *fleetSlot) readRequest(w http.ResponseWriter, r *http.Request, kind uint16) (request, bool) {
+	req, n, ok := readRequest(w, r, s.maxBody(), kind)
 	obs.M.FedloadBytesIn.Add(uint64(n))
-	return req, ok
+	if !ok || s.template == nil {
+		return req, ok
+	}
+	var bad string
+	layered := kind == wire.KindRankRequest || kind == wire.KindVoteRequest
+	if len(req.Global) != s.template.NumParams() {
+		bad = fmt.Sprintf("%d params, want %d", len(req.Global), s.template.NumParams())
+	} else if layered && (req.Layer < 0 || req.Layer >= s.template.NumLayers()) {
+		bad = fmt.Sprintf("layer %d outside [0,%d)", req.Layer, s.template.NumLayers())
+	}
+	if bad != "" {
+		req.release()
+		http.Error(w, "bad request: "+bad, http.StatusBadRequest)
+		return request{}, false
+	}
+	return req, true
+}
+
+// model is what a report call hands the participant: the template with the
+// requested parameters, or nil for a slot without a template.
+func (s *fleetSlot) model(global []float64) *nn.Sequential {
+	if s.template == nil {
+		return nil
+	}
+	m := s.template.Clone()
+	m.SetParamsVector(global)
+	return m
 }
 
 // reportClient extracts the slot's reporting surface, answering 404 when
@@ -203,41 +278,48 @@ func reportClient(w http.ResponseWriter, slot *fleetSlot) (core.ReportClient, bo
 	return rc, ok
 }
 
-// handleRanks serves /c/<id>/v1/ranks from the participant's canned
-// reports. The fleet is architecture-agnostic — it holds no model — so
-// unlike ClientServer it validates neither the parameter vector nor the
-// layer index; synthetic participants ignore both.
-func (f *Fleet) handleRanks(w http.ResponseWriter, r *http.Request, slot *fleetSlot, maxBody int64, quant metrics.ReportQuant) {
-	sp := requestSpan(r, "fedload.ranks", nil).WithClient(slot.part.ID())
-	defer sp.End()
-	req, ok := readFleetRequest(w, r, maxBody, wire.KindRankRequest)
-	if !ok {
-		return
-	}
-	defer req.release()
+// writeBody sends one response body, its length declared, and counts it
+// into fedload_bytes_out_total.
+func writeBody(w http.ResponseWriter, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	n, _ := w.Write(body)
+	obs.M.FedloadBytesOut.Add(uint64(n))
+}
+
+// writeReport sends a compact report payload, also counting its bytes as
+// report traffic.
+func writeReport(w http.ResponseWriter, payload []byte) {
+	writeBody(w, reportContentType, payload)
+	obs.M.TransportReportBytesSent.Add(uint64(len(payload)))
+	obs.M.FedloadReports.Inc()
+}
+
+func handleUpdate(w http.ResponseWriter, slot *fleetSlot, req request) {
+	slot.mu.Lock()
+	delta := slot.part.LocalUpdate(req.Global, req.Round)
+	slot.mu.Unlock()
+	// The envelope is encoded into a pooled buffer that is done with once
+	// Write returns.
+	buf := wire.GetBuffer()
+	defer buf.Release()
+	buf.B = AppendVersionedUpdate(buf.B, delta)
+	writeBody(w, updateContentType, buf.B)
+	obs.M.FedloadUpdates.Inc()
+}
+
+func handleRanks(w http.ResponseWriter, slot *fleetSlot, req request, quant metrics.ReportQuant) {
 	rc, ok := reportClient(w, slot)
 	if !ok {
 		return
 	}
 	slot.mu.Lock()
-	payload := appendRankReport(nil, rc, nil, req.Layer, quant)
+	payload := appendRankReport(nil, rc, slot.model(req.Global), req.Layer, quant)
 	slot.mu.Unlock()
-	cw := &countingWriter{ResponseWriter: w}
-	writeReport(cw, payload)
-	obs.M.FedloadBytesOut.Add(uint64(cw.n))
-	obs.M.FedloadReports.Inc()
+	writeReport(w, payload)
 }
 
-// handleVotes serves /c/<id>/v1/votes from the participant's canned
-// reports.
-func (f *Fleet) handleVotes(w http.ResponseWriter, r *http.Request, slot *fleetSlot, maxBody int64, quant metrics.ReportQuant) {
-	sp := requestSpan(r, "fedload.votes", nil).WithClient(slot.part.ID())
-	defer sp.End()
-	req, ok := readFleetRequest(w, r, maxBody, wire.KindVoteRequest)
-	if !ok {
-		return
-	}
-	defer req.release()
+func handleVotes(w http.ResponseWriter, slot *fleetSlot, req request, quant metrics.ReportQuant) {
 	if !(req.Rate >= 0 && req.Rate <= 1) { // also rejects NaN
 		http.Error(w, fmt.Sprintf("bad request: rate %g outside [0,1]", req.Rate), http.StatusBadRequest)
 		return
@@ -247,54 +329,62 @@ func (f *Fleet) handleVotes(w http.ResponseWriter, r *http.Request, slot *fleetS
 		return
 	}
 	slot.mu.Lock()
-	payload := appendVoteReport(nil, rc, nil, req.Layer, req.Rate, quant)
+	payload := appendVoteReport(nil, rc, slot.model(req.Global), req.Layer, req.Rate, quant)
 	slot.mu.Unlock()
-	cw := &countingWriter{ResponseWriter: w}
-	writeReport(cw, payload)
-	obs.M.FedloadBytesOut.Add(uint64(cw.n))
-	obs.M.FedloadReports.Inc()
+	writeReport(w, payload)
 }
 
-// handleAccuracy serves /c/<id>/v1/accuracy.
-func (f *Fleet) handleAccuracy(w http.ResponseWriter, r *http.Request, slot *fleetSlot, maxBody int64) {
-	sp := requestSpan(r, "fedload.accuracy", nil).WithClient(slot.part.ID())
-	defer sp.End()
-	req, ok := readFleetRequest(w, r, maxBody, wire.KindAccuracyRequest)
-	if !ok {
-		return
-	}
-	defer req.release()
+func handleAccuracy(w http.ResponseWriter, slot *fleetSlot, req request) {
 	ar, ok := slot.part.(core.AccuracyReporter)
 	if !ok {
 		http.Error(w, fmt.Sprintf("client %d serves no reports", slot.part.ID()), http.StatusNotFound)
 		return
 	}
 	slot.mu.Lock()
-	acc := ar.ReportAccuracy(nil)
+	acc := ar.ReportAccuracy(slot.model(req.Global))
 	slot.mu.Unlock()
-	cw := &countingWriter{ResponseWriter: w}
-	encodeBody(cw, AccuracyResponse{Accuracy: acc})
-	obs.M.FedloadBytesOut.Add(uint64(cw.n))
+	writeBody(w, accuracyContentType, appendAccuracy(nil, acc))
 	obs.M.FedloadReports.Inc()
 }
 
-func (f *Fleet) handleUpdate(w http.ResponseWriter, r *http.Request, slot *fleetSlot, maxBody int64, versioned bool) {
-	sp := requestSpan(r, "fedload.update", obs.M.FedloadUpdateSeconds).WithClient(slot.part.ID())
-	defer func() { sp.End() }()
-	req, ok := readFleetRequest(w, r, maxBody, wire.KindUpdateRequest)
-	if !ok {
-		return
+// requestSpan opens the server-side span for one protocol request: a
+// child of the caller's attempt span when the request carries trace
+// headers — linking this process's work into the caller's round tree —
+// and an untraced span otherwise, so callers without tracing do not
+// scatter one-span trees through the ring.
+func requestSpan(r *http.Request, name string, hist *obs.Histogram) obs.Span {
+	if sc := obs.ExtractHeaders(r.Header); sc.Valid() {
+		return obs.StartChildOf(sc, name, hist)
 	}
-	defer req.release()
-	sp = sp.WithRound(req.Round)
-	slot.mu.Lock()
-	delta := slot.part.LocalUpdate(req.Global, req.Round)
-	slot.mu.Unlock()
-	cw := &countingWriter{ResponseWriter: w}
-	writeUpdate(cw, delta, versioned)
-	obs.M.FedloadBytesOut.Add(uint64(cw.n))
-	obs.M.FedloadUpdates.Inc()
+	return obs.StartSpan(name, hist)
 }
+
+// appendRankReport builds the compact /v1/ranks payload for a report
+// client. In int8 mode an ActivationReporter ships its quantized
+// activation vector (Acts8) and the receiver reconstructs the ranks — one
+// small payload serves both aggregations; otherwise the client-computed
+// rank vector travels varint-delta encoded (RanksDelta), losslessly.
+func appendRankReport(dst []byte, part core.ReportClient, m *nn.Sequential, layer int, quant metrics.ReportQuant) []byte {
+	if ar, ok := part.(core.ActivationReporter); ok && quant == metrics.ReportInt8 {
+		return AppendActs8(dst, metrics.QuantizeActivations(ar.ActivationReport(m, layer)))
+	}
+	return AppendRanksDelta(dst, part.RankReport(m, layer))
+}
+
+// appendVoteReport builds the compact /v1/votes payload: always a
+// VoteBitmap. In int8 mode the votes are derived from the quantized
+// activation vector, so they agree bit-for-bit with the ranks a receiver
+// reconstructs from the same client's Acts8 payload.
+func appendVoteReport(dst []byte, part core.ReportClient, m *nn.Sequential, layer int, rate float64, quant metrics.ReportQuant) []byte {
+	if ar, ok := part.(core.ActivationReporter); ok && quant == metrics.ReportInt8 {
+		q := metrics.QuantizeActivations(ar.ActivationReport(m, layer))
+		return AppendVoteBitmap(dst, core.VotesFromQuantized(q.Q, rate))
+	}
+	return AppendVoteBitmap(dst, part.VoteReport(m, layer, rate))
+}
+
+// reportContentType marks a tagged compact report payload.
+const reportContentType = "application/x-fedcleanse-report"
 
 // recoverToError converts a handler panic into an HTTP 500 and a
 // fedload_handler_panics_total tick, isolating one faulty participant
@@ -310,16 +400,4 @@ func recoverToError(next http.Handler) http.Handler {
 		}()
 		next.ServeHTTP(w, r)
 	})
-}
-
-// countingWriter counts bytes written through it.
-type countingWriter struct {
-	http.ResponseWriter
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.ResponseWriter.Write(p)
-	c.n += int64(n)
-	return n, err
 }

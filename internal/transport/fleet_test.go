@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"net/http"
 	"testing"
@@ -265,6 +266,77 @@ func TestFleetServesReports(t *testing.T) {
 	for i := range votes8 {
 		if votes8[i] != wantV8[i] {
 			t.Fatalf("int8 vote[%d] = %v, want %v", i, votes8[i], wantV8[i])
+		}
+	}
+}
+
+// wrongLength answers every update with a delta of n values — nil when n
+// is negative — instead of one as long as the global vector.
+type wrongLength struct {
+	*fl.SyntheticClient
+	n int
+}
+
+func (c wrongLength) LocalUpdate([]float64, int) []float64 {
+	if c.n < 0 {
+		return nil
+	}
+	return make([]float64, c.n)
+}
+
+// TestMalformedUpdatesAreDropouts: a participant that answers with a
+// well-formed update of the wrong length, or with none, is a recorded
+// dropout — not a panic inside the aggregator — in batch and streaming
+// rounds, in process and behind RemoteClients over a loopback fleet, and
+// the round applies on the survivors exactly as if DropPolicy had excluded
+// the two.
+func TestMalformedUpdatesAreDropouts(t *testing.T) {
+	const short, none = 2, 4
+	parts := func() []fl.Participant {
+		parts := make([]fl.Participant, 6)
+		for id := range parts {
+			parts[id] = &fl.SyntheticClient{Id: id, Seed: 94}
+		}
+		return parts
+	}
+	bad := parts()
+	bad[short] = wrongLength{bad[short].(*fl.SyntheticClient), 3}
+	bad[none] = wrongLength{bad[none].(*fl.SyntheticClient), -1}
+
+	fleet := NewFleet()
+	fleet.Add(bad...)
+	addr, err := fleet.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = fleet.Shutdown(context.Background()) }()
+	remote := make([]fl.Participant, len(bad))
+	for id := range remote {
+		remote[id] = NewRemoteClient(id, FleetClientAddr(addr, id))
+	}
+
+	for _, streaming := range []bool{false, true} {
+		cfg := fl.Config{Quorum: 0.5, Streaming: streaming, Shards: 4}
+		ref := fl.NewServer(fleetTemplate(), parts(), cfg, 95)
+		ref.Drop = dropClients{short: true, none: true}
+		if res := ref.RoundDetail(0); !res.Applied {
+			t.Fatalf("streaming=%v: reference round not applied: %+v", streaming, res)
+		}
+		for name, cohort := range map[string][]fl.Participant{"in-process": bad, "wire": remote} {
+			srv := fl.NewServer(fleetTemplate(), cohort, cfg, 95)
+			res := srv.RoundDetail(0)
+			if !res.Applied || !sameIntSlices(res.Dropped, []int{short, none}) {
+				t.Fatalf("streaming=%v %s: %+v, want clients %d and %d dropped and the round applied",
+					streaming, name, res, short, none)
+			}
+			for _, id := range res.Dropped {
+				var le *fl.UpdateLengthError
+				if !errors.As(res.Errs[id], &le) {
+					t.Errorf("streaming=%v %s: client %d dropped with %v, want an UpdateLengthError",
+						streaming, name, id, res.Errs[id])
+				}
+			}
+			assertSameParams(t, name, srv.Model.ParamsVector(), ref.Model.ParamsVector())
 		}
 	}
 }

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"net/http"
@@ -15,11 +14,12 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
-// Fuzz targets for the request decoders — versioned envelope and legacy
-// gob — behind the four protocol endpoints. The invariant under fuzzing:
-// an arbitrary request body either decodes into a well-formed request
-// (HTTP 200) or is rejected with HTTP 400 — the handler never panics and
-// never returns any other status. Seed corpora live in testdata/fuzz/.
+// Fuzz targets for the request decoder behind the four protocol endpoints.
+// The invariant under fuzzing: an arbitrary request body either decodes
+// into a well-formed request (HTTP 200) or is rejected with HTTP 400 — the
+// handler never panics and never returns any other status. The legacy gob
+// requests stay in the seeds as hostile input. Seed corpora live in
+// testdata/fuzz/.
 
 // stubFuzzParticipant answers instantly so fuzzing measures the decoder
 // and validators, not model training.
@@ -55,15 +55,6 @@ func fuzzHandler() (http.Handler, int) {
 	)
 	cs := NewClientServer(stubFuzzParticipant{units: 4}, template)
 	return cs.Handler(), template.NumParams()
-}
-
-func gobBytes(t *testing.F, v any) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // envelopeSeeds are the versioned-envelope seeds of one endpoint: the
@@ -115,49 +106,49 @@ func fuzzEndpoint(f *testing.F, path string, seeds [][]byte) {
 
 func FuzzHandleUpdate(f *testing.F) {
 	_, n := fuzzHandler()
-	valid := gobBytes(f, UpdateRequest{Global: make([]float64, n), Round: 1})
+	valid := gobBody(f, UpdateRequest{Global: make([]float64, n), Round: 1})
 	fuzzEndpoint(f, "/v1/update", append([][]byte{
 		valid,
 		valid[:len(valid)/2],
 		{},
 		[]byte("not gob at all"),
-		gobBytes(f, UpdateRequest{Global: []float64{1, 2, 3}}), // wrong length
+		gobBody(f, UpdateRequest{Global: []float64{1, 2, 3}}), // wrong length
 	}, envelopeSeeds(wire.KindUpdateRequest, n)...))
 }
 
 func FuzzHandleRanks(f *testing.F) {
 	_, n := fuzzHandler()
-	valid := gobBytes(f, RankRequest{Global: make([]float64, n), Layer: 0})
+	valid := gobBody(f, RankRequest{Global: make([]float64, n), Layer: 0})
 	fuzzEndpoint(f, "/v1/ranks", append([][]byte{
 		valid,
 		valid[:len(valid)/2],
 		{},
 		[]byte("\x00\xff garbage"),
-		gobBytes(f, RankRequest{Global: make([]float64, n), Layer: 99}), // bad layer
+		gobBody(f, RankRequest{Global: make([]float64, n), Layer: 99}), // bad layer
 	}, envelopeSeeds(wire.KindRankRequest, n)...))
 }
 
 func FuzzHandleVotes(f *testing.F) {
 	_, n := fuzzHandler()
-	valid := gobBytes(f, VoteRequest{Global: make([]float64, n), Layer: 0, Rate: 0.5})
+	valid := gobBody(f, VoteRequest{Global: make([]float64, n), Layer: 0, Rate: 0.5})
 	fuzzEndpoint(f, "/v1/votes", append([][]byte{
 		valid,
 		valid[:len(valid)/2],
 		{},
-		gobBytes(f, VoteRequest{Global: make([]float64, n), Rate: math.NaN()}),
-		gobBytes(f, VoteRequest{Global: make([]float64, n), Rate: -3}),
+		gobBody(f, VoteRequest{Global: make([]float64, n), Rate: math.NaN()}),
+		gobBody(f, VoteRequest{Global: make([]float64, n), Rate: -3}),
 	}, envelopeSeeds(wire.KindVoteRequest, n)...))
 }
 
 func FuzzHandleAccuracy(f *testing.F) {
 	_, n := fuzzHandler()
-	valid := gobBytes(f, AccuracyRequest{Global: make([]float64, n)})
+	valid := gobBody(f, AccuracyRequest{Global: make([]float64, n)})
 	fuzzEndpoint(f, "/v1/accuracy", append([][]byte{
 		valid,
 		valid[:len(valid)/2],
 		{},
 		[]byte("garbage"),
-		gobBytes(f, AccuracyRequest{Global: []float64{1}}),
+		gobBody(f, AccuracyRequest{Global: []float64{1}}),
 	}, envelopeSeeds(wire.KindAccuracyRequest, n)...))
 }
 

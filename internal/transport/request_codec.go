@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -14,13 +12,10 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
-// Versioned requests (DESIGN.md §15). Every request a server sends is a
-// wire envelope of the endpoint's kind (wire.KindUpdateRequest,
-// KindRankRequest, KindVoteRequest, KindAccuracyRequest) built from the
-// sections below, scalars first, then the parameter vector. Handlers still
-// read the legacy gob request structs — first-byte sniffing tells the two
-// apart — but nothing emits gob requests any more, so client-side servers
-// upgrade first and aggregators second.
+// Requests (DESIGN.md §15). Every request a server sends is a wire
+// envelope of the endpoint's kind (wire.KindUpdateRequest, KindRankRequest,
+// KindVoteRequest, KindAccuracyRequest) built from the sections below,
+// scalars first, then the parameter vector. A handler accepts nothing else.
 const (
 	// secReqGlobal is the global parameter vector: a uvarint coordinate
 	// count followed by the raw little-endian float64 values (the layout of
@@ -97,22 +92,12 @@ func appendRequest(dst []byte, kind uint16, q request) []byte {
 }
 
 // decodeRequest parses the body of one request to the endpoint serving
-// kind: a versioned envelope of exactly that kind, or the endpoint's
-// legacy gob struct. It errors, never panics, on anything else. Global is
-// sized from the bytes actually present — a count that disagrees with its
-// section's length is rejected before any allocation — and decoded into a
-// pooled vector the caller gives back with release.
+// kind: a versioned envelope of exactly that kind. It errors, never panics,
+// on anything else. Global is sized from the bytes actually present — a
+// count that disagrees with its section's length is rejected before any
+// allocation — and decoded into a pooled vector the caller gives back with
+// release.
 func decodeRequest(data []byte, kind uint16) (request, error) {
-	switch wire.Sniff(data) {
-	case wire.FormatVersioned:
-		return decodeEnvelopeRequest(data, kind)
-	case wire.FormatGob:
-		return decodeGobRequest(data, kind)
-	}
-	return request{}, errors.New("transport: unrecognized request encoding")
-}
-
-func decodeEnvelopeRequest(data []byte, kind uint16) (request, error) {
 	secs, err := wire.DecodeKind(data, kind)
 	if err != nil {
 		return request{}, err
@@ -185,35 +170,6 @@ func readInt(p []byte) (int, error) {
 		return 0, fmt.Errorf("value %d outside int32", v)
 	}
 	return int(v), nil
-}
-
-// decodeGobRequest reads the legacy request struct of the endpoint serving
-// kind, as binaries before the envelope emitted it.
-func decodeGobRequest(data []byte, kind uint16) (request, error) {
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	var q request
-	var err error
-	switch kind {
-	case wire.KindUpdateRequest:
-		var g UpdateRequest
-		err = dec.Decode(&g)
-		q = request{Global: g.Global, Round: g.Round}
-	case wire.KindRankRequest:
-		var g RankRequest
-		err = dec.Decode(&g)
-		q = request{Global: g.Global, Layer: g.Layer}
-	case wire.KindVoteRequest:
-		var g VoteRequest
-		err = dec.Decode(&g)
-		q = request{Global: g.Global, Layer: g.Layer, Rate: g.Rate}
-	case wire.KindAccuracyRequest:
-		var g AccuracyRequest
-		err = dec.Decode(&g)
-		q = request{Global: g.Global}
-	default:
-		err = fmt.Errorf("transport: kind %d is not a request", kind)
-	}
-	return q, err
 }
 
 // readRequest reads and decodes one request body under the handler's body

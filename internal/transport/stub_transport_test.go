@@ -136,17 +136,21 @@ func TestStubTransportKeepsRoundConnectionsWarm(t *testing.T) {
 	}
 }
 
-// holdingTransport answers 400 at once and keeps the request body open
-// and unread, as http.Transport does for a moment when a peer answers
-// before it has read the request.
-type holdingTransport struct{ held []io.ReadCloser }
+// holdingTransport answers at once with its status and body and keeps the
+// request body open and unread, as http.Transport does for a moment when a
+// peer answers before it has read the request.
+type holdingTransport struct {
+	status int
+	body   []byte
+	held   []io.ReadCloser
+}
 
 func (h *holdingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	h.held = append(h.held, req.Body)
 	return &http.Response{
-		StatusCode: http.StatusBadRequest,
+		StatusCode: h.status,
 		Header:     make(http.Header),
-		Body:       io.NopCloser(strings.NewReader("refused early")),
+		Body:       io.NopCloser(bytes.NewReader(h.body)),
 		Request:    req,
 	}, nil
 }
@@ -159,7 +163,7 @@ func TestEarlyResponseKeepsRequestBytes(t *testing.T) {
 	global := fleetTemplate().ParamsVector()
 	want := appendRequest(nil, wire.KindUpdateRequest, request{Global: global, Round: 2})
 	for i := 0; i < 8; i++ {
-		ht := &holdingTransport{}
+		ht := &holdingTransport{status: http.StatusBadRequest, body: []byte("refused early")}
 		rc := NewRemoteClient(0, "held:1", WithTransport(ht))
 		if _, err := rc.TryLocalUpdate(context.Background(), global, 2); err == nil {
 			t.Fatal("refused update succeeded")
@@ -176,5 +180,20 @@ func TestEarlyResponseKeepsRequestBytes(t *testing.T) {
 		if err := ht.held[0].Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	// The other thing a peer can do at this seam is answer with more than
+	// it was asked for. A well-formed update past the cap TryLocalUpdate
+	// derives from the global it sent is a decode error — a dropout in a
+	// round — at every attempt; the stub never buffers it whole.
+	oversize := AppendVersionedUpdate(nil, make([]float64, len(global)+envelopeSlack/8))
+	ht := &holdingTransport{status: http.StatusOK, body: oversize}
+	rc := NewRemoteClient(0, "held:1", WithTransport(ht), WithRetryPolicy(fastRetry()))
+	_, err := rc.TryLocalUpdate(context.Background(), global, 2)
+	if err == nil || !strings.Contains(err.Error(), "budget") {
+		t.Fatalf("oversize update response: %v, want a body-budget error", err)
+	}
+	if len(ht.held) != fastRetry().MaxAttempts {
+		t.Fatalf("oversize update response drew %d attempts, want %d", len(ht.held), fastRetry().MaxAttempts)
 	}
 }

@@ -10,10 +10,9 @@ import (
 )
 
 // startTraceFleet serves one synthetic client and returns a stub for it.
-func startTraceFleet(t *testing.T, versioned bool, opts ...RemoteOption) (*RemoteClient, func()) {
+func startTraceFleet(t *testing.T, opts ...RemoteOption) (*RemoteClient, func()) {
 	t.Helper()
 	f := NewFleet()
-	f.SetVersionedUpdates(versioned)
 	f.Add(&fl.SyntheticClient{Id: 0, Seed: 7, Units: 4})
 	addr, err := f.Serve("127.0.0.1:0")
 	if err != nil {
@@ -46,46 +45,37 @@ func spansNamed(t *testing.T, name string, want int) []obs.SpanRecord {
 	}
 }
 
-// TestTraceHeaderVersionedUpdatesPropagation drives one update call per
-// wire encoding — legacy gob and the versioned envelope — under a traced
-// context. The trace context rides an HTTP header, orthogonal to the
-// body encoding, so both encodings must land the server handler's span
-// in the caller's trace, parented to the wire attempt that carried it.
+// TestTraceHeaderVersionedUpdatesPropagation drives one update call under
+// a traced context. The trace context rides an HTTP header, beside the
+// envelope body, and must land the server handler's span in the caller's
+// trace, parented to the wire attempt that carried it.
 func TestTraceHeaderVersionedUpdatesPropagation(t *testing.T) {
-	for _, versioned := range []bool{false, true} {
-		name := "gob"
-		if versioned {
-			name = "versioned"
-		}
-		t.Run(name, func(t *testing.T) {
-			obs.DefaultSpans.Reset()
-			rc, shutdown := startTraceFleet(t, versioned)
-			defer shutdown()
-			root := obs.StartRoot("test.root", nil)
-			ctx := obs.ContextWithSpan(context.Background(), root.Context())
-			if _, err := rc.TryLocalUpdate(ctx, []float64{1, 2, 3, 4}, 5); err != nil {
-				t.Fatal(err)
-			}
-			trace := root.Context().Trace
-			call := spansNamed(t, "transport.call", 1)[0]
-			if call.Trace != trace || call.Parent != root.Context().Span {
-				t.Fatalf("call span not a child of the root: %+v", call)
-			}
-			attempt := spansNamed(t, "transport.attempt", 1)[0]
-			if attempt.Trace != trace || attempt.Parent != call.Span || attempt.Attempt != 1 {
-				t.Fatalf("attempt span not a child of the call: %+v", attempt)
-			}
-			served := spansNamed(t, "fedload.update", 1)[0]
-			if served.Trace != trace {
-				t.Fatalf("server span landed in trace %s, want %s", served.Trace, trace)
-			}
-			if served.Parent != attempt.Span {
-				t.Fatalf("server span parent %s, want the attempt %s", served.Parent, attempt.Span)
-			}
-			if served.Client != 0 || served.Round != 5 {
-				t.Fatalf("server span lost its labels: %+v", served)
-			}
-		})
+	obs.DefaultSpans.Reset()
+	rc, shutdown := startTraceFleet(t)
+	defer shutdown()
+	root := obs.StartRoot("test.root", nil)
+	ctx := obs.ContextWithSpan(context.Background(), root.Context())
+	if _, err := rc.TryLocalUpdate(ctx, []float64{1, 2, 3, 4}, 5); err != nil {
+		t.Fatal(err)
+	}
+	trace := root.Context().Trace
+	call := spansNamed(t, "transport.call", 1)[0]
+	if call.Trace != trace || call.Parent != root.Context().Span {
+		t.Fatalf("call span not a child of the root: %+v", call)
+	}
+	attempt := spansNamed(t, "transport.attempt", 1)[0]
+	if attempt.Trace != trace || attempt.Parent != call.Span || attempt.Attempt != 1 {
+		t.Fatalf("attempt span not a child of the call: %+v", attempt)
+	}
+	served := spansNamed(t, "fedload.update", 1)[0]
+	if served.Trace != trace {
+		t.Fatalf("server span landed in trace %s, want %s", served.Trace, trace)
+	}
+	if served.Parent != attempt.Span {
+		t.Fatalf("server span parent %s, want the attempt %s", served.Parent, attempt.Span)
+	}
+	if served.Client != 0 || served.Round != 5 {
+		t.Fatalf("server span lost its labels: %+v", served)
 	}
 }
 
@@ -96,7 +86,7 @@ func TestTraceHeaderVersionedUpdatesPropagation(t *testing.T) {
 func TestTraceFaultRetryKeepsTraceNewSpanPerAttempt(t *testing.T) {
 	obs.DefaultSpans.Reset()
 	inj := NewFaultInjector(Script{"/c/0/v1/update": {{Kind: FaultConnError}}})
-	rc, shutdown := startTraceFleet(t, false, WithRetryPolicy(chaosRetry()), WithTransport(inj))
+	rc, shutdown := startTraceFleet(t, WithRetryPolicy(chaosRetry()), WithTransport(inj))
 	defer shutdown()
 	root := obs.StartRoot("test.root", nil)
 	ctx := obs.ContextWithSpan(context.Background(), root.Context())

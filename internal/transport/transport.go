@@ -14,15 +14,18 @@
 //	POST /v1/votes     — MVP vote report for a layer at a rate
 //	POST /v1/accuracy  — client-reported accuracy (pruning feedback)
 //
-// Requests and update responses are versioned wire envelopes
-// (request_codec.go, update_codec.go; DESIGN.md §15), encoded into and read
-// through pooled buffers. Model parameters travel as flat vectors; both
-// sides hold the architecture (as in cross-silo FL deployments, where the
-// model definition ships with the software). Report responses default to
-// the compact tagged codecs of codec.go (varint-delta ranks, bit-packed
-// votes, int8 activation payloads). Every reader sniffs the first byte and
-// still accepts the gob structs below, which older binaries emit
-// (DESIGN.md §14, §15).
+// There is one wire format (DESIGN.md §15). Requests, update responses and
+// accuracy responses are versioned wire envelopes (request_codec.go,
+// update_codec.go, accuracy_codec.go), encoded into and read through
+// pooled buffers. Model parameters travel as flat vectors; both sides hold
+// the architecture (as in cross-silo FL deployments, where the model
+// definition ships with the software). Rank and vote responses are the
+// compact tagged payloads of codec.go (varint-delta ranks, bit-packed
+// votes, int8 activation payloads; DESIGN.md §14). Anything else — the gob
+// structs binaries before the envelope spoke included — is refused: a 400
+// from a handler, a decode error (and so a dropout) at a stub. One handler
+// set serves the endpoints, Fleet's (fleet.go); ClientServer is a fleet of
+// one.
 //
 // Failure model (DESIGN.md §10): every remote call can fail — crashes,
 // stragglers, partitions, corrupted responses. RemoteClient never panics;
@@ -38,13 +41,11 @@ package transport
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,55 +60,6 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
-// Protocol messages.
-
-// UpdateRequest asks the client for one round of local training from the
-// given global parameters.
-type UpdateRequest struct {
-	Global []float64
-	Round  int
-}
-
-// UpdateResponse carries the client's update delta.
-type UpdateResponse struct {
-	Delta []float64
-}
-
-// RankRequest asks for the client's RAP rank report on a layer of the
-// model described by the global parameters.
-type RankRequest struct {
-	Global []float64
-	Layer  int
-}
-
-// RankResponse carries the rank report.
-type RankResponse struct {
-	Ranks []int
-}
-
-// VoteRequest asks for the client's MVP vote report at a pruning rate.
-type VoteRequest struct {
-	Global []float64
-	Layer  int
-	Rate   float64
-}
-
-// VoteResponse carries the vote report.
-type VoteResponse struct {
-	Votes []bool
-}
-
-// AccuracyRequest asks the client to evaluate the given parameters on its
-// local data.
-type AccuracyRequest struct {
-	Global []float64
-}
-
-// AccuracyResponse carries the reported accuracy.
-type AccuracyResponse struct {
-	Accuracy float64
-}
-
 // participant is the full client-side surface the transport exposes.
 type participant interface {
 	fl.Participant
@@ -115,77 +67,32 @@ type participant interface {
 	core.AccuracyReporter
 }
 
-// ReportWire selects how a server encodes its report responses.
-type ReportWire int
-
-const (
-	// WireCompact answers report requests with the tagged compact codecs
-	// of codec.go (the default).
-	WireCompact ReportWire = iota
-	// WireGob answers with the legacy gob response structs; receivers
-	// interoperate transparently by sniffing the codec tag.
-	WireGob
-)
-
-// ClientServer exposes one federated participant over HTTP.
+// ClientServer exposes one federated participant over HTTP: a Fleet of one
+// whose endpoints are mounted at the root (/v1/update, …) instead of under
+// /c/<id>, and whose slot carries the model architecture, so requests are
+// validated against it and report calls are handed a reconstructed model.
 type ClientServer struct {
-	part participant
-	// template provides the model architecture for report requests.
-	template *nn.Sequential
-	// maxBody bounds request bodies so a malicious or corrupted peer
-	// cannot make the decoder allocate unboundedly.
-	maxBody int64
-	// wire selects the report response encoding; quant the report
-	// precision shipped in compact mode (see handleRanks).
-	wire  ReportWire
-	quant metrics.ReportQuant
-	// versioned answers /v1/update with the versioned envelope encoding
-	// (update_codec.go), the default; false selects legacy gob.
-	versioned bool
-
-	mu sync.Mutex // serializes access to the participant
+	fleet *Fleet
+	slot  *fleetSlot
 
 	mwMu       sync.Mutex
 	middleware func(http.Handler) http.Handler
-
-	life lifecycle
 }
 
 // NewClientServer wraps a participant (an fl.Client or fl.Attacker; both
 // implement the defense reporting interfaces). template provides the model
 // architecture and is cloned per request model reconstruction.
 func NewClientServer(part participant, template *nn.Sequential) *ClientServer {
-	return &ClientServer{
-		part:     part,
-		template: template.Clone(),
-		// A parameter vector gob-encodes to at most ~9 bytes per float64;
-		// 16x plus slack accommodates every legitimate request.
-		maxBody:   int64(template.NumParams())*16 + 1<<16,
-		versioned: true,
-	}
+	f := NewFleet()
+	return &ClientServer{fleet: f, slot: f.add(part, template.Clone())}
 }
 
-// SetReportWire selects the report response encoding. It must be called
-// before Serve or Handler.
-func (cs *ClientServer) SetReportWire(w ReportWire) { cs.wire = w }
-
-// SetVersionedUpdates selects between the versioned envelope encoding for
-// /v1/update responses (DESIGN.md §15; the default) and legacy gob, for
-// aggregators older than the envelope. Receivers interoperate with either
-// encoding transparently by first-byte sniffing, so a fleet can be
-// migrated one server at a time. It must be called before Serve or
-// Handler.
-func (cs *ClientServer) SetVersionedUpdates(v bool) { cs.versioned = v }
-
-// SetReportQuant selects the precision of compact-mode activation report
-// payloads: ReportInt8 ships affine-quantized Acts8 payloads (the ~8x
-// bandwidth mode, DESIGN.md §14); ReportFloat64 — the default — ships the
-// client's losslessly-encoded rank/vote reports. It must be called before
-// Serve or Handler.
-func (cs *ClientServer) SetReportQuant(q metrics.ReportQuant) { cs.quant = q }
+// SetReportQuant selects the precision of report payloads (see
+// Fleet.SetReportQuant). It must be called before Serve or Handler.
+func (cs *ClientServer) SetReportQuant(q metrics.ReportQuant) { cs.fleet.SetReportQuant(q) }
 
 // SetMiddleware installs a handler wrapper applied around the protocol
-// mux (tests use it to inject server-side faults). It must be called
+// handler (tests use it to inject server-side faults). It must be called
 // before Serve or Handler.
 func (cs *ClientServer) SetMiddleware(mw func(http.Handler) http.Handler) {
 	cs.mwMu.Lock()
@@ -196,239 +103,34 @@ func (cs *ClientServer) SetMiddleware(mw func(http.Handler) http.Handler) {
 // Handler returns the protocol handler (with any installed middleware),
 // for callers that embed the endpoints into their own server.
 func (cs *ClientServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/update", cs.handleUpdate)
-	mux.HandleFunc("/v1/ranks", cs.handleRanks)
-	mux.HandleFunc("/v1/votes", cs.handleVotes)
-	mux.HandleFunc("/v1/accuracy", cs.handleAccuracy)
+	h := recoverToError(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if ep, ok := clientEndpoints[r.URL.Path]; ok {
+			cs.fleet.serve(w, r, cs.slot, ep)
+		} else {
+			http.NotFound(w, r)
+		}
+	}))
 	cs.mwMu.Lock()
 	mw := cs.middleware
 	cs.mwMu.Unlock()
 	if mw != nil {
-		return mw(mux)
+		return mw(h)
 	}
-	return mux
+	return h
 }
 
-// Serve starts listening on addr ("127.0.0.1:0" for an ephemeral port) and
-// serves until Shutdown. It returns the bound address. Serving happens on
-// a background goroutine; its terminal error is delivered on the Err
-// channel (nil after a clean Shutdown). Serve can be called at most once;
-// a second call, or a call after Shutdown, returns an error.
+// Serve starts listening on addr and serves until Shutdown, returning the
+// bound address (see Fleet.Serve).
 func (cs *ClientServer) Serve(addr string) (string, error) {
-	return cs.life.serve(addr, cs.Handler())
+	return cs.fleet.life.serve(addr, cs.Handler())
 }
 
-// Err returns the channel that delivers the terminal serve error: nil
-// after a clean Shutdown, the net/http failure otherwise. It returns nil
-// before Serve has been called.
-func (cs *ClientServer) Err() <-chan error {
-	return cs.life.errChan()
-}
+// Err returns the channel that delivers the terminal serve error (see
+// Fleet.Err).
+func (cs *ClientServer) Err() <-chan error { return cs.fleet.Err() }
 
-// Shutdown stops the server. Calling it before Serve (or twice) is safe;
-// after Shutdown the ClientServer cannot serve again.
-func (cs *ClientServer) Shutdown(ctx context.Context) error {
-	return cs.life.shutdown(ctx)
-}
-
-// modelFor reconstructs a model with the given parameters.
-func (cs *ClientServer) modelFor(global []float64) *nn.Sequential {
-	m := cs.template.Clone()
-	m.SetParamsVector(global)
-	return m
-}
-
-// checkGlobal rejects parameter vectors that do not match the template
-// architecture; without this a malformed-but-valid-gob body would panic
-// SetParamsVector inside the handler.
-func (cs *ClientServer) checkGlobal(w http.ResponseWriter, global []float64) bool {
-	if len(global) != cs.template.NumParams() {
-		http.Error(w, fmt.Sprintf("bad request: %d params, want %d",
-			len(global), cs.template.NumParams()), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-// checkLayer rejects out-of-range layer indices.
-func (cs *ClientServer) checkLayer(w http.ResponseWriter, layer int) bool {
-	if layer < 0 || layer >= cs.template.NumLayers() {
-		http.Error(w, fmt.Sprintf("bad request: layer %d outside [0,%d)",
-			layer, cs.template.NumLayers()), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-// requestSpan opens the server-side span for one protocol request: a
-// child of the caller's attempt span when the request carries trace
-// headers — linking this process's work into the caller's round tree —
-// and an untraced span otherwise, so callers without tracing do not
-// scatter one-span trees through the ring.
-func requestSpan(r *http.Request, name string, hist *obs.Histogram) obs.Span {
-	if sc := obs.ExtractHeaders(r.Header); sc.Valid() {
-		return obs.StartChildOf(sc, name, hist)
-	}
-	return obs.StartSpan(name, hist)
-}
-
-func (cs *ClientServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	sp := requestSpan(r, "client.update", nil).WithClient(cs.part.ID())
-	defer func() { sp.End() }()
-	req, _, ok := readRequest(w, r, cs.maxBody, wire.KindUpdateRequest)
-	if !ok {
-		return
-	}
-	defer req.release()
-	if !cs.checkGlobal(w, req.Global) {
-		return
-	}
-	sp = sp.WithRound(req.Round)
-	cs.mu.Lock()
-	delta := cs.part.LocalUpdate(req.Global, req.Round)
-	cs.mu.Unlock()
-	writeUpdate(w, delta, cs.versioned)
-}
-
-// writeUpdate sends one /v1/update response: the versioned envelope,
-// encoded into a pooled buffer that is done with once Write returns, or
-// the legacy gob struct.
-func writeUpdate(w http.ResponseWriter, delta []float64, versioned bool) {
-	if !versioned {
-		encodeBody(w, UpdateResponse{Delta: delta})
-		return
-	}
-	buf := wire.GetBuffer()
-	defer buf.Release()
-	buf.B = AppendVersionedUpdate(buf.B, delta)
-	w.Header().Set("Content-Type", updateContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf.B)))
-	_, _ = w.Write(buf.B)
-}
-
-func (cs *ClientServer) handleRanks(w http.ResponseWriter, r *http.Request) {
-	sp := requestSpan(r, "client.ranks", nil).WithClient(cs.part.ID())
-	defer sp.End()
-	req, _, ok := readRequest(w, r, cs.maxBody, wire.KindRankRequest)
-	if !ok {
-		return
-	}
-	defer req.release()
-	if !cs.checkGlobal(w, req.Global) || !cs.checkLayer(w, req.Layer) {
-		return
-	}
-	cs.mu.Lock()
-	if cs.wire == WireGob {
-		ranks := cs.part.RankReport(cs.modelFor(req.Global), req.Layer)
-		cs.mu.Unlock()
-		encodeReportGob(w, RankResponse{Ranks: ranks})
-		return
-	}
-	payload := appendRankReport(nil, cs.part, cs.modelFor(req.Global), req.Layer, cs.quant)
-	cs.mu.Unlock()
-	writeReport(w, payload)
-}
-
-func (cs *ClientServer) handleVotes(w http.ResponseWriter, r *http.Request) {
-	sp := requestSpan(r, "client.votes", nil).WithClient(cs.part.ID())
-	defer sp.End()
-	req, _, ok := readRequest(w, r, cs.maxBody, wire.KindVoteRequest)
-	if !ok {
-		return
-	}
-	defer req.release()
-	if !cs.checkGlobal(w, req.Global) || !cs.checkLayer(w, req.Layer) {
-		return
-	}
-	if !(req.Rate >= 0 && req.Rate <= 1) { // also rejects NaN
-		http.Error(w, fmt.Sprintf("bad request: rate %g outside [0,1]", req.Rate),
-			http.StatusBadRequest)
-		return
-	}
-	cs.mu.Lock()
-	if cs.wire == WireGob {
-		votes := cs.part.VoteReport(cs.modelFor(req.Global), req.Layer, req.Rate)
-		cs.mu.Unlock()
-		encodeReportGob(w, VoteResponse{Votes: votes})
-		return
-	}
-	payload := appendVoteReport(nil, cs.part, cs.modelFor(req.Global), req.Layer, req.Rate, cs.quant)
-	cs.mu.Unlock()
-	writeReport(w, payload)
-}
-
-// appendRankReport builds the compact /v1/ranks payload for a report
-// client. In int8 mode an ActivationReporter ships its quantized
-// activation vector (Acts8) and the receiver reconstructs the ranks — one
-// small payload serves both aggregations; otherwise the client-computed
-// rank vector travels varint-delta encoded (RanksDelta), bit-identical to
-// the gob values.
-func appendRankReport(dst []byte, part core.ReportClient, m *nn.Sequential, layer int, quant metrics.ReportQuant) []byte {
-	if ar, ok := part.(core.ActivationReporter); ok && quant == metrics.ReportInt8 {
-		return AppendActs8(dst, metrics.QuantizeActivations(ar.ActivationReport(m, layer)))
-	}
-	return AppendRanksDelta(dst, part.RankReport(m, layer))
-}
-
-// appendVoteReport builds the compact /v1/votes payload: always a
-// VoteBitmap. In int8 mode the votes are derived from the quantized
-// activation vector, so they agree bit-for-bit with the ranks a receiver
-// reconstructs from the same client's Acts8 payload.
-func appendVoteReport(dst []byte, part core.ReportClient, m *nn.Sequential, layer int, rate float64, quant metrics.ReportQuant) []byte {
-	if ar, ok := part.(core.ActivationReporter); ok && quant == metrics.ReportInt8 {
-		q := metrics.QuantizeActivations(ar.ActivationReport(m, layer))
-		return AppendVoteBitmap(dst, core.VotesFromQuantized(q.Q, rate))
-	}
-	return AppendVoteBitmap(dst, part.VoteReport(m, layer, rate))
-}
-
-// reportContentType marks a tagged compact report payload.
-const reportContentType = "application/x-fedcleanse-report"
-
-// writeReport sends a compact report payload, counting its bytes.
-func writeReport(w http.ResponseWriter, payload []byte) {
-	w.Header().Set("Content-Type", reportContentType)
-	n, _ := w.Write(payload)
-	obs.M.TransportReportBytesSent.Add(uint64(n))
-}
-
-// encodeReportGob is encodeBody plus the report byte counter, for the
-// legacy report encoding.
-func encodeReportGob(w http.ResponseWriter, v any) {
-	obs.M.TransportReportBytesSent.Add(uint64(encodeBody(w, v)))
-}
-
-func (cs *ClientServer) handleAccuracy(w http.ResponseWriter, r *http.Request) {
-	sp := requestSpan(r, "client.accuracy", nil).WithClient(cs.part.ID())
-	defer sp.End()
-	req, _, ok := readRequest(w, r, cs.maxBody, wire.KindAccuracyRequest)
-	if !ok {
-		return
-	}
-	defer req.release()
-	if !cs.checkGlobal(w, req.Global) {
-		return
-	}
-	cs.mu.Lock()
-	acc := cs.part.ReportAccuracy(cs.modelFor(req.Global))
-	cs.mu.Unlock()
-	encodeBody(w, AccuracyResponse{Accuracy: acc})
-}
-
-// encodeBody sends a gob response struct — the accuracy response, and the
-// update and report responses when the legacy encodings are selected — and
-// returns the body bytes written.
-func encodeBody(w http.ResponseWriter, v any) int {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return 0
-	}
-	w.Header().Set("Content-Type", "application/x-gob")
-	n, _ := w.Write(buf.Bytes())
-	return n
-}
+// Shutdown stops the server (see Fleet.Shutdown).
+func (cs *ClientServer) Shutdown(ctx context.Context) error { return cs.fleet.Shutdown(ctx) }
 
 // RetryPolicy bounds RemoteClient's per-call retry loop.
 type RetryPolicy struct {
@@ -600,99 +302,92 @@ func (rc *RemoteClient) noteErr(err error) {
 }
 
 // TryLocalUpdate implements fl.FallibleParticipant over the wire. The
-// response body is sniffed by its first byte: a versioned KindUpdate
-// envelope decodes through update_codec.go, anything else falls back to
-// the legacy gob UpdateResponse — so one client release speaks to servers
-// on either side of the encoding migration.
+// response is a KindUpdate envelope (update_codec.go), read under a cap
+// sized to a delta as long as global.
 func (rc *RemoteClient) TryLocalUpdate(ctx context.Context, global []float64, round int) ([]float64, error) {
-	resp, err := call[updatePayload](rc, ctx, "/v1/update", wire.KindUpdateRequest, request{Global: global, Round: round})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Delta, nil
+	resp, err := call(rc, ctx, "/v1/update", wire.KindUpdateRequest, request{Global: global, Round: round},
+		updatePayload{Limit: envelopeLimit(len(global))})
+	return resp.Delta, err
 }
 
 // TryRankReport implements core.FallibleReportClient over the wire. The
-// response payload is sniffed by codec tag: compact RanksDelta vectors
+// response's codec tag names the payload type: compact RanksDelta vectors
 // decode directly, Acts8/Acts64 activation payloads are reconstructed into
-// ranks server-side (core.RanksFromQuantized / RanksFromActivations), and
-// untagged bodies fall back to the legacy gob decode.
+// ranks here (core.RanksFromQuantized / RanksFromActivations).
 func (rc *RemoteClient) TryRankReport(ctx context.Context, m *nn.Sequential, layerIdx int) ([]int, error) {
-	resp, err := call[rankPayload](rc, ctx, "/v1/ranks", wire.KindRankRequest, request{Model: m, Layer: layerIdx})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Ranks, nil
+	resp, err := call(rc, ctx, "/v1/ranks", wire.KindRankRequest, request{Model: m, Layer: layerIdx}, rankPayload{})
+	return resp.Ranks, err
 }
 
 // TryVoteReport implements core.FallibleReportClient over the wire, with
-// the same tag-sniffing decode as TryRankReport (an activation payload is
+// the same tag dispatch as TryRankReport (an activation payload is
 // reconstructed into votes at the requested rate).
 func (rc *RemoteClient) TryVoteReport(ctx context.Context, m *nn.Sequential, layerIdx int, p float64) ([]bool, error) {
-	resp, err := callFrom(rc, ctx, "/v1/votes", wire.KindVoteRequest, request{Model: m, Layer: layerIdx, Rate: p}, votePayload{Rate: p})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Votes, nil
+	resp, err := call(rc, ctx, "/v1/votes", wire.KindVoteRequest, request{Model: m, Layer: layerIdx, Rate: p}, votePayload{Rate: p})
+	return resp.Votes, err
 }
 
 // maxReportBody bounds a report response body read; the largest
 // legitimate payload (Acts64 at maxReportLen units) stays far below it.
 const maxReportBody = 1 << 28
 
-// bodyDecoder lets a response type own its wire decoding instead of the
-// default gob path; decode failures inside an attempt retry like any
-// other attempt failure.
+// bodyDecoder is a response type, which owns its wire decoding; decode
+// failures inside an attempt retry like any other attempt failure.
 type bodyDecoder interface {
 	DecodeBody(r io.Reader) error
 }
 
-// rankPayload decodes a /v1/ranks response of any supported encoding.
+// decodeReport gathers one tagged report body in a pooled buffer, hands it
+// (never empty) to decode — every decoder copies — and counts the bytes of
+// a report that decoded.
+func decodeReport(r io.Reader, decode func(b []byte) error) error {
+	buf, err := readBody(r, maxReportBody)
+	if err != nil {
+		return fmt.Errorf("transport: read report body: %w", err)
+	}
+	defer buf.Release()
+	if len(buf.B) == 0 {
+		return errors.New("transport: empty report")
+	}
+	if err := decode(buf.B); err != nil {
+		return err
+	}
+	obs.M.TransportReportBytesRecv.Add(uint64(len(buf.B)))
+	return nil
+}
+
+// rankPayload decodes a /v1/ranks response of any payload type that yields
+// ranks.
 type rankPayload struct {
 	Ranks []int
 }
 
 // DecodeBody implements bodyDecoder.
 func (rp *rankPayload) DecodeBody(r io.Reader) error {
-	buf, err := readBody(r, maxReportBody)
-	if err != nil {
-		return fmt.Errorf("transport: read report body: %w", err)
-	}
-	defer buf.Release()
-	b := buf.B
-	switch {
-	case len(b) == 0:
-		return errors.New("transport: empty rank report")
-	case b[0] == TagRanksDelta:
-		rp.Ranks, err = DecodeRanksDelta(b)
-	case b[0] == TagActs8:
-		var q metrics.QuantActs
-		if q, err = DecodeActs8(b); err == nil {
-			rp.Ranks = core.RanksFromQuantized(q.Q)
+	return decodeReport(r, func(b []byte) (err error) {
+		switch b[0] {
+		case TagRanksDelta:
+			rp.Ranks, err = DecodeRanksDelta(b)
+		case TagActs8:
+			var q metrics.QuantActs
+			if q, err = DecodeActs8(b); err == nil {
+				rp.Ranks = core.RanksFromQuantized(q.Q)
+			}
+		case TagActs64:
+			var acts []float64
+			if acts, err = DecodeActs64(b); err == nil {
+				rp.Ranks = core.RanksFromActivations(acts)
+			}
+		default:
+			err = fmt.Errorf("transport: tag 0x%02x is not a rank report", b[0])
 		}
-	case b[0] == TagActs64:
-		var acts []float64
-		if acts, err = DecodeActs64(b); err == nil {
-			rp.Ranks = core.RanksFromActivations(acts)
-		}
-	case b[0] == TagVoteBitmap:
-		return errors.New("transport: vote bitmap on the rank endpoint")
-	default:
-		var resp RankResponse
-		if err = gob.NewDecoder(bytes.NewReader(b)).Decode(&resp); err == nil {
-			rp.Ranks = resp.Ranks
-		}
-	}
-	if err != nil {
 		return err
-	}
-	obs.M.TransportReportBytesRecv.Add(uint64(len(b)))
-	return nil
+	})
 }
 
-// votePayload decodes a /v1/votes response of any supported encoding;
-// Rate must be set to the requested pruning rate before the call so an
-// activation payload reconstructs the same votes the client would have
+// votePayload decodes a /v1/votes response of any payload type that yields
+// votes; Rate must be set to the requested pruning rate before the call so
+// an activation payload reconstructs the same votes the client would have
 // sent.
 type votePayload struct {
 	Rate  float64
@@ -701,40 +396,25 @@ type votePayload struct {
 
 // DecodeBody implements bodyDecoder.
 func (vp *votePayload) DecodeBody(r io.Reader) error {
-	buf, err := readBody(r, maxReportBody)
-	if err != nil {
-		return fmt.Errorf("transport: read report body: %w", err)
-	}
-	defer buf.Release()
-	b := buf.B
-	switch {
-	case len(b) == 0:
-		return errors.New("transport: empty vote report")
-	case b[0] == TagVoteBitmap:
-		vp.Votes, err = DecodeVoteBitmap(b)
-	case b[0] == TagActs8:
-		var q metrics.QuantActs
-		if q, err = DecodeActs8(b); err == nil {
-			vp.Votes = core.VotesFromQuantized(q.Q, vp.Rate)
+	return decodeReport(r, func(b []byte) (err error) {
+		switch b[0] {
+		case TagVoteBitmap:
+			vp.Votes, err = DecodeVoteBitmap(b)
+		case TagActs8:
+			var q metrics.QuantActs
+			if q, err = DecodeActs8(b); err == nil {
+				vp.Votes = core.VotesFromQuantized(q.Q, vp.Rate)
+			}
+		case TagActs64:
+			var acts []float64
+			if acts, err = DecodeActs64(b); err == nil {
+				vp.Votes = core.VotesFromActivations(acts, vp.Rate)
+			}
+		default:
+			err = fmt.Errorf("transport: tag 0x%02x is not a vote report", b[0])
 		}
-	case b[0] == TagActs64:
-		var acts []float64
-		if acts, err = DecodeActs64(b); err == nil {
-			vp.Votes = core.VotesFromActivations(acts, vp.Rate)
-		}
-	case b[0] == TagRanksDelta:
-		return errors.New("transport: rank vector on the vote endpoint")
-	default:
-		var resp VoteResponse
-		if err = gob.NewDecoder(bytes.NewReader(b)).Decode(&resp); err == nil {
-			vp.Votes = resp.Votes
-		}
-	}
-	if err != nil {
 		return err
-	}
-	obs.M.TransportReportBytesRecv.Add(uint64(len(b)))
-	return nil
+	})
 }
 
 // readBody gathers a response body of at most limit bytes in a pooled
@@ -752,11 +432,8 @@ func readBody(r io.Reader, limit int64) (*wire.Buffer, error) {
 // TryReportAccuracy implements core.FallibleAccuracyReporter over the
 // wire.
 func (rc *RemoteClient) TryReportAccuracy(ctx context.Context, m *nn.Sequential) (float64, error) {
-	resp, err := call[AccuracyResponse](rc, ctx, "/v1/accuracy", wire.KindAccuracyRequest, request{Model: m})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Accuracy, nil
+	resp, err := call(rc, ctx, "/v1/accuracy", wire.KindAccuracyRequest, request{Model: m}, accuracyPayload{})
+	return resp.Accuracy, err
 }
 
 // LocalUpdate implements fl.Participant over the wire. A transport
@@ -804,8 +481,9 @@ func (rc *RemoteClient) ReportAccuracy(m *nn.Sequential) float64 {
 // call runs one logical request through the retry loop: encode once, into
 // a pooled buffer every attempt sends from, then up to MaxAttempts HTTP
 // attempts with capped exponential backoff between them, each decoded into
-// a fresh response value. Retries stop early on context cancellation and
-// on permanent (4xx) rejections.
+// a fresh copy of init — which lets a response carry request parameters
+// (votePayload.Rate, updatePayload.Limit) into its decode. Retries stop
+// early on context cancellation and on permanent (4xx) rejections.
 //
 // Every logical call is traced as an obs span feeding
 // transport_call_seconds — a child of the span context carried by ctx
@@ -819,15 +497,10 @@ func (rc *RemoteClient) ReportAccuracy(m *nn.Sequential) float64 {
 // per-attempt failures log at debug with client/path/attempt attributes,
 // and a call that exhausts its budget counts into
 // transport_call_failures_total.
-func call[Resp any](rc *RemoteClient, ctx context.Context, path string, kind uint16, req request) (Resp, error) {
-	var zero Resp
-	return callFrom(rc, ctx, path, kind, req, zero)
-}
-
-// callFrom is call with a seeded response value: every attempt decodes
-// into a fresh copy of init, which lets a bodyDecoder response carry
-// request parameters (votePayload.Rate) into its decode.
-func callFrom[Resp any](rc *RemoteClient, ctx context.Context, path string, kind uint16, req request, init Resp) (Resp, error) {
+func call[Resp any, P interface {
+	*Resp
+	bodyDecoder
+}](rc *RemoteClient, ctx context.Context, path string, kind uint16, req request, init Resp) (Resp, error) {
 	sp := obs.StartChild(ctx, "transport.call", obs.M.TransportCallSeconds).WithClient(rc.id)
 	defer sp.End()
 	obs.M.TransportCalls.Inc()
@@ -849,7 +522,7 @@ func callFrom[Resp any](rc *RemoteClient, ctx context.Context, path string, kind
 		asp := obs.StartChildOf(sp.Context(), "transport.attempt", nil).
 			WithClient(rc.id).WithAttempt(attempt + 1)
 		resp := init
-		err := rc.attempt(ctx, pol, path, &payload, &resp, asp.Context())
+		err := rc.attempt(ctx, pol, path, &payload, P(&resp), asp.Context())
 		asp.End()
 		if err == nil {
 			rc.noteErr(nil)
@@ -910,7 +583,7 @@ func (r *callBodyReader) Close() error {
 // attempt performs a single HTTP exchange under the per-attempt timeout.
 // sc is the attempt span's context, injected as trace headers so the
 // receiving handler joins this attempt's tree.
-func (rc *RemoteClient) attempt(ctx context.Context, pol RetryPolicy, path string, payload *callBody, resp any, sc obs.SpanContext) error {
+func (rc *RemoteClient) attempt(ctx context.Context, pol RetryPolicy, path string, payload *callBody, resp bodyDecoder, sc obs.SpanContext) error {
 	if pol.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, pol.AttemptTimeout)
@@ -936,13 +609,7 @@ func (rc *RemoteClient) attempt(ctx context.Context, pol RetryPolicy, path strin
 		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 256))
 		return &StatusError{Path: path, Code: hresp.StatusCode, Body: string(bytes.TrimSpace(msg))}
 	}
-	if bd, ok := resp.(bodyDecoder); ok {
-		if err := bd.DecodeBody(hresp.Body); err != nil {
-			return fmt.Errorf("transport: decode %s: %w", path, err)
-		}
-		return nil
-	}
-	if err := gob.NewDecoder(hresp.Body).Decode(resp); err != nil {
+	if err := resp.DecodeBody(hresp.Body); err != nil {
 		return fmt.Errorf("transport: decode %s: %w", path, err)
 	}
 	return nil

@@ -233,7 +233,7 @@ func TestServeErrorChannel(t *testing.T) {
 	if _, err := cs.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	cs.life.listener.Close()
+	cs.fleet.life.listener.Close()
 	select {
 	case err := <-cs.Err():
 		if err == nil {
@@ -277,10 +277,10 @@ func httpGet(url string) (int, error) {
 }
 
 // TestReportWireModes: the same participant must produce equal reports
-// through every wire encoding — legacy gob, compact float64 (varint
-// ranks + vote bitmap) and compact int8 (Acts8 activation payloads
-// reconstructed server-side) — with the int8 mode matching an in-process
-// client configured for int8 reports bit-for-bit.
+// at both report precisions — compact float64 (varint ranks + vote
+// bitmap) and compact int8 (Acts8 activation payloads reconstructed
+// server-side) — with the int8 mode matching an in-process client
+// configured for int8 reports bit-for-bit.
 func TestReportWireModes(t *testing.T) {
 	train, _ := dataset.GenSynthMNIST(dataset.GenConfig{TrainPerClass: 20, TestPerClass: 5, Seed: 70})
 	rng := rand.New(rand.NewSource(71))
@@ -331,10 +331,6 @@ func TestReportWireModes(t *testing.T) {
 			}
 		}
 	}
-
-	rcGob, stop := serve(func(cs *ClientServer) { cs.SetReportWire(WireGob) })
-	check("gob", rcGob, refRanks, refVotes)
-	stop()
 
 	rcCompact, stop := serve(nil)
 	sent := obs.M.TransportReportBytesSent.Value()

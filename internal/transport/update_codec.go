@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -11,22 +9,14 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
-// Versioned update responses (DESIGN.md §15). The legacy /v1/update
-// response is a gob-encoded UpdateResponse; the versioned form wraps the
-// delta in the wire envelope (KindUpdate), which buys a CRC over the
-// payload, forward-compatible section skipping and a future-version
-// refusal — the same durability contract the model and checkpoint
-// payloads get. Receivers interoperate with both by first-byte sniffing
-// (wire.Sniff), exactly like the compact report codecs.
+// Update responses (DESIGN.md §15): the delta wrapped in the wire envelope
+// (KindUpdate), which buys a CRC over the payload, forward-compatible
+// section skipping and a future-version refusal — the same durability
+// contract the model and checkpoint payloads get.
 
 // secUpdateDelta is the delta section of a KindUpdate envelope: a uvarint
 // coordinate count followed by the raw little-endian float64 values.
 const secUpdateDelta = 1
-
-// maxUpdateBody bounds an update response body read — generous enough for
-// the largest model this repository trains, small enough that a hostile
-// length field cannot balloon memory.
-const maxUpdateBody = 1 << 30
 
 // updateContentType marks a versioned update payload.
 const updateContentType = "application/x-fedcleanse-update"
@@ -34,7 +24,7 @@ const updateContentType = "application/x-fedcleanse-update"
 // AppendVersionedUpdate appends a KindUpdate envelope carrying the delta,
 // written in place: with capacity in dst the warm path allocates nothing.
 // A nil delta (a participant that produced no update) encodes as a zero
-// count and decodes back to nil, preserving the gob response's semantics.
+// count and decodes back to nil.
 func AppendVersionedUpdate(dst []byte, delta []float64) []byte {
 	w := wire.NewWriter(dst, wire.KindUpdate)
 	w.Section(secUpdateDelta)
@@ -75,36 +65,25 @@ func DecodeVersionedUpdate(data []byte) ([]float64, error) {
 	return nil, errors.New("transport: update envelope has no delta section")
 }
 
-// updatePayload decodes a /v1/update response of either encoding: a
-// versioned KindUpdate envelope or the legacy gob UpdateResponse,
-// dispatched by first-byte sniffing.
+// updatePayload decodes a /v1/update response. Limit must be set to the
+// largest body the call accepts before the call: TryLocalUpdate sizes it to
+// the delta it asked for, so a peer cannot make the stub buffer more.
 type updatePayload struct {
+	Limit int64
 	Delta []float64
 }
 
 // DecodeBody implements bodyDecoder. The body is gathered in a pooled
 // buffer; the decoded delta is a fresh slice the caller owns.
 func (up *updatePayload) DecodeBody(r io.Reader) error {
-	buf, err := readBody(r, maxUpdateBody)
+	buf, err := readBody(r, up.Limit)
 	if err != nil {
 		return fmt.Errorf("transport: read update body: %w", err)
 	}
 	defer buf.Release()
-	b := buf.B
-	switch wire.Sniff(b) {
-	case wire.FormatVersioned:
-		up.Delta, err = DecodeVersionedUpdate(b)
-	case wire.FormatGob:
-		var resp UpdateResponse
-		if err = gob.NewDecoder(bytes.NewReader(b)).Decode(&resp); err == nil {
-			up.Delta = resp.Delta
-		}
-	default:
-		err = errors.New("transport: unrecognized update response encoding")
-	}
-	if err != nil {
+	if up.Delta, err = DecodeVersionedUpdate(buf.B); err != nil {
 		return err
 	}
-	obs.M.TransportUpdateBytesRecv.Add(uint64(len(b)))
+	obs.M.TransportUpdateBytesRecv.Add(uint64(len(buf.B)))
 	return nil
 }

@@ -17,15 +17,10 @@
 // turns a torn file — a crash mid-write on a filesystem without atomic
 // rename — into a clean decode error instead of silently corrupt state.
 //
-// Interoperability with the two legacy encodings is by first-byte
-// sniffing, the same trick the compact report codecs use (transport
-// codec.go): a gob stream opens with the byte length of its first message
-// — a type descriptor, always tens of bytes — so its first byte is a
-// small positive value well below 0x80; gob only emits a leading 0xFC for
-// a first message of 2^24..2^32-1 bytes, which a type descriptor never
-// is. The compact report tags occupy 0x01–0x04. Magic byte 0xFC therefore
-// collides with neither, and Sniff classifies any payload from its first
-// byte alone.
+// The magic's first byte, 0xFC, is neither a compact report tag (transport
+// codec.go, 0x01–0x04) nor how a gob stream opens (with the byte length of
+// a type descriptor, a small positive value), so a payload of either family
+// fails the magic check with ErrMagic rather than being misread.
 //
 // Decoding never panics and never allocates beyond the input: Decode
 // slices sections out of the caller's buffer, and Buffer.ReadAll (behind
@@ -77,38 +72,10 @@ const (
 	KindRankRequest     uint16 = 6
 	KindVoteRequest     uint16 = 7
 	KindAccuracyRequest uint16 = 8
+	// KindAccuracy is one client's reported accuracy, the answer to a
+	// KindAccuracyRequest (internal/transport accuracy_codec.go).
+	KindAccuracy uint16 = 9
 )
-
-// Format classifies a payload by its first byte.
-type Format int
-
-const (
-	// FormatUnknown is an empty payload.
-	FormatUnknown Format = iota
-	// FormatVersioned is this package's envelope.
-	FormatVersioned
-	// FormatReportTag is a compact tagged report codec (transport
-	// codec.go, tags 0x01–0x04).
-	FormatReportTag
-	// FormatGob is a legacy gob stream (anything else).
-	FormatGob
-)
-
-// Sniff classifies a payload from its first byte; see the package comment
-// for why the three families cannot collide.
-func Sniff(p []byte) Format {
-	if len(p) == 0 {
-		return FormatUnknown
-	}
-	switch {
-	case p[0] == Magic[0]:
-		return FormatVersioned
-	case p[0] >= 0x01 && p[0] <= 0x04:
-		return FormatReportTag
-	default:
-		return FormatGob
-	}
-}
 
 // Section is one typed payload slice; Payload aliases the decoded buffer.
 type Section struct {

@@ -114,21 +114,16 @@ func TestDecodeKind(t *testing.T) {
 	}
 }
 
-func TestSniff(t *testing.T) {
-	cases := []struct {
-		p    []byte
-		want Format
-	}{
-		{nil, FormatUnknown},
-		{sample(), FormatVersioned},
-		{[]byte{0x01, 0x00}, FormatReportTag},
-		{[]byte{0x04}, FormatReportTag},
-		{[]byte{0x2a, 0xff}, FormatGob},
-		{[]byte{0x7f}, FormatGob},
-	}
-	for i, tc := range cases {
-		if got := Sniff(tc.p); got != tc.want {
-			t.Errorf("case %d: Sniff = %v, want %v", i, got, tc.want)
+// TestOtherFamiliesRefused: a payload of one of the repository's other
+// encodings — a compact report tag (0x01–0x04) or a gob stream, which opens
+// with a small length byte — fails the magic check; it is never misread as
+// an envelope.
+func TestOtherFamiliesRefused(t *testing.T) {
+	for _, first := range []byte{0x01, 0x04, 0x2a, 0x7f} {
+		p := sample()
+		p[0] = first
+		if _, _, err := Decode(p); !errors.Is(err, ErrMagic) {
+			t.Errorf("first byte 0x%02x: %v, want ErrMagic", first, err)
 		}
 	}
 }

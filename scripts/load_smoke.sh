@@ -16,7 +16,7 @@
 #   - the update exchange stayed at raw-vector size both ways: received
 #     update bytes per completed update, and sent request bytes per
 #     attempt, each at or under 8 bytes per parameter + 64 (the versioned
-#     envelope, which both binaries emit by default; DESIGN.md §15),
+#     envelope, the only wire format; DESIGN.md §15),
 #   - a durable run SIGKILLed right after its first checkpoint restarts
 #     with -resume, actually resumes (fl_resumes_total), finishes the
 #     remaining rounds under the same heap bound, and leaves the fleet
@@ -164,8 +164,8 @@ per_report=$(sed -n 's/.*bytes_per_report=\([0-9]*\).*/\1/p' "$workdir/serve.log
 
 # Update-path bandwidth gate, both directions: an envelope is the raw
 # little-endian vector plus a few dozen bytes of framing, so anything
-# above 8 bytes per parameter + 64 means gob (or worse) is back on the
-# wire.
+# above 8 bytes per parameter + 64 means a fatter encoding is back on
+# the wire.
 params=$(sed -n 's/.*fleet training start.* params=\([0-9]*\).*/\1/p' "$workdir/serve.log" | head -1)
 [ -n "${params:-}" ] || { cat "$workdir/serve.log" >&2; fail "fedserve did not log the model's parameter count"; }
 update_ceil=$((8 * params + 64))
