@@ -65,7 +65,8 @@ func main() {
 	s.Backend = backend
 	s.ReportQuant = quant
 
-	logger.Info("defend: training start", "scenario", s.Name, "report_quant", quant.String())
+	logger.Info("defend: training start", "scenario", s.Name, "report_quant", quant.String(),
+		"tensor_kernel_avx2", obs.M.TensorKernelAVX2.Value())
 	t := eval.Run(s)
 	logger.Info("defend: training done",
 		"ta", fmt.Sprintf("%.1f", t.TA()), "aa", fmt.Sprintf("%.1f", t.AA()))

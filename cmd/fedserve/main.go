@@ -173,7 +173,8 @@ func main() {
 		startRound := setupDurability(server, logger, *ckptDir, *ckptEvery, *ckptFolds, *resume)
 		logger.Info("serve: fleet training start",
 			"fleet", fleetAddr, "population", reg.Len(), "params", template.NumParams(),
-			"select", *sel, "streaming", *streaming, "rounds", server.Config().Rounds)
+			"select", *sel, "streaming", *streaming, "rounds", server.Config().Rounds,
+			"tensor_kernel_avx2", obs.M.TensorKernelAVX2.Value())
 		for round := startRound; round < server.Config().Rounds; round++ {
 			res := server.RoundDetail(round)
 			obs.SampleProcess()
@@ -247,7 +248,8 @@ func main() {
 		}
 	}
 
-	logger.Info("serve: training start", "clients", len(parts), "rounds", server.Config().Rounds)
+	logger.Info("serve: training start", "clients", len(parts), "rounds", server.Config().Rounds,
+		"tensor_kernel_avx2", obs.M.TensorKernelAVX2.Value())
 	for round := startRound; round < server.Config().Rounds; round++ {
 		res := server.RoundDetail(round)
 		if !evaluated {

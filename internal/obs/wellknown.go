@@ -79,6 +79,13 @@ var M = struct {
 	ForTasks      *Counter // worker goroutines' worth of work executed
 	ForQueueDepth *Gauge   // fanned-out workers started but not yet finished
 
+	// Numeric kernels (internal/tensor, DESIGN.md §17). Set once at tensor
+	// package initialization from CPUID: 1 when the tiled matmuls run the
+	// AVX2 assembly, 0 when they run the pure-Go loops (other
+	// architectures, older CPUs) — the first thing to read when the same
+	// commit trains 2× slower on another host.
+	TensorKernelAVX2 *Gauge
+
 	// Tracing + flight recorder (DESIGN.md §16).
 	TraceSpans    *Counter // traced spans recorded into the span ring
 	FlightRecords *Counter // audit records written by the flight recorder
@@ -142,6 +149,8 @@ var M = struct {
 
 	ForTasks:      Default.Counter("parallel_for_tasks_total"),
 	ForQueueDepth: Default.Gauge("parallel_for_queue_depth"),
+
+	TensorKernelAVX2: Default.Gauge("tensor_kernel_avx2"),
 
 	TraceSpans:    Default.Counter("trace_spans_total"),
 	FlightRecords: Default.Counter("flight_records_total"),

@@ -12,7 +12,9 @@ import (
 // TestMatMulIntoKernelsAllocFree is the allocation-regression gate for the
 // in-place matmul family: with a single worker (the serial kernels; the
 // parallel path inherently allocates its goroutines) and pre-sized
-// destinations, a call performs zero heap allocations. Guarded by !race
+// destinations, a call performs zero heap allocations — shape and overlap
+// checks, kernel dispatch and (on AVX2 hosts) the assembly calls
+// included, in both precisions. Guarded by !race
 // because race instrumentation adds allocations of its own.
 func TestMatMulIntoKernelsAllocFree(t *testing.T) {
 	prev := parallel.SetWorkers(1)
@@ -25,6 +27,11 @@ func TestMatMulIntoKernelsAllocFree(t *testing.T) {
 	bT := randMat(rng, n, k)
 	aT := randMat(rng, k, m)
 	dst := New(m, n)
+	a32, b32, bT32, aT32, dst32 := New32(m, k), New32(k, n), New32(n, k), New32(k, m), New32(m, n)
+	a32.From64(a)
+	b32.From64(b)
+	bT32.From64(bT)
+	aT32.From64(aT)
 
 	for _, tc := range []struct {
 		name string
@@ -33,6 +40,9 @@ func TestMatMulIntoKernelsAllocFree(t *testing.T) {
 		{"MatMulInto", func() { MatMulInto(dst, a, b) }},
 		{"MatMulTransBInto", func() { MatMulTransBInto(dst, a, bT) }},
 		{"MatMulTransAInto", func() { MatMulTransAInto(dst, aT, b) }},
+		{"MatMulInto32", func() { MatMulInto32(dst32, a32, b32) }},
+		{"MatMulTransBInto32", func() { MatMulTransBInto32(dst32, a32, bT32) }},
+		{"MatMulTransAInto32", func() { MatMulTransAInto32(dst32, aT32, b32) }},
 	} {
 		if allocs := testing.AllocsPerRun(20, tc.f); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, allocs)

@@ -16,10 +16,19 @@ import (
 // exact (bit equality), not tolerance-based: any reordering introduced by
 // a future tile-size change would trip it immediately.
 //
+// Every draw goes down both kernel paths: the entry points run whatever
+// the host dispatches to (the AVX2 assembly where CPUID allows it,
+// DESIGN.md §17), the pure-Go tiled loops are called directly, and both
+// must match the oracle — so the assembly is compared with the Go loops
+// bit for bit on every shape the fuzzer finds.
+//
 // The checked-in corpus (testdata/fuzz/FuzzMatMulTiled) pins the
 // degenerate shapes the blocking logic is most likely to get wrong:
-// 1×k×1 row-vector·column-vector, m×1×n outer products, and shapes
-// straddling the kc/nc panel edges in both precisions.
+// 1×k×1 row-vector·column-vector, m×1×n outer products, shapes
+// straddling the kc/nc panel edges in both precisions, column counts one
+// short of and one past a vector, the n = 4 and k = 4 products of
+// MiniVGG's last conv block, and a parallel split that leaves every row
+// block a remainder group.
 func FuzzMatMulTiled(f *testing.F) {
 	f.Add(int64(1), int64(33), int64(1), int64(1), false, int64(1)) // 1×k×1
 	f.Add(int64(17), int64(1), int64(9), int64(2), false, int64(2)) // m×1×n
@@ -70,7 +79,10 @@ func fuzzOne[E Elem](t *testing.T, rng *rand.Rand, m, k, n int) {
 	got := make([]E, m*n)
 	want := make([]E, m*n)
 
+	goPath := make([]E, m*n)
+
 	matmulInto(got, a, bN, m, k, n)
+	matmulTiledGo(goPath, a, bN, 0, m, k, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			var s E
@@ -81,8 +93,10 @@ func fuzzOne[E Elem](t *testing.T, rng *rand.Rand, m, k, n int) {
 		}
 	}
 	fuzzDiff(t, "matmul", got, want, m, k, n)
+	fuzzDiff(t, "matmul (Go loops)", goPath, want, m, k, n)
 
 	matmulTransBInto(got, a, bT, m, k, n)
+	matmulTransBTiledGo(goPath, a, bT, 0, m, k, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			var s E
@@ -93,11 +107,13 @@ func fuzzOne[E Elem](t *testing.T, rng *rand.Rand, m, k, n int) {
 		}
 	}
 	fuzzDiff(t, "matmulTransB", got, want, m, k, n)
+	fuzzDiff(t, "matmulTransB (Go loops)", goPath, want, m, k, n)
 
 	for i := range got {
-		got[i] = 0
+		got[i], goPath[i] = 0, 0
 	}
 	matmulTransAInto(got, aT, bN, k, m, n)
+	matmulTransATiledGo(goPath, aT, bN, 0, m, k, m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			var s E
@@ -108,6 +124,7 @@ func fuzzOne[E Elem](t *testing.T, rng *rand.Rand, m, k, n int) {
 		}
 	}
 	fuzzDiff(t, "matmulTransA", got, want, m, k, n)
+	fuzzDiff(t, "matmulTransA (Go loops)", goPath, want, m, k, n)
 }
 
 func fuzzDiff[E Elem](t *testing.T, kernel string, got, want []E, m, k, n int) {

@@ -1,32 +1,40 @@
 package tensor
 
 // This file holds the numeric inner loops of the package, written once as
-// generic kernels over the two supported element types. Two kernel
+// generic kernels over the two supported element types. Three kernel
 // families coexist:
 //
 //   - Reference kernels (suffix Ref): the pre-tile loops exactly as they
 //     shipped in PR 1/2, including the `av == 0` sparsity skip. They are
 //     the semantic ground truth the identity tests and the fuzz harness
 //     compare against, and are not called from the production paths.
-//   - Tiled kernels (suffix Tiled): cache-blocked panels (KC×NC) around a
-//     4-row-unrolled register micro-kernel. The sparsity branch is
-//     deliberately absent — a data-dependent branch in the innermost loop
-//     defeats instruction-level parallelism and any chance of the
-//     compiler keeping the four accumulator streams in registers
+//   - Tiled kernels (suffix TiledGo): cache-blocked panels (KC×NC) around
+//     a 4-row-unrolled scalar micro-kernel, in pure Go. The sparsity
+//     branch is deliberately absent — a data-dependent branch in the
+//     innermost loop defeats instruction-level parallelism and any chance
+//     of the compiler keeping the four accumulator streams in registers
 //     (satellite of ISSUE 7). Skipping a zero product only ever adds
 //     ±0.0 to the accumulator, which cannot change a finite sum, so the
 //     tiled kernels remain bit-identical to the reference for the finite
 //     inputs the training stack produces (including exactly-zero pruned
-//     channels and ReLU zeros).
+//     channels and ReLU zeros). They are the production kernels off
+//     amd64 and on CPUs without AVX2, and the reference the assembly is
+//     compared against bit for bit.
+//   - The production entry points (suffix Tiled, no Go): on amd64 with
+//     AVX2 they run the assembly micro-kernels of gemm_amd64.s under the
+//     same KC×NC panels (kernels_amd64.go); everywhere else they are the
+//     TiledGo loops (kernels_noasm.go). CPUID decides, nothing else.
 //
 // Bit-identity discipline: for every output cell, contributions are
-// accumulated in ascending-p order — the KC panel loop is outermost and
-// panels resume from the stored partial sum, so splitting k into panels
-// replays the exact same sequence of rounded additions as one straight
-// pass. Row blocking (parallel.ForBlocks) and column blocking only change
-// *which* cells are computed when, never the order within a cell, which
-// is why serial, parallel and reference results match bit for bit per
-// precision.
+// accumulated in ascending-p order with a separately rounded multiply and
+// add — the KC panel loop is outermost and panels resume from the stored
+// partial sum, so splitting k into panels replays the exact same sequence
+// of rounded additions as one straight pass. Row blocking
+// (parallel.ForBlocks) and column blocking only change *which* cells are
+// computed when, never the order within a cell, which is why serial,
+// parallel and reference results match bit for bit per precision. The
+// assembly keeps the rule by vectorizing across cells, never across p,
+// and never fusing (DESIGN.md §17).
 
 // Elem is the set of element types the kernels are instantiated for.
 // float64 is the canonical precision (FL aggregation, checkpoints, the
@@ -36,13 +44,16 @@ type Elem interface {
 	~float32 | ~float64
 }
 
-// Cache-tile extents. The inner loop touches one b-panel row plus four
+// Cache-tile extents. The Go inner loop touches one b-panel row plus four
 // destination row segments, each nc elements wide: 5·nc elements must sit
 // in L1 (~10 KiB at nc64=256), while a full KC×NC b-panel (~256 KiB at
 // kc64×nc64) stays L2-resident across the row sweep. The float32 extents
-// are doubled so both precisions tile the same byte footprint, which is
-// also what makes the f32 panels wide enough for the compiler to emit
-// packed AVX2/FMA under GOAMD64=v3.
+// are doubled so both precisions tile the same byte footprint. The
+// extents do nothing for instruction selection: the Go compiler emits
+// scalar MULSx/ADDSx for these loops at every GOAMD64 level (no packed
+// and no fused instruction, v1 or v3), so float32 is no faster per
+// element than float64 here. What vectorizes is the assembly, which sits
+// under the same panels and is the same code at every GOAMD64 level.
 const (
 	kc64 = 128
 	nc64 = 256
@@ -59,18 +70,19 @@ func tileSizes[E Elem]() (kc, nc int) {
 	return kc64, nc64
 }
 
-// matmulTiled accumulates rows [lo,hi) of a (m×k) times b (k×n) into dst
+// matmulTiledGo accumulates rows [lo,hi) of a (m×k) times b (k×n) into dst
 // (m×n). dst rows must be zeroed by the caller (the Into wrappers zero
 // the whole destination).
 //
 // The micro-kernel deliberately keeps j (the contiguous dimension of b
-// and dst) innermost: every j iteration is an independent FMA with no
-// loop-carried dependency, so the CPU overlaps them freely, and all five
-// streams are sequential. A register-blocked variant (dst partials held
-// across the KC panel, p innermost) was measured slower here — it trades
-// L1-resident dst traffic for strided b walks and eight serialized
-// accumulator chains.
-func matmulTiled[E Elem](dst, a, b []E, lo, hi, k, n int) {
+// and dst) innermost: every j iteration is an independent multiply-add
+// with no loop-carried dependency, so the CPU overlaps them freely, and
+// all five streams are sequential. A register-blocked variant (dst
+// partials held across the KC panel, p innermost) was measured slower in
+// scalar Go — it trades L1-resident dst traffic for strided b walks and
+// eight serialized accumulator chains; with vector registers the trade
+// goes the other way, and the assembly is register-blocked.
+func matmulTiledGo[E Elem](dst, a, b []E, lo, hi, k, n int) {
 	kc, nc := tileSizes[E]()
 	for pc := 0; pc < k; pc += kc {
 		pe := min(pc+kc, k)
@@ -117,11 +129,11 @@ func matmulTiled[E Elem](dst, a, b []E, lo, hi, k, n int) {
 	}
 }
 
-// matmulTransBTiled computes rows [lo,hi) of a (m×k) times bᵀ for b
+// matmulTransBTiledGo computes rows [lo,hi) of a (m×k) times bᵀ for b
 // (n×k) into dst (m×n), overwriting every cell it covers. Four dot
 // products run simultaneously so one pass over the a-row feeds four
 // independent accumulator chains.
-func matmulTransBTiled[E Elem](dst, a, b []E, lo, hi, k, n int) {
+func matmulTransBTiledGo[E Elem](dst, a, b []E, lo, hi, k, n int) {
 	kc, _ := tileSizes[E]()
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : (i+1)*k]
@@ -168,12 +180,12 @@ func matmulTransBTiled[E Elem](dst, a, b []E, lo, hi, k, n int) {
 	}
 }
 
-// matmulTransATiled accumulates output rows [lo,hi) of aᵀ·b for a (k×m)
+// matmulTransATiledGo accumulates output rows [lo,hi) of aᵀ·b for a (k×m)
 // and b (k×n) into dst (m×n), which the caller has zeroed. Output row i
 // is column i of a, so the 4-row unroll reads four adjacent a elements
-// per p instead of four strided rows. As in matmulTiled, j stays
+// per p instead of four strided rows. As in matmulTiledGo, j stays
 // innermost so the four update streams are contiguous and independent.
-func matmulTransATiled[E Elem](dst, a, b []E, lo, hi, k, m, n int) {
+func matmulTransATiledGo[E Elem](dst, a, b []E, lo, hi, k, m, n int) {
 	kc, nc := tileSizes[E]()
 	for pc := 0; pc < k; pc += kc {
 		pe := min(pc+kc, k)

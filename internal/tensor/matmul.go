@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"unsafe"
 
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
 )
@@ -20,6 +21,27 @@ func parallelRows(m, work int) bool {
 	return m > 1 && work >= parallelFlopCutoff && parallel.Workers() > 1
 }
 
+// checkNoOverlap panics if dst shares any element with a or b. The Into
+// kernels zero or overwrite dst while they still read the operands, so an
+// aliased call has no meaningful result — and which garbage it computes
+// would differ between the vector and the scalar kernels. Two address
+// comparisons per operand; nothing is allocated unless it panics.
+func checkNoOverlap[E Elem](op string, dst, a, b []E) {
+	if overlaps(dst, a) || overlaps(dst, b) {
+		panic(fmt.Sprintf("tensor: %s dst overlaps an operand", op))
+	}
+}
+
+// overlaps reports whether the element ranges of x and y intersect.
+func overlaps[E Elem](x, y []E) bool {
+	if len(x) == 0 || len(y) == 0 {
+		return false
+	}
+	size := unsafe.Sizeof(x[0])
+	xLo, yLo := uintptr(unsafe.Pointer(&x[0])), uintptr(unsafe.Pointer(&y[0]))
+	return xLo < yLo+uintptr(len(y))*size && yLo < xLo+uintptr(len(x))*size
+}
+
 // MatMul returns a·b for 2-D tensors a (m×k) and b (k×n). The result is a
 // freshly allocated m×n tensor, computed by the cache-blocked tiled kernel
 // (kernels.go) — bit-identical to the pre-tile reference for finite inputs.
@@ -30,12 +52,14 @@ func MatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatMulInto computes dst = a·b, reusing dst's buffer. dst must be m×n.
+// MatMulInto computes dst = a·b, reusing dst's buffer. dst must be m×n and,
+// as for every Into kernel, must not overlap a or b.
 func MatMulInto(dst, a, b *Tensor) {
 	m, k, n := checkMatMul(a, b)
 	if dst.Rank() != 2 || dst.Dim(0) != m || dst.Dim(1) != n {
 		panic(fmt.Sprintf("tensor: MatMulInto dst shape %v, want [%d %d]", dst.shape, m, n))
 	}
+	checkNoOverlap("MatMulInto", dst.Data, a.Data, b.Data)
 	dst.Zero()
 	matmulInto(dst.Data, a.Data, b.Data, m, k, n)
 }
@@ -84,6 +108,7 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	if dst.Rank() != 2 || dst.Dim(0) != m || dst.Dim(1) != n {
 		panic(fmt.Sprintf("tensor: MatMulTransBInto dst shape %v, want [%d %d]", dst.shape, m, n))
 	}
+	checkNoOverlap("MatMulTransBInto", dst.Data, a.Data, b.Data)
 	matmulTransBInto(dst.Data, a.Data, b.Data, m, k, n)
 }
 
@@ -129,6 +154,7 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 	if dst.Rank() != 2 || dst.Dim(0) != m || dst.Dim(1) != n {
 		panic(fmt.Sprintf("tensor: MatMulTransAInto dst shape %v, want [%d %d]", dst.shape, m, n))
 	}
+	checkNoOverlap("MatMulTransAInto", dst.Data, a.Data, b.Data)
 	dst.Zero()
 	matmulTransAInto(dst.Data, a.Data, b.Data, k, m, n)
 }

@@ -117,6 +117,7 @@ func MatMulInto32(dst, a, b *T32) {
 	if dst.Rank() != 2 || dst.Dim(0) != m || dst.Dim(1) != n {
 		panic(fmt.Sprintf("tensor: MatMulInto32 dst shape %v, want [%d %d]", dst.shape, m, n))
 	}
+	checkNoOverlap("MatMulInto32", dst.Data, a.Data, b.Data)
 	dst.Zero()
 	matmulInto(dst.Data, a.Data, b.Data, m, k, n)
 }
@@ -135,6 +136,7 @@ func MatMulTransBInto32(dst, a, b *T32) {
 	if dst.Rank() != 2 || dst.Dim(0) != m || dst.Dim(1) != n {
 		panic(fmt.Sprintf("tensor: MatMulTransBInto32 dst shape %v, want [%d %d]", dst.shape, m, n))
 	}
+	checkNoOverlap("MatMulTransBInto32", dst.Data, a.Data, b.Data)
 	matmulTransBInto(dst.Data, a.Data, b.Data, m, k, n)
 }
 
@@ -152,6 +154,7 @@ func MatMulTransAInto32(dst, a, b *T32) {
 	if dst.Rank() != 2 || dst.Dim(0) != m || dst.Dim(1) != n {
 		panic(fmt.Sprintf("tensor: MatMulTransAInto32 dst shape %v, want [%d %d]", dst.shape, m, n))
 	}
+	checkNoOverlap("MatMulTransAInto32", dst.Data, a.Data, b.Data)
 	dst.Zero()
 	matmulTransAInto(dst.Data, a.Data, b.Data, k, m, n)
 }
