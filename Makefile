@@ -38,9 +38,11 @@ test:
 race:
 	FEDCLEANSE_WORKERS=4 $(GO) test -race -short ./...
 
-## bench: one iteration of every tensor/nn benchmark (the CI smoke set),
-## then which matmul kernels produced the numbers (tensor_kernel_avx2: 1 =
-## AVX2 assembly, 0 = pure-Go loops; nothing is printed off amd64)
+## bench: one iteration of every tensor/nn benchmark (the CI smoke set;
+## the element-wise routines, narrow-map tables and BatchNorm report
+## ns/elem), then which kernels produced the numbers (tensor_kernel_avx2:
+## 1 = AVX2 assembly under the matmuls and the element-wise passes, 0 =
+## pure-Go loops; nothing is printed off amd64)
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tensor ./internal/nn
 	@$(GO) test -count=1 -run 'TestDetectAVX2MatchesKernel' -v ./internal/tensor | grep -o 'tensor_kernel_avx2=[01]' || true

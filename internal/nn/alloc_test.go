@@ -152,6 +152,39 @@ func TestFloat32TrainStepWarmAllocFree(t *testing.T) {
 	}
 }
 
+// TestMiniVGGFloat32TrainStepWarmAllocFree is the same gate on the model
+// and backend of the cleanse_cifar_f32 workload: BatchNorm's per-channel
+// accumulators, the conv tables' stage buffers and every element-wise
+// routine's dispatch are warm after one step and allocate nothing after.
+func TestMiniVGGFloat32TrainStepWarmAllocFree(t *testing.T) {
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+
+	rng := rand.New(rand.NewSource(57))
+	m := NewMiniVGG(Input{C: 3, H: 16, W: 16}, 10, rng)
+	m.SetBackend(Float32)
+	const batch = 20
+	x := tensor.New(batch, 3, 16, 16)
+	x.Randn(rng, 1)
+	labels := make([]int, batch)
+	for i := range labels {
+		labels[i] = rng.Intn(10)
+	}
+	opt := NewSGD(0.05, 0.9, 1e-4)
+	dlogits := tensor.New(batch, 10)
+
+	step := func() {
+		m.ZeroGrads()
+		SoftmaxXentInto(dlogits, m.Forward(x, true), labels)
+		m.BackwardParams(dlogits)
+		opt.Step(m)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+		t.Errorf("warm MiniVGG float32 train step: %v allocs/op, want 0", allocs)
+	}
+}
+
 // TestFloat32EvalForwardWarmAllocFree covers the float32 eval path with
 // eval reuse on (the defense loops' configuration).
 func TestFloat32EvalForwardWarmAllocFree(t *testing.T) {

@@ -238,15 +238,3 @@ func (m *Sequential) bridgeBackward(l Layer, dout *tensor.T32) *tensor.T32 {
 	dx.From64(dx64)
 	return dx
 }
-
-// addGrad32 accumulates a float32 gradient scratch into a float64
-// Param.Grad buffer — the single place layer gradients cross the precision
-// boundary.
-func addGrad32(dst []float64, src []float32) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("nn: addGrad32 length mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i, v := range src {
-		dst[i] += float64(v)
-	}
-}

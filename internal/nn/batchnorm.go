@@ -56,6 +56,11 @@ type BatchNorm2D struct {
 	// xhat32/scratch32 are the float32-backend equivalents (layers32.go).
 	xhat32    *tensor.T32
 	scratch32 tensor.Arena32
+
+	// stat holds the per-channel float64 accumulators and derived scalars
+	// of one pass (three per channel), allocated on first use and shared
+	// by both precisions. Not cloned.
+	stat []float64
 }
 
 var _ Prunable = (*BatchNorm2D)(nil)
@@ -118,54 +123,178 @@ func (l *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		out = tensor.New(n, l.channels, h, w)
 	}
-	cnt := float64(n * hw)
-	for c := 0; c < l.channels; c++ {
-		var mean, variance float64
-		if train && !l.frozen {
-			sum := 0.0
-			for s := 0; s < n; s++ {
-				base := (s*l.channels + c) * hw
-				for i := 0; i < hw; i++ {
-					sum += x.Data[base+i]
-				}
-			}
-			mean = sum / cnt
-			ss := 0.0
-			for s := 0; s < n; s++ {
-				base := (s*l.channels + c) * hw
-				for i := 0; i < hw; i++ {
-					d := x.Data[base+i] - mean
-					ss += d * d
-				}
-			}
-			variance = ss / cnt
-			l.RunMean.Value.Data[c] = l.momentum*l.RunMean.Value.Data[c] + (1-l.momentum)*mean
-			l.RunVar.Value.Data[c] = l.momentum*l.RunVar.Value.Data[c] + (1-l.momentum)*variance
-		} else {
-			mean, variance = l.RunMean.Value.Data[c], l.RunVar.Value.Data[c]
-			if variance < 0 {
-				// Aggregated or adversarially scaled statistics can go
-				// negative; clamp rather than produce NaNs.
-				variance = 0
-			}
+	var xhat []float64
+	if train {
+		xhat = l.xhat.Data
+	}
+	bnForward(l, out.Data, xhat, x.Data, n, hw, train)
+	return out
+}
+
+// perChannel returns the layer's three per-channel float64 scratch rows.
+func (l *BatchNorm2D) perChannel() (a, b, c []float64) {
+	ch := l.channels
+	if len(l.stat) != 3*ch {
+		l.stat = make([]float64, 3*ch)
+	}
+	return l.stat[:ch], l.stat[ch : 2*ch], l.stat[2*ch:]
+}
+
+// bnForward is the forward pass of both precisions over flat N×C×hw
+// operands; xhat is nil on inference passes. The batch statistics are
+// reduced in float64 whatever E is (layers32.go says why), and every
+// per-channel scalar enters the element-wise pass rounded to E once.
+//
+// The loops run sample-outer, channel-inner: memory is walked front to
+// back, and — the point — the reductions keep one accumulator per channel
+// instead of finishing one channel before starting the next. Each
+// channel's sum still receives its elements in ascending (sample,
+// position) order, exactly the order of the channel-outer loops this
+// replaces, so every statistic has the same bits; what changes is that the
+// additions of different channels no longer wait for one another
+// (DESIGN.md §18).
+func bnForward[E tensor.Elem](l *BatchNorm2D, out, xhat, x []E, n, hw int, train bool) {
+	ch := l.channels
+	mean, variance, inv := l.perChannel()
+	if train && !l.frozen {
+		cnt := float64(n * hw)
+		clear(mean)
+		bnSums(mean, x, n, ch, hw)
+		for c := range mean {
+			mean[c] /= cnt
 		}
-		inv := 1 / math.Sqrt(variance+l.eps)
-		g, b := l.Gamma.Value.Data[c], l.Beta.Value.Data[c]
-		for s := 0; s < n; s++ {
-			base := (s*l.channels + c) * hw
-			for i := 0; i < hw; i++ {
-				xh := (x.Data[base+i] - mean) * inv
-				if train {
-					l.xhat.Data[base+i] = xh
-				}
-				out.Data[base+i] = g*xh + b
-			}
+		clear(variance)
+		bnSquaredDevs(variance, x, mean, n, ch, hw)
+		for c := range variance {
+			variance[c] /= cnt
+			l.RunMean.Value.Data[c] = l.momentum*l.RunMean.Value.Data[c] + (1-l.momentum)*mean[c]
+			l.RunVar.Value.Data[c] = l.momentum*l.RunVar.Value.Data[c] + (1-l.momentum)*variance[c]
 		}
-		if train {
-			l.invStd[c] = inv
+	} else {
+		copy(mean, l.RunMean.Value.Data)
+		for c, v := range l.RunVar.Value.Data {
+			// Aggregated or adversarially scaled statistics can go
+			// negative; clamp rather than produce NaNs.
+			if v < 0 {
+				v = 0
+			}
+			variance[c] = v
 		}
 	}
-	return out
+	for c, v := range variance {
+		inv[c] = 1 / math.Sqrt(v+l.eps)
+	}
+	if train {
+		copy(l.invStd, inv)
+	}
+	gamma, beta := l.Gamma.Value.Data, l.Beta.Value.Data
+	for s := 0; s < n; s++ {
+		for c := 0; c < ch; c++ {
+			lo, hi := (s*ch+c)*hw, (s*ch+c+1)*hw
+			var xh []E
+			if xhat != nil {
+				xh = xhat[lo:hi]
+			}
+			tensor.NormAffine(out[lo:hi], xh, x[lo:hi], E(mean[c]), E(inv[c]), E(gamma[c]), E(beta[c]))
+		}
+	}
+}
+
+// bnSums adds the elements of each channel of the N×C×hw batch x into
+// sum[c], four channels at a time so that four addition chains are in
+// flight; within a channel the order is ascending (sample, position).
+func bnSums[E tensor.Elem](sum []float64, x []E, n, ch, hw int) {
+	for s := 0; s < n; s++ {
+		c := 0
+		for ; c+4 <= ch; c += 4 {
+			r0, r1, r2, r3 := rows4(x, (s*ch+c)*hw, hw)
+			a0, a1, a2, a3 := sum[c], sum[c+1], sum[c+2], sum[c+3]
+			for i, v := range r0 {
+				a0 += float64(v)
+				a1 += float64(r1[i])
+				a2 += float64(r2[i])
+				a3 += float64(r3[i])
+			}
+			sum[c], sum[c+1], sum[c+2], sum[c+3] = a0, a1, a2, a3
+		}
+		for ; c < ch; c++ {
+			a := sum[c]
+			for _, v := range x[(s*ch+c)*hw : (s*ch+c+1)*hw] {
+				a += float64(v)
+			}
+			sum[c] = a
+		}
+	}
+}
+
+// bnSquaredDevs adds (x − mean[c])² over each channel into ss[c], in the
+// order and the grouping of bnSums.
+func bnSquaredDevs[E tensor.Elem](ss []float64, x []E, mean []float64, n, ch, hw int) {
+	for s := 0; s < n; s++ {
+		c := 0
+		for ; c+4 <= ch; c += 4 {
+			r0, r1, r2, r3 := rows4(x, (s*ch+c)*hw, hw)
+			m0, m1, m2, m3 := mean[c], mean[c+1], mean[c+2], mean[c+3]
+			a0, a1, a2, a3 := ss[c], ss[c+1], ss[c+2], ss[c+3]
+			for i, v := range r0 {
+				d0 := float64(v) - m0
+				d1 := float64(r1[i]) - m1
+				d2 := float64(r2[i]) - m2
+				d3 := float64(r3[i]) - m3
+				a0 += d0 * d0
+				a1 += d1 * d1
+				a2 += d2 * d2
+				a3 += d3 * d3
+			}
+			ss[c], ss[c+1], ss[c+2], ss[c+3] = a0, a1, a2, a3
+		}
+		for ; c < ch; c++ {
+			a, m := ss[c], mean[c]
+			for _, v := range x[(s*ch+c)*hw : (s*ch+c+1)*hw] {
+				d := float64(v) - m
+				a += d * d
+			}
+			ss[c] = a
+		}
+	}
+}
+
+// bnGradSums adds dout·xhat over each channel into dg[c] and dout into
+// db[c], in the order and the grouping of bnSums.
+func bnGradSums[E tensor.Elem](dg, db []float64, dout, xhat []E, n, ch, hw int) {
+	for s := 0; s < n; s++ {
+		c := 0
+		for ; c+4 <= ch; c += 4 {
+			d0, d1, d2, d3 := rows4(dout, (s*ch+c)*hw, hw)
+			x0, x1, x2, x3 := rows4(xhat, (s*ch+c)*hw, hw)
+			g0, g1, g2, g3 := dg[c], dg[c+1], dg[c+2], dg[c+3]
+			b0, b1, b2, b3 := db[c], db[c+1], db[c+2], db[c+3]
+			for i := range d0 {
+				v0, v1, v2, v3 := float64(d0[i]), float64(d1[i]), float64(d2[i]), float64(d3[i])
+				g0 += v0 * float64(x0[i])
+				g1 += v1 * float64(x1[i])
+				g2 += v2 * float64(x2[i])
+				g3 += v3 * float64(x3[i])
+				b0 += v0
+				b1 += v1
+				b2 += v2
+				b3 += v3
+			}
+			dg[c], dg[c+1], dg[c+2], dg[c+3] = g0, g1, g2, g3
+			db[c], db[c+1], db[c+2], db[c+3] = b0, b1, b2, b3
+		}
+		for ; c < ch; c++ {
+			lo, hi := (s*ch+c)*hw, (s*ch+c+1)*hw
+			g, b := dg[c], db[c]
+			xr := xhat[lo:hi]
+			for i, v := range dout[lo:hi] {
+				d := float64(v)
+				g += d * float64(xr[i])
+				b += d
+			}
+			dg[c], db[c] = g, b
+		}
+	}
 }
 
 // Backward implements Layer using the standard batch-norm gradient.
@@ -173,51 +302,46 @@ func (l *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if l.xhat == nil {
 		panic(fmt.Sprintf("nn: %s: Backward without training Forward", l.name))
 	}
-	n, hw := l.n, l.hw
-	cnt := float64(n * hw)
 	dx := l.scratch.GetLike("dx", dout)
+	bnBackward(l, dx.Data, dout.Data, l.xhat.Data)
+	return dx
+}
+
+// bnBackward is the backward pass of both precisions; the dγ/dβ
+// reductions are re-looped like the forward statistics (bnForward).
+func bnBackward[E tensor.Elem](l *BatchNorm2D, dx, dout, xhat []E) {
+	n, hw, ch := l.n, l.hw, l.channels
+	gamma := l.Gamma.Value.Data
 	if l.frozenPass {
 		// Statistics are constants: dx = dout · γ · invStd.
-		for c := 0; c < l.channels; c++ {
-			g := l.Gamma.Value.Data[c] * l.invStd[c]
-			for s := 0; s < n; s++ {
-				base := (s*l.channels + c) * hw
-				for i := 0; i < hw; i++ {
-					dx.Data[base+i] = dout.Data[base+i] * g
-				}
+		for s := 0; s < n; s++ {
+			for c := 0; c < ch; c++ {
+				lo, hi := (s*ch+c)*hw, (s*ch+c+1)*hw
+				tensor.Scale(dx[lo:hi], dout[lo:hi], E(gamma[c]*l.invStd[c]))
 			}
 		}
-		return dx
+		return
 	}
-	for c := 0; c < l.channels; c++ {
-		var dg, db, sumDxh, sumDxhXh float64
-		for s := 0; s < n; s++ {
-			base := (s*l.channels + c) * hw
-			for i := 0; i < hw; i++ {
-				d := dout.Data[base+i]
-				xh := l.xhat.Data[base+i]
-				dg += d * xh
-				db += d
-			}
-		}
-		l.Gamma.Grad.Data[c] += dg
-		l.Beta.Grad.Data[c] += db
-		g := l.Gamma.Value.Data[c]
-		// dxhat = dout * gamma; reuse dg/db sums scaled by gamma.
-		sumDxh = db * g
-		sumDxhXh = dg * g
-		inv := l.invStd[c]
-		for s := 0; s < n; s++ {
-			base := (s*l.channels + c) * hw
-			for i := 0; i < hw; i++ {
-				dxh := dout.Data[base+i] * g
-				xh := l.xhat.Data[base+i]
-				dx.Data[base+i] = inv / cnt * (cnt*dxh - sumDxh - xh*sumDxhXh)
-			}
+	cnt := float64(n * hw)
+	dg, db, scale := l.perChannel()
+	clear(dg)
+	clear(db)
+	bnGradSums(dg, db, dout, xhat, n, ch, hw)
+	for c := 0; c < ch; c++ {
+		l.Gamma.Grad.Data[c] += dg[c]
+		l.Beta.Grad.Data[c] += db[c]
+		// dxhat = dout * gamma; reuse the dg/db sums scaled by gamma.
+		dg[c] *= gamma[c] // Σ dxhat·xhat
+		db[c] *= gamma[c] // Σ dxhat
+		scale[c] = l.invStd[c] / cnt
+	}
+	for s := 0; s < n; s++ {
+		for c := 0; c < ch; c++ {
+			lo, hi := (s*ch+c)*hw, (s*ch+c+1)*hw
+			tensor.NormBackward(dx[lo:hi], dout[lo:hi], xhat[lo:hi], E(gamma[c]), E(scale[c]), E(cnt), E(db[c]), E(dg[c]))
 		}
 	}
 	l.maskGrads()
-	return dx
 }
 
 // Params implements Layer. Running statistics are included as Stat

@@ -135,3 +135,85 @@ func BenchmarkFashionCNNTrainStep(b *testing.B) {
 }
 func BenchmarkMiniVGGForward(b *testing.B)   { benchForward(b, NewMiniVGG, in3) }
 func BenchmarkMiniVGGTrainStep(b *testing.B) { benchTrainStep(b, NewMiniVGG, in3) }
+
+// BenchmarkMiniVGGTrainStepFloat32 is the train step of the
+// cleanse_cifar_f32 workload of `go run ./bench`: every narrow-map table,
+// the re-looped BatchNorm and the float32 element-wise routines at once.
+func BenchmarkMiniVGGTrainStepFloat32(b *testing.B) {
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	rng := rand.New(rand.NewSource(2))
+	m := NewMiniVGG(in3, 10, rng)
+	m.SetBackend(Float32)
+	opt := NewSGD(0.05, 0.9, 1e-4)
+	x := tensor.New(20, in3.C, in3.H, in3.W)
+	x.Randn(rng, 1)
+	labels := make([]int, 20)
+	for i := range labels {
+		labels[i] = i % 10
+	}
+	dlogits := tensor.New(20, 10)
+	step := func() {
+		m.ZeroGrads()
+		SoftmaxXentInto(dlogits, m.Forward(x, true), labels)
+		m.BackwardParams(dlogits)
+		opt.Step(m)
+	}
+	step() // warm the arenas, so allocs/op is the steady state's
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// The per-element costs of the passes DESIGN.md §18 moved off the scalar
+// path, reported as ns/elem so that the bench-smoke artifact records the
+// figure each was accepted at.
+
+// perElem times f, which makes one pass over elems elements, after one
+// untimed call (bench-smoke runs a single iteration).
+func perElem(b *testing.B, elems int, f func()) {
+	f()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elems), "ns/elem")
+}
+
+// BenchmarkAddGrad32 is the per-sample f32→f64 accumulation of a conv
+// weight gradient (MiniVGG conv8: 32 filters × 288 taps).
+func BenchmarkAddGrad32(b *testing.B) {
+	const cells = 32 * 288
+	rng := rand.New(rand.NewSource(3))
+	grad := make([]float64, cells)
+	dW := tensor.New32(cells)
+	for i := range dW.Data {
+		dW.Data[i] = float32(rng.NormFloat64())
+	}
+	perElem(b, cells, func() { tensor.AddWiden(grad, dW.Data) })
+}
+
+// benchBatchNorm32 runs MiniVGG's bn2 (16 channels, 8×8 maps, batch 20) on
+// the float32 backend.
+func benchBatchNorm32(b *testing.B, backward bool) {
+	rng := rand.New(rand.NewSource(4))
+	l := NewBatchNorm2D("bn", 16)
+	x64 := tensor.New(20, 16, 8, 8)
+	x64.Randn(rng, 1)
+	x, dout := tensor.New32(x64.Shape()...), tensor.New32(x64.Shape()...)
+	x.From64(x64)
+	dout.From64(x64)
+	l.Forward32(x, true)
+	perElem(b, x.Len(), func() {
+		if backward {
+			l.Backward32(dout)
+		} else {
+			l.Forward32(x, true)
+		}
+	})
+}
+
+func BenchmarkBatchNormForward32(b *testing.B)  { benchBatchNorm32(b, false) }
+func BenchmarkBatchNormBackward32(b *testing.B) { benchBatchNorm32(b, true) }

@@ -16,6 +16,12 @@ type Conv2D struct {
 	dims    tensor.ConvDims
 	filters int
 
+	// index is the im2col/col2im table of dims when the output map is
+	// narrow enough for it to beat the segment walks, nil otherwise
+	// (tensor.ConvIndexFor). It is built once, never written again, and
+	// shared with every clone.
+	index *tensor.ConvIndex
+
 	// W has shape (filters, C·K·K); B has shape (filters).
 	W, B *Param
 
@@ -46,21 +52,23 @@ type Conv2D struct {
 	// parallel forward, indexed by deterministic block id so concurrent
 	// blocks never share a buffer. None of this state is cloned or
 	// serialized — see DESIGN.md §8.
-	scratch  tensor.Arena
-	blockRes []*tensor.Tensor
-	blockCol []*tensor.Tensor
-	doutMat  *tensor.Tensor
+	scratch    tensor.Arena
+	blockRes   []*tensor.Tensor
+	blockCol   []*tensor.Tensor
+	blockStage []*tensor.Tensor
+	doutMat    *tensor.Tensor
 
 	// Float32-backend equivalents of the caches above (layers32.go): the
 	// per-sample im2col views, per-block forward scratch, backward dout
 	// header and the arena holding the float32 shadow weights.
-	cols32     []*tensor.T32
-	colsHdr32  []*tensor.T32
-	colsFor32  *tensor.T32
-	scratch32  tensor.Arena32
-	blockRes32 []*tensor.T32
-	blockCol32 []*tensor.T32
-	doutMat32  *tensor.T32
+	cols32       []*tensor.T32
+	colsHdr32    []*tensor.T32
+	colsFor32    *tensor.T32
+	scratch32    tensor.Arena32
+	blockRes32   []*tensor.T32
+	blockCol32   []*tensor.T32
+	blockStage32 []*tensor.T32
+	doutMat32    *tensor.T32
 }
 
 var _ Prunable = (*Conv2D)(nil)
@@ -79,6 +87,7 @@ func NewConv2D(name string, dims tensor.ConvDims, filters int, rng *rand.Rand) *
 		name:    name,
 		dims:    dims,
 		filters: filters,
+		index:   tensor.ConvIndexFor(dims),
 		W:       newParam(name+".W", filters, fanIn),
 		B:       newParam(name+".B", filters),
 		pruned:  make([]bool, filters),
@@ -181,39 +190,53 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		for len(l.blockRes) < nb {
 			l.blockRes = append(l.blockRes, nil)
 			l.blockCol = append(l.blockCol, nil)
+			l.blockStage = append(l.blockStage, nil)
 		}
 		parallel.ForBlocksIndexed(n, func(blk, lo, hi int) {
-			res, col := l.blockScratch(blk, fanIn, spatial)
+			res, col, stage := l.blockScratch(blk, fanIn, spatial)
 			for s := lo; s < hi; s++ {
-				l.forwardSample(x, out, l.sampleCol(col, s, train), res, s, sampleIn, spatial, train)
+				l.forwardSample(x, out, l.sampleCol(col, s, train), res, stage, s, sampleIn, spatial)
 			}
 		})
 		return out
 	}
 	res := l.scratch.Get("res", l.filters, spatial)
-	var col *tensor.Tensor
+	var col, stage *tensor.Tensor
 	if !train {
 		col = l.scratch.Get("col", fanIn, spatial)
 	}
+	if l.index != nil {
+		stage = l.scratch.Get("stage", l.index.StageLen())
+	}
 	for s := 0; s < n; s++ {
-		l.forwardSample(x, out, l.sampleCol(col, s, train), res, s, sampleIn, spatial, train)
+		l.forwardSample(x, out, l.sampleCol(col, s, train), res, stage, s, sampleIn, spatial)
 	}
 	return out
 }
 
-// blockScratch returns the persistent matmul-result and im2col scratch of
-// block blk, growing lazily. Distinct blocks index distinct slice elements,
-// so concurrent blocks never share a buffer; a worker count raised between
-// forwards falls back to a private pair rather than racing.
-func (l *Conv2D) blockScratch(blk, fanIn, spatial int) (res, col *tensor.Tensor) {
+// blockScratch returns the persistent matmul-result, im2col and table-stage
+// scratch of block blk (the stage is nil for a layer without a table),
+// growing lazily. Distinct blocks index distinct slice elements, so
+// concurrent blocks never share a buffer; a worker count raised between
+// forwards falls back to a private set rather than racing.
+func (l *Conv2D) blockScratch(blk, fanIn, spatial int) (res, col, stage *tensor.Tensor) {
 	if blk >= len(l.blockRes) {
-		return tensor.New(l.filters, spatial), tensor.New(fanIn, spatial)
+		return tensor.New(l.filters, spatial), tensor.New(fanIn, spatial), l.newStage()
 	}
 	if l.blockRes[blk] == nil {
 		l.blockRes[blk] = tensor.New(l.filters, spatial)
 		l.blockCol[blk] = tensor.New(fanIn, spatial)
+		l.blockStage[blk] = l.newStage()
 	}
-	return l.blockRes[blk], l.blockCol[blk]
+	return l.blockRes[blk], l.blockCol[blk], l.blockStage[blk]
+}
+
+// newStage allocates a stage scratch for the layer's table, nil without one.
+func (l *Conv2D) newStage() *tensor.Tensor {
+	if l.index == nil {
+		return nil
+	}
+	return tensor.New(l.index.StageLen())
 }
 
 // sampleCol selects the im2col destination for sample s: the persistent
@@ -231,21 +254,21 @@ func (l *Conv2D) sampleCol(scratch *tensor.Tensor, s int, train bool) *tensor.Te
 const convParallelCutoff = 1 << 17
 
 // forwardSample convolves sample s of batch x into out, unrolling the
-// sample into col (the persistent cols view when training) and using res as
-// matmul scratch. It touches only sample-s slices of out and l.cols, so
-// distinct samples may run concurrently.
-func (l *Conv2D) forwardSample(x, out, col, res *tensor.Tensor, s, sampleIn, spatial int, train bool) {
+// sample into col (the persistent cols view when training) — through the
+// table and its stage scratch on narrow maps — and using res as matmul
+// scratch. It touches only sample-s slices of out and l.cols, so distinct
+// samples may run concurrently.
+func (l *Conv2D) forwardSample(x, out, col, res, stage *tensor.Tensor, s, sampleIn, spatial int) {
 	img := x.Data[s*sampleIn : (s+1)*sampleIn]
-	tensor.Im2Col(img, l.dims, col.Data)
+	if l.index != nil {
+		tensor.Im2ColIndexed(l.index, img, stage.Data, col.Data)
+	} else {
+		tensor.Im2Col(img, l.dims, col.Data)
+	}
 	tensor.MatMulInto(res, l.W.Value, col)
 	dst := out.Data[s*l.filters*spatial : (s+1)*l.filters*spatial]
 	for f := 0; f < l.filters; f++ {
-		b := l.B.Value.Data[f]
-		row := res.Data[f*spatial : (f+1)*spatial]
-		drow := dst[f*spatial : (f+1)*spatial]
-		for j, v := range row {
-			drow[j] = v + b
-		}
+		tensor.AddScalar(dst[f*spatial:(f+1)*spatial], res.Data[f*spatial:(f+1)*spatial], l.B.Value.Data[f])
 	}
 }
 
@@ -272,11 +295,14 @@ func (l *Conv2D) backwardImpl(dout *tensor.Tensor, needDX bool) *tensor.Tensor {
 	spatial := d.OutH() * d.OutW()
 	sampleIn := d.C * d.H * d.W
 	fanIn := d.C * d.K * d.K
-	var dx, dcol *tensor.Tensor
+	var dx, dcol, stage *tensor.Tensor
 	if needDX {
 		dx = l.scratch.Get("dx", l.inShape...)
 		dx.Zero() // Col2Im accumulates
 		dcol = l.scratch.Get("dcol", fanIn, spatial)
+		if l.index != nil {
+			stage = l.scratch.Get("stage", l.index.StageLen())
+		}
 	}
 	dW := l.scratch.Get("dW", l.filters, fanIn)
 	if l.doutMat == nil {
@@ -288,24 +314,57 @@ func (l *Conv2D) backwardImpl(dout *tensor.Tensor, needDX bool) *tensor.Tensor {
 		// dW += dout · colᵀ
 		tensor.MatMulTransBInto(dW, doutMat, l.cols[s])
 		l.W.Grad.Add(dW)
-		// db += row sums of dout
-		for f := 0; f < l.filters; f++ {
-			row := doutMat.Data[f*spatial : (f+1)*spatial]
-			s0 := 0.0
-			for _, v := range row {
-				s0 += v
-			}
-			l.B.Grad.Data[f] += s0
-		}
+		addRowSums(l.B.Grad.Data, doutMat.Data, spatial) // db += row sums of dout
 		if needDX {
 			// dx = col2im(Wᵀ · dout)
 			tensor.MatMulTransAInto(dcol, l.W.Value, doutMat)
-			tensor.Col2Im(dcol.Data, d, dx.Data[s*sampleIn:(s+1)*sampleIn])
+			dxs := dx.Data[s*sampleIn : (s+1)*sampleIn]
+			if l.index != nil {
+				tensor.Col2ImIndexed(l.index, dcol.Data, stage.Data, dxs)
+			} else {
+				tensor.Col2Im(dcol.Data, d, dxs)
+			}
 		}
 	}
 	// Gradients of pruned channels are discarded so masked units stay dead.
 	l.maskGrads()
 	return dx
+}
+
+// addRowSums adds the sum of row f of m (len(grad) rows of spatial
+// elements) to grad[f]. Each row is summed in E, first element to last, as
+// one chain; four rows go side by side so that four chains are in flight.
+func addRowSums[E tensor.Elem](grad []float64, m []E, spatial int) {
+	f := 0
+	for ; f+4 <= len(grad); f += 4 {
+		r0, r1, r2, r3 := rows4(m, f*spatial, spatial)
+		var s0, s1, s2, s3 E
+		for i, v := range r0 {
+			s0 += v
+			s1 += r1[i]
+			s2 += r2[i]
+			s3 += r3[i]
+		}
+		grad[f] += float64(s0)
+		grad[f+1] += float64(s1)
+		grad[f+2] += float64(s2)
+		grad[f+3] += float64(s3)
+	}
+	for ; f < len(grad); f++ {
+		var s E
+		for _, v := range m[f*spatial : (f+1)*spatial] {
+			s += v
+		}
+		grad[f] += float64(s)
+	}
+}
+
+// rows4 slices four consecutive n-element rows of x starting at base, the
+// last three cut to the length of the first so that a loop ranging over the
+// first indexes the others without bounds checks.
+func rows4[E tensor.Elem](x []E, base, n int) (r0, r1, r2, r3 []E) {
+	r0 = x[base : base+n]
+	return r0, x[base+n:][:len(r0)], x[base+2*n:][:len(r0)], x[base+3*n:][:len(r0)]
 }
 
 // Params implements Layer.
@@ -318,6 +377,7 @@ func (l *Conv2D) CloneLayer() Layer {
 		name:    l.name,
 		dims:    l.dims,
 		filters: l.filters,
+		index:   l.index,
 		W:       l.W.clone(),
 		B:       l.B.clone(),
 		pruned:  append([]bool(nil), l.pruned...),

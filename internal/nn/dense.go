@@ -91,10 +91,7 @@ func (l *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	tensor.MatMulInto(out, x, l.W.Value)
 	for s := 0; s < n; s++ {
-		row := out.Data[s*l.out : (s+1)*l.out]
-		for j := range row {
-			row[j] += l.B.Value.Data[j]
-		}
+		tensor.Add(out.Data[s*l.out:(s+1)*l.out], l.B.Value.Data)
 	}
 	return out
 }
@@ -112,10 +109,7 @@ func (l *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	// db += column sums of dout
 	n := dout.Dim(0)
 	for s := 0; s < n; s++ {
-		row := dout.Data[s*l.out : (s+1)*l.out]
-		for j, v := range row {
-			l.B.Grad.Data[j] += v
-		}
+		tensor.Add(l.B.Grad.Data, dout.Data[s*l.out:(s+1)*l.out])
 	}
 	l.maskGrads()
 	// dx = dout · Wᵀ

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
 	"github.com/fedcleanse/fedcleanse/internal/tensor"
@@ -11,7 +10,13 @@ import (
 // Native float32 forward/backward paths for every shipped layer (the
 // layer32 interface, see backend.go). Structure mirrors the float64
 // methods line for line: same scratch-arena slots, same parallel blocking,
-// same prune-mask handling. The deliberate differences:
+// same prune-mask handling. What does not depend on the buffer types is
+// not mirrored but shared: every element-wise loop is a generic
+// tensor function (tensor/vec.go), and BatchNorm's whole forward and
+// backward (bnForward, bnBackward) and the conv bias-gradient row sums
+// (addRowSums) are single generic functions in batchnorm.go and conv.go —
+// the methods here only pick float32 buffers for them. The deliberate
+// differences:
 //
 //   - Weights are float32 shadows, re-narrowed from the float64
 //     Param.Value at the top of each forward pass. The narrowing is O(P)
@@ -21,7 +26,7 @@ import (
 //     narrows to exactly 0.0 in float32, so pruning semantics carry over
 //     bit-exactly.
 //   - Parameter gradients are accumulated into the float64 Param.Grad
-//     (addGrad32), keeping the optimizer, aggregation and checkpoint state
+//     (tensor.AddWiden), keeping the optimizer, aggregation and checkpoint state
 //     in canonical precision.
 //   - float32 activations never leave the Sequential (the boundary widens
 //     them), so eval outputs always live in layer scratch — there is no
@@ -74,10 +79,7 @@ func (l *Dense) Forward32(x *tensor.T32, train bool) *tensor.T32 {
 	}
 	tensor.MatMulInto32(out, x, w)
 	for s := 0; s < n; s++ {
-		row := out.Data[s*l.out : (s+1)*l.out]
-		for j := range row {
-			row[j] += b.Data[j]
-		}
+		tensor.Add(out.Data[s*l.out:(s+1)*l.out], b.Data)
 	}
 	return out
 }
@@ -90,13 +92,10 @@ func (l *Dense) Backward32(dout *tensor.T32) *tensor.T32 {
 	// dW = x32ᵀ · dout, accumulated into the float64 gradient.
 	dW := l.scratch32.Get("dW", l.in, l.out)
 	tensor.MatMulTransAInto32(dW, l.x32, dout)
-	addGrad32(l.W.Grad.Data, dW.Data)
+	tensor.AddWiden(l.W.Grad.Data, dW.Data)
 	n := dout.Dim(0)
 	for s := 0; s < n; s++ {
-		row := dout.Data[s*l.out : (s+1)*l.out]
-		for j, v := range row {
-			l.B.Grad.Data[j] += float64(v)
-		}
+		tensor.AddWiden(l.B.Grad.Data, dout.Data[s*l.out:(s+1)*l.out])
 	}
 	l.maskGrads()
 	// dx = dout · Wᵀ, against the shadow weights Forward32 synced.
@@ -177,37 +176,50 @@ func (l *Conv2D) Forward32(x *tensor.T32, train bool) *tensor.T32 {
 		for len(l.blockRes32) < nb {
 			l.blockRes32 = append(l.blockRes32, nil)
 			l.blockCol32 = append(l.blockCol32, nil)
+			l.blockStage32 = append(l.blockStage32, nil)
 		}
 		parallel.ForBlocksIndexed(n, func(blk, lo, hi int) {
-			res, col := l.blockScratch32(blk, fanIn, spatial)
+			res, col, stage := l.blockScratch32(blk, fanIn, spatial)
 			for s := lo; s < hi; s++ {
-				l.forwardSample32(x, out, l.sampleCol32(col, s, train), res, w, b, s, sampleIn, spatial)
+				l.forwardSample32(x, out, l.sampleCol32(col, s, train), res, stage, w, b, s, sampleIn, spatial)
 			}
 		})
 		return out
 	}
 	res := l.scratch32.Get("res", l.filters, spatial)
-	var col *tensor.T32
+	var col, stage *tensor.T32
 	if !train {
 		col = l.scratch32.Get("col", fanIn, spatial)
 	}
+	if l.index != nil {
+		stage = l.scratch32.Get("stage", l.index.StageLen())
+	}
 	for s := 0; s < n; s++ {
-		l.forwardSample32(x, out, l.sampleCol32(col, s, train), res, w, b, s, sampleIn, spatial)
+		l.forwardSample32(x, out, l.sampleCol32(col, s, train), res, stage, w, b, s, sampleIn, spatial)
 	}
 	return out
 }
 
 // blockScratch32 mirrors blockScratch for the float32 sample-parallel
 // forward.
-func (l *Conv2D) blockScratch32(blk, fanIn, spatial int) (res, col *tensor.T32) {
+func (l *Conv2D) blockScratch32(blk, fanIn, spatial int) (res, col, stage *tensor.T32) {
 	if blk >= len(l.blockRes32) {
-		return tensor.New32(l.filters, spatial), tensor.New32(fanIn, spatial)
+		return tensor.New32(l.filters, spatial), tensor.New32(fanIn, spatial), l.newStage32()
 	}
 	if l.blockRes32[blk] == nil {
 		l.blockRes32[blk] = tensor.New32(l.filters, spatial)
 		l.blockCol32[blk] = tensor.New32(fanIn, spatial)
+		l.blockStage32[blk] = l.newStage32()
 	}
-	return l.blockRes32[blk], l.blockCol32[blk]
+	return l.blockRes32[blk], l.blockCol32[blk], l.blockStage32[blk]
+}
+
+// newStage32 mirrors newStage.
+func (l *Conv2D) newStage32() *tensor.T32 {
+	if l.index == nil {
+		return nil
+	}
+	return tensor.New32(l.index.StageLen())
 }
 
 // sampleCol32 mirrors sampleCol.
@@ -221,18 +233,17 @@ func (l *Conv2D) sampleCol32(scratch *tensor.T32, s int, train bool) *tensor.T32
 // forwardSample32 convolves sample s, the float32 twin of forwardSample.
 // The shadow weights w/b are read-only here, so concurrent sample blocks
 // share them safely.
-func (l *Conv2D) forwardSample32(x, out, col, res, w, b *tensor.T32, s, sampleIn, spatial int) {
+func (l *Conv2D) forwardSample32(x, out, col, res, stage, w, b *tensor.T32, s, sampleIn, spatial int) {
 	img := x.Data[s*sampleIn : (s+1)*sampleIn]
-	tensor.Im2Col32(img, l.dims, col.Data)
+	if l.index != nil {
+		tensor.Im2ColIndexed(l.index, img, stage.Data, col.Data)
+	} else {
+		tensor.Im2Col32(img, l.dims, col.Data)
+	}
 	tensor.MatMulInto32(res, w, col)
 	dst := out.Data[s*l.filters*spatial : (s+1)*l.filters*spatial]
 	for f := 0; f < l.filters; f++ {
-		bv := b.Data[f]
-		row := res.Data[f*spatial : (f+1)*spatial]
-		drow := dst[f*spatial : (f+1)*spatial]
-		for j, v := range row {
-			drow[j] = v + bv
-		}
+		tensor.AddScalar(dst[f*spatial:(f+1)*spatial], res.Data[f*spatial:(f+1)*spatial], b.Data[f])
 	}
 }
 
@@ -253,12 +264,15 @@ func (l *Conv2D) backwardImpl32(dout *tensor.T32, needDX bool) *tensor.T32 {
 	spatial := d.OutH() * d.OutW()
 	sampleIn := d.C * d.H * d.W
 	fanIn := d.C * d.K * d.K
-	var dx, dcol, w *tensor.T32
+	var dx, dcol, w, stage *tensor.T32
 	if needDX {
 		dx = l.scratch32.Get("dx", l.inShape...)
 		dx.Zero() // Col2Im accumulates
 		dcol = l.scratch32.Get("dcol", fanIn, spatial)
 		w = l.scratch32.Get("W", l.filters, fanIn) // synced by Forward32
+		if l.index != nil {
+			stage = l.scratch32.Get("stage", l.index.StageLen())
+		}
 	}
 	dW := l.scratch32.Get("dW", l.filters, fanIn)
 	if l.doutMat32 == nil {
@@ -269,20 +283,17 @@ func (l *Conv2D) backwardImpl32(dout *tensor.T32, needDX bool) *tensor.T32 {
 		doutMat.Data = dout.Data[s*l.filters*spatial : (s+1)*l.filters*spatial]
 		// dW += dout · colᵀ, accumulated into the float64 gradient.
 		tensor.MatMulTransBInto32(dW, doutMat, l.cols32[s])
-		addGrad32(l.W.Grad.Data, dW.Data)
-		// db += row sums of dout
-		for f := 0; f < l.filters; f++ {
-			row := doutMat.Data[f*spatial : (f+1)*spatial]
-			var s0 float32
-			for _, v := range row {
-				s0 += v
-			}
-			l.B.Grad.Data[f] += float64(s0)
-		}
+		tensor.AddWiden(l.W.Grad.Data, dW.Data)
+		addRowSums(l.B.Grad.Data, doutMat.Data, spatial) // db += row sums of dout
 		if needDX {
 			// dx = col2im(Wᵀ · dout)
 			tensor.MatMulTransAInto32(dcol, w, doutMat)
-			tensor.Col2Im32(dcol.Data, d, dx.Data[s*sampleIn:(s+1)*sampleIn])
+			dxs := dx.Data[s*sampleIn : (s+1)*sampleIn]
+			if l.index != nil {
+				tensor.Col2ImIndexed(l.index, dcol.Data, stage.Data, dxs)
+			} else {
+				tensor.Col2Im32(dcol.Data, d, dxs)
+			}
 		}
 	}
 	l.maskGrads()
@@ -312,52 +323,11 @@ func (l *BatchNorm2D) Forward32(x *tensor.T32, train bool) *tensor.T32 {
 	} else {
 		out = l.scratch32.GetLike("eout", x)
 	}
-	cnt := float64(n * hw)
-	for c := 0; c < l.channels; c++ {
-		var mean, variance float64
-		if train && !l.frozen {
-			sum := 0.0
-			for s := 0; s < n; s++ {
-				base := (s*l.channels + c) * hw
-				for i := 0; i < hw; i++ {
-					sum += float64(x.Data[base+i])
-				}
-			}
-			mean = sum / cnt
-			ss := 0.0
-			for s := 0; s < n; s++ {
-				base := (s*l.channels + c) * hw
-				for i := 0; i < hw; i++ {
-					d := float64(x.Data[base+i]) - mean
-					ss += d * d
-				}
-			}
-			variance = ss / cnt
-			l.RunMean.Value.Data[c] = l.momentum*l.RunMean.Value.Data[c] + (1-l.momentum)*mean
-			l.RunVar.Value.Data[c] = l.momentum*l.RunVar.Value.Data[c] + (1-l.momentum)*variance
-		} else {
-			mean, variance = l.RunMean.Value.Data[c], l.RunVar.Value.Data[c]
-			if variance < 0 {
-				variance = 0
-			}
-		}
-		inv := 1 / math.Sqrt(variance+l.eps)
-		mean32, inv32 := float32(mean), float32(inv)
-		g, b := float32(l.Gamma.Value.Data[c]), float32(l.Beta.Value.Data[c])
-		for s := 0; s < n; s++ {
-			base := (s*l.channels + c) * hw
-			for i := 0; i < hw; i++ {
-				xh := (x.Data[base+i] - mean32) * inv32
-				if train {
-					l.xhat32.Data[base+i] = xh
-				}
-				out.Data[base+i] = g*xh + b
-			}
-		}
-		if train {
-			l.invStd[c] = inv
-		}
+	var xhat []float32
+	if train {
+		xhat = l.xhat32.Data
 	}
+	bnForward(l, out.Data, xhat, x.Data, n, hw, train)
 	return out
 }
 
@@ -367,94 +337,33 @@ func (l *BatchNorm2D) Backward32(dout *tensor.T32) *tensor.T32 {
 	if l.xhat32 == nil {
 		panic(fmt.Sprintf("nn: %s: Backward32 without training Forward32", l.name))
 	}
-	n, hw := l.n, l.hw
-	cnt := float64(n * hw)
 	dx := l.scratch32.GetLike("dx", dout)
-	if l.frozenPass {
-		for c := 0; c < l.channels; c++ {
-			g := float32(l.Gamma.Value.Data[c] * l.invStd[c])
-			for s := 0; s < n; s++ {
-				base := (s*l.channels + c) * hw
-				for i := 0; i < hw; i++ {
-					dx.Data[base+i] = dout.Data[base+i] * g
-				}
-			}
-		}
-		return dx
-	}
-	for c := 0; c < l.channels; c++ {
-		var dg, db float64
-		for s := 0; s < n; s++ {
-			base := (s*l.channels + c) * hw
-			for i := 0; i < hw; i++ {
-				d := float64(dout.Data[base+i])
-				xh := float64(l.xhat32.Data[base+i])
-				dg += d * xh
-				db += d
-			}
-		}
-		l.Gamma.Grad.Data[c] += dg
-		l.Beta.Grad.Data[c] += db
-		g := l.Gamma.Value.Data[c]
-		sumDxh := db * g
-		sumDxhXh := dg * g
-		inv := l.invStd[c]
-		g32 := float32(g)
-		scale := float32(inv / cnt)
-		cnt32 := float32(cnt)
-		sumDxh32, sumDxhXh32 := float32(sumDxh), float32(sumDxhXh)
-		for s := 0; s < n; s++ {
-			base := (s*l.channels + c) * hw
-			for i := 0; i < hw; i++ {
-				dxh := dout.Data[base+i] * g32
-				xh := l.xhat32.Data[base+i]
-				dx.Data[base+i] = scale * (cnt32*dxh - sumDxh32 - xh*sumDxhXh32)
-			}
-		}
-	}
-	l.maskGrads()
+	bnBackward(l, dx.Data, dout.Data, l.xhat32.Data)
 	return dx
 }
 
-// Forward32 implements layer32. The positive-mask cache is shared with the
-// float64 path (only one precision is active per model). Branch-free form
-// for the same reason as the float64 Forward: an if/else select costs a
-// mispredicting data-dependent branch per element.
+// Forward32 implements layer32; the trained marker is shared with the
+// float64 path (only one precision is active per model).
 func (l *ReLU) Forward32(x *tensor.T32, train bool) *tensor.T32 {
-	if !train {
-		out := l.scratch32.GetLike("eout", x)
-		for i, v := range x.Data {
-			out.Data[i] = max(v, 0)
-		}
-		l.mask = nil
-		return out
+	slot := "eout"
+	if train {
+		slot = "out"
 	}
-	out := l.scratch32.GetLike("out", x)
-	if cap(l.mask) < len(out.Data) {
-		l.mask = make([]bool, len(out.Data))
-	}
-	l.mask = l.mask[:len(out.Data)]
-	for i, v := range x.Data {
-		out.Data[i] = max(v, 0)
-		l.mask[i] = v > 0
-	}
+	out := l.scratch32.GetLike(slot, x)
+	tensor.Relu(out.Data, x.Data)
+	l.trained = train
 	return out
 }
 
-// Backward32 implements layer32, gating dout by the sign of the cached
-// training output exactly as the float64 Backward does (branch-free; the
-// bool mask stays the trained-state marker).
+// Backward32 implements layer32, gating dout by the bits of the cached
+// training output exactly as the float64 Backward does.
 func (l *ReLU) Backward32(dout *tensor.T32) *tensor.T32 {
-	if l.mask == nil {
+	if !l.trained {
 		panic(fmt.Sprintf("nn: %s: Backward32 without training Forward32", l.name))
 	}
 	out := l.scratch32.GetLike("out", dout)
 	dx := l.scratch32.GetLike("dx", dout)
-	for i, v := range dout.Data {
-		ob := math.Float32bits(out.Data[i])
-		keep := uint32(int32(ob|-ob) >> 31)
-		dx.Data[i] = math.Float32frombits(math.Float32bits(v) & keep)
-	}
+	tensor.ReluBackward(dx.Data, dout.Data, out.Data)
 	return dx
 }
 

@@ -267,10 +267,7 @@ func (m *Sequential) AddDeltaVector(alpha float64, delta []float64) {
 	off := 0
 	for _, p := range m.Params() {
 		n := p.Value.Len()
-		data := p.Value.Data
-		for i := 0; i < n; i++ {
-			data[i] += alpha * delta[off+i]
-		}
+		tensor.Axpy(p.Value.Data, alpha, delta[off:off+n])
 		off += n
 	}
 	m.EnforceMasks()

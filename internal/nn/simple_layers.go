@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/fedcleanse/fedcleanse/internal/tensor"
 )
@@ -10,7 +9,10 @@ import (
 // ReLU applies max(0, x) element-wise.
 type ReLU struct {
 	name string
-	mask []bool // true where input > 0 in the last training forward
+
+	// trained records that the last forward pass was a training one, so
+	// that the cached output Backward gates on is that pass's.
+	trained bool
 
 	// evalReuse routes inference outputs through the scratch arena
 	// (Sequential.SetEvalReuse).
@@ -21,7 +23,7 @@ type ReLU struct {
 	// the result. Not cloned.
 	scratch tensor.Arena
 
-	// scratch32 is the float32-backend equivalent (layers32.go); the mask
+	// scratch32 is the float32-backend equivalent (layers32.go); trained
 	// is shared, since only one precision is active per model.
 	scratch32 tensor.Arena32
 }
@@ -34,54 +36,36 @@ func NewReLU(name string) *ReLU { return &ReLU{name: name} }
 // Name implements Layer.
 func (l *ReLU) Name() string { return l.name }
 
-// Forward implements Layer. The clamp is written as the max builtin and
-// the mask as a bare comparison store: both compile branch-free, where an
-// if/else select costs a data-dependent branch per element that
-// mispredicts ~50% of the time on activation-like inputs (measured ~3×
-// slower than this form).
+// Forward implements Layer: tensor.Relu, the builtin max(x, 0) element by
+// element (branch-free on either kernel path; an if/else select costs a
+// data-dependent branch per element that mispredicts ~50% of the time on
+// activation-like inputs).
 func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train {
-		var out *tensor.Tensor
-		if l.evalReuse {
-			out = l.scratch.GetLike("eout", x)
-		} else {
-			out = tensor.New(x.Shape()...)
-		}
-		for i, v := range x.Data {
-			out.Data[i] = max(v, 0)
-		}
-		l.mask = nil
-		return out
+	var out *tensor.Tensor
+	switch {
+	case train:
+		out = l.scratch.GetLike("out", x)
+	case l.evalReuse:
+		out = l.scratch.GetLike("eout", x)
+	default:
+		out = tensor.New(x.Shape()...)
 	}
-	out := l.scratch.GetLike("out", x)
-	if cap(l.mask) < len(out.Data) {
-		l.mask = make([]bool, len(out.Data))
-	}
-	l.mask = l.mask[:len(out.Data)]
-	for i, v := range x.Data {
-		out.Data[i] = max(v, 0)
-		l.mask[i] = v > 0
-	}
+	tensor.Relu(out.Data, x.Data)
+	l.trained = train
 	return out
 }
 
 // Backward implements Layer. dx lives in a reusable buffer. The pass-mask
-// is derived from the cached training output rather than the bool mask:
-// out is max(x, 0), so its bits are nonzero exactly where x > 0, and
-// `(ob|-ob)>>31` turns that into an all-ones/all-zero word that gates
-// dout without a branch (the bool mask would put a mispredicting branch
-// back in the loop; it is kept as the trained-state marker).
+// is derived from the cached training output: out is max(x, 0), so its
+// bits are nonzero exactly where x > 0, and tensor.ReluBackward gates dout
+// by that without a branch.
 func (l *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if l.mask == nil {
+	if !l.trained {
 		panic(fmt.Sprintf("nn: %s: Backward without training Forward", l.name))
 	}
 	out := l.scratch.GetLike("out", dout)
 	dx := l.scratch.GetLike("dx", dout)
-	for i, v := range dout.Data {
-		ob := math.Float64bits(out.Data[i])
-		keep := uint64(int64(ob|-ob) >> 63)
-		dx.Data[i] = math.Float64frombits(math.Float64bits(v) & keep)
-	}
+	tensor.ReluBackward(dx.Data, dout.Data, out.Data)
 	return dx
 }
 

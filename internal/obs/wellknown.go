@@ -79,11 +79,13 @@ var M = struct {
 	ForTasks      *Counter // worker goroutines' worth of work executed
 	ForQueueDepth *Gauge   // fanned-out workers started but not yet finished
 
-	// Numeric kernels (internal/tensor, DESIGN.md §17). Set once at tensor
-	// package initialization from CPUID: 1 when the tiled matmuls run the
-	// AVX2 assembly, 0 when they run the pure-Go loops (other
-	// architectures, older CPUs) — the first thing to read when the same
-	// commit trains 2× slower on another host.
+	// Numeric kernels (internal/tensor, DESIGN.md §17–18). Set once at
+	// tensor package initialization from CPUID: 1 when the tiled matmuls
+	// and the element-wise passes between them (ReLU, bias and gradient
+	// adds, the optimizer's axpy, precision conversions, BatchNorm's
+	// normalize and dx) run the AVX2 assembly, 0 when they run the pure-Go
+	// loops (other architectures, older CPUs) — the first thing to read
+	// when the same commit trains 2–3× slower on another host.
 	TensorKernelAVX2 *Gauge
 
 	// Tracing + flight recorder (DESIGN.md §16).

@@ -50,6 +50,46 @@ func TestMatMulIntoKernelsAllocFree(t *testing.T) {
 	}
 }
 
+// TestVecAndTableEntryPointsAllocFree extends the gate to the element-wise
+// passes (vec.go) and the table im2col/col2im: generic dispatch, the
+// unsafe views and the assembly calls must not put anything on the heap,
+// in either precision.
+func TestVecAndTableEntryPointsAllocFree(t *testing.T) {
+	const n = 300
+	rng := rand.New(rand.NewSource(42))
+	a, b, c := randSlice[float64](rng, n), randSlice[float64](rng, n), randSlice[float64](rng, n)
+	a32, b32, c32 := randSlice[float32](rng, n), randSlice[float32](rng, n), randSlice[float32](rng, n)
+	t64, t32 := FromSlice(a, n), FromSlice32(a32, n)
+	d := ConvDims{C: 4, H: 4, W: 4, K: 3, Stride: 1, Pad: 1}
+	tab := ConvIndexFor(d)
+	img, img32 := randSlice[float64](rng, d.C*d.H*d.W), randSlice[float32](rng, d.C*d.H*d.W)
+	col, col32 := make([]float64, d.C*d.K*d.K*d.OutH()*d.OutW()), make([]float32, d.C*d.K*d.K*d.OutH()*d.OutW())
+	stage, stage32 := make([]float64, tab.StageLen()), make([]float32, tab.StageLen())
+
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"Relu", func() { Relu(a, b); Relu(a32, b32) }},
+		{"ReluBackward", func() { ReluBackward(a, b, c); ReluBackward(a32, b32, c32) }},
+		{"Add", func() { Add(a, b); Add(a32, b32) }},
+		{"AddScalar", func() { AddScalar(a, b, 0.5); AddScalar(a32, b32, 0.5) }},
+		{"Axpy", func() { Axpy(a, 0.5, b) }},
+		{"Scale", func() { Scale(a, b, 0.5); Scale(a32, b32, 0.5) }},
+		{"AddWiden", func() { AddWiden(a, b32) }},
+		{"From64", func() { t32.From64(t64) }},
+		{"To64", func() { t32.To64(t64) }},
+		{"NormAffine", func() { NormAffine(a, c, b, 0.1, 2, 1.5, 0.2); NormAffine(a32, nil, b32, 0.1, 2, 1.5, 0.2) }},
+		{"NormBackward", func() { NormBackward(a, b, c, 1, 2, 3, 4, 5); NormBackward(a32, b32, c32, 1, 2, 3, 4, 5) }},
+		{"Im2ColIndexed", func() { Im2ColIndexed(tab, img, stage, col); Im2ColIndexed(tab, img32, stage32, col32) }},
+		{"Col2ImIndexed", func() { Col2ImIndexed(tab, col, stage, img); Col2ImIndexed(tab, col32, stage32, img32) }},
+	} {
+		if allocs := testing.AllocsPerRun(20, tc.f); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // TestArenaGetAllocFreeWhenWarm gates the arena's core promise: a hit on an
 // existing (slot, shape) key allocates nothing, including the variadic
 // shape argument.

@@ -82,3 +82,86 @@ func BenchmarkCol2Im16x16(b *testing.B) {
 		Col2Im(col, d, dst)
 	}
 }
+
+// The benchmarks below report ns/elem — the figure the element-wise
+// routines and the narrow-map tables were accepted at (DESIGN.md §18), so
+// the bench-smoke artifact has something a later regression can be
+// compared with.
+
+// perElem times f, which makes one pass over elems elements, after one
+// untimed call — bench-smoke runs a single iteration, which would
+// otherwise time page faults and cold caches.
+func perElem(b *testing.B, elems int, f func()) {
+	f()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elems), "ns/elem")
+}
+
+func benchVecRelu[E Elem](b *testing.B) {
+	const n = 8 * 16 * 16 // one SmallCNN conv1 activation map
+	rng := rand.New(rand.NewSource(4))
+	x, dst := randSlice[E](rng, n), make([]E, n)
+	perElem(b, n, func() { Relu(dst, x) })
+}
+
+func BenchmarkVecRelu64(b *testing.B) { benchVecRelu[float64](b) }
+func BenchmarkVecRelu32(b *testing.B) { benchVecRelu[float32](b) }
+
+// narrowDims are MiniVGG's conv2, conv4 and conv8 on a 16×16 input: the
+// 8-, 4- and 2-wide maps the table exists for.
+var narrowDims = []struct {
+	name string
+	d    ConvDims
+}{
+	{"w8", ConvDims{C: 8, H: 8, W: 8, K: 3, Stride: 1, Pad: 1}},
+	{"w4", ConvDims{C: 16, H: 4, W: 4, K: 3, Stride: 1, Pad: 1}},
+	{"w2", ConvDims{C: 32, H: 2, W: 2, K: 3, Stride: 1, Pad: 1}},
+}
+
+// BenchmarkIm2ColNarrow is the table gather on the narrow maps; the walk
+// sub-benchmarks run the segment-copy Im2Col32 on the same geometry, the
+// pair the crossover constant narrowConvWidth rests on.
+func BenchmarkIm2ColNarrow(b *testing.B) {
+	for _, g := range narrowDims {
+		d := g.d
+		rng := rand.New(rand.NewSource(5))
+		img := randSlice[float32](rng, d.C*d.H*d.W)
+		cells := d.C * d.K * d.K * d.OutH() * d.OutW()
+		dst := make([]float32, cells)
+		t := newConvIndex(d)
+		stage := make([]float32, t.StageLen())
+		b.Run(g.name, func(b *testing.B) {
+			perElem(b, cells, func() { Im2ColIndexed(t, img, stage, dst) })
+		})
+		b.Run(g.name+"-walk", func(b *testing.B) {
+			perElem(b, cells, func() { Im2Col32(img, d, dst) })
+		})
+	}
+}
+
+func BenchmarkCol2ImNarrow(b *testing.B) {
+	for _, g := range narrowDims {
+		d := g.d
+		rng := rand.New(rand.NewSource(6))
+		cells := d.C * d.K * d.K * d.OutH() * d.OutW()
+		col := randSlice[float32](rng, cells)
+		dst := make([]float32, d.C*d.H*d.W)
+		t := newConvIndex(d)
+		stage := make([]float32, t.StageLen())
+		b.Run(g.name, func(b *testing.B) {
+			perElem(b, cells, func() {
+				clear(dst)
+				Col2ImIndexed(t, col, stage, dst)
+			})
+		})
+		b.Run(g.name+"-walk", func(b *testing.B) {
+			perElem(b, cells, func() {
+				clear(dst)
+				Col2Im32(col, d, dst)
+			})
+		})
+	}
+}

@@ -174,3 +174,67 @@ func TestIm2ColLengthMismatchPanics(t *testing.T) {
 	}()
 	Im2Col(make([]float64, 16), d, make([]float64, 3))
 }
+
+// checkConvIndex compares the table form with the walks on one geometry:
+// the gather against im2colKernel, and the scatter-add against
+// col2imKernel when both accumulate into the same non-zero image. Inputs
+// carry signed zeros and a few NaNs, so "the padding reads +0" and "the
+// adds arrive in the walk's order" are both checked by bits.
+func checkConvIndex[E Elem](t *testing.T, rng *rand.Rand, d ConvDims) {
+	t.Helper()
+	tab := newConvIndex(d)
+	imgLen := d.C * d.H * d.W
+	cells := d.C * d.K * d.K * d.OutH() * d.OutW()
+	sp := vecValues[E]()
+
+	img := make([]E, imgLen)
+	fillOperand(rng, img, sp)
+	stage := randSlice[E](rng, tab.StageLen()) // stale contents must not matter
+	got, want := randSlice[E](rng, cells), make([]E, cells)
+	Im2ColIndexed(tab, img, stage, got)
+	im2colKernel(img, d, want)
+	if i, ok := sameCells(got, want); !ok {
+		t.Fatalf("%+v: gathered cell %d = %v, walk %v", d, i, got[i], want[i])
+	}
+
+	col := make([]E, cells)
+	fillOperand(rng, col, specials[E](false))
+	gotImg := randSlice[E](rng, imgLen)
+	wantImg := append([]E(nil), gotImg...)
+	Col2ImIndexed(tab, col, stage, gotImg)
+	col2imKernel(col, d, wantImg)
+	if i, ok := sameCells(gotImg, wantImg); !ok {
+		t.Fatalf("%+v: scattered cell %d = %v, walk %v", d, i, gotImg[i], wantImg[i])
+	}
+}
+
+func TestConvIndexMatchesWalks(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, k := range []int{1, 3, 5} {
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, 1, 2} {
+				for _, c := range []int{1, 3, 32} {
+					for w := 1; w <= 17; w++ {
+						d := ConvDims{C: c, H: w + 2, W: w, K: k, Stride: stride, Pad: pad}
+						if d.Validate() != nil {
+							continue
+						}
+						checkConvIndex[float64](t, rng, d)
+						checkConvIndex[float32](t, rng, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConvIndexForNarrowMapsOnly pins the rule that picks the table: the
+// output width, nothing else.
+func TestConvIndexForNarrowMapsOnly(t *testing.T) {
+	for w := 1; w <= 17; w++ {
+		d := ConvDims{C: 2, H: 3, W: w, K: 3, Stride: 1, Pad: 1}
+		if got, want := ConvIndexFor(d) != nil, w <= narrowConvWidth; got != want {
+			t.Errorf("output width %d: table built = %v, want %v", w, got, want)
+		}
+	}
+}

@@ -349,8 +349,11 @@ func im2colStride1[E Elem](img []E, d ConvDims, dst []E) {
 				if dxo+outW > d.W {
 					hi = d.W - dxo
 				}
-				if hi < lo {
-					hi = lo
+				if hi <= lo {
+					// The whole kernel column reads padding.
+					clear(drow)
+					row++
+					continue
 				}
 				for oy := 0; oy < outH; oy++ {
 					iy := oy + dy
@@ -437,8 +440,10 @@ func col2imStride1[E Elem](col []E, d ConvDims, dst []E) {
 				if dxo+outW > d.W {
 					hi = d.W - dxo
 				}
-				if hi < lo {
-					hi = lo
+				if hi <= lo {
+					// The whole kernel column reads padding.
+					row++
+					continue
 				}
 				for oy := 0; oy < outH; oy++ {
 					iy := oy + dy

@@ -11,7 +11,8 @@ import (
 // loops of kernels.go otherwise. The choice is made once, from CPUID, and
 // nothing else selects it; both paths produce the same bits (DESIGN.md
 // §17), so the choice is visible only in the step time and in the
-// tensor_kernel_avx2 gauge.
+// tensor_kernel_avx2 gauge. The element-wise passes (vec_amd64.go) follow
+// the same switch.
 
 // useAVX2 is written at package initialization only; tests that compare
 // against the fallback call the *Go kernels directly.

@@ -5,6 +5,14 @@
 // multiplication, im2col, element-wise arithmetic, reductions and weight
 // statistics) with no external dependencies.
 //
+// The hot loops have two forms that give the same bits: pure Go, and on
+// amd64 CPUs with AVX2 the assembly of gemm_amd64.s (the three tiled
+// matmuls, DESIGN.md §17) and vec_amd64.s (the element-wise passes of
+// vec.go: ReLU, bias and gradient adds, axpy, precision conversions,
+// BatchNorm's normalize and dx rows, DESIGN.md §18). CPUID picks at
+// start-up; there is no flag. ConvIndex is the table form of
+// Im2Col/Col2Im for narrow feature maps, in plain Go on every platform.
+//
 // All operations either mutate the receiver in place (methods with verb
 // names such as Add, Scale, Zero) or allocate a fresh result (package
 // functions such as MatMul). Shape mismatches are programming errors and
@@ -144,9 +152,7 @@ func (t *Tensor) Add(other *Tensor) {
 	if len(t.Data) != len(other.Data) {
 		panic(fmt.Sprintf("tensor: Add length mismatch %d vs %d", len(t.Data), len(other.Data)))
 	}
-	for i, v := range other.Data {
-		t.Data[i] += v
-	}
+	add(t.Data, other.Data)
 }
 
 // AddScaled accumulates alpha*other into t element-wise.
@@ -154,9 +160,7 @@ func (t *Tensor) AddScaled(alpha float64, other *Tensor) {
 	if len(t.Data) != len(other.Data) {
 		panic(fmt.Sprintf("tensor: AddScaled length mismatch %d vs %d", len(t.Data), len(other.Data)))
 	}
-	for i, v := range other.Data {
-		t.Data[i] += alpha * v
-	}
+	axpy(t.Data, alpha, other.Data)
 }
 
 // Sub subtracts other from t element-wise.
@@ -171,9 +175,7 @@ func (t *Tensor) Sub(other *Tensor) {
 
 // Scale multiplies every element by alpha.
 func (t *Tensor) Scale(alpha float64) {
-	for i := range t.Data {
-		t.Data[i] *= alpha
-	}
+	scale(t.Data, t.Data, alpha)
 }
 
 // Mul multiplies t by other element-wise (Hadamard product).

@@ -92,9 +92,7 @@ func (t *T32) From64(src *Tensor) {
 	if len(t.Data) != len(src.Data) {
 		panic(fmt.Sprintf("tensor: From64 length mismatch %d vs %d", len(t.Data), len(src.Data)))
 	}
-	for i, v := range src.Data {
-		t.Data[i] = float32(v)
-	}
+	narrow(t.Data, src.Data)
 }
 
 // To64 widens t's elements into dst. Widening float32→float64 is exact,
@@ -105,9 +103,7 @@ func (t *T32) To64(dst *Tensor) {
 	if len(t.Data) != len(dst.Data) {
 		panic(fmt.Sprintf("tensor: To64 length mismatch %d vs %d", len(t.Data), len(dst.Data)))
 	}
-	for i, v := range t.Data {
-		dst.Data[i] = float64(v)
-	}
+	widen(dst.Data, t.Data)
 }
 
 // MatMulInto32 computes dst = a·b for float32 operands, through the same
