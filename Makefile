@@ -110,12 +110,13 @@ load-smoke:
 ## fault-injected federations (chaos), quorum/drop equivalence, server
 ## lifecycle, the decoder fuzz seeds, and the durability suite
 ## (kill-and-restart resume, torn checkpoints, the wire golden corpus and
-## the refusal of the deleted gob wire format).
+## the refusal of the deleted gob wire format), and the delta-ownership
+## suites (Recycle: a vector released too early is a race and a NaN here).
 ## Short mode skips the slowest full-pipeline chaos run; the plain `test`
 ## target covers it.
 chaos-test:
 	FEDCLEANSE_WORKERS=4 $(GO) test -race -short -count=1 \
-		-run 'Chaos|Fault|Quorum|FineTune|Serve|Shutdown|RemoteClient|RoundTimeout|Fuzz|Drop|Checkpoint|Resume|KillRestart|Torn|CrossVersion|Versioned|Rejections|EncodingsAgree' \
+		-run 'Chaos|Fault|Quorum|FineTune|Serve|Shutdown|RemoteClient|RoundTimeout|Fuzz|Drop|Checkpoint|Resume|KillRestart|Torn|CrossVersion|Versioned|Rejections|EncodingsAgree|Recycle' \
 		./internal/transport ./internal/fl ./internal/nn ./internal/wire
 
 ## fmt: fail if any file needs gofmt

@@ -114,11 +114,9 @@ func (a *Attacker) LocalUpdate(global []float64, round int) []float64 {
 	if round < a.ScaleFromRound {
 		gamma = 1
 	}
-	after := a.model.ParamsVector()
-	d := make([]float64, len(after))
-	for i := range d {
-		d[i] = after[i] - global[i]
-		if !a.statMask[i] {
+	d := deltaFrom(a.model, global)
+	for i, stat := range a.statMask {
+		if !stat {
 			d[i] *= gamma
 		}
 	}

@@ -22,6 +22,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/tensor"
+	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
 // Config bundles the federated training hyperparameters.
@@ -89,6 +90,13 @@ type Participant interface {
 	// parameter vector and returns the update delta (x_i − w_t). global is
 	// the caller's — shared by the whole cohort in process, pooled behind a
 	// wire handler — so it must not be modified, nor retained past the call.
+	//
+	// The returned slice goes the other way (DESIGN.md §19): it belongs to
+	// the caller from the moment it is returned, so the participant must not
+	// keep, reuse or hand out a second time what it returned, and the caller
+	// may recycle it (wire.PutFloat64s) once nothing can read it any more —
+	// the round drivers do, after the aggregate is applied or the last fold
+	// shard has consumed it. The same holds for TryLocalUpdate.
 	LocalUpdate(global []float64, round int) []float64
 	// Dataset exposes the client's local shard (the defense uses it for
 	// activation recording and fine-tuning participation).
@@ -145,7 +153,7 @@ func (c *Client) Dataset() *dataset.Dataset { return c.data }
 func (c *Client) LocalUpdate(global []float64, _ int) []float64 {
 	c.model.SetParamsVector(global)
 	c.trainer.Train(c.model, c.data, c.rng)
-	return deltaOf(c.model.ParamsVector(), global)
+	return deltaFrom(c.model, global)
 }
 
 // Model exposes the client's working model (used by defense helpers that
@@ -212,14 +220,22 @@ func TrainLocal(m *nn.Sequential, data *dataset.Dataset, cfg Config, rng *rand.R
 	NewTrainer(cfg).Train(m, data, rng)
 }
 
-// deltaOf returns after − before element-wise.
-func deltaOf(after, before []float64) []float64 {
-	if len(after) != len(before) {
-		panic(fmt.Sprintf("fl: delta length mismatch %d vs %d", len(after), len(before)))
+// deltaFrom returns x_i − w_t: m's parameters, read in ParamsVector order
+// straight out of its tensors, minus global — written over every element of
+// a recycled vector, which the caller of LocalUpdate comes to own.
+func deltaFrom(m *nn.Sequential, global []float64) []float64 {
+	if n := m.NumParams(); n != len(global) {
+		panic(fmt.Sprintf("fl: delta length mismatch %d vs %d", n, len(global)))
 	}
-	d := make([]float64, len(after))
-	for i := range d {
-		d[i] = after[i] - before[i]
+	d := wire.GetFloat64s(len(global))
+	off := 0
+	for _, p := range m.Params() {
+		after := p.Value.Data
+		out, before := d[off:off+len(after)], global[off:off+len(after)]
+		for i, v := range after {
+			out[i] = v - before[i]
+		}
+		off += len(after)
 	}
 	return d
 }

@@ -11,6 +11,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
 	"github.com/fedcleanse/fedcleanse/internal/tensor"
+	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
 // Aggregator combines the update deltas of one round into a single global
@@ -18,7 +19,9 @@ import (
 // Byzantine-robust rules in internal/robust implement the same interface.
 type Aggregator interface {
 	// Aggregate returns the global update computed from per-client deltas.
-	// Implementations must not retain or mutate the input slices.
+	// Implementations must not mutate the input slices, nor retain them
+	// past the moment the server has applied the result: it recycles them
+	// then (DESIGN.md §19).
 	Aggregate(deltas [][]float64) []float64
 }
 
@@ -510,7 +513,9 @@ func (s *Server) meetsQuorum(arrived, selected, t int) bool {
 }
 
 // runBatchRound is the legacy round: materialize every delta, compact the
-// survivors in participant order, aggregate once at round end.
+// survivors in participant order, aggregate once at round end, then recycle
+// them. It is also what a rule that cannot stream (internal/robust) runs
+// under a streaming server.
 func (s *Server) runBatchRound(m *nn.Sequential, selected []Participant, t int, sc obs.SpanContext) RoundResult {
 	obs.M.FLRounds.Inc()
 	res := beginRound(selected, t)
@@ -548,13 +553,20 @@ func (s *Server) runBatchRound(m *nn.Sequential, selected []Participant, t int, 
 		m.AddDeltaVector(1, s.aggregator().Aggregate(ok))
 	}
 	res.Applied = true
+	// Only now are the deltas dead: the rule has seen every one of them and
+	// its result is in the model, so even a rule that returned one of its
+	// inputs has been read for the last time (DESIGN.md §19).
+	for _, d := range ok {
+		wire.PutFloat64s(d)
+	}
 	return res
 }
 
 // runStreamingRound is the scale path: clients train concurrently inside
 // a bounded window, but each arriving delta is folded — in participant
-// order, through the aggregator's sharded Fold — and dropped immediately,
-// so the server's working set is O(window × dim), not O(cohort × dim).
+// order, through the aggregator's sharded Fold, which recycles it when its
+// last shard is done with it — so the server's working set is
+// O(window × dim), not O(cohort × dim).
 // The fold order and the shared drop/quorum helpers make the result
 // bit-identical to runBatchRound for every shard count, worker count and
 // dropout set (the streaming equivalence suite pins this).
@@ -633,7 +645,7 @@ func (s *Server) collectAndFold(ctx context.Context, m *nn.Sequential, fold Fold
 	for i, p := range active {
 		<-ready[i]
 		out := results[i]
-		results[i] = outcome{} // discard: once folded, the delta is dead
+		results[i] = outcome{} // the fold below is the delta's only holder
 		if out.err != nil {
 			<-sem // a failed client holds no delta; admit the next one
 			res.noteWireFailure(p.ID(), t, out.err)

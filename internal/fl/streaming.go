@@ -3,18 +3,21 @@ package fl
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
 	"github.com/fedcleanse/fedcleanse/internal/tensor"
+	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
 // Streaming aggregation (DESIGN.md §12). The batch round materializes every
 // participant's update delta before aggregating — O(cohort × dim) memory —
 // which caps a federation at however many deltas fit in RAM. The streaming
 // round instead folds each update into a running aggregate the moment it
-// arrives and discards it, so peak memory follows the collection window
-// (a few in-flight updates), not the cohort.
+// arrives and recycles it as soon as the last shard has read it (§19), so
+// peak memory follows the collection window (a few in-flight updates), not
+// the cohort.
 //
 // Bit-identity contract: the legacy aggregate is a per-coordinate scalar
 // recurrence in participant order (acc[j] += d_i[j] for i = 0,1,2,…, then
@@ -57,10 +60,12 @@ type StreamingAggregator interface {
 
 // Fold accumulates one round's update deltas. Fold must be called from a
 // single goroutine, in participant order over the round's survivors — the
-// order the batch path compacts them in — and does not retain the delta
-// slice past the call's internal hand-off. Finish must be called exactly
-// once; it merges the shard partials and returns the aggregate (nil when
-// nothing was folded).
+// order the batch path compacts them in. The call hands the delta over
+// (DESIGN.md §19): the caller must neither read nor write it afterwards,
+// and the fold recycles it once nothing of its own reads it any more —
+// which, with shards, is after Fold has returned. Finish must be called
+// exactly once; it merges the shard partials and returns the aggregate
+// (nil when nothing was folded).
 type Fold interface {
 	Fold(id int, delta []float64)
 	Finish() []float64
@@ -101,10 +106,14 @@ func (s SampleWeightedMean) BeginFold(dim, shards int, scratch *tensor.Arena) Fo
 const foldQueueDepth = 4
 
 // foldItem is one delta in flight to the shard goroutines, with its weight
-// resolved by the caller so every shard applies the same scalar.
+// resolved by the caller so every shard applies the same scalar. left
+// counts the shards that have yet to fold it: Fold returning means only
+// that the item is queued, so the delta is dead — and recycled — when the
+// shard that takes left to zero is done, not before.
 type foldItem struct {
 	delta  []float64
 	weight float64
+	left   atomic.Int32
 }
 
 // shardedFold is the shared fold behind MeanAggregator and
@@ -113,7 +122,7 @@ type foldItem struct {
 type shardedFold struct {
 	acc      []float64
 	ranges   [][2]int
-	chans    []chan foldItem
+	chans    []chan *foldItem
 	wg       sync.WaitGroup
 	syncWg   sync.WaitGroup
 	n        int
@@ -160,22 +169,25 @@ func newShardedFold(dim, shards int, scratch *tensor.Arena, weightFn func(int) f
 	f := &shardedFold{acc: acc, weighted: weightFn != nil, weightFn: weightFn, eta: eta}
 	if shards > 1 {
 		f.ranges = parallel.Partition(dim, shards)
-		f.chans = make([]chan foldItem, len(f.ranges))
+		f.chans = make([]chan *foldItem, len(f.ranges))
 		for s := range f.chans {
-			ch := make(chan foldItem, foldQueueDepth)
+			ch := make(chan *foldItem, foldQueueDepth)
 			f.chans[s] = ch
 			lo, hi := f.ranges[s][0], f.ranges[s][1]
 			f.wg.Add(1)
 			go func() {
 				defer f.wg.Done()
 				for it := range ch {
-					// A nil delta is the quiesce barrier (see snapshot):
+					// A nil item is the quiesce barrier (see snapshot):
 					// by FIFO order every prior item has been folded.
-					if it.delta == nil {
+					if it == nil {
 						f.syncWg.Done()
 						continue
 					}
-					f.foldRange(it, lo, hi)
+					f.foldRange(it.delta, it.weight, lo, hi)
+					if it.left.Add(-1) == 0 {
+						wire.PutFloat64s(it.delta)
+					}
 				}
 			}()
 		}
@@ -186,10 +198,8 @@ func newShardedFold(dim, shards int, scratch *tensor.Arena, weightFn func(int) f
 // foldRange applies one delta to the coordinate range [lo,hi). The
 // unweighted loop is a plain add — not a multiply by 1.0 — so the scalar
 // sequence is literally the one MeanAggregator.Aggregate runs.
-func (f *shardedFold) foldRange(it foldItem, lo, hi int) {
-	d := it.delta
+func (f *shardedFold) foldRange(d []float64, w float64, lo, hi int) {
 	if f.weighted {
-		w := it.weight
 		for j := lo; j < hi; j++ {
 			f.acc[j] += w * d[j]
 		}
@@ -208,23 +218,26 @@ func (f *shardedFold) Fold(id int, delta []float64) {
 	if len(delta) != len(f.acc) {
 		panic(fmt.Sprintf("fl: delta length mismatch %d vs %d", len(delta), len(f.acc)))
 	}
-	it := foldItem{delta: delta, weight: 1}
+	weight := 1.0
 	if f.weighted {
-		it.weight = f.weightFn(id)
-		f.total += it.weight
+		weight = f.weightFn(id)
+		f.total += weight
 	}
 	f.n++
 	if f.chans == nil {
-		f.foldRange(it, 0, len(f.acc))
+		f.foldRange(delta, weight, 0, len(f.acc))
+		wire.PutFloat64s(delta)
 		return
 	}
+	it := &foldItem{delta: delta, weight: weight}
+	it.left.Store(int32(len(f.chans)))
 	for _, ch := range f.chans {
 		ch <- it
 	}
 }
 
 // quiesce blocks until every shard has folded everything queued before the
-// call: one nil-delta barrier item per shard channel, acknowledged through
+// call: one nil barrier item per shard channel, acknowledged through
 // syncWg. The per-shard channels are FIFO with a single consumer, so once
 // every barrier is acknowledged the accumulator is consistent — and the
 // WaitGroup edge publishes the shard goroutines' acc writes to the caller.
@@ -234,7 +247,7 @@ func (f *shardedFold) quiesce() {
 	}
 	f.syncWg.Add(len(f.chans))
 	for _, ch := range f.chans {
-		ch <- foldItem{}
+		ch <- nil
 	}
 	f.syncWg.Wait()
 }

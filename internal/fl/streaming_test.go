@@ -219,9 +219,10 @@ func TestShardedFoldMatchesAggregate(t *testing.T) {
 	}
 	weighted := SampleWeightedMean{Counts: map[int]int{0: 7, 3: 2, 5: 11}, Eta: 0.9}
 	for _, shards := range []int{1, 2, 3, 8, 64} {
+		// Fold takes each delta over and recycles it, so it is fed copies.
 		fold := MeanAggregator{}.BeginFold(dim, shards, nil)
 		for i, d := range deltas {
-			fold.Fold(ids[i], d)
+			fold.Fold(ids[i], append([]float64(nil), d...))
 		}
 		got := fold.Finish()
 		want := MeanAggregator{}.Aggregate(deltas)
@@ -233,7 +234,7 @@ func TestShardedFoldMatchesAggregate(t *testing.T) {
 
 		wfold := weighted.BeginFold(dim, shards, nil)
 		for i, d := range deltas {
-			wfold.Fold(ids[i], d)
+			wfold.Fold(ids[i], append([]float64(nil), d...))
 		}
 		wgot := wfold.Finish()
 		wwant := weighted.AggregateWeighted(deltas, ids)

@@ -3,10 +3,12 @@ package fl
 import (
 	"hash/fnv"
 	"math/rand"
+	"sync"
 
 	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
+	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
 // SyntheticClient is a load-generation participant: it returns a
@@ -44,16 +46,17 @@ func (c *SyntheticClient) ID() int { return c.Id }
 func (c *SyntheticClient) Dataset() *dataset.Dataset { return nil }
 
 // LocalUpdate implements Participant: a seeded pseudo-random delta sized
-// to the incoming global vector. It is safe for concurrent use — each
-// call owns its RNG — so one synthetic client can serve overlapping
-// requests in a load test.
+// to the incoming global vector, written over a recycled vector. It is safe
+// for concurrent use — each call holds its own RNG for as long as it runs —
+// so one synthetic client can serve overlapping requests in a load test.
 func (c *SyntheticClient) LocalUpdate(global []float64, round int) []float64 {
 	scale := c.Scale
 	if scale == 0 {
 		scale = 1e-3
 	}
 	rng := syntheticRNG(uint64(c.Seed), uint64(c.Id), uint64(round))
-	d := make([]float64, len(global))
+	defer syntheticRNGs.Put(rng)
+	d := wire.GetFloat64s(len(global))
 	for i := range d {
 		d[i] = scale * (2*rng.Float64() - 1)
 	}
@@ -68,7 +71,14 @@ const (
 	syntheticDomainAcc  = 0x5f_acc0
 )
 
-// syntheticRNG derives a deterministic RNG from the hashed values.
+// syntheticRNGs recycles generators between calls: a math/rand source is
+// 4.9 KiB of state, and Seed(s) restarts it on exactly the stream
+// NewSource(s) opens, so a recycled generator yields the same values as a
+// fresh one.
+var syntheticRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// syntheticRNG derives a deterministic RNG from the hashed values. The
+// caller holds it alone until it hands it back to syntheticRNGs.
 func syntheticRNG(vals ...uint64) *rand.Rand {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -78,7 +88,9 @@ func syntheticRNG(vals ...uint64) *rand.Rand {
 		}
 		_, _ = h.Write(buf[:])
 	}
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	rng := syntheticRNGs.Get().(*rand.Rand)
+	rng.Seed(int64(h.Sum64()))
+	return rng
 }
 
 // units returns the canned report width.
@@ -95,6 +107,7 @@ func (c *SyntheticClient) units() int {
 // The model argument is ignored and may be nil.
 func (c *SyntheticClient) ActivationReport(_ *nn.Sequential, layerIdx int) []float64 {
 	rng := syntheticRNG(syntheticDomainActs, uint64(c.Seed), uint64(c.Id), uint64(layerIdx))
+	defer syntheticRNGs.Put(rng)
 	acts := make([]float64, c.units())
 	for i := range acts {
 		acts[i] = rng.Float64()
@@ -116,5 +129,6 @@ func (c *SyntheticClient) VoteReport(m *nn.Sequential, layerIdx int, p float64) 
 // pseudo-accuracy in (0.5, 1); the model is ignored and may be nil.
 func (c *SyntheticClient) ReportAccuracy(*nn.Sequential) float64 {
 	rng := syntheticRNG(syntheticDomainAcc, uint64(c.Seed), uint64(c.Id))
+	defer syntheticRNGs.Put(rng)
 	return 0.5 + rng.Float64()/2
 }

@@ -278,12 +278,27 @@ func reportClient(w http.ResponseWriter, slot *fleetSlot) (core.ReportClient, bo
 	return rc, ok
 }
 
+// heldBack is how much of a response writeBody writes apart from the rest.
+const heldBack = 16
+
 // writeBody sends one response body, its length declared, and counts it
-// into fedload_bytes_out_total.
+// into fedload_bytes_out_total. The last heldBack bytes are written on
+// their own: net/http passes a large write straight to the socket but keeps
+// a small one in its buffer until the handler has returned, so the caller
+// cannot see the response complete — and end its round — before everything
+// the handler chain does on the way out (spans, counters, a wrapping
+// middleware's bookkeeping) is done. Reports are small enough to be held
+// whole; an update response would otherwise be complete at the peer while
+// its handler was still running.
 func writeBody(w http.ResponseWriter, contentType string, body []byte) {
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	n, _ := w.Write(body)
+	head := max(len(body)-heldBack, 0)
+	n, err := w.Write(body[:head])
+	if err == nil {
+		m, _ := w.Write(body[head:])
+		n += m
+	}
 	obs.M.FedloadBytesOut.Add(uint64(n))
 }
 
@@ -300,10 +315,12 @@ func handleUpdate(w http.ResponseWriter, slot *fleetSlot, req request) {
 	delta := slot.part.LocalUpdate(req.Global, req.Round)
 	slot.mu.Unlock()
 	// The envelope is encoded into a pooled buffer that is done with once
-	// Write returns.
+	// Write returns; the delta — the handler's from the moment the
+	// participant returned it — is done with once it is encoded.
 	buf := wire.GetBuffer()
 	defer buf.Release()
 	buf.B = AppendVersionedUpdate(buf.B, delta)
+	wire.PutFloat64s(delta)
 	writeBody(w, updateContentType, buf.B)
 	obs.M.FedloadUpdates.Inc()
 }

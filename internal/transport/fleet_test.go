@@ -6,7 +6,11 @@ import (
 	"errors"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
@@ -84,6 +88,85 @@ func TestFleetRoundsMatchInProcess(t *testing.T) {
 				res.Applied != want.Applied {
 				t.Fatalf("workers=%d round %d: %+v, want %+v", w, r, res, want)
 			}
+		}
+	}
+}
+
+// TestFleetRoundTripRecyclesDeltas is the ownership gate over the wire
+// (DESIGN.md §19): with handler and stubs in one process, every delta — the
+// one the participant returns, the one the stub decodes — and every decoded
+// global is drawn from the one free list the handler, the batch round and
+// the fold's last shard give back to. Batch and streaming rounds, over
+// shards, windows and worker counts, must equal the in-process batch run bit
+// for bit and hold no more than the window in flight; under the race
+// detector a vector released while still readable is a report and a NaN.
+func TestFleetRoundTripRecyclesDeltas(t *testing.T) {
+	const population, cohort, rounds = 80, 16, 5
+	run := func(workers int, cfg fl.Config, factory fl.ClientFactory) ([]float64, int) {
+		prev := parallel.SetWorkers(workers)
+		defer parallel.SetWorkers(prev)
+		reg := fl.NewRegistry(factory)
+		reg.RegisterRange(0, population)
+		cfg.SelectPerRound = cohort
+		srv := fl.NewRegistryServer(fleetTemplate(), reg, cfg, 191)
+		peak := 0
+		for r := 0; r < rounds; r++ {
+			res := srv.RoundDetail(r)
+			if !res.Applied || len(res.Completed) != cohort {
+				t.Fatalf("round %d: %+v", r, res)
+			}
+			peak = max(peak, res.PeakInFlight)
+		}
+		return srv.Model.ParamsVector(), peak
+	}
+	want, _ := run(1, fl.Config{}, func(id int) fl.Participant {
+		return &fl.SyntheticClient{Id: id, Seed: 192}
+	})
+
+	_, addr, shutdown := startFleet(t, population, 192)
+	defer shutdown()
+	remote := func(id int) fl.Participant { return NewRemoteClient(id, FleetClientAddr(addr, id)) }
+	for _, workers := range []int{1, 4} {
+		got, _ := run(workers, fl.Config{}, remote)
+		assertSameParams(t, "batch over the fleet", got, want)
+		for _, shards := range []int{1, 2, 4} {
+			for _, window := range []int{2, 8} {
+				got, peak := run(workers, fl.Config{Streaming: true, Shards: shards, StreamWindow: window}, remote)
+				if peak < 1 || peak > window {
+					t.Fatalf("workers=%d shards=%d window=%d: PeakInFlight=%d", workers, shards, window, peak)
+				}
+				assertSameParams(t, "streaming over the fleet", got, want)
+			}
+		}
+	}
+}
+
+// TestResponseCompletesAfterHandlerReturns: writeBody holds the tail of
+// every response back, so a caller cannot have its update — 147 KB, which
+// net/http would otherwise hand to the socket whole — before the handler
+// chain has returned; whatever a handler or a middleware around it does on
+// the way out is settled by the time the round moves on.
+func TestResponseCompletesAfterHandlerReturns(t *testing.T) {
+	fleet := NewFleet()
+	fleet.Add(&fl.SyntheticClient{Id: 0, Seed: 193})
+	var returned atomic.Bool
+	inner := fleet.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		returned.Store(false)
+		inner.ServeHTTP(w, r)
+		time.Sleep(20 * time.Millisecond) // a slow way out
+		returned.Store(true)
+	}))
+	defer srv.Close()
+	rc := NewRemoteClient(0, FleetClientAddr(strings.TrimPrefix(srv.URL, "http://"), 0))
+	global := fleetTemplate().ParamsVector()
+	for round := 0; round < 3; round++ {
+		d, err := rc.TryLocalUpdate(context.Background(), global, round)
+		if err != nil || len(d) != len(global) {
+			t.Fatalf("round %d: %d values, err %v", round, len(d), err)
+		}
+		if !returned.Load() {
+			t.Fatalf("round %d: the update arrived before its handler had returned", round)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/fedcleanse/fedcleanse/internal/metrics"
+	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
 // Fuzz targets for the compact report codecs (codec.go). Two invariants:
@@ -99,6 +100,53 @@ func FuzzRanksDeltaValueRoundtrip(f *testing.F) {
 		for i := range got {
 			if got[i] != ranks[i] {
 				t.Fatalf("roundtrip[%d] = %d, want %d", i, got[i], ranks[i])
+			}
+		}
+	})
+}
+
+// FuzzUpdateDecodeAfterFailure guards the recycled vectors under the update
+// decode (DESIGN.md §19). A decode that fails after it drew a vector hands it
+// back, so the next decode may be given that very vector, or one another
+// client's values went through: whatever it publishes must equal, element
+// for element, a decode of the same bytes into fresh memory.
+func FuzzUpdateDecodeAfterFailure(f *testing.F) {
+	floats := func(v ...float64) []byte { return wire.AppendFloat64s(nil, v) }
+	good := AppendVersionedUpdate(nil, []float64{1, -2, math.Inf(1)})
+	// A count that passes the bound but disagrees with the bytes present:
+	// the vector is drawn, then the decode fails.
+	short := wire.NewEncoder(wire.KindUpdate).Section(secUpdateDelta, append(wire.AppendUint(nil, 2), floats(7, 8, 9)...)).Bytes()
+	f.Add(short, floats(0.5, -0.25))
+	f.Add(append(good[:len(good):len(good)], 0), floats(3, 4, 5, 6)) // trailing byte
+	f.Add(good[:len(good)-5], floats())                              // truncated
+	f.Add(good, floats(math.NaN(), math.Copysign(0, -1)))
+	f.Fuzz(func(t *testing.T, hostile, raw []byte) {
+		n := len(raw) / 8
+		// What the free list holds next: a vector full of someone else's
+		// values, at least as long as the one about to be decoded.
+		stale := wire.GetFloat64s(n + 3)
+		for i := range stale {
+			stale[i] = 12345.678
+		}
+		wire.PutFloat64s(stale)
+		if d, err := DecodeVersionedUpdate(hostile); err == nil {
+			wire.PutFloat64s(d)
+		}
+		want, err := wire.Float64s(raw[:8*n], n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeVersionedUpdate(AppendVersionedUpdate(nil, want))
+		if err != nil {
+			t.Fatalf("own encoding rejected: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("decoded %d values, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("delta[%d] = %v (%#x), fresh decode gives %v (%#x)",
+					i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
 		}
 	})

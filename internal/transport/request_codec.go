@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sync"
 
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
@@ -35,9 +34,9 @@ const requestContentType = "application/x-fedcleanse-request"
 // request is any of the four protocol requests; which fields travel
 // depends on the kind.
 type request struct {
-	// Global is the parameter vector. On the handler side it may be pooled
-	// (see release): it is valid only until the handler returns, which is
-	// why a participant may not retain the global it is handed.
+	// Global is the parameter vector. On the handler side it comes from the
+	// free list (see release): it is valid only until the handler returns,
+	// which is why a participant may not retain the global it is handed.
 	Global []float64
 	// Model, on the encoding side only, supplies the vector straight from
 	// a model's parameters instead of Global, sparing report calls a
@@ -47,18 +46,16 @@ type request struct {
 	Layer int
 	Rate  float64
 
-	pooled *[]float64
+	// decoded marks a Global that decodeRequest drew from the free list.
+	decoded bool
 }
 
-// globalPool recycles the handler-side decoded parameter vectors.
-var globalPool sync.Pool
-
-// release returns a pooled Global for reuse; the request must not be used
+// release recycles a decoded Global; the request must not be used
 // afterwards.
 func (q *request) release() {
-	if q.pooled != nil {
-		globalPool.Put(q.pooled)
-		q.pooled, q.Global = nil, nil
+	if q.decoded {
+		wire.PutFloat64s(q.Global)
+		q.decoded, q.Global = false, nil
 	}
 }
 
@@ -95,8 +92,8 @@ func appendRequest(dst []byte, kind uint16, q request) []byte {
 // kind: a versioned envelope of exactly that kind. It errors, never panics,
 // on anything else. Global is sized from the bytes actually present — a
 // count that disagrees with its section's length is rejected before any
-// allocation — and decoded into a pooled vector the caller gives back with
-// release.
+// allocation — and decoded into a vector from the free list, which the
+// caller gives back with release.
 func decodeRequest(data []byte, kind uint16) (request, error) {
 	secs, err := wire.DecodeKind(data, kind)
 	if err != nil {
@@ -117,10 +114,10 @@ func decodeRequest(data []byte, kind uint16) (request, error) {
 				err = fmt.Errorf("%d bytes, want 8", len(s.Payload))
 			}
 		case secReqGlobal:
-			if q.pooled != nil {
+			if q.decoded {
 				err = errors.New("duplicate")
-			} else if q.pooled, err = decodeGlobal(s.Payload); err == nil {
-				q.Global = *q.pooled
+			} else if q.Global, err = decodeGlobal(s.Payload); err == nil {
+				q.decoded = true
 			}
 		}
 		if err != nil {
@@ -128,15 +125,15 @@ func decodeRequest(data []byte, kind uint16) (request, error) {
 			return request{}, fmt.Errorf("transport: request section %d: %w", s.Type, err)
 		}
 	}
-	if q.pooled == nil {
+	if !q.decoded {
 		return request{}, errors.New("transport: request envelope has no global section")
 	}
 	return q, nil
 }
 
-// decodeGlobal decodes a count-prefixed float64 vector into a pooled
-// slice.
-func decodeGlobal(p []byte) (*[]float64, error) {
+// decodeGlobal decodes a count-prefixed float64 vector into one from the
+// free list.
+func decodeGlobal(p []byte) ([]float64, error) {
 	n, rest, err := wire.ReadUint(p)
 	if err != nil {
 		return nil, err
@@ -144,16 +141,9 @@ func decodeGlobal(p []byte) (*[]float64, error) {
 	if len(rest)%8 != 0 || n != uint64(len(rest)/8) {
 		return nil, fmt.Errorf("claims %d values in %d bytes", n, len(rest))
 	}
-	v, _ := globalPool.Get().(*[]float64)
-	if v == nil {
-		v = new([]float64)
-	}
-	if cap(*v) < int(n) {
-		*v = make([]float64, n)
-	}
-	*v = (*v)[:n]
-	if err := wire.Float64sInto(*v, rest); err != nil {
-		globalPool.Put(v)
+	v := wire.GetFloat64s(int(n))
+	if err := wire.Float64sInto(v, rest); err != nil {
+		wire.PutFloat64s(v)
 		return nil, err
 	}
 	return v, nil

@@ -36,7 +36,10 @@ func AppendVersionedUpdate(dst []byte, delta []float64) []byte {
 // DecodeVersionedUpdate parses a KindUpdate envelope back into the delta,
 // bit-exactly. Unknown section types are skipped (forward compatibility);
 // a missing delta section, a count that disagrees with the section length
-// or trailing bytes are errors, never panics.
+// or trailing bytes are errors, never panics. The delta is the caller's: it
+// is decoded over a vector from the free list (wire.GetFloat64s), which the
+// caller may hand back once nothing can read it; a decode that fails hands
+// back what it drew.
 func DecodeVersionedUpdate(data []byte) ([]float64, error) {
 	secs, err := wire.DecodeKind(data, wire.KindUpdate)
 	if err != nil {
@@ -53,12 +56,13 @@ func DecodeVersionedUpdate(data []byte) ([]float64, error) {
 		if n > uint64(len(rest))/8 {
 			return nil, fmt.Errorf("transport: update delta claims %d values in %d bytes", n, len(rest))
 		}
-		delta, err := wire.Float64s(rest, int(n))
-		if err != nil {
-			return nil, fmt.Errorf("transport: update delta: %w", err)
-		}
-		if n == 0 {
+		if n == 0 && len(rest) == 0 {
 			return nil, nil
+		}
+		delta := wire.GetFloat64s(int(n))
+		if err := wire.Float64sInto(delta, rest); err != nil {
+			wire.PutFloat64s(delta)
+			return nil, fmt.Errorf("transport: update delta: %w", err)
 		}
 		return delta, nil
 	}
@@ -74,7 +78,7 @@ type updatePayload struct {
 }
 
 // DecodeBody implements bodyDecoder. The body is gathered in a pooled
-// buffer; the decoded delta is a fresh slice the caller owns.
+// buffer; the decoded delta is a copy out of it that the caller owns.
 func (up *updatePayload) DecodeBody(r io.Reader) error {
 	buf, err := readBody(r, up.Limit)
 	if err != nil {

@@ -11,7 +11,8 @@ import (
 // they cross one call — encoded before a write, gathered from a reader
 // before a decode. The ownership rule (DESIGN.md §15) is that pooled bytes
 // never escape the call that took the Buffer: whatever is decoded out of B
-// must be a copy, and nothing may reference B after Release.
+// must be a copy — for a parameter-sized vector, into one from GetFloat64s —
+// and nothing may reference B after Release.
 type Buffer struct {
 	B []byte
 }

@@ -26,6 +26,11 @@
 // slices sections out of the caller's buffer, and Buffer.ReadAll (behind
 // ReadPayload) caps an io.Reader at an explicit budget before any parsing
 // happens, so a hostile length field cannot balloon memory.
+//
+// The package also holds the two free lists the wire path runs on, each with
+// its ownership rule: Buffer (bytes, which never leave the call that took
+// them) and GetFloat64s/PutFloat64s (parameter-sized vectors, which change
+// hands and are recycled by their last owner; DESIGN.md §19).
 package wire
 
 import (
