@@ -185,6 +185,42 @@ func BenchmarkFLRoundPaperCohort(b *testing.B) {
 	}
 }
 
+// BenchmarkFLRoundPopulation is the other axis of that curve: the cohort
+// stays at 10 and the workers at 2 while the registered population grows
+// 10 → 100 → 1000, every sampled slot materialized by a factory that builds
+// a real fl.NewClient. Clients borrow their working model from the
+// template's free list (DESIGN.md §8), so ns/op and B/op should be flat in
+// the population: a client that has never trained before finds a warm
+// model. The nightly workflow appends it to the same artifact.
+func BenchmarkFLRoundPopulation(b *testing.B) {
+	prev := parallel.SetWorkers(2)
+	defer parallel.SetWorkers(prev)
+	train, _ := dataset.GenSynthMNIST(dataset.GenConfig{TrainPerClass: 120, TestPerClass: 10, Seed: 33})
+	rng := rand.New(rand.NewSource(34))
+	template := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rng)
+	shards := dataset.PartitionKLabel(train, 10, 3, 60, rng)
+	cfg := fl.Config{Rounds: 1, SelectPerRound: 10, LocalEpochs: 1, BatchSize: 20, LR: 0.05}
+	for _, clients := range []int{10, 100, 1000} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			reg := fl.NewRegistry(func(id int) fl.Participant {
+				// Training shuffles a shard in place and two clients of one
+				// cohort may share a shard, so each gets its own sample slice.
+				sh := shards[id%len(shards)]
+				own := &dataset.Dataset{Shape: sh.Shape, Classes: sh.Classes, Samples: append([]dataset.Sample(nil), sh.Samples...)}
+				return fl.NewClient(id, own, template, cfg, 60+int64(id))
+			})
+			reg.RegisterRange(0, clients)
+			server := fl.NewRegistryServer(template, reg, cfg, 70)
+			server.Round(0) // the first round makes the working models
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = server.Round(i + 1)
+			}
+		})
+	}
+}
+
 // BenchmarkFLRound16ClientsSerialFloat32 is the PR-7 headline: the same
 // round with every client training on the float32 backend. BENCH_7.json
 // compares it against the float64 baseline in bench_baseline_pr7.txt.

@@ -6,6 +6,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
 	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
+	"github.com/fedcleanse/fedcleanse/internal/tensor"
 )
 
 // Attacker is a malicious participant implementing the paper's threat model
@@ -14,13 +15,12 @@ import (
 // update by the model-replacement coefficient γ so the backdoor survives
 // averaging.
 type Attacker struct {
-	id      int
-	clean   *dataset.Dataset
-	poison  *dataset.Dataset
-	model   *nn.Sequential
-	cfg     Config
-	rng     *rand.Rand
-	trainer *Trainer
+	id       int
+	clean    *dataset.Dataset
+	poison   *dataset.Dataset
+	replicas *nn.Replicas
+	cfg      Config
+	rng      *rand.Rand
 
 	// Gamma is the attack-update amplification coefficient (1 ≤ γ ≤ N).
 	Gamma float64
@@ -32,10 +32,6 @@ type Attacker struct {
 	ScaleFromRound int
 	// Poison describes the backdoor task.
 	Poison dataset.PoisonConfig
-	// statMask marks running-statistic positions, which are never scaled
-	// (scaling statistics would corrupt the global model and expose the
-	// attack).
-	statMask []bool
 
 	// SelfClipDelta, when > 0, makes the attacker clip its own extreme
 	// weights to μ ± SelfClipDelta·σ in the last conv layer before
@@ -44,8 +40,8 @@ type Attacker struct {
 
 	// AvoidLayer/AvoidUnits implement §VI-B Attack 2, the pruning-aware
 	// attack: the attacker (assumed to have obtained the global pruning
-	// mask) prunes those units of its local model before training, forcing
-	// the backdoor into neurons the defense will keep.
+	// mask) prunes those units of its working model before training,
+	// forcing the backdoor into neurons the defense will keep.
 	AvoidLayer int
 	AvoidUnits []int
 
@@ -70,13 +66,11 @@ func NewAttacker(id int, data *dataset.Dataset, template *nn.Sequential, cfg Con
 		id:       id,
 		clean:    data,
 		poison:   dataset.PoisonTrainSet(data, poison),
-		model:    template.Clone(),
+		replicas: template.Replicas(),
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(seed)),
-		trainer:  NewTrainer(cfg),
 		Gamma:    gamma,
 		Poison:   poison,
-		statMask: template.StatMask(),
 	}
 }
 
@@ -94,32 +88,41 @@ func (a *Attacker) Dataset() *dataset.Dataset { return a.clean }
 func (a *Attacker) PoisonedDataset() *dataset.Dataset { return a.poison }
 
 // LocalUpdate implements Participant: train to x_atk on the poisoned
-// mixture, then submit γ·(x_atk − w_t) (running statistics unscaled).
+// mixture, then submit γ·(x_atk − w_t). Running statistics go unscaled:
+// scaling them would corrupt the global model and expose the attack.
 func (a *Attacker) LocalUpdate(global []float64, round int) []float64 {
-	a.model.SetParamsVector(global)
-	if len(a.AvoidUnits) > 0 {
-		// Pruning-aware attack: train with the known-to-be-pruned units
-		// already dead so the backdoor cannot rely on them. The local prune
-		// masks are scoped to the attacker's working model; the submitted
-		// delta simply carries zeros at those units.
-		for _, u := range a.AvoidUnits {
-			a.model.PruneModelUnit(a.AvoidLayer, u)
-		}
+	r := a.replicas.Get()
+	m := r.Model
+	m.SetParamsVector(global)
+	// Pruning-aware attack: train with the known-to-be-pruned units already
+	// dead so the backdoor cannot rely on them; the submitted delta simply
+	// carries zeros at those units. The masks last for this update only —
+	// the working model goes back to a list honest clients draw from.
+	snaps := make([]nn.UnitSnapshot, len(a.AvoidUnits))
+	for i, u := range a.AvoidUnits {
+		snaps[i] = m.CaptureUnit(a.AvoidLayer, u, nn.UnitSnapshot{})
+		m.PruneModelUnit(a.AvoidLayer, u)
 	}
-	a.trainer.Train(a.model, a.poison, a.rng)
+	trainerOf(r, a.cfg).Train(m, a.poison, a.rng)
 	if a.SelfClipDelta > 0 {
-		selfClipLastConv(a.model, a.SelfClipDelta)
+		selfClipLastConv(m, a.SelfClipDelta)
 	}
-	gamma := a.Gamma
-	if round < a.ScaleFromRound {
-		gamma = 1
-	}
-	d := deltaFrom(a.model, global)
-	for i, stat := range a.statMask {
-		if !stat {
-			d[i] *= gamma
+	d := deltaFrom(m, global)
+	if round >= a.ScaleFromRound {
+		off := 0
+		for _, p := range m.Params() {
+			seg := d[off : off+p.Value.Len()]
+			if !p.Stat {
+				tensor.Scale(seg, seg, a.Gamma)
+			}
+			off += len(seg)
 		}
 	}
+	// Newest first, so a unit listed twice ends on its first, unmasked state.
+	for i := len(snaps) - 1; i >= 0; i-- {
+		m.RestoreUnit(snaps[i])
+	}
+	a.replicas.Put(r)
 	return d
 }
 
@@ -157,6 +160,3 @@ func NewDBAAttackers(firstID int, shards []*dataset.Dataset, template *nn.Sequen
 	}
 	return out
 }
-
-// Model exposes the attacker's local working model for diagnostics.
-func (a *Attacker) Model() *nn.Sequential { return a.model }

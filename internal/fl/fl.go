@@ -116,30 +116,32 @@ type FallibleParticipant interface {
 	TryLocalUpdate(ctx context.Context, global []float64, round int) ([]float64, error)
 }
 
-// Client is an honest participant running plain local SGD.
+// Client is an honest participant running plain local SGD. It owns its
+// shard, hyperparameters and RNG; the model it trains on is borrowed from
+// its federation's free list for the length of one LocalUpdate.
 type Client struct {
-	id      int
-	data    *dataset.Dataset
-	model   *nn.Sequential
-	cfg     Config
-	rng     *rand.Rand
-	trainer *Trainer
-	quant   metrics.ReportQuant
+	id       int
+	data     *dataset.Dataset
+	replicas *nn.Replicas
+	cfg      Config
+	rng      *rand.Rand
+	quant    metrics.ReportQuant
 }
 
 var _ Participant = (*Client)(nil)
 
-// NewClient builds an honest client. template provides the architecture
-// and is cloned, not retained.
+// NewClient builds an honest client. template provides the architecture:
+// the client trains on working copies drawn from template.Replicas(), the
+// list it shares with every participant built from the same template
+// pointer — copies of the template as it was when the first of them was
+// built, so set the backend and per-layer penalties before that.
 func NewClient(id int, data *dataset.Dataset, template *nn.Sequential, cfg Config, seed int64) *Client {
-	cfg = cfg.withDefaults()
 	return &Client{
-		id:      id,
-		data:    data,
-		model:   template.Clone(),
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(seed)),
-		trainer: NewTrainer(cfg),
+		id:       id,
+		data:     data,
+		replicas: template.Replicas(),
+		cfg:      cfg.withDefaults(),
+		rng:      rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -151,22 +153,23 @@ func (c *Client) Dataset() *dataset.Dataset { return c.data }
 
 // LocalUpdate implements Participant.
 func (c *Client) LocalUpdate(global []float64, _ int) []float64 {
-	c.model.SetParamsVector(global)
-	c.trainer.Train(c.model, c.data, c.rng)
-	return deltaFrom(c.model, global)
+	r := c.replicas.Get()
+	r.Model.SetParamsVector(global)
+	trainerOf(r, c.cfg).Train(r.Model, c.data, c.rng)
+	d := deltaFrom(r.Model, global)
+	c.replicas.Put(r)
+	return d
 }
-
-// Model exposes the client's working model (used by defense helpers that
-// need a same-architecture scratch model).
-func (c *Client) Model() *nn.Sequential { return c.model }
 
 // Trainer runs minibatch SGD while owning every reusable piece of per-step
 // state: the optimizer (velocity buffers), the batch assembly buffers and
-// the loss-gradient scratch. A client keeps one Trainer for its whole
-// federated lifetime, so after the first step of the first round the
-// training hot path performs no heap allocations. A Trainer is
-// single-goroutine state, like the model it trains; concurrent clients
-// each own their own (internal/parallel runs one client per worker).
+// the loss-gradient scratch. After the first step it has run on a model,
+// the training hot path performs no heap allocations. A Trainer is
+// single-goroutine state, like the model it trains, and its optimizer
+// buffers are keyed on that model's parameters, so the two stay together:
+// Client and Attacker borrow them as one nn.Replica (DESIGN.md §8), which
+// makes the number of warm Trainers the number of concurrent local updates,
+// not the number of participants.
 type Trainer struct {
 	cfg     Config
 	opt     *nn.SGD
@@ -176,11 +179,30 @@ type Trainer struct {
 
 // NewTrainer builds a reusable training loop for the given hyperparameters.
 func NewTrainer(cfg Config) *Trainer {
-	cfg = cfg.withDefaults()
-	return &Trainer{
-		cfg: cfg,
-		opt: nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay),
+	t := &Trainer{opt: &nn.SGD{}}
+	t.configure(cfg.withDefaults())
+	return t
+}
+
+// configure sets the hyperparameters of the next Train call; the buffers
+// carry over.
+func (t *Trainer) configure(cfg Config) {
+	t.cfg = cfg
+	t.opt.LR, t.opt.Momentum, t.opt.WeightDecay = cfg.LR, cfg.Momentum, cfg.WeightDecay
+}
+
+// trainerOf returns the Trainer that travels with a borrowed replica, set
+// to the borrower's hyperparameters (cfg has its defaults filled in).
+// Nothing else of a previous borrower survives into the run: Train restarts
+// momentum, and the borrower installs its own parameters first.
+func trainerOf(r *nn.Replica, cfg Config) *Trainer {
+	if t, ok := r.Aux.(*Trainer); ok {
+		t.configure(cfg)
+		return t
 	}
+	t := NewTrainer(cfg)
+	r.Aux = t
+	return t
 }
 
 // Train runs cfg.LocalEpochs of minibatch SGD over data on model m, in

@@ -230,11 +230,46 @@ func TestPruningAwareAttackerAvoidsUnits(t *testing.T) {
 	a.AvoidLayer = li
 	a.AvoidUnits = []int{0, 1}
 	global := template.ParamsVector()
-	a.LocalUpdate(global, 0)
-	conv := a.Model().Layer(li).(*nn.Conv2D)
-	if !conv.UnitPruned(0) || !conv.UnitPruned(1) {
-		t.Fatal("pruning-aware attacker did not mask avoided units")
+	conv := trainedModel(template, global, a.LocalUpdate(global, 0), 1).Layer(li).(*nn.Conv2D)
+	for u := 0; u < 3; u++ {
+		dead := true
+		for _, v := range conv.AppendUnitState(nil, u) {
+			dead = dead && v == 0
+		}
+		if dead != (u < 2) {
+			t.Fatalf("unit %d of the submitted model: dead=%v, want %v", u, dead, u < 2)
+		}
 	}
+	// The masks were the attacker's for one update only: the working model
+	// it trained on went back to the list honest clients draw from.
+	r := template.Replicas().Get()
+	for _, pi := range r.Model.PrunableLayers() {
+		if n := r.Model.Layer(pi).(nn.Prunable).PrunedCount(); n != 0 {
+			t.Fatalf("layer %d of the returned working model keeps %d masked units", pi, n)
+		}
+	}
+}
+
+// trainedModel rebuilds the model a participant submitted from its update:
+// global + delta/γ on a clone of template, running statistics unscaled.
+// Exact wherever the trained value is zero (pruned, clipped), since
+// g + (0 − g) = 0; a rounding off it elsewhere.
+func trainedModel(template *nn.Sequential, global, delta []float64, gamma float64) *nn.Sequential {
+	m := template.Clone()
+	v := make([]float64, len(global))
+	off := 0
+	for _, p := range m.Params() {
+		g := gamma
+		if p.Stat {
+			g = 1
+		}
+		for i := off; i < off+p.Value.Len(); i++ {
+			v[i] = global[i] + delta[i]/g
+		}
+		off += p.Value.Len()
+	}
+	m.SetParamsVector(v)
+	return m
 }
 
 func TestAttackerSelfClipRemovesExtremes(t *testing.T) {
@@ -248,8 +283,8 @@ func TestAttackerSelfClipRemovesExtremes(t *testing.T) {
 	a := NewAttacker(0, shard, template, cfg, poison, 1, 28)
 	a.SelfClipDelta = 2
 	global := template.ParamsVector()
-	a.LocalUpdate(global, 0)
-	conv := a.Model().Layer(template.LastConvIndex()).(*nn.Conv2D)
+	submitted := trainedModel(template, global, a.LocalUpdate(global, 0), 1)
+	conv := submitted.Layer(template.LastConvIndex()).(*nn.Conv2D)
 	w := conv.W.Value
 	mu, sg := w.Mean(), w.Std()
 	for _, v := range w.Data {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
+	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
 )
 
@@ -16,6 +17,12 @@ import (
 func buildCohort(t *testing.T, clients int, attackerAt func(i int) bool) *Server {
 	t.Helper()
 	train, _, template, cfg := tinySetup(t, 21)
+	return buildCohortOver(train, template, cfg, clients, attackerAt)
+}
+
+// buildCohortOver is buildCohort over a template the caller keeps, so two
+// cohorts can share its free list of working models.
+func buildCohortOver(train *dataset.Dataset, template *nn.Sequential, cfg Config, clients int, attackerAt func(i int) bool) *Server {
 	shards := dataset.PartitionKLabel(train, clients, 3, 40, rand.New(rand.NewSource(22)))
 	poison := dataset.PoisonConfig{
 		Trigger:     dataset.PixelPattern(3, dataset.Shape{C: 1, H: 16, W: 16}),

@@ -10,6 +10,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
+	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
 // The ownership suite (DESIGN.md §19). Delta vectors are recycled, so a
@@ -73,18 +74,120 @@ func TestStreamingRecyclesAfterLastShard(t *testing.T) {
 	}
 }
 
+// echoClient's delta is a function of every element of the global it is
+// handed, written over a free-list vector: a global released while a client
+// still reads it, or an aggregate released before it is applied, shows up
+// in the model (as NaN under -race, where Put poisons).
+type echoClient struct{ id int }
+
+func (c echoClient) ID() int                   { return c.id }
+func (c echoClient) Dataset() *dataset.Dataset { return nil }
+func (c echoClient) LocalUpdate(global []float64, round int) []float64 {
+	d := wire.GetFloat64s(len(global))
+	echoDelta(d, global, c.id, round)
+	return d
+}
+
+func echoDelta(d, global []float64, id, round int) {
+	k := 1 / float64(id+round+2)
+	for i, g := range global {
+		d[i] = k*g + 1e-3*float64(i%7)
+	}
+}
+
+// firstInputRule returns one of its inputs as the aggregate, which the
+// round must then release once, not twice.
+type firstInputRule struct{}
+
+func (firstInputRule) Aggregate(deltas [][]float64) []float64 { return deltas[0] }
+
+// TestRoundRecyclesGlobalAndAggregate: the round's own two vectors — the
+// flattened global and, on the batch path, the rule's result — travel
+// through the free list like the deltas (DESIGN.md §19), and the model is,
+// bit for bit, what the same sums over freshly allocated vectors give:
+// batch and streaming, and under a rule that hands back an input.
+func TestRoundRecyclesGlobalAndAggregate(t *testing.T) {
+	const clients, rounds = 12, 6
+	_, _, template, _ := tinySetup(t, 99)
+	prev := parallel.SetWorkers(4)
+	defer parallel.SetWorkers(prev)
+
+	reference := func(first bool) []float64 {
+		w := template.ParamsVector()
+		for r := 0; r < rounds; r++ {
+			sum, d := make([]float64, len(w)), make([]float64, len(w))
+			for id := 0; id < clients; id++ {
+				echoDelta(d, w, id, r)
+				if first {
+					break // the rule's aggregate is client 0's delta
+				}
+				for i, v := range d {
+					sum[i] += v
+				}
+			}
+			for i := range w {
+				if first {
+					w[i] += d[i]
+				} else {
+					w[i] += sum[i] * (1.0 / clients)
+				}
+			}
+		}
+		return w
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		first bool
+	}{
+		{name: "batch"},
+		{name: "streaming", cfg: Config{Streaming: true, Shards: 3, StreamWindow: 4}},
+		{name: "batch, rule returns an input", first: true},
+	} {
+		parts := make([]Participant, clients)
+		for i := range parts {
+			parts[i] = echoClient{id: i}
+		}
+		s := NewServer(template, parts, tc.cfg, 100)
+		if tc.first {
+			s.Agg = firstInputRule{}
+		}
+		for r := 0; r < rounds; r++ {
+			if res := s.RoundDetail(r); !res.Applied || len(res.Completed) != clients {
+				t.Fatalf("%s: round %d: %+v", tc.name, r, res)
+			}
+		}
+		want := reference(tc.first)
+		for i, got := range s.Model.ParamsVector() {
+			if math.Float64bits(got) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: param %d = %v, want %v", tc.name, i, got, want[i])
+			}
+		}
+	}
+}
+
 // TestLocalUpdateWritesModelMinusGlobal: Client and Attacker write their
-// delta straight from the model's tensors; it must be, bit for bit, what
-// flattening the trained model and subtracting used to give — with the
-// attacker's γ applied after the subtraction, off the statistics.
+// delta straight from the tensors of a borrowed working model; it must be,
+// bit for bit, what training a private clone, flattening it and subtracting
+// gives — with the attacker's γ applied after the subtraction, off the
+// positions the clone's own Param.Stat marks as statistics.
 func TestLocalUpdateWritesModelMinusGlobal(t *testing.T) {
 	train, _, template, cfg := tinySetup(t, 94)
-	shard := dataset.PartitionKLabelForced(train, 1, 3, 60, rand.New(rand.NewSource(95)), 9, 1)[0]
+	// Training shuffles a shard in place, so each run gets its own copy in
+	// the same starting order.
+	mkShard := func() *dataset.Dataset {
+		return dataset.PartitionKLabelForced(train, 1, 3, 60, rand.New(rand.NewSource(95)), 9, 1)[0]
+	}
 	global := template.ParamsVector()
+	private := func(data *dataset.Dataset, cfg Config, seed int64) *nn.Sequential {
+		m := template.Clone()
+		m.SetParamsVector(global)
+		TrainLocal(m, data, cfg, rand.New(rand.NewSource(seed)))
+		return m
+	}
 
-	c := NewClient(0, shard, template, cfg, 96)
-	got := c.LocalUpdate(global, 0)
-	after := c.Model().ParamsVector()
+	got := NewClient(0, mkShard(), template, cfg, 96).LocalUpdate(global, 0)
+	after := private(mkShard(), cfg, 96).ParamsVector()
 	for i := range got {
 		if want := after[i] - global[i]; math.Float64bits(got[i]) != math.Float64bits(want) {
 			t.Fatalf("client delta[%d] = %v, want %v", i, got[i], want)
@@ -92,17 +195,23 @@ func TestLocalUpdateWritesModelMinusGlobal(t *testing.T) {
 	}
 
 	poison := dataset.PoisonConfig{Trigger: dataset.PixelPattern(3, train.Shape), VictimLabel: 9, TargetLabel: 1}
-	a := NewAttacker(1, shard, template, cfg, poison, 4, 97)
-	got = a.LocalUpdate(global, 0)
-	after = a.Model().ParamsVector()
-	mask := template.StatMask()
-	for i := range got {
-		want := after[i] - global[i]
-		if !mask[i] {
-			want *= 4
-		}
-		if math.Float64bits(got[i]) != math.Float64bits(want) {
-			t.Fatalf("attacker delta[%d] = %v, want %v", i, got[i], want)
+	mkAttacker := func() *Attacker { return NewAttacker(1, mkShard(), template, cfg, poison, 4, 97) }
+	got = mkAttacker().LocalUpdate(global, 0)
+	long := cfg
+	long.LocalEpochs *= 3
+	m := private(mkAttacker().PoisonedDataset(), long, 97)
+	after = m.ParamsVector()
+	i := 0
+	for _, p := range m.Params() {
+		for range p.Value.Data {
+			want := after[i] - global[i]
+			if !p.Stat {
+				want *= 4
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("attacker delta[%d] (%s) = %v, want %v", i, p.Name, got[i], want)
+			}
+			i++
 		}
 	}
 }

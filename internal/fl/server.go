@@ -21,7 +21,8 @@ type Aggregator interface {
 	// Aggregate returns the global update computed from per-client deltas.
 	// Implementations must not mutate the input slices, nor retain them
 	// past the moment the server has applied the result: it recycles them
-	// then (DESIGN.md §19).
+	// then (DESIGN.md §19). The result is handed over the same way — the
+	// server recycles it too once applied, so a rule must not keep it.
 	Aggregate(deltas [][]float64) []float64
 }
 
@@ -66,7 +67,8 @@ func (s SampleWeightedMean) AggregateWeighted(deltas [][]float64, ids []int) []f
 	if eta == 0 {
 		eta = 1
 	}
-	out := make([]float64, len(deltas[0]))
+	out := wire.GetFloat64s(len(deltas[0]))
+	clear(out)
 	total := 0.0
 	for i, d := range deltas {
 		w := 1.0
@@ -74,14 +76,9 @@ func (s SampleWeightedMean) AggregateWeighted(deltas [][]float64, ids []int) []f
 			w = float64(n)
 		}
 		total += w
-		for j, v := range d {
-			out[j] += w * v
-		}
+		tensor.Axpy(out, w, d)
 	}
-	scale := eta / total
-	for j := range out {
-		out[j] *= scale
-	}
+	tensor.Scale(out, out, eta/total)
 	return out
 }
 
@@ -96,19 +93,17 @@ func (MeanAggregator) Aggregate(deltas [][]float64) []float64 {
 	if len(deltas) == 0 {
 		panic("fl: aggregate of zero deltas")
 	}
-	out := make([]float64, len(deltas[0]))
+	// Zero, then add every delta in participant order, then scale once: the
+	// scalar sequence per coordinate that the streaming fold repeats.
+	out := wire.GetFloat64s(len(deltas[0]))
+	clear(out)
 	for _, d := range deltas {
 		if len(d) != len(out) {
 			panic(fmt.Sprintf("fl: delta length mismatch %d vs %d", len(d), len(out)))
 		}
-		for i, v := range d {
-			out[i] += v
-		}
+		tensor.Add(out, d)
 	}
-	inv := 1.0 / float64(len(deltas))
-	for i := range out {
-		out[i] *= inv
-	}
+	tensor.Scale(out, out, 1.0/float64(len(deltas)))
 	return out
 }
 
@@ -519,7 +514,7 @@ func (s *Server) meetsQuorum(arrived, selected, t int) bool {
 func (s *Server) runBatchRound(m *nn.Sequential, selected []Participant, t int, sc obs.SpanContext) RoundResult {
 	obs.M.FLRounds.Inc()
 	res := beginRound(selected, t)
-	global := m.ParamsVector()
+	global := flatParams(m)
 	active := s.filterByPolicy(selected, t, &res)
 	ctx, cancel := s.roundContext(sc)
 	defer cancel()
@@ -528,6 +523,7 @@ func (s *Server) runBatchRound(m *nn.Sequential, selected []Participant, t int, 
 	parallel.For(len(active), func(i int) {
 		deltas[i], errs[i] = localUpdate(ctx, active[i], global, t)
 	})
+	wire.PutFloat64s(global)
 	// Compact survivors in participant order, so aggregating a round with
 	// wire failures is bit-identical to aggregating one where the same
 	// clients were excluded up front.
@@ -547,19 +543,45 @@ func (s *Server) runBatchRound(m *nn.Sequential, selected []Participant, t int, 
 		return res
 	}
 	s.crash(CrashPostQuorumPreApply, t, len(ok))
+	var agg []float64
 	if wa, isWeighted := s.Agg.(WeightedAggregator); isWeighted {
-		m.AddDeltaVector(1, wa.AggregateWeighted(ok, ids))
+		agg = wa.AggregateWeighted(ok, ids)
 	} else {
-		m.AddDeltaVector(1, s.aggregator().Aggregate(ok))
+		agg = s.aggregator().Aggregate(ok)
 	}
+	m.AddDeltaVector(1, agg)
 	res.Applied = true
-	// Only now are the deltas dead: the rule has seen every one of them and
-	// its result is in the model, so even a rule that returned one of its
-	// inputs has been read for the last time (DESIGN.md §19).
+	// Only now are the deltas and the aggregate dead: the rule has seen
+	// every input and its result is in the model (DESIGN.md §19). A rule
+	// that returned one of its inputs gets it released once, as the input.
 	for _, d := range ok {
+		if len(agg) > 0 && &d[0] == &agg[0] {
+			agg = nil
+		}
 		wire.PutFloat64s(d)
 	}
+	wire.PutFloat64s(agg)
 	return res
+}
+
+// flatParams is m.ParamsVector() over a free-list vector: the global every
+// participant of a round reads. The round puts it back as soon as its
+// collection has joined — parallel.For has returned, or collectAndFold has
+// received every client's outcome — because by then nothing can read it: a
+// participant may not keep global past LocalUpdate (Participant), a
+// RemoteClient reads it only to encode the request, on the calling
+// goroutine and before its first attempt, so even a call abandoned at
+// RoundTimeout has long finished with it, and a fleet handler works on its
+// own decoded copy. A round that panics out of collection — a participant,
+// or the chaos suite's kill hooks, which leave clients of the window still
+// training — never reaches the release; the collector takes the vector.
+func flatParams(m *nn.Sequential) []float64 {
+	v := wire.GetFloat64s(m.NumParams())
+	off := 0
+	for _, p := range m.Params() {
+		off += copy(v[off:], p.Value.Data)
+	}
+	return v
 }
 
 // runStreamingRound is the scale path: clients train concurrently inside
@@ -573,7 +595,7 @@ func (s *Server) runBatchRound(m *nn.Sequential, selected []Participant, t int, 
 func (s *Server) runStreamingRound(m *nn.Sequential, sa StreamingAggregator, selected []Participant, t int, durable bool, sc obs.SpanContext) RoundResult {
 	obs.M.FLRounds.Inc()
 	res := beginRound(selected, t)
-	global := m.ParamsVector()
+	global := flatParams(m)
 	active := s.filterByPolicy(selected, t, &res)
 	ctx, cancel := s.roundContext(sc)
 	defer cancel()
@@ -585,6 +607,7 @@ func (s *Server) runStreamingRound(m *nn.Sequential, sa StreamingAggregator, sel
 	s.partialCheckpoint(m, &res, fold, t, 0, durable, sc)
 	s.crash(CrashPreFold, t, 0)
 	folds := s.collectAndFold(ctx, m, fold, active, global, t, &res, durable, 0)
+	wire.PutFloat64s(global)
 	msp := obs.StartChildOf(sc, "fl.fold.merge", nil).WithRound(t)
 	agg := fold.Finish()
 	msp.End()
@@ -723,7 +746,7 @@ func (s *Server) resumePartialRound(pp *PartialRound, t int, sc obs.SpanContext)
 		Dropped:   append([]int(nil), pp.Dropped...),
 	}
 	m := s.Model
-	global := m.ParamsVector()
+	global := flatParams(m)
 	// The remaining cohort: selected minus everyone the checkpoint already
 	// accounts for, in the original participant order. Policy drops were
 	// all recorded before the first fold, so the policy stream is not
@@ -754,6 +777,7 @@ func (s *Server) resumePartialRound(pp *PartialRound, t int, sc obs.SpanContext)
 	}
 	fc.restore(pp.Acc, pp.FoldN, pp.Total)
 	folds := s.collectAndFold(ctx, m, fold, active, global, t, &res, true, pp.FoldN)
+	wire.PutFloat64s(global)
 	msp := obs.StartChildOf(sc, "fl.fold.merge", nil).WithRound(t)
 	agg := fold.Finish()
 	msp.End()

@@ -196,18 +196,15 @@ func newShardedFold(dim, shards int, scratch *tensor.Arena, weightFn func(int) f
 }
 
 // foldRange applies one delta to the coordinate range [lo,hi). The
-// unweighted loop is a plain add — not a multiply by 1.0 — so the scalar
-// sequence is literally the one MeanAggregator.Aggregate runs.
+// unweighted pass is a plain add — not a multiply by 1.0 — so the scalar
+// sequence is literally the one MeanAggregator.Aggregate runs, and the
+// weighted one is AggregateWeighted's Axpy.
 func (f *shardedFold) foldRange(d []float64, w float64, lo, hi int) {
 	if f.weighted {
-		for j := lo; j < hi; j++ {
-			f.acc[j] += w * d[j]
-		}
+		tensor.Axpy(f.acc[lo:hi], w, d[lo:hi])
 		return
 	}
-	for j := lo; j < hi; j++ {
-		f.acc[j] += d[j]
-	}
+	tensor.Add(f.acc[lo:hi], d[lo:hi])
 }
 
 // Fold implements Fold.
@@ -297,8 +294,6 @@ func (f *shardedFold) Finish() []float64 {
 	if f.weighted {
 		scale = f.eta / f.total
 	}
-	for j := range f.acc {
-		f.acc[j] *= scale
-	}
+	tensor.Scale(f.acc, f.acc, scale)
 	return f.acc
 }

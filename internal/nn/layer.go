@@ -8,7 +8,8 @@
 //
 // Layers are stateful: Forward caches whatever Backward needs, so a layer
 // instance must not be shared between concurrent goroutines. Federated
-// clients therefore each work on their own Sequential clone.
+// clients therefore train on a Sequential clone borrowed for the length of
+// one local update (Replicas).
 //
 // Two design points serve the defense in internal/core:
 //
@@ -56,7 +57,8 @@ func newParam(name string, shape ...int) *Param {
 	}
 }
 
-// clone returns a deep copy of the parameter (value and gradient).
+// clone returns a deep copy of the parameter (value and gradient) carrying
+// every flag.
 func (p *Param) clone() *Param {
 	return &Param{
 		Name:    p.Name,
@@ -64,6 +66,7 @@ func (p *Param) clone() *Param {
 		Grad:    p.Grad.Clone(),
 		L2:      p.L2,
 		NoDecay: p.NoDecay,
+		Stat:    p.Stat,
 	}
 }
 

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/fedcleanse/fedcleanse/internal/tensor"
 )
@@ -33,6 +34,11 @@ type Sequential struct {
 	// actsBuf is the reused ForwardActivations result slice under eval
 	// reuse (actsSlice).
 	actsBuf []*tensor.Tensor
+
+	// replicas is the free list of working copies anchored on this model
+	// (replicas.go), created on first use. Not cloned or serialized.
+	replicasOnce sync.Once
+	replicas     *Replicas
 }
 
 // NewSequential builds a network from the given layers.
