@@ -110,13 +110,14 @@ load-smoke:
 ## fault-injected federations (chaos), quorum/drop equivalence, server
 ## lifecycle, the decoder fuzz seeds, and the durability suite
 ## (kill-and-restart resume, torn checkpoints, the wire golden corpus and
-## the refusal of the deleted gob wire format), and the delta-ownership
-## suites (Recycle: a vector released too early is a race and a NaN here).
+## the refusal of the deleted gob formats), the delta-ownership suites
+## (Recycle: a vector released too early is a race and a NaN here), and the
+## round loop against its reference round and a panicking participant.
 ## Short mode skips the slowest full-pipeline chaos run; the plain `test`
 ## target covers it.
 chaos-test:
 	FEDCLEANSE_WORKERS=4 $(GO) test -race -short -count=1 \
-		-run 'Chaos|Fault|Quorum|FineTune|Serve|Shutdown|RemoteClient|RoundTimeout|Fuzz|Drop|Checkpoint|Resume|KillRestart|Torn|CrossVersion|Versioned|Rejections|EncodingsAgree|Recycle' \
+		-run 'Chaos|Fault|Quorum|FineTune|Serve|Shutdown|RemoteClient|RoundTimeout|Fuzz|Drop|Checkpoint|Resume|KillRestart|Torn|CrossVersion|Versioned|Rejections|EncodingsAgree|Recycle|Reference|Panic' \
 		./internal/transport ./internal/fl ./internal/nn ./internal/wire
 
 ## fmt: fail if any file needs gofmt
@@ -130,14 +131,12 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-## gob-check: there is one wire format — outside tests, encoding/gob is
-## imported only by the read-only legacy model loader, so a second format
-## cannot grow back unnoticed
+## gob-check: there is one serialization — no non-test file imports
+## encoding/gob, so a second format cannot grow back unnoticed
 gob-check:
-	@offenders=$$(grep -rl --include='*.go' '"encoding/gob"' . \
-		| grep -v '_test\.go$$' | grep -vx './internal/nn/serialize.go'); \
+	@offenders=$$(grep -rl --include='*.go' '"encoding/gob"' . | grep -v '_test\.go$$'); \
 	if [ -n "$$offenders" ]; then \
-		echo "encoding/gob imported outside internal/nn/serialize.go:"; echo "$$offenders"; exit 1; \
+		echo "encoding/gob imported outside tests:"; echo "$$offenders"; exit 1; \
 	fi
 
 ## lint: the CI lint job locally — gofmt, vet and gob-check always;

@@ -77,7 +77,7 @@ func auditFromResult(res *RoundResult) RoundAudit {
 // round's span has ended — far off every alloc-gated path — and a failed
 // write only logs: auditing never fails a round.
 func (s *Server) recordAudit(res *RoundResult, trace obs.TraceID, dur time.Duration,
-	resumed bool, resumePrefix int, retries, attempts uint64) {
+	resumed *PartialRound, retries, attempts uint64) {
 	if s.Audit == nil {
 		return
 	}
@@ -86,8 +86,9 @@ func (s *Server) recordAudit(res *RoundResult, trace obs.TraceID, dur time.Durat
 	a.Quorum = s.quorumCount(len(res.Selected))
 	a.Aggregator = fmt.Sprintf("%T", s.aggregator())
 	a.Streaming = s.cfg.Streaming
-	a.Resumed = resumed
-	a.ResumePrefix = resumePrefix
+	if a.Resumed = resumed != nil; a.Resumed {
+		a.ResumePrefix = resumed.FoldN
+	}
 	a.Retries = retries
 	a.Attempts = attempts
 	a.DurationMS = float64(dur.Nanoseconds()) / 1e6

@@ -56,7 +56,8 @@ type Checkpoint struct {
 }
 
 // PartialRound captures a streaming round mid-fold: the cohort bookkeeping
-// plus the fold accumulator, so a resumed server re-collects only the
+// plus the fold accumulator, so a resumed server starts the round from
+// there (Server.ResumeFrom checks it first) and collects only the
 // participants that had not yet folded. The fold is strictly
 // participant-ordered, so restoring Acc and continuing from the recorded
 // prefix replays the exact scalar sequence of an uninterrupted round.

@@ -233,6 +233,9 @@ func TestDecodeCheckpointRejections(t *testing.T) {
 
 func TestCheckpointFuzzCorpus(t *testing.T) {
 	seeds := checkpointSeeds(t)
+	for name, data := range resumeSeeds(t) {
+		seeds[name] = data
+	}
 	if *updateCorpus {
 		writeFuzzCorpus(t, "FuzzDecodeCheckpoint", seeds)
 		return
@@ -263,6 +266,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	for _, seed := range checkpointSeeds(f) {
 		f.Add(seed)
 	}
+	for _, seed := range resumeSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic or allocate past the input's own size; a
 		// decoded checkpoint must be internally consistent.
@@ -275,7 +281,113 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 				t.Fatal("inconsistent checkpoint accepted")
 			}
 		}
+		// Nor may what decodes panic the server it is applied to: ResumeFrom
+		// returns, and a checkpoint it accepted runs its round. (Restore
+		// replays RNG.Draws values one by one — time, not safety — so the
+		// body bounds them.)
+		ck.RNG.Draws %= 1 << 12
+		s := resumeFixture()
+		if s.ResumeFrom(ck) == nil {
+			s.RoundDetail(ck.NextRound)
+		}
 	})
+}
+
+// resumeFixture is the tiny streaming server the resume seeds are written
+// against: three stateless clients over a 23-parameter model.
+func resumeFixture() *Server {
+	template := nn.NewSequential(nn.NewDense("d", 4, 3, rand.New(rand.NewSource(5))),
+		nn.NewReLU("r"), nn.NewDense("o", 3, 2, rand.New(rand.NewSource(6))))
+	parts := make([]Participant, 3)
+	for i := range parts {
+		parts[i] = &SyntheticClient{Id: i, Seed: 8}
+	}
+	return NewServer(template, parts, Config{Streaming: true, Shards: 2, StreamWindow: 2}, 9)
+}
+
+// resumeSeeds are checkpoints that decode — the decoder cannot know the
+// server — and that ResumeFrom must refuse on resumeFixture, one per
+// rejection, beside the "resumable" one it must accept and finish.
+func resumeSeeds(tb testing.TB) map[string][]byte {
+	s := resumeFixture()
+	dim := s.Model.NumParams()
+	mk := func(edit func(ck *Checkpoint)) []byte {
+		ck := s.CheckpointAt(1)
+		ck.Partial = &PartialRound{Round: 1, Selected: []int{2, 0, 1}, Completed: []int{2},
+			Dropped: []int{0}, FoldN: 1, Acc: make([]float64, dim)}
+		edit(ck)
+		return EncodeCheckpoint(ck)
+	}
+	return map[string][]byte{
+		"resumable":                    mk(func(*Checkpoint) {}),
+		"resume-unknown-client":        mk(func(ck *Checkpoint) { ck.Partial.Selected[2] = 7 }),
+		"resume-selected-twice":        mk(func(ck *Checkpoint) { ck.Partial.Selected[2] = 2 }),
+		"resume-completed-unselected":  mk(func(ck *Checkpoint) { ck.Partial.Selected = []int{2, 0}; ck.Partial.Dropped = []int{0, 1} }),
+		"resume-completed-and-dropped": mk(func(ck *Checkpoint) { ck.Partial.Dropped = []int{2} }),
+		"resume-dropped-twice":         mk(func(ck *Checkpoint) { ck.Partial.Dropped = []int{0, 0} }),
+		"resume-short-accumulator":     mk(func(ck *Checkpoint) { ck.Partial.Acc = ck.Partial.Acc[:dim-1] }),
+		"resume-wrong-population":      mk(func(ck *Checkpoint) { ck.Registered = 4 }),
+		"resume-wrong-model":           mk(func(ck *Checkpoint) { ck.Model = ck.Model[:len(ck.Model)-8] }),
+	}
+}
+
+// TestResumeFromRejections: a checkpoint that names clients this server
+// does not have, splits its cohort inconsistently or carries an accumulator
+// of another length is an error from ResumeFrom — with the file's name from
+// ResumeLatest — never a panic in the round that would have consumed it,
+// and the refused server runs on as if nothing had been offered.
+func TestResumeFromRejections(t *testing.T) {
+	for name, data := range resumeSeeds(t) {
+		ck, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatalf("%s does not decode: %v", name, err)
+		}
+		s := resumeFixture()
+		before := s.Model.ParamsVector()
+		err = s.ResumeFrom(ck)
+		if name == "resumable" {
+			if err != nil {
+				t.Fatalf("resumable checkpoint refused: %v", err)
+			}
+			if res := s.RoundDetail(1); !res.Applied || !sameInts(res.Completed, []int{2, 1}) || !sameInts(res.Dropped, []int{0}) {
+				t.Fatalf("resumed round: %+v", res)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s accepted", name)
+			continue
+		}
+		if name == "resume-wrong-model" {
+			continue // refused by nn.ApplyModelState, which owns what it leaves behind
+		}
+		if s.pendingPartial != nil {
+			t.Errorf("%s: refused, yet a partial round is pending", name)
+		}
+		for i, v := range s.Model.ParamsVector() {
+			if v != before[i] {
+				t.Fatalf("%s: refused, yet param %d moved", name, i)
+			}
+		}
+	}
+	// A FoldN that disagrees with Completed cannot come out of the decoder
+	// (fold-count-lie), but ResumeFrom also takes hand-built checkpoints.
+	s := resumeFixture()
+	ck := s.CheckpointAt(0)
+	ck.Partial = &PartialRound{Selected: []int{0, 1}, Completed: []int{0}, FoldN: 2,
+		Acc: make([]float64, s.Model.NumParams())}
+	if err := s.ResumeFrom(ck); err == nil {
+		t.Error("fold count 2 with one completed accepted")
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, boundaryName(1))
+	if err := os.WriteFile(path, resumeSeeds(t)["resume-unknown-client"], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := resumeFixture().ResumeLatest(dir); err == nil || !strings.Contains(err.Error(), path) {
+		t.Errorf("ResumeLatest over a refused checkpoint: %v, want an error naming %s", err, path)
+	}
 }
 
 func TestAtomicWriteFile(t *testing.T) {

@@ -49,9 +49,10 @@ type Config struct {
 	RoundTimeout time.Duration
 	// Streaming folds each arriving update into a running aggregate and
 	// discards it (DESIGN.md §12), holding O(StreamWindow) deltas instead
-	// of the whole cohort — bit-identical to the batch round for
-	// aggregation rules that implement StreamingAggregator; other rules
-	// silently fall back to the batch path.
+	// of the whole cohort — bit-identical to the same round without it.
+	// It takes a rule that implements StreamingAggregator; under any other
+	// the round collects the whole cohort as if Streaming were off, and
+	// counts fl_stream_fallbacks_total.
 	Streaming bool
 	// Shards is the number of aggregator goroutines a streaming round
 	// folds across, each owning a contiguous slice of the parameter

@@ -77,6 +77,14 @@ func (r *Registry) Len() int {
 	return len(r.ids)
 }
 
+// has reports whether id is registered.
+func (r *Registry) has(id int) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	_, ok := r.seen[id]
+	return ok
+}
+
 // SampleIDs draws k distinct registered IDs using rng. k <= 0 or
 // k >= Len() returns the whole population in registration order.
 func (r *Registry) SampleIDs(k int, rng *rand.Rand) []int {
@@ -101,16 +109,7 @@ func (r *Registry) SampleIDs(k int, rng *rand.Rand) []int {
 // callers drop them when the round ends, returning the registry to its
 // IDs-only footprint.
 func (r *Registry) Cohort(k int, rng *rand.Rand) []Participant {
-	ids := r.SampleIDs(k, rng)
-	parts := make([]Participant, len(ids))
-	for i, id := range ids {
-		p := r.factory(id)
-		if p == nil {
-			panic(fmt.Sprintf("fl: factory returned nil participant for client %d", id))
-		}
-		parts[i] = p
-	}
-	return parts
+	return r.Materialize(r.SampleIDs(k, rng))
 }
 
 // Materialize resolves explicit client IDs through the factory, in the

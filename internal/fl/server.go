@@ -63,23 +63,32 @@ func (s SampleWeightedMean) AggregateWeighted(deltas [][]float64, ids []int) []f
 	if len(ids) != len(deltas) {
 		panic(fmt.Sprintf("fl: %d ids for %d deltas", len(ids), len(deltas)))
 	}
-	eta := s.Eta
-	if eta == 0 {
-		eta = 1
-	}
 	out := wire.GetFloat64s(len(deltas[0]))
 	clear(out)
 	total := 0.0
 	for i, d := range deltas {
-		w := 1.0
-		if n, ok := s.Counts[ids[i]]; ok && n > 0 {
-			w = float64(n)
-		}
+		w := s.weight(ids[i])
 		total += w
 		tensor.Axpy(out, w, d)
 	}
-	tensor.Scale(out, out, eta/total)
+	tensor.Scale(out, out, s.eta()/total)
 	return out
+}
+
+// weight is a client's share of the sum: its sample count, 1 when unknown.
+func (s SampleWeightedMean) weight(id int) float64 {
+	if n := s.Counts[id]; n > 0 {
+		return float64(n)
+	}
+	return 1
+}
+
+// eta is the global learning rate η, Eta with its default.
+func (s SampleWeightedMean) eta() float64 {
+	if s.Eta == 0 {
+		return 1
+	}
+	return s.Eta
 }
 
 // MeanAggregator is plain coordinate-wise averaging, the paper's
@@ -169,23 +178,26 @@ type Server struct {
 	sr  *seededRand
 	// ckpt, when non-nil, persists round state (SetCheckpointer).
 	ckpt *Checkpointer
-	// pendingPartial is an interrupted round restored by ResumeFrom,
-	// consumed by the next RoundDetail call.
+	// pendingPartial is an interrupted round restored by ResumeFrom, with
+	// its cohort; the next RoundDetail call consumes both.
 	pendingPartial *PartialRound
-	// foldScratch backs the streaming accumulator so steady-state
+	pendingCohort  []Participant
+	// foldScratch backs the streaming fold's accumulator so steady-state
 	// streaming rounds reuse one buffer (DESIGN.md §12).
 	foldScratch tensor.Arena
 }
 
 // CrashPoint names the scripted kill points of a round, in execution
 // order. They exist for the kill-and-restart chaos suite: each models the
-// process dying at a different durability-critical instant.
+// process dying at a different durability-critical instant. Every round
+// passes all three; what a kill leaves on disk is what its fold could
+// checkpoint.
 type CrashPoint int
 
 const (
-	// CrashPreFold fires in a streaming round after the cohort is drawn
-	// and the opening partial checkpoint (if due) is written, before any
-	// update has folded.
+	// CrashPreFold fires once the round's start state stands — the cohort
+	// drawn or restored, the opening partial checkpoint (if due) written —
+	// before collection folds anything (folds carries a resumed prefix).
 	CrashPreFold CrashPoint = iota + 1
 	// CrashMidCollection fires after each folded update (folds carries
 	// the count), after any due partial checkpoint.
@@ -252,9 +264,9 @@ type RoundResult struct {
 	// false when fewer than quorum updates arrived.
 	Applied bool
 	// PeakInFlight is the largest number of trained-but-not-yet-folded
-	// updates the streaming path held at once — its working-set bound,
-	// governed by Config.StreamWindow. Zero on batch rounds, which hold
-	// the whole cohort by design.
+	// updates a streaming fold's round held at once — its working-set
+	// bound, governed by Config.StreamWindow. Zero when nothing bounds the
+	// hold: a round on the collect-all fold keeps the whole cohort.
 	PeakInFlight int
 }
 
@@ -262,7 +274,7 @@ type RoundResult struct {
 // the global vector it was handed: one of another length, or none at all
 // (transport.RemoteClient's infallible fl.Participant surface returns nil
 // on failure, and a remote peer can answer with anything). The round
-// records it as a dropout; it never reaches an aggregator, whose own
+// records it as a dropout; it never reaches a fold or a rule, whose own
 // length checks panic because there they can only mean a bug.
 type UpdateLengthError struct{ Got, Want int }
 
@@ -278,21 +290,22 @@ func (e *UpdateLengthError) Error() string {
 // round applies once cfg.Quorum of the selected cohort has responded.
 //
 // Local training runs concurrently across the selected clients (bounded by
-// parallel.Workers). Every participant owns its model clone and RNG, and
-// the global vector is shared read-only, so the per-client deltas — and
-// therefore the aggregated round — are bit-identical for any worker count.
-// A round in which a set of clients fails on the wire aggregates exactly
-// like a round in which the same set was dropped by policy.
+// parallel.Workers, or by the window when the round streams). Every
+// participant owns its RNG and the model it trains on for the length of
+// the call, and the global vector is shared read-only, so the per-client
+// deltas — and therefore the aggregated round — are bit-identical for any
+// worker count. A round in which a set of clients fails on the wire
+// aggregates exactly like one in which the same set was dropped by policy.
 func (s *Server) Round(t int) []int {
 	return s.RoundDetail(t).Completed
 }
 
 // RoundDetail is Round with full failure telemetry. On a server with a
 // checkpointer installed it also persists round state: a boundary
-// checkpoint after each due round, and — through the streaming round —
-// partial checkpoints mid-fold. A round resumed from a partial checkpoint
-// (ResumeFrom) re-enters the interrupted round here: t must equal the
-// checkpointed round.
+// checkpoint after each due round, and partial checkpoints mid-fold when
+// the round's fold can snapshot. After ResumeFrom restored a partial
+// checkpoint, the next call re-enters the interrupted round: t must equal
+// the checkpointed round.
 //
 // The whole round is one trace (DESIGN.md §16): RoundDetail roots the
 // "fl.round" span (feeding fl_round_seconds), every remote call, retry
@@ -306,24 +319,21 @@ func (s *Server) RoundDetail(t int) RoundResult {
 	sc := sp.Context()
 	retries0 := obs.M.TransportRetries.Value()
 	attempts0 := obs.M.TransportAttempts.Value()
-	var res RoundResult
-	resumed, resumePrefix := false, 0
-	if pp := s.pendingPartial; pp != nil {
-		s.pendingPartial = nil
-		if pp.Round == t {
-			resumed, resumePrefix = true, pp.FoldN
-			res = s.resumePartialRound(pp, t, sc)
-		} else {
-			// Driver bug: the resumed round must be replayed first. Fall
-			// back to a fresh round — correctness of this round survives,
-			// but the interrupted round's collected work is lost.
-			obs.L().Warn("fl: pending partial round dropped",
-				"partial_round", pp.Round, "round", t)
-			res = s.runRound(s.Model, s.selectClients(), t, true, sc)
-		}
-	} else {
-		res = s.runRound(s.Model, s.selectClients(), t, true, sc)
+	pp, cohort := s.pendingPartial, s.pendingCohort
+	s.pendingPartial, s.pendingCohort = nil, nil
+	if pp != nil && pp.Round != t {
+		// Driver bug: the resumed round must be replayed first. Run a fresh
+		// round — correctness of this round survives, but the interrupted
+		// round's collected work is lost.
+		obs.L().Warn("fl: pending partial round dropped", "partial_round", pp.Round, "round", t)
+		pp = nil
 	}
+	if pp == nil {
+		// A resumed round keeps its recorded cohort: the checkpointed RNG
+		// position is already past this round's selection.
+		cohort = s.selectClients()
+	}
+	res := s.runRound(s.Model, cohort, pp, t, true, sc)
 	if s.ckpt != nil && s.ckpt.boundaryDue(t) {
 		csp := obs.StartChildOf(sc, "fl.checkpoint", nil).WithRound(t)
 		if err := s.ckpt.WriteBoundary(s.CheckpointAt(t + 1)); err != nil {
@@ -332,7 +342,7 @@ func (s *Server) RoundDetail(t int) RoundResult {
 		csp.End()
 	}
 	dur := sp.End()
-	s.recordAudit(&res, sc.Trace, dur, resumed, resumePrefix,
+	s.recordAudit(&res, sc.Trace, dur, pp,
 		obs.M.TransportRetries.Value()-retries0, obs.M.TransportAttempts.Value()-attempts0)
 	return res
 }
@@ -359,7 +369,9 @@ func (s *Server) CheckpointAt(nextRound int) *Checkpoint {
 // the interrupted round, which the next RoundDetail(ck.NextRound) call
 // completes from the recorded fold prefix. The server must be freshly
 // built from the same template, config and population as the checkpointed
-// one (the population size is verified; the rest cannot be).
+// one. A checkpoint is a file's bytes: the population size and, of a
+// partial round, everything the round would take on trust (resumedCohort)
+// are checked before anything is restored.
 //
 // Determinism contract: a resumed run is bit-identical to the
 // uninterrupted one when participants and the DropPolicy are stateless —
@@ -372,11 +384,18 @@ func (s *Server) ResumeFrom(ck *Checkpoint) error {
 		return fmt.Errorf("fl: resume with population %d, checkpoint has %d",
 			s.populationSize(), ck.Registered)
 	}
+	var cohort []Participant
+	if p := ck.Partial; p != nil {
+		var err error
+		if cohort, err = s.resumedCohort(p); err != nil {
+			return fmt.Errorf("fl: resume: partial round %d: %w", p.Round, err)
+		}
+	}
 	if err := nn.ApplyModelState(s.Model, ck.Model); err != nil {
 		return fmt.Errorf("fl: resume: %w", err)
 	}
 	s.sr.Restore(ck.RNG)
-	s.pendingPartial = ck.Partial
+	s.pendingPartial, s.pendingCohort = ck.Partial, cohort
 	obs.M.FLResumes.Inc()
 	if ck.Partial != nil {
 		obs.M.FLResumedPartialRounds.Inc()
@@ -384,6 +403,54 @@ func (s *Server) ResumeFrom(ck *Checkpoint) error {
 	obs.L().Info("fl: resumed from checkpoint", "next_round", ck.NextRound,
 		"rng_draws", ck.RNG.Draws, "partial", ck.Partial != nil)
 	return nil
+}
+
+// resumedCohort checks an interrupted round against this server — its
+// accumulator is as long as the model, its completions and drops split its
+// cohort without repeats, every client of the cohort exists here — and
+// resolves the cohort: through the registry's factory, or by ID over the
+// resident population.
+func (s *Server) resumedCohort(p *PartialRound) ([]Participant, error) {
+	if p.FoldN != len(p.Completed) {
+		return nil, fmt.Errorf("fold count %d with %d completed", p.FoldN, len(p.Completed))
+	}
+	if n := s.Model.NumParams(); len(p.Acc) != n {
+		return nil, fmt.Errorf("accumulator of %d values for a model of %d", len(p.Acc), n)
+	}
+	byID := make(map[int]Participant, len(s.Participants))
+	for _, q := range s.Participants {
+		byID[q.ID()] = q
+	}
+	known := func(id int) bool { return byID[id] != nil }
+	if s.Registry != nil {
+		known = s.Registry.has
+	}
+	unaccounted := make(map[int]bool, len(p.Selected))
+	for _, id := range p.Selected {
+		if !known(id) {
+			return nil, fmt.Errorf("client %d is not registered", id)
+		}
+		if unaccounted[id] {
+			return nil, fmt.Errorf("client %d selected twice", id)
+		}
+		unaccounted[id] = true
+	}
+	for _, ids := range [][]int{p.Completed, p.Dropped} {
+		for _, id := range ids {
+			if !unaccounted[id] {
+				return nil, fmt.Errorf("client %d completed or dropped twice, or never selected", id)
+			}
+			delete(unaccounted, id)
+		}
+	}
+	if s.Registry != nil {
+		return s.Registry.Materialize(p.Selected), nil
+	}
+	cohort := make([]Participant, len(p.Selected))
+	for i, id := range p.Selected {
+		cohort[i] = byID[id]
+	}
+	return cohort, nil
 }
 
 // ResumeLatest restores the server from the newest complete checkpoint in
@@ -408,74 +475,149 @@ func (s *Server) populationSize() int {
 	return len(s.Participants)
 }
 
-// runRound drives one aggregation round over the given cohort against
-// model m (the global model for training rounds, the defense's working
-// model for fine-tuning). With cfg.Streaming set and an aggregation rule
-// that can fold incrementally, the round streams (DESIGN.md §12);
-// otherwise it runs the legacy batch path. Both paths share the drop,
-// failure-recording and quorum helpers below, so their survivor sets —
-// and therefore their aggregates — cannot drift apart.
+// runRound is the one round loop (DESIGN.md §12): training rounds against
+// the global model, the defense's fine-tuning rounds against its working
+// model m, streaming or not, fresh or resumed. A round is a start state —
+// fresh: the cohort minus its policy drops; resumed (pp non-nil): the
+// checkpoint's bookkeeping, the cohort's unaccounted suffix and a restored
+// accumulator — then flatten the global, collect and fold, finish the
+// fold, check quorum, apply. What differs between modes is the Fold it is
+// handed (beginFold), so survivor sets, drop accounting and the applied
+// sum cannot drift apart between them.
 //
 // The round runs under the trace rooted by its driver (RoundDetail or
 // FineTune): sc is the round span's context, threaded into the collection
 // context so every remote call and retry attempt becomes a child span,
-// headers included across process boundaries. Every drop — policy or
-// wire — counts into fl_dropped_total (wire failures additionally log the
-// client's error with round/client attributes), and a below-quorum round
-// counts into fl_quorum_failures_total. Instrumentation only observes the
-// round's outcome after the fact; it touches no model arithmetic,
-// scheduling or RNG stream, so rounds stay bit-identical with metrics
-// enabled. durable marks training rounds against the global model — the
-// only rounds partial checkpoints may describe. Fine-tuning passes false.
-func (s *Server) runRound(m *nn.Sequential, selected []Participant, t int, durable bool, sc obs.SpanContext) RoundResult {
-	if s.cfg.Streaming {
-		if sa, ok := s.aggregator().(StreamingAggregator); ok {
-			return s.runStreamingRound(m, sa, selected, t, durable, sc)
-		}
-		obs.M.FLStreamFallbacks.Inc()
-		obs.L().Debug("fl: aggregator cannot stream, batch round",
-			"round", t, "agg", fmt.Sprintf("%T", s.aggregator()))
+// headers included across process boundaries. Every drop counts into
+// fl_dropped_total and a below-quorum round into fl_quorum_failures_total.
+// Instrumentation only observes the round's outcome after the fact; it
+// touches no model arithmetic, scheduling or RNG stream, so rounds stay
+// bit-identical with metrics enabled. durable marks training rounds against
+// the global model — the only rounds partial checkpoints may describe.
+func (s *Server) runRound(m *nn.Sequential, selected []Participant, pp *PartialRound, t int, durable bool, sc obs.SpanContext) RoundResult {
+	obs.M.FLRounds.Inc()
+	need := s.quorumCount(len(selected))
+	fold, streams := s.beginFold(m.NumParams(), need)
+	if fc, ok := fold.(foldSnapshotter); ok && pp != nil {
+		fc.restore(pp.Acc, pp.FoldN, pp.Total)
+	} else if pp != nil {
+		// The one way a recorded prefix is lost: this server's fold cannot
+		// take an accumulator back (the rule does not stream, or
+		// cfg.Streaming is off). The recorded cohort runs fresh.
+		obs.L().Warn("fl: fold cannot restore a partial checkpoint, re-running round",
+			"round", t, "fold", fmt.Sprintf("%T", fold))
+		pp = nil
 	}
-	return s.runBatchRound(m, selected, t, sc)
-}
-
-// beginRound opens a round's telemetry record.
-func beginRound(selected []Participant, t int) RoundResult {
-	res := RoundResult{Round: t, Selected: make([]int, 0, len(selected))}
-	for _, p := range selected {
-		res.Selected = append(res.Selected, p.ID())
+	res, active := s.startRound(selected, pp, t)
+	if pp == nil {
+		// The opening partial checkpoint (fold 0) records the drawn cohort
+		// and policy drops, so a crash before any update folds still
+		// resumes into this round instead of redrawing it.
+		s.partialCheckpoint(m, &res, fold, t, durable, sc)
+	} else {
+		// The resume suffix is a child span of the round, so a resumed
+		// round's tree shows the recorded prefix boundary explicitly.
+		rsp := obs.StartChildOf(sc, "fl.round.resume", nil).WithRound(t)
+		defer rsp.End()
+	}
+	prior := len(res.Completed)
+	global := flatParams(m)
+	ctx, cancel := s.roundContext(sc)
+	defer cancel()
+	s.crash(CrashPreFold, t, prior)
+	// Nothing bounds what a round that does not stream holds — its fold
+	// keeps every delta anyway — so it trains parallel.Workers() clients at
+	// a time; a streaming round trains, and holds, a window of them.
+	workers, hold := parallel.NumBlocks(len(active)), len(active)
+	if streams {
+		workers = s.windowSize(len(active))
+		hold = workers
+	}
+	peak, panicked := s.collectAndFold(ctx, m, fold, active, global, t, &res, durable, workers, hold)
+	wire.PutFloat64s(global)
+	var mergeSeconds *obs.Histogram
+	if streams {
+		mergeSeconds = obs.M.FLShardMergeSeconds
+		res.PeakInFlight = peak
+		obs.M.FLStreamInFlightPeak.Set(int64(peak))
+	}
+	msp := obs.StartChildOf(sc, "fl.fold.merge", mergeSeconds).WithRound(t)
+	agg := fold.Finish()
+	msp.End()
+	if panicked != nil {
+		// Raised again only now that the fold is finished: its shards write
+		// the server's arena accumulator, which the next round reuses.
+		panic(panicked)
+	}
+	arrived := len(res.Completed)
+	obs.M.FLCompleted.Add(uint64(arrived - prior))
+	if arrived < need {
+		// Below quorum the round delivers no update, as in a real deployment
+		// where the server abandons the round and retries.
+		obs.M.FLQuorumFailures.Inc()
+		obs.L().Warn("fl: round below quorum, discarded",
+			"round", t, "arrived", arrived, "need", need, "selected", len(selected))
+		return res
+	}
+	s.crash(CrashPostQuorumPreApply, t, arrived)
+	m.AddDeltaVector(1, agg)
+	res.Applied = true
+	if all, ok := fold.(*collectAllFold); ok {
+		all.release(agg)
 	}
 	return res
 }
 
-// filterByPolicy applies the DropPolicy, consuming its randomness stream
-// in participant order before any concurrency so failure injection stays
-// deterministic under every worker count, and returns the active cohort.
-func (s *Server) filterByPolicy(selected []Participant, t int, res *RoundResult) []Participant {
-	var active []Participant
+// beginFold opens the round's fold: the rule's own when the server streams
+// and the rule can fold one delta at a time, else the collect-all fold —
+// which is how a batch-only rule (internal/robust) runs under a streaming
+// server, counted into fl_stream_fallbacks_total. need is the round's
+// quorum.
+func (s *Server) beginFold(dim, need int) (fold Fold, streams bool) {
+	rule := s.aggregator()
+	if s.cfg.Streaming {
+		if sa, ok := rule.(StreamingAggregator); ok {
+			return sa.BeginFold(dim, s.cfg.Shards, &s.foldScratch), true
+		}
+		obs.M.FLStreamFallbacks.Inc()
+	}
+	return &collectAllFold{rule: rule, need: need}, false
+}
+
+// startRound is a round's start state: its telemetry record and the
+// clients still to collect, in participant order. Fresh (pp nil), those are
+// the cohort minus its policy drops — the DropPolicy's randomness stream is
+// consumed here, in participant order and before any concurrency, so
+// failure injection is deterministic under every worker count. Resumed,
+// they are the cohort minus the completions and drops the checkpoint
+// recorded, which the record takes over; policy drops were all recorded
+// before the first fold, so the policy is not consulted again.
+func (s *Server) startRound(selected []Participant, pp *PartialRound, t int) (res RoundResult, active []Participant) {
+	res = RoundResult{Round: t, Selected: make([]int, 0, len(selected))}
+	var accounted map[int]bool
+	if pp != nil {
+		res.Completed = append([]int(nil), pp.Completed...)
+		res.Dropped = append([]int(nil), pp.Dropped...)
+		accounted = make(map[int]bool, len(selected))
+		for _, ids := range [][]int{pp.Completed, pp.Dropped} {
+			for _, id := range ids {
+				accounted[id] = true
+			}
+		}
+	}
 	for _, p := range selected {
-		if s.Drop != nil && s.Drop.Dropped(p.ID(), t) {
+		res.Selected = append(res.Selected, p.ID())
+		switch {
+		case accounted[p.ID()]:
+		case pp == nil && s.Drop != nil && s.Drop.Dropped(p.ID(), t):
 			res.Dropped = append(res.Dropped, p.ID())
 			obs.M.FLDropped.Inc()
 			obs.L().Debug("fl: client dropped by policy", "round", t, "client", p.ID())
-			continue
+		default:
+			active = append(active, p)
 		}
-		active = append(active, p)
 	}
-	return active
-}
-
-// noteWireFailure records one client's failed update — the single code
-// path both the batch and streaming rounds use, so a wire failure is
-// accounted identically whichever way the round ran.
-func (res *RoundResult) noteWireFailure(id, t int, err error) {
-	res.Dropped = append(res.Dropped, id)
-	if res.Errs == nil {
-		res.Errs = make(map[int]error)
-	}
-	res.Errs[id] = err
-	obs.M.FLDropped.Inc()
-	obs.L().Warn("fl: client update failed", "round", t, "client", id, "err", err)
+	return res, active
 }
 
 // roundContext derives the round's collection context: the deadline, plus
@@ -493,88 +635,14 @@ func (s *Server) roundContext(sc obs.SpanContext) (context.Context, context.Canc
 	return ctx, func() {}
 }
 
-// meetsQuorum decides whether a round with the given number of arrived
-// updates applies; a discarded round is logged and counted. Below quorum
-// the round delivers no update, as in a real deployment where the server
-// abandons the round and retries.
-func (s *Server) meetsQuorum(arrived, selected, t int) bool {
-	if arrived > 0 && arrived >= s.quorumCount(selected) {
-		return true
-	}
-	obs.M.FLQuorumFailures.Inc()
-	obs.L().Warn("fl: round below quorum, discarded",
-		"round", t, "arrived", arrived, "need", s.quorumCount(selected), "selected", selected)
-	return false
-}
-
-// runBatchRound is the legacy round: materialize every delta, compact the
-// survivors in participant order, aggregate once at round end, then recycle
-// them. It is also what a rule that cannot stream (internal/robust) runs
-// under a streaming server.
-func (s *Server) runBatchRound(m *nn.Sequential, selected []Participant, t int, sc obs.SpanContext) RoundResult {
-	obs.M.FLRounds.Inc()
-	res := beginRound(selected, t)
-	global := flatParams(m)
-	active := s.filterByPolicy(selected, t, &res)
-	ctx, cancel := s.roundContext(sc)
-	defer cancel()
-	deltas := make([][]float64, len(active))
-	errs := make([]error, len(active))
-	parallel.For(len(active), func(i int) {
-		deltas[i], errs[i] = localUpdate(ctx, active[i], global, t)
-	})
-	wire.PutFloat64s(global)
-	// Compact survivors in participant order, so aggregating a round with
-	// wire failures is bit-identical to aggregating one where the same
-	// clients were excluded up front.
-	var ids []int
-	var ok [][]float64
-	for i, p := range active {
-		if errs[i] != nil {
-			res.noteWireFailure(p.ID(), t, errs[i])
-			continue
-		}
-		ids = append(ids, p.ID())
-		ok = append(ok, deltas[i])
-	}
-	res.Completed = ids
-	obs.M.FLCompleted.Add(uint64(len(ids)))
-	if !s.meetsQuorum(len(ok), len(selected), t) {
-		return res
-	}
-	s.crash(CrashPostQuorumPreApply, t, len(ok))
-	var agg []float64
-	if wa, isWeighted := s.Agg.(WeightedAggregator); isWeighted {
-		agg = wa.AggregateWeighted(ok, ids)
-	} else {
-		agg = s.aggregator().Aggregate(ok)
-	}
-	m.AddDeltaVector(1, agg)
-	res.Applied = true
-	// Only now are the deltas and the aggregate dead: the rule has seen
-	// every input and its result is in the model (DESIGN.md §19). A rule
-	// that returned one of its inputs gets it released once, as the input.
-	for _, d := range ok {
-		if len(agg) > 0 && &d[0] == &agg[0] {
-			agg = nil
-		}
-		wire.PutFloat64s(d)
-	}
-	wire.PutFloat64s(agg)
-	return res
-}
-
 // flatParams is m.ParamsVector() over a free-list vector: the global every
-// participant of a round reads. The round puts it back as soon as its
-// collection has joined — parallel.For has returned, or collectAndFold has
-// received every client's outcome — because by then nothing can read it: a
-// participant may not keep global past LocalUpdate (Participant), a
-// RemoteClient reads it only to encode the request, on the calling
-// goroutine and before its first attempt, so even a call abandoned at
-// RoundTimeout has long finished with it, and a fleet handler works on its
-// own decoded copy. A round that panics out of collection — a participant,
-// or the chaos suite's kill hooks, which leave clients of the window still
-// training — never reaches the release; the collector takes the vector.
+// participant of a round reads. runRound puts it back as soon as collection
+// has joined — every client's outcome received — because by then nothing
+// can read it (DESIGN.md §19): a participant may not keep global past
+// LocalUpdate, a RemoteClient reads it only to encode the request, before
+// its first attempt, and a fleet handler works on its own decoded copy. A
+// round that a kill hook panics out of, clients of the window still
+// training, never reaches the release; the collector takes the vector.
 func flatParams(m *nn.Sequential) []float64 {
 	v := wire.GetFloat64s(m.NumParams())
 	off := 0
@@ -584,121 +652,146 @@ func flatParams(m *nn.Sequential) []float64 {
 	return v
 }
 
-// runStreamingRound is the scale path: clients train concurrently inside
-// a bounded window, but each arriving delta is folded — in participant
-// order, through the aggregator's sharded Fold, which recycles it when its
-// last shard is done with it — so the server's working set is
-// O(window × dim), not O(cohort × dim).
-// The fold order and the shared drop/quorum helpers make the result
-// bit-identical to runBatchRound for every shard count, worker count and
-// dropout set (the streaming equivalence suite pins this).
-func (s *Server) runStreamingRound(m *nn.Sequential, sa StreamingAggregator, selected []Participant, t int, durable bool, sc obs.SpanContext) RoundResult {
-	obs.M.FLRounds.Inc()
-	res := beginRound(selected, t)
-	global := flatParams(m)
-	active := s.filterByPolicy(selected, t, &res)
-	ctx, cancel := s.roundContext(sc)
-	defer cancel()
-
-	fold := sa.BeginFold(len(global), s.shardCount(), &s.foldScratch)
-	// The opening partial checkpoint (fold 0) records the drawn cohort and
-	// policy drops, so a crash before any update folds still resumes into
-	// this round instead of redrawing it.
-	s.partialCheckpoint(m, &res, fold, t, 0, durable, sc)
-	s.crash(CrashPreFold, t, 0)
-	folds := s.collectAndFold(ctx, m, fold, active, global, t, &res, durable, 0)
-	wire.PutFloat64s(global)
-	msp := obs.StartChildOf(sc, "fl.fold.merge", nil).WithRound(t)
-	agg := fold.Finish()
-	msp.End()
-	obs.M.FLStreamInFlightPeak.Set(int64(res.PeakInFlight))
-	obs.M.FLCompleted.Add(uint64(len(res.Completed)))
-	if !s.meetsQuorum(len(res.Completed), len(selected), t) {
-		return res
-	}
-	s.crash(CrashPostQuorumPreApply, t, folds)
-	m.AddDeltaVector(1, agg)
-	res.Applied = true
-	return res
+// collectAllFold is the Fold of a round that does not stream: it keeps
+// every survivor's (id, delta) in participant order and hands the rule the
+// whole cohort once, in Finish — the only shape a rule that needs every
+// delta at once (internal/robust) can take. It is the server's, not a
+// BeginFold on those rules: they stay batch-only.
+type collectAllFold struct {
+	rule Aggregator
+	// need is the round's quorum. Finish runs the rule on nothing less: a
+	// batch-only rule has arity preconditions (Krum's n ≥ 2f+3) the quorum
+	// is there to meet, and a discarded round's aggregate is never read.
+	need   int
+	ids    []int
+	deltas [][]float64
 }
 
-// collectAndFold runs the streaming round's collection window over active,
-// folding survivors in participant order, and returns the final fold
-// count. startFolds carries a resumed round's recorded prefix so the
-// partial-checkpoint cadence and crash hooks see global fold counts.
-func (s *Server) collectAndFold(ctx context.Context, m *nn.Sequential, fold Fold,
-	active []Participant, global []float64, t int, res *RoundResult, durable bool, startFolds int) int {
-	window := s.windowSize(len(active))
-	type outcome struct {
-		delta []float64
-		err   error
+// Fold implements Fold.
+func (f *collectAllFold) Fold(id int, delta []float64) {
+	f.ids = append(f.ids, id)
+	f.deltas = append(f.deltas, delta)
+}
+
+// Finish implements Fold: the round's one Aggregate/AggregateWeighted call.
+func (f *collectAllFold) Finish() []float64 {
+	if len(f.deltas) < f.need {
+		return nil
 	}
-	results := make([]outcome, len(active))
-	ready := make([]chan struct{}, len(active))
-	for i := range ready {
-		ready[i] = make(chan struct{})
+	if wa, ok := f.rule.(WeightedAggregator); ok {
+		return wa.AggregateWeighted(f.deltas, f.ids)
 	}
-	var inFlight, peak int64
-	// The producer admits at most window clients at a time; a slot is
-	// released only after the fold loop below has folded that client — in
-	// participant order — so a slow early client throttles admission
-	// rather than growing the working set. At most window deltas exist at
-	// any instant, whatever the cohort size.
-	sem := make(chan struct{}, window)
-	go func() {
-		for i := range active {
-			sem <- struct{}{}
-			go func(i int) {
-				d, err := localUpdate(ctx, active[i], global, t)
-				if d != nil {
-					n := atomic.AddInt64(&inFlight, 1)
-					for {
-						p := atomic.LoadInt64(&peak)
-						if n <= p || atomic.CompareAndSwapInt64(&peak, p, n) {
-							break
-						}
-					}
-				}
-				results[i] = outcome{delta: d, err: err}
-				close(ready[i])
-			}(i)
+	return f.rule.Aggregate(f.deltas)
+}
+
+// release recycles the deltas and the aggregate once it has been applied.
+// Only then are they dead: the rule has seen every input and its result is
+// in the model (DESIGN.md §19). A rule that returned one of its inputs
+// gets it released once, as the input.
+func (f *collectAllFold) release(agg []float64) {
+	for _, d := range f.deltas {
+		if len(agg) > 0 && &d[0] == &agg[0] {
+			agg = nil
 		}
-	}()
-	folds := startFolds
+		wire.PutFloat64s(d)
+	}
+	wire.PutFloat64s(agg)
+}
+
+// outcome is what one client's update call left: a delta, the error that
+// makes the client a dropout, or the value it panicked with.
+type outcome struct {
+	delta    []float64
+	err      error
+	panicked any
+}
+
+// collectAndFold is the round's collection loop: workers goroutines each
+// take the next admitted client — a claim loop, so uneven client cost idles
+// nobody — while this goroutine folds the outcomes in participant order. A
+// client is admitted once fewer than hold are admitted but not yet folded,
+// so at most hold deltas exist at any instant whatever the cohort size, and
+// a slow early client throttles admission rather than growing the working
+// set. It returns the most trained-but-unfolded deltas it saw, and the
+// first panic of a participant in participant order: the siblings drain,
+// nothing more is folded, the lost round's vectors go to the collector.
+func (s *Server) collectAndFold(ctx context.Context, m *nn.Sequential, fold Fold, active []Participant,
+	global []float64, t int, res *RoundResult, durable bool, workers, hold int) (peak int, panicked any) {
+	n := len(active)
+	results := make([]outcome, n)
+	// Workers announce each finished index on done, sized so that no send
+	// ever blocks — not even after a kill hook has taken the receiver away.
+	done, arrived := make(chan int, n), make([]bool, n)
+	var held atomic.Int64
+	// Admitted indices wait here for a free worker. At most hold are ever
+	// outstanding, so a send never blocks; closing it on the way out —
+	// normally, or under a kill hook's panic — ends the workers.
+	work := make(chan int, hold)
+	defer close(work)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for i := range work {
+				results[i] = localUpdate(ctx, active[i], global, t)
+				if results[i].delta != nil {
+					held.Add(1)
+				}
+				done <- i
+			}
+		}()
+	}
+	admitted := 0
+	admit := func(folded int) {
+		for ; admitted < n && admitted-folded < hold; admitted++ {
+			work <- admitted
+		}
+	}
+	admit(0)
 	for i, p := range active {
-		<-ready[i]
+		for !arrived[i] {
+			arrived[<-done] = true
+		}
 		out := results[i]
 		results[i] = outcome{} // the fold below is the delta's only holder
-		if out.err != nil {
-			<-sem // a failed client holds no delta; admit the next one
-			res.noteWireFailure(p.ID(), t, out.err)
-			continue
+		switch {
+		case out.panicked != nil || panicked != nil:
+			// The round is lost; keep admitting so every sibling returns.
+			if panicked == nil {
+				panicked = out.panicked
+			}
+			admit(i + 1)
+		case out.err != nil:
+			admit(i + 1) // a failed client holds no delta
+			res.Dropped = append(res.Dropped, p.ID())
+			if res.Errs == nil {
+				res.Errs = make(map[int]error)
+			}
+			res.Errs[p.ID()] = out.err
+			obs.M.FLDropped.Inc()
+			obs.L().Warn("fl: client update failed", "round", t, "client", p.ID(), "err", out.err)
+		default:
+			res.Completed = append(res.Completed, p.ID())
+			fold.Fold(p.ID(), out.delta)
+			peak = max(peak, int(held.Add(-1))+1)
+			// Admit the next client only now that this delta is handed to
+			// the fold and uncounted — earlier lets hold+1 deltas be alive —
+			// but before the checkpoint, so its write overlaps collection.
+			admit(i + 1)
+			s.partialCheckpoint(m, res, fold, t, durable, obs.SpanContextFrom(ctx))
+			s.crash(CrashMidCollection, t, len(res.Completed))
 		}
-		res.Completed = append(res.Completed, p.ID())
-		fold.Fold(p.ID(), out.delta)
-		atomic.AddInt64(&inFlight, -1)
-		// Admit the next client only now that this delta is handed to the
-		// fold and uncounted — releasing earlier lets window+1 deltas be
-		// alive — but before the checkpoint, so its write overlaps collection.
-		<-sem
-		folds++
-		s.partialCheckpoint(m, res, fold, t, folds, durable, obs.SpanContextFrom(ctx))
-		s.crash(CrashMidCollection, t, folds)
 	}
-	res.PeakInFlight = int(atomic.LoadInt64(&peak))
-	return folds
+	return peak, panicked
 }
 
-// partialCheckpoint writes a mid-round checkpoint when one is due:
-// quiesce the fold, snapshot its accumulator, seal it with the round's
-// bookkeeping. A failed write logs and counts — the round itself carries
-// on; durability degrades to the previous checkpoint.
-func (s *Server) partialCheckpoint(m *nn.Sequential, res *RoundResult, fold Fold, t, folds int, durable bool, sc obs.SpanContext) {
-	if !durable || s.ckpt == nil || !s.ckpt.partialDue(folds) {
-		return
-	}
+// partialCheckpoint writes a mid-round checkpoint when one is due after
+// the folds so far: quiesce the fold, snapshot its accumulator, seal it
+// with the round's bookkeeping. A fold that cannot snapshot writes none. A
+// failed write logs and counts — the round itself carries on; durability
+// degrades to the previous checkpoint.
+func (s *Server) partialCheckpoint(m *nn.Sequential, res *RoundResult, fold Fold, t int, durable bool, sc obs.SpanContext) {
+	folds := len(res.Completed)
 	fc, ok := fold.(foldSnapshotter)
-	if !ok {
+	if !ok || !durable || s.ckpt == nil || !s.ckpt.partialDue(folds) {
 		return
 	}
 	csp := obs.StartChildOf(sc, "fl.checkpoint", nil).WithRound(t)
@@ -719,111 +812,6 @@ func (s *Server) partialCheckpoint(m *nn.Sequential, res *RoundResult, fold Fold
 	}
 }
 
-// resumePartialRound completes a round interrupted mid-stream: the cohort
-// and drop record come from the checkpoint, the fold restarts from the
-// restored accumulator, and only the participants past the recorded prefix
-// are collected — in the same participant order, so the scalar fold
-// sequence (and therefore the applied aggregate) is the uninterrupted
-// round's.
-func (s *Server) resumePartialRound(pp *PartialRound, t int, sc obs.SpanContext) RoundResult {
-	sa, ok := s.aggregator().(StreamingAggregator)
-	if !ok {
-		// Partials are only written by streaming rounds; a server resumed
-		// with a non-streaming rule is misconfigured. Redo the round over
-		// the recorded cohort from scratch.
-		obs.L().Warn("fl: partial checkpoint under non-streaming aggregator, re-running round", "round", t)
-		return s.runRound(s.Model, s.materialize(pp.Selected), t, true, sc)
-	}
-	// The resume suffix is a child span of the round, so a resumed round's
-	// tree shows the recorded prefix boundary explicitly.
-	sp := obs.StartChildOf(sc, "fl.round.resume", nil).WithRound(t)
-	defer sp.End()
-	obs.M.FLRounds.Inc()
-	res := RoundResult{
-		Round:     t,
-		Selected:  append([]int(nil), pp.Selected...),
-		Completed: append([]int(nil), pp.Completed...),
-		Dropped:   append([]int(nil), pp.Dropped...),
-	}
-	m := s.Model
-	global := flatParams(m)
-	// The remaining cohort: selected minus everyone the checkpoint already
-	// accounts for, in the original participant order. Policy drops were
-	// all recorded before the first fold, so the policy stream is not
-	// re-consumed here.
-	accounted := make(map[int]struct{}, len(pp.Completed)+len(pp.Dropped))
-	for _, id := range pp.Completed {
-		accounted[id] = struct{}{}
-	}
-	for _, id := range pp.Dropped {
-		accounted[id] = struct{}{}
-	}
-	var remainingIDs []int
-	for _, id := range pp.Selected {
-		if _, done := accounted[id]; !done {
-			remainingIDs = append(remainingIDs, id)
-		}
-	}
-	active := s.materialize(remainingIDs)
-	ctx, cancel := s.roundContext(sc)
-	defer cancel()
-	fold := sa.BeginFold(len(global), s.shardCount(), &s.foldScratch)
-	fc, canRestore := fold.(foldSnapshotter)
-	if !canRestore || len(pp.Acc) != len(global) {
-		obs.L().Warn("fl: checkpointed fold state unusable, re-running round",
-			"round", t, "acc_dim", len(pp.Acc), "dim", len(global))
-		fold.Finish()
-		return s.runRound(m, s.materialize(pp.Selected), t, true, sc)
-	}
-	fc.restore(pp.Acc, pp.FoldN, pp.Total)
-	folds := s.collectAndFold(ctx, m, fold, active, global, t, &res, true, pp.FoldN)
-	wire.PutFloat64s(global)
-	msp := obs.StartChildOf(sc, "fl.fold.merge", nil).WithRound(t)
-	agg := fold.Finish()
-	msp.End()
-	obs.M.FLStreamInFlightPeak.Set(int64(res.PeakInFlight))
-	obs.M.FLCompleted.Add(uint64(len(res.Completed) - len(pp.Completed)))
-	if !s.meetsQuorum(len(res.Completed), len(res.Selected), t) {
-		return res
-	}
-	s.crash(CrashPostQuorumPreApply, t, folds)
-	m.AddDeltaVector(1, agg)
-	res.Applied = true
-	return res
-}
-
-// materialize resolves checkpointed client IDs back to participants:
-// through the registry's factory, or by ID lookup over the resident
-// population. Unknown IDs — a population that changed across the restart —
-// panic: resuming against a different federation is a deployment error no
-// aggregate should paper over.
-func (s *Server) materialize(ids []int) []Participant {
-	if s.Registry != nil {
-		return s.Registry.Materialize(ids)
-	}
-	byID := make(map[int]Participant, len(s.Participants))
-	for _, p := range s.Participants {
-		byID[p.ID()] = p
-	}
-	out := make([]Participant, len(ids))
-	for i, id := range ids {
-		p, ok := byID[id]
-		if !ok {
-			panic(fmt.Sprintf("fl: resume references unknown client %d", id))
-		}
-		out[i] = p
-	}
-	return out
-}
-
-// shardCount resolves cfg.Shards (0 = the parallel worker count).
-func (s *Server) shardCount() int {
-	if s.cfg.Shards > 0 {
-		return s.cfg.Shards
-	}
-	return parallel.Workers()
-}
-
 // windowSize resolves cfg.StreamWindow for a cohort of n (0 = twice the
 // parallel worker count, so training stays saturated while the in-order
 // fold catches up), clamped to [1, n].
@@ -832,32 +820,33 @@ func (s *Server) windowSize(n int) int {
 	if w <= 0 {
 		w = 2 * parallel.Workers()
 	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(w, n))
 }
 
-// localUpdate collects one client's update, preferring the fallible
-// context-aware path when the participant supports it, and refuses one
-// that is not as long as global.
-func localUpdate(ctx context.Context, p Participant, global []float64, round int) ([]float64, error) {
+// localUpdate collects one client's update on a collection worker,
+// preferring the fallible context-aware path when the participant supports
+// it, and refuses one that is not as long as global. A panic stays in the
+// outcome instead of taking the process down from a goroutine nobody can
+// recover on.
+func localUpdate(ctx context.Context, p Participant, global []float64, round int) (out outcome) {
+	defer func() {
+		if v := recover(); v != nil {
+			out = outcome{panicked: v}
+		}
+	}()
 	var d []float64
 	if fp, ok := p.(FallibleParticipant); ok {
 		var err error
 		if d, err = fp.TryLocalUpdate(ctx, global, round); err != nil {
-			return nil, err
+			return outcome{err: err}
 		}
 	} else {
 		d = p.LocalUpdate(global, round)
 	}
 	if len(d) != len(global) {
-		return nil, &UpdateLengthError{Got: len(d), Want: len(global)}
+		return outcome{err: &UpdateLengthError{Got: len(d), Want: len(global)}}
 	}
-	return d, nil
+	return outcome{delta: d}
 }
 
 // aggregator returns the configured aggregation rule (MeanAggregator when
@@ -872,15 +861,10 @@ func (s *Server) aggregator() Aggregator {
 // quorumCount converts cfg.Quorum into the minimum number of arrived
 // updates for a cohort of the given size (at least one).
 func (s *Server) quorumCount(selected int) int {
-	q := s.cfg.Quorum
-	if q <= 0 {
+	if s.cfg.Quorum <= 0 {
 		return 1
 	}
-	n := int(math.Ceil(q * float64(selected)))
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(1, int(math.Ceil(s.cfg.Quorum*float64(selected))))
 }
 
 // Train runs cfg.Rounds rounds. After each round, onRound (if non-nil) is
@@ -944,7 +928,7 @@ func (s *Server) FineTune(m *nn.Sequential, rounds int) {
 		// defense pipeline, not RoundDetail, so no round span exists above
 		// it.
 		sp := obs.StartRoot("fl.finetune.round", obs.M.FLRoundSeconds).WithRound(t)
-		s.runRound(m, cohort, t, false, sp.Context())
+		s.runRound(m, cohort, nil, t, false, sp.Context())
 		sp.End()
 	}
 }

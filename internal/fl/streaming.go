@@ -5,26 +5,24 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
 	"github.com/fedcleanse/fedcleanse/internal/tensor"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
-// Streaming aggregation (DESIGN.md §12). The batch round materializes every
-// participant's update delta before aggregating — O(cohort × dim) memory —
-// which caps a federation at however many deltas fit in RAM. The streaming
-// round instead folds each update into a running aggregate the moment it
-// arrives and recycles it as soon as the last shard has read it (§19), so
-// peak memory follows the collection window (a few in-flight updates), not
-// the cohort.
+// Streaming aggregation (DESIGN.md §12) is a choice of fold, not of round:
+// under Config.Streaming the round loop hands each arriving delta to the
+// rule's own Fold, which adds it into a running aggregate and recycles it
+// as soon as the last shard has read it (§19), so peak memory follows the
+// collection window — O(window × dim) — where the collect-all fold of a
+// round that does not stream holds O(cohort × dim).
 //
-// Bit-identity contract: the legacy aggregate is a per-coordinate scalar
+// Bit-identity contract: the one-shot aggregate is a per-coordinate scalar
 // recurrence in participant order (acc[j] += d_i[j] for i = 0,1,2,…, then
 // one final scale). Floating-point addition is order-sensitive, so the
-// streaming path preserves exactly that order in two ways:
+// fold preserves exactly that order in two ways:
 //
-//   - The round driver folds survivors strictly in participant order.
+//   - The round loop folds survivors strictly in participant order.
 //     Clients still *train* concurrently (a bounded window of them at a
 //     time); only the fold consumes them in order.
 //   - Shards parallelize across the parameter dimension, not across
@@ -37,21 +35,21 @@ import (
 //
 // A cohort-sliced design (shard s folds clients [lo,hi) and partial sums
 // are added at the end) was rejected: regrouping float additions changes
-// results bitwise, which would break the repository's equivalence suites.
-// Likewise a running Welford mean (acc += (d-acc)/n) is not bit-identical
-// to sum-then-scale, so the fold keeps the legacy sum-then-scale form.
+// results bitwise. Likewise a running Welford mean (acc += (d-acc)/n) is
+// not bit-identical to sum-then-scale, so the fold keeps sum-then-scale.
 
 // StreamingAggregator is implemented by aggregation rules that can fold
 // one arriving delta at a time into a running aggregate. MeanAggregator
 // and SampleWeightedMean stream; the Byzantine-robust rules in
 // internal/robust need every delta at once (pairwise distances, per
-// coordinate sorts) and deliberately do not, so a streaming server falls
-// back to the batch round for them.
+// coordinate sorts) and deliberately do not, so a streaming server hands
+// them its collect-all fold.
 type StreamingAggregator interface {
 	Aggregator
 	// BeginFold opens one round's fold over parameter vectors of the
 	// given dimension, parallelized across shards aggregator goroutines
-	// (shards <= 1 folds inline on the caller's goroutine). scratch, when
+	// (Config.Shards as set: 0 means the parallel worker count, 1 folds
+	// inline on the caller's goroutine). scratch, when
 	// non-nil, backs the running accumulator so a long-lived server reuses
 	// one buffer across rounds; the slice returned by Finish then remains
 	// valid only until the next BeginFold against the same arena.
@@ -59,13 +57,12 @@ type StreamingAggregator interface {
 }
 
 // Fold accumulates one round's update deltas. Fold must be called from a
-// single goroutine, in participant order over the round's survivors — the
-// order the batch path compacts them in. The call hands the delta over
-// (DESIGN.md §19): the caller must neither read nor write it afterwards,
-// and the fold recycles it once nothing of its own reads it any more —
-// which, with shards, is after Fold has returned. Finish must be called
-// exactly once; it merges the shard partials and returns the aggregate
-// (nil when nothing was folded).
+// single goroutine, in participant order over the round's survivors. The
+// call hands the delta over (DESIGN.md §19): the caller must neither read
+// nor write it afterwards, and the fold recycles it once nothing of its own
+// reads it any more — which, with shards, is after Fold has returned.
+// Finish must be called exactly once; it merges the shard partials and
+// returns the aggregate (nil when nothing was folded).
 type Fold interface {
 	Fold(id int, delta []float64)
 	Finish() []float64
@@ -86,17 +83,7 @@ func (MeanAggregator) BeginFold(dim, shards int, scratch *tensor.Arena) Fold {
 // BeginFold implements StreamingAggregator: the streaming form of
 // AggregateWeighted, weighting each fold by the client's sample count.
 func (s SampleWeightedMean) BeginFold(dim, shards int, scratch *tensor.Arena) Fold {
-	eta := s.Eta
-	if eta == 0 {
-		eta = 1
-	}
-	weightFor := func(id int) float64 {
-		if n, ok := s.Counts[id]; ok && n > 0 {
-			return float64(n)
-		}
-		return 1
-	}
-	return newShardedFold(dim, shards, scratch, weightFor, eta)
+	return newShardedFold(dim, shards, scratch, s.weight, s.eta())
 }
 
 // foldQueueDepth is the per-shard channel buffer. A queued delta is still
@@ -126,7 +113,6 @@ type shardedFold struct {
 	wg       sync.WaitGroup
 	syncWg   sync.WaitGroup
 	n        int
-	weighted bool
 	weightFn func(id int) float64
 	total    float64
 	eta      float64
@@ -152,12 +138,7 @@ func newShardedFold(dim, shards int, scratch *tensor.Arena, weightFn func(int) f
 	if shards <= 0 {
 		shards = parallel.Workers()
 	}
-	if shards > dim {
-		shards = dim
-	}
-	if shards < 1 {
-		shards = 1
-	}
+	shards = max(1, min(shards, dim))
 	var acc []float64
 	if scratch != nil {
 		t := scratch.Get("fl.fold.acc", dim)
@@ -166,7 +147,7 @@ func newShardedFold(dim, shards int, scratch *tensor.Arena, weightFn func(int) f
 	} else {
 		acc = make([]float64, dim)
 	}
-	f := &shardedFold{acc: acc, weighted: weightFn != nil, weightFn: weightFn, eta: eta}
+	f := &shardedFold{acc: acc, weightFn: weightFn, eta: eta}
 	if shards > 1 {
 		f.ranges = parallel.Partition(dim, shards)
 		f.chans = make([]chan *foldItem, len(f.ranges))
@@ -200,7 +181,7 @@ func newShardedFold(dim, shards int, scratch *tensor.Arena, weightFn func(int) f
 // sequence is literally the one MeanAggregator.Aggregate runs, and the
 // weighted one is AggregateWeighted's Axpy.
 func (f *shardedFold) foldRange(d []float64, w float64, lo, hi int) {
-	if f.weighted {
+	if f.weightFn != nil {
 		tensor.Axpy(f.acc[lo:hi], w, d[lo:hi])
 		return
 	}
@@ -216,7 +197,7 @@ func (f *shardedFold) Fold(id int, delta []float64) {
 		panic(fmt.Sprintf("fl: delta length mismatch %d vs %d", len(delta), len(f.acc)))
 	}
 	weight := 1.0
-	if f.weighted {
+	if f.weightFn != nil {
 		weight = f.weightFn(id)
 		f.total += weight
 	}
@@ -275,14 +256,13 @@ func (f *shardedFold) restore(acc []float64, n int, total float64) {
 // Finish implements Fold: it drains and joins the shard goroutines —
 // merging the partial aggregates in shard order, which for coordinate
 // -range shards is the concatenation of their ranges — then applies the
-// final scale. The merge + scale is traced into fl_shard_merge_seconds.
+// final scale. The round times it: runRound's fl.fold.merge span feeds
+// fl_shard_merge_seconds.
 func (f *shardedFold) Finish() []float64 {
 	if f.finished {
 		panic("fl: Finish called twice")
 	}
 	f.finished = true
-	sp := obs.StartSpan("fl.shard_merge", obs.M.FLShardMergeSeconds)
-	defer sp.End()
 	for _, ch := range f.chans {
 		close(ch)
 	}
@@ -291,7 +271,7 @@ func (f *shardedFold) Finish() []float64 {
 		return nil
 	}
 	scale := 1.0 / float64(f.n)
-	if f.weighted {
+	if f.weightFn != nil {
 		scale = f.eta / f.total
 	}
 	tensor.Scale(f.acc, f.acc, scale)

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math/rand"
@@ -16,8 +15,7 @@ import (
 // decodes to an error instead of a corrupt model. It deliberately does not
 // serialize arbitrary layer graphs: reconstruction goes through the
 // registered builders, which keeps the format stable and the loader free
-// of code execution beyond the known architectures. LoadAny also opens the
-// gob snapshots older fedtrain builds wrote (serialize.go).
+// of code execution beyond the known architectures.
 
 // Section types of wire.KindModel payloads.
 const (
@@ -101,24 +99,15 @@ func DecodeVersionedModel(data []byte) (*Sequential, error) {
 	return m, nil
 }
 
-// LoadAny reads one model from r: a versioned envelope, recognised by the
-// magic's first byte, or else a gob snapshot from a fedtrain build older
-// than the envelope. The read is capped, so a hostile stream cannot balloon
-// memory.
+// LoadAny reads one model from r: a versioned envelope — a gob snapshot
+// from a fedtrain older than the envelope fails the magic check like any
+// foreign bytes. The read is capped: a hostile stream cannot balloon memory.
 func LoadAny(r io.Reader) (*Sequential, error) {
-	br := bufio.NewReader(r)
-	first, err := br.Peek(1)
+	data, err := wire.ReadPayload(r, maxModelBytes)
 	if err != nil {
 		return nil, fmt.Errorf("nn: LoadAny: %w", err)
 	}
-	if first[0] == wire.Magic[0] {
-		data, err := wire.ReadPayload(br, maxModelBytes)
-		if err != nil {
-			return nil, fmt.Errorf("nn: LoadAny: %w", err)
-		}
-		return DecodeVersionedModel(data)
-	}
-	return Load(io.LimitReader(br, maxModelBytes))
+	return DecodeVersionedModel(data)
 }
 
 // AppendModelState appends m's mutable state — the flat parameter vector
@@ -239,4 +228,25 @@ func DecodeModelStateInto(m *Sequential, data []byte) error {
 		}
 	}
 	return fmt.Errorf("nn: DecodeModelStateInto: no model-state section")
+}
+
+// installMask prunes the units of layer li that mask marks, after checking
+// that the layer exists, is prunable and has len(mask) units.
+func installMask(m *Sequential, li int, mask []bool) error {
+	if li < 0 || li >= m.NumLayers() {
+		return fmt.Errorf("mask for layer %d of %d", li, m.NumLayers())
+	}
+	p, ok := m.Layer(li).(Prunable)
+	if !ok {
+		return fmt.Errorf("layer %d is not prunable", li)
+	}
+	if len(mask) != p.Units() {
+		return fmt.Errorf("mask length %d for layer %d with %d units", len(mask), li, p.Units())
+	}
+	for u, pruned := range mask {
+		if pruned {
+			p.PruneUnit(u)
+		}
+	}
+	return nil
 }

@@ -105,26 +105,6 @@ func TestVersionedSaveLoadMiniVGGWithStats(t *testing.T) {
 	}
 }
 
-// TestLoadAnyDispatchesLegacyGob: the same model in the legacy gob format
-// loads bit-identically through LoadAny.
-func TestLoadAnyDispatchesLegacyGob(t *testing.T) {
-	rng := rand.New(rand.NewSource(92))
-	in := Input{C: 1, H: 16, W: 16}
-	m := NewSmallCNN(in, 10, rng)
-	m.PruneModelUnit(m.LastConvIndex(), 1)
-	gobBuf := legacySnapshot(t, "small", in, 10, m)
-	viaAny, err := LoadAny(bytes.NewReader(gobBuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaLegacy, err := Load(bytes.NewReader(gobBuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameParams(t, viaAny, viaLegacy)
-	sameParams(t, viaAny, m)
-}
-
 func TestVersionedRejectsUnknownBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	in := Input{C: 1, H: 16, W: 16}

@@ -30,9 +30,9 @@ import (
 // rankPayload, votePayload, accuracyPayload) and asserts bit-identity with
 // the seeded value — so a wire or serialization change that silently breaks
 // a peer or a file on disk fails CI instead of a rollout — and asserts that
-// the gob wire responses, which no peer sends any more, are refused with an
-// error. The gob model file still loads: old fedtrain snapshots stay
-// readable through nn.LoadAny.
+// the gob files — three wire responses no peer sends any more and a model
+// snapshot from a fedtrain older than the envelope — are refused with an
+// error.
 
 var updateGolden = flag.Bool("update", false, "regenerate the testdata/wire golden corpus")
 
@@ -204,7 +204,11 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 
 	t.Run("legacy-gob-refused", func(t *testing.T) {
 		// Every gob wire response is refused by every response decoder — an
-		// error, which a round records as a dropout; never a misparse.
+		// error, which a round records as a dropout; never a misparse. The
+		// gob model snapshot is refused by the model loader the same way.
+		if _, err := nn.LoadAny(bytes.NewReader(loadGolden(t, files, "model-legacy-gob.bin"))); err == nil {
+			t.Error("model-legacy-gob.bin accepted as a model")
+		}
 		for _, name := range []string{"update-legacy-gob.bin",
 			"report-ranks-legacy-gob.bin", "report-votes-legacy-gob.bin"} {
 			data := loadGolden(t, files, name)
@@ -238,23 +242,12 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 	})
 
 	t.Run("models", func(t *testing.T) {
-		for _, name := range []string{"model-legacy-gob.bin", "model-versioned-v1.bin"} {
-			data := loadGolden(t, files, name)
-			m, err := nn.LoadAny(bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !sameBits(m.ParamsVector(), refParams) {
-				t.Fatalf("%s: parameters differ from the seeded model", name)
-			}
-		}
-		// The dispatcher's gob branch must agree with the original decoder.
-		direct, err := nn.Load(bytes.NewReader(loadGolden(t, files, "model-legacy-gob.bin")))
+		m, err := nn.LoadAny(bytes.NewReader(loadGolden(t, files, "model-versioned-v1.bin")))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameBits(direct.ParamsVector(), refParams) {
-			t.Fatal("legacy nn.Load differs from the seeded model")
+		if !sameBits(m.ParamsVector(), refParams) {
+			t.Fatal("model-versioned-v1.bin: parameters differ from the seeded model")
 		}
 	})
 
