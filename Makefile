@@ -81,8 +81,10 @@ bench-json:
 	@echo wrote BENCH_8.json
 
 ## alloc-test: the allocation-regression gate — warm kernels, layer passes
-## and whole train steps must not allocate (see internal/*/alloc_test.go;
-## these files are excluded under -race, so the race job cannot cover them)
+## and whole train steps must not allocate, and the round phase around them
+## keeps byte budgets: rounds, checkpoint writes, remote calls, tail batches
+## (see internal/*/alloc_test.go; these files are excluded under -race, so
+## the race job cannot cover them)
 alloc-test:
 	$(GO) test -run 'AllocFree|AllocBudget' -v ./internal/tensor ./internal/nn ./internal/fl ./internal/metrics ./internal/obs ./internal/transport ./internal/parallel
 

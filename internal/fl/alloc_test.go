@@ -3,13 +3,16 @@
 package fl
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
+	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
+	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
 // TestTrainerWarmAllocFree gates the end-to-end local-update hot path: a
@@ -81,6 +84,74 @@ func TestStreamingRoundAllocBudget(t *testing.T) {
 	}
 }
 
+// TestCheckpointWriteAllocBudget: a durable streaming round cuts a
+// checkpoint every few folds, so a warm one — a partial over the fold's
+// accumulator, then a boundary, both with a mask section — may allocate its
+// bookkeeping (names, the two small structs, log arguments: 0.7 KiB
+// measured) and nothing that grows with the model. Assembled from
+// intermediate payloads a checkpoint cost three times its own size (880 KB
+// for the benchmark's 294 KB file). The collector is held off: it would
+// empty the buffer pool.
+func TestCheckpointWriteAllocBudget(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	_, _, template, _ := tinySetup(t, 66)
+	template.PruneModelUnit(template.LastConvIndex(), 2)
+	s := syntheticServer(template, 100, 8, Config{Streaming: true, Shards: 2})
+	s.SetCheckpointer(&Checkpointer{Dir: t.TempDir(), EveryFolds: 1,
+		WriteFile: func(string, []byte) error { return nil }})
+	fold, _ := s.beginFold(template.NumParams(), 1)
+	defer fold.Finish()
+	res := RoundResult{Selected: []int{3, 1, 4, 5, 9, 2, 6, 8}, Completed: []int{3, 1, 4}}
+	write := func() {
+		s.partialCheckpoint(s.Model, &res, fold, 0, true, obs.SpanContext{})
+		if err := s.ckpt.WriteBoundary(s.liveCheckpoint(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write() // grows the pooled buffer to a checkpoint's size
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		write()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes per partial + boundary write", per)
+	if per >= 2048 {
+		t.Errorf("a warm partial + boundary checkpoint write allocates %d bytes, budget 2048", per)
+	}
+}
+
+// TestCheckpointWriteFileMustNotKeepData pins the seam's contract from the
+// other side: the bytes WriteFile is handed sit in a pooled buffer that is
+// released when it returns, so a WriteFile that kept the slice holds
+// whatever the buffer's next user writes, and only one that copied still
+// holds a checkpoint.
+func TestCheckpointWriteFileMustNotKeepData(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var kept, copied []byte
+	c := &Checkpointer{Dir: t.TempDir(), WriteFile: func(_ string, data []byte) error {
+		kept, copied = data, bytes.Clone(data)
+		return nil
+	}}
+	if err := c.WriteBoundary(&Checkpoint{NextRound: 1, Registered: 4, Model: []byte{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	b := wire.GetBuffer()
+	defer b.Release()
+	if cap(b.B) == 0 || &b.B[:1][0] != &kept[0] {
+		t.Skip("the pool handed this goroutine another buffer")
+	}
+	b.B = append(b.B, bytes.Repeat([]byte{0xAA}, len(kept))...)
+	if _, err := DecodeCheckpoint(kept); err == nil {
+		t.Error("the slice WriteFile kept still decodes after its buffer was reused")
+	}
+	if ck, err := DecodeCheckpoint(copied); err != nil || ck.NextRound != 1 {
+		t.Errorf("the copy WriteFile took: %+v, %v", ck, err)
+	}
+}
+
 // TestInProcessRoundAllocBudget: a round of ten freshly built SmallCNN
 // participants (four attackers) over a template whose list is already warm
 // allocates next to nothing per update (0.2 KiB measured) — they borrow the
@@ -90,10 +161,9 @@ func TestStreamingRoundAllocBudget(t *testing.T) {
 // Client and Attacker owned one. The collector is held off throughout, so
 // the round's vectors come off the free list the warm rounds filled, and
 // one worker means one working model, which the warm rounds have then shown
-// every batch size of the cohort (layer arenas are keyed by shape, and the
-// attackers' poisoned shards each end on a tail batch of their own; under
-// two workers, which of the two models has met which tail is up to the
-// scheduler, and a first meeting costs ~1 MiB).
+// every batch size of the cohort (the attackers' poisoned shards each end on
+// a tail batch of their own; a first meeting costs a model a header per
+// layer buffer, the memory being the full batch's).
 func TestInProcessRoundAllocBudget(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
@@ -125,7 +195,9 @@ func TestInProcessRoundAllocBudget(t *testing.T) {
 // TestResidentSetFollowsWorkers: what training leaves live on the heap is
 // the working models, and their number follows the worker count — a
 // 64-client MiniVGG federation under two workers keeps no more than an
-// 8-client one, give or take two working models.
+// 8-client one, give or take two working models. A float64 working model
+// is 9.6 MiB of it; 12.4 when the attacker's tail batch had a buffer set of
+// its own beside the full batch's (DESIGN.md §8).
 func TestResidentSetFollowsWorkers(t *testing.T) {
 	prev := parallel.SetWorkers(2)
 	defer parallel.SetWorkers(prev)
@@ -158,5 +230,8 @@ func TestResidentSetFollowsWorkers(t *testing.T) {
 	if large > small+2*perModel {
 		t.Errorf("64 clients leave %d KiB live, 8 clients %d KiB: more than two working models (%d KiB each) apart",
 			large>>10, small>>10, perModel>>10)
+	}
+	if budget := int64(11 << 20); perModel > budget {
+		t.Errorf("a working model keeps %d KiB live, budget %d", perModel>>10, budget>>10)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
@@ -53,6 +54,12 @@ type Checkpoint struct {
 	Model []byte
 	// Partial, when non-nil, is the interrupted streaming round's state.
 	Partial *PartialRound
+
+	// live, on the checkpoints a server cuts for its own checkpointer, is
+	// the model whose state the encoder writes where Model would go —
+	// straight from the parameter tensors, no payload in between. Such a
+	// checkpoint describes the server only until its model next changes.
+	live *nn.Sequential
 }
 
 // PartialRound captures a streaming round mid-fold: the cohort bookkeeping
@@ -76,33 +83,46 @@ type PartialRound struct {
 	FoldN int
 	// Total is the accumulated weight of a weighted fold (0 unweighted).
 	Total float64
-	// Acc is the fold accumulator at the checkpoint.
+	// Acc is the fold accumulator at the checkpoint. On a checkpoint the
+	// server is about to write it is the fold's own accumulator, not a copy:
+	// valid until the next Fold call.
 	Acc []float64
 }
 
 // EncodeCheckpoint serializes ck as a wire.KindCheckpoint envelope.
 func EncodeCheckpoint(ck *Checkpoint) []byte {
-	var rs []byte
-	rs = wire.AppendUint(rs, uint64(ck.NextRound))
-	rs = wire.AppendUint(rs, uint64(ck.RNG.Seed))
-	rs = wire.AppendUint(rs, ck.RNG.Draws)
-	rs = wire.AppendUint(rs, uint64(ck.Registered))
-	e := wire.NewEncoder(wire.KindCheckpoint).
-		Section(secCkptRound, rs).
-		Section(secCkptModel, ck.Model)
-	if p := ck.Partial; p != nil {
-		var ps []byte
-		ps = wire.AppendUint(ps, uint64(p.Round))
-		ps = wire.AppendInts(ps, p.Selected)
-		ps = wire.AppendInts(ps, p.Completed)
-		ps = wire.AppendInts(ps, p.Dropped)
-		ps = wire.AppendUint(ps, uint64(p.FoldN))
-		ps = wire.AppendFloat64s(ps, []float64{p.Total})
-		ps = wire.AppendUint(ps, uint64(len(p.Acc)))
-		ps = wire.AppendFloat64s(ps, p.Acc)
-		e.Section(secCkptPartial, ps)
+	return appendCheckpoint(nil, ck)
+}
+
+// appendCheckpoint appends ck's envelope to dst. It is the one checkpoint
+// encoder: every section is written once, into its final place, from where
+// its values live — the model section from ck.Model or the live model's
+// tensors, the accumulator from the slice the fold handed over.
+func appendCheckpoint(dst []byte, ck *Checkpoint) []byte {
+	w := wire.NewWriter(dst, wire.KindCheckpoint)
+	w.Section(secCkptRound)
+	w.B = wire.AppendUint(w.B, uint64(ck.NextRound))
+	w.B = wire.AppendUint(w.B, uint64(ck.RNG.Seed))
+	w.B = wire.AppendUint(w.B, ck.RNG.Draws)
+	w.B = wire.AppendUint(w.B, uint64(ck.Registered))
+	w.Section(secCkptModel)
+	if ck.live != nil {
+		w.B = nn.AppendModelState(w.B, ck.live)
+	} else {
+		w.B = append(w.B, ck.Model...)
 	}
-	return e.Bytes()
+	if p := ck.Partial; p != nil {
+		w.Section(secCkptPartial)
+		w.B = wire.AppendUint(w.B, uint64(p.Round))
+		w.B = wire.AppendInts(w.B, p.Selected)
+		w.B = wire.AppendInts(w.B, p.Completed)
+		w.B = wire.AppendInts(w.B, p.Dropped)
+		w.B = wire.AppendUint(w.B, uint64(p.FoldN))
+		w.B = wire.AppendFloat64s(w.B, []float64{p.Total})
+		w.B = wire.AppendUint(w.B, uint64(len(p.Acc)))
+		w.B = wire.AppendFloat64s(w.B, p.Acc)
+	}
+	return w.Finish()
 }
 
 // DecodeCheckpoint parses a wire.KindCheckpoint envelope. Malformed input
@@ -240,7 +260,12 @@ func AtomicWriteFile(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op once renamed
+	renamed := false
+	defer func() {
+		if !renamed { // after the rename there is no temp file left to remove
+			os.Remove(tmp.Name())
+		}
+	}()
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return err
@@ -255,6 +280,7 @@ func AtomicWriteFile(path string, data []byte) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
+	renamed = true
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
@@ -281,7 +307,9 @@ type Checkpointer struct {
 	// write (<= 0 means 2).
 	Keep int
 	// WriteFile is the write seam, nil meaning AtomicWriteFile. Tests
-	// inject torn writes here to prove resume never loads a torn file.
+	// inject torn writes here to prove resume never loads a torn file. data
+	// is only valid during the call: it sits in a buffer the checkpointer
+	// recycles as soon as WriteFile has returned.
 	WriteFile func(path string, data []byte) error
 
 	// lastMu guards lastPath, the most recent successfully written
@@ -312,17 +340,20 @@ func (c *Checkpointer) partialDue(folds int) bool {
 }
 
 // write encodes and durably writes one checkpoint under the given name,
-// feeding the fl_checkpoint_* metrics.
+// feeding the fl_checkpoint_* metrics. The bytes are assembled once, in a
+// pooled buffer this call owns from encode to the return of WriteFile.
 func (c *Checkpointer) write(name string, ck *Checkpoint) error {
 	sp := obs.StartSpan("fl.checkpoint_write", obs.M.FLCheckpointWriteSeconds)
 	defer sp.End()
-	data := EncodeCheckpoint(ck)
+	buf := wire.GetBuffer()
+	defer buf.Release()
+	buf.B = appendCheckpoint(buf.B, ck)
 	wf := c.WriteFile
 	if wf == nil {
 		wf = AtomicWriteFile
 	}
 	path := filepath.Join(c.Dir, name)
-	if err := wf(path, data); err != nil {
+	if err := wf(path, buf.B); err != nil {
 		obs.M.FLCheckpointWriteErrors.Inc()
 		return fmt.Errorf("fl: checkpoint %s: %w", name, err)
 	}
@@ -330,8 +361,8 @@ func (c *Checkpointer) write(name string, ck *Checkpoint) error {
 	c.lastPath = path
 	c.lastMu.Unlock()
 	obs.M.FLCheckpointWrites.Inc()
-	obs.M.FLCheckpointBytes.Add(uint64(len(data)))
-	obs.L().Debug("fl: checkpoint written", "file", name, "bytes", len(data),
+	obs.M.FLCheckpointBytes.Add(uint64(len(buf.B)))
+	obs.L().Debug("fl: checkpoint written", "file", name, "bytes", len(buf.B),
 		"next_round", ck.NextRound, "partial", ck.Partial != nil)
 	return nil
 }

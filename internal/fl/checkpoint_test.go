@@ -407,6 +407,71 @@ func TestAtomicWriteFile(t *testing.T) {
 	if len(ents) != 1 {
 		t.Fatalf("%d entries left in dir, want 1 (no temp litter)", len(ents))
 	}
+	// A write that fails before its rename landed — here the rename itself,
+	// onto a directory — is the one that has a temp file to take away.
+	if err := os.Mkdir(filepath.Join(dir, "d.fcc"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := AtomicWriteFile(filepath.Join(dir, "d.fcc"), []byte("three")); err == nil {
+		t.Fatal("rename over a directory reported success")
+	}
+	if ents, _ = os.ReadDir(dir); len(ents) != 2 {
+		t.Fatalf("%d entries left in dir after a failed rename, want 2 (no temp litter)", len(ents))
+	}
+}
+
+// TestCheckpointsWrittenInPlaceMatchEncodeCheckpoint: what a streaming
+// server's rounds hand WriteFile — encoded in place from the live model and
+// the fold's own accumulator — is byte for byte EncodeCheckpoint of the
+// materialised CheckpointAt plus, mid-round, the round's bookkeeping and an
+// accumulator summed here from the completed clients' updates. The model
+// carries a pruned unit, so the mask section is on the line too.
+func TestCheckpointsWrittenInPlaceMatchEncodeCheckpoint(t *testing.T) {
+	prev := parallel.SetWorkers(2)
+	defer parallel.SetWorkers(prev)
+	_, _, template, _ := tinySetup(t, 71)
+	template.PruneModelUnit(template.LastConvIndex(), 1)
+	const cohort, everyFolds = 8, 3
+	s := syntheticServer(template, 200, cohort, Config{Streaming: true, Shards: 3, StreamWindow: 2})
+	var boundary []byte
+	partials := 0
+	s.SetCheckpointer(&Checkpointer{Dir: t.TempDir(), EveryFolds: everyFolds, WriteFile: func(path string, data []byte) error {
+		got, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Errorf("%s: %v", filepath.Base(path), err)
+			return nil
+		}
+		if got.Partial == nil {
+			boundary = bytes.Clone(data)
+			return nil
+		}
+		partials++
+		global := s.Model.ParamsVector()
+		p := *got.Partial
+		p.Acc = make([]float64, len(global))
+		for _, id := range p.Completed {
+			for j, d := range (&SyntheticClient{Id: id, Seed: 92}).LocalUpdate(global, p.Round) {
+				p.Acc[j] += d
+			}
+		}
+		want := s.CheckpointAt(got.NextRound)
+		want.Partial = &p
+		if !bytes.Equal(data, EncodeCheckpoint(want)) {
+			t.Errorf("%s differs from EncodeCheckpoint of the same state", filepath.Base(path))
+		}
+		return nil
+	}})
+	for r := 0; r < 2; r++ {
+		if res := s.RoundDetail(r); !res.Applied || len(res.Completed) != cohort {
+			t.Fatalf("round %d: %+v", r, res)
+		}
+		if !bytes.Equal(boundary, EncodeCheckpoint(s.CheckpointAt(r+1))) {
+			t.Errorf("boundary checkpoint after round %d differs from EncodeCheckpoint(CheckpointAt)", r)
+		}
+	}
+	if want := 2 * (1 + cohort/everyFolds); partials != want {
+		t.Errorf("%d partial checkpoints written, want %d", partials, want)
+	}
 }
 
 // tornWriter is the crash-injection seam: it writes only the first half of

@@ -336,7 +336,7 @@ func (s *Server) RoundDetail(t int) RoundResult {
 	res := s.runRound(s.Model, cohort, pp, t, true, sc)
 	if s.ckpt != nil && s.ckpt.boundaryDue(t) {
 		csp := obs.StartChildOf(sc, "fl.checkpoint", nil).WithRound(t)
-		if err := s.ckpt.WriteBoundary(s.CheckpointAt(t + 1)); err != nil {
+		if err := s.ckpt.WriteBoundary(s.liveCheckpoint(t + 1)); err != nil {
 			obs.L().Warn("fl: boundary checkpoint failed", "round", t, "err", err)
 		}
 		csp.End()
@@ -356,11 +356,21 @@ func (s *Server) SetCheckpointer(c *Checkpointer) { s.ckpt = c }
 // round: the global model, the selection-RNG position and the population
 // size.
 func (s *Server) CheckpointAt(nextRound int) *Checkpoint {
+	ck := s.liveCheckpoint(nextRound)
+	ck.Model, ck.live = nn.AppendModelState(nil, s.Model), nil
+	return ck
+}
+
+// liveCheckpoint is CheckpointAt without the model payload: the encoder
+// reads s.Model itself, so the checkpoint must be written before the model
+// next changes — which the round loop guarantees, the writes being
+// synchronous on the goroutine that applies the aggregate.
+func (s *Server) liveCheckpoint(nextRound int) *Checkpoint {
 	return &Checkpoint{
 		NextRound:  nextRound,
 		RNG:        s.sr.State(),
 		Registered: s.populationSize(),
-		Model:      nn.AppendModelState(nil, s.Model),
+		live:       s.Model,
 	}
 }
 
@@ -784,10 +794,11 @@ func (s *Server) collectAndFold(ctx context.Context, m *nn.Sequential, fold Fold
 }
 
 // partialCheckpoint writes a mid-round checkpoint when one is due after
-// the folds so far: quiesce the fold, snapshot its accumulator, seal it
-// with the round's bookkeeping. A fold that cannot snapshot writes none. A
-// failed write logs and counts — the round itself carries on; durability
-// degrades to the previous checkpoint.
+// the folds so far: quiesce the fold, seal its accumulator — read in place,
+// nothing folds while this goroutine encodes — with the round's bookkeeping.
+// A fold that cannot snapshot writes none. A failed write logs and counts —
+// the round itself carries on; durability degrades to the previous
+// checkpoint.
 func (s *Server) partialCheckpoint(m *nn.Sequential, res *RoundResult, fold Fold, t int, durable bool, sc obs.SpanContext) {
 	folds := len(res.Completed)
 	fc, ok := fold.(foldSnapshotter)
@@ -797,7 +808,7 @@ func (s *Server) partialCheckpoint(m *nn.Sequential, res *RoundResult, fold Fold
 	csp := obs.StartChildOf(sc, "fl.checkpoint", nil).WithRound(t)
 	defer csp.End()
 	acc, n, total := fc.snapshot()
-	ck := s.CheckpointAt(t)
+	ck := s.liveCheckpoint(t)
 	ck.Partial = &PartialRound{
 		Round:     t,
 		Selected:  res.Selected,

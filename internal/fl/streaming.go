@@ -120,7 +120,7 @@ type shardedFold struct {
 }
 
 // foldSnapshotter is the checkpoint seam on a Fold: snapshot quiesces the
-// shards and copies the running state; restore seeds a fresh fold with a
+// shards and hands out the running state; restore seeds a fresh fold with a
 // checkpointed accumulator so a resumed round continues the exact scalar
 // sequence. Folds that cannot snapshot simply don't implement it — the
 // server then skips partial checkpoints for that aggregation rule.
@@ -230,12 +230,16 @@ func (f *shardedFold) quiesce() {
 	f.syncWg.Wait()
 }
 
-// snapshot implements foldSnapshotter: the accumulator copy plus the fold
-// count and accumulated weight, consistent as of every Fold call that
-// returned before snapshot was called.
+// snapshot implements foldSnapshotter: the accumulator plus the fold count
+// and accumulated weight, consistent as of every Fold call that returned
+// before snapshot was called. The accumulator is the fold's own, not a copy.
+// The shards are drained and only a Fold call gives them more to do, and
+// Fold is called from the one goroutine that is calling snapshot — so the
+// caller may read it until it next calls Fold or Finish, and must not write
+// it.
 func (f *shardedFold) snapshot() ([]float64, int, float64) {
 	f.quiesce()
-	return append([]float64(nil), f.acc...), f.n, f.total
+	return f.acc, f.n, f.total
 }
 
 // restore implements foldSnapshotter. Must be called before the first

@@ -117,9 +117,10 @@ func (l *Conv2D) SetL2(lambda float64) { l.W.L2 = lambda }
 
 // ensureCols points l.cols at n per-sample (fanIn×spatial) views of a
 // shared backing tensor sized for the batch. The backing comes from the
-// shape-keyed arena, so alternating full and tail batch sizes reuse two
-// persistent buffers instead of reallocating; headers are re-pointed only
-// when the backing actually changes.
+// shape-keyed arena, so alternating full and tail batch sizes reuse
+// persistent memory — one backing, the tail's header over a prefix of the
+// full batch's — instead of reallocating; headers are re-pointed only when
+// the backing header changes.
 func (l *Conv2D) ensureCols(n, fanIn, spatial int) {
 	backing := l.scratch.Get("cols", n, fanIn, spatial)
 	for len(l.colsHdr) < n {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
@@ -119,35 +120,28 @@ func LoadAny(r io.Reader) (*Sequential, error) {
 //	are emitted)
 //
 // Checkpoints embed it as a section (internal/fl); ApplyModelState is the
-// inverse onto a freshly built model of the same architecture.
+// inverse onto a freshly built model of the same architecture. Everything is
+// written straight from the parameter tensors and the layers' own flags — a
+// checkpoint is cut several times a round, so beyond growing dst this
+// allocates nothing.
 func AppendModelState(dst []byte, m *Sequential) []byte {
-	params := m.ParamsVector()
-	dst = wire.AppendUint(dst, uint64(len(params)))
-	dst = wire.AppendFloat64s(dst, params)
-	type layerMask struct {
-		li   int
-		mask []bool
+	dst = slices.Grow(dst, 8*m.NumParams()) // one growth, not one per tensor
+	dst = wire.AppendUint(dst, uint64(m.NumParams()))
+	for _, p := range m.Params() {
+		dst = wire.AppendFloat64s(dst, p.Value.Data)
 	}
-	var masks []layerMask
-	for li, l := range m.Layers() {
-		p, ok := l.(Prunable)
-		if !ok {
-			continue
-		}
-		mask := make([]bool, p.Units())
-		any := false
-		for u := range mask {
-			mask[u] = p.UnitPruned(u)
-			any = any || mask[u]
-		}
-		if any {
-			masks = append(masks, layerMask{li, mask})
+	nmasks := 0
+	for _, l := range m.layers {
+		if p, ok := l.(Prunable); ok && p.PrunedCount() > 0 {
+			nmasks++
 		}
 	}
-	dst = wire.AppendUint(dst, uint64(len(masks)))
-	for _, lm := range masks {
-		dst = wire.AppendUint(dst, uint64(lm.li))
-		dst = wire.AppendBools(dst, lm.mask)
+	dst = wire.AppendUint(dst, uint64(nmasks))
+	for li, l := range m.layers {
+		if p, ok := l.(Prunable); ok && p.PrunedCount() > 0 {
+			dst = wire.AppendUint(dst, uint64(li))
+			dst = wire.AppendBoolsFunc(dst, p.Units(), p.UnitPruned)
+		}
 	}
 	return dst
 }

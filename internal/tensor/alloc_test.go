@@ -4,6 +4,7 @@ package tensor
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
@@ -103,5 +104,23 @@ func TestArenaGetAllocFreeWhenWarm(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, func() { a.GetLike("y", proto) }); allocs != 0 {
 		t.Errorf("warm Arena.GetLike: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestArenaTailBatchAllocBudget: a tail batch met after the full batch costs
+// its header and map entries, not a buffer — 1.3 MB here when every shape
+// had its own.
+func TestArenaTailBatchAllocBudget(t *testing.T) {
+	var a Arena
+	var a32 Arena32
+	a.Get("out", 20, 16, 16, 16)
+	a32.Get("out", 20, 16, 16, 16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a.Get("out", 14, 16, 16, 16)
+	a32.Get("out", 14, 16, 16, 16)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2048 {
+		t.Errorf("tail batches after full ones allocate %d bytes, budget 2048", got)
 	}
 }

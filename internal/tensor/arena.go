@@ -26,6 +26,10 @@ type arenaKey struct {
 // Buffers for distinct shapes coexist (a partial tail batch does not evict
 // the full-batch buffer), and the slot string separates same-shaped buffers
 // that must not alias (e.g. a matmul destination and its gradient scratch).
+// Shapes of rank 2 and up that differ only in their leading dimension — the
+// batch, everywhere in the training stack — form a family that shares one
+// backing: a tail batch first asked for after the full batch is a second
+// header over a prefix of the full batch's memory, not a second buffer.
 //
 // Ownership rules (see DESIGN.md §8):
 //   - An Arena is single-goroutine state, exactly like the layer that owns
@@ -34,12 +38,17 @@ type arenaKey struct {
 //     block its own buffers.
 //   - Get does not zero recycled buffers; callers that need zeroed storage
 //     call Zero explicitly (freshly allocated buffers are zero-filled).
-//   - A buffer is valid until the next Get with the same slot and shape;
-//     callers must not retain it across steps.
+//   - A buffer is valid until the next Get with the same slot (and index)
+//     and the same trailing shape, whatever its leading dimension; callers
+//     must not retain it across steps, nor hold two leading-dimension
+//     variants of one slot at once.
 //
 // The zero value is ready to use.
 type Arena struct {
 	m map[arenaKey]*Tensor
+	// fam maps a family — a rank ≥ 2 key with its leading dimension blanked —
+	// to the largest backing allocated for it so far.
+	fam map[arenaKey][]float64
 }
 
 // Get returns the arena's buffer for (slot, shape), allocating a zeroed
@@ -107,19 +116,41 @@ func (a *Arena) GetLike(slot string, t *Tensor) *Tensor {
 	return a.miss(k)
 }
 
-// miss allocates and registers the buffer for key k (the cold path of
-// Get/GetLike).
+// miss registers the buffer for key k (the cold path of Get/GetLike): over
+// its family's backing when that is large enough, else over a new one.
 func (a *Arena) miss(k arenaKey) *Tensor {
 	if a.m == nil {
 		a.m = make(map[arenaKey]*Tensor)
+		a.fam = make(map[arenaKey][]float64)
 	}
-	t := New(k.dims[:k.rank]...)
+	t := FromSlice(familyBacking(a.fam, k), k.dims[:k.rank]...)
 	a.m[k] = t
 	return t
 }
 
+// familyBacking returns zero-filled storage for key k. A rank ≥ 2 key is
+// served from a prefix of its family's largest backing when that is long
+// enough; otherwise the storage is new and becomes the family's largest (a
+// smaller backing allocated earlier stays with the buffers that have it).
+// Rank-1 keys have no trailing shape to share a family on.
+func familyBacking[E Elem](fam map[arenaKey][]E, k arenaKey) []E {
+	n := checkShape(k.dims[:k.rank])
+	if k.rank < 2 {
+		return make([]E, n)
+	}
+	fk := k
+	fk.dims[0] = 0
+	if big := fam[fk]; len(big) >= n {
+		clear(big[:n])
+		return big[:n:n]
+	}
+	data := make([]E, n)
+	fam[fk] = data
+	return data
+}
+
 // Reset drops every cached buffer, returning the arena to its zero state.
-func (a *Arena) Reset() { a.m = nil }
+func (a *Arena) Reset() { a.m, a.fam = nil, nil }
 
 // EnsureShape returns t when it already has exactly the wanted shape, and a
 // fresh zeroed tensor otherwise (including t == nil). It is the single-slot

@@ -168,10 +168,12 @@ func checkMatMul32(a, b *T32, op string) (m, k, n int) {
 
 // Arena32 is the float32 sibling of Arena: a shape-keyed pool of reusable
 // float32 scratch tensors with the same ownership rules (single-goroutine,
-// recycled buffers keep contents, buffers valid until the next Get with
-// the same key). The zero value is ready to use.
+// recycled buffers keep contents, leading-dimension variants of a shape
+// share one backing, buffers valid until the next Get with the same slot
+// and trailing shape). The zero value is ready to use.
 type Arena32 struct {
-	m map[arenaKey]*T32
+	m   map[arenaKey]*T32
+	fam map[arenaKey][]float32
 }
 
 // Get returns the arena's buffer for (slot, shape), allocating a zeroed
@@ -245,18 +247,19 @@ func (a *Arena32) GetIndexedLike64(slot string, idx int, t *Tensor) *T32 {
 	return a.miss(k)
 }
 
-// miss allocates and registers the buffer for key k.
+// miss registers the buffer for key k, mirroring Arena.miss.
 func (a *Arena32) miss(k arenaKey) *T32 {
 	if a.m == nil {
 		a.m = make(map[arenaKey]*T32)
+		a.fam = make(map[arenaKey][]float32)
 	}
-	t := New32(k.dims[:k.rank]...)
+	t := FromSlice32(familyBacking(a.fam, k), k.dims[:k.rank]...)
 	a.m[k] = t
 	return t
 }
 
 // Reset drops every cached buffer.
-func (a *Arena32) Reset() { a.m = nil }
+func (a *Arena32) Reset() { a.m, a.fam = nil, nil }
 
 // GetLike32 returns the float64 arena's buffer shaped like the float32
 // tensor t — the other direction of Arena32.GetLike64, used when widening

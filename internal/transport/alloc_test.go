@@ -6,6 +6,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/fedcleanse/fedcleanse/internal/fl"
@@ -75,17 +76,19 @@ func TestEnvelopeEncodeWarmAllocFree(t *testing.T) {
 	}
 }
 
-// TestUpdateExchangeAllocBudget bounds the bytes one whole loopback update
+// TestRemoteCallAllocBudget bounds the bytes one whole warm loopback update
 // exchange allocates — stub, net/http both ways, fleet handler and the
-// synthetic participant together — at half a parameter vector. No vector
-// is owed any more: the delta the participant returns, the global the
-// handler decodes and the delta the stub decodes all come from the free
-// list and go back to it (DESIGN.md §19) — the test hands its delta back as
-// the round drivers do. Bodies are pooled too, so what is left is net/http's
-// per-request state, its 32 KiB body-copy buffer above all (measured: 0.31
-// of a vector). The envelope path spent 2.4 vectors here before deltas
-// were recycled, the gob path before it about eleven.
-func TestUpdateExchangeAllocBudget(t *testing.T) {
+// synthetic participant together — at 16 KiB, whatever the model's size. No
+// vector is owed: the delta the participant returns, the global the handler
+// decodes and the delta the stub decodes all come from the free list and go
+// back to it (DESIGN.md §19) — the test hands its delta back as the round
+// drivers do. Bodies are pooled, and the request's goes to the socket from
+// the buffer it was encoded into (bodyConn), so what is left is net/http's
+// per-request state (8 KiB measured). It is a byte budget, not a claim about
+// net/http's call graph: 41 KiB while a TCP connection copied each request
+// body through a fresh 32 KiB buffer, 2.4 parameter vectors before deltas
+// were recycled, about eleven on the gob path before that.
+func TestRemoteCallAllocBudget(t *testing.T) {
 	template := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rand.New(rand.NewSource(85)))
 	global := template.ParamsVector()
 	fleet := NewFleet()
@@ -106,6 +109,9 @@ func TestUpdateExchangeAllocBudget(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		exchange()
 	}
+	// The collector would trim the buffer pool mid-measurement and bill the
+	// budget a body buffer.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const runs = 40
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -114,10 +120,10 @@ func TestUpdateExchangeAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perExchange := (after.TotalAlloc - before.TotalAlloc) / runs
-	if budget := uint64(8 * len(global) / 2); perExchange > budget {
-		t.Errorf("one update exchange allocates %d bytes, budget %d (0.5 x 8 x %d params)", perExchange, budget, len(global))
+	t.Logf("%d bytes per exchange of a %d-byte request", perExchange, 8*len(global))
+	if budget := uint64(16 << 10); perExchange >= budget {
+		t.Errorf("one update exchange allocates %d bytes, budget %d", perExchange, budget)
 	}
-	t.Logf("%d bytes per exchange = %.2f parameter vectors", perExchange, float64(perExchange)/float64(8*len(global)))
 }
 
 // TestVectorRecycleWarmAllocFree: taking a vector from the free list and

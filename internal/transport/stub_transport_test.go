@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"net/http/httptrace"
 	"strings"
 	"sync"
@@ -195,5 +197,45 @@ func TestEarlyResponseKeepsRequestBytes(t *testing.T) {
 	}
 	if len(ht.held) != fastRetry().MaxAttempts {
 		t.Fatalf("oversize update response drew %d attempts, want %d", len(ht.held), fastRetry().MaxAttempts)
+	}
+}
+
+// TestSharedTransportCarriesEveryBody: the stub connections hand our own
+// request bodies to the socket without a copy, by recognising them; a body
+// they do not recognise — any other reader of known length, here — goes
+// through the pooled copy and must reach the peer byte for byte all the
+// same, as must one of ours (the two sizes straddle net/http's own 4 KiB
+// write buffer, which takes the head of every body before the connection
+// sees the rest).
+func TestSharedTransportCarriesEveryBody(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got, _ := io.ReadAll(r.Body)
+		_, _ = w.Write(got)
+	}))
+	defer srv.Close()
+	hc := &http.Client{Transport: sharedTransport()}
+	for _, size := range []int{100, 300_000} {
+		payload := make([]byte, size)
+		rand.New(rand.NewSource(int64(size))).Read(payload)
+		ours := &callBody{buf: &wire.Buffer{B: payload}}
+		for name, body := range map[string]io.Reader{
+			"foreign reader": struct{ io.Reader }{bytes.NewReader(payload)},
+			"call body":      ours.reader(),
+		} {
+			req, err := http.NewRequest(http.MethodPost, srv.URL, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.ContentLength = int64(size)
+			resp, err := hc.Do(req)
+			if err != nil {
+				t.Fatalf("%s of %d bytes: %v", name, size, err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || !bytes.Equal(got, payload) {
+				t.Errorf("%s of %d bytes: peer received %d bytes, equal=%v, err=%v", name, size, len(got), bytes.Equal(got, payload), err)
+			}
+		}
 	}
 }

@@ -45,7 +45,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -227,7 +229,9 @@ var sharedTransport = sync.OnceValue(newStubTransport)
 // newStubTransport is http.DefaultTransport with its idle pool sized to
 // the calls a round driver keeps in flight against one host — a fleet is
 // one host, and the streaming window is two per worker — where the
-// default of 2 closes and re-dials the surplus connections every round.
+// default of 2 closes and re-dials the surplus connections every round, and
+// with connections that take request bodies without a copy buffer
+// (bodyConn).
 func newStubTransport() *http.Transport {
 	t := &http.Transport{}
 	if dt, ok := http.DefaultTransport.(*http.Transport); ok {
@@ -235,7 +239,45 @@ func newStubTransport() *http.Transport {
 	}
 	t.MaxIdleConnsPerHost = max(2*parallel.Workers(), 64)
 	t.MaxIdleConns = max(t.MaxIdleConns, t.MaxIdleConnsPerHost)
+	dial := t.DialContext
+	if dial == nil {
+		dial = (&net.Dialer{}).DialContext
+	}
+	t.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := dial(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return bodyConn{c}, nil
+	}
 	return t
+}
+
+// bodyConn is a stub-side connection. net/http hands a request body to its
+// connection's ReadFrom once the header block has gone out, and a TCP
+// connection given a reader it can neither splice nor sendfile copies it
+// through a fresh 32 KiB buffer — per request, for a body that already lies
+// encoded in one piece in the call's buffer.
+type bodyConn struct{ net.Conn }
+
+// ReadFrom implements io.ReaderFrom. A body of ours — a callBodyReader
+// under the io.LimitedReader net/http wraps a body of known length in — is
+// written to the socket from the buffer it was encoded into; anything else
+// is copied through a pooled buffer. Either way the peer gets the same
+// bytes, so nothing depends on how a Go version wraps the body.
+func (c bodyConn) ReadFrom(r io.Reader) (int64, error) {
+	if lr, ok := r.(*io.LimitedReader); ok {
+		if br, ok := lr.R.(*callBodyReader); ok && int64(br.Len()) <= lr.N {
+			n, err := br.WriteTo(c.Conn)
+			lr.N -= n
+			return n, err
+		}
+	}
+	buf := wire.GetBuffer()
+	defer buf.Release()
+	buf.B = slices.Grow(buf.B, 32<<10) // what io.Copy would have allocated
+	// Behind a bare io.Writer, or CopyBuffer would come straight back here.
+	return io.CopyBuffer(struct{ io.Writer }{c.Conn}, r, buf.B[:cap(buf.B)])
 }
 
 // RemoteClient is the server-side stub for a client reachable over HTTP.

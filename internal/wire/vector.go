@@ -19,28 +19,36 @@ import (
 // anything can still reach is the bug the race-build poison below exists to
 // expose.
 //
-// A sync.Pool underneath: the GC trims it, so nothing has a size to
-// configure. The vectors travel as plain []float64 through interfaces that
-// predate the list, so the pool holds them boxed; float64sBoxes hands the
-// emptied box of one Get to the next Put, which therefore allocates
-// nothing — a Put often sits where a handler has already answered, and an
-// allocation there can stall it behind the collector.
-var (
-	float64sPool  sync.Pool                                              // *[]float64, each holding a recycled vector
-	float64sBoxes = sync.Pool{New: func() any { return new([]float64) }} // *[]float64, each empty
-)
+// A plain stack under a mutex, like nn.Replicas: it grows to the largest
+// number of vectors ever free at once — one cohort's worth, two for a
+// process that is both ends of the wire — and stays there, so what a round
+// allocates does not depend on where the collector stood when it began
+// (a sync.Pool, trimmed by the GC, lost a cohort's vectors between one
+// round's Put and the next round's Get in some runs and not in others,
+// DESIGN.md §19 "residual modes"). Nothing has a size to configure: a
+// vector too short for the caller is dropped, so the list follows the
+// model in use. Put allocates only when the stack itself grows, i.e. not in
+// steady state — a Put often sits where a handler has already answered,
+// and an allocation there can stall it behind the collector.
+var float64sFree struct {
+	sync.Mutex
+	vs [][]float64
+}
 
 // GetFloat64s returns a vector of length n whose contents are unspecified:
 // the caller must write all n elements before anything reads them. A
 // recycled vector too short for n is dropped, never stretched.
 func GetFloat64s(n int) []float64 {
-	if p, _ := float64sPool.Get().(*[]float64); p != nil {
-		v := *p
-		*p = nil
-		float64sBoxes.Put(p)
-		if cap(v) >= n {
-			return v[:n]
-		}
+	float64sFree.Lock()
+	var v []float64
+	if last := len(float64sFree.vs) - 1; last >= 0 {
+		v = float64sFree.vs[last]
+		float64sFree.vs[last] = nil
+		float64sFree.vs = float64sFree.vs[:last]
+	}
+	float64sFree.Unlock()
+	if v != nil && cap(v) >= n {
+		return v[:n]
 	}
 	return make([]float64, n)
 }
@@ -60,7 +68,7 @@ func PutFloat64s(v []float64) {
 			v[i] = math.NaN()
 		}
 	}
-	p := float64sBoxes.Get().(*[]float64)
-	*p = v
-	float64sPool.Put(p)
+	float64sFree.Lock()
+	float64sFree.vs = append(float64sFree.vs, v)
+	float64sFree.Unlock()
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -21,6 +22,35 @@ func TestFloat64sFreeList(t *testing.T) {
 		for i := range v {
 			v[i] = float64(i) // every element is writable
 		}
+		PutFloat64s(v)
+	}
+}
+
+// TestFloat64sFreeListOutlivesCollections: what a round puts back is what the
+// next round gets, however many collections ran in between — the property a
+// sync.Pool does not have, and the reason one run of cleanse_cifar_f32
+// allocated a cohort of vectors more than the next (DESIGN.md §19).
+func TestFloat64sFreeListOutlivesCollections(t *testing.T) {
+	const cohort, n = 10, 4096
+	held := make([][]float64, cohort)
+	for i := range held {
+		held[i] = GetFloat64s(n)
+	}
+	first := make(map[*float64]bool, cohort)
+	for _, v := range held {
+		first[&v[0]] = true
+		PutFloat64s(v)
+	}
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	for i := range held {
+		held[i] = GetFloat64s(n)
+		if !first[&held[i][0]] {
+			t.Fatalf("Get %d after three collections returned a fresh vector", i)
+		}
+	}
+	for _, v := range held {
 		PutFloat64s(v)
 	}
 }

@@ -364,10 +364,16 @@ func ReadInts(p []byte) (v []int, rest []byte, err error) {
 
 // AppendBools appends a uvarint count followed by an LSB-first bitmap.
 func AppendBools(dst []byte, v []bool) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(v)))
+	return AppendBoolsFunc(dst, len(v), func(i int) bool { return v[i] })
+}
+
+// AppendBoolsFunc is AppendBools over the n values at(0) … at(n-1), for a
+// caller whose flags live behind an accessor and not in a slice.
+func AppendBoolsFunc(dst []byte, n int, at func(i int) bool) []byte {
+	dst = binary.AppendUvarint(dst, uint64(n))
 	var cur byte
-	for i, b := range v {
-		if b {
+	for i := 0; i < n; i++ {
+		if at(i) {
 			cur |= 1 << (i % 8)
 		}
 		if i%8 == 7 {
@@ -375,7 +381,7 @@ func AppendBools(dst []byte, v []bool) []byte {
 			cur = 0
 		}
 	}
-	if len(v)%8 != 0 {
+	if n%8 != 0 {
 		dst = append(dst, cur)
 	}
 	return dst
