@@ -16,10 +16,10 @@ import (
 // pass and receive *tensor.Tensor (float64) regardless of backend, layer
 // parameters (Param.Value/Grad) stay float64, and therefore FL
 // aggregation, the optimizer, checkpointable state and every defense
-// statistic are float64 by construction. A Float32 model keeps per-layer
-// float32 shadow weights that are re-narrowed from the float64 parameters
-// on each forward pass, so optimizer and aggregation updates are picked up
-// without any explicit sync step.
+// statistic are float64 by construction. Both backends run the same layer
+// code, generic over the element type (pass); what differs is confined to
+// the boundary (stack) and three hooks: weights, the gradient adds
+// (tensor.AddWiden) and output.
 type Backend int
 
 const (
@@ -56,20 +56,6 @@ func ParseBackend(s string) (Backend, error) {
 	}
 }
 
-// layer32 is implemented by layers that can run their forward and backward
-// arithmetic natively in float32. Contracts mirror Layer exactly: Forward32
-// may cache state for Backward32 when train is set; returned tensors are
-// layer-owned scratch, valid until the layer's next pass in the same mode.
-// Parameter gradients are still accumulated into the float64 Param.Grad.
-//
-// Layers that do not implement layer32 still work on a Float32 model
-// through a widening bridge in Sequential (correct but allocating); every
-// layer shipped by this package implements it natively.
-type layer32 interface {
-	Forward32(x *tensor.T32, train bool) *tensor.T32
-	Backward32(dout *tensor.T32) *tensor.T32
-}
-
 // SetBackend selects the arithmetic precision for subsequent passes. It is
 // a structural switch, not a per-call option: set it once on the template
 // model (clones inherit it) before any training or evaluation.
@@ -83,158 +69,161 @@ func (m *Sequential) Backend() Backend { return m.backend }
 // for a bounded scope use this to restore the previous state.
 func (m *Sequential) EvalReuse() bool { return m.evalReuse }
 
-// forward32 is Forward on the Float32 backend: narrow the input once, chain
-// the layers' native float32 passes, widen the result at the boundary.
-func (m *Sequential) forward32(x *tensor.Tensor, train bool) *tensor.Tensor {
-	cur := m.scr32.GetLike64("in", x)
-	cur.From64(x)
-	for _, l := range m.layers {
-		if l32, ok := l.(layer32); ok {
-			cur = l32.Forward32(cur, train)
-		} else {
-			cur = m.bridgeForward(l, cur, train)
-		}
-	}
-	return m.widenOutput("out", cur, train)
+// is64 reports whether E is float64; it folds to a constant in each
+// instantiation.
+func is64[E tensor.Elem]() bool {
+	_, ok := any(E(0)).(float64)
+	return ok
 }
 
-// widenOutput converts a final float32 activation to the float64 the
-// Sequential API promises. Training outputs (consumed by the loss before
-// the next step) and eval-reuse outputs live in the model's arena; plain
-// inference allocates fresh because callers may retain the result — the
-// same ownership rules as the float64 path.
-func (m *Sequential) widenOutput(slot string, cur *tensor.T32, reuse bool) *tensor.Tensor {
+// weights is the weights hook: p's values as a pass in E reads them. A
+// float64 pass reads Param.Value in place. A float32 pass reads a shadow
+// in its arena under slot, narrowed from Param.Value when sync is set —
+// at the top of every forward pass, so optimizer steps, FedAvg updates and
+// prune masks (all float64 writes) reach it with no explicit sync step; a
+// masked weight is exactly 0.0 in either precision. Backward reads the
+// shadow its forward pass synced.
+func weights[E tensor.Elem](a *tensor.ArenaOf[E], slot string, p *Param, sync bool) *tensor.Of[E] {
+	if w, ok := any(p.Value).(*tensor.Of[E]); ok {
+		return w
+	}
+	w := a.GetLike(slot, p.Value)
+	if sync {
+		w.From64(p.Value)
+	}
+	return w
+}
+
+// keepsEval is the output hook's rule for inference outputs: they stay in
+// layer scratch (slot "eout", overwritten by the next inference pass) when
+// E is float32 — a float32 activation never leaves the Sequential, whose
+// boundary widens it — and under eval reuse; otherwise they are fresh,
+// because a caller may retain a float64 output across passes.
+func keepsEval[E tensor.Elem](evalReuse bool) bool { return evalReuse || !is64[E]() }
+
+// output is the output hook: a pass's output buffer of the given shape —
+// slot "out" of a for a training pass (reused step after step), "eout" or
+// a fresh tensor for an inference pass (keepsEval).
+func output[E tensor.Elem](a *tensor.ArenaOf[E], train, evalReuse bool, shape ...int) *tensor.Of[E] {
+	switch {
+	case train:
+		return a.Get("out", shape...)
+	case keepsEval[E](evalReuse):
+		return a.Get("eout", shape...)
+	}
+	return tensor.NewOf[E](shape...)
+}
+
+// outputLike is output shaped like x.
+func outputLike[E tensor.Elem](a *tensor.ArenaOf[E], train, evalReuse bool, x *tensor.Of[E]) *tensor.Of[E] {
+	switch {
+	case train:
+		return a.GetLike("out", x)
+	case keepsEval[E](evalReuse):
+		return a.GetLike("eout", x)
+	}
+	return tensor.NewOf[E](x.Shape()...)
+}
+
+// stack is Sequential's pass driver in one element type: it chains the
+// layers' E passes and converts only at the boundary — narrowing the
+// float64 input once, widening the result once. Both conversions are the
+// identity for float64. Single-goroutine, not cloned or serialized, like
+// layer scratch.
+type stack[E tensor.Elem] struct {
+	// narrowed and widened hold the float32 boundary's staging buffers.
+	narrowed tensor.ArenaOf[E]
+	widened  tensor.Arena
+}
+
+// driver is a stack of either element type, as Sequential calls it.
+type driver interface {
+	forward(m *Sequential, lo, hi int, x *tensor.Tensor, train bool, in, out string) *tensor.Tensor
+	activations(m *Sequential, x *tensor.Tensor) []*tensor.Tensor
+	backward(m *Sequential, dout *tensor.Tensor, needDX bool) *tensor.Tensor
+}
+
+// driver returns the stack of the model's backend.
+func (m *Sequential) driver() driver {
+	if m.backend == Float32 {
+		return &m.f32
+	}
+	return &m.f64
+}
+
+// forward runs layers [lo, hi) on x, staging the narrowed input in slot
+// in and the widened result in slot out (widen).
+func (s *stack[E]) forward(m *Sequential, lo, hi int, x *tensor.Tensor, train bool, in, out string) *tensor.Tensor {
+	cur := s.narrow(in, x)
+	for _, l := range m.layers[lo:hi] {
+		cur = passOf[E](l).forward(cur, train)
+	}
+	return s.widen(m, out, 0, cur, train)
+}
+
+// activations is ForwardActivations: every layer output is widened, so
+// downstream activation accounting (pruning votes, defense statistics)
+// stays float64.
+func (s *stack[E]) activations(m *Sequential, x *tensor.Tensor) []*tensor.Tensor {
+	acts := m.actsSlice()
+	cur := s.narrow("in", x)
+	for i, l := range m.layers {
+		cur = passOf[E](l).forward(cur, false)
+		acts[i] = s.widen(m, "act", i, cur, false)
+	}
+	return acts
+}
+
+// backward runs the layers' backward passes in reverse (parameter
+// gradients land in the float64 Param.Grad inside each layer) and returns
+// the widened input gradient. Without needDX the first layer skips its
+// input gradient where it can (paramBackward) and nothing is widened.
+func (s *stack[E]) backward(m *Sequential, dout *tensor.Tensor, needDX bool) *tensor.Tensor {
+	cur := s.narrow("dout", dout)
+	for i := len(m.layers) - 1; i > 0; i-- {
+		cur = passOf[E](m.layers[i]).backward(cur)
+	}
+	first := passOf[E](m.layers[0])
+	if pb, ok := first.(paramBackward[E]); ok && !needDX {
+		pb.backwardParams(cur)
+		return nil
+	}
+	cur = first.backward(cur)
+	if !needDX {
+		return nil
+	}
+	return s.widen(m, "dx", 0, cur, true)
+}
+
+// narrow returns x in E: x itself for float64, a float32 copy staged in
+// slot otherwise.
+func (s *stack[E]) narrow(slot string, x *tensor.Tensor) *tensor.Of[E] {
+	if x, ok := any(x).(*tensor.Of[E]); ok {
+		return x
+	}
+	t := s.narrowed.GetLike(slot, x)
+	t.From64(x)
+	return t
+}
+
+// widen returns cur as the float64 the Sequential API promises. A float64
+// cur is returned as it is: the layer's output hook has already made it
+// fresh or scratch. A float32 cur is widened into the model's arena (slot,
+// idx) when reuse or eval reuse says the caller consumes it before the
+// next pass, and into a fresh tensor when the caller may retain it — the
+// ownership rules of the float64 path. Widening is exact, so narrowing the
+// result again restores cur's bits: a ForwardTo/ForwardFrom split replays
+// the unsplit forward bit for bit.
+func (s *stack[E]) widen(m *Sequential, slot string, idx int, cur *tensor.Of[E], reuse bool) *tensor.Tensor {
+	if t, ok := any(cur).(*tensor.Tensor); ok {
+		return t
+	}
 	var out *tensor.Tensor
 	if reuse || m.evalReuse {
-		out = m.scr64.GetLike32(slot, cur)
+		out = s.widened.GetIndexedLike(slot, idx, cur)
 	} else {
 		out = tensor.New(cur.Shape()...)
 	}
 	cur.To64(out)
 	return out
-}
-
-// backward32 is Backward on the Float32 backend: narrow dout once, chain
-// the layers' native float32 backward passes (parameter gradients land in
-// the float64 Param.Grad inside each layer), widen the input gradient.
-func (m *Sequential) backward32(dout *tensor.Tensor) *tensor.Tensor {
-	cur := m.scr32.GetLike64("dout", dout)
-	cur.From64(dout)
-	for i := len(m.layers) - 1; i >= 0; i-- {
-		if l32, ok := m.layers[i].(layer32); ok {
-			cur = l32.Backward32(cur)
-		} else {
-			cur = m.bridgeBackward(m.layers[i], cur)
-		}
-	}
-	dx := m.scr64.GetLike32("dx", cur)
-	cur.To64(dx)
-	return dx
-}
-
-// backwardParams32 is BackwardParams on the Float32 backend: besides the
-// first layer's dx, the final narrow-to-wide copy of the input gradient is
-// skipped too (nothing reads it).
-func (m *Sequential) backwardParams32(dout *tensor.Tensor) {
-	cur := m.scr32.GetLike64("dout", dout)
-	cur.From64(dout)
-	for i := len(m.layers) - 1; i > 0; i-- {
-		if l32, ok := m.layers[i].(layer32); ok {
-			cur = l32.Backward32(cur)
-		} else {
-			cur = m.bridgeBackward(m.layers[i], cur)
-		}
-	}
-	first := m.layers[0]
-	if pb, ok := first.(paramBackward32); ok {
-		pb.backwardParams32(cur)
-		return
-	}
-	if l32, ok := first.(layer32); ok {
-		l32.Backward32(cur)
-		return
-	}
-	m.bridgeBackward(first, cur)
-}
-
-// forwardTo32 / forwardFrom32 split a Float32 inference pass at a layer
-// boundary. The boundary activation is widened for the caller; narrowing
-// it again in forwardFrom32 restores the identical float32 bits
-// (float32→float64 widening is exact), so a cached-prefix replay remains
-// bit-identical to the unsplit forward — the property the cached
-// evaluators' identity tests assert on either backend.
-func (m *Sequential) forwardTo32(hi int, x *tensor.Tensor) *tensor.Tensor {
-	cur := m.scr32.GetLike64("in", x)
-	cur.From64(x)
-	for _, l := range m.layers[:hi] {
-		if l32, ok := l.(layer32); ok {
-			cur = l32.Forward32(cur, false)
-		} else {
-			cur = m.bridgeForward(l, cur, false)
-		}
-	}
-	return m.widenOutput("boundary", cur, false)
-}
-
-func (m *Sequential) forwardFrom32(li int, x *tensor.Tensor) *tensor.Tensor {
-	cur := m.scr32.GetLike64("from", x)
-	cur.From64(x)
-	for _, l := range m.layers[li:] {
-		if l32, ok := l.(layer32); ok {
-			cur = l32.Forward32(cur, false)
-		} else {
-			cur = m.bridgeForward(l, cur, false)
-		}
-	}
-	return m.widenOutput("fout", cur, false)
-}
-
-// forwardActivations32 is ForwardActivations on the Float32 backend: every
-// layer output is widened so downstream activation accounting (pruning
-// votes, defense statistics) stays float64. With eval reuse on, the
-// widened copies live in per-layer arena slots; otherwise they are fresh
-// (callers may retain them).
-func (m *Sequential) forwardActivations32(x *tensor.Tensor) []*tensor.Tensor {
-	acts := m.actsSlice()
-	cur := m.scr32.GetLike64("in", x)
-	cur.From64(x)
-	for i, l := range m.layers {
-		if l32, ok := l.(layer32); ok {
-			cur = l32.Forward32(cur, false)
-		} else {
-			cur = m.bridgeForward(l, cur, false)
-		}
-		var act *tensor.Tensor
-		if m.evalReuse {
-			act = m.scr64.GetIndexedLike32("act", i, cur)
-		} else {
-			act = tensor.New(cur.Shape()...)
-		}
-		cur.To64(act)
-		acts[i] = act
-	}
-	return acts
-}
-
-// bridgeForward runs a layer with no native float32 path by widening its
-// input, calling the float64 Forward, and narrowing the result. Correct on
-// any Layer implementation, but it allocates per call; the shipped layers
-// all implement layer32 and never take this path.
-func (m *Sequential) bridgeForward(l Layer, x *tensor.T32, train bool) *tensor.T32 {
-	x64 := tensor.New(x.Shape()...)
-	x.To64(x64)
-	out64 := l.Forward(x64, train)
-	out := tensor.New32(out64.Shape()...)
-	out.From64(out64)
-	return out
-}
-
-// bridgeBackward is bridgeForward's counterpart for the backward pass.
-func (m *Sequential) bridgeBackward(l Layer, dout *tensor.T32) *tensor.T32 {
-	d64 := tensor.New(dout.Shape()...)
-	dout.To64(d64)
-	dx64 := l.Backward(d64)
-	dx := tensor.New32(dx64.Shape()...)
-	dx.From64(dx64)
-	return dx
 }

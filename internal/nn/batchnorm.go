@@ -40,27 +40,33 @@ type BatchNorm2D struct {
 	// differentiates through a frozen model.
 	frozen bool
 
-	// Caches from the last training forward pass. invStd, n and hw are
-	// shared with the float32 path (the float32 forward also derives its
-	// per-channel statistics in float64, see layers32.go).
-	xhat       *tensor.Tensor
+	// Caches from the last training forward pass, shared by both
+	// precisions: the per-channel statistics are float64 in either
+	// (bnForward).
 	invStd     []float64
 	n          int // batch size of cached pass
 	hw         int // spatial size of cached pass
 	frozenPass bool
 
+	// stat holds the per-channel float64 accumulators and derived scalars
+	// of one pass (three per channel), allocated on first use. Not cloned.
+	stat []float64
+
+	// f64 and f32 are the layer's arithmetic in each precision.
+	f64 bnPass[float64]
+	f32 bnPass[float32]
+}
+
+// bnPass is BatchNorm2D's forward and backward in E.
+type bnPass[E tensor.Elem] struct {
+	l *BatchNorm2D
+
+	// xhat caches the normalized input of the last training forward pass.
+	xhat *tensor.Of[E]
+
 	// scratch holds the reusable train-mode output, xhat cache and
 	// backward dx buffers. Not cloned or serialized.
-	scratch tensor.Arena
-
-	// xhat32/scratch32 are the float32-backend equivalents (layers32.go).
-	xhat32    *tensor.T32
-	scratch32 tensor.Arena32
-
-	// stat holds the per-channel float64 accumulators and derived scalars
-	// of one pass (three per channel), allocated on first use and shared
-	// by both precisions. Not cloned.
-	stat []float64
+	scratch tensor.ArenaOf[E]
 }
 
 var _ Prunable = (*BatchNorm2D)(nil)
@@ -88,6 +94,12 @@ func NewBatchNorm2D(name string, channels int) *BatchNorm2D {
 	l.RunMean.NoDecay, l.RunMean.Stat = true, true
 	l.RunVar.NoDecay, l.RunVar.Stat = true, true
 	l.RunVar.Value.Fill(1)
+	return l.bind()
+}
+
+// bind points the layer's passes at it.
+func (l *BatchNorm2D) bind() *BatchNorm2D {
+	l.f64.l, l.f32.l = l, l
 	return l
 }
 
@@ -101,34 +113,44 @@ func (l *BatchNorm2D) Freeze() { l.frozen = true }
 
 // Forward implements Layer for x of shape (N, C, H, W).
 func (l *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return l.f64.forward(x, train)
+}
+
+// Backward implements Layer using the standard batch-norm gradient.
+func (l *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor { return l.f64.backward(dout) }
+
+// passes implements Layer.
+func (l *BatchNorm2D) passes() (pass[float64], pass[float32]) { return &l.f64, &l.f32 }
+
+func (p *bnPass[E]) forward(x *tensor.Of[E], train bool) *tensor.Of[E] {
+	l := p.l
 	if x.Rank() != 4 || x.Dim(1) != l.channels {
 		panic(fmt.Sprintf("nn: %s: input shape %v, want [N %d H W]", l.name, x.Shape(), l.channels))
 	}
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	hw := h * w
-	// The training output and xhat cache are reused across steps;
-	// inference passes allocate fresh because callers may retain the
-	// result.
-	var out *tensor.Tensor
+	out := output(&p.scratch, train, l.evalReuse, n, l.channels, h, w)
+	var xhat []E
 	if train {
-		out = l.scratch.GetLike("out", x)
-		l.xhat = l.scratch.GetLike("xhat", x)
+		p.xhat = p.scratch.GetLike("xhat", x)
+		xhat = p.xhat.Data
 		if len(l.invStd) != l.channels {
 			l.invStd = make([]float64, l.channels)
 		}
 		l.n, l.hw = n, hw
 		l.frozenPass = l.frozen
-	} else if l.evalReuse {
-		out = l.scratch.GetLike("eout", x)
-	} else {
-		out = tensor.New(n, l.channels, h, w)
-	}
-	var xhat []float64
-	if train {
-		xhat = l.xhat.Data
 	}
 	bnForward(l, out.Data, xhat, x.Data, n, hw, train)
 	return out
+}
+
+func (p *bnPass[E]) backward(dout *tensor.Of[E]) *tensor.Of[E] {
+	if p.xhat == nil {
+		panic(fmt.Sprintf("nn: %s: Backward without training Forward", p.l.name))
+	}
+	dx := p.scratch.GetLike("dx", dout)
+	bnBackward(p.l, dx.Data, dout.Data, p.xhat.Data)
+	return dx
 }
 
 // perChannel returns the layer's three per-channel float64 scratch rows.
@@ -140,10 +162,12 @@ func (l *BatchNorm2D) perChannel() (a, b, c []float64) {
 	return l.stat[:ch], l.stat[ch : 2*ch], l.stat[2*ch:]
 }
 
-// bnForward is the forward pass of both precisions over flat N×C×hw
-// operands; xhat is nil on inference passes. The batch statistics are
-// reduced in float64 whatever E is (layers32.go says why), and every
-// per-channel scalar enters the element-wise pass rounded to E once.
+// bnForward is the forward arithmetic over flat N×C×hw operands; xhat is
+// nil on inference passes. The batch statistics are reduced in float64
+// whatever E is — summing thousands of float32 values in float32 loses
+// digits the tolerance harness would have to absorb — and the float64
+// running statistics are updated in place; every per-channel scalar
+// enters the element-wise pass rounded to E once.
 //
 // The loops run sample-outer, channel-inner: memory is walked front to
 // back, and — the point — the reductions keep one accumulator per channel
@@ -167,8 +191,8 @@ func bnForward[E tensor.Elem](l *BatchNorm2D, out, xhat, x []E, n, hw int, train
 		bnSquaredDevs(variance, x, mean, n, ch, hw)
 		for c := range variance {
 			variance[c] /= cnt
-			l.RunMean.Value.Data[c] = l.momentum*l.RunMean.Value.Data[c] + (1-l.momentum)*mean[c]
-			l.RunVar.Value.Data[c] = l.momentum*l.RunVar.Value.Data[c] + (1-l.momentum)*variance[c]
+			l.RunMean.Value.Data[c] = float64(l.momentum*l.RunMean.Value.Data[c]) + float64((1-l.momentum)*mean[c])
+			l.RunVar.Value.Data[c] = float64(l.momentum*l.RunVar.Value.Data[c]) + float64((1-l.momentum)*variance[c])
 		}
 	} else {
 		copy(mean, l.RunMean.Value.Data)
@@ -241,10 +265,10 @@ func bnSquaredDevs[E tensor.Elem](ss []float64, x []E, mean []float64, n, ch, hw
 				d1 := float64(r1[i]) - m1
 				d2 := float64(r2[i]) - m2
 				d3 := float64(r3[i]) - m3
-				a0 += d0 * d0
-				a1 += d1 * d1
-				a2 += d2 * d2
-				a3 += d3 * d3
+				a0 += float64(d0 * d0)
+				a1 += float64(d1 * d1)
+				a2 += float64(d2 * d2)
+				a3 += float64(d3 * d3)
 			}
 			ss[c], ss[c+1], ss[c+2], ss[c+3] = a0, a1, a2, a3
 		}
@@ -252,7 +276,7 @@ func bnSquaredDevs[E tensor.Elem](ss []float64, x []E, mean []float64, n, ch, hw
 			a, m := ss[c], mean[c]
 			for _, v := range x[(s*ch+c)*hw : (s*ch+c+1)*hw] {
 				d := float64(v) - m
-				a += d * d
+				a += float64(d * d)
 			}
 			ss[c] = a
 		}
@@ -271,10 +295,10 @@ func bnGradSums[E tensor.Elem](dg, db []float64, dout, xhat []E, n, ch, hw int) 
 			b0, b1, b2, b3 := db[c], db[c+1], db[c+2], db[c+3]
 			for i := range d0 {
 				v0, v1, v2, v3 := float64(d0[i]), float64(d1[i]), float64(d2[i]), float64(d3[i])
-				g0 += v0 * float64(x0[i])
-				g1 += v1 * float64(x1[i])
-				g2 += v2 * float64(x2[i])
-				g3 += v3 * float64(x3[i])
+				g0 += float64(v0 * float64(x0[i]))
+				g1 += float64(v1 * float64(x1[i]))
+				g2 += float64(v2 * float64(x2[i]))
+				g3 += float64(v3 * float64(x3[i]))
 				b0 += v0
 				b1 += v1
 				b2 += v2
@@ -289,7 +313,7 @@ func bnGradSums[E tensor.Elem](dg, db []float64, dout, xhat []E, n, ch, hw int) 
 			xr := xhat[lo:hi]
 			for i, v := range dout[lo:hi] {
 				d := float64(v)
-				g += d * float64(xr[i])
+				g += float64(d * float64(xr[i]))
 				b += d
 			}
 			dg[c], db[c] = g, b
@@ -297,18 +321,9 @@ func bnGradSums[E tensor.Elem](dg, db []float64, dout, xhat []E, n, ch, hw int) 
 	}
 }
 
-// Backward implements Layer using the standard batch-norm gradient.
-func (l *BatchNorm2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if l.xhat == nil {
-		panic(fmt.Sprintf("nn: %s: Backward without training Forward", l.name))
-	}
-	dx := l.scratch.GetLike("dx", dout)
-	bnBackward(l, dx.Data, dout.Data, l.xhat.Data)
-	return dx
-}
-
-// bnBackward is the backward pass of both precisions; the dγ/dβ
-// reductions are re-looped like the forward statistics (bnForward).
+// bnBackward is the backward arithmetic; the dγ/dβ reductions are
+// re-looped like the forward statistics (bnForward) and accumulate in
+// float64.
 func bnBackward[E tensor.Elem](l *BatchNorm2D, dx, dout, xhat []E) {
 	n, hw, ch := l.n, l.hw, l.channels
 	gamma := l.Gamma.Value.Data
@@ -353,7 +368,7 @@ func (l *BatchNorm2D) Params() []*Param {
 // CloneLayer implements Layer. Running statistics are copied so a cloned
 // model evaluates identically.
 func (l *BatchNorm2D) CloneLayer() Layer {
-	return &BatchNorm2D{
+	c := &BatchNorm2D{
 		name:     l.name,
 		channels: l.channels,
 		momentum: l.momentum,
@@ -365,6 +380,7 @@ func (l *BatchNorm2D) CloneLayer() Layer {
 		pruned:   append([]bool(nil), l.pruned...),
 		frozen:   l.frozen,
 	}
+	return c.bind()
 }
 
 // Units implements Prunable.

@@ -188,7 +188,7 @@ func BenchmarkAddGrad32(b *testing.B) {
 	const cells = 32 * 288
 	rng := rand.New(rand.NewSource(3))
 	grad := make([]float64, cells)
-	dW := tensor.New32(cells)
+	dW := tensor.NewOf[float32](cells)
 	for i := range dW.Data {
 		dW.Data[i] = float32(rng.NormFloat64())
 	}
@@ -202,15 +202,15 @@ func benchBatchNorm32(b *testing.B, backward bool) {
 	l := NewBatchNorm2D("bn", 16)
 	x64 := tensor.New(20, 16, 8, 8)
 	x64.Randn(rng, 1)
-	x, dout := tensor.New32(x64.Shape()...), tensor.New32(x64.Shape()...)
+	x, dout := tensor.NewOf[float32](x64.Shape()...), tensor.NewOf[float32](x64.Shape()...)
 	x.From64(x64)
 	dout.From64(x64)
-	l.Forward32(x, true)
+	l.f32.forward(x, true)
 	perElem(b, x.Len(), func() {
 		if backward {
-			l.Backward32(dout)
+			l.f32.backward(dout)
 		} else {
-			l.Forward32(x, true)
+			l.f32.forward(x, true)
 		}
 	})
 }

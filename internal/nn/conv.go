@@ -34,41 +34,38 @@ type Conv2D struct {
 	// evaluators' suffix passes, where outputs are consumed per batch).
 	evalReuse bool
 
-	// cols views the im2col matrices of the last training forward pass, one
-	// header per batch sample into the shared colsData backing; inShape
-	// caches the input batch shape. cols is nil after an inference pass.
-	cols     []*tensor.Tensor
-	colsData *tensor.Tensor
-	// colsHdr holds the persistent per-sample headers cols views into, and
-	// colsFor records which backing they currently point at, so a steady
-	// batch size re-points nothing and allocates nothing.
-	colsHdr []*tensor.Tensor
-	colsFor *tensor.Tensor
+	// inShape caches the input batch shape of the last training pass.
 	inShape []int
 
-	// scratch holds the single-goroutine reusable buffers of the layer
-	// (train-mode output, backward scratch, serial-path matmul results);
-	// blockRes/blockCol are the per-block equivalents for the sample-
-	// parallel forward, indexed by deterministic block id so concurrent
-	// blocks never share a buffer. None of this state is cloned or
-	// serialized — see DESIGN.md §8.
-	scratch    tensor.Arena
-	blockRes   []*tensor.Tensor
-	blockCol   []*tensor.Tensor
-	blockStage []*tensor.Tensor
-	doutMat    *tensor.Tensor
+	// f64 and f32 are the layer's arithmetic in each precision.
+	f64 convPass[float64]
+	f32 convPass[float32]
+}
 
-	// Float32-backend equivalents of the caches above (layers32.go): the
-	// per-sample im2col views, per-block forward scratch, backward dout
-	// header and the arena holding the float32 shadow weights.
-	cols32       []*tensor.T32
-	colsHdr32    []*tensor.T32
-	colsFor32    *tensor.T32
-	scratch32    tensor.Arena32
-	blockRes32   []*tensor.T32
-	blockCol32   []*tensor.T32
-	blockStage32 []*tensor.T32
-	doutMat32    *tensor.T32
+// convPass is Conv2D's forward and backward in E. None of its state is
+// cloned or serialized — see DESIGN.md §8.
+type convPass[E tensor.Elem] struct {
+	l *Conv2D
+
+	// cols views the im2col matrices of the last training forward pass, one
+	// header per batch sample into a shared backing; nil after an
+	// inference pass. colsHdr holds the persistent per-sample headers cols
+	// views into, and colsFor records which backing they currently point
+	// at, so a steady batch size re-points nothing and allocates nothing.
+	cols    []*tensor.Of[E]
+	colsHdr []*tensor.Of[E]
+	colsFor *tensor.Of[E]
+
+	// scratch holds the single-goroutine reusable buffers of the layer
+	// (train-mode output, backward scratch, serial-path matmul results, the
+	// float32 shadow weights); blockRes/blockCol/blockStage are the
+	// per-block equivalents for the sample-parallel forward, indexed by
+	// deterministic block id so concurrent blocks never share a buffer.
+	scratch    tensor.ArenaOf[E]
+	blockRes   []*tensor.Of[E]
+	blockCol   []*tensor.Of[E]
+	blockStage []*tensor.Of[E]
+	doutMat    *tensor.Of[E]
 }
 
 var _ Prunable = (*Conv2D)(nil)
@@ -94,6 +91,12 @@ func NewConv2D(name string, dims tensor.ConvDims, filters int, rng *rand.Rand) *
 	}
 	l.B.NoDecay = true
 	heInit(l.W.Value, fanIn, rng)
+	return l.bind()
+}
+
+// bind points the layer's passes at it.
+func (l *Conv2D) bind() *Conv2D {
+	l.f64.l, l.f32.l = l, l
 	return l
 }
 
@@ -115,43 +118,42 @@ func (l *Conv2D) OutShape() []int {
 // the last-conv-layer regularization experiment (paper Fig. 10).
 func (l *Conv2D) SetL2(lambda float64) { l.W.L2 = lambda }
 
-// ensureCols points l.cols at n per-sample (fanIn×spatial) views of a
+// Forward implements Layer for x of shape (N, C, H, W).
+func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor { return l.f64.forward(x, train) }
+
+// Backward implements Layer. All per-sample temporaries (the dout view, the
+// dW and dcol scratch) and the returned dx live in reusable buffers, so a
+// warm step allocates nothing.
+func (l *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor { return l.f64.backward(dout) }
+
+// passes implements Layer.
+func (l *Conv2D) passes() (pass[float64], pass[float32]) { return &l.f64, &l.f32 }
+
+// ensureCols points p.cols at n per-sample (fanIn×spatial) views of a
 // shared backing tensor sized for the batch. The backing comes from the
 // shape-keyed arena, so alternating full and tail batch sizes reuse
 // persistent memory — one backing, the tail's header over a prefix of the
 // full batch's — instead of reallocating; headers are re-pointed only when
 // the backing header changes.
-func (l *Conv2D) ensureCols(n, fanIn, spatial int) {
-	backing := l.scratch.Get("cols", n, fanIn, spatial)
-	for len(l.colsHdr) < n {
-		l.colsHdr = append(l.colsHdr, nil)
+func (p *convPass[E]) ensureCols(n, fanIn, spatial int) {
+	backing := p.scratch.Get("cols", n, fanIn, spatial)
+	for len(p.colsHdr) < n {
+		p.colsHdr = append(p.colsHdr, nil)
 	}
 	per := fanIn * spatial
 	for s := 0; s < n; s++ {
-		if l.colsHdr[s] == nil {
-			l.colsHdr[s] = tensor.FromSlice(backing.Data[s*per:(s+1)*per], fanIn, spatial)
-		} else if l.colsFor != backing {
-			l.colsHdr[s].Data = backing.Data[s*per : (s+1)*per]
+		if p.colsHdr[s] == nil {
+			p.colsHdr[s] = tensor.FromSlice(backing.Data[s*per:(s+1)*per], fanIn, spatial)
+		} else if p.colsFor != backing {
+			p.colsHdr[s].Data = backing.Data[s*per : (s+1)*per]
 		}
 	}
-	l.colsFor = backing
-	l.colsData = backing
-	l.cols = l.colsHdr[:n]
+	p.colsFor = backing
+	p.cols = p.colsHdr[:n]
 }
 
-// setInShape caches the input batch shape without allocating when the rank
-// is unchanged.
-func (l *Conv2D) setInShape(x *tensor.Tensor) {
-	if len(l.inShape) != x.Rank() {
-		l.inShape = make([]int, x.Rank())
-	}
-	for i := range l.inShape {
-		l.inShape[i] = x.Dim(i)
-	}
-}
-
-// Forward implements Layer for x of shape (N, C, H, W).
-func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (p *convPass[E]) forward(x *tensor.Of[E], train bool) *tensor.Of[E] {
+	l := p.l
 	n := x.Dim(0)
 	d := l.dims
 	if x.Rank() != 4 || x.Dim(1) != d.C || x.Dim(2) != d.H || x.Dim(3) != d.W {
@@ -160,23 +162,14 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	outH, outW := d.OutH(), d.OutW()
 	spatial := outH * outW
 	fanIn := d.C * d.K * d.K
-	// The training output buffer is reused across steps; inference passes
-	// allocate fresh because callers (activation recording, evaluation)
-	// may retain the result across forward calls — unless eval reuse is on,
-	// in which case the output lives in its own arena slot ("eout", never
-	// shared with the training path) and is overwritten by the next pass.
-	var out *tensor.Tensor
+	w := weights(&p.scratch, "W", l.W, true)
+	b := weights(&p.scratch, "B", l.B, true)
+	out := output(&p.scratch, train, l.evalReuse, n, l.filters, outH, outW)
 	if train {
-		out = l.scratch.Get("out", n, l.filters, outH, outW)
-		l.ensureCols(n, fanIn, spatial)
-		l.setInShape(x)
+		p.ensureCols(n, fanIn, spatial)
+		setShape(&l.inShape, x)
 	} else {
-		if l.evalReuse {
-			out = l.scratch.Get("eout", n, l.filters, outH, outW)
-		} else {
-			out = tensor.New(n, l.filters, outH, outW)
-		}
-		l.cols = nil
+		p.cols = nil
 	}
 	sampleIn := d.C * d.H * d.W
 	// Every sample is an independent im2col + matmul writing a disjoint
@@ -188,29 +181,29 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	work := n * l.filters * spatial * fanIn
 	if parallel.Workers() > 1 && n > 1 && work >= convParallelCutoff {
 		nb := parallel.NumBlocks(n)
-		for len(l.blockRes) < nb {
-			l.blockRes = append(l.blockRes, nil)
-			l.blockCol = append(l.blockCol, nil)
-			l.blockStage = append(l.blockStage, nil)
+		for len(p.blockRes) < nb {
+			p.blockRes = append(p.blockRes, nil)
+			p.blockCol = append(p.blockCol, nil)
+			p.blockStage = append(p.blockStage, nil)
 		}
 		parallel.ForBlocksIndexed(n, func(blk, lo, hi int) {
-			res, col, stage := l.blockScratch(blk, fanIn, spatial)
+			res, col, stage := p.blockScratch(blk, fanIn, spatial)
 			for s := lo; s < hi; s++ {
-				l.forwardSample(x, out, l.sampleCol(col, s, train), res, stage, s, sampleIn, spatial)
+				p.forwardSample(x, out, p.sampleCol(col, s, train), res, stage, w, b, s, sampleIn, spatial)
 			}
 		})
 		return out
 	}
-	res := l.scratch.Get("res", l.filters, spatial)
-	var col, stage *tensor.Tensor
+	res := p.scratch.Get("res", l.filters, spatial)
+	var col, stage *tensor.Of[E]
 	if !train {
-		col = l.scratch.Get("col", fanIn, spatial)
+		col = p.scratch.Get("col", fanIn, spatial)
 	}
 	if l.index != nil {
-		stage = l.scratch.Get("stage", l.index.StageLen())
+		stage = p.scratch.Get("stage", l.index.StageLen())
 	}
 	for s := 0; s < n; s++ {
-		l.forwardSample(x, out, l.sampleCol(col, s, train), res, stage, s, sampleIn, spatial)
+		p.forwardSample(x, out, p.sampleCol(col, s, train), res, stage, w, b, s, sampleIn, spatial)
 	}
 	return out
 }
@@ -220,32 +213,32 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // growing lazily. Distinct blocks index distinct slice elements, so
 // concurrent blocks never share a buffer; a worker count raised between
 // forwards falls back to a private set rather than racing.
-func (l *Conv2D) blockScratch(blk, fanIn, spatial int) (res, col, stage *tensor.Tensor) {
-	if blk >= len(l.blockRes) {
-		return tensor.New(l.filters, spatial), tensor.New(fanIn, spatial), l.newStage()
+func (p *convPass[E]) blockScratch(blk, fanIn, spatial int) (res, col, stage *tensor.Of[E]) {
+	if blk >= len(p.blockRes) {
+		return tensor.NewOf[E](p.l.filters, spatial), tensor.NewOf[E](fanIn, spatial), p.newStage()
 	}
-	if l.blockRes[blk] == nil {
-		l.blockRes[blk] = tensor.New(l.filters, spatial)
-		l.blockCol[blk] = tensor.New(fanIn, spatial)
-		l.blockStage[blk] = l.newStage()
+	if p.blockRes[blk] == nil {
+		p.blockRes[blk] = tensor.NewOf[E](p.l.filters, spatial)
+		p.blockCol[blk] = tensor.NewOf[E](fanIn, spatial)
+		p.blockStage[blk] = p.newStage()
 	}
-	return l.blockRes[blk], l.blockCol[blk], l.blockStage[blk]
+	return p.blockRes[blk], p.blockCol[blk], p.blockStage[blk]
 }
 
 // newStage allocates a stage scratch for the layer's table, nil without one.
-func (l *Conv2D) newStage() *tensor.Tensor {
-	if l.index == nil {
+func (p *convPass[E]) newStage() *tensor.Of[E] {
+	if p.l.index == nil {
 		return nil
 	}
-	return tensor.New(l.index.StageLen())
+	return tensor.NewOf[E](p.l.index.StageLen())
 }
 
 // sampleCol selects the im2col destination for sample s: the persistent
-// per-sample view of the cols backing when training (Backward reads it),
+// per-sample view of the cols backing when training (backward reads it),
 // the caller's scratch when not.
-func (l *Conv2D) sampleCol(scratch *tensor.Tensor, s int, train bool) *tensor.Tensor {
+func (p *convPass[E]) sampleCol(scratch *tensor.Of[E], s int, train bool) *tensor.Of[E] {
 	if train {
-		return l.cols[s]
+		return p.cols[s]
 	}
 	return scratch
 }
@@ -254,71 +247,71 @@ func (l *Conv2D) sampleCol(scratch *tensor.Tensor, s int, train bool) *tensor.Te
 // forward (N·F·OutH·OutW·C·K·K) at which the batch splits across workers.
 const convParallelCutoff = 1 << 17
 
-// forwardSample convolves sample s of batch x into out, unrolling the
-// sample into col (the persistent cols view when training) — through the
-// table and its stage scratch on narrow maps — and using res as matmul
-// scratch. It touches only sample-s slices of out and l.cols, so distinct
-// samples may run concurrently.
-func (l *Conv2D) forwardSample(x, out, col, res, stage *tensor.Tensor, s, sampleIn, spatial int) {
+// forwardSample convolves sample s of batch x into out with weights w and
+// bias b, unrolling the sample into col (the persistent cols view when
+// training) — through the table and its stage scratch on narrow maps — and
+// using res as matmul scratch. It touches only sample-s slices of out and
+// p.cols and only reads w and b, so distinct samples may run concurrently.
+func (p *convPass[E]) forwardSample(x, out, col, res, stage, w, b *tensor.Of[E], s, sampleIn, spatial int) {
+	l := p.l
 	img := x.Data[s*sampleIn : (s+1)*sampleIn]
 	if l.index != nil {
 		tensor.Im2ColIndexed(l.index, img, stage.Data, col.Data)
 	} else {
 		tensor.Im2Col(img, l.dims, col.Data)
 	}
-	tensor.MatMulInto(res, l.W.Value, col)
+	tensor.MatMulInto(res, w, col)
 	dst := out.Data[s*l.filters*spatial : (s+1)*l.filters*spatial]
 	for f := 0; f < l.filters; f++ {
-		tensor.AddScalar(dst[f*spatial:(f+1)*spatial], res.Data[f*spatial:(f+1)*spatial], l.B.Value.Data[f])
+		tensor.AddScalar(dst[f*spatial:(f+1)*spatial], res.Data[f*spatial:(f+1)*spatial], b.Data[f])
 	}
 }
 
-// Backward implements Layer. All per-sample temporaries (the dout view, the
-// dW and dcol scratch) and the returned dx live in reusable buffers, so a
-// warm step allocates nothing.
-func (l *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	return l.backwardImpl(dout, true)
+func (p *convPass[E]) backward(dout *tensor.Of[E]) *tensor.Of[E] {
+	return p.backwardImpl(dout, true)
 }
 
-// backwardParams is Backward without materializing dx: the parameter
+// backwardParams is backward without materializing dx: the parameter
 // gradients are identical, but the Wᵀ·dout products and the Col2Im
 // scatter — about a third of the layer's backward arithmetic — are
 // skipped. Sequential.BackwardParams uses it for the network's first
 // layer, whose input gradient nothing consumes.
-func (l *Conv2D) backwardParams(dout *tensor.Tensor) { l.backwardImpl(dout, false) }
+func (p *convPass[E]) backwardParams(dout *tensor.Of[E]) { p.backwardImpl(dout, false) }
 
-func (l *Conv2D) backwardImpl(dout *tensor.Tensor, needDX bool) *tensor.Tensor {
-	if l.cols == nil {
+func (p *convPass[E]) backwardImpl(dout *tensor.Of[E], needDX bool) *tensor.Of[E] {
+	l := p.l
+	if p.cols == nil {
 		panic(fmt.Sprintf("nn: %s: Backward without training Forward", l.name))
 	}
-	n := len(l.cols)
+	n := len(p.cols)
 	d := l.dims
 	spatial := d.OutH() * d.OutW()
 	sampleIn := d.C * d.H * d.W
 	fanIn := d.C * d.K * d.K
-	var dx, dcol, stage *tensor.Tensor
+	var dx, dcol, w, stage *tensor.Of[E]
 	if needDX {
-		dx = l.scratch.Get("dx", l.inShape...)
+		dx = p.scratch.Get("dx", l.inShape...)
 		dx.Zero() // Col2Im accumulates
-		dcol = l.scratch.Get("dcol", fanIn, spatial)
+		dcol = p.scratch.Get("dcol", fanIn, spatial)
+		w = weights(&p.scratch, "W", l.W, false)
 		if l.index != nil {
-			stage = l.scratch.Get("stage", l.index.StageLen())
+			stage = p.scratch.Get("stage", l.index.StageLen())
 		}
 	}
-	dW := l.scratch.Get("dW", l.filters, fanIn)
-	if l.doutMat == nil {
-		l.doutMat = tensor.FromSlice(dout.Data[:l.filters*spatial], l.filters, spatial)
+	dW := p.scratch.Get("dW", l.filters, fanIn)
+	if p.doutMat == nil {
+		p.doutMat = tensor.FromSlice(dout.Data[:l.filters*spatial], l.filters, spatial)
 	}
-	doutMat := l.doutMat
+	doutMat := p.doutMat
 	for s := 0; s < n; s++ {
 		doutMat.Data = dout.Data[s*l.filters*spatial : (s+1)*l.filters*spatial]
 		// dW += dout · colᵀ
-		tensor.MatMulTransBInto(dW, doutMat, l.cols[s])
-		l.W.Grad.Add(dW)
+		tensor.MatMulTransBInto(dW, doutMat, p.cols[s])
+		tensor.AddWiden(l.W.Grad.Data, dW.Data)
 		addRowSums(l.B.Grad.Data, doutMat.Data, spatial) // db += row sums of dout
 		if needDX {
 			// dx = col2im(Wᵀ · dout)
-			tensor.MatMulTransAInto(dcol, l.W.Value, doutMat)
+			tensor.MatMulTransAInto(dcol, w, doutMat)
 			dxs := dx.Data[s*sampleIn : (s+1)*sampleIn]
 			if l.index != nil {
 				tensor.Col2ImIndexed(l.index, dcol.Data, stage.Data, dxs)
@@ -383,7 +376,7 @@ func (l *Conv2D) CloneLayer() Layer {
 		B:       l.B.clone(),
 		pruned:  append([]bool(nil), l.pruned...),
 	}
-	return c
+	return c.bind()
 }
 
 // Units implements Prunable: one unit per output channel.

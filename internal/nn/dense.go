@@ -22,18 +22,22 @@ type Dense struct {
 	// (Sequential.SetEvalReuse).
 	evalReuse bool
 
+	// f64 and f32 are the layer's arithmetic in each precision.
+	f64 densePass[float64]
+	f32 densePass[float32]
+}
+
+// densePass is Dense's forward and backward in E.
+type densePass[E tensor.Elem] struct {
+	l *Dense
+
 	// x caches the input of the last training forward pass.
-	x *tensor.Tensor
+	x *tensor.Of[E]
 
 	// scratch holds the reusable train-mode output, the dW gradient
-	// scratch and the returned dx, so a warm step allocates nothing. Not
-	// cloned or serialized.
-	scratch tensor.Arena
-
-	// x32/scratch32 are the float32-backend equivalents of x/scratch
-	// (layers32.go). The float32 shadow weights also live in scratch32.
-	x32       *tensor.T32
-	scratch32 tensor.Arena32
+	// scratch, the returned dx and the float32 shadow weights, so a warm
+	// step allocates nothing. Not cloned or serialized.
+	scratch tensor.ArenaOf[E]
 }
 
 var _ Prunable = (*Dense)(nil)
@@ -53,6 +57,12 @@ func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
 	}
 	l.B.NoDecay = true
 	heInit(l.W.Value, in, rng)
+	return l.bind()
+}
+
+// bind points the layer's passes at it.
+func (l *Dense) bind() *Dense {
+	l.f64.l, l.f32.l = l, l
 	return l
 }
 
@@ -69,52 +79,54 @@ func (l *Dense) Out() int { return l.out }
 func (l *Dense) SetL2(lambda float64) { l.W.L2 = lambda }
 
 // Forward implements Layer for x of shape (N, In).
-func (l *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (l *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor { return l.f64.forward(x, train) }
+
+// Backward implements Layer.
+func (l *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor { return l.f64.backward(dout) }
+
+// passes implements Layer.
+func (l *Dense) passes() (pass[float64], pass[float32]) { return &l.f64, &l.f32 }
+
+func (p *densePass[E]) forward(x *tensor.Of[E], train bool) *tensor.Of[E] {
+	l := p.l
 	if x.Rank() != 2 || x.Dim(1) != l.in {
 		panic(fmt.Sprintf("nn: %s: input shape %v, want [N %d]", l.name, x.Shape(), l.in))
 	}
 	n := x.Dim(0)
-	// The training output buffer is reused across steps; inference passes
-	// allocate fresh because callers may retain the result, unless eval
-	// reuse is on (suffix scopes consume each output before the next pass).
-	var out *tensor.Tensor
+	w := weights(&p.scratch, "W", l.W, true)
+	b := weights(&p.scratch, "B", l.B, true)
+	out := output(&p.scratch, train, l.evalReuse, n, l.out)
+	p.x = nil
 	if train {
-		l.x = x
-		out = l.scratch.Get("out", n, l.out)
-	} else {
-		l.x = nil
-		if l.evalReuse {
-			out = l.scratch.Get("eout", n, l.out)
-		} else {
-			out = tensor.New(n, l.out)
-		}
+		p.x = x
 	}
-	tensor.MatMulInto(out, x, l.W.Value)
+	tensor.MatMulInto(out, x, w)
 	for s := 0; s < n; s++ {
-		tensor.Add(out.Data[s*l.out:(s+1)*l.out], l.B.Value.Data)
+		tensor.Add(out.Data[s*l.out:(s+1)*l.out], b.Data)
 	}
 	return out
 }
 
-// Backward implements Layer. The dW scratch and the returned dx live in
-// reusable buffers, so a warm step allocates nothing.
-func (l *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if l.x == nil {
+// backward reuses the dW scratch and the returned dx, so a warm step
+// allocates nothing.
+func (p *densePass[E]) backward(dout *tensor.Of[E]) *tensor.Of[E] {
+	l := p.l
+	if p.x == nil {
 		panic(fmt.Sprintf("nn: %s: Backward without training Forward", l.name))
 	}
 	// dW += xᵀ · dout
-	dW := l.scratch.Get("dW", l.in, l.out)
-	tensor.MatMulTransAInto(dW, l.x, dout)
-	l.W.Grad.Add(dW)
+	dW := p.scratch.Get("dW", l.in, l.out)
+	tensor.MatMulTransAInto(dW, p.x, dout)
+	tensor.AddWiden(l.W.Grad.Data, dW.Data)
 	// db += column sums of dout
 	n := dout.Dim(0)
 	for s := 0; s < n; s++ {
-		tensor.Add(l.B.Grad.Data, dout.Data[s*l.out:(s+1)*l.out])
+		tensor.AddWiden(l.B.Grad.Data, dout.Data[s*l.out:(s+1)*l.out])
 	}
 	l.maskGrads()
 	// dx = dout · Wᵀ
-	dx := l.scratch.Get("dx", n, l.in)
-	tensor.MatMulTransBInto(dx, dout, l.W.Value)
+	dx := p.scratch.Get("dx", n, l.in)
+	tensor.MatMulTransBInto(dx, dout, weights(&p.scratch, "W", l.W, false))
 	return dx
 }
 
@@ -123,7 +135,7 @@ func (l *Dense) Params() []*Param { return []*Param{l.W, l.B} }
 
 // CloneLayer implements Layer.
 func (l *Dense) CloneLayer() Layer {
-	return &Dense{
+	c := &Dense{
 		name:   l.name,
 		in:     l.in,
 		out:    l.out,
@@ -131,6 +143,7 @@ func (l *Dense) CloneLayer() Layer {
 		B:      l.B.clone(),
 		pruned: append([]bool(nil), l.pruned...),
 	}
+	return c.bind()
 }
 
 // Units implements Prunable: one unit per output column.

@@ -86,6 +86,41 @@ type Layer interface {
 	Params() []*Param
 	// CloneLayer returns a deep copy sharing no mutable state.
 	CloneLayer() Layer
+	// passes returns the layer's float64 and float32 passes, the ones
+	// Sequential chains (backend.go). Forward and Backward are the float64
+	// pass.
+	passes() (pass[float64], pass[float32])
+}
+
+// pass is one layer's forward and backward arithmetic in element type E,
+// together with what it caches between the two. Each layer's arithmetic
+// exists once, as the methods of a pass generic over E; the layer holds
+// one instance per precision. Contracts are Layer's: forward caches state
+// for backward when train is set, and returned tensors are layer-owned
+// scratch unless the output hook (output) says otherwise.
+type pass[E tensor.Elem] interface {
+	forward(x *tensor.Of[E], train bool) *tensor.Of[E]
+	backward(dout *tensor.Of[E]) *tensor.Of[E]
+}
+
+// passOf returns l's pass in E.
+func passOf[E tensor.Elem](l Layer) pass[E] {
+	p64, p32 := l.passes()
+	if p, ok := p64.(pass[E]); ok {
+		return p
+	}
+	return p32.(pass[E])
+}
+
+// setShape copies x's shape into *dst, allocating only when the rank
+// changes.
+func setShape[E tensor.Elem](dst *[]int, x *tensor.Of[E]) {
+	if len(*dst) != x.Rank() {
+		*dst = make([]int, x.Rank())
+	}
+	for i := range *dst {
+		(*dst)[i] = x.Dim(i)
+	}
 }
 
 // Prunable is implemented by layers whose output units ("neurons" in the

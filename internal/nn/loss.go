@@ -52,7 +52,7 @@ func SoftmaxXentInto(dst, logits *tensor.Tensor, labels []int) (loss float64) {
 			drow[j] = e
 			sum += e
 		}
-		loss += -(row[y] - maxv - math.Log(sum)) * inv
+		loss += float64(-(row[y] - maxv - math.Log(sum)) * inv) // rounded, never fused
 		for j := range drow {
 			drow[j] = drow[j] / sum * inv
 		}

@@ -27,9 +27,9 @@ func TestConvForwardParallelBitIdentical(t *testing.T) {
 		prev := parallel.SetWorkers(w)
 		defer parallel.SetWorkers(prev)
 		out := l.Forward(x, true).Clone()
-		cols := make([]*tensor.Tensor, len(l.cols))
-		for s := range l.cols {
-			cols[s] = l.cols[s].Clone()
+		cols := make([]*tensor.Tensor, len(l.f64.cols))
+		for s := range l.f64.cols {
+			cols[s] = l.f64.cols[s].Clone()
 		}
 		return out, cols
 	}

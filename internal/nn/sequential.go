@@ -25,11 +25,9 @@ type Sequential struct {
 	// live in the arena or must be fresh.
 	evalReuse bool
 
-	// scr32/scr64 hold the model-level precision-boundary staging buffers
-	// of the Float32 backend (input narrowing, output/boundary widening).
-	// Single-goroutine, not cloned or serialized, like layer scratch.
-	scr32 tensor.Arena32
-	scr64 tensor.Arena
+	// f64 and f32 are the pass drivers of the two backends (backend.go).
+	f64 stack[float64]
+	f32 stack[float32]
 
 	// actsBuf is the reused ForwardActivations result slice under eval
 	// reuse (actsSlice).
@@ -58,32 +56,20 @@ func (m *Sequential) NumLayers() int { return len(m.layers) }
 // Forward runs the network on a batch. train selects whether layers cache
 // state for Backward.
 func (m *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if m.backend == Float32 {
-		return m.forward32(x, train)
-	}
-	for _, l := range m.layers {
-		x = l.Forward(x, train)
-	}
-	return x
+	return m.driver().forward(m, 0, len(m.layers), x, train, "in", "out")
 }
 
 // ForwardTo runs inference through layers [0, hi) and returns the boundary
-// activation (for hi == 0 the input itself). Together with ForwardFrom it
-// splits a forward pass at a layer boundary: callers that mutate only
-// layers ≥ hi can compute the prefix once and replay the suffix per
-// mutation, bit-identically to a full Forward — the suffix executes the
-// same ops on the same floats.
+// activation (for hi == 0 the input itself on the float64 backend).
+// Together with ForwardFrom it splits a forward pass at a layer boundary:
+// callers that mutate only layers ≥ hi can compute the prefix once and
+// replay the suffix per mutation, bit-identically to a full Forward — the
+// suffix executes the same ops on the same floats.
 func (m *Sequential) ForwardTo(hi int, x *tensor.Tensor) *tensor.Tensor {
 	if hi < 0 || hi > len(m.layers) {
 		panic(fmt.Sprintf("nn: ForwardTo boundary %d outside [0,%d]", hi, len(m.layers)))
 	}
-	if m.backend == Float32 {
-		return m.forwardTo32(hi, x)
-	}
-	for _, l := range m.layers[:hi] {
-		x = l.Forward(x, false)
-	}
-	return x
+	return m.driver().forward(m, 0, hi, x, false, "in", "boundary")
 }
 
 // ForwardFrom runs inference through layers [li, NumLayers) on a boundary
@@ -94,13 +80,7 @@ func (m *Sequential) ForwardFrom(li int, x *tensor.Tensor) *tensor.Tensor {
 	if li < 0 || li > len(m.layers) {
 		panic(fmt.Sprintf("nn: ForwardFrom boundary %d outside [0,%d]", li, len(m.layers)))
 	}
-	if m.backend == Float32 {
-		return m.forwardFrom32(li, x)
-	}
-	for _, l := range m.layers[li:] {
-		x = l.Forward(x, false)
-	}
-	return x
+	return m.driver().forward(m, li, len(m.layers), x, false, "from", "fout")
 }
 
 // evalReuser is implemented by layers whose inference outputs can be routed
@@ -130,16 +110,8 @@ func (m *Sequential) SetEvalReuse(on bool) {
 // The federated pruning step uses this to record per-neuron activations.
 // With eval reuse on, the returned slice itself is also reused — valid until
 // the next ForwardActivations call, like the tensors it holds.
-func (m *Sequential) ForwardActivations(x *tensor.Tensor) (acts []*tensor.Tensor) {
-	if m.backend == Float32 {
-		return m.forwardActivations32(x)
-	}
-	acts = m.actsSlice()
-	for i, l := range m.layers {
-		x = l.Forward(x, false)
-		acts[i] = x
-	}
-	return acts
+func (m *Sequential) ForwardActivations(x *tensor.Tensor) []*tensor.Tensor {
+	return m.driver().activations(m, x)
 }
 
 // actsSlice returns the per-layer activation slice for ForwardActivations:
@@ -158,26 +130,15 @@ func (m *Sequential) actsSlice() []*tensor.Tensor {
 // layers in reverse, accumulating parameter gradients, and returns the
 // gradient with respect to the network input.
 func (m *Sequential) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if m.backend == Float32 {
-		return m.backward32(dout)
-	}
-	for i := len(m.layers) - 1; i >= 0; i-- {
-		dout = m.layers[i].Backward(dout)
-	}
-	return dout
+	return m.driver().backward(m, dout, true)
 }
 
-// paramBackward is implemented by layers whose backward pass can skip
+// paramBackward is implemented by passes whose backward pass can skip
 // materializing the input gradient while producing bit-identical parameter
 // gradients. Only useful for the network's first layer, whose dx nothing
 // consumes.
-type paramBackward interface {
-	backwardParams(dout *tensor.Tensor)
-}
-
-// paramBackward32 is the float32-backend twin of paramBackward.
-type paramBackward32 interface {
-	backwardParams32(dout *tensor.T32)
+type paramBackward[E tensor.Elem] interface {
+	backwardParams(dout *tensor.Of[E])
 }
 
 // BackwardParams is Backward for training loops: parameter gradients are
@@ -186,18 +147,7 @@ type paramBackward32 interface {
 // Conv2D first layer that drops a full Wᵀ·dout matmul and Col2Im scatter
 // per sample). Use Backward when the returned input gradient is needed.
 func (m *Sequential) BackwardParams(dout *tensor.Tensor) {
-	if m.backend == Float32 {
-		m.backwardParams32(dout)
-		return
-	}
-	for i := len(m.layers) - 1; i > 0; i-- {
-		dout = m.layers[i].Backward(dout)
-	}
-	if pb, ok := m.layers[0].(paramBackward); ok {
-		pb.backwardParams(dout)
-		return
-	}
-	m.layers[0].Backward(dout)
+	m.driver().backward(m, dout, false)
 }
 
 // Params returns all learnable parameters in layer order. The returned

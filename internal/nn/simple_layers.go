@@ -11,60 +11,68 @@ type ReLU struct {
 	name string
 
 	// trained records that the last forward pass was a training one, so
-	// that the cached output Backward gates on is that pass's.
+	// that the cached output backward gates on is that pass's.
 	trained bool
 
 	// evalReuse routes inference outputs through the scratch arena
 	// (Sequential.SetEvalReuse).
 	evalReuse bool
 
-	// scratch holds the reusable train-mode output and backward dx
-	// buffers. Inference passes allocate fresh because callers may retain
-	// the result. Not cloned.
-	scratch tensor.Arena
+	// f64 and f32 are the layer's arithmetic in each precision.
+	f64 reluPass[float64]
+	f32 reluPass[float32]
+}
 
-	// scratch32 is the float32-backend equivalent (layers32.go); trained
-	// is shared, since only one precision is active per model.
-	scratch32 tensor.Arena32
+// reluPass is ReLU's forward and backward in E.
+type reluPass[E tensor.Elem] struct {
+	l *ReLU
+
+	// scratch holds the reusable train-mode output and backward dx
+	// buffers. Not cloned.
+	scratch tensor.ArenaOf[E]
 }
 
 var _ Layer = (*ReLU)(nil)
 
 // NewReLU returns a named ReLU layer.
-func NewReLU(name string) *ReLU { return &ReLU{name: name} }
+func NewReLU(name string) *ReLU {
+	l := &ReLU{name: name}
+	l.f64.l, l.f32.l = l, l
+	return l
+}
 
 // Name implements Layer.
 func (l *ReLU) Name() string { return l.name }
 
-// Forward implements Layer: tensor.Relu, the builtin max(x, 0) element by
-// element (branch-free on either kernel path; an if/else select costs a
+// Forward implements Layer.
+func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor { return l.f64.forward(x, train) }
+
+// Backward implements Layer.
+func (l *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor { return l.f64.backward(dout) }
+
+// passes implements Layer.
+func (l *ReLU) passes() (pass[float64], pass[float32]) { return &l.f64, &l.f32 }
+
+// forward is tensor.Relu, the builtin max(x, 0) element by element
+// (branch-free on either kernel path; an if/else select costs a
 // data-dependent branch per element that mispredicts ~50% of the time on
 // activation-like inputs).
-func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	var out *tensor.Tensor
-	switch {
-	case train:
-		out = l.scratch.GetLike("out", x)
-	case l.evalReuse:
-		out = l.scratch.GetLike("eout", x)
-	default:
-		out = tensor.New(x.Shape()...)
-	}
+func (p *reluPass[E]) forward(x *tensor.Of[E], train bool) *tensor.Of[E] {
+	out := outputLike(&p.scratch, train, p.l.evalReuse, x)
 	tensor.Relu(out.Data, x.Data)
-	l.trained = train
+	p.l.trained = train
 	return out
 }
 
-// Backward implements Layer. dx lives in a reusable buffer. The pass-mask
-// is derived from the cached training output: out is max(x, 0), so its
-// bits are nonzero exactly where x > 0, and tensor.ReluBackward gates dout
-// by that without a branch.
-func (l *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if !l.trained {
-		panic(fmt.Sprintf("nn: %s: Backward without training Forward", l.name))
+// backward gates dout by the cached training output: out is max(x, 0), so
+// its bits are nonzero exactly where x > 0, and tensor.ReluBackward gates
+// dout by that without a branch. dx lives in a reusable buffer.
+func (p *reluPass[E]) backward(dout *tensor.Of[E]) *tensor.Of[E] {
+	if !p.l.trained {
+		panic(fmt.Sprintf("nn: %s: Backward without training Forward", p.l.name))
 	}
-	out := l.scratch.GetLike("out", dout)
-	dx := l.scratch.GetLike("dx", dout)
+	out := p.scratch.GetLike("out", dout)
+	dx := p.scratch.GetLike("dx", dout)
 	tensor.ReluBackward(dx.Data, dout.Data, out.Data)
 	return dx
 }
@@ -73,7 +81,7 @@ func (l *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 func (l *ReLU) Params() []*Param { return nil }
 
 // CloneLayer implements Layer.
-func (l *ReLU) CloneLayer() Layer { return &ReLU{name: l.name} }
+func (l *ReLU) CloneLayer() Layer { return NewReLU(l.name) }
 
 // setEvalReuse implements evalReuser.
 func (l *ReLU) setEvalReuse(on bool) { l.evalReuse = on }
@@ -87,39 +95,59 @@ type Flatten struct {
 	// per-batch-size set (Sequential.SetEvalReuse).
 	evalReuse bool
 
+	// f64 and f32 are the layer's arithmetic in each precision.
+	f64 flattenPass[float64]
+	f32 flattenPass[float32]
+}
+
+// flattenPass is Flatten's forward and backward in E.
+type flattenPass[E tensor.Elem] struct {
+	l *Flatten
+
 	// hdrs holds persistent reshape headers per batch size, re-pointed at
 	// the caller's data each training step. Keying by batch size keeps a
 	// training loop that alternates full and tail batches allocation-free
 	// once both sizes have been seen.
-	hdrs map[int]*flattenHdrs
-
-	// hdrs32 is the float32-backend equivalent (layers32.go).
-	hdrs32 map[int]*flattenHdrs32
+	hdrs map[int]*flattenHdrs[E]
 }
 
 // flattenHdrs is one batch size's set of reshape headers (training output,
 // backward dx, and the eval-reuse output).
-type flattenHdrs struct {
-	out, dx, eout *tensor.Tensor
+type flattenHdrs[E tensor.Elem] struct {
+	out, dx, eout *tensor.Of[E]
 }
 
 var _ Layer = (*Flatten)(nil)
 
 // NewFlatten returns a named Flatten layer.
-func NewFlatten(name string) *Flatten { return &Flatten{name: name} }
+func NewFlatten(name string) *Flatten {
+	l := &Flatten{name: name}
+	l.f64.l, l.f32.l = l, l
+	return l
+}
 
 // Name implements Layer.
 func (l *Flatten) Name() string { return l.name }
 
 // Forward implements Layer.
 func (l *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return l.f64.forward(x, train)
+}
+
+// Backward implements Layer.
+func (l *Flatten) Backward(dout *tensor.Tensor) *tensor.Tensor { return l.f64.backward(dout) }
+
+// passes implements Layer.
+func (l *Flatten) passes() (pass[float64], pass[float32]) { return &l.f64, &l.f32 }
+
+func (p *flattenPass[E]) forward(x *tensor.Of[E], train bool) *tensor.Of[E] {
 	n := x.Dim(0)
 	d := x.Len() / n
 	if !train {
-		if !l.evalReuse {
+		if !keepsEval[E](p.l.evalReuse) {
 			return x.Reshape(n, d)
 		}
-		h := l.headers(n)
+		h := p.headers(n)
 		if h.eout == nil || h.eout.Dim(1) != d {
 			h.eout = x.Reshape(n, d)
 		} else {
@@ -127,13 +155,8 @@ func (l *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		return h.eout
 	}
-	if len(l.inShape) != x.Rank() {
-		l.inShape = make([]int, x.Rank())
-	}
-	for i := range l.inShape {
-		l.inShape[i] = x.Dim(i)
-	}
-	h := l.headers(n)
+	setShape(&p.l.inShape, x)
+	h := p.headers(n)
 	if h.out == nil || h.out.Dim(1) != d {
 		h.out = x.Reshape(n, d)
 	} else {
@@ -142,28 +165,28 @@ func (l *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return h.out
 }
 
-// headers returns the reshape-header pair for batch size n, creating it on
+// headers returns the reshape-header set for batch size n, creating it on
 // first sight of the size.
-func (l *Flatten) headers(n int) *flattenHdrs {
-	if h, ok := l.hdrs[n]; ok {
+func (p *flattenPass[E]) headers(n int) *flattenHdrs[E] {
+	if h, ok := p.hdrs[n]; ok {
 		return h
 	}
-	if l.hdrs == nil {
-		l.hdrs = make(map[int]*flattenHdrs)
+	if p.hdrs == nil {
+		p.hdrs = make(map[int]*flattenHdrs[E])
 	}
-	h := &flattenHdrs{}
-	l.hdrs[n] = h
+	h := &flattenHdrs[E]{}
+	p.hdrs[n] = h
 	return h
 }
 
-// Backward implements Layer.
-func (l *Flatten) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if l.inShape == nil {
-		panic(fmt.Sprintf("nn: %s: Backward without training Forward", l.name))
+func (p *flattenPass[E]) backward(dout *tensor.Of[E]) *tensor.Of[E] {
+	inShape := p.l.inShape
+	if inShape == nil {
+		panic(fmt.Sprintf("nn: %s: Backward without training Forward", p.l.name))
 	}
-	h := l.headers(l.inShape[0])
-	if h.dx == nil || !sameShape(h.dx, l.inShape) {
-		h.dx = dout.Reshape(l.inShape...)
+	h := p.headers(inShape[0])
+	if h.dx == nil || !sameShape(h.dx, inShape) {
+		h.dx = dout.Reshape(inShape...)
 	} else {
 		h.dx.Data = dout.Data
 	}
@@ -171,7 +194,7 @@ func (l *Flatten) Backward(dout *tensor.Tensor) *tensor.Tensor {
 }
 
 // sameShape reports whether t's shape equals shape.
-func sameShape(t *tensor.Tensor, shape []int) bool {
+func sameShape[E tensor.Elem](t *tensor.Of[E], shape []int) bool {
 	if t.Rank() != len(shape) {
 		return false
 	}
@@ -187,7 +210,7 @@ func sameShape(t *tensor.Tensor, shape []int) bool {
 func (l *Flatten) Params() []*Param { return nil }
 
 // CloneLayer implements Layer.
-func (l *Flatten) CloneLayer() Layer { return &Flatten{name: l.name} }
+func (l *Flatten) CloneLayer() Layer { return NewFlatten(l.name) }
 
 // setEvalReuse implements evalReuser.
 func (l *Flatten) setEvalReuse(on bool) { l.evalReuse = on }
@@ -206,13 +229,18 @@ type MaxPool2D struct {
 	// (Sequential.SetEvalReuse).
 	evalReuse bool
 
+	// f64 and f32 are the layer's arithmetic in each precision.
+	f64 poolPass[float64]
+	f32 poolPass[float32]
+}
+
+// poolPass is MaxPool2D's forward and backward in E.
+type poolPass[E tensor.Elem] struct {
+	l *MaxPool2D
+
 	// scratch holds the reusable train-mode output and backward dx
 	// buffers. Not cloned.
-	scratch tensor.Arena
-
-	// scratch32 is the float32-backend equivalent (layers32.go); inShape
-	// and argmax are shared, since only one precision is active per model.
-	scratch32 tensor.Arena32
+	scratch tensor.ArenaOf[E]
 }
 
 var _ Layer = (*MaxPool2D)(nil)
@@ -222,7 +250,9 @@ func NewMaxPool2D(name string, size, stride int) *MaxPool2D {
 	if size <= 0 || stride <= 0 {
 		panic(fmt.Sprintf("nn: %s: bad pool size/stride %d/%d", name, size, stride))
 	}
-	return &MaxPool2D{name: name, size: size, stride: stride}
+	l := &MaxPool2D{name: name, size: size, stride: stride}
+	l.f64.l, l.f32.l = l, l
+	return l
 }
 
 // Name implements Layer.
@@ -230,6 +260,17 @@ func (l *MaxPool2D) Name() string { return l.name }
 
 // Forward implements Layer for x of shape (N, C, H, W).
 func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return l.f64.forward(x, train)
+}
+
+// Backward implements Layer.
+func (l *MaxPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor { return l.f64.backward(dout) }
+
+// passes implements Layer.
+func (l *MaxPool2D) passes() (pass[float64], pass[float32]) { return &l.f64, &l.f32 }
+
+func (p *poolPass[E]) forward(x *tensor.Of[E], train bool) *tensor.Of[E] {
+	l := p.l
 	if x.Rank() != 4 {
 		panic(fmt.Sprintf("nn: %s: input rank %d, want 4", l.name, x.Rank()))
 	}
@@ -239,23 +280,14 @@ func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if outH <= 0 || outW <= 0 {
 		panic(fmt.Sprintf("nn: %s: window %d too large for %d×%d input", l.name, l.size, h, w))
 	}
-	var out *tensor.Tensor
+	out := output(&p.scratch, train, l.evalReuse, n, c, outH, outW)
 	if train {
-		out = l.scratch.Get("out", n, c, outH, outW)
-		if len(l.inShape) != 4 {
-			l.inShape = make([]int, 4)
-		}
-		l.inShape[0], l.inShape[1], l.inShape[2], l.inShape[3] = n, c, h, w
+		setShape(&l.inShape, x)
 		if cap(l.argmax) < out.Len() {
 			l.argmax = make([]int, out.Len())
 		}
 		l.argmax = l.argmax[:out.Len()]
 	} else {
-		if l.evalReuse {
-			out = l.scratch.Get("eout", n, c, outH, outW)
-		} else {
-			out = tensor.New(n, c, outH, outW)
-		}
 		l.argmax = nil
 	}
 	if l.size == 2 && l.stride == 2 {
@@ -345,12 +377,14 @@ func pool2x2[E tensor.Elem](x, out []E, argmax []int, nc, h, w, outH, outW int) 
 	}
 }
 
-// Backward implements Layer. dx lives in a reusable buffer.
-func (l *MaxPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
+// backward scatters dout to the cached argmax; dx lives in a reusable
+// buffer.
+func (p *poolPass[E]) backward(dout *tensor.Of[E]) *tensor.Of[E] {
+	l := p.l
 	if l.argmax == nil {
 		panic(fmt.Sprintf("nn: %s: Backward without training Forward", l.name))
 	}
-	dx := l.scratch.Get("dx", l.inShape...)
+	dx := p.scratch.Get("dx", l.inShape...)
 	dx.Zero() // the scatter below accumulates
 	for oi, v := range dout.Data {
 		dx.Data[l.argmax[oi]] += v
@@ -362,9 +396,7 @@ func (l *MaxPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 func (l *MaxPool2D) Params() []*Param { return nil }
 
 // CloneLayer implements Layer.
-func (l *MaxPool2D) CloneLayer() Layer {
-	return &MaxPool2D{name: l.name, size: l.size, stride: l.stride}
-}
+func (l *MaxPool2D) CloneLayer() Layer { return NewMaxPool2D(l.name, l.size, l.stride) }
 
 // setEvalReuse implements evalReuser.
 func (l *MaxPool2D) setEvalReuse(on bool) { l.evalReuse = on }

@@ -290,22 +290,22 @@ func checkBatchNormAgainstReference(t *testing.T, rng *rand.Rand, n, ch, hw int,
 			ref.Forward64(wantOut, wantXhat, x.Data, n, hw, train)
 			mustMatch(t, "out", ctx, out.Data, wantOut)
 			if train {
-				mustMatch(t, "xhat", ctx, l.xhat.Data, wantXhat)
+				mustMatch(t, "xhat", ctx, l.f64.xhat.Data, wantXhat)
 				dx := l.Backward(dout)
 				ref.Backward64(wantDx, dout.Data, wantXhat)
 				mustMatch(t, "dx", ctx, dx.Data, wantDx)
 			}
 		} else {
-			x32, dout32 := tensor.New32(n, ch, h, w), tensor.New32(n, ch, h, w)
-			x32.From64(x)
+			xf, dout32 := tensor.NewOf[float32](n, ch, h, w), tensor.NewOf[float32](n, ch, h, w)
+			xf.From64(x)
 			dout32.From64(dout)
 			wantOut, wantXhat, wantDx := make([]float32, size), make([]float32, size), make([]float32, size)
-			out := l.Forward32(x32, train)
-			ref.Forward32(wantOut, wantXhat, x32.Data, n, hw, train)
+			out := l.f32.forward(xf, train)
+			ref.Forward32(wantOut, wantXhat, xf.Data, n, hw, train)
 			mustMatch(t, "out", ctx, out.Data, wantOut)
 			if train {
-				mustMatch(t, "xhat", ctx, l.xhat32.Data, wantXhat)
-				dx := l.Backward32(dout32)
+				mustMatch(t, "xhat", ctx, l.f32.xhat.Data, wantXhat)
+				dx := l.f32.backward(dout32)
 				ref.Backward32(wantDx, dout32.Data, wantXhat)
 				mustMatch(t, "dx", ctx, dx.Data, wantDx)
 			}
@@ -427,8 +427,8 @@ func TestClonesTrainConcurrentlyOnSharedTables(t *testing.T) {
 // contract the per-element mask used to carry.
 func TestReLUBackwardNeedsTrainingForward(t *testing.T) {
 	x := tensor.FromSlice([]float64{-1, 2}, 1, 2)
-	x32 := tensor.New32(1, 2)
-	x32.From64(x)
+	xf := tensor.NewOf[float32](1, 2)
+	xf.From64(x)
 	mustPanic := func(what string, f func()) {
 		t.Helper()
 		defer func() {
@@ -443,9 +443,9 @@ func TestReLUBackwardNeedsTrainingForward(t *testing.T) {
 	l.Forward(x, true)
 	l.Forward(x, false)
 	mustPanic("Backward after an inference Forward", func() { l.Backward(x) })
-	l.Forward32(x32, true)
-	l.Forward32(x32, false)
-	mustPanic("Backward32 after an inference Forward32", func() { l.Backward32(x32) })
+	l.f32.forward(xf, true)
+	l.f32.forward(xf, false)
+	mustPanic("Backward32 after an inference Forward32", func() { l.f32.backward(xf) })
 	if c := l.CloneLayer().(*ReLU); c.trained {
 		t.Error("a clone starts out trained")
 	}

@@ -28,7 +28,7 @@ func TestMatMulIntoKernelsAllocFree(t *testing.T) {
 	bT := randMat(rng, n, k)
 	aT := randMat(rng, k, m)
 	dst := New(m, n)
-	a32, b32, bT32, aT32, dst32 := New32(m, k), New32(k, n), New32(n, k), New32(k, m), New32(m, n)
+	a32, b32, bT32, aT32, dst32 := NewOf[float32](m, k), NewOf[float32](k, n), NewOf[float32](n, k), NewOf[float32](k, m), NewOf[float32](m, n)
 	a32.From64(a)
 	b32.From64(b)
 	bT32.From64(bT)
@@ -41,9 +41,9 @@ func TestMatMulIntoKernelsAllocFree(t *testing.T) {
 		{"MatMulInto", func() { MatMulInto(dst, a, b) }},
 		{"MatMulTransBInto", func() { MatMulTransBInto(dst, a, bT) }},
 		{"MatMulTransAInto", func() { MatMulTransAInto(dst, aT, b) }},
-		{"MatMulInto32", func() { MatMulInto32(dst32, a32, b32) }},
-		{"MatMulTransBInto32", func() { MatMulTransBInto32(dst32, a32, bT32) }},
-		{"MatMulTransAInto32", func() { MatMulTransAInto32(dst32, aT32, b32) }},
+		{"MatMulInto float32", func() { MatMulInto(dst32, a32, b32) }},
+		{"MatMulTransBInto float32", func() { MatMulTransBInto(dst32, a32, bT32) }},
+		{"MatMulTransAInto float32", func() { MatMulTransAInto(dst32, aT32, b32) }},
 	} {
 		if allocs := testing.AllocsPerRun(20, tc.f); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, allocs)
@@ -60,7 +60,7 @@ func TestVecAndTableEntryPointsAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	a, b, c := randSlice[float64](rng, n), randSlice[float64](rng, n), randSlice[float64](rng, n)
 	a32, b32, c32 := randSlice[float32](rng, n), randSlice[float32](rng, n), randSlice[float32](rng, n)
-	t64, t32 := FromSlice(a, n), FromSlice32(a32, n)
+	t64, t32 := FromSlice(a, n), FromSlice(a32, n)
 	d := ConvDims{C: 4, H: 4, W: 4, K: 3, Stride: 1, Pad: 1}
 	tab := ConvIndexFor(d)
 	img, img32 := randSlice[float64](rng, d.C*d.H*d.W), randSlice[float32](rng, d.C*d.H*d.W)
@@ -112,7 +112,7 @@ func TestArenaGetAllocFreeWhenWarm(t *testing.T) {
 // had its own.
 func TestArenaTailBatchAllocBudget(t *testing.T) {
 	var a Arena
-	var a32 Arena32
+	var a32 ArenaOf[float32]
 	a.Get("out", 20, 16, 16, 16)
 	a32.Get("out", 20, 16, 16, 16)
 	var before, after runtime.MemStats

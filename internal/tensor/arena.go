@@ -18,10 +18,11 @@ type arenaKey struct {
 	dims [maxArenaRank]int
 }
 
-// Arena is a shape-keyed pool of reusable scratch tensors. Get returns the
-// same buffer for the same (slot, shape) pair on every call, allocating only
-// on first use, so a steady-state training loop that routes its temporaries
-// through an arena performs zero heap allocations per step after warm-up.
+// ArenaOf is a shape-keyed pool of reusable scratch tensors of E. Get
+// returns the same buffer for the same (slot, shape) pair on every call,
+// allocating only on first use, so a steady-state training loop that
+// routes its temporaries through an arena performs zero heap allocations
+// per step after warm-up.
 //
 // Buffers for distinct shapes coexist (a partial tail batch does not evict
 // the full-batch buffer), and the slot string separates same-shaped buffers
@@ -32,8 +33,8 @@ type arenaKey struct {
 // header over a prefix of the full batch's memory, not a second buffer.
 //
 // Ownership rules (see DESIGN.md §8):
-//   - An Arena is single-goroutine state, exactly like the layer that owns
-//     it. Concurrent workers must each own their own Arena (or per-block
+//   - An arena is single-goroutine state, exactly like the layer that owns
+//     it. Concurrent workers must each own their own arena (or per-block
 //     scratch), mirroring how the conv forward pass hands every worker
 //     block its own buffers.
 //   - Get does not zero recycled buffers; callers that need zeroed storage
@@ -44,12 +45,20 @@ type arenaKey struct {
 //     variants of one slot at once.
 //
 // The zero value is ready to use.
-type Arena struct {
-	m map[arenaKey]*Tensor
+type ArenaOf[E Elem] struct {
+	m map[arenaKey]*Of[E]
 	// fam maps a family — a rank ≥ 2 key with its leading dimension blanked —
 	// to the largest backing allocated for it so far.
-	fam map[arenaKey][]float64
+	fam map[arenaKey][]E
 }
+
+// Arena is the float64 arena.
+type Arena = ArenaOf[float64]
+
+// shaped is a tensor of either element type, as far as a lookup keyed on
+// its shape needs it: GetLike stages a conversion at the precision boundary
+// without allocating, in either direction.
+type shaped interface{ dims() []int }
 
 // Get returns the arena's buffer for (slot, shape), allocating a zeroed
 // tensor on first use. Recycled buffers keep their previous contents.
@@ -58,16 +67,8 @@ type Arena struct {
 // shape from the comparable key, so the caller's variadic argument does not
 // escape and a warm Get is allocation-free (the gate in alloc_test.go pins
 // this).
-func (a *Arena) Get(slot string, shape ...int) *Tensor {
-	if len(shape) > maxArenaRank {
-		panic(fmt.Sprintf("tensor: Arena.Get rank %d exceeds %d", len(shape), maxArenaRank))
-	}
-	k := arenaKey{slot: slot, rank: len(shape)}
-	copy(k.dims[:], shape)
-	if t, ok := a.m[k]; ok {
-		return t
-	}
-	return a.miss(k)
+func (a *ArenaOf[E]) Get(slot string, shape ...int) *Of[E] {
+	return a.lookup(slot, 0, shape)
 }
 
 // GetIndexed returns the arena's buffer for (slot, idx, shape), allocating
@@ -75,9 +76,27 @@ func (a *Arena) Get(slot string, shape ...int) *Tensor {
 // buffers under one slot name without the caller having to mint per-index
 // slot strings (which would allocate on every lookup): a batch-keyed
 // activation cache holds batch b in GetIndexed("act", b, shape...).
-func (a *Arena) GetIndexed(slot string, idx int, shape ...int) *Tensor {
+func (a *ArenaOf[E]) GetIndexed(slot string, idx int, shape ...int) *Of[E] {
+	return a.lookup(slot, idx, shape)
+}
+
+// GetLike returns the arena's buffer with exactly t's shape — t may be of
+// either element type — allocating a zeroed tensor on first use. Unlike
+// Get(slot, t.Shape()...) it reads the shape in place, keeping the warm
+// path allocation-free.
+func (a *ArenaOf[E]) GetLike(slot string, t shaped) *Of[E] {
+	return a.lookup(slot, 0, t.dims())
+}
+
+// GetIndexedLike is GetIndexed with the shape read in place from t.
+func (a *ArenaOf[E]) GetIndexedLike(slot string, idx int, t shaped) *Of[E] {
+	return a.lookup(slot, idx, t.dims())
+}
+
+// lookup is every Get: the buffer for (slot, idx, shape).
+func (a *ArenaOf[E]) lookup(slot string, idx int, shape []int) *Of[E] {
 	if len(shape) > maxArenaRank {
-		panic(fmt.Sprintf("tensor: Arena.GetIndexed rank %d exceeds %d", len(shape), maxArenaRank))
+		panic(fmt.Sprintf("tensor: arena rank %d exceeds %d", len(shape), maxArenaRank))
 	}
 	k := arenaKey{slot: slot, idx: idx, rank: len(shape)}
 	copy(k.dims[:], shape)
@@ -87,41 +106,12 @@ func (a *Arena) GetIndexed(slot string, idx int, shape ...int) *Tensor {
 	return a.miss(k)
 }
 
-// GetIndexedLike is GetIndexed with the shape read in place from t,
-// keeping the warm path allocation-free for ad-hoc shapes.
-func (a *Arena) GetIndexedLike(slot string, idx int, t *Tensor) *Tensor {
-	if len(t.shape) > maxArenaRank {
-		panic(fmt.Sprintf("tensor: Arena.GetIndexedLike rank %d exceeds %d", len(t.shape), maxArenaRank))
-	}
-	k := arenaKey{slot: slot, idx: idx, rank: len(t.shape)}
-	copy(k.dims[:], t.shape)
-	if b, ok := a.m[k]; ok {
-		return b
-	}
-	return a.miss(k)
-}
-
-// GetLike returns the arena's buffer with exactly t's shape, allocating a
-// zeroed tensor on first use. Unlike Get(slot, t.Shape()...) it reads the
-// shape in place, keeping the warm path allocation-free.
-func (a *Arena) GetLike(slot string, t *Tensor) *Tensor {
-	if len(t.shape) > maxArenaRank {
-		panic(fmt.Sprintf("tensor: Arena.GetLike rank %d exceeds %d", len(t.shape), maxArenaRank))
-	}
-	k := arenaKey{slot: slot, rank: len(t.shape)}
-	copy(k.dims[:], t.shape)
-	if b, ok := a.m[k]; ok {
-		return b
-	}
-	return a.miss(k)
-}
-
-// miss registers the buffer for key k (the cold path of Get/GetLike): over
-// its family's backing when that is large enough, else over a new one.
-func (a *Arena) miss(k arenaKey) *Tensor {
+// miss registers the buffer for key k (the cold path of lookup): over its
+// family's backing when that is large enough, else over a new one.
+func (a *ArenaOf[E]) miss(k arenaKey) *Of[E] {
 	if a.m == nil {
-		a.m = make(map[arenaKey]*Tensor)
-		a.fam = make(map[arenaKey][]float64)
+		a.m = make(map[arenaKey]*Of[E])
+		a.fam = make(map[arenaKey][]E)
 	}
 	t := FromSlice(familyBacking(a.fam, k), k.dims[:k.rank]...)
 	a.m[k] = t
@@ -150,7 +140,7 @@ func familyBacking[E Elem](fam map[arenaKey][]E, k arenaKey) []E {
 }
 
 // Reset drops every cached buffer, returning the arena to its zero state.
-func (a *Arena) Reset() { a.m, a.fam = nil, nil }
+func (a *ArenaOf[E]) Reset() { a.m, a.fam = nil, nil }
 
 // EnsureShape returns t when it already has exactly the wanted shape, and a
 // fresh zeroed tensor otherwise (including t == nil). It is the single-slot

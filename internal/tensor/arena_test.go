@@ -169,10 +169,10 @@ func TestArenaFamiliesDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestArena32TailSharesFullBatchBacking is the float32 arena on the same
+// TestArenaFloat32TailSharesFullBatchBacking is the float32 arena on the same
 // rule: it runs the same miss path.
-func TestArena32TailSharesFullBatchBacking(t *testing.T) {
-	var a Arena32
+func TestArenaFloat32TailSharesFullBatchBacking(t *testing.T) {
+	var a ArenaOf[float32]
 	full := a.Get("x", 20, 8)
 	full.Data[0], full.Data[14*8] = 5, 5
 	tail := a.GetIndexed("x", 0, 14, 8)

@@ -122,7 +122,7 @@ var narrowDims = []struct {
 }
 
 // BenchmarkIm2ColNarrow is the table gather on the narrow maps; the walk
-// sub-benchmarks run the segment-copy Im2Col32 on the same geometry, the
+// sub-benchmarks run the float32 segment-copy Im2Col on the same geometry, the
 // pair the crossover constant narrowConvWidth rests on.
 func BenchmarkIm2ColNarrow(b *testing.B) {
 	for _, g := range narrowDims {
@@ -137,7 +137,7 @@ func BenchmarkIm2ColNarrow(b *testing.B) {
 			perElem(b, cells, func() { Im2ColIndexed(t, img, stage, dst) })
 		})
 		b.Run(g.name+"-walk", func(b *testing.B) {
-			perElem(b, cells, func() { Im2Col32(img, d, dst) })
+			perElem(b, cells, func() { Im2Col(img, d, dst) })
 		})
 	}
 }
@@ -160,7 +160,7 @@ func BenchmarkCol2ImNarrow(b *testing.B) {
 		b.Run(g.name+"-walk", func(b *testing.B) {
 			perElem(b, cells, func() {
 				clear(dst)
-				Col2Im32(col, d, dst)
+				Col2Im(col, d, dst)
 			})
 		})
 	}

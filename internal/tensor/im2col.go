@@ -38,14 +38,7 @@ func (d ConvDims) Validate() error {
 //
 // The unrolled layout pairs with a weight matrix of shape (F, C·K·K): the
 // convolution then becomes a single MatMul producing (F, OutH·OutW).
-func Im2Col(img []float64, d ConvDims, dst []float64) {
-	checkIm2Col(len(img), len(dst), d)
-	im2colKernel(img, d, dst)
-}
-
-// Im2Col32 is the float32 instantiation of Im2Col for the float32 backend;
-// the layout contract is identical.
-func Im2Col32(img []float32, d ConvDims, dst []float32) {
+func Im2Col[E Elem](img []E, d ConvDims, dst []E) {
 	checkIm2Col(len(img), len(dst), d)
 	im2colKernel(img, d, dst)
 }
@@ -63,14 +56,7 @@ func checkIm2Col(imgLen, dstLen int, d ConvDims) {
 // Col2Im scatters a (C·K·K)×(OutH·OutW) column-gradient matrix back into a
 // C×H×W image gradient, accumulating overlapping contributions. dst must be
 // zeroed by the caller if fresh accumulation is desired.
-func Col2Im(col []float64, d ConvDims, dst []float64) {
-	checkCol2Im(len(col), len(dst), d)
-	col2imKernel(col, d, dst)
-}
-
-// Col2Im32 is the float32 instantiation of Col2Im for the float32 backend;
-// the accumulation contract is identical.
-func Col2Im32(col []float32, d ConvDims, dst []float32) {
+func Col2Im[E Elem](col []E, d ConvDims, dst []E) {
 	checkCol2Im(len(col), len(dst), d)
 	col2imKernel(col, d, dst)
 }

@@ -27,7 +27,8 @@ package tensor
 //
 // Bit-identity discipline: for every output cell, contributions are
 // accumulated in ascending-p order with a separately rounded multiply and
-// add — the KC panel loop is outermost and panels resume from the stored
+// add — every product is written E(a·b), a rounding point no compiler may
+// fuse across — the KC panel loop is outermost and panels resume from the stored
 // partial sum, so splitting k into panels replays the exact same sequence
 // of rounded additions as one straight pass. Row blocking
 // (parallel.ForBlocks) and column blocking only change *which* cells are
@@ -106,10 +107,10 @@ func matmulTiledGo[E Elem](dst, a, b []E, lo, hi, k, n int) {
 					d2 := d2[:len(bp)]
 					d3 := d3[:len(bp)]
 					for j, bv := range bp {
-						d0[j] += v0 * bv
-						d1[j] += v1 * bv
-						d2[j] += v2 * bv
-						d3[j] += v3 * bv
+						d0[j] += E(v0 * bv)
+						d1[j] += E(v1 * bv)
+						d2[j] += E(v2 * bv)
+						d3[j] += E(v3 * bv)
 					}
 				}
 			}
@@ -121,7 +122,7 @@ func matmulTiledGo[E Elem](dst, a, b []E, lo, hi, k, n int) {
 					av := arow[p]
 					drow := drow[:len(bp)]
 					for j, bv := range bp {
-						drow[j] += av * bv
+						drow[j] += E(av * bv)
 					}
 				}
 			}
@@ -157,10 +158,10 @@ func matmulTransBTiledGo[E Elem](dst, a, b []E, lo, hi, k, n int) {
 				b2 = b2[:len(ap)]
 				b3 = b3[:len(ap)]
 				for p, av := range ap {
-					s0 += av * b0[p]
-					s1 += av * b1[p]
-					s2 += av * b2[p]
-					s3 += av * b3[p]
+					s0 += E(av * b0[p])
+					s1 += E(av * b1[p])
+					s2 += E(av * b2[p])
+					s3 += E(av * b3[p])
 				}
 				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 			}
@@ -172,7 +173,7 @@ func matmulTransBTiledGo[E Elem](dst, a, b []E, lo, hi, k, n int) {
 				}
 				brow = brow[:len(ap)]
 				for p, av := range ap {
-					s += av * brow[p]
+					s += E(av * brow[p])
 				}
 				orow[j] = s
 			}
@@ -206,10 +207,10 @@ func matmulTransATiledGo[E Elem](dst, a, b []E, lo, hi, k, m, n int) {
 					d2 := d2[:len(bp)]
 					d3 := d3[:len(bp)]
 					for j, bv := range bp {
-						d0[j] += v0 * bv
-						d1[j] += v1 * bv
-						d2[j] += v2 * bv
-						d3[j] += v3 * bv
+						d0[j] += E(v0 * bv)
+						d1[j] += E(v1 * bv)
+						d2[j] += E(v2 * bv)
+						d3[j] += E(v3 * bv)
 					}
 				}
 			}
@@ -220,7 +221,7 @@ func matmulTransATiledGo[E Elem](dst, a, b []E, lo, hi, k, m, n int) {
 					bp := b[p*n+jc : p*n+je]
 					drow := drow[:len(bp)]
 					for j, bv := range bp {
-						drow[j] += av * bv
+						drow[j] += E(av * bv)
 					}
 				}
 			}
@@ -241,7 +242,7 @@ func matmulRowsRef[E Elem](dst, a, b []E, lo, hi, k, n int) {
 			}
 			brow := b[p*n : (p+1)*n]
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += E(av * bv)
 			}
 		}
 	}
@@ -257,7 +258,7 @@ func matmulTransBRowsRef[E Elem](dst, a, b []E, lo, hi, k, n int) {
 			brow := b[j*k : (j+1)*k]
 			var s E
 			for p, av := range arow {
-				s += av * brow[p]
+				s += E(av * brow[p])
 			}
 			orow[j] = s
 		}
@@ -277,7 +278,7 @@ func matmulTransARowsRef[E Elem](dst, a, b []E, lo, hi, k, m, n int) {
 			}
 			orow := dst[i*n : (i+1)*n]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += E(av * bv)
 			}
 		}
 	}

@@ -127,10 +127,10 @@ func TestTiledMatchesReferenceFloat32(t *testing.T) {
 func TestMatMul32SerialParallelIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m, k, n := 96, 80, 72 // m·k·n ≫ parallelFlopCutoff
-	a := New32(m, k)
-	b := New32(k, n)
-	bt := New32(n, k)
-	at := New32(k, m)
+	a := NewOf[float32](m, k)
+	b := NewOf[float32](k, n)
+	bt := NewOf[float32](n, k)
+	at := NewOf[float32](k, m)
 	for _, s := range [][]float32{a.Data, b.Data, bt.Data, at.Data} {
 		for i := range s {
 			s[i] = float32(rng.NormFloat64())
@@ -139,29 +139,29 @@ func TestMatMul32SerialParallelIdentity(t *testing.T) {
 
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
-	wantMM := New32(m, n)
-	wantTB := New32(m, n)
-	wantTA := New32(m, n)
-	MatMulInto32(wantMM, a, b)
-	MatMulTransBInto32(wantTB, a, bt)
-	MatMulTransAInto32(wantTA, at, b)
+	wantMM := NewOf[float32](m, n)
+	wantTB := NewOf[float32](m, n)
+	wantTA := NewOf[float32](m, n)
+	MatMulInto(wantMM, a, b)
+	MatMulTransBInto(wantTB, a, bt)
+	MatMulTransAInto(wantTA, at, b)
 
 	for _, workers := range []int{2, 3, 8} {
 		parallel.SetWorkers(workers)
-		got := New32(m, n)
-		MatMulInto32(got, a, b)
-		diffIdx(t, "MatMulInto32", got.Data, wantMM.Data)
-		MatMulTransBInto32(got, a, bt)
-		diffIdx(t, "MatMulTransBInto32", got.Data, wantTB.Data)
-		MatMulTransAInto32(got, at, b)
-		diffIdx(t, "MatMulTransAInto32", got.Data, wantTA.Data)
+		got := NewOf[float32](m, n)
+		MatMulInto(got, a, b)
+		diffIdx(t, "MatMulInto float32", got.Data, wantMM.Data)
+		MatMulTransBInto(got, a, bt)
+		diffIdx(t, "MatMulTransBInto float32", got.Data, wantTB.Data)
+		MatMulTransAInto(got, at, b)
+		diffIdx(t, "MatMulTransAInto float32", got.Data, wantTA.Data)
 	}
 }
 
-// TestIm2Col32MatchesFloat64 checks the float32 im2col/col2im against the
+// TestIm2ColFloat32MatchesFloat64 checks the float32 im2col/col2im against the
 // float64 path on float32-representable data (conversion is exact, so the
 // results must agree exactly).
-func TestIm2Col32MatchesFloat64(t *testing.T) {
+func TestIm2ColFloat32MatchesFloat64(t *testing.T) {
 	d := ConvDims{C: 3, H: 9, W: 7, K: 3, Stride: 2, Pad: 1}
 	rng := rand.New(rand.NewSource(10))
 	img64 := make([]float64, d.C*d.H*d.W)
@@ -175,7 +175,7 @@ func TestIm2Col32MatchesFloat64(t *testing.T) {
 	col64 := make([]float64, colLen)
 	col32 := make([]float32, colLen)
 	Im2Col(img64, d, col64)
-	Im2Col32(img32, d, col32)
+	Im2Col(img32, d, col32)
 	for i := range col64 {
 		if float64(col32[i]) != col64[i] {
 			t.Fatalf("im2col cell %d: float32 %v, float64 %v", i, col32[i], col64[i])
@@ -185,7 +185,7 @@ func TestIm2Col32MatchesFloat64(t *testing.T) {
 	back64 := make([]float64, len(img64))
 	back32 := make([]float32, len(img32))
 	Col2Im(col64, d, back64)
-	Col2Im32(col32, d, back32)
+	Col2Im(col32, d, back32)
 	for i := range back64 {
 		if math.Abs(float64(back32[i])-back64[i]) > 1e-5*(1+math.Abs(back64[i])) {
 			t.Fatalf("col2im cell %d: float32 %v, float64 %v", i, back32[i], back64[i])
@@ -194,9 +194,9 @@ func TestIm2Col32MatchesFloat64(t *testing.T) {
 }
 
 func TestT32Basics(t *testing.T) {
-	x := New32(2, 3)
+	x := NewOf[float32](2, 3)
 	if x.Rank() != 2 || x.Dim(0) != 2 || x.Dim(1) != 3 || x.Len() != 6 {
-		t.Fatalf("New32 shape metadata wrong: %v", x.Shape())
+		t.Fatalf("NewOf[float32] shape metadata wrong: %v", x.Shape())
 	}
 	for i := range x.Data {
 		x.Data[i] = float32(i) + 0.5
@@ -211,7 +211,7 @@ func TestT32Basics(t *testing.T) {
 	if x.Data[0] != 42 {
 		t.Fatal("Reshape must alias the buffer")
 	}
-	y := New32(2, 3)
+	y := NewOf[float32](2, 3)
 	y.CopyFrom(x)
 	for i := range y.Data {
 		if y.Data[i] != x.Data[i] {
@@ -224,8 +224,8 @@ func TestT32Basics(t *testing.T) {
 			t.Fatal("Zero left non-zero cells")
 		}
 	}
-	if got := FromSlice32([]float32{1, 2, 3, 4}, 2, 2); got.Data[3] != 4 {
-		t.Fatal("FromSlice32 lost data")
+	if got := FromSlice([]float32{1, 2, 3, 4}, 2, 2); got.Data[3] != 4 {
+		t.Fatal("FromSlice lost data")
 	}
 }
 
@@ -235,9 +235,9 @@ func TestT32Basics(t *testing.T) {
 func TestT32RoundTripExact(t *testing.T) {
 	vals := []float32{0, float32(math.Copysign(0, -1)), 1, -1.5, 3.1415927,
 		math.MaxFloat32, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40}
-	src := FromSlice32(append([]float32(nil), vals...), len(vals))
+	src := FromSlice(append([]float32(nil), vals...), len(vals))
 	wide := New(len(vals))
-	back := New32(len(vals))
+	back := NewOf[float32](len(vals))
 	src.To64(wide)
 	back.From64(wide)
 	for i := range vals {
@@ -247,8 +247,8 @@ func TestT32RoundTripExact(t *testing.T) {
 	}
 }
 
-func TestArena32Reuse(t *testing.T) {
-	var a Arena32
+func TestArenaFloat32Reuse(t *testing.T) {
+	var a ArenaOf[float32]
 	x := a.Get("x", 4, 5)
 	x.Data[0] = 7
 	if y := a.Get("x", 4, 5); y != x {
@@ -267,8 +267,8 @@ func TestArena32Reuse(t *testing.T) {
 		t.Fatal("GetLike must hit the same buffer")
 	}
 	t64 := New(4, 5)
-	if y := a.GetLike64("x", t64); y != x {
-		t.Fatal("GetLike64 must hit the same buffer for the same shape")
+	if y := a.GetLike("x", t64); y != x {
+		t.Fatal("GetLike of a float64 tensor must hit the same buffer for the same shape")
 	}
 	a.Reset()
 	if y := a.Get("x", 4, 5); y == x || y.Data[0] != 0 {

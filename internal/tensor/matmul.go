@@ -54,17 +54,22 @@ func MatMul(a, b *Tensor) *Tensor {
 
 // MatMulInto computes dst = a·b, reusing dst's buffer. dst must be m×n and,
 // as for every Into kernel, must not overlap a or b.
-func MatMulInto(dst, a, b *Tensor) {
+func MatMulInto[E Elem](dst, a, b *Of[E]) {
 	m, k, n := checkMatMul(a, b)
-	if dst.Rank() != 2 || dst.Dim(0) != m || dst.Dim(1) != n {
-		panic(fmt.Sprintf("tensor: MatMulInto dst shape %v, want [%d %d]", dst.shape, m, n))
-	}
-	checkNoOverlap("MatMulInto", dst.Data, a.Data, b.Data)
+	checkInto("MatMulInto", dst, a, b, m, n)
 	dst.Zero()
 	matmulInto(dst.Data, a.Data, b.Data, m, k, n)
 }
 
-func checkMatMul(a, b *Tensor) (m, k, n int) {
+// checkInto panics unless dst is m×n and overlaps neither operand.
+func checkInto[E Elem](op string, dst, a, b *Of[E], m, n int) {
+	if dst.Rank() != 2 || dst.Dim(0) != m || dst.Dim(1) != n {
+		panic(fmt.Sprintf("tensor: %s dst shape %v, want [%d %d]", op, dst.shape, m, n))
+	}
+	checkNoOverlap(op, dst.Data, a.Data, b.Data)
+}
+
+func checkMatMul[E Elem](a, b *Of[E]) (m, k, n int) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul requires rank-2 operands, got %v and %v", a.shape, b.shape))
 	}
@@ -78,8 +83,7 @@ func checkMatMul(a, b *Tensor) (m, k, n int) {
 // matmulInto accumulates a (m×k) times b (k×n) into dst (m×n). dst must be
 // zeroed by the caller (New returns zeroed storage). Large products are
 // split over contiguous row blocks; each block runs the identical tiled
-// kernel, so the parallel result matches the serial one bit for bit. Both
-// precisions dispatch through this one body.
+// kernel, so the parallel result matches the serial one bit for bit.
 func matmulInto[E Elem](dst, a, b []E, m, k, n int) {
 	if parallelRows(m, m*k*n) {
 		parallel.ForBlocks(m, func(lo, hi int) {
@@ -103,12 +107,9 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 // dst's buffer. dst must be m×n; every cell is overwritten. The kernel and
 // its parallel row-blocking are identical to MatMulTransB, so the result is
 // bit-identical to the allocating variant at any worker count.
-func MatMulTransBInto(dst, a, b *Tensor) {
+func MatMulTransBInto[E Elem](dst, a, b *Of[E]) {
 	m, k, n := checkMatMulTransB(a, b)
-	if dst.Rank() != 2 || dst.Dim(0) != m || dst.Dim(1) != n {
-		panic(fmt.Sprintf("tensor: MatMulTransBInto dst shape %v, want [%d %d]", dst.shape, m, n))
-	}
-	checkNoOverlap("MatMulTransBInto", dst.Data, a.Data, b.Data)
+	checkInto("MatMulTransBInto", dst, a, b, m, n)
 	matmulTransBInto(dst.Data, a.Data, b.Data, m, k, n)
 }
 
@@ -124,7 +125,7 @@ func matmulTransBInto[E Elem](dst, a, b []E, m, k, n int) {
 	matmulTransBTiled(dst, a, b, 0, m, k, n)
 }
 
-func checkMatMulTransB(a, b *Tensor) (m, k, n int) {
+func checkMatMulTransB[E Elem](a, b *Of[E]) (m, k, n int) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulTransB requires rank-2 operands, got %v and %v", a.shape, b.shape))
 	}
@@ -149,17 +150,14 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 // dst's buffer. dst must be m×n; it is zeroed first because the kernel
 // accumulates. Accumulation order matches MatMulTransA exactly, so the
 // result is bit-identical to the allocating variant at any worker count.
-func MatMulTransAInto(dst, a, b *Tensor) {
+func MatMulTransAInto[E Elem](dst, a, b *Of[E]) {
 	m, k, n := checkMatMulTransA(a, b)
-	if dst.Rank() != 2 || dst.Dim(0) != m || dst.Dim(1) != n {
-		panic(fmt.Sprintf("tensor: MatMulTransAInto dst shape %v, want [%d %d]", dst.shape, m, n))
-	}
-	checkNoOverlap("MatMulTransAInto", dst.Data, a.Data, b.Data)
+	checkInto("MatMulTransAInto", dst, a, b, m, n)
 	dst.Zero()
 	matmulTransAInto(dst.Data, a.Data, b.Data, k, m, n)
 }
 
-func checkMatMulTransA(a, b *Tensor) (m, k, n int) {
+func checkMatMulTransA[E Elem](a, b *Of[E]) (m, k, n int) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMulTransA requires rank-2 operands, got %v and %v", a.shape, b.shape))
 	}

@@ -59,27 +59,27 @@ func TestMatMulIntoBadDstPanics(t *testing.T) {
 	shared := make([]float64, 16)
 	dst64, tail64 := FromSlice(shared[0:4], 2, 2), FromSlice(shared[3:7], 2, 2)
 	shared32 := make([]float32, 16)
-	dst32, tail32 := FromSlice32(shared32[0:4], 2, 2), FromSlice32(shared32[3:7], 2, 2)
-	sq, sq32 := New(2, 2), New32(2, 2)
+	dst32, tail32 := FromSlice(shared32[0:4], 2, 2), FromSlice(shared32[3:7], 2, 2)
+	sq, sq32 := New(2, 2), NewOf[float32](2, 2)
 
 	for name, f := range map[string]func(){
 		"MatMulInto shape":       func() { MatMulInto(New(2, 3), New(2, 2), New(2, 2)) },
 		"MatMulTransBInto shape": func() { MatMulTransBInto(New(3, 2), New(2, 4), New(3, 4)) },
 		"MatMulTransAInto shape": func() { MatMulTransAInto(New(2, 2), New(4, 2), New(4, 3)) },
 
-		"MatMulInto dst is a":           func() { MatMulInto(sq, sq, New(2, 2)) },
-		"MatMulInto dst is b":           func() { MatMulInto(sq, New(2, 2), sq) },
-		"MatMulInto dst overlaps a":     func() { MatMulInto(dst64, tail64, New(2, 2)) },
-		"MatMulTransBInto dst is a":     func() { MatMulTransBInto(sq, sq, New(2, 2)) },
-		"MatMulTransBInto overlaps b":   func() { MatMulTransBInto(dst64, New(2, 2), tail64) },
-		"MatMulTransAInto dst is b":     func() { MatMulTransAInto(sq, New(2, 2), sq) },
-		"MatMulTransAInto overlaps a":   func() { MatMulTransAInto(dst64, tail64, New(2, 2)) },
-		"MatMulInto32 dst is a":         func() { MatMulInto32(sq32, sq32, New32(2, 2)) },
-		"MatMulInto32 overlaps b":       func() { MatMulInto32(dst32, New32(2, 2), tail32) },
-		"MatMulTransBInto32 dst is b":   func() { MatMulTransBInto32(sq32, New32(2, 2), sq32) },
-		"MatMulTransBInto32 overlaps a": func() { MatMulTransBInto32(dst32, tail32, New32(2, 2)) },
-		"MatMulTransAInto32 dst is a":   func() { MatMulTransAInto32(sq32, sq32, New32(2, 2)) },
-		"MatMulTransAInto32 overlaps b": func() { MatMulTransAInto32(dst32, New32(2, 2), tail32) },
+		"MatMulInto dst is a":                 func() { MatMulInto(sq, sq, New(2, 2)) },
+		"MatMulInto dst is b":                 func() { MatMulInto(sq, New(2, 2), sq) },
+		"MatMulInto dst overlaps a":           func() { MatMulInto(dst64, tail64, New(2, 2)) },
+		"MatMulTransBInto dst is a":           func() { MatMulTransBInto(sq, sq, New(2, 2)) },
+		"MatMulTransBInto overlaps b":         func() { MatMulTransBInto(dst64, New(2, 2), tail64) },
+		"MatMulTransAInto dst is b":           func() { MatMulTransAInto(sq, New(2, 2), sq) },
+		"MatMulTransAInto overlaps a":         func() { MatMulTransAInto(dst64, tail64, New(2, 2)) },
+		"MatMulInto float32 dst is a":         func() { MatMulInto(sq32, sq32, NewOf[float32](2, 2)) },
+		"MatMulInto float32 overlaps b":       func() { MatMulInto(dst32, NewOf[float32](2, 2), tail32) },
+		"MatMulTransBInto float32 dst is b":   func() { MatMulTransBInto(sq32, NewOf[float32](2, 2), sq32) },
+		"MatMulTransBInto float32 overlaps a": func() { MatMulTransBInto(dst32, tail32, NewOf[float32](2, 2)) },
+		"MatMulTransAInto float32 dst is a":   func() { MatMulTransAInto(sq32, sq32, NewOf[float32](2, 2)) },
+		"MatMulTransAInto float32 overlaps b": func() { MatMulTransAInto(dst32, NewOf[float32](2, 2), tail32) },
 	} {
 		func() {
 			defer func() {
@@ -94,5 +94,5 @@ func TestMatMulIntoBadDstPanics(t *testing.T) {
 	// Adjacent but disjoint ranges of one backing array are legal, and a
 	// and b may alias each other freely.
 	MatMulInto(dst64, FromSlice(shared[4:8], 2, 2), FromSlice(shared[4:8], 2, 2))
-	MatMulTransAInto32(dst32, FromSlice32(shared32[4:8], 2, 2), FromSlice32(shared32[8:12], 2, 2))
+	MatMulTransAInto(dst32, FromSlice(shared32[4:8], 2, 2), FromSlice(shared32[8:12], 2, 2))
 }

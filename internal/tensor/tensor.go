@@ -1,9 +1,10 @@
 // Package tensor implements the dense numeric arrays underpinning the
-// fedcleanse neural-network stack. Tensors are row-major float64 buffers
-// with an explicit shape. The package is deliberately small: it provides
-// exactly the operations the CNN layers in internal/nn need (matrix
-// multiplication, im2col, element-wise arithmetic, reductions and weight
-// statistics) with no external dependencies.
+// fedcleanse neural-network stack. Tensors are row-major buffers of either
+// element type (Elem) with an explicit shape; Tensor, the float64 one, is
+// what crosses every package boundary. The package is deliberately small:
+// it provides exactly the operations the CNN layers in internal/nn need
+// (matrix multiplication, im2col, element-wise arithmetic, reductions and
+// weight statistics) with no external dependencies.
 //
 // The hot loops have two forms that give the same bits: pure Go, and on
 // amd64 CPUs with AVX2 the assembly of gemm_amd64.s (the three tiled
@@ -25,24 +26,32 @@ import (
 	"math/rand"
 )
 
-// Tensor is a dense row-major array of float64 values.
+// Of is a dense row-major array of E values. The layer stack runs in
+// either precision over it (DESIGN.md §13); everything else uses Tensor.
 //
-// The zero value is an empty tensor. Use New or FromSlice to create a
-// tensor with a shape.
-type Tensor struct {
+// The zero value is an empty tensor. Use New, NewOf or FromSlice to
+// create a tensor with a shape.
+type Of[E Elem] struct {
 	// Data holds the elements in row-major order. Exposed so hot loops in
 	// internal/nn can iterate without bounds-checked accessor calls.
-	Data []float64
+	Data []E
 	// shape holds the extent of each dimension.
 	shape []int
 }
 
-// New returns a zero-filled tensor with the given shape.
+// Tensor is the float64 tensor: parameters, gradients, batches, and every
+// activation a caller of internal/nn sees.
+type Tensor = Of[float64]
+
+// New returns a zero-filled float64 tensor with the given shape.
 // It panics if any dimension is negative or the shape is empty.
-func New(shape ...int) *Tensor {
+func New(shape ...int) *Tensor { return NewOf[float64](shape...) }
+
+// NewOf returns a zero-filled tensor of E with the given shape.
+func NewOf[E Elem](shape ...int) *Of[E] {
 	n := checkShape(shape)
-	return &Tensor{
-		Data:  make([]float64, n),
+	return &Of[E]{
+		Data:  make([]E, n),
 		shape: append([]int(nil), shape...),
 	}
 }
@@ -51,15 +60,17 @@ func New(shape ...int) *Tensor {
 // directly (not copied); callers must not retain independent references if
 // they expect value semantics. It panics if len(data) does not match the
 // shape's element count.
-func FromSlice(data []float64, shape ...int) *Tensor {
+func FromSlice[E Elem](data []E, shape ...int) *Of[E] {
 	n := checkShape(shape)
 	if len(data) != n {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (want %d)", len(data), shape, n))
 	}
-	return &Tensor{Data: data, shape: append([]int(nil), shape...)}
+	return &Of[E]{Data: data, shape: append([]int(nil), shape...)}
 }
 
-// checkShape validates a shape and returns its element count.
+// checkShape validates a shape and returns its element count. It only
+// reads shape — the panic formats a copy — so a variadic shape passed
+// through it stays on the caller's stack.
 func checkShape(shape []int) int {
 	if len(shape) == 0 {
 		panic("tensor: empty shape")
@@ -67,7 +78,7 @@ func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
+			panic(fmt.Sprintf("tensor: negative dimension in shape %v", append([]int(nil), shape...)))
 		}
 		n *= d
 	}
@@ -75,21 +86,24 @@ func checkShape(shape []int) int {
 }
 
 // Shape returns a copy of the tensor's shape.
-func (t *Tensor) Shape() []int { return append([]int(nil), t.shape...) }
+func (t *Of[E]) Shape() []int { return append([]int(nil), t.shape...) }
+
+// dims is the shape itself, for lookups that only read it (shaped).
+func (t *Of[E]) dims() []int { return t.shape }
 
 // Dim returns the extent of dimension i.
-func (t *Tensor) Dim(i int) int { return t.shape[i] }
+func (t *Of[E]) Dim(i int) int { return t.shape[i] }
 
 // Rank returns the number of dimensions.
-func (t *Tensor) Rank() int { return len(t.shape) }
+func (t *Of[E]) Rank() int { return len(t.shape) }
 
 // Len returns the total number of elements.
-func (t *Tensor) Len() int { return len(t.Data) }
+func (t *Of[E]) Len() int { return len(t.Data) }
 
 // Clone returns a deep copy of the tensor.
-func (t *Tensor) Clone() *Tensor {
-	c := &Tensor{
-		Data:  make([]float64, len(t.Data)),
+func (t *Of[E]) Clone() *Of[E] {
+	c := &Of[E]{
+		Data:  make([]E, len(t.Data)),
 		shape: append([]int(nil), t.shape...),
 	}
 	copy(c.Data, t.Data)
@@ -98,26 +112,26 @@ func (t *Tensor) Clone() *Tensor {
 
 // Reshape returns a tensor sharing t's data with a new shape. It panics if
 // the element counts differ. The returned tensor aliases t's buffer.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
+func (t *Of[E]) Reshape(shape ...int) *Of[E] {
 	n := checkShape(shape)
 	if n != len(t.Data) {
 		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.Data), shape, n))
 	}
-	return &Tensor{Data: t.Data, shape: append([]int(nil), shape...)}
+	return &Of[E]{Data: t.Data, shape: append([]int(nil), shape...)}
 }
 
 // At returns the element at the given multi-dimensional index.
-func (t *Tensor) At(idx ...int) float64 {
+func (t *Of[E]) At(idx ...int) E {
 	return t.Data[t.offset(idx)]
 }
 
 // Set assigns v to the element at the given multi-dimensional index.
-func (t *Tensor) Set(v float64, idx ...int) {
+func (t *Of[E]) Set(v E, idx ...int) {
 	t.Data[t.offset(idx)] = v
 }
 
 // offset converts a multi-dimensional index to a flat offset.
-func (t *Tensor) offset(idx []int) int {
+func (t *Of[E]) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
 		panic(fmt.Sprintf("tensor: index %v has wrong rank for shape %v", idx, t.shape))
 	}
@@ -132,14 +146,14 @@ func (t *Tensor) offset(idx []int) int {
 }
 
 // Zero sets every element to 0.
-func (t *Tensor) Zero() {
+func (t *Of[E]) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
 	}
 }
 
 // Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
+func (t *Of[E]) Fill(v E) {
 	for i := range t.Data {
 		t.Data[i] = v
 	}
@@ -148,7 +162,7 @@ func (t *Tensor) Fill(v float64) {
 // Add accumulates other into t element-wise. Shapes must have equal element
 // counts (shape equality beyond length is not required, enabling flat
 // parameter-vector arithmetic).
-func (t *Tensor) Add(other *Tensor) {
+func (t *Of[E]) Add(other *Of[E]) {
 	if len(t.Data) != len(other.Data) {
 		panic(fmt.Sprintf("tensor: Add length mismatch %d vs %d", len(t.Data), len(other.Data)))
 	}
@@ -156,7 +170,7 @@ func (t *Tensor) Add(other *Tensor) {
 }
 
 // AddScaled accumulates alpha*other into t element-wise.
-func (t *Tensor) AddScaled(alpha float64, other *Tensor) {
+func (t *Of[E]) AddScaled(alpha E, other *Of[E]) {
 	if len(t.Data) != len(other.Data) {
 		panic(fmt.Sprintf("tensor: AddScaled length mismatch %d vs %d", len(t.Data), len(other.Data)))
 	}
@@ -164,7 +178,7 @@ func (t *Tensor) AddScaled(alpha float64, other *Tensor) {
 }
 
 // Sub subtracts other from t element-wise.
-func (t *Tensor) Sub(other *Tensor) {
+func (t *Of[E]) Sub(other *Of[E]) {
 	if len(t.Data) != len(other.Data) {
 		panic(fmt.Sprintf("tensor: Sub length mismatch %d vs %d", len(t.Data), len(other.Data)))
 	}
@@ -174,12 +188,12 @@ func (t *Tensor) Sub(other *Tensor) {
 }
 
 // Scale multiplies every element by alpha.
-func (t *Tensor) Scale(alpha float64) {
+func (t *Of[E]) Scale(alpha E) {
 	scale(t.Data, t.Data, alpha)
 }
 
 // Mul multiplies t by other element-wise (Hadamard product).
-func (t *Tensor) Mul(other *Tensor) {
+func (t *Of[E]) Mul(other *Of[E]) {
 	if len(t.Data) != len(other.Data) {
 		panic(fmt.Sprintf("tensor: Mul length mismatch %d vs %d", len(t.Data), len(other.Data)))
 	}
@@ -189,23 +203,52 @@ func (t *Tensor) Mul(other *Tensor) {
 }
 
 // CopyFrom copies other's elements into t. Lengths must match.
-func (t *Tensor) CopyFrom(other *Tensor) {
+func (t *Of[E]) CopyFrom(other *Of[E]) {
 	if len(t.Data) != len(other.Data) {
 		panic(fmt.Sprintf("tensor: CopyFrom length mismatch %d vs %d", len(t.Data), len(other.Data)))
 	}
 	copy(t.Data, other.Data)
 }
 
+// From64 fills t with src's elements rounded to E (a copy when E is
+// float64). Lengths must match; shapes are the caller's contract (the nn
+// backend always pairs like-shaped tensors).
+func (t *Of[E]) From64(src *Tensor) {
+	if len(t.Data) != len(src.Data) {
+		panic(fmt.Sprintf("tensor: From64 length mismatch %d vs %d", len(t.Data), len(src.Data)))
+	}
+	if is64[E]() {
+		copy(as64(t.Data), src.Data)
+		return
+	}
+	narrow(as32(t.Data), src.Data)
+}
+
+// To64 widens t's elements into dst. Widening float32→float64 is exact,
+// so a To64/From64 round trip returns the original float32 bits — the
+// property the cached-evaluator identity tests rely on when the model runs
+// on the float32 backend.
+func (t *Of[E]) To64(dst *Tensor) {
+	if len(t.Data) != len(dst.Data) {
+		panic(fmt.Sprintf("tensor: To64 length mismatch %d vs %d", len(t.Data), len(dst.Data)))
+	}
+	if is64[E]() {
+		copy(dst.Data, as64(t.Data))
+		return
+	}
+	widen(dst.Data, as32(t.Data))
+}
+
 // Randn fills t with samples from N(0, std²) using rng.
-func (t *Tensor) Randn(rng *rand.Rand, std float64) {
+func (t *Of[E]) Randn(rng *rand.Rand, std float64) {
 	for i := range t.Data {
-		t.Data[i] = rng.NormFloat64() * std
+		t.Data[i] = E(rng.NormFloat64() * std)
 	}
 }
 
 // Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
+func (t *Of[E]) Sum() E {
+	var s E
 	for _, v := range t.Data {
 		s += v
 	}
@@ -213,31 +256,31 @@ func (t *Tensor) Sum() float64 {
 }
 
 // Mean returns the arithmetic mean of all elements, or 0 for an empty tensor.
-func (t *Tensor) Mean() float64 {
+func (t *Of[E]) Mean() E {
 	if len(t.Data) == 0 {
 		return 0
 	}
-	return t.Sum() / float64(len(t.Data))
+	return t.Sum() / E(len(t.Data))
 }
 
 // Std returns the population standard deviation of all elements, or 0 for
 // tensors with fewer than two elements.
-func (t *Tensor) Std() float64 {
+func (t *Of[E]) Std() E {
 	if len(t.Data) < 2 {
 		return 0
 	}
 	m := t.Mean()
-	ss := 0.0
+	var ss E
 	for _, v := range t.Data {
 		d := v - m
-		ss += d * d
+		ss += E(d * d)
 	}
-	return math.Sqrt(ss / float64(len(t.Data)))
+	return E(math.Sqrt(float64(ss / E(len(t.Data)))))
 }
 
 // Max returns the maximum element and its flat index. It panics on an empty
 // tensor.
-func (t *Tensor) Max() (float64, int) {
+func (t *Of[E]) Max() (E, int) {
 	if len(t.Data) == 0 {
 		panic("tensor: Max of empty tensor")
 	}
@@ -252,25 +295,25 @@ func (t *Tensor) Max() (float64, int) {
 
 // Norm2 returns the Euclidean (L2) norm of the tensor viewed as a flat
 // vector.
-func (t *Tensor) Norm2() float64 {
-	ss := 0.0
+func (t *Of[E]) Norm2() E {
+	var ss E
 	for _, v := range t.Data {
-		ss += v * v
+		ss += E(v * v)
 	}
-	return math.Sqrt(ss)
+	return E(math.Sqrt(float64(ss)))
 }
 
 // Norm1 returns the L1 norm (sum of absolute values).
-func (t *Tensor) Norm1() float64 {
-	s := 0.0
+func (t *Of[E]) Norm1() E {
+	var s E
 	for _, v := range t.Data {
-		s += math.Abs(v)
+		s += E(math.Abs(float64(v)))
 	}
 	return s
 }
 
 // Clamp limits every element to the interval [lo, hi].
-func (t *Tensor) Clamp(lo, hi float64) {
+func (t *Of[E]) Clamp(lo, hi E) {
 	for i, v := range t.Data {
 		if v < lo {
 			t.Data[i] = lo
@@ -282,7 +325,7 @@ func (t *Tensor) Clamp(lo, hi float64) {
 
 // Equal reports whether t and other have identical shapes and all elements
 // within tol of each other.
-func (t *Tensor) Equal(other *Tensor, tol float64) bool {
+func (t *Of[E]) Equal(other *Of[E], tol float64) bool {
 	if len(t.shape) != len(other.shape) {
 		return false
 	}
@@ -292,7 +335,7 @@ func (t *Tensor) Equal(other *Tensor, tol float64) bool {
 		}
 	}
 	for i, v := range t.Data {
-		if math.Abs(v-other.Data[i]) > tol {
+		if math.Abs(float64(v-other.Data[i])) > tol {
 			return false
 		}
 	}
@@ -300,7 +343,7 @@ func (t *Tensor) Equal(other *Tensor, tol float64) bool {
 }
 
 // String renders a compact description, useful in test failures.
-func (t *Tensor) String() string {
+func (t *Of[E]) String() string {
 	if len(t.Data) <= 8 {
 		return fmt.Sprintf("Tensor%v%v", t.shape, t.Data)
 	}

@@ -64,11 +64,11 @@ func reluBackwardGo[E Elem](dx, dout, out []E) {
 		}
 		return
 	}
-	dx32, dout32, out32 := as32(dx), as32(dout), as32(out)
-	for i, v := range dout32 {
-		ob := math.Float32bits(out32[i])
+	dxf, doutf, outf := as32(dx), as32(dout), as32(out)
+	for i, v := range doutf {
+		ob := math.Float32bits(outf[i])
 		keep := uint32(int32(ob|-ob) >> 31)
-		dx32[i] = math.Float32frombits(math.Float32bits(v) & keep)
+		dxf[i] = math.Float32frombits(math.Float32bits(v) & keep)
 	}
 }
 
@@ -116,15 +116,19 @@ func addScalarGo[E Elem](dst, src []E, b E) {
 
 // Axpy accumulates alpha·src into dst: dst[i] += alpha*src[i], the product
 // rounded before the sum (never fused). Only parameters, gradients and
-// optimizer state take this pass, and those are float64 on either backend.
-func Axpy(dst []float64, alpha float64, src []float64) {
+// optimizer state take this pass, and those are float64 on either backend,
+// so only float64 has a vector routine.
+func Axpy[E Elem](dst []E, alpha E, src []E) {
 	checkLens("Axpy", len(dst), len(src))
 	axpy(dst, alpha, src)
 }
 
-func axpyGo(dst []float64, alpha float64, src []float64) {
+// axpyGo and the other loops below write every product as E(a*b): the
+// conversion is a rounding point the Go spec guarantees, so no compiler
+// fuses the multiply into the add (arm64's would, DESIGN.md §18).
+func axpyGo[E Elem](dst []E, alpha E, src []E) {
 	for i, v := range src {
-		dst[i] += alpha * v
+		dst[i] += E(alpha * v)
 	}
 }
 
@@ -140,12 +144,16 @@ func scaleGo[E Elem](dst, src []E, alpha E) {
 	}
 }
 
-// AddWiden accumulates a float32 slice into a float64 one: dst[i] +=
-// float64(src[i]), the step that carries a float32 gradient into the
-// canonical-precision Param.Grad.
-func AddWiden(dst []float64, src []float32) {
+// AddWiden accumulates src into the float64 dst: dst[i] += float64(src[i]),
+// the step that carries a gradient of either precision into the
+// canonical-precision Param.Grad. For float64 src it is Add.
+func AddWiden[E Elem](dst []float64, src []E) {
 	checkLens("AddWiden", len(dst), len(src))
-	addWiden(dst, src)
+	if is64[E]() {
+		add(dst, as64(src))
+		return
+	}
+	addWiden(dst, as32(src))
 }
 
 func addWidenGo(dst []float64, src []float32) {
@@ -154,7 +162,7 @@ func addWidenGo(dst []float64, src []float32) {
 	}
 }
 
-// narrowGo and widenGo are the loops of T32.From64 and T32.To64: round to
+// narrowGo and widenGo are the float32 loops of From64 and To64: round to
 // float32, and the exact conversion back.
 func narrowGo(dst []float32, src []float64) {
 	for i, v := range src {
@@ -185,7 +193,7 @@ func normAffineGo[E Elem](out, xhat, x []E, mean, inv, g, b E) {
 	for i, v := range x {
 		xh := (v - mean) * inv
 		xhat[i] = xh
-		out[i] = g*xh + b
+		out[i] = E(g*xh) + b
 	}
 }
 
@@ -200,6 +208,6 @@ func NormBackward[E Elem](dx, dout, xhat []E, g, scale, cnt, sumDxh, sumDxhXh E)
 func normBackwardGo[E Elem](dx, dout, xhat []E, g, scale, cnt, sumDxh, sumDxhXh E) {
 	for i, d := range dout {
 		dxh := d * g
-		dx[i] = scale * (cnt*dxh - sumDxh - xhat[i]*sumDxhXh)
+		dx[i] = scale * (E(cnt*dxh) - sumDxh - E(xhat[i]*sumDxhXh))
 	}
 }

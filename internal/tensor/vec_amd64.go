@@ -110,9 +110,9 @@ func addScalar[E Elem](dst, src []E, b E) {
 	}
 }
 
-func axpy(dst []float64, alpha float64, src []float64) {
-	if n := len(dst); useAVX2 {
-		axpyF64(ptr(dst), ptr(src), n, alpha)
+func axpy[E Elem](dst []E, alpha E, src []E) {
+	if n := len(dst); useAVX2 && is64[E]() {
+		axpyF64(ptr(dst), ptr(src), n, float64(alpha))
 		return
 	}
 	axpyGo(dst, alpha, src)

@@ -296,8 +296,8 @@ func TestAxpyDoesNotFuse(t *testing.T) {
 	if float64(e32)*float64(e32)+float64(d32) == 0 {
 		t.Fatal("the float32 triple does not tell a fused multiply-add from a rounded one")
 	}
-	out32, x32 := make([]float32, n), fillVec(n, e32)
-	NormAffine(out32, nil, x32, 0, 1, e32, d32)
+	out32, xf := make([]float32, n), fillVec(n, e32)
+	NormAffine(out32, nil, xf, 0, 1, e32, d32)
 	for i := range out32 {
 		if out32[i] != 0 {
 			t.Fatalf("float32 NormAffine cell %d = %g, want 0: the multiply-add was fused", i, out32[i])

@@ -83,7 +83,7 @@ type fleetSlot struct {
 	part fl.Participant
 	// template, in a slot that has one (NewClientServer), is the model
 	// architecture: requests are validated against it and report calls get
-	// a model rebuilt from it. A slot without one (Fleet.Add) is
+	// a working copy of it (report). A slot without one (Fleet.Add) is
 	// architecture-agnostic: it validates neither the parameter vector nor
 	// the layer index and hands the participant a nil model, which
 	// synthetic participants ignore.
@@ -256,15 +256,26 @@ func (s *fleetSlot) readRequest(w http.ResponseWriter, r *http.Request, kind uin
 	return req, true
 }
 
-// model is what a report call hands the participant: the template with the
-// requested parameters, or nil for a slot without a template.
-func (s *fleetSlot) model(global []float64) *nn.Sequential {
+// report runs one report call into the participant under the slot mutex,
+// handing it the model the call reports on: a working copy borrowed from
+// the template's free list (nn.Replicas) with the requested parameters
+// installed, or nil for a slot without a template. The mutex serializes the
+// slot's calls, so the list holds one copy however many requests the slot
+// serves. Nothing prunes the template — NewClientServer's private clone — so
+// the copy carries no mask the requested parameters would not.
+func (s *fleetSlot) report(global []float64, call func(m *nn.Sequential)) {
+	s.mu.Lock()
 	if s.template == nil {
-		return nil
+		call(nil)
+		s.mu.Unlock()
+		return
 	}
-	m := s.template.Clone()
-	m.SetParamsVector(global)
-	return m
+	reps := s.template.Replicas()
+	rep := reps.Get()
+	rep.Model.SetParamsVector(global)
+	call(rep.Model)
+	reps.Put(rep)
+	s.mu.Unlock()
 }
 
 // reportClient extracts the slot's reporting surface, answering 404 when
@@ -330,9 +341,8 @@ func handleRanks(w http.ResponseWriter, slot *fleetSlot, req request, quant metr
 	if !ok {
 		return
 	}
-	slot.mu.Lock()
-	payload := appendRankReport(nil, rc, slot.model(req.Global), req.Layer, quant)
-	slot.mu.Unlock()
+	var payload []byte
+	slot.report(req.Global, func(m *nn.Sequential) { payload = appendRankReport(nil, rc, m, req.Layer, quant) })
 	writeReport(w, payload)
 }
 
@@ -345,9 +355,8 @@ func handleVotes(w http.ResponseWriter, slot *fleetSlot, req request, quant metr
 	if !ok {
 		return
 	}
-	slot.mu.Lock()
-	payload := appendVoteReport(nil, rc, slot.model(req.Global), req.Layer, req.Rate, quant)
-	slot.mu.Unlock()
+	var payload []byte
+	slot.report(req.Global, func(m *nn.Sequential) { payload = appendVoteReport(nil, rc, m, req.Layer, req.Rate, quant) })
 	writeReport(w, payload)
 }
 
@@ -357,9 +366,8 @@ func handleAccuracy(w http.ResponseWriter, slot *fleetSlot, req request) {
 		http.Error(w, fmt.Sprintf("client %d serves no reports", slot.part.ID()), http.StatusNotFound)
 		return
 	}
-	slot.mu.Lock()
-	acc := ar.ReportAccuracy(slot.model(req.Global))
-	slot.mu.Unlock()
+	var acc float64
+	slot.report(req.Global, func(m *nn.Sequential) { acc = ar.ReportAccuracy(m) })
 	writeBody(w, accuracyContentType, appendAccuracy(nil, acc))
 	obs.M.FedloadReports.Inc()
 }

@@ -19,6 +19,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
+	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
 // fleetTemplate is a small real model for fleet rounds — synthetic
@@ -350,6 +351,54 @@ func TestFleetServesReports(t *testing.T) {
 		if votes8[i] != wantV8[i] {
 			t.Fatalf("int8 vote[%d] = %v, want %v", i, votes8[i], wantV8[i])
 		}
+	}
+}
+
+// TestClientServerReportsBorrowOneWorkingModel: however many report calls
+// a ClientServer serves, they run on one working copy of its template,
+// borrowed from the template's free list, and each answer is byte for byte
+// the one a fresh clone holding the request's parameters gives — at both
+// report precisions, whatever parameters the copy held before.
+func TestClientServerReportsBorrowOneWorkingModel(t *testing.T) {
+	train, _ := dataset.GenSynthMNIST(dataset.GenConfig{TrainPerClass: 4, TestPerClass: 1, Seed: 80})
+	template := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rand.New(rand.NewSource(81)))
+	client := fl.NewClient(0, train, template, fl.Config{Rounds: 1, LocalEpochs: 1, BatchSize: 20, LR: 0.05}, 82)
+	cs := NewClientServer(client, template)
+	li := template.LastConvIndex()
+	rng := rand.New(rand.NewSource(83))
+
+	check := func(path string, body, want []byte) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		cs.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d", path, rec.Code)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("%s: response differs from the fresh clone's", path)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		// m is what each request used to be answered on: a fresh clone of
+		// the template holding the requested parameters.
+		m := template.Clone()
+		delta := make([]float64, m.NumParams())
+		for j := range delta {
+			delta[j] = 0.05 * rng.NormFloat64()
+		}
+		m.AddDeltaVector(1, delta)
+		for _, quant := range []metrics.ReportQuant{metrics.ReportFloat64, metrics.ReportInt8} {
+			cs.SetReportQuant(quant)
+			check("/v1/ranks", appendRequest(nil, wire.KindRankRequest, request{Model: m, Layer: li}),
+				appendRankReport(nil, client, m, li, quant))
+			check("/v1/votes", appendRequest(nil, wire.KindVoteRequest, request{Model: m, Layer: li, Rate: 0.3}),
+				appendVoteReport(nil, client, m, li, 0.3, quant))
+		}
+		check("/v1/accuracy", appendRequest(nil, wire.KindAccuracyRequest, request{Model: m}),
+			appendAccuracy(nil, client.ReportAccuracy(m)))
+	}
+	if made := cs.slot.template.Replicas().Made(); made != 1 {
+		t.Fatalf("15 report calls made %d working copies, want 1", made)
 	}
 }
 
