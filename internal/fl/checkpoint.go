@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
@@ -316,6 +317,13 @@ type Checkpointer struct {
 	// checkpoint file (see LastPath).
 	lastMu   sync.Mutex
 	lastPath string
+
+	// buf is the buffer the last write encoded into, kept for the next one.
+	// The wire.Buffer pool would hand a write on another P than the last
+	// one's an empty buffer (sync.Pool keeps a Put in that P's private
+	// slot), to grow to a checkpoint's size again. A write that finds it
+	// taken — two servers sharing one checkpointer — uses the pool.
+	buf atomic.Pointer[wire.Buffer]
 }
 
 // LastPath returns the path of the most recent successfully written
@@ -340,14 +348,22 @@ func (c *Checkpointer) partialDue(folds int) bool {
 }
 
 // write encodes and durably writes one checkpoint under the given name,
-// feeding the fl_checkpoint_* metrics. The bytes are assembled once, in a
-// pooled buffer this call owns from encode to the return of WriteFile.
+// feeding the fl_checkpoint_* metrics. The bytes are assembled once, in the
+// checkpointer's buffer, which this call owns from encode to the return of
+// WriteFile.
 func (c *Checkpointer) write(name string, ck *Checkpoint) error {
 	sp := obs.StartSpan("fl.checkpoint_write", obs.M.FLCheckpointWriteSeconds)
 	defer sp.End()
-	buf := wire.GetBuffer()
-	defer buf.Release()
-	buf.B = appendCheckpoint(buf.B, ck)
+	buf := c.buf.Swap(nil)
+	if buf == nil {
+		buf = wire.GetBuffer()
+	}
+	defer func() {
+		if !c.buf.CompareAndSwap(nil, buf) {
+			buf.Release()
+		}
+	}()
+	buf.B = appendCheckpoint(buf.B[:0], ck)
 	wf := c.WriteFile
 	if wf == nil {
 		wf = AtomicWriteFile

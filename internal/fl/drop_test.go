@@ -1,6 +1,9 @@
 package fl
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -89,5 +92,100 @@ func TestTrainingSurvivesModerateDropout(t *testing.T) {
 	srv.Train(nil)
 	if acc := metrics.Accuracy(srv.Model, test, 0); acc < 0.5 {
 		t.Fatalf("training under 30%% dropout reached only %.2f accuracy", acc)
+	}
+}
+
+// poisoned answers with its SyntheticClient's delta, one coordinate — at,
+// or counted from the end when negative — replaced by val.
+type poisoned struct {
+	*SyntheticClient
+	at  int
+	val float64
+}
+
+func (p poisoned) LocalUpdate(global []float64, round int) []float64 {
+	d := p.SyntheticClient.LocalUpdate(global, round)
+	d[(p.at+len(d))%len(d)] = p.val
+	return d
+}
+
+// TestNonFiniteUpdatesAreDropouts: an update with a NaN or an infinity at
+// its first or last coordinate is a recorded *NonFiniteUpdateError dropout,
+// in batch and streaming rounds, and the round applies on the survivors bit
+// for bit as if DropPolicy had excluded that client.
+func TestNonFiniteUpdatesAreDropouts(t *testing.T) {
+	_, _, template, _ := tinySetup(t, 96)
+	n := template.NumParams()
+	const bad = 2
+	cohort := func(p Participant) []Participant {
+		parts := make([]Participant, 5)
+		for id := range parts {
+			parts[id] = &SyntheticClient{Id: id, Seed: 97}
+		}
+		if p != nil {
+			parts[bad] = p
+		}
+		return parts
+	}
+	for _, streaming := range []bool{false, true} {
+		cfg := Config{Quorum: 0.5, Streaming: streaming, Shards: 2}
+		ref := NewServer(template, cohort(nil), cfg, 98)
+		ref.Drop = dropIDs{bad: true}
+		if res := ref.RoundDetail(0); !res.Applied {
+			t.Fatalf("streaming=%v: reference round not applied: %+v", streaming, res)
+		}
+		want := ref.Model.ParamsVector()
+		for _, val := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, at := range []int{0, -1} {
+				name := fmt.Sprintf("streaming=%v %v at %d", streaming, val, at)
+				srv := NewServer(template, cohort(poisoned{&SyntheticClient{Id: bad, Seed: 97}, at, val}), cfg, 98)
+				res := srv.RoundDetail(0)
+				if !res.Applied || len(res.Dropped) != 1 || res.Dropped[0] != bad {
+					t.Fatalf("%s: %+v, want client %d dropped and the round applied", name, res, bad)
+				}
+				var ne *NonFiniteUpdateError
+				if !errors.As(res.Errs[bad], &ne) {
+					t.Fatalf("%s: dropped with %v, want a NonFiniteUpdateError", name, res.Errs[bad])
+				}
+				if idx := (at + n) % n; ne.Index != idx || math.Float64bits(ne.Value) != math.Float64bits(val) {
+					t.Errorf("%s: error names %v at %d, want %v at %d", name, ne.Value, ne.Index, val, idx)
+				}
+				for i, v := range srv.Model.ParamsVector() {
+					if math.Float64bits(v) != math.Float64bits(want[i]) {
+						t.Fatalf("%s: param %d = %v, want %v", name, i, v, want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFirstNonFinite checks the blocked scan at every position of vectors
+// up to two blocks and a tail long, every block finite but for the value
+// placed — including blocks of finite values whose sum overflows.
+func TestFirstNonFinite(t *testing.T) {
+	for n := 0; n <= 19; n++ {
+		huge := make([]float64, n)
+		for j := range huge {
+			huge[j] = math.MaxFloat64
+		}
+		if got := firstNonFinite(huge); got != -1 {
+			t.Fatalf("%d finite values: %d, want -1", n, got)
+		}
+		for i := 0; i < n; i++ {
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				d := make([]float64, n)
+				for j := range d {
+					d[j] = math.MaxFloat64 * float64(1-2*(j%2))
+				}
+				d[i] = bad
+				if n > i+1 {
+					d[n-1] = math.NaN()
+				}
+				if got := firstNonFinite(d); got != i {
+					t.Fatalf("%v at %d of %d: %d", bad, i, n, got)
+				}
+			}
+		}
 	}
 }

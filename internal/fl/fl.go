@@ -89,8 +89,9 @@ type Participant interface {
 	ID() int
 	// LocalUpdate trains on the client's data starting from the global
 	// parameter vector and returns the update delta (x_i − w_t). global is
-	// the caller's — shared by the whole cohort in process, pooled behind a
-	// wire handler — so it must not be modified, nor retained past the call.
+	// the caller's — shared by the whole cohort in process, and behind a
+	// wire handler by every request with the same bytes — so it must not be
+	// modified, nor retained past the call.
 	//
 	// The returned slice goes the other way (DESIGN.md §19): it belongs to
 	// the caller from the moment it is returned, so the participant must not

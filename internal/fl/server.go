@@ -282,6 +282,20 @@ func (e *UpdateLengthError) Error() string {
 	return fmt.Sprintf("fl: participant returned an update of %d values, want %d", e.Got, e.Want)
 }
 
+// NonFiniteUpdateError marks a participant whose update has a NaN or an
+// infinite coordinate — Index is the first, Value what it held — which any
+// aggregation rule would spread over the whole model. Like an
+// UpdateLengthError it makes the participant a dropout before the delta
+// reaches a fold.
+type NonFiniteUpdateError struct {
+	Index int
+	Value float64
+}
+
+func (e *NonFiniteUpdateError) Error() string {
+	return fmt.Sprintf("fl: participant returned an update with %v at coordinate %d", e.Value, e.Index)
+}
+
 // Round executes one federated round: select clients, collect their
 // updates from the current global parameters, aggregate, and apply. It
 // returns the IDs of the clients whose updates were collected. Failed
@@ -649,8 +663,9 @@ func (s *Server) roundContext(sc obs.SpanContext) (context.Context, context.Canc
 // participant of a round reads. runRound puts it back as soon as collection
 // has joined — every client's outcome received — because by then nothing
 // can read it (DESIGN.md §19): a participant may not keep global past
-// LocalUpdate, a RemoteClient reads it only to encode the request, before
-// its first attempt, and a fleet handler works on its own decoded copy. A
+// LocalUpdate, a RemoteClient reads it only to encode the request or to
+// compare it with the last one encoded, before its first attempt, and a
+// fleet handler works on a copy decoded from the request's bytes. A
 // round that a kill hook panics out of, clients of the window still
 // training, never reaches the release; the collector takes the vector.
 func flatParams(m *nn.Sequential) []float64 {
@@ -836,7 +851,8 @@ func (s *Server) windowSize(n int) int {
 
 // localUpdate collects one client's update on a collection worker,
 // preferring the fallible context-aware path when the participant supports
-// it, and refuses one that is not as long as global. A panic stays in the
+// it, and refuses one that is not as long as global or is not finite (the
+// vector, the caller's, goes back to the free list). A panic stays in the
 // outcome instead of taking the process down from a goroutine nobody can
 // recover on.
 func localUpdate(ctx context.Context, p Participant, global []float64, round int) (out outcome) {
@@ -857,7 +873,36 @@ func localUpdate(ctx context.Context, p Participant, global []float64, round int
 	if len(d) != len(global) {
 		return outcome{err: &UpdateLengthError{Got: len(d), Want: len(global)}}
 	}
+	if i := firstNonFinite(d); i >= 0 {
+		err := &NonFiniteUpdateError{Index: i, Value: d[i]}
+		wire.PutFloat64s(d)
+		return outcome{err: err}
+	}
 	return outcome{delta: d}
+}
+
+// firstNonFinite is the index of d's first NaN or ±Inf, or -1. x−x is 0
+// for every finite x and NaN for the rest, and a sum is non-finite when a
+// term is, so a block of eight costs seven adds and one comparison; a block
+// whose finite terms overflow is scanned one by one and passes.
+func firstNonFinite(d []float64) int {
+	i := 0
+	for ; len(d)-i >= 8; i += 8 {
+		q := d[i : i+8 : i+8]
+		if s := ((q[0] + q[1]) + (q[2] + q[3])) + ((q[4] + q[5]) + (q[6] + q[7])); s-s != 0 {
+			for j, x := range q {
+				if x-x != 0 {
+					return i + j
+				}
+			}
+		}
+	}
+	for ; i < len(d); i++ {
+		if d[i]-d[i] != 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // aggregator returns the configured aggregation rule (MeanAggregator when

@@ -79,15 +79,17 @@ func TestEnvelopeEncodeWarmAllocFree(t *testing.T) {
 // TestRemoteCallAllocBudget bounds the bytes one whole warm loopback update
 // exchange allocates — stub, net/http both ways, fleet handler and the
 // synthetic participant together — at 16 KiB, whatever the model's size. No
-// vector is owed: the delta the participant returns, the global the handler
-// decodes and the delta the stub decodes all come from the free list and go
-// back to it (DESIGN.md §19) — the test hands its delta back as the round
-// drivers do. Bodies are pooled, and the request's goes to the socket from
-// the buffer it was encoded into (bodyConn), so what is left is net/http's
-// per-request state (8 KiB measured). It is a byte budget, not a claim about
-// net/http's call graph: 41 KiB while a TCP connection copied each request
-// body through a fresh 32 KiB buffer, 2.4 parameter vectors before deltas
-// were recycled, about eleven on the gob path before that.
+// vector is owed: the delta the participant returns and the delta the stub
+// decodes come from the free list and go back to it, and the handler's
+// global is the fleet's last verified one (DESIGN.md §19) — the test hands
+// its delta back as the round drivers do. Bodies are pooled, the request's
+// is the one lastRequest holds (the second phase checks that no call with
+// an unchanged global encodes another) and goes to the socket from there
+// (bodyConn), so what is left is net/http's per-request state (9 KiB
+// measured). It is a byte budget, not a claim about net/http's call graph:
+// 41 KiB while a TCP connection copied each request body through a fresh
+// 32 KiB buffer, 2.4 parameter vectors before deltas were recycled, about
+// eleven on the gob path before that.
 func TestRemoteCallAllocBudget(t *testing.T) {
 	template := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rand.New(rand.NewSource(85)))
 	global := template.ParamsVector()
@@ -99,7 +101,7 @@ func TestRemoteCallAllocBudget(t *testing.T) {
 	}
 	defer func() { _ = fleet.Shutdown(context.Background()) }()
 	rc := NewRemoteClient(0, FleetClientAddr(addr, 0))
-	exchange := func() {
+	exchange := func(global []float64) {
 		delta, err := rc.TryLocalUpdate(context.Background(), global, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +109,7 @@ func TestRemoteCallAllocBudget(t *testing.T) {
 		wire.PutFloat64s(delta)
 	}
 	for i := 0; i < 5; i++ {
-		exchange()
+		exchange(global)
 	}
 	// The collector would trim the buffer pool mid-measurement and bill the
 	// budget a body buffer.
@@ -116,13 +118,39 @@ func TestRemoteCallAllocBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		exchange()
+		exchange(global)
 	}
 	runtime.ReadMemStats(&after)
 	perExchange := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("%d bytes per exchange of a %d-byte request", perExchange, 8*len(global))
-	if budget := uint64(16 << 10); perExchange >= budget {
+	const budget = 16 << 10
+	if perExchange >= budget {
 		t.Errorf("one update exchange allocates %d bytes, budget %d", perExchange, budget)
+	}
+
+	// Phase two: the global rewritten in place with the values it holds, and
+	// an equal copy of it, are the same request, so 40 calls take the one
+	// body lastRequest holds and encode none.
+	lastRequest.mu.Lock()
+	body := lastRequest.v
+	lastRequest.mu.Unlock()
+	twin := append([]float64(nil), global...)
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		copy(global, twin)
+		exchange([][]float64{global, twin}[i%2])
+	}
+	runtime.ReadMemStats(&after)
+	lastRequest.mu.Lock()
+	reused := body != nil && lastRequest.v == body
+	lastRequest.mu.Unlock()
+	if !reused {
+		t.Error("40 calls with an unchanged global encoded a new request body")
+	}
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes per exchange with the global rewritten or copied", per)
+	if per >= budget {
+		t.Errorf("one update exchange with an unchanged global allocates %d bytes, budget %d", per, budget)
 	}
 }
 

@@ -45,6 +45,10 @@ type Fleet struct {
 	mu    sync.RWMutex
 	slots map[int]*fleetSlot
 	quant atomic.Int32 // the metrics.ReportQuant of report responses
+	// last is the last request that decoded: a server sends every client
+	// of a round or a report collection the same body, and the fleet
+	// decodes it once (decodeVerified).
+	last memo[*verifiedRequest]
 
 	life lifecycle
 }
@@ -210,7 +214,7 @@ func (f *Fleet) route(w http.ResponseWriter, r *http.Request) {
 func (f *Fleet) serve(w http.ResponseWriter, r *http.Request, slot *fleetSlot, ep endpoint) {
 	sp := requestSpan(r, ep.span, ep.hist).WithClient(slot.part.ID())
 	defer func() { sp.End() }()
-	req, ok := slot.readRequest(w, r, ep.kind)
+	req, ok := slot.readRequest(w, r, ep.kind, &f.last)
 	if !ok {
 		return
 	}
@@ -232,11 +236,13 @@ func (f *Fleet) serve(w http.ResponseWriter, r *http.Request, slot *fleetSlot, e
 // readRequest reads one request to the slot under its body cap, counting
 // the bytes into fedload_bytes_in_total, and validates it against the
 // slot's template when there is one: without this a well-formed envelope
-// of the wrong size would panic SetParamsVector inside the handler. It
-// answers 405 or 400 itself when it returns !ok; the caller releases the
-// returned request.
-func (s *fleetSlot) readRequest(w http.ResponseWriter, r *http.Request, kind uint16) (request, bool) {
-	req, n, ok := readRequest(w, r, s.maxBody(), kind)
+// of the wrong size would panic SetParamsVector inside the handler. The
+// validation runs on every request, one served from the fleet's last
+// verified request included: that one may have passed another slot's, or
+// none. It answers 405 or 400 itself when it returns !ok; the caller
+// releases the returned request.
+func (s *fleetSlot) readRequest(w http.ResponseWriter, r *http.Request, kind uint16, verified *memo[*verifiedRequest]) (request, bool) {
+	req, n, ok := readRequest(w, r, s.maxBody(), kind, verified)
 	obs.M.FedloadBytesIn.Add(uint64(n))
 	if !ok || s.template == nil {
 		return req, ok

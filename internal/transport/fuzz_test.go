@@ -45,6 +45,13 @@ func (stubFuzzParticipant) ReportAccuracy(*nn.Sequential) float64 { return 0.5 }
 // fuzzHandler builds a small ClientServer and returns its handler plus the
 // template parameter count (for crafting valid and invalid bodies).
 func fuzzHandler() (http.Handler, int) {
+	cs, n := fuzzClientServer()
+	return cs.Handler(), n
+}
+
+// fuzzClientServer is fuzzHandler's ClientServer, for tests that look at
+// its fleet's last verified request.
+func fuzzClientServer() (*ClientServer, int) {
 	rng := rand.New(rand.NewSource(7))
 	d := tensor.ConvDims{C: 1, H: 4, W: 4, K: 3, Stride: 1, Pad: 1}
 	template := nn.NewSequential(
@@ -53,8 +60,7 @@ func fuzzHandler() (http.Handler, int) {
 		nn.NewFlatten("flatten"),
 		nn.NewDense("fc", 4*16, 3, rng),
 	)
-	cs := NewClientServer(stubFuzzParticipant{units: 4}, template)
-	return cs.Handler(), template.NumParams()
+	return NewClientServer(stubFuzzParticipant{units: 4}, template), template.NumParams()
 }
 
 // envelopeSeeds are the versioned-envelope seeds of one endpoint: the
@@ -88,18 +94,29 @@ func envelopeSeeds(kind uint16, n int) [][]byte {
 }
 
 // fuzzEndpoint drives one endpoint with the fuzzed body and checks the
-// status invariant.
-func fuzzEndpoint(f *testing.F, path string, seeds [][]byte) {
-	h, _ := fuzzHandler()
+// status invariant, with the fleet's last verified request as an oracle:
+// the handler serves the endpoint's valid envelope seed first, so the body
+// meets a verified request it may equal or nearly equal, and its status
+// and response bytes must be a freshly built handler's.
+func fuzzEndpoint(f *testing.F, path string, kind uint16, seeds [][]byte) {
+	h, n := fuzzHandler()
+	valid := envelopeSeeds(kind, n)[0]
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
+		if rec := serveBody(h, path, valid); rec.Code != http.StatusOK {
+			t.Fatalf("%s: valid seed drew HTTP %d (%s)", path, rec.Code, rec.Body.Bytes())
+		}
+		rec := serveBody(h, path, body)
 		if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
 			t.Fatalf("%s returned %d for body %q, want 200 or 400", path, rec.Code, body)
+		}
+		fresh, _ := fuzzHandler()
+		want := serveBody(fresh, path, body)
+		if rec.Code != want.Code || !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("%s: HTTP %d %q after the valid seed, a fresh handler HTTP %d %q",
+				path, rec.Code, rec.Body.Bytes(), want.Code, want.Body.Bytes())
 		}
 	})
 }
@@ -107,7 +124,7 @@ func fuzzEndpoint(f *testing.F, path string, seeds [][]byte) {
 func FuzzHandleUpdate(f *testing.F) {
 	_, n := fuzzHandler()
 	valid := gobBody(f, UpdateRequest{Global: make([]float64, n), Round: 1})
-	fuzzEndpoint(f, "/v1/update", append([][]byte{
+	fuzzEndpoint(f, "/v1/update", wire.KindUpdateRequest, append([][]byte{
 		valid,
 		valid[:len(valid)/2],
 		{},
@@ -119,7 +136,7 @@ func FuzzHandleUpdate(f *testing.F) {
 func FuzzHandleRanks(f *testing.F) {
 	_, n := fuzzHandler()
 	valid := gobBody(f, RankRequest{Global: make([]float64, n), Layer: 0})
-	fuzzEndpoint(f, "/v1/ranks", append([][]byte{
+	fuzzEndpoint(f, "/v1/ranks", wire.KindRankRequest, append([][]byte{
 		valid,
 		valid[:len(valid)/2],
 		{},
@@ -131,7 +148,7 @@ func FuzzHandleRanks(f *testing.F) {
 func FuzzHandleVotes(f *testing.F) {
 	_, n := fuzzHandler()
 	valid := gobBody(f, VoteRequest{Global: make([]float64, n), Layer: 0, Rate: 0.5})
-	fuzzEndpoint(f, "/v1/votes", append([][]byte{
+	fuzzEndpoint(f, "/v1/votes", wire.KindVoteRequest, append([][]byte{
 		valid,
 		valid[:len(valid)/2],
 		{},
@@ -143,7 +160,7 @@ func FuzzHandleVotes(f *testing.F) {
 func FuzzHandleAccuracy(f *testing.F) {
 	_, n := fuzzHandler()
 	valid := gobBody(f, AccuracyRequest{Global: make([]float64, n)})
-	fuzzEndpoint(f, "/v1/accuracy", append([][]byte{
+	fuzzEndpoint(f, "/v1/accuracy", wire.KindAccuracyRequest, append([][]byte{
 		valid,
 		valid[:len(valid)/2],
 		{},

@@ -1,11 +1,15 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
@@ -46,17 +50,33 @@ type request struct {
 	Layer int
 	Rate  float64
 
-	// decoded marks a Global that decodeRequest drew from the free list.
+	// decoded marks a Global that decodeRequest drew from the free list;
+	// shared, one that a fleet's last verified request holds.
 	decoded bool
+	shared  *verifiedRequest
 }
 
-// release recycles a decoded Global; the request must not be used
-// afterwards.
+// release gives back a decoded or shared Global; the request must not be
+// used afterwards.
 func (q *request) release() {
-	if q.decoded {
+	switch {
+	case q.shared != nil:
+		q.shared.release()
+	case q.decoded:
 		wire.PutFloat64s(q.Global)
-		q.decoded, q.Global = false, nil
 	}
+	q.decoded, q.shared, q.Global = false, nil, nil
+}
+
+// littleEndian reports whether this host lays a float64 out in memory as
+// the wire does, so that a vector's memory can be compared with its
+// encoding (callBody.encodes).
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// float64Bytes is v's memory, which on a little-endian host is its wire
+// encoding.
+func float64Bytes(v []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
 }
 
 // appendRequest appends the envelope of one request. The encoding is
@@ -163,23 +183,119 @@ func readInt(p []byte) (int, error) {
 }
 
 // readRequest reads and decodes one request body under the handler's body
-// cap, answering 405 or 400 itself when it returns !ok. n is the number of
-// body bytes read either way. The body is gathered in a pooled buffer that
-// does not outlive this call; the caller releases the returned request.
-func readRequest(w http.ResponseWriter, r *http.Request, maxBody int64, kind uint16) (q request, n int, ok bool) {
+// cap, through the fleet's last verified request, answering 405 or 400
+// itself when it returns !ok. n is the number of body bytes read either
+// way. The caller releases the returned request.
+func readRequest(w http.ResponseWriter, r *http.Request, maxBody int64, kind uint16, verified *memo[*verifiedRequest]) (q request, n int, ok bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return request{}, 0, false
 	}
 	buf := wire.GetBuffer()
-	defer buf.Release()
 	err := buf.ReadAll(http.MaxBytesReader(w, r.Body, maxBody), maxBody)
+	n = len(buf.B)
 	if err == nil {
-		q, err = decodeRequest(buf.B, kind)
+		q, err = decodeVerified(verified, buf, kind)
+	} else {
+		buf.Release()
 	}
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return request{}, len(buf.B), false
+		return request{}, n, false
 	}
-	return q, len(buf.B), true
+	return q, n, true
+}
+
+// memo holds the last of a kind of refcounted request body — a stub's
+// last encoded one (lastRequest), a fleet's last verified one
+// (Fleet.last) — and one reference to it.
+type memo[T interface {
+	comparable
+	retain()
+	release()
+}] struct {
+	mu sync.Mutex
+	v  T
+}
+
+// get returns the entry with a reference the caller releases, or the zero
+// T when there is none.
+func (m *memo[T]) get() T {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var none T
+	if m.v != none {
+		m.v.retain()
+	}
+	return m.v
+}
+
+// set makes v the entry, taking a reference to it, and lets go of the
+// entry it replaces.
+func (m *memo[T]) set(v T) {
+	v.retain()
+	m.mu.Lock()
+	old := m.v
+	m.v = v
+	m.mu.Unlock()
+	var none T
+	if old != none {
+		old.release()
+	}
+}
+
+// verifiedRequest is one body that decoded — the buffer it was read into,
+// not a copy — and its request. Its Global is shared read-only by every
+// handler served from it, which is what fl.Participant already requires of
+// global, and refcounted: the fleet's last and each such handler hold one
+// reference, and the last to let go puts the vector back on the free list
+// and the body back in the pool.
+type verifiedRequest struct {
+	kind uint16
+	body *wire.Buffer
+	req  request
+	refs atomic.Int32
+}
+
+func (v *verifiedRequest) retain() { v.refs.Add(1) }
+
+func (v *verifiedRequest) release() {
+	if v.refs.Add(-1) == 0 {
+		wire.PutFloat64s(v.req.Global)
+		v.body.Release()
+	}
+}
+
+// shared is a handler's request, over v's Global and holding the reference
+// the caller took.
+func (v *verifiedRequest) shared() request {
+	q := v.req
+	q.decoded, q.shared = false, v
+	return q
+}
+
+// decodeVerified is decodeRequest(buf.B, kind) through a fleet's last
+// verified request, and takes buf. A body equal to that one byte for byte,
+// to the same endpoint, is answered with its request: the CRC and the
+// float decode could not come out differently, so neither runs again. Any
+// other body is decoded and, if it decodes, becomes the last verified
+// request, keeping buf; a body that does not decode is released with the
+// error.
+func decodeVerified(verified *memo[*verifiedRequest], buf *wire.Buffer, kind uint16) (request, error) {
+	if v := verified.get(); v != nil {
+		if v.kind == kind && bytes.Equal(v.body.B, buf.B) {
+			buf.Release()
+			return v.shared(), nil
+		}
+		v.release()
+	}
+	q, err := decodeRequest(buf.B, kind)
+	if err != nil {
+		buf.Release()
+		return request{}, err
+	}
+	v := &verifiedRequest{kind: kind, body: buf, req: q}
+	v.refs.Store(1) // the caller's
+	verified.set(v)
+	return v.shared(), nil
 }

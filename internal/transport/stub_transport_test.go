@@ -217,7 +217,7 @@ func TestSharedTransportCarriesEveryBody(t *testing.T) {
 	for _, size := range []int{100, 300_000} {
 		payload := make([]byte, size)
 		rand.New(rand.NewSource(int64(size))).Read(payload)
-		ours := &callBody{buf: &wire.Buffer{B: payload}}
+		ours := newCallBody(&wire.Buffer{B: payload})
 		for name, body := range map[string]io.Reader{
 			"foreign reader": struct{ io.Reader }{bytes.NewReader(payload)},
 			"call body":      ours.reader(),

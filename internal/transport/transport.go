@@ -226,6 +226,13 @@ func WithTransport(rt http.RoundTripper) RemoteOption {
 // client per round, so connection reuse has to live above the stubs.
 var sharedTransport = sync.OnceValue(newStubTransport)
 
+// lastRequest is the one request body above the stubs, for the same reason:
+// a round sends its whole cohort one global and a report collection sends
+// every client one model, through a stub per call, so all but the first of
+// those calls find their body here (requestBody) instead of encoding it
+// again.
+var lastRequest memo[*callBody]
+
 // newStubTransport is http.DefaultTransport with its idle pool sized to
 // the calls a round driver keeps in flight against one host — a fleet is
 // one host, and the streaming window is two per worker — where the
@@ -520,8 +527,9 @@ func (rc *RemoteClient) ReportAccuracy(m *nn.Sequential) float64 {
 	return a
 }
 
-// call runs one logical request through the retry loop: encode once, into
-// a pooled buffer every attempt sends from, then up to MaxAttempts HTTP
+// call runs one logical request through the retry loop: one encoded body
+// every attempt sends from (requestBody: the body of the last request with
+// the same content, or a fresh encode), then up to MaxAttempts HTTP
 // attempts with capped exponential backoff between them, each decoded into
 // a fresh copy of init — which lets a response carry request parameters
 // (votePayload.Rate, updatePayload.Limit) into its decode. Retries stop
@@ -547,9 +555,8 @@ func call[Resp any, P interface {
 	defer sp.End()
 	obs.M.TransportCalls.Inc()
 	var zero Resp
-	payload := callBody{buf: wire.GetBuffer()}
+	payload := requestBody(kind, req)
 	defer payload.release()
-	payload.buf.B = appendRequest(payload.buf.B, kind, req)
 	pol := rc.retry.withDefaults()
 	var lastErr error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
@@ -564,7 +571,7 @@ func call[Resp any, P interface {
 		asp := obs.StartChildOf(sp.Context(), "transport.attempt", nil).
 			WithClient(rc.id).WithAttempt(attempt + 1)
 		resp := init
-		err := rc.attempt(ctx, pol, path, &payload, P(&resp), asp.Context())
+		err := rc.attempt(ctx, pol, path, payload, P(&resp), asp.Context())
 		asp.End()
 		if err == nil {
 			rc.noteErr(nil)
@@ -586,25 +593,115 @@ func call[Resp any, P interface {
 	return zero, lastErr
 }
 
-// callBody is the one encoded request of a logical call, which every
-// attempt sends from. It sits in a pooled buffer, and http.Transport can
-// still be reading an attempt's body after Do has returned (the peer
-// answered early, the attempt was cancelled), so each reader handed out
-// reports its Close and release recycles the buffer only when none is
-// still open; otherwise the buffer is left to the garbage collector.
+// callBody is one encoded request in a pooled buffer, which every attempt
+// of every call it serves sends from. Its bytes never change once encoded,
+// and it is refcounted: lastRequest, each call using it and each reader
+// handed to net/http — which can still be reading an attempt's body after
+// Do has returned (the peer answered early, the attempt was cancelled) —
+// hold one reference, and whoever lets go of the last one recycles the
+// buffer.
 type callBody struct {
 	buf  *wire.Buffer
-	open atomic.Int32 // readers handed out and not yet closed
+	refs atomic.Int32
+
+	// What it was encoded from, for encodes: the kind, the scalars and the
+	// raw float64 section, the tail of buf.B ahead of the CRC.
+	key    requestKey
+	floats []byte
 }
 
-// reader returns a fresh reader over the encoded request.
+// requestKey is a request's kind and scalars.
+type requestKey struct {
+	kind         uint16
+	round, layer int
+	rate         uint64
+}
+
+func keyOf(kind uint16, q request) requestKey {
+	return requestKey{kind, q.Round, q.Layer, math.Float64bits(q.Rate)}
+}
+
+// newCallBody wraps an encoded request; the caller holds its one reference.
+func newCallBody(buf *wire.Buffer) *callBody {
+	b := &callBody{buf: buf}
+	b.refs.Store(1)
+	return b
+}
+
+// requestBody returns the body of request q to the endpoint of kind,
+// holding a reference the caller releases. That is lastRequest's body when
+// it encodes the same request, checked by content — the round's global is
+// a free-list vector whose array holds another round's parameters next
+// time, and the defense prunes its model between collections, so neither
+// identity nor a version says what a vector holds now. Otherwise the
+// request is encoded afresh and becomes lastRequest. A big-endian host,
+// whose float64s do not lie in memory as they travel, encodes every call.
+func requestBody(kind uint16, q request) *callBody {
+	if !littleEndian {
+		return encodeBody(kind, q)
+	}
+	if b := lastRequest.get(); b != nil {
+		if b.encodes(kind, q) {
+			return b
+		}
+		b.release()
+	}
+	b := encodeBody(kind, q)
+	lastRequest.set(b)
+	return b
+}
+
+// encodeBody encodes q into a fresh body.
+func encodeBody(kind uint16, q request) *callBody {
+	buf := wire.GetBuffer()
+	buf.B = appendRequest(buf.B, kind, q)
+	b := newCallBody(buf)
+	b.key = keyOf(kind, q)
+	n := len(q.Global)
+	if q.Model != nil {
+		n = q.Model.NumParams()
+	}
+	end := len(buf.B) - crcLen
+	b.floats = buf.B[end-8*n : end]
+	return b
+}
+
+// crcLen is the envelope's closing CRC32.
+const crcLen = 4
+
+// encodes reports whether b is the encoding of q: the same kind and
+// scalars and, byte for byte, the same float64s — exact for NaN payloads
+// and signed zeros. Every other byte of an envelope follows from those.
+func (b *callBody) encodes(kind uint16, q request) bool {
+	if b.key != keyOf(kind, q) {
+		return false
+	}
+	if q.Model == nil {
+		return bytes.Equal(b.floats, float64Bytes(q.Global))
+	}
+	rest := b.floats
+	for _, p := range q.Model.Params() {
+		v := float64Bytes(p.Value.Data)
+		if len(v) > len(rest) || !bytes.Equal(rest[:len(v)], v) {
+			return false
+		}
+		rest = rest[len(v):]
+	}
+	return len(rest) == 0
+}
+
+// reader returns a fresh reader over the encoded request, holding a
+// reference until it is closed.
 func (b *callBody) reader() io.ReadCloser {
-	b.open.Add(1)
+	b.retain()
 	return &callBodyReader{Reader: *bytes.NewReader(b.buf.B), body: b}
 }
 
+func (b *callBody) retain() { b.refs.Add(1) }
+
+// release lets go of one reference; the last recycles the buffer.
 func (b *callBody) release() {
-	if b.open.Load() == 0 {
+	if b.refs.Add(-1) == 0 {
 		b.buf.Release()
 	}
 }
@@ -617,7 +714,7 @@ type callBodyReader struct {
 
 func (r *callBodyReader) Close() error {
 	if r.closed.CompareAndSwap(false, true) {
-		r.body.open.Add(-1)
+		r.body.release()
 	}
 	return nil
 }

@@ -12,7 +12,9 @@ import (
 // before a decode. The ownership rule (DESIGN.md §15) is that pooled bytes
 // never escape the call that took the Buffer: whatever is decoded out of B
 // must be a copy — for a parameter-sized vector, into one from GetFloat64s —
-// and nothing may reference B after Release.
+// and nothing may reference B after Release. A Buffer that outlives its
+// call is refcounted by its holder, and the last reference releases it
+// (transport's request bodies, DESIGN.md §19).
 type Buffer struct {
 	B []byte
 }
