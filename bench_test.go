@@ -203,11 +203,7 @@ func BenchmarkFLRoundPopulation(b *testing.B) {
 	for _, clients := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
 			reg := fl.NewRegistry(func(id int) fl.Participant {
-				// Training shuffles a shard in place and two clients of one
-				// cohort may share a shard, so each gets its own sample slice.
-				sh := shards[id%len(shards)]
-				own := &dataset.Dataset{Shape: sh.Shape, Classes: sh.Classes, Samples: append([]dataset.Sample(nil), sh.Samples...)}
-				return fl.NewClient(id, own, template, cfg, 60+int64(id))
+				return fl.NewClient(id, shards[id%len(shards)], template, cfg, 60+int64(id))
 			})
 			reg.RegisterRange(0, clients)
 			server := fl.NewRegistryServer(template, reg, cfg, 70)

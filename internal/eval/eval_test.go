@@ -1,10 +1,13 @@
 package eval
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/fedcleanse/fedcleanse/internal/core"
+	"github.com/fedcleanse/fedcleanse/internal/nn"
 )
 
 func TestPairHelpers(t *testing.T) {
@@ -196,4 +199,40 @@ func TestPruneOnlyModesRun(t *testing.T) {
 			t.Fatalf("%v pruning destroyed the model", method)
 		}
 	}
+}
+
+// TestDefenseIsAPureFunctionOfTheTrainedModel: the defense's fine-tuning
+// rounds train the same participants the federation did, and what they
+// train on is a function of (seed, id, round) alone — so defending one
+// Trained twice gives the same bits and the same report, and the full
+// pipeline gives them again after the prune-only and no-fine-tune modes
+// have run on it.
+func TestDefenseIsAPureFunctionOfTheTrainedModel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end federated training is slow")
+	}
+	tr := Run(MNISTScenario(9, 2))
+	same := func(label string, a, b *nn.Sequential, ra, rb core.Report) {
+		t.Helper()
+		pa, pb := a.ParamsVector(), b.ParamsVector()
+		for i := range pa {
+			if math.Float64bits(pa[i]) != math.Float64bits(pb[i]) {
+				t.Fatalf("%s: param %d = %v, want %v", label, i, pb[i], pa[i])
+			}
+		}
+		if !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("%s: report %+v, want %+v", label, rb, ra)
+		}
+	}
+	first, rep := tr.Defend(core.DefaultPipelineConfig())
+	if rep.FineTune.Rounds == 0 {
+		t.Fatal("the default pipeline ran no fine-tuning round")
+	}
+	again, repAgain := tr.Defend(core.DefaultPipelineConfig())
+	same("second Defend", first, again, rep, repAgain)
+	for _, mode := range []string{"fp", "fp+aw"} {
+		tr.DefendMode(mode)
+	}
+	after, repAfter := tr.DefendMode("all")
+	same(`"all" after "fp" and "fp+aw"`, first, after, rep, repAfter)
 }

@@ -68,16 +68,12 @@ func TestInt8ReportMNISTDefenseParity(t *testing.T) {
 		}
 	}
 
-	// Defense runs fine-tuning, which advances the participants' RNG
-	// state, so each precision defends its own freshly trained (and, by
-	// seeding, identical) federation — exactly like the float32 backend
-	// parity test.
+	// Fine-tuning is a pure function of the trained federation too, so the
+	// same Trained defends at both precisions.
 	defend := func(q metrics.ReportQuant) (ta, aa float64) {
-		s := MNISTScenario(9, 2)
-		s.ReportQuant = q
-		run := Run(s)
-		m, _ := run.Defend(core.DefaultPipelineConfig())
-		return run.ModelTA(m), run.ModelAA(m)
+		setReportQuant(tr.Participants, q)
+		m, _ := tr.Defend(core.DefaultPipelineConfig())
+		return tr.ModelTA(m), tr.ModelAA(m)
 	}
 	ta64, aa64 := defend(metrics.ReportFloat64)
 	ta8, aa8 := defend(metrics.ReportInt8)

@@ -1,8 +1,6 @@
 package fl
 
 import (
-	"math/rand"
-
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
 	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
@@ -16,11 +14,11 @@ import (
 // averaging.
 type Attacker struct {
 	id       int
+	seed     int64
 	clean    *dataset.Dataset
 	poison   *dataset.Dataset
 	replicas *nn.Replicas
 	cfg      Config
-	rng      *rand.Rand
 
 	// Gamma is the attack-update amplification coefficient (1 ≤ γ ≤ N).
 	Gamma float64
@@ -64,11 +62,11 @@ func NewAttacker(id int, data *dataset.Dataset, template *nn.Sequential, cfg Con
 	cfg.LocalEpochs *= 3
 	return &Attacker{
 		id:       id,
+		seed:     seed,
 		clean:    data,
 		poison:   dataset.PoisonTrainSet(data, poison),
 		replicas: template.Replicas(),
 		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(seed)),
 		Gamma:    gamma,
 		Poison:   poison,
 	}
@@ -103,7 +101,7 @@ func (a *Attacker) LocalUpdate(global []float64, round int) []float64 {
 		snaps[i] = m.CaptureUnit(a.AvoidLayer, u, nn.UnitSnapshot{})
 		m.PruneModelUnit(a.AvoidLayer, u)
 	}
-	trainerOf(r, a.cfg).Train(m, a.poison, a.rng)
+	localTrain(r, a.cfg, a.poison, a.seed, a.id, round)
 	if a.SelfClipDelta > 0 {
 		selfClipLastConv(m, a.SelfClipDelta)
 	}

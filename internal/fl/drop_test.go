@@ -61,13 +61,37 @@ func TestRoundSkipsDroppedClients(t *testing.T) {
 	}
 }
 
+// TestRandomDropIsDeterministicPerSeed: a decision is a pure function of
+// (Seed, client, round) — equal seeds agree whatever order they are asked
+// in, distinct seeds disagree somewhere, and P sets the rate.
 func TestRandomDropIsDeterministicPerSeed(t *testing.T) {
-	a := &RandomDrop{P: 0.5, Rng: rand.New(rand.NewSource(1))}
-	b := &RandomDrop{P: 0.5, Rng: rand.New(rand.NewSource(1))}
-	for i := 0; i < 100; i++ {
-		if a.Dropped(0, i) != b.Dropped(0, i) {
-			t.Fatal("RandomDrop differs across equal seeds")
+	a, b := RandomDrop{P: 0.5, Seed: 1}, RandomDrop{P: 0.5, Seed: 1}
+	const clients, rounds = 10, 40
+	var forward [clients][rounds]bool
+	for id := 0; id < clients; id++ {
+		for r := 0; r < rounds; r++ {
+			forward[id][r] = a.Dropped(id, r)
 		}
+	}
+	dropped, diverged := 0, false
+	for r := rounds - 1; r >= 0; r-- {
+		for id := clients - 1; id >= 0; id-- {
+			if b.Dropped(id, r) != forward[id][r] {
+				t.Fatalf("client %d round %d: RandomDrop differs across equal seeds asked in another order", id, r)
+			}
+			if forward[id][r] {
+				dropped++
+			}
+			if (RandomDrop{P: 0.5, Seed: 2}).Dropped(id, r) != forward[id][r] {
+				diverged = true
+			}
+		}
+	}
+	if !diverged {
+		t.Fatal("distinct seeds made identical decisions")
+	}
+	if n := clients * rounds; dropped < n/3 || dropped > 2*n/3 {
+		t.Fatalf("P=0.5 dropped %d of %d", dropped, n)
 	}
 }
 
@@ -88,7 +112,7 @@ func TestTrainingSurvivesModerateDropout(t *testing.T) {
 		parts = append(parts, NewClient(i, shard, template, cfg, int64(70+i)))
 	}
 	srv := NewServer(template, parts, cfg, 66)
-	srv.Drop = &RandomDrop{P: 0.3, Rng: rand.New(rand.NewSource(67))}
+	srv.Drop = RandomDrop{P: 0.3, Seed: 67}
 	srv.Train(nil)
 	if acc := metrics.Accuracy(srv.Model, test, 0); acc < 0.5 {
 		t.Fatalf("training under 30%% dropout reached only %.2f accuracy", acc)

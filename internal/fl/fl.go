@@ -118,15 +118,15 @@ type FallibleParticipant interface {
 	TryLocalUpdate(ctx context.Context, global []float64, round int) ([]float64, error)
 }
 
-// Client is an honest participant running plain local SGD. It owns its
-// shard, hyperparameters and RNG; the model it trains on is borrowed from
-// its federation's free list for the length of one LocalUpdate.
+// Client is an honest participant running plain local SGD. It keeps its
+// shard (read only), hyperparameters and seed; the model it trains on is
+// borrowed from its federation's free list for the length of one LocalUpdate.
 type Client struct {
 	id       int
+	seed     int64
 	data     *dataset.Dataset
 	replicas *nn.Replicas
 	cfg      Config
-	rng      *rand.Rand
 	quant    metrics.ReportQuant
 }
 
@@ -140,10 +140,10 @@ var _ Participant = (*Client)(nil)
 func NewClient(id int, data *dataset.Dataset, template *nn.Sequential, cfg Config, seed int64) *Client {
 	return &Client{
 		id:       id,
+		seed:     seed,
 		data:     data,
 		replicas: template.Replicas(),
 		cfg:      cfg.withDefaults(),
-		rng:      rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -154,10 +154,10 @@ func (c *Client) ID() int { return c.id }
 func (c *Client) Dataset() *dataset.Dataset { return c.data }
 
 // LocalUpdate implements Participant.
-func (c *Client) LocalUpdate(global []float64, _ int) []float64 {
+func (c *Client) LocalUpdate(global []float64, round int) []float64 {
 	r := c.replicas.Get()
 	r.Model.SetParamsVector(global)
-	trainerOf(r, c.cfg).Train(r.Model, c.data, c.rng)
+	localTrain(r, c.cfg, c.data, c.seed, c.id, round)
 	d := deltaFrom(r.Model, global)
 	c.replicas.Put(r)
 	return d
@@ -177,6 +177,7 @@ type Trainer struct {
 	opt     *nn.SGD
 	scratch tensor.Arena
 	labels  []int
+	order   dataset.Dataset // Train's copy of data's sample headers: what it shuffles
 }
 
 // NewTrainer builds a reusable training loop for the given hyperparameters.
@@ -193,37 +194,37 @@ func (t *Trainer) configure(cfg Config) {
 	t.opt.LR, t.opt.Momentum, t.opt.WeightDecay = cfg.LR, cfg.Momentum, cfg.WeightDecay
 }
 
-// trainerOf returns the Trainer that travels with a borrowed replica, set
-// to the borrower's hyperparameters (cfg has its defaults filled in).
-// Nothing else of a previous borrower survives into the run: Train restarts
-// momentum, and the borrower installs its own parameters first.
-func trainerOf(r *nn.Replica, cfg Config) *Trainer {
-	if t, ok := r.Aux.(*Trainer); ok {
-		t.configure(cfg)
-		return t
+// localTrain is a borrower's SGD run on its replica, by the Trainer that
+// travels with it, set to the borrower's cfg (defaults filled in), in a batch
+// order drawn from (seed, id, round). Nothing of a previous borrower survives:
+// Train restarts momentum and its sample order, the borrower sets parameters.
+func localTrain(r *nn.Replica, cfg Config, data *dataset.Dataset, seed int64, id, round int) {
+	if r.Aux == nil {
+		r.Aux = NewTrainer(cfg)
 	}
-	t := NewTrainer(cfg)
-	r.Aux = t
-	return t
+	t := r.Aux.(*Trainer)
+	t.configure(cfg)
+	rng := participantRNG(uint64(seed), uint64(id), uint64(round))
+	t.Train(r.Model, data, rng)
+	participantRNGs.Put(rng)
 }
 
 // Train runs cfg.LocalEpochs of minibatch SGD over data on model m, in
 // place. Momentum restarts from zero on every call, matching a freshly
 // constructed optimizer — each federated local update is an independent
-// SGD run — while the velocity buffers themselves are reused.
+// SGD run — while the velocity buffers themselves are reused. data is only
+// read, so shards can be shared: the epochs shuffle t.order, refilled from it.
 func (t *Trainer) Train(m *nn.Sequential, data *dataset.Dataset, rng *rand.Rand) {
 	t.opt.ZeroVelocity()
+	t.order = dataset.Dataset{Shape: data.Shape, Classes: data.Classes, Samples: append(t.order.Samples[:0], data.Samples...)}
 	var x *tensor.Tensor
 	for e := 0; e < t.cfg.LocalEpochs; e++ {
-		data.Shuffle(rng)
-		for lo := 0; lo < data.Len(); lo += t.cfg.BatchSize {
-			hi := lo + t.cfg.BatchSize
-			if hi > data.Len() {
-				hi = data.Len()
-			}
+		t.order.Shuffle(rng)
+		for lo := 0; lo < t.order.Len(); lo += t.cfg.BatchSize {
+			hi := min(lo+t.cfg.BatchSize, t.order.Len())
 			s := data.Shape
 			x = t.scratch.Get("x", hi-lo, s.C, s.H, s.W)
-			x, t.labels = data.BatchInto(lo, hi, x, t.labels)
+			x, t.labels = t.order.BatchInto(lo, hi, x, t.labels)
 			m.ZeroGrads()
 			logits := m.Forward(x, true)
 			dlogits := t.scratch.GetLike("dlogits", logits)

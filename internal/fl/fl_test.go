@@ -3,6 +3,8 @@ package fl
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
@@ -66,18 +68,64 @@ func TestClientLocalUpdateMovesParams(t *testing.T) {
 
 func TestClientUpdateIsDeterministicPerSeed(t *testing.T) {
 	train, _, template, cfg := tinySetup(t, 4)
-	// Each client gets its own identically-seeded shard: clients shuffle
-	// their shard in place during local training, so sharing one object
-	// would leak order between them.
-	mkShard := func() *dataset.Dataset {
-		return dataset.PartitionKLabel(train, 1, 3, 60, rand.New(rand.NewSource(5)))[0]
-	}
+	shard := dataset.PartitionKLabel(train, 1, 3, 60, rand.New(rand.NewSource(5)))[0]
 	global := template.ParamsVector()
-	a := NewClient(0, mkShard(), template, cfg, 7).LocalUpdate(global, 0)
-	b := NewClient(0, mkShard(), template, cfg, 7).LocalUpdate(global, 0)
+	a := NewClient(0, shard, template, cfg, 7).LocalUpdate(global, 0)
+	b := NewClient(0, shard, template, cfg, 7).LocalUpdate(global, 0)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed produced different updates")
+		}
+	}
+}
+
+// TestParticipantsArePureFunctionsOfTheirCall: a Client's and an Attacker's
+// update depends on (seed, id, global, round) and nothing else — not on the
+// calls before it, nor on a call running beside it — and training leaves
+// the shard it reads as it found it.
+func TestParticipantsArePureFunctionsOfTheirCall(t *testing.T) {
+	train, _, template, cfg := tinySetup(t, 84)
+	shard := dataset.PartitionKLabelForced(train, 1, 3, 60, rand.New(rand.NewSource(85)), 9, 1)[0]
+	poison := dataset.PoisonConfig{Trigger: dataset.PixelPattern(3, train.Shape), VictimLabel: 9, TargetLabel: 1}
+	atk := NewAttacker(1, shard, template, cfg, poison, 4, 86)
+	global := template.ParamsVector()
+	for _, p := range []Participant{NewClient(0, shard, template, cfg, 86), atk} {
+		data := []*dataset.Dataset{p.Dataset()}
+		if a, ok := p.(*Attacker); ok {
+			data = append(data, a.PoisonedDataset())
+		}
+		var before [][]dataset.Sample
+		for _, d := range data {
+			before = append(before, append([]dataset.Sample(nil), d.Samples...))
+		}
+		first := p.LocalUpdate(global, 3)
+		other := p.LocalUpdate(global, 4)
+		var concurrent [2][]float64
+		var wg sync.WaitGroup
+		for i := range concurrent {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				concurrent[i] = p.LocalUpdate(global, 3)
+			}(i)
+		}
+		wg.Wait()
+		for _, again := range append([][]float64{p.LocalUpdate(global, 3)}, concurrent[:]...) {
+			for i := range first {
+				if math.Float64bits(again[i]) != math.Float64bits(first[i]) {
+					t.Fatalf("%T: repeated call differs at %d: %v vs %v", p, i, again[i], first[i])
+				}
+			}
+		}
+		if slices.Equal(first, other) {
+			t.Fatalf("%T: rounds 3 and 4 trained in the same order", p)
+		}
+		for j, d := range data {
+			for i, s := range d.Samples {
+				if &s.X[0] != &before[j][i].X[0] || s.Label != before[j][i].Label {
+					t.Fatalf("%T: training reordered sample %d of its dataset", p, i)
+				}
+			}
 		}
 	}
 }
@@ -149,13 +197,14 @@ func TestAttackerScalesDeltaAfterScaleFromRound(t *testing.T) {
 		VictimLabel: 9, TargetLabel: 1,
 	}
 	global := template.ParamsVector()
-	mkDelta := func(round int) []float64 {
+	// The same round trains in the same order; only the scaling differs.
+	mkDelta := func(scaleFrom int) []float64 {
 		a := NewAttacker(0, shard, template, cfg, poison, 4, 16)
-		a.ScaleFromRound = 1
-		return a.LocalUpdate(global, round)
+		a.ScaleFromRound = scaleFrom
+		return a.LocalUpdate(global, 1)
 	}
-	unscaled := mkDelta(0) // round 0 < ScaleFromRound
-	scaled := mkDelta(1)
+	scaled := mkDelta(0)
+	unscaled := mkDelta(2) // round 1 < ScaleFromRound
 	mask := template.StatMask()
 	for i := range unscaled {
 		if mask[i] {

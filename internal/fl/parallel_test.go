@@ -81,7 +81,7 @@ func TestRoundParallelWithDropsBitIdentical(t *testing.T) {
 		prev := parallel.SetWorkers(w)
 		defer parallel.SetWorkers(prev)
 		s := buildFederation(t)
-		s.Drop = &RandomDrop{P: 0.3, Rng: rand.New(rand.NewSource(77))}
+		s.Drop = RandomDrop{P: 0.3, Seed: 77}
 		var ids [][]int
 		for r := 0; r < s.Config().Rounds; r++ {
 			ids = append(ids, s.Round(r))

@@ -173,21 +173,20 @@ func TestRoundRecyclesGlobalAndAggregate(t *testing.T) {
 // positions the clone's own Param.Stat marks as statistics.
 func TestLocalUpdateWritesModelMinusGlobal(t *testing.T) {
 	train, _, template, cfg := tinySetup(t, 94)
-	// Training shuffles a shard in place, so each run gets its own copy in
-	// the same starting order.
-	mkShard := func() *dataset.Dataset {
-		return dataset.PartitionKLabelForced(train, 1, 3, 60, rand.New(rand.NewSource(95)), 9, 1)[0]
-	}
+	shard := dataset.PartitionKLabelForced(train, 1, 3, 60, rand.New(rand.NewSource(95)), 9, 1)[0]
 	global := template.ParamsVector()
-	private := func(data *dataset.Dataset, cfg Config, seed int64) *nn.Sequential {
+	const round = 5
+	// The batch order a participant draws: participantRNG over (seed, id,
+	// round).
+	private := func(data *dataset.Dataset, cfg Config, seed int64, id int) *nn.Sequential {
 		m := template.Clone()
 		m.SetParamsVector(global)
-		TrainLocal(m, data, cfg, rand.New(rand.NewSource(seed)))
+		TrainLocal(m, data, cfg, participantRNG(uint64(seed), uint64(id), round))
 		return m
 	}
 
-	got := NewClient(0, mkShard(), template, cfg, 96).LocalUpdate(global, 0)
-	after := private(mkShard(), cfg, 96).ParamsVector()
+	got := NewClient(0, shard, template, cfg, 96).LocalUpdate(global, round)
+	after := private(shard, cfg, 96, 0).ParamsVector()
 	for i := range got {
 		if want := after[i] - global[i]; math.Float64bits(got[i]) != math.Float64bits(want) {
 			t.Fatalf("client delta[%d] = %v, want %v", i, got[i], want)
@@ -195,11 +194,11 @@ func TestLocalUpdateWritesModelMinusGlobal(t *testing.T) {
 	}
 
 	poison := dataset.PoisonConfig{Trigger: dataset.PixelPattern(3, train.Shape), VictimLabel: 9, TargetLabel: 1}
-	mkAttacker := func() *Attacker { return NewAttacker(1, mkShard(), template, cfg, poison, 4, 97) }
-	got = mkAttacker().LocalUpdate(global, 0)
+	atk := NewAttacker(1, shard, template, cfg, poison, 4, 97)
+	got = atk.LocalUpdate(global, round)
 	long := cfg
 	long.LocalEpochs *= 3
-	m := private(mkAttacker().PoisonedDataset(), long, 97)
+	m := private(atk.PoisonedDataset(), long, 97, 1)
 	after = m.ParamsVector()
 	i := 0
 	for _, p := range m.Params() {

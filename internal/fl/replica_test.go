@@ -149,12 +149,9 @@ func TestWorkingModelsFollowWorkersNotPopulation(t *testing.T) {
 		t.Fatalf("a streaming window of %d trained on %d working models", window, n)
 	}
 
-	// Training shuffles a shard in place, so each materialized client gets
-	// its own sample slice.
 	template, shard := f.template, f.attacker.Dataset()
 	reg := NewRegistry(func(id int) Participant {
-		own := &dataset.Dataset{Shape: shard.Shape, Classes: shard.Classes, Samples: append([]dataset.Sample(nil), shard.Samples...)}
-		return NewClient(id, own, template, cfg, int64(id))
+		return NewClient(id, shard, template, cfg, int64(id))
 	})
 	reg.RegisterRange(0, 1000)
 	cfg.SelectPerRound = 8

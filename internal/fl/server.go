@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync/atomic"
 
 	"github.com/fedcleanse/fedcleanse/internal/nn"
@@ -126,17 +125,22 @@ type DropPolicy interface {
 }
 
 // RandomDrop drops every client independently with probability P per
-// round, using its own deterministic randomness stream.
+// round. A decision is a pure function of (Seed, client, round), so it does
+// not depend on which clients were asked about before, or in what order.
 type RandomDrop struct {
-	P   float64
-	Rng *rand.Rand
+	P    float64
+	Seed int64
 }
 
-var _ DropPolicy = (*RandomDrop)(nil)
+var _ DropPolicy = RandomDrop{}
+
+const dropDomain = 0x5f_d209 // keeps RandomDrop's draws apart from a participant's
 
 // Dropped implements DropPolicy.
-func (d *RandomDrop) Dropped(int, int) bool {
-	return d.Rng.Float64() < d.P
+func (d RandomDrop) Dropped(clientID, round int) bool {
+	rng := participantRNG(dropDomain, uint64(d.Seed), uint64(clientID), uint64(round))
+	defer participantRNGs.Put(rng)
+	return rng.Float64() < d.P
 }
 
 // Server drives federated training rounds over a set of participants.
@@ -172,10 +176,8 @@ type Server struct {
 	AuditAmend func(*RoundAudit)
 
 	cfg Config
-	// rng drives cohort selection; sr owns it so the draw position can be
-	// checkpointed (see rng.go).
-	rng *rand.Rand
-	sr  *seededRand
+	// sr drives cohort selection, its draw position checkpointed (rng.go).
+	sr *seededRand
 	// ckpt, when non-nil, persists round state (SetCheckpointer).
 	ckpt *Checkpointer
 	// pendingPartial is an interrupted round restored by ResumeFrom, with
@@ -223,7 +225,6 @@ func NewServer(template *nn.Sequential, participants []Participant, cfg Config, 
 		Participants: append([]Participant(nil), participants...),
 		Agg:          MeanAggregator{},
 		cfg:          cfg.withDefaults(),
-		rng:          sr.rng,
 		sr:           sr,
 	}
 }
@@ -304,12 +305,12 @@ func (e *NonFiniteUpdateError) Error() string {
 // round applies once cfg.Quorum of the selected cohort has responded.
 //
 // Local training runs concurrently across the selected clients (bounded by
-// parallel.Workers, or by the window when the round streams). Every
-// participant owns its RNG and the model it trains on for the length of
-// the call, and the global vector is shared read-only, so the per-client
-// deltas — and therefore the aggregated round — are bit-identical for any
-// worker count. A round in which a set of clients fails on the wire
-// aggregates exactly like one in which the same set was dropped by policy.
+// parallel.Workers, or by the window when the round streams). A delta is a
+// function of (seed, id, global, round) — its participant holds the model it
+// trains on alone and only reads the global and its shard — so the round is
+// bit-identical for any worker count and any call history. A round in which
+// a set of clients fails on the wire aggregates exactly like one in which
+// the same set was dropped by policy.
 func (s *Server) Round(t int) []int {
 	return s.RoundDetail(t).Completed
 }
@@ -398,11 +399,9 @@ func (s *Server) liveCheckpoint(nextRound int) *Checkpoint {
 // are checked before anything is restored.
 //
 // Determinism contract: a resumed run is bit-identical to the
-// uninterrupted one when participants and the DropPolicy are stateless —
-// pure functions of (id, round), like SyntheticClient and the chaos
-// suite's scripted policies. A participant or policy that carries its own
-// RNG across rounds re-runs the interrupted round with advanced state, and
-// the bit-identity claim (not correctness) is lost.
+// uninterrupted one. Every participant and DropPolicy this package ships is
+// a pure function of its call's (id, round) key; one written elsewhere
+// keeps the claim by being one too.
 func (s *Server) ResumeFrom(ck *Checkpoint) error {
 	if ck.Registered != s.populationSize() {
 		return fmt.Errorf("fl: resume with population %d, checkpoint has %d",
@@ -610,12 +609,10 @@ func (s *Server) beginFold(dim, need int) (fold Fold, streams bool) {
 
 // startRound is a round's start state: its telemetry record and the
 // clients still to collect, in participant order. Fresh (pp nil), those are
-// the cohort minus its policy drops — the DropPolicy's randomness stream is
-// consumed here, in participant order and before any concurrency, so
-// failure injection is deterministic under every worker count. Resumed,
-// they are the cohort minus the completions and drops the checkpoint
-// recorded, which the record takes over; policy drops were all recorded
-// before the first fold, so the policy is not consulted again.
+// the cohort minus its policy drops. Resumed, they are the cohort minus the
+// completions and drops the checkpoint recorded, which the record takes
+// over; policy drops were all recorded before the first fold, so the policy
+// is not consulted again.
 func (s *Server) startRound(selected []Participant, pp *PartialRound, t int) (res RoundResult, active []Participant) {
 	res = RoundResult{Round: t, Selected: make([]int, 0, len(selected))}
 	var accounted map[int]bool
@@ -948,13 +945,13 @@ func (s *Server) Train(onRound func(round int)) {
 // rng.Perm draw, so existing seeded experiments reproduce unchanged.
 func (s *Server) selectClients() []Participant {
 	if s.Registry != nil {
-		return s.Registry.Cohort(s.cfg.SelectPerRound, s.rng)
+		return s.Registry.Cohort(s.cfg.SelectPerRound, s.sr.rng)
 	}
 	k := s.cfg.SelectPerRound
 	if k <= 0 || k >= len(s.Participants) {
 		return s.Participants
 	}
-	idx := s.rng.Perm(len(s.Participants))[:k]
+	idx := s.sr.rng.Perm(len(s.Participants))[:k]
 	out := make([]Participant, k)
 	for i, j := range idx {
 		out[i] = s.Participants[j]

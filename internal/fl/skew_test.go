@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -71,7 +70,7 @@ func runSkewed(t *testing.T, w int, tc skewedCase) (skewedOutcome, *nn.Sequentia
 	defer parallel.SetWorkers(prev)
 	s := skewedCohort(t, tc.first)
 	if tc.drop {
-		s.Drop = &RandomDrop{P: 0.3, Rng: rand.New(rand.NewSource(77))}
+		s.Drop = RandomDrop{P: 0.3, Seed: 77}
 	}
 	var out skewedOutcome
 	for r := 0; r < s.Config().Rounds; r++ {

@@ -1,10 +1,6 @@
 package fl
 
 import (
-	"hash/fnv"
-	"math/rand"
-	"sync"
-
 	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
@@ -54,8 +50,8 @@ func (c *SyntheticClient) LocalUpdate(global []float64, round int) []float64 {
 	if scale == 0 {
 		scale = 1e-3
 	}
-	rng := syntheticRNG(uint64(c.Seed), uint64(c.Id), uint64(round))
-	defer syntheticRNGs.Put(rng)
+	rng := participantRNG(uint64(c.Seed), uint64(c.Id), uint64(round))
+	defer participantRNGs.Put(rng)
 	d := wire.GetFloat64s(len(global))
 	for i := range d {
 		d[i] = scale * (2*rng.Float64() - 1)
@@ -71,28 +67,6 @@ const (
 	syntheticDomainAcc  = 0x5f_acc0
 )
 
-// syntheticRNGs recycles generators between calls: a math/rand source is
-// 4.9 KiB of state, and Seed(s) restarts it on exactly the stream
-// NewSource(s) opens, so a recycled generator yields the same values as a
-// fresh one.
-var syntheticRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
-// syntheticRNG derives a deterministic RNG from the hashed values. The
-// caller holds it alone until it hands it back to syntheticRNGs.
-func syntheticRNG(vals ...uint64) *rand.Rand {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range vals {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		_, _ = h.Write(buf[:])
-	}
-	rng := syntheticRNGs.Get().(*rand.Rand)
-	rng.Seed(int64(h.Sum64()))
-	return rng
-}
-
 // units returns the canned report width.
 func (c *SyntheticClient) units() int {
 	if c.Units > 0 {
@@ -106,8 +80,8 @@ func (c *SyntheticClient) units() int {
 // of synthetic clients exercises the defense's report path without models.
 // The model argument is ignored and may be nil.
 func (c *SyntheticClient) ActivationReport(_ *nn.Sequential, layerIdx int) []float64 {
-	rng := syntheticRNG(syntheticDomainActs, uint64(c.Seed), uint64(c.Id), uint64(layerIdx))
-	defer syntheticRNGs.Put(rng)
+	rng := participantRNG(syntheticDomainActs, uint64(c.Seed), uint64(c.Id), uint64(layerIdx))
+	defer participantRNGs.Put(rng)
 	acts := make([]float64, c.units())
 	for i := range acts {
 		acts[i] = rng.Float64()
@@ -128,7 +102,7 @@ func (c *SyntheticClient) VoteReport(m *nn.Sequential, layerIdx int, p float64) 
 // ReportAccuracy implements core.AccuracyReporter with a deterministic
 // pseudo-accuracy in (0.5, 1); the model is ignored and may be nil.
 func (c *SyntheticClient) ReportAccuracy(*nn.Sequential) float64 {
-	rng := syntheticRNG(syntheticDomainAcc, uint64(c.Seed), uint64(c.Id))
-	defer syntheticRNGs.Put(rng)
+	rng := participantRNG(syntheticDomainAcc, uint64(c.Seed), uint64(c.Id))
+	defer participantRNGs.Put(rng)
 	return 0.5 + rng.Float64()/2
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/fedcleanse/fedcleanse/internal/dataset"
 	"github.com/fedcleanse/fedcleanse/internal/fl"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
@@ -35,22 +37,42 @@ func restartTemplate() *nn.Sequential {
 	return nn.NewSmallCNN(nn.Input{C: 1, H: 8, W: 8}, 4, rand.New(rand.NewSource(7)))
 }
 
-// restartParts builds the 10 stateless synthetic participants; statelessness
-// is what makes a resumed round's re-collection bit-identical (see
-// fl.Server.ResumeFrom).
-func restartParts() []fl.Participant {
-	parts := make([]fl.Participant, 10)
+// restartParts builds the population: 10 synthetic participants and three
+// real fl.Clients training the template on their own shards. Both kinds are
+// pure functions of (seed, id, global, round) — what makes a resumed round's
+// re-collection bit-identical, and a request that outlived its killed
+// coordinator harmless (see fl.Server.ResumeFrom).
+func restartParts(template *nn.Sequential) []fl.Participant {
+	parts := make([]fl.Participant, 13)
 	for i := range parts {
 		parts[i] = &fl.SyntheticClient{Id: i, Seed: 11}
 	}
+	for i := 10; i < len(parts); i++ {
+		parts[i] = fl.NewClient(i, restartShard(int64(i)), template, fl.Config{}, 20+int64(i))
+	}
 	return parts
+}
+
+// restartShard is a real client's shard at the template's geometry: 24
+// random 8×8 images over its four classes, a pure function of seed.
+func restartShard(seed int64) *dataset.Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	d := &dataset.Dataset{Shape: dataset.Shape{C: 1, H: 8, W: 8}, Classes: 4}
+	for i := 0; i < 24; i++ {
+		x := make([]float64, d.Shape.Elems())
+		for j := range x {
+			x[j] = rng.Float64()
+		}
+		d.Samples = append(d.Samples, dataset.Sample{X: x, Label: i % 4})
+	}
+	return d
 }
 
 // restartFaulty is the client whose every exchange faults on the wire runs
 // and who is dropped by policy in the reference run.
 const restartFaulty = 3
 
-// serveRestartFleet serves the synthetic participants over loopback HTTP,
+// serveRestartFleet serves the participants over loopback HTTP,
 // surviving coordinator "deaths" like a real fleet would. The faults are
 // instant failures (resets, 500s) rather than hangs: the subject here is
 // checkpoint durability, and hang handling is already pinned by the round
@@ -58,8 +80,8 @@ const restartFaulty = 3
 func serveRestartFleet(t *testing.T, template *nn.Sequential) (addrs []string, shutdown func()) {
 	t.Helper()
 	var servers []*ClientServer
-	for _, p := range restartParts() {
-		cs := NewClientServer(p.(*fl.SyntheticClient), template)
+	for _, p := range restartParts(template) {
+		cs := NewClientServer(p.(participant), template)
 		addr, err := cs.Serve("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -148,11 +170,17 @@ func TestChaosKillRestartWireBitIdentity(t *testing.T) {
 	template := restartTemplate()
 	const rounds = 5
 
+	// Every kill lands in round 1, whose cohort has real clients in it.
+	const killRound = 1
+
 	// Reference: uninterrupted, in-process, faulty client dropped by policy.
-	ref := fl.NewServer(template, restartParts(), restartCfg(4), 77)
+	ref := fl.NewServer(template, restartParts(template), restartCfg(4), 77)
 	ref.Drop = dropClients{restartFaulty: true}
 	for r := 0; r < rounds; r++ {
-		ref.RoundDetail(r)
+		sel := ref.RoundDetail(r).Selected
+		if r == killRound && !slices.ContainsFunc(sel, func(id int) bool { return id >= 10 }) {
+			t.Fatalf("round %d selects no real client: %v", r, sel)
+		}
 	}
 	refParams := ref.Model.ParamsVector()
 
@@ -162,9 +190,9 @@ func TestChaosKillRestartWireBitIdentity(t *testing.T) {
 		round int
 		folds int
 	}{
-		{"pre-fold", fl.CrashPreFold, 2, 0},
-		{"mid-collection", fl.CrashMidCollection, 2, 1},
-		{"post-quorum-pre-apply", fl.CrashPostQuorumPreApply, 2, 0},
+		{"pre-fold", fl.CrashPreFold, killRound, 0},
+		{"mid-collection", fl.CrashMidCollection, killRound, 1},
+		{"post-quorum-pre-apply", fl.CrashPostQuorumPreApply, killRound, 0},
 	}
 	combo := 0
 	for _, w := range []int{1, 2, 8} {
@@ -213,7 +241,7 @@ func TestChaosRestartMidRoundRecordsWireDrops(t *testing.T) {
 	template := restartTemplate()
 	const rounds = 3
 
-	ref := fl.NewServer(template, restartParts(), restartCfg(4), 77)
+	ref := fl.NewServer(template, restartParts(template), restartCfg(4), 77)
 	ref.Drop = dropClients{restartFaulty: true}
 	var refRounds []fl.RoundResult
 	for r := 0; r < rounds; r++ {

@@ -60,18 +60,17 @@ func chaosClients(train *dataset.Dataset, template *nn.Sequential, cfg fl.Config
 
 // chaosRetry keeps permanently-faulty-client retries fast: hangs are cut
 // off by the attempt timeout, backoff stays in the low milliseconds. Only
-// safe for clients whose every exchange faults — a 200ms attempt timeout
-// can cut off a legitimate training exchange on a slow run (e.g. under
-// -race), and a timed-out LocalUpdate retrains on retry, breaking
-// bit-identity. Clients expected to recover use recoverRetry instead.
+// for clients whose every exchange faults — a 200ms attempt timeout can cut
+// off a legitimate training exchange on a slow run (e.g. under -race) three
+// times over. Clients expected to recover use recoverRetry instead.
 func chaosRetry() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 3, AttemptTimeout: 200 * time.Millisecond,
 		BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}
 }
 
-// recoverRetry is for clients whose faults fail instantly (conn reset):
-// fast backoff, but a generous attempt timeout so a legitimate exchange
-// is never cut off mid-training and retried.
+// recoverRetry is for clients whose faults end an attempt at once (a reset,
+// a truncated response): fast backoff, but a generous attempt timeout so a
+// legitimate exchange is never cut off mid-training.
 func recoverRetry() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 3, AttemptTimeout: time.Minute,
 		BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}
@@ -299,21 +298,23 @@ func TestChaosPipelineMinorityFaultyBitIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosTransientFaultRecovers: a single connection reset on the first
-// update attempt is absorbed by the retry loop — no dropout is recorded
-// and training is bit-identical to a fault-free run, because the failed
-// attempt never reached the participant.
+// TestChaosTransientFaultRecovers: a fault on an update's first attempt is
+// absorbed by the retry loop — no dropout is recorded and training is
+// bit-identical to a fault-free run. A connection reset fails before the
+// participant is reached; a response truncated on the server comes after
+// the participant trained, so the retry trains it again — to the same bits,
+// its update being a function of (seed, id, global, round) alone.
 func TestChaosTransientFaultRecovers(t *testing.T) {
-	run := func(sched Schedule) ([]float64, []fl.RoundResult) {
+	run := func(sched Schedule, mode chaosMode) ([]float64, []fl.RoundResult) {
 		prev := parallel.SetWorkers(8)
 		defer parallel.SetWorkers(prev)
 		train, _, template, cfg := chaosSetup()
 		parts := chaosClients(train, template, cfg)
 		inj := map[int]*FaultInjector{}
 		if sched != nil {
-			inj[1] = NewFaultInjector(sched)
+			inj[0], inj[1] = NewFaultInjector(sched), NewFaultInjector(sched)
 		}
-		remote, shutdown := serveChaos(t, parts, template, inj, recoverRetry(), clientSide)
+		remote, shutdown := serveChaos(t, parts, template, inj, recoverRetry(), mode)
 		defer shutdown()
 		srv := fl.NewServer(template, remote, cfg, 60)
 		var rounds []fl.RoundResult
@@ -322,12 +323,22 @@ func TestChaosTransientFaultRecovers(t *testing.T) {
 		}
 		return srv.Model.ParamsVector(), rounds
 	}
-	refParams, _ := run(nil)
-	params, rounds := run(Script{"/v1/update": {{Kind: FaultConnError}}})
-	assertSameParams(t, "transient", params, refParams)
-	for r, res := range rounds {
-		if len(res.Dropped) != 0 || len(res.Errs) != 0 || len(res.Completed) != 3 {
-			t.Fatalf("round %d recorded a dropout despite successful retry: %+v", r, res)
+	refParams, _ := run(nil, clientSide)
+	for _, tc := range []struct {
+		name  string
+		fault FaultKind
+		mode  chaosMode
+	}{
+		{"client-side conn-error", FaultConnError, clientSide},
+		{"server-side truncate", FaultTruncate, serverSide},
+	} {
+		// The first attempt of every round faults, its retry succeeds.
+		params, rounds := run(Script{"/v1/update": {{Kind: tc.fault}, {}, {Kind: tc.fault}}}, tc.mode)
+		assertSameParams(t, tc.name, params, refParams)
+		for r, res := range rounds {
+			if len(res.Dropped) != 0 || len(res.Errs) != 0 || len(res.Completed) != 3 {
+				t.Fatalf("%s: round %d recorded a dropout despite successful retry: %+v", tc.name, r, res)
+			}
 		}
 	}
 }

@@ -35,9 +35,7 @@ const (
 	// participant.
 	FaultHTTP500
 	// FaultTruncate lets the exchange happen but cuts the response body
-	// in half, so the decode fails on a short body. Note the participant
-	// DOES run: a retried update request retrains (see DESIGN.md §10 on
-	// idempotency).
+	// in half, so the decode fails on a short body.
 	FaultTruncate
 	// FaultHang blocks until the request's context expires, modelling a
 	// straggler past the deadline. The participant is never invoked.

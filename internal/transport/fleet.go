@@ -79,9 +79,8 @@ var (
 )
 
 // fleetSlot pairs a participant with the mutex serializing calls into it:
-// a participant is called one request at a time. (fl.SyntheticClient
-// happens to be concurrency-safe, but the fleet does not assume that of an
-// arbitrary Participant.)
+// fl's participants are concurrency-safe, but the fleet does not assume that
+// of an arbitrary Participant and calls one a request at a time.
 type fleetSlot struct {
 	mu   sync.Mutex
 	part fl.Participant
@@ -271,9 +270,9 @@ func (s *fleetSlot) readRequest(w http.ResponseWriter, r *http.Request, kind uin
 // the copy carries no mask the requested parameters would not.
 func (s *fleetSlot) report(global []float64, call func(m *nn.Sequential)) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.template == nil {
 		call(nil)
-		s.mu.Unlock()
 		return
 	}
 	reps := s.template.Replicas()
@@ -281,7 +280,13 @@ func (s *fleetSlot) report(global []float64, call func(m *nn.Sequential)) {
 	rep.Model.SetParamsVector(global)
 	call(rep.Model)
 	reps.Put(rep)
-	s.mu.Unlock()
+}
+
+// update runs one LocalUpdate under the slot mutex.
+func (s *fleetSlot) update(global []float64, round int) []float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.part.LocalUpdate(global, round)
 }
 
 // reportClient extracts the slot's reporting surface, answering 404 when
@@ -328,9 +333,7 @@ func writeReport(w http.ResponseWriter, payload []byte) {
 }
 
 func handleUpdate(w http.ResponseWriter, slot *fleetSlot, req request) {
-	slot.mu.Lock()
-	delta := slot.part.LocalUpdate(req.Global, req.Round)
-	slot.mu.Unlock()
+	delta := slot.update(req.Global, req.Round)
 	// The envelope is encoded into a pooled buffer that is done with once
 	// Write returns; the delta — the handler's from the moment the
 	// participant returned it — is done with once it is encoded.

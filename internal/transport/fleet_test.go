@@ -472,3 +472,67 @@ func TestMalformedUpdatesAreDropouts(t *testing.T) {
 		}
 	}
 }
+
+// panicsOnce is a synthetic client whose first update and first rank report
+// panic.
+type panicsOnce struct {
+	*fl.SyntheticClient
+	updated, ranked atomic.Bool
+}
+
+func (p *panicsOnce) LocalUpdate(global []float64, round int) []float64 {
+	if !p.updated.Swap(true) {
+		panic("first update")
+	}
+	return p.SyntheticClient.LocalUpdate(global, round)
+}
+
+func (p *panicsOnce) RankReport(m *nn.Sequential, layer int) []int {
+	if !p.ranked.Swap(true) {
+		panic("first report")
+	}
+	return p.SyntheticClient.RankReport(m, layer)
+}
+
+// TestFleetSlotSurvivesParticipantPanic: a participant panic is a 500 that
+// leaves its slot serving — the next request to the same client, on the
+// update and on the report path, is answered within the deadline instead of
+// waiting forever for the slot's mutex.
+func TestFleetSlotSurvivesParticipantPanic(t *testing.T) {
+	f := NewFleet()
+	f.Add(&panicsOnce{SyntheticClient: &fl.SyntheticClient{Id: 0, Seed: 96}})
+	addr, err := f.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		_ = f.Shutdown(ctx)
+	}()
+	rc := NewRemoteClient(0, FleetClientAddr(addr, 0), WithRetryPolicy(RetryPolicy{MaxAttempts: 1}))
+	tmpl := fleetTemplate()
+	for _, c := range []struct {
+		name string
+		call func(context.Context) error
+	}{
+		{"update", func(ctx context.Context) error {
+			_, err := rc.TryLocalUpdate(ctx, tmpl.ParamsVector(), 0)
+			return err
+		}},
+		{"ranks", func(ctx context.Context) error {
+			_, err := rc.TryRankReport(ctx, tmpl, 0)
+			return err
+		}},
+	} {
+		if err := c.call(context.Background()); err == nil {
+			t.Fatalf("%s: the panicking call answered successfully", c.name)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err := c.call(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: the call after a panic failed: %v", c.name, err)
+		}
+	}
+}

@@ -82,11 +82,13 @@ type ClientServer struct {
 }
 
 // NewClientServer wraps a participant (an fl.Client or fl.Attacker; both
-// implement the defense reporting interfaces). template provides the model
-// architecture and is cloned per request model reconstruction.
+// implement the defense reporting interfaces) with a private clone of
+// template, its Params list built before concurrent handlers read it.
 func NewClientServer(part participant, template *nn.Sequential) *ClientServer {
+	tmpl := template.Clone()
+	tmpl.Params()
 	f := NewFleet()
-	return &ClientServer{fleet: f, slot: f.add(part, template.Clone())}
+	return &ClientServer{fleet: f, slot: f.add(part, tmpl)}
 }
 
 // SetReportQuant selects the precision of report payloads (see

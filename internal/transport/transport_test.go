@@ -26,11 +26,8 @@ func buildPopulation(t *testing.T) (local []fl.Participant, remote []fl.Particip
 	template = nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rng)
 	cfg := fl.Config{Rounds: 2, LocalEpochs: 1, BatchSize: 20, LR: 0.05}
 
+	shards := dataset.PartitionKLabelForced(train, 3, 3, 40, rand.New(rand.NewSource(52)), 9, 1)
 	mkClients := func() []fl.Participant {
-		// Shards must be rebuilt identically for each population because
-		// clients shuffle them in place during training.
-		shards := dataset.PartitionKLabelForced(train, 3, 3, 40,
-			rand.New(rand.NewSource(52)), 9, 1)
 		poison := dataset.PoisonConfig{
 			Trigger:     dataset.PixelPattern(3, train.Shape),
 			VictimLabel: 9, TargetLabel: 1,
