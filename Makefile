@@ -3,27 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json alloc-test chaos-test obs-test ops-smoke load-smoke fmt vet gob-check lint check
-
-# The benchmarks joined against the PR-2 baseline capture: the matmul
-# kernel, the conv forward/backward passes, one full SGD train step and one
-# federated round.
-BENCH_SET = BenchmarkMatMul16x144x64$$|BenchmarkConv2DForward$$|BenchmarkConv2DBackward$$|^BenchmarkTrainStep$$|BenchmarkFLRound16ClientsSerial$$
-
-# The defense-loop benchmarks joined against the PR-3 baseline capture
-# (taken before incremental evaluation): the prune sweep, the AW sweep and
-# the end-to-end pipeline, all with workers pinned to 1 by their fixture.
-DEFENSE_BENCH_SET = BenchmarkPruneSweep$$|BenchmarkAWSweep$$|BenchmarkDefendPipeline$$
-
-# The numeric-backend benchmarks joined against the PR-7 baseline capture
-# (taken before the cache-blocked tiles, float64 only; the Float32 names in
-# the baseline carry the float64 numbers, so their time_ratio reads the
-# cross-precision speedup directly).
-BACKEND_BENCH_SET = ^BenchmarkMatMulInto$$|^BenchmarkTrainStep$$|BenchmarkTrainStepFloat32$$|BenchmarkFLRound16ClientsSerial$$|BenchmarkFLRound16ClientsSerialFloat32$$
-
-# The report wire set (ISSUE 8): encoded bytes and encode+decode cost of
-# one rank+vote defense report per report precision at a 512-unit layer.
-REPORT_BENCH_SET = ^BenchmarkReportBytes$$|^BenchmarkReportRoundtrip$$
+.PHONY: build test race bench alloc-test chaos-test obs-test ops-smoke load-smoke fmt vet gob-check lint check
 
 ## build: compile every package
 build:
@@ -47,39 +27,6 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tensor ./internal/nn
 	@$(GO) test -count=1 -run 'TestDetectAVX2MatchesKernel' -v ./internal/tensor | grep -o 'tensor_kernel_avx2=[01]' || true
 
-## bench-json: measure the hot-path, defense-loop, numeric-backend and
-## report-wire benchmark sets and write BENCH_2.json / BENCH_3.json /
-## BENCH_7.json / BENCH_8.json, joining the committed pre-optimization
-## baselines (bench_baseline_pr2.txt / _pr3.txt / _pr7.txt / _pr8.txt) so
-## time and allocation ratios are machine-readable. The federated-round,
-## prune-sweep, tiled-matmul and report-roundtrip benchmarks are gated on
-## ns/op against the committed baselines, and the report-byte budgets are
-## gated absolutely (-metric-gate: int8 rank+vote report <= 700 B and
-## >= 6x smaller than the float64 activation report). The JSON is always
-## written first, so the artifact survives a failing gate.
-bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_SET)' -benchmem -benchtime 20x \
-		./internal/tensor ./internal/nn . \
-		| $(GO) run ./cmd/benchjson -baseline bench_baseline_pr2.txt -o BENCH_2.json \
-			-gate 'BenchmarkFLRound16ClientsSerial' -fail-above 1.25
-	@echo wrote BENCH_2.json
-	$(GO) test -run '^$$' -bench '$(DEFENSE_BENCH_SET)' -benchmem -benchtime 10x . \
-		| $(GO) run ./cmd/benchjson -baseline bench_baseline_pr3.txt -o BENCH_3.json \
-			-gate 'BenchmarkPruneSweep' -fail-above 1.25
-	@echo wrote BENCH_3.json
-	$(GO) test -run '^$$' -bench '$(BACKEND_BENCH_SET)' -benchmem -benchtime 20x \
-		./internal/tensor ./internal/nn . \
-		| $(GO) run ./cmd/benchjson -baseline bench_baseline_pr7.txt -o BENCH_7.json \
-			-gate '^BenchmarkMatMulInto$$' -fail-above 1.25
-	@echo wrote BENCH_7.json
-	$(GO) test -run '^$$' -bench '$(REPORT_BENCH_SET)' -benchmem -benchtime 2000x \
-		./internal/transport \
-		| $(GO) run ./cmd/benchjson -baseline bench_baseline_pr8.txt -o BENCH_8.json \
-			-gate 'BenchmarkReportRoundtrip/(float64|int8)' -fail-above 1.0 \
-			-metric-gate 'report-bytes/op:BenchmarkReportBytes/int8:max:700' \
-			-metric-gate 'shrink-vs-float64:BenchmarkReportBytes/int8:min:6'
-	@echo wrote BENCH_8.json
-
 ## alloc-test: the allocation-regression gate — warm kernels, layer passes
 ## and whole train steps must not allocate, and the round phase around them
 ## keeps byte budgets: rounds, checkpoint writes, remote calls, tail batches
@@ -93,7 +40,7 @@ alloc-test:
 ## test (a faulty federation must leave non-zero round, retry and
 ## stage-latency metrics)
 obs-test:
-	$(GO) test -count=1 ./internal/obs ./cmd/benchjson
+	$(GO) test -count=1 ./internal/obs
 	$(GO) test -count=1 -run 'TestRemoteRunPopulatesMetrics' -v ./internal/transport
 
 ## ops-smoke: end-to-end smoke of the fedserve ops endpoint (/metrics,

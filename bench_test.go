@@ -217,9 +217,9 @@ func BenchmarkFLRoundPopulation(b *testing.B) {
 	}
 }
 
-// BenchmarkFLRound16ClientsSerialFloat32 is the PR-7 headline: the same
-// round with every client training on the float32 backend. BENCH_7.json
-// compares it against the float64 baseline in bench_baseline_pr7.txt.
+// BenchmarkFLRound16ClientsSerialFloat32 is the same round with every
+// client training on the float32 backend; beside
+// BenchmarkFLRound16ClientsSerial it reads the cross-precision speedup.
 func BenchmarkFLRound16ClientsSerialFloat32(b *testing.B) { benchFLRound(b, 1, nn.Float32, 16, 0) }
 
 // defenseBench is the shared fixture of the defense-loop benchmarks: an

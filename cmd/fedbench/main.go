@@ -29,7 +29,6 @@ func main() {
 	full := flag.Bool("full", false, "run the paper's full sweeps instead of the reduced defaults")
 	workers := flag.Int("workers", 0, "worker goroutines for the parallel simulation paths (0 = FEDCLEANSE_WORKERS or GOMAXPROCS; 1 reproduces the serial path)")
 	backendFlag := flag.String("backend", "float64", "numeric backend for model arithmetic in every experiment: float64 (reference) or float32 (faster; aggregation and checkpoints stay float64)")
-	metricsJSON := flag.String("metrics-json", "", "write the final obs metrics snapshot as a JSON object to this file (join into the benchmark document via benchjson -extra)")
 	prof := profiling.AddFlags()
 	logf := obs.AddLogFlags()
 	flag.Parse()
@@ -103,31 +102,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
 		os.Exit(2)
 	}
-
-	if *metricsJSON != "" {
-		if err := writeMetrics(*metricsJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote metrics snapshot to %s\n", *metricsJSON)
-	}
-}
-
-// writeMetrics dumps the accumulated obs registry — round counts, stage
-// latencies and so on across every experiment run — under a top-level
-// "metrics" key, the shape benchjson -extra merges into its document.
-func writeMetrics(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := f.WriteString(`{"metrics":`); err != nil {
-		return err
-	}
-	if err := obs.Default.WriteJSON(f); err != nil {
-		return err
-	}
-	_, err = f.WriteString("}\n")
-	return err
 }

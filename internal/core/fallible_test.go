@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/fedcleanse/fedcleanse/internal/nn"
@@ -96,6 +97,82 @@ func TestGlobalPruneOrderNilReportIsDropout(t *testing.T) {
 	res := GlobalPruneOrderDetail(m, clients, 0, cfg)
 	if len(res.Dropped) != 1 || res.Dropped[0] != 1 {
 		t.Fatalf("dropped %v, want [1]", res.Dropped)
+	}
+}
+
+// cannedReportClient returns fixed reports, whatever the model's shape.
+type cannedReportClient struct {
+	ranks []int
+	votes []bool
+}
+
+func (c cannedReportClient) RankReport(*nn.Sequential, int) []int           { return c.ranks }
+func (c cannedReportClient) VoteReport(*nn.Sequential, int, float64) []bool { return c.votes }
+
+// TestMalformedReportIsDropout: a report the aggregators cannot take — a
+// length other than the cohort's 6 units, or a rank outside [1, 6] — drops
+// its client, and the pipeline prunes exactly as the cohort without
+// it would. An in-range rank report that is not a permutation (the §VI-B
+// rank manipulator's) is aggregated, not dropped.
+func TestMalformedReportIsDropout(t *testing.T) {
+	healthy := []ReportClient{
+		&fakeReportClient{acts: []float64{5, 4, 3, 2, 0.1, 0.2}},
+		&fakeReportClient{acts: []float64{4, 5, 2, 3, 0.2, 0.1}},
+	}
+	cases := []struct {
+		name    string
+		method  PruneMethod
+		bad     cannedReportClient
+		dropped bool
+	}{
+		{"ranks too short", RAP, cannedReportClient{ranks: []int{1, 2, 3, 4, 5}}, true},
+		{"ranks too long", RAP, cannedReportClient{ranks: []int{1, 2, 3, 4, 5, 6, 7}}, true},
+		{"rank 0", RAP, cannedReportClient{ranks: []int{0, 2, 3, 4, 5, 6}}, true},
+		{"rank units+1", RAP, cannedReportClient{ranks: []int{1, 2, 3, 4, 5, 7}}, true},
+		{"votes wrong length", MVP, cannedReportClient{votes: []bool{true, false, true, false, true}}, true},
+		{"in-range non-permutation", RAP, cannedReportClient{ranks: []int{6, 6, 6, 6, 6, 6}}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultPipelineConfig()
+			cfg.Method = tc.method
+			cfg.TargetLayer = 0
+			cfg.MaxPruneUnits = 2
+			cfg.FineTuneRounds = 0
+			eval := Evaluator(func(*nn.Sequential) float64 { return 0.95 })
+			mixed := []ReportClient{healthy[0], tc.bad, healthy[1]}
+			rep := RunPipeline(pipelineModel(97), mixed, nil, eval, cfg)
+			if !tc.dropped {
+				if len(rep.ReportDropouts) != 0 {
+					t.Fatalf("report dropouts %v, want none", rep.ReportDropouts)
+				}
+				return
+			}
+			if len(rep.ReportDropouts) != 1 || rep.ReportDropouts[0] != 1 {
+				t.Fatalf("report dropouts %v, want [1]", rep.ReportDropouts)
+			}
+			want := RunPipeline(pipelineModel(97), healthy, nil, eval, cfg)
+			if !reflect.DeepEqual(rep.Prune.Pruned, want.Prune.Pruned) {
+				t.Fatalf("pruned %v, want %v (malformed report leaked into the aggregate)",
+					rep.Prune.Pruned, want.Prune.Pruned)
+			}
+			// The malformed report counts against the quorum like a lost one.
+			cfg.ReportQuorum = 1
+			defer func() {
+				if recover() == nil {
+					t.Fatal("a malformed report met a full quorum")
+				}
+			}()
+			GlobalPruneOrderDetail(pipelineModel(97), mixed, 0, cfg)
+		})
+	}
+
+	// The width is the cohort's, not the model's: a fleet of synthetic
+	// clients reporting 8 units against the 6-unit layer is well-formed.
+	wide := cannedReportClient{ranks: []int{8, 7, 6, 5, 4, 3, 2, 1}}
+	res := GlobalPruneOrderDetail(pipelineModel(98), []ReportClient{wide, wide}, 0, PipelineConfig{Method: RAP})
+	if len(res.Dropped) != 0 || len(res.Order) != 8 {
+		t.Fatalf("8-unit cohort: dropped %v, order %v", res.Dropped, res.Order)
 	}
 }
 

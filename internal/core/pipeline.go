@@ -155,8 +155,8 @@ type Report struct {
 	// Accuracy milestones as seen by the evaluator.
 	AccBefore, AccAfterPrune, AccAfterFineTune, AccFinal float64
 	// ReportDropouts lists the indices (positions in the clients slice) of
-	// clients whose prune reports failed and were excluded from
-	// aggregation; empty when every report arrived.
+	// clients whose prune reports failed or were malformed and were excluded
+	// from aggregation; empty when every report arrived.
 	ReportDropouts []int
 }
 
@@ -310,8 +310,9 @@ func GlobalPruneOrder(m *nn.Sequential, clients []ReportClient, layerIdx int, cf
 //
 // Clients implementing FallibleReportClient are collected through the
 // fallible path under cfg.ReportTimeout; a failed (or nil) report drops
-// the client from this aggregation. It panics when no report arrives or
-// fewer than cfg.ReportQuorum of the cohort responds.
+// the client from this aggregation, and so does a malformed one (see
+// compactReports). It panics when no report arrives or fewer than
+// cfg.ReportQuorum of the cohort responds.
 func GlobalPruneOrderDetail(m *nn.Sequential, clients []ReportClient, layerIdx int, cfg PipelineConfig) PruneOrderResult {
 	return GlobalPruneOrderDetailCtx(context.Background(), m, clients, layerIdx, cfg)
 }
@@ -333,7 +334,7 @@ func GlobalPruneOrderDetailCtx(ctx context.Context, m *nn.Sequential, clients []
 		parallel.ForWorker(len(clients), func(slot, i int) {
 			reports[i], errs[i] = rankReport(ctx, clients[i], clone(slot), layerIdx)
 		})
-		ok := compactReports(reports, errs, &res)
+		ok := compactReports(reports, errs, &res, ranksInRange)
 		requireReportQuorum(len(ok), len(clients), cfg.ReportQuorum)
 		res.Order = PruneOrderFromRanks(AggregateRanks(ok))
 	case MVP:
@@ -347,7 +348,7 @@ func GlobalPruneOrderDetailCtx(ctx context.Context, m *nn.Sequential, clients []
 		parallel.ForWorker(len(clients), func(slot, i int) {
 			reports[i], errs[i] = voteReport(ctx, clients[i], clone(slot), layerIdx, p)
 		})
-		ok := compactReports(reports, errs, &res)
+		ok := compactReports(reports, errs, &res, func([]bool) bool { return true })
 		requireReportQuorum(len(ok), len(clients), cfg.ReportQuorum)
 		res.Order = PruneOrderFromVotes(AggregateVotes(ok))
 	default:
@@ -398,12 +399,33 @@ func voteReport(ctx context.Context, c ReportClient, m *nn.Sequential, layerIdx 
 	return v, nil
 }
 
-// compactReports keeps the successful reports in client-index order and
-// files the respondent/dropout indices into res.
-func compactReports[T any](reports []T, errs []error, res *PruneOrderResult) []T {
-	ok := make([]T, 0, len(reports))
+// ranksInRange reports whether every rank of r lies in [1, len(r)].
+func ranksInRange(r []int) bool {
+	for _, v := range r {
+		if v < 1 || v > len(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// compactReports keeps the successful, well-formed reports in client-index
+// order and files the respondent/dropout indices into res. Well-formed is
+// inRange at the cohort's width: the length most reports share (the first
+// to reach that count wins a tie), so a synthetic fleet sets its own.
+func compactReports[E any](reports [][]E, errs []error, res *PruneOrderResult, inRange func([]E) bool) [][]E {
+	width, best, count := -1, 0, map[int]int{}
+	for i, r := range reports {
+		if errs[i] == nil && len(r) > 0 {
+			count[len(r)]++
+			if count[len(r)] > best {
+				width, best = len(r), count[len(r)]
+			}
+		}
+	}
+	ok := make([][]E, 0, len(reports))
 	for i := range reports {
-		if errs[i] != nil {
+		if errs[i] != nil || len(reports[i]) != width || !inRange(reports[i]) {
 			res.Dropped = append(res.Dropped, i)
 			continue
 		}

@@ -37,9 +37,9 @@ func RanksFromActivations(acts []float64) []int {
 }
 
 // AggregateRanks implements the server side of RAP: the mean rank position
-// R_i of every neuron over all client reports. All reports must have equal
-// length and contain a permutation of 1..P_L (invalid reports are the
-// attacker's problem — the mean is computed as given; bounds are enforced).
+// R_i of every neuron over all client reports. Every report must hold one
+// rank in [1, P_L] per neuron (it panics otherwise); one that is not a
+// permutation (the §VI-B rank manipulator's) is averaged as given.
 func AggregateRanks(reports [][]int) []float64 {
 	if len(reports) == 0 {
 		panic("core: AggregateRanks with no reports")

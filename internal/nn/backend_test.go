@@ -380,9 +380,8 @@ func TestFloat32CloneAndInterleavedEval(t *testing.T) {
 	}
 }
 
-// BenchmarkTrainStepFloat32 is BenchmarkTrainStep on the float32 backend —
-// the headline number for the PR-7 speedup gate (BENCH_7.json compares it
-// against the float64 baseline recorded in bench_baseline_pr7.txt).
+// BenchmarkTrainStepFloat32 is BenchmarkTrainStep on the float32 backend;
+// beside the float64 one it reads the cross-precision speedup.
 func BenchmarkTrainStepFloat32(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	m := NewSmallCNN(in1, 10, rng)

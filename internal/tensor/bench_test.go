@@ -37,11 +37,9 @@ func benchMatWorkers(b *testing.B, m, k, n, workers int) {
 	benchMat(b, m, k, n)
 }
 
-// BenchmarkMatMulInto is the canonical gated matmul benchmark (Makefile
-// bench-json joins it against bench_baseline_pr7.txt and fails a >25%
-// ns/op regression): one serial dense product big enough to cross the
-// cache-tile boundaries, pinned to one worker so the gate measures the
-// kernel, not the machine's core count.
+// BenchmarkMatMulInto is the canonical matmul benchmark: one serial dense
+// product big enough to cross the cache-tile boundaries, pinned to one
+// worker so it measures the kernel, not the machine's core count.
 func BenchmarkMatMulInto(b *testing.B) { benchMatWorkers(b, 128, 256, 128, 1) }
 
 // The 256³ pair is the headline serial-vs-parallel comparison: ~16.7M

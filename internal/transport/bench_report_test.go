@@ -32,11 +32,30 @@ func makeBenchReport(units int) benchReport {
 	return benchReport{acts: acts, q: metrics.QuantizeActivations(acts), ranks: ranks, votes: votes}
 }
 
+// TestReportByteBudget gates the bandwidth claim of DESIGN.md §14 at a
+// 512-unit layer: the int8 activations+votes report stays within 700 B and
+// at least 6x smaller than the float64-activation report of the same
+// structure (598 B and 6.97x when the budget was set). The sizes are exact
+// counts, so the gate needs no timing run.
+func TestReportByteBudget(t *testing.T) {
+	rep := makeBenchReport(512)
+	int8Bytes := len(AppendVoteBitmap(AppendActs8(nil, rep.q), rep.votes))
+	f64Bytes := len(AppendVoteBitmap(AppendActs64(nil, rep.acts), rep.votes))
+	shrink := float64(f64Bytes) / float64(int8Bytes)
+	t.Logf("int8 report %d B, float64 activation report %d B, shrink %.2fx", int8Bytes, f64Bytes, shrink)
+	if int8Bytes > 700 {
+		t.Errorf("int8 report is %d B, budget 700 B", int8Bytes)
+	}
+	if shrink < 6 {
+		t.Errorf("int8 report is %.2fx smaller than the float64 activation report, want >= 6x", shrink)
+	}
+}
+
 // BenchmarkReportBytes measures the encoded size of one rank+vote report
-// per report precision and exports it as report-bytes/op (gated by `make
-// bench-json`). The int8 case also exports shrink-vs-float64: how much
-// smaller the quantized activation report is than the float64 activation
-// report of identical structure — the bandwidth claim of DESIGN.md §14.
+// per report precision and exports it as report-bytes/op. The int8 case
+// also exports shrink-vs-float64: how much smaller the quantized
+// activation report is than the float64 activation report of identical
+// structure. TestReportByteBudget gates both sizes.
 func BenchmarkReportBytes(b *testing.B) {
 	rep := makeBenchReport(512)
 	bench := func(name string, encode func(dst []byte) []byte) {
