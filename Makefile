@@ -61,13 +61,14 @@ load-smoke:
 ## (kill-and-restart resume, torn checkpoints, the wire golden corpus and
 ## the refusal of the deleted gob formats), the delta-ownership suites
 ## (Recycle: a vector released too early is a race and a NaN here), the
-## shared request bodies and handler globals (Broadcast), and the round loop
-## against its reference round and a panicking participant.
+## shared request bodies and handler globals (Broadcast), the round loop
+## against its reference round and a panicking participant, and cohort
+## selection as a pure function of (seed, round) (CohortSelection).
 ## Short mode skips the slowest full-pipeline chaos run; the plain `test`
 ## target covers it.
 chaos-test:
 	FEDCLEANSE_WORKERS=4 $(GO) test -race -short -count=1 \
-		-run 'Chaos|Fault|Quorum|FineTune|Serve|Shutdown|RemoteClient|RoundTimeout|Fuzz|Drop|Checkpoint|Resume|KillRestart|Torn|CrossVersion|Versioned|Rejections|EncodingsAgree|Recycle|Broadcast|Reference|Panic' \
+		-run 'Chaos|Fault|Quorum|FineTune|Serve|Shutdown|RemoteClient|RoundTimeout|Fuzz|Drop|Checkpoint|Resume|KillRestart|Torn|CrossVersion|Versioned|Rejections|EncodingsAgree|Recycle|Broadcast|Reference|Panic|CohortSelection' \
 		./internal/transport ./internal/fl ./internal/nn ./internal/wire
 
 ## fmt: fail if any file needs gofmt

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,8 +17,8 @@ import (
 
 // Durable rounds (DESIGN.md §15). A multi-day federation is one SIGKILL
 // away from losing every applied round unless the server's state — model
-// parameters, round counter, selection-RNG position and, mid-round, the
-// streaming fold accumulator — survives on disk. A Checkpointer writes
+// parameters, round counter, seed and, mid-round, the streaming fold
+// accumulator — survives on disk. A Checkpointer writes
 // that state as CRC-sealed wire.KindCheckpoint envelopes on a configurable
 // cadence, atomically (temp file + fsync + rename), so the directory only
 // ever contains complete checkpoints plus at most one torn temp file that
@@ -26,7 +27,7 @@ import (
 // Checkpoint section types (wire.KindCheckpoint payloads).
 const (
 	// secCkptRound: uvarints NextRound, Seed (two's-complement cast),
-	// Draws, Registered.
+	// Registered.
 	secCkptRound uint16 = 1
 	// secCkptModel: the nn.AppendModelState payload of the global model.
 	secCkptModel uint16 = 2
@@ -40,15 +41,15 @@ const maxCheckpointBytes = 1 << 30
 
 // Checkpoint is a server's durable state: everything needed to restart a
 // federation where it stopped. Model holds the nn.AppendModelState payload
-// of the global model; RNG pins cohort selection so the resumed run picks
-// the cohorts the uninterrupted run would have.
+// of the global model. Cohorts are a pure function of (seed, round), so the
+// round and the seed pin the ones the resumed run picks.
 type Checkpoint struct {
 	// NextRound is the first round the resumed driver should run. A
 	// partial checkpoint has NextRound == Partial.Round: the interrupted
 	// round itself.
 	NextRound int
-	// RNG is the selection-generator state after the last completed draw.
-	RNG RNGState
+	// Seed is the server's seed, verified on resume.
+	Seed int64
 	// Registered is the population size at capture, verified on resume.
 	Registered int
 	// Model is the global model's parameter/mask payload.
@@ -82,8 +83,6 @@ type PartialRound struct {
 	Dropped []int
 	// FoldN is the fold count (== len(Completed)).
 	FoldN int
-	// Total is the accumulated weight of a weighted fold (0 unweighted).
-	Total float64
 	// Acc is the fold accumulator at the checkpoint. On a checkpoint the
 	// server is about to write it is the fold's own accumulator, not a copy:
 	// valid until the next Fold call.
@@ -103,8 +102,7 @@ func appendCheckpoint(dst []byte, ck *Checkpoint) []byte {
 	w := wire.NewWriter(dst, wire.KindCheckpoint)
 	w.Section(secCkptRound)
 	w.B = wire.AppendUint(w.B, uint64(ck.NextRound))
-	w.B = wire.AppendUint(w.B, uint64(ck.RNG.Seed))
-	w.B = wire.AppendUint(w.B, ck.RNG.Draws)
+	w.B = wire.AppendUint(w.B, uint64(ck.Seed))
 	w.B = wire.AppendUint(w.B, uint64(ck.Registered))
 	w.Section(secCkptModel)
 	if ck.live != nil {
@@ -119,7 +117,6 @@ func appendCheckpoint(dst []byte, ck *Checkpoint) []byte {
 		w.B = wire.AppendInts(w.B, p.Completed)
 		w.B = wire.AppendInts(w.B, p.Dropped)
 		w.B = wire.AppendUint(w.B, uint64(p.FoldN))
-		w.B = wire.AppendFloat64s(w.B, []float64{p.Total})
 		w.B = wire.AppendUint(w.B, uint64(len(p.Acc)))
 		w.B = wire.AppendFloat64s(w.B, p.Acc)
 	}
@@ -141,7 +138,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	for _, s := range secs {
 		switch s.Type {
 		case secCkptRound:
-			u := make([]uint64, 4)
+			u := make([]uint64, 3)
 			rest := s.Payload
 			for i := range u {
 				if u[i], rest, err = wire.ReadUint(rest); err != nil {
@@ -151,12 +148,12 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 			if len(rest) != 0 {
 				return nil, fmt.Errorf("fl: DecodeCheckpoint: %d trailing round-state bytes", len(rest))
 			}
-			if u[0] > 1<<31 || u[3] > 1<<31 {
+			if u[0] > 1<<31 || u[2] > 1<<31 {
 				return nil, fmt.Errorf("fl: DecodeCheckpoint: round/population out of range")
 			}
 			ck.NextRound = int(u[0])
-			ck.RNG = RNGState{Seed: int64(u[1]), Draws: u[2]}
-			ck.Registered = int(u[3])
+			ck.Seed = int64(u[1])
+			ck.Registered = int(u[2])
 			haveRound = true
 		case secCkptModel:
 			ck.Model = s.Payload
@@ -210,15 +207,6 @@ func decodePartial(p []byte) (*PartialRound, error) {
 			foldN, len(pr.Completed))
 	}
 	pr.FoldN = int(foldN)
-	if len(rest) < 8 {
-		return nil, fmt.Errorf("fl: DecodeCheckpoint: partial total truncated")
-	}
-	tot, err := wire.Float64s(rest[:8], 1)
-	if err != nil {
-		return fail("total", err)
-	}
-	pr.Total = tot[0]
-	rest = rest[8:]
 	dim, rest, err := wire.ReadUint(rest)
 	if err != nil {
 		return fail("acc length", err)
@@ -456,10 +444,14 @@ func checkpointNames(dir string) ([]string, error) {
 }
 
 // LatestCheckpoint loads the newest complete checkpoint in dir. Torn or
-// corrupt files — a crashed non-atomic writer, a bad disk — fail their CRC
-// and are skipped (counted into fl_checkpoint_torn_total), so the loader
-// degrades to the previous complete checkpoint rather than resurrecting
-// garbage. Returns (nil, "", nil) when dir holds no usable checkpoint.
+// corrupt files — a crashed non-atomic writer, a bad disk — fail their
+// envelope (magic, length or CRC) and are skipped (counted into
+// fl_checkpoint_torn_total), so the loader degrades to the previous
+// complete checkpoint rather than resurrecting garbage. A file whose
+// envelope holds but whose contents do not decode — another format's, or
+// another version's — is an error naming the file: starting over from an
+// older checkpoint, or from round 0, would silently discard its rounds.
+// Returns (nil, "", nil) when dir holds no checkpoint but torn ones.
 func LatestCheckpoint(dir string) (*Checkpoint, string, error) {
 	names, err := checkpointNames(dir)
 	if err != nil {
@@ -475,10 +467,13 @@ func LatestCheckpoint(dir string) (*Checkpoint, string, error) {
 			return nil, "", err
 		}
 		ck, err := DecodeCheckpoint(data)
-		if err != nil {
+		if errors.Is(err, wire.ErrMagic) || errors.Is(err, wire.ErrTruncated) || errors.Is(err, wire.ErrChecksum) {
 			obs.M.FLCheckpointTorn.Inc()
 			obs.L().Warn("fl: skipping torn checkpoint", "file", names[i], "err", err)
 			continue
+		}
+		if err != nil {
+			return nil, "", fmt.Errorf("%w (checkpoint %s)", err, path)
 		}
 		return ck, path, nil
 	}

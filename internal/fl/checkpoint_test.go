@@ -18,116 +18,90 @@ import (
 
 var updateCorpus = flag.Bool("update", false, "regenerate checked-in fuzz corpora")
 
-// TestCountingSourceBitIdentity pins the contract rng.go relies on: the
-// counting wrapper must emit exactly the sequences of a bare
-// rand.New(rand.NewSource(seed)) for every derived draw the server uses.
-func TestCountingSourceBitIdentity(t *testing.T) {
-	ref := rand.New(rand.NewSource(17))
-	sr := newSeededRand(17)
-	for i := 0; i < 200; i++ {
-		switch i % 4 {
-		case 0:
-			if a, b := ref.Int63(), sr.rng.Int63(); a != b {
-				t.Fatalf("Int63 draw %d: %d vs %d", i, a, b)
+// selectionFederations are the two population forms of one small streaming
+// federation — nine stateless clients, four drawn per round — for the
+// cohort-selection tests.
+func selectionFederations() map[string]func() *Server {
+	template := nn.NewSequential(nn.NewDense("d", 4, 3, rand.New(rand.NewSource(5))),
+		nn.NewReLU("r"), nn.NewDense("o", 3, 2, rand.New(rand.NewSource(6))))
+	cfg := Config{SelectPerRound: 4, Quorum: 0.5, Streaming: true, Shards: 2}
+	return map[string]func() *Server{
+		"resident": func() *Server {
+			parts := make([]Participant, 9)
+			for i := range parts {
+				parts[i] = &SyntheticClient{Id: i, Seed: 5}
 			}
-		case 1:
-			if a, b := ref.Intn(1000), sr.rng.Intn(1000); a != b {
-				t.Fatalf("Intn draw %d: %d vs %d", i, a, b)
+			return NewServer(template, parts, cfg, 33)
+		},
+		"registry": func() *Server {
+			reg := NewRegistry(func(id int) Participant { return &SyntheticClient{Id: id, Seed: 5} })
+			reg.RegisterRange(0, 9)
+			return NewRegistryServer(template, reg, cfg, 33)
+		},
+	}
+}
+
+// TestCohortSelectionIsStateless: round t's cohort is a function of the
+// seed and t alone — a fresh server that jumps straight to t, one that ran
+// the rounds before it, one that fine-tuned between them and one resumed
+// from a boundary checkpoint all draw the same clients.
+func TestCohortSelectionIsStateless(t *testing.T) {
+	const target = 3
+	for name, mk := range selectionFederations() {
+		t.Run(name, func(t *testing.T) {
+			want := mk().RoundDetail(target).Selected
+			if len(want) != 4 {
+				t.Fatalf("round %d selected %v, want 4 clients", target, want)
 			}
-		case 2:
-			if a, b := ref.Float64(), sr.rng.Float64(); a != b {
-				t.Fatalf("Float64 draw %d: %v vs %v", i, a, b)
+			ran, tuned, durable := mk(), mk(), mk()
+			dir := t.TempDir()
+			durable.SetCheckpointer(&Checkpointer{Dir: dir})
+			for r := 0; r < target; r++ {
+				ran.RoundDetail(r)
+				tuned.RoundDetail(r)
+				tuned.FineTune(tuned.Model.Clone(), 2)
+				durable.RoundDetail(r)
 			}
-		case 3:
-			a, b := ref.Perm(7), sr.rng.Perm(7)
-			for j := range a {
-				if a[j] != b[j] {
-					t.Fatalf("Perm draw %d: %v vs %v", i, a, b)
+			resumed := mk()
+			if next, ok, err := resumed.ResumeLatest(dir); err != nil || !ok || next != target {
+				t.Fatalf("resume: next %d, found %v, %v", next, ok, err)
+			}
+			for how, s := range map[string]*Server{"after its rounds": ran, "after fine-tuning": tuned, "resumed": resumed} {
+				if got := s.RoundDetail(target).Selected; !sameInts(got, want) {
+					t.Errorf("%s: round %d selected %v, a fresh server %v", how, target, got, want)
 				}
 			}
-		}
+		})
 	}
 }
 
-// TestRNGStateRestore: capturing mid-stream and restoring into a fresh
-// generator replays the identical continuation.
-func TestRNGStateRestore(t *testing.T) {
-	sr := newSeededRand(41)
-	for i := 0; i < 37; i++ {
-		sr.rng.Intn(100)
-	}
-	st := sr.State()
-	var want []int
-	for i := 0; i < 50; i++ {
-		want = append(want, sr.rng.Intn(1<<20))
-	}
-	fresh := newSeededRand(0)
-	fresh.Restore(st)
-	if got := fresh.State(); got != st {
-		t.Fatalf("restored state %+v, want %+v", got, st)
-	}
-	for i, w := range want {
-		if got := fresh.rng.Intn(1 << 20); got != w {
-			t.Fatalf("draw %d after restore: %d, want %d", i, got, w)
-		}
-	}
-}
-
-// TestCohortSelectionResumes is the satellite-6 pin: a server restored
-// from a checkpoint must select the same cohorts, for both the resident
-// Perm path and the registry sampling path.
+// TestCohortSelectionResumes: a server killed mid-round resumes that round
+// with the cohort its partial checkpoint recorded and draws every later one
+// as the uninterrupted run does.
 func TestCohortSelectionResumes(t *testing.T) {
-	template := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rand.New(rand.NewSource(7)))
-	cfg := Config{Rounds: 6, SelectPerRound: 4, Quorum: 0.5}
-	build := func() *Server {
-		parts := make([]Participant, 9)
-		for i := range parts {
-			parts[i] = &SyntheticClient{Id: i, Seed: 5}
-		}
-		return NewServer(template, parts, cfg, 33)
-	}
-	buildReg := func() *Server {
-		reg := NewRegistry(func(id int) Participant { return &SyntheticClient{Id: id, Seed: 5} })
-		reg.RegisterRange(0, 9)
-		return NewRegistryServer(template, reg, cfg, 33)
-	}
-	for name, mk := range map[string]func() *Server{"resident": build, "registry": buildReg} {
+	const rounds = 5
+	for name, mk := range selectionFederations() {
 		t.Run(name, func(t *testing.T) {
 			ref := mk()
 			var want [][]int
-			for r := 0; r < 5; r++ {
-				var ids []int
-				for _, p := range ref.selectClients() {
-					ids = append(ids, p.ID())
-				}
-				want = append(want, ids)
-				if r == 1 {
-					// Checkpoint after the round-1 draw, resume a fresh server.
-					ck := ref.CheckpointAt(2)
-					data := EncodeCheckpoint(ck)
-					back, err := DecodeCheckpoint(data)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res := mk()
-					if err := res.ResumeFrom(back); err != nil {
-						t.Fatal(err)
-					}
-					for rr := 2; rr < 5; rr++ {
-						var got []int
-						for _, p := range res.selectClients() {
-							got = append(got, p.ID())
-						}
-						want = append(want, got)
-					}
-				}
+			for r := 0; r < rounds; r++ {
+				want = append(want, ref.RoundDetail(r).Selected)
 			}
-			// want now holds rounds 0,1, resumed 2,3,4, then fresh 2,3,4 at
-			// the tail — compare the resumed draws against the reference's.
-			resumed, fresh := want[2:5], want[5:8]
-			for i := range resumed {
-				if !sameInts(fresh[i], resumed[i]) {
-					t.Fatalf("resumed cohort %d = %v, reference %v", i+2, resumed[i], fresh[i])
+			dir := t.TempDir()
+			s := mk()
+			s.SetCheckpointer(&Checkpointer{Dir: dir, EveryFolds: 1})
+			crashAt(s, CrashMidCollection, 2, 2)
+			if _, crashed := runUntilCrash(t, s, rounds); !crashed {
+				t.Fatal("scripted crash never fired")
+			}
+			res := mk()
+			next, _, err := res.ResumeLatest(dir)
+			if err != nil || next != 2 || res.pendingPartial == nil {
+				t.Fatalf("resume: next %d, partial %v, %v", next, res.pendingPartial != nil, err)
+			}
+			for r := next; r < rounds; r++ {
+				if got := res.RoundDetail(r).Selected; !sameInts(got, want[r]) {
+					t.Fatalf("resumed round %d selected %v, uninterrupted %v", r, got, want[r])
 				}
 			}
 		})
@@ -137,7 +111,7 @@ func TestCohortSelectionResumes(t *testing.T) {
 func TestCheckpointRoundTrip(t *testing.T) {
 	ck := &Checkpoint{
 		NextRound:  3,
-		RNG:        RNGState{Seed: -99, Draws: 1234},
+		Seed:       -99,
 		Registered: 9,
 		Model:      []byte{1, 2, 3, 4},
 		Partial: &PartialRound{
@@ -146,7 +120,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			Completed: []int{4, 7},
 			Dropped:   []int{1},
 			FoldN:     2,
-			Total:     6.5,
 			Acc:       []float64{0.25, -1, math.Inf(1)},
 		},
 	}
@@ -158,14 +131,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NextRound != ck.NextRound || got.RNG != ck.RNG || got.Registered != ck.Registered ||
+	if got.NextRound != ck.NextRound || got.Seed != ck.Seed || got.Registered != ck.Registered ||
 		!bytes.Equal(got.Model, ck.Model) {
 		t.Fatalf("boundary state mismatch: %+v", got)
 	}
 	p, q := ck.Partial, got.Partial
 	if q == nil || q.Round != p.Round || !sameInts(q.Selected, p.Selected) ||
 		!sameInts(q.Completed, p.Completed) || !sameInts(q.Dropped, p.Dropped) ||
-		q.FoldN != p.FoldN || q.Total != p.Total || len(q.Acc) != len(p.Acc) {
+		q.FoldN != p.FoldN || len(q.Acc) != len(p.Acc) {
 		t.Fatalf("partial state mismatch: %+v", q)
 	}
 	for i := range p.Acc {
@@ -184,19 +157,19 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // checkpointSeeds builds the decode inputs the parser must survive.
 func checkpointSeeds(tb testing.TB) map[string][]byte {
 	good := EncodeCheckpoint(&Checkpoint{
-		NextRound: 2, RNG: RNGState{Seed: 9, Draws: 4}, Registered: 3,
+		NextRound: 2, Seed: 9, Registered: 3,
 		Model: []byte{9, 9},
 		Partial: &PartialRound{Round: 2, Selected: []int{1, 2}, Completed: []int{1},
 			FoldN: 1, Acc: []float64{0.5}},
 	})
 	mismatch := EncodeCheckpoint(&Checkpoint{
-		NextRound: 2, RNG: RNGState{Seed: 9, Draws: 4}, Registered: 3,
+		NextRound: 2, Seed: 9, Registered: 3,
 		Model: []byte{9, 9},
 		Partial: &PartialRound{Round: 7, Selected: []int{1, 2}, Completed: []int{1},
 			FoldN: 1, Acc: []float64{0.5}},
 	})
 	foldLie := EncodeCheckpoint(&Checkpoint{
-		NextRound: 2, RNG: RNGState{Seed: 9, Draws: 4}, Registered: 3,
+		NextRound: 2, Seed: 9, Registered: 3,
 		Model: []byte{9, 9},
 		Partial: &PartialRound{Round: 2, Selected: []int{1, 2}, Completed: []int{1},
 			FoldN: 5, Acc: []float64{0.5}},
@@ -209,7 +182,23 @@ func checkpointSeeds(tb testing.TB) map[string][]byte {
 		"wrong-kind":       wire.NewEncoder(wire.KindModel).Bytes(),
 		"partial-mismatch": mismatch,
 		"fold-count-lie":   foldLie,
+		"older-layout":     olderLayoutCheckpoint(),
 	}
+}
+
+// olderLayoutCheckpoint is a boundary checkpoint of resumeFixture in the
+// layout that also recorded the selection generator's draw count: its round
+// section holds four values (NextRound, Seed, Draws, Registered). Its
+// envelope is sound, so the loader must refuse it rather than skip it.
+func olderLayoutCheckpoint() []byte {
+	w := wire.NewWriter(nil, wire.KindCheckpoint)
+	w.Section(secCkptRound)
+	for _, v := range []uint64{2, 9, 4, 3} {
+		w.B = wire.AppendUint(w.B, v)
+	}
+	w.Section(secCkptModel)
+	w.B = nn.AppendModelState(w.B, resumeFixture().Model)
+	return w.Finish()
 }
 
 func TestDecodeCheckpointRejections(t *testing.T) {
@@ -282,10 +271,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			}
 		}
 		// Nor may what decodes panic the server it is applied to: ResumeFrom
-		// returns, and a checkpoint it accepted runs its round. (Restore
-		// replays RNG.Draws values one by one — time, not safety — so the
-		// body bounds them.)
-		ck.RNG.Draws %= 1 << 12
+		// returns, and a checkpoint it accepted runs its round.
 		s := resumeFixture()
 		if s.ResumeFrom(ck) == nil {
 			s.RoundDetail(ck.NextRound)
@@ -327,6 +313,7 @@ func resumeSeeds(tb testing.TB) map[string][]byte {
 		"resume-dropped-twice":         mk(func(ck *Checkpoint) { ck.Partial.Dropped = []int{0, 0} }),
 		"resume-short-accumulator":     mk(func(ck *Checkpoint) { ck.Partial.Acc = ck.Partial.Acc[:dim-1] }),
 		"resume-wrong-population":      mk(func(ck *Checkpoint) { ck.Registered = 4 }),
+		"resume-wrong-seed":            mk(func(ck *Checkpoint) { ck.Seed = 10 }),
 		"resume-wrong-model":           mk(func(ck *Checkpoint) { ck.Model = ck.Model[:len(ck.Model)-8] }),
 	}
 }
@@ -490,14 +477,14 @@ func tornWriter(path string, data []byte) error {
 func TestResumeNeverLoadsTornCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	c := &Checkpointer{Dir: dir}
-	good := &Checkpoint{NextRound: 1, RNG: RNGState{Seed: 3, Draws: 2}, Registered: 4, Model: []byte{1}}
+	good := &Checkpoint{NextRound: 1, Seed: 3, Registered: 4, Model: []byte{1}}
 	if err := c.WriteBoundary(good); err != nil {
 		t.Fatal(err)
 	}
 	// A torn boundary write for round 2: fails, leaves half a file.
 	c.WriteFile = tornWriter
-	if err := c.WriteBoundary(&Checkpoint{NextRound: 2, RNG: RNGState{Seed: 3, Draws: 9},
-		Registered: 4, Model: []byte{2}}); err == nil {
+	if err := c.WriteBoundary(&Checkpoint{NextRound: 2, Seed: 3, Registered: 4,
+		Model: []byte{2}}); err == nil {
 		t.Fatal("torn write reported success")
 	}
 	names, err := checkpointNames(dir)
@@ -508,21 +495,39 @@ func TestResumeNeverLoadsTornCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck == nil || ck.NextRound != 1 || ck.RNG.Draws != 2 {
+	if ck == nil || ck.NextRound != 1 || !bytes.Equal(ck.Model, good.Model) {
 		t.Fatalf("loaded %+v from %s, want the previous complete checkpoint", ck, path)
 	}
 	if strings.Contains(path, "00000002") {
 		t.Fatalf("loaded the torn file %s", path)
 	}
 	// Same for a torn partial over a good boundary.
-	if err := c.WritePartial(&Checkpoint{NextRound: 1, RNG: RNGState{Seed: 3, Draws: 2},
-		Registered: 4, Model: []byte{1},
+	if err := c.WritePartial(&Checkpoint{NextRound: 1, Seed: 3, Registered: 4, Model: []byte{1},
 		Partial: &PartialRound{Round: 1, Selected: []int{0}, Acc: []float64{1}}}, 0); err == nil {
 		t.Fatal("torn partial write reported success")
 	}
 	ck, _, err = LatestCheckpoint(dir)
 	if err != nil || ck == nil || ck.NextRound != 1 || ck.Partial != nil {
 		t.Fatalf("after torn partial: %+v, %v", ck, err)
+	}
+}
+
+// TestResumeRefusesAnOlderLayout: a checkpoint whose envelope holds but
+// whose contents do not decode — one in the older layout — is an error from
+// ResumeLatest naming the file, not a torn file to skip: the server neither
+// falls back to the boundary before it nor starts over from round 0.
+func TestResumeRefusesAnOlderLayout(t *testing.T) {
+	dir := t.TempDir()
+	if err := (&Checkpointer{Dir: dir}).WriteBoundary(resumeFixture().CheckpointAt(1)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, boundaryName(2))
+	if err := os.WriteFile(path, olderLayoutCheckpoint(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if next, resumed, err := resumeFixture().ResumeLatest(dir); err == nil || resumed || !strings.Contains(err.Error(), path) {
+		t.Fatalf("ResumeLatest over an older-layout checkpoint: next %d, resumed %v, %v; want an error naming %s",
+			next, resumed, err, path)
 	}
 }
 

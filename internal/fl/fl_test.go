@@ -471,66 +471,3 @@ func scaled(n int, v float64) []float64 {
 	}
 	return out
 }
-
-func TestSampleWeightedMean(t *testing.T) {
-	agg := SampleWeightedMean{Counts: map[int]int{0: 300, 1: 100}}
-	got := agg.AggregateWeighted([][]float64{{4}, {8}}, []int{0, 1})
-	// (300·4 + 100·8) / 400 = 5.
-	if math.Abs(got[0]-5) > 1e-12 {
-		t.Fatalf("weighted mean %g, want 5", got[0])
-	}
-	// Unknown clients weigh 1.
-	got = agg.AggregateWeighted([][]float64{{4}, {8}}, []int{7, 8})
-	if math.Abs(got[0]-6) > 1e-12 {
-		t.Fatalf("default-weight mean %g, want 6", got[0])
-	}
-	// Eta scales the aggregate.
-	agg.Eta = 0.5
-	got = agg.AggregateWeighted([][]float64{{4}, {8}}, []int{7, 8})
-	if math.Abs(got[0]-3) > 1e-12 {
-		t.Fatalf("eta-scaled mean %g, want 3", got[0])
-	}
-}
-
-func TestServerUsesWeightedAggregator(t *testing.T) {
-	_, _, template, cfg := tinySetup(t, 80)
-	n := template.NumParams()
-	parts := []Participant{
-		&fakeParticipant{id: 0, delta: ones(n)},      // weight 3
-		&fakeParticipant{id: 1, delta: scaled(n, 5)}, // weight 1
-	}
-	srv := NewServer(template, parts, cfg, 81)
-	srv.Agg = SampleWeightedMean{Counts: map[int]int{0: 3, 1: 1}}
-	before := srv.Model.ParamsVector()
-	srv.Round(0)
-	after := srv.Model.ParamsVector()
-	// (3·1 + 1·5)/4 = 2.
-	for i := range after {
-		if math.Abs(after[i]-(before[i]+2)) > 1e-12 {
-			t.Fatal("weighted aggregation not applied")
-		}
-	}
-}
-
-// TestDataDominanceAttack demonstrates why the paper equalizes sample
-// counts: under sample-weighted FedAvg, an attacker claiming a huge local
-// dataset dominates the aggregate even with gamma = 1.
-func TestDataDominanceAttack(t *testing.T) {
-	_, _, template, cfg := tinySetup(t, 82)
-	n := template.NumParams()
-	parts := []Participant{
-		&fakeParticipant{id: 0, delta: scaled(n, 10)}, // "attacker"
-		&fakeParticipant{id: 1, delta: ones(n)},
-		&fakeParticipant{id: 2, delta: ones(n)},
-	}
-	srv := NewServer(template, parts, cfg, 83)
-	srv.Agg = SampleWeightedMean{Counts: map[int]int{0: 10_000, 1: 100, 2: 100}}
-	before := srv.Model.ParamsVector()
-	srv.Round(0)
-	after := srv.Model.ParamsVector()
-	// The aggregate must sit almost exactly at the attacker's delta.
-	if math.Abs(after[0]-before[0]-10) > 0.5 {
-		t.Fatalf("attacker with dominant sample count moved params by %g, want ~10",
-			after[0]-before[0])
-	}
-}

@@ -188,8 +188,8 @@ func TestFineTuneMatchesDropPolicyRun(t *testing.T) {
 }
 
 // TestFineTuneHonorsAggAndDrop pins the fix for FineTune hard-coding
-// MeanAggregator: the configured weighted rule and the drop policy must
-// both apply to fine-tuning rounds.
+// MeanAggregator: the configured rule and the drop policy must both apply
+// to fine-tuning rounds.
 func TestFineTuneHonorsAggAndDrop(t *testing.T) {
 	_, _, template, cfg := tinySetup(t, 70)
 	n := template.NumParams()
@@ -199,19 +199,32 @@ func TestFineTuneHonorsAggAndDrop(t *testing.T) {
 		&fakeParticipant{id: 2, delta: scaled(n, 100)}, // dropped
 	}
 	srv := NewServer(template, parts, cfg, 71)
-	srv.Agg = SampleWeightedMean{Counts: map[int]int{0: 1, 1: 3}}
+	srv.Agg = sumAgg{}
 	srv.Drop = dropIDs{2: true}
 	m := srv.Model.Clone()
 	before := m.ParamsVector()
 	srv.FineTune(m, 1)
 	after := m.ParamsVector()
-	// Weighted mean of (1·1 + 3·5)/4 = 4; a mean over all three would be
-	// ~35.3 and an unweighted mean of the survivors 3.
+	// The survivors' sum is 1 + 5 = 6; a sum over all three would be 106
+	// and the mean of the survivors 3.
 	for i := range after {
-		if math.Abs(after[i]-(before[i]+4)) > 1e-12 {
-			t.Fatalf("param %d: %g -> %g, want +4 (FineTune ignored Agg or Drop)", i, before[i], after[i])
+		if math.Abs(after[i]-(before[i]+6)) > 1e-12 {
+			t.Fatalf("param %d: %g -> %g, want +6 (FineTune ignored Agg or Drop)", i, before[i], after[i])
 		}
 	}
+}
+
+// sumAgg is a rule other than the mean: the coordinate-wise sum.
+type sumAgg struct{}
+
+func (sumAgg) Aggregate(deltas [][]float64) []float64 {
+	out := make([]float64, len(deltas[0]))
+	for _, d := range deltas {
+		for j, v := range d {
+			out[j] += v
+		}
+	}
+	return out
 }
 
 // TestFineTuneBelowQuorumIsNoOp: fine-tuning rounds observe the same

@@ -65,13 +65,7 @@ func referenceRound(m *nn.Sequential, cohort []Participant, drop DropPolicy, agg
 	if len(deltas) < need {
 		return res
 	}
-	var sum []float64
-	if wa, ok := agg.(WeightedAggregator); ok {
-		sum = wa.AggregateWeighted(deltas, res.Completed)
-	} else {
-		sum = agg.Aggregate(deltas)
-	}
-	m.AddDeltaVector(1, sum)
+	m.AddDeltaVector(1, agg.Aggregate(deltas))
 	res.Applied = true
 	return res
 }
@@ -121,7 +115,7 @@ type schedule struct {
 	quorum                  float64
 	streaming               bool
 	window, shards, workers int
-	rule                    string // "mean", "weighted" or "batch-only"
+	rule                    string // "mean" or "batch-only"
 	kill                    CrashPoint
 	killRound, killFolds    int
 }
@@ -133,10 +127,7 @@ func (sc schedule) String() string {
 }
 
 func (sc schedule) aggregator() Aggregator {
-	switch sc.rule {
-	case "weighted":
-		return SampleWeightedMean{Counts: map[int]int{0: 30, 1: 7, 3: 120}, Eta: 0.5}
-	case "batch-only":
+	if sc.rule == "batch-only" {
 		return batchOnlyAgg{}
 	}
 	return MeanAggregator{}
@@ -211,18 +202,22 @@ func (sc schedule) runProduction(t *testing.T, template *nn.Sequential) ([]float
 }
 
 // runReference is the same federation, uninterrupted, on referenceRound.
+// Round r's cohort is the first sc.cohort places of a Fisher–Yates shuffle
+// of the population, drawn from the round's own key.
 func (sc schedule) runReference(template *nn.Sequential) ([]float64, []RoundResult) {
 	m := template.Clone()
 	parts := sc.participants()
-	rng := rand.New(rand.NewSource(scheduleSeed))
 	var results []RoundResult
 	for r := 0; r < sc.rounds; r++ {
 		cohort := parts
 		if sc.cohort > 0 && sc.cohort < len(parts) {
-			cohort = nil
-			for _, j := range rng.Perm(len(parts))[:sc.cohort] {
-				cohort = append(cohort, parts[j])
+			rng := participantRNG(selectDomain, scheduleSeed, uint64(r))
+			shuffled := append([]Participant(nil), parts...)
+			for i := 0; i < sc.cohort; i++ {
+				j := i + rng.Intn(len(parts)-i)
+				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 			}
+			cohort = shuffled[:sc.cohort]
 		}
 		results = append(results, referenceRound(m, cohort, schedDrop(sc.drop), sc.aggregator(), sc.quorum, r))
 	}
@@ -239,7 +234,7 @@ func randomSchedule(rng *rand.Rand) schedule {
 		streaming: rng.Intn(3) > 0,
 		shards:    pick(1, 3, 8),
 		workers:   pick(1, 2, 8),
-		rule:      []string{"mean", "weighted", "batch-only"}[rng.Intn(3)],
+		rule:      []string{"mean", "batch-only"}[rng.Intn(2)],
 		drop:      map[at]bool{}, fail: map[at]bool{}, short: map[at]bool{},
 	}
 	sc.cohort = pick(0, sc.clients-1, sc.clients/2+1)
@@ -277,10 +272,10 @@ func TestProductionRoundsMatchReferenceRounds(t *testing.T) {
 	// The cells no other suite reaches, then the random ones.
 	cells := []schedule{
 		{clients: 6, rounds: 3, quorum: 0.5, streaming: true, window: 2, shards: 3, workers: 2,
-			rule: "weighted", kill: CrashMidCollection, killRound: 1, killFolds: 2,
+			rule: "mean", kill: CrashMidCollection, killRound: 1, killFolds: 2,
 			fail: map[at]bool{{1, 1}: true}, drop: map[at]bool{{4, 1}: true}},
 		{clients: 6, rounds: 3, quorum: 0.5, streaming: true, window: 1, shards: 8, workers: 8,
-			rule: "weighted", kill: CrashPostQuorumPreApply, killRound: 2},
+			rule: "mean", kill: CrashPostQuorumPreApply, killRound: 2},
 		{clients: 5, rounds: 3, quorum: 0.9, streaming: true, window: 2, shards: 3, workers: 2,
 			rule: "batch-only", fail: map[at]bool{{0, 1}: true, {2, 1}: true, {3, 2}: true}},
 		{clients: 5, rounds: 3, quorum: 0.5, streaming: true, window: 5, shards: 1, workers: 8,

@@ -25,71 +25,6 @@ type Aggregator interface {
 	Aggregate(deltas [][]float64) []float64
 }
 
-// WeightedAggregator is implemented by aggregation rules that need the
-// clients' identities (e.g. to weight by local sample counts). When the
-// server's Agg implements it, AggregateWeighted is used instead of
-// Aggregate.
-type WeightedAggregator interface {
-	// AggregateWeighted combines deltas; ids[i] identifies the client that
-	// produced deltas[i].
-	AggregateWeighted(deltas [][]float64, ids []int) []float64
-}
-
-// SampleWeightedMean is the paper's unsimplified FedAvg rule (§III-A):
-// w_{t+1} = w_t + η · Σ nᵢ·Δwⁱ / Σ nᵢ, weighting each client's update by
-// its local sample count. The paper's experiments equalize sample counts
-// precisely because this rule lets an attacker with more data dominate;
-// SampleWeightedMean exists to demonstrate that (see the fl tests).
-type SampleWeightedMean struct {
-	// Counts maps client ID to its sample count. Unknown clients weigh 1.
-	Counts map[int]int
-	// Eta is the global learning rate η (0 means 1).
-	Eta float64
-}
-
-var _ WeightedAggregator = SampleWeightedMean{}
-
-// Aggregate implements Aggregator by equal weighting (no identities).
-func (s SampleWeightedMean) Aggregate(deltas [][]float64) []float64 {
-	return MeanAggregator{}.Aggregate(deltas)
-}
-
-// AggregateWeighted implements WeightedAggregator.
-func (s SampleWeightedMean) AggregateWeighted(deltas [][]float64, ids []int) []float64 {
-	if len(deltas) == 0 {
-		panic("fl: aggregate of zero deltas")
-	}
-	if len(ids) != len(deltas) {
-		panic(fmt.Sprintf("fl: %d ids for %d deltas", len(ids), len(deltas)))
-	}
-	out := wire.GetFloat64s(len(deltas[0]))
-	clear(out)
-	total := 0.0
-	for i, d := range deltas {
-		w := s.weight(ids[i])
-		total += w
-		tensor.Axpy(out, w, d)
-	}
-	tensor.Scale(out, out, s.eta()/total)
-	return out
-}
-
-// weight is a client's share of the sum: its sample count, 1 when unknown.
-func (s SampleWeightedMean) weight(id int) float64 {
-	if n := s.Counts[id]; n > 0 {
-		return float64(n)
-	}
-	return 1
-}
-
-// eta is the global learning rate η, Eta with its default.
-func (s SampleWeightedMean) eta() float64 {
-	if s.Eta == 0 {
-		return 1
-	}
-	return s.Eta
-}
-
 // MeanAggregator is plain coordinate-wise averaging, the paper's
 // w_{t+1} = w_t + (1/N) Σ Δw^i rule.
 type MeanAggregator struct{}
@@ -176,8 +111,8 @@ type Server struct {
 	AuditAmend func(*RoundAudit)
 
 	cfg Config
-	// sr drives cohort selection, its draw position checkpointed (rng.go).
-	sr *seededRand
+	// seed keys every cohort draw (selectClients) and is checkpointed.
+	seed int64
 	// ckpt, when non-nil, persists round state (SetCheckpointer).
 	ckpt *Checkpointer
 	// pendingPartial is an interrupted round restored by ResumeFrom, with
@@ -219,13 +154,12 @@ func (s *Server) crash(p CrashPoint, round, folds int) {
 // NewServer builds a server over the given population. template provides
 // the global model architecture and initial weights (cloned).
 func NewServer(template *nn.Sequential, participants []Participant, cfg Config, seed int64) *Server {
-	sr := newSeededRand(seed)
 	return &Server{
 		Model:        template.Clone(),
 		Participants: append([]Participant(nil), participants...),
 		Agg:          MeanAggregator{},
 		cfg:          cfg.withDefaults(),
-		sr:           sr,
+		seed:         seed,
 	}
 }
 
@@ -344,9 +278,7 @@ func (s *Server) RoundDetail(t int) RoundResult {
 		pp = nil
 	}
 	if pp == nil {
-		// A resumed round keeps its recorded cohort: the checkpointed RNG
-		// position is already past this round's selection.
-		cohort = s.selectClients()
+		cohort = s.selectClients(selectDomain, t)
 	}
 	res := s.runRound(s.Model, cohort, pp, t, true, sc)
 	if s.ckpt != nil && s.ckpt.boundaryDue(t) {
@@ -368,8 +300,7 @@ func (s *Server) RoundDetail(t int) RoundResult {
 func (s *Server) SetCheckpointer(c *Checkpointer) { s.ckpt = c }
 
 // CheckpointAt captures the server's boundary state as of the given next
-// round: the global model, the selection-RNG position and the population
-// size.
+// round: the global model, the seed and the population size.
 func (s *Server) CheckpointAt(nextRound int) *Checkpoint {
 	ck := s.liveCheckpoint(nextRound)
 	ck.Model, ck.live = nn.AppendModelState(nil, s.Model), nil
@@ -383,26 +314,30 @@ func (s *Server) CheckpointAt(nextRound int) *Checkpoint {
 func (s *Server) liveCheckpoint(nextRound int) *Checkpoint {
 	return &Checkpoint{
 		NextRound:  nextRound,
-		RNG:        s.sr.State(),
+		Seed:       s.seed,
 		Registered: s.populationSize(),
 		live:       s.Model,
 	}
 }
 
 // ResumeFrom restores the server to a checkpoint: model parameters and
-// prune masks, selection-RNG position, and — for a partial checkpoint —
-// the interrupted round, which the next RoundDetail(ck.NextRound) call
-// completes from the recorded fold prefix. The server must be freshly
-// built from the same template, config and population as the checkpointed
-// one. A checkpoint is a file's bytes: the population size and, of a
-// partial round, everything the round would take on trust (resumedCohort)
-// are checked before anything is restored.
+// prune masks and — for a partial checkpoint — the interrupted round, which
+// the next RoundDetail(ck.NextRound) call completes from the recorded fold
+// prefix. The server must be freshly built from the same template, config,
+// seed and population as the checkpointed one. A checkpoint is a file's
+// bytes: the seed, the population size and, of a partial round, everything
+// the round would take on trust (resumedCohort) are checked before anything
+// is restored.
 //
 // Determinism contract: a resumed run is bit-identical to the
-// uninterrupted one. Every participant and DropPolicy this package ships is
-// a pure function of its call's (id, round) key; one written elsewhere
-// keeps the claim by being one too.
+// uninterrupted one. Cohorts are a pure function of (seed, round), and
+// every participant and DropPolicy this package ships is a pure function of
+// its call's (id, round) key; one written elsewhere keeps the claim by
+// being one too.
 func (s *Server) ResumeFrom(ck *Checkpoint) error {
+	if ck.Seed != s.seed {
+		return fmt.Errorf("fl: resume with seed %d, checkpoint has %d", s.seed, ck.Seed)
+	}
 	if ck.Registered != s.populationSize() {
 		return fmt.Errorf("fl: resume with population %d, checkpoint has %d",
 			s.populationSize(), ck.Registered)
@@ -417,14 +352,13 @@ func (s *Server) ResumeFrom(ck *Checkpoint) error {
 	if err := nn.ApplyModelState(s.Model, ck.Model); err != nil {
 		return fmt.Errorf("fl: resume: %w", err)
 	}
-	s.sr.Restore(ck.RNG)
 	s.pendingPartial, s.pendingCohort = ck.Partial, cohort
 	obs.M.FLResumes.Inc()
 	if ck.Partial != nil {
 		obs.M.FLResumedPartialRounds.Inc()
 	}
 	obs.L().Info("fl: resumed from checkpoint", "next_round", ck.NextRound,
-		"rng_draws", ck.RNG.Draws, "partial", ck.Partial != nil)
+		"partial", ck.Partial != nil)
 	return nil
 }
 
@@ -522,7 +456,7 @@ func (s *Server) runRound(m *nn.Sequential, selected []Participant, pp *PartialR
 	need := s.quorumCount(len(selected))
 	fold, streams := s.beginFold(m.NumParams(), need)
 	if fc, ok := fold.(foldSnapshotter); ok && pp != nil {
-		fc.restore(pp.Acc, pp.FoldN, pp.Total)
+		fc.restore(pp.Acc, pp.FoldN)
 	} else if pp != nil {
 		// The one way a recorded prefix is lost: this server's fold cannot
 		// take an accumulator back (the rule does not stream, or
@@ -675,33 +609,28 @@ func flatParams(m *nn.Sequential) []float64 {
 }
 
 // collectAllFold is the Fold of a round that does not stream: it keeps
-// every survivor's (id, delta) in participant order and hands the rule the
-// whole cohort once, in Finish — the only shape a rule that needs every
-// delta at once (internal/robust) can take. It is the server's, not a
-// BeginFold on those rules: they stay batch-only.
+// every survivor's delta in participant order and hands the rule the whole
+// cohort once, in Finish — the only shape a rule that needs every delta at
+// once (internal/robust) can take. It is the server's, not a BeginFold on
+// those rules: they stay batch-only.
 type collectAllFold struct {
 	rule Aggregator
 	// need is the round's quorum. Finish runs the rule on nothing less: a
 	// batch-only rule has arity preconditions (Krum's n ≥ 2f+3) the quorum
 	// is there to meet, and a discarded round's aggregate is never read.
 	need   int
-	ids    []int
 	deltas [][]float64
 }
 
 // Fold implements Fold.
-func (f *collectAllFold) Fold(id int, delta []float64) {
-	f.ids = append(f.ids, id)
+func (f *collectAllFold) Fold(_ int, delta []float64) {
 	f.deltas = append(f.deltas, delta)
 }
 
-// Finish implements Fold: the round's one Aggregate/AggregateWeighted call.
+// Finish implements Fold: the round's one Aggregate call.
 func (f *collectAllFold) Finish() []float64 {
 	if len(f.deltas) < f.need {
 		return nil
-	}
-	if wa, ok := f.rule.(WeightedAggregator); ok {
-		return wa.AggregateWeighted(f.deltas, f.ids)
 	}
 	return f.rule.Aggregate(f.deltas)
 }
@@ -819,7 +748,7 @@ func (s *Server) partialCheckpoint(m *nn.Sequential, res *RoundResult, fold Fold
 	}
 	csp := obs.StartChildOf(sc, "fl.checkpoint", nil).WithRound(t)
 	defer csp.End()
-	acc, n, total := fc.snapshot()
+	acc, n := fc.snapshot()
 	ck := s.liveCheckpoint(t)
 	ck.Partial = &PartialRound{
 		Round:     t,
@@ -827,7 +756,6 @@ func (s *Server) partialCheckpoint(m *nn.Sequential, res *RoundResult, fold Fold
 		Completed: res.Completed,
 		Dropped:   res.Dropped,
 		FoldN:     n,
-		Total:     total,
 		Acc:       acc,
 	}
 	if err := s.ckpt.WritePartial(ck, folds); err != nil {
@@ -932,28 +860,36 @@ func (s *Server) Train(onRound func(round int)) {
 	}
 }
 
-// selectClients draws SelectPerRound participants without replacement, or
-// returns the full population when SelectPerRound is 0 (the paper's
-// simplified all-participate setting). At least one attacker is present in
-// every training iteration per the paper's threat model; the random draw
-// itself is unbiased — the guarantee comes from the experiment setups
-// having attackers in the population.
+// Cohort draws keep training and fine-tuning rounds of one index apart.
+const (
+	selectDomain   = 0x5e_1ec7
+	fineTuneDomain = 0xf1_7e5e
+)
+
+// selectClients draws round t's SelectPerRound participants without
+// replacement, or returns the full population when SelectPerRound is 0 (the
+// paper's simplified all-participate setting). At least one attacker is
+// present in every training iteration per the paper's threat model; the
+// random draw itself is unbiased — the guarantee comes from the experiment
+// setups having attackers in the population.
 //
-// With a Registry installed, the cohort is sampled from the registered
-// population by the registry's O(k) partial shuffle and materialized
-// through its factory; the resident-participant path keeps its historical
-// rng.Perm draw, so existing seeded experiments reproduce unchanged.
-func (s *Server) selectClients() []Participant {
-	if s.Registry != nil {
-		return s.Registry.Cohort(s.cfg.SelectPerRound, s.sr.rng)
-	}
+// A cohort is a pure function of (domain, seed, t): the same draw for a
+// fresh server, a resumed one, and one that ran any rounds or fine-tuning
+// before. One O(k) partial shuffle (sampleIndices) picks it, over the
+// resident participants or, with a Registry installed, over the registered
+// population, materialized through its factory.
+func (s *Server) selectClients(domain uint64, t int) []Participant {
 	k := s.cfg.SelectPerRound
-	if k <= 0 || k >= len(s.Participants) {
+	if s.Registry == nil && (k <= 0 || k >= len(s.Participants)) {
 		return s.Participants
 	}
-	idx := s.sr.rng.Perm(len(s.Participants))[:k]
+	rng := participantRNG(domain, uint64(s.seed), uint64(t))
+	defer participantRNGs.Put(rng)
+	if s.Registry != nil {
+		return s.Registry.Cohort(k, rng)
+	}
 	out := make([]Participant, k)
-	for i, j := range idx {
+	for i, j := range sampleIndices(len(s.Participants), k, rng) {
 		out[i] = s.Participants[j]
 	}
 	return out
@@ -968,14 +904,17 @@ func (s *Server) selectClients() []Participant {
 // semantics all apply, and wire failures degrade to recorded dropouts.
 //
 // A registry-backed server cannot hold its population resident, so its
-// fine-tuning rounds sample a cohort per round exactly like training
-// rounds do.
+// fine-tuning rounds sample a cohort per round like training rounds do,
+// keyed by (fineTuneDomain, seed, t) with t counted from 0 in every call:
+// fine-tuning leaves the training cohorts untouched. core.FineTune asks
+// for one round per call, so its steps over a registry server share one
+// cohort, as they share one batch order.
 func (s *Server) FineTune(m *nn.Sequential, rounds int) {
 	for t := 0; t < rounds; t++ {
 		obs.M.FLFineTuneRounds.Inc()
 		cohort := s.Participants
 		if s.Registry != nil {
-			cohort = s.selectClients()
+			cohort = s.selectClients(fineTuneDomain, t)
 		}
 		// Each fine-tuning round roots its own trace: it is driven by the
 		// defense pipeline, not RoundDetail, so no round span exists above

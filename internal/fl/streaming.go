@@ -40,10 +40,9 @@ import (
 
 // StreamingAggregator is implemented by aggregation rules that can fold
 // one arriving delta at a time into a running aggregate. MeanAggregator
-// and SampleWeightedMean stream; the Byzantine-robust rules in
-// internal/robust need every delta at once (pairwise distances, per
-// coordinate sorts) and deliberately do not, so a streaming server hands
-// them its collect-all fold.
+// streams; the Byzantine-robust rules in internal/robust need every delta
+// at once (pairwise distances, per coordinate sorts) and deliberately do
+// not, so a streaming server hands them its collect-all fold.
 type StreamingAggregator interface {
 	Aggregator
 	// BeginFold opens one round's fold over parameter vectors of the
@@ -61,6 +60,7 @@ type StreamingAggregator interface {
 // call hands the delta over (DESIGN.md §19): the caller must neither read
 // nor write it afterwards, and the fold recycles it once nothing of its own
 // reads it any more — which, with shards, is after Fold has returned.
+// id names the delta's client; the folds of this package do not read it.
 // Finish must be called exactly once; it merges the shard partials and
 // returns the aggregate (nil when nothing was folded).
 type Fold interface {
@@ -68,22 +68,12 @@ type Fold interface {
 	Finish() []float64
 }
 
-// Compile-time streaming conformance of the built-in rules.
-var (
-	_ StreamingAggregator = MeanAggregator{}
-	_ StreamingAggregator = SampleWeightedMean{}
-)
+var _ StreamingAggregator = MeanAggregator{}
 
 // BeginFold implements StreamingAggregator: the streaming form of plain
 // coordinate-wise averaging.
 func (MeanAggregator) BeginFold(dim, shards int, scratch *tensor.Arena) Fold {
-	return newShardedFold(dim, shards, scratch, nil, 0)
-}
-
-// BeginFold implements StreamingAggregator: the streaming form of
-// AggregateWeighted, weighting each fold by the client's sample count.
-func (s SampleWeightedMean) BeginFold(dim, shards int, scratch *tensor.Arena) Fold {
-	return newShardedFold(dim, shards, scratch, s.weight, s.eta())
+	return newShardedFold(dim, shards, scratch)
 }
 
 // foldQueueDepth is the per-shard channel buffer. A queued delta is still
@@ -92,20 +82,17 @@ func (s SampleWeightedMean) BeginFold(dim, shards int, scratch *tensor.Arena) Fo
 // the O(window) peak-memory budget, kept deliberately small.
 const foldQueueDepth = 4
 
-// foldItem is one delta in flight to the shard goroutines, with its weight
-// resolved by the caller so every shard applies the same scalar. left
-// counts the shards that have yet to fold it: Fold returning means only
-// that the item is queued, so the delta is dead — and recycled — when the
-// shard that takes left to zero is done, not before.
+// foldItem is one delta in flight to the shard goroutines. left counts the
+// shards that have yet to fold it: Fold returning means only that the item
+// is queued, so the delta is dead — and recycled — when the shard that
+// takes left to zero is done, not before.
 type foldItem struct {
-	delta  []float64
-	weight float64
-	left   atomic.Int32
+	delta []float64
+	left  atomic.Int32
 }
 
-// shardedFold is the shared fold behind MeanAggregator and
-// SampleWeightedMean: a running per-coordinate sum (optionally weighted)
-// over coordinate-range shards, scaled once in Finish.
+// shardedFold is MeanAggregator's fold: a running per-coordinate sum over
+// coordinate-range shards, scaled once in Finish.
 type shardedFold struct {
 	acc      []float64
 	ranges   [][2]int
@@ -113,9 +100,6 @@ type shardedFold struct {
 	wg       sync.WaitGroup
 	syncWg   sync.WaitGroup
 	n        int
-	weightFn func(id int) float64
-	total    float64
-	eta      float64
 	finished bool
 }
 
@@ -125,8 +109,8 @@ type shardedFold struct {
 // sequence. Folds that cannot snapshot simply don't implement it — the
 // server then skips partial checkpoints for that aggregation rule.
 type foldSnapshotter interface {
-	snapshot() (acc []float64, n int, total float64)
-	restore(acc []float64, n int, total float64)
+	snapshot() (acc []float64, n int)
+	restore(acc []float64, n int)
 }
 
 var _ foldSnapshotter = (*shardedFold)(nil)
@@ -134,7 +118,7 @@ var _ foldSnapshotter = (*shardedFold)(nil)
 // newShardedFold sizes the shard plan and spins up the shard goroutines.
 // shards <= 0 resolves to the parallel worker count; it is capped at dim
 // so every shard owns at least one coordinate.
-func newShardedFold(dim, shards int, scratch *tensor.Arena, weightFn func(int) float64, eta float64) *shardedFold {
+func newShardedFold(dim, shards int, scratch *tensor.Arena) *shardedFold {
 	if shards <= 0 {
 		shards = parallel.Workers()
 	}
@@ -147,7 +131,7 @@ func newShardedFold(dim, shards int, scratch *tensor.Arena, weightFn func(int) f
 	} else {
 		acc = make([]float64, dim)
 	}
-	f := &shardedFold{acc: acc, weightFn: weightFn, eta: eta}
+	f := &shardedFold{acc: acc}
 	if shards > 1 {
 		f.ranges = parallel.Partition(dim, shards)
 		f.chans = make([]chan *foldItem, len(f.ranges))
@@ -165,7 +149,7 @@ func newShardedFold(dim, shards int, scratch *tensor.Arena, weightFn func(int) f
 						f.syncWg.Done()
 						continue
 					}
-					f.foldRange(it.delta, it.weight, lo, hi)
+					tensor.Add(f.acc[lo:hi], it.delta[lo:hi])
 					if it.left.Add(-1) == 0 {
 						wire.PutFloat64s(it.delta)
 					}
@@ -176,38 +160,22 @@ func newShardedFold(dim, shards int, scratch *tensor.Arena, weightFn func(int) f
 	return f
 }
 
-// foldRange applies one delta to the coordinate range [lo,hi). The
-// unweighted pass is a plain add — not a multiply by 1.0 — so the scalar
-// sequence is literally the one MeanAggregator.Aggregate runs, and the
-// weighted one is AggregateWeighted's Axpy.
-func (f *shardedFold) foldRange(d []float64, w float64, lo, hi int) {
-	if f.weightFn != nil {
-		tensor.Axpy(f.acc[lo:hi], w, d[lo:hi])
-		return
-	}
-	tensor.Add(f.acc[lo:hi], d[lo:hi])
-}
-
-// Fold implements Fold.
-func (f *shardedFold) Fold(id int, delta []float64) {
+// Fold implements Fold. Each shard adds the delta's range into its own —
+// the scalar sequence MeanAggregator.Aggregate runs.
+func (f *shardedFold) Fold(_ int, delta []float64) {
 	if f.finished {
 		panic("fl: Fold after Finish")
 	}
 	if len(delta) != len(f.acc) {
 		panic(fmt.Sprintf("fl: delta length mismatch %d vs %d", len(delta), len(f.acc)))
 	}
-	weight := 1.0
-	if f.weightFn != nil {
-		weight = f.weightFn(id)
-		f.total += weight
-	}
 	f.n++
 	if f.chans == nil {
-		f.foldRange(delta, weight, 0, len(f.acc))
+		tensor.Add(f.acc, delta)
 		wire.PutFloat64s(delta)
 		return
 	}
-	it := &foldItem{delta: delta, weight: weight}
+	it := &foldItem{delta: delta}
 	it.left.Store(int32(len(f.chans)))
 	for _, ch := range f.chans {
 		ch <- it
@@ -230,22 +198,22 @@ func (f *shardedFold) quiesce() {
 	f.syncWg.Wait()
 }
 
-// snapshot implements foldSnapshotter: the accumulator plus the fold count
-// and accumulated weight, consistent as of every Fold call that returned
-// before snapshot was called. The accumulator is the fold's own, not a copy.
+// snapshot implements foldSnapshotter: the accumulator plus the fold count,
+// consistent as of every Fold call that returned before snapshot was
+// called. The accumulator is the fold's own, not a copy.
 // The shards are drained and only a Fold call gives them more to do, and
 // Fold is called from the one goroutine that is calling snapshot — so the
 // caller may read it until it next calls Fold or Finish, and must not write
 // it.
-func (f *shardedFold) snapshot() ([]float64, int, float64) {
+func (f *shardedFold) snapshot() ([]float64, int) {
 	f.quiesce()
-	return f.acc, f.n, f.total
+	return f.acc, f.n
 }
 
 // restore implements foldSnapshotter. Must be called before the first
 // Fold; the channel sends of subsequent folds publish the restored state
 // to the shard goroutines.
-func (f *shardedFold) restore(acc []float64, n int, total float64) {
+func (f *shardedFold) restore(acc []float64, n int) {
 	if f.n != 0 {
 		panic("fl: fold restore after Fold")
 	}
@@ -254,7 +222,6 @@ func (f *shardedFold) restore(acc []float64, n int, total float64) {
 	}
 	copy(f.acc, acc)
 	f.n = n
-	f.total = total
 }
 
 // Finish implements Fold: it drains and joins the shard goroutines —
@@ -274,10 +241,6 @@ func (f *shardedFold) Finish() []float64 {
 	if f.n == 0 {
 		return nil
 	}
-	scale := 1.0 / float64(f.n)
-	if f.weightFn != nil {
-		scale = f.eta / f.total
-	}
-	tensor.Scale(f.acc, f.acc, scale)
+	tensor.Scale(f.acc, f.acc, 1.0/float64(f.n))
 	return f.acc
 }

@@ -123,42 +123,6 @@ func TestStreamingWindowBoundsInFlight(t *testing.T) {
 	}
 }
 
-// TestStreamingWeightedMatchesBatch: SampleWeightedMean — weights, unknown
-// clients defaulting to 1, η scaling — streams bit-identically to its
-// batch AggregateWeighted, across shard counts.
-func TestStreamingWeightedMatchesBatch(t *testing.T) {
-	_, _, template, cfg := tinySetup(t, 73)
-	n := template.NumParams()
-	mk := func(streaming bool, shards int) *Server {
-		c := cfg
-		c.Streaming = streaming
-		c.Shards = shards
-		srv := NewServer(template, []Participant{
-			&fakeParticipant{id: 0, delta: scaled(n, 0.25)}, // weight 300
-			&fakeParticipant{id: 1, delta: scaled(n, -1)},   // weight 100
-			&fakeParticipant{id: 2, delta: ones(n)},         // unknown: weight 1
-		}, c, 74)
-		srv.Agg = SampleWeightedMean{Counts: map[int]int{0: 300, 1: 100}, Eta: 0.5}
-		return srv
-	}
-	ref := mk(false, 0)
-	ref.Round(0)
-	want := ref.Model.ParamsVector()
-	for _, shards := range []int{1, 2, 8} {
-		srv := mk(true, shards)
-		res := srv.RoundDetail(0)
-		if !res.Applied {
-			t.Fatalf("shards=%d: streaming weighted round not applied", shards)
-		}
-		got := srv.Model.ParamsVector()
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("shards=%d: param %d = %v, want %v", shards, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // batchOnlyAgg aggregates but cannot stream — the stand-in for the
 // Byzantine-robust rules.
 type batchOnlyAgg struct{}
@@ -203,44 +167,28 @@ func TestStreamingFallsBackForBatchOnlyRules(t *testing.T) {
 
 // TestShardedFoldMatchesAggregate is the unit-level bit-identity check:
 // folding random deltas one at a time equals the one-shot Aggregate,
-// bitwise, for shard counts beyond the coordinate count and with and
-// without weights.
+// bitwise, for shard counts beyond the coordinate count.
 func TestShardedFoldMatchesAggregate(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const dim, clients = 37, 9
 	deltas := make([][]float64, clients)
-	ids := make([]int, clients)
 	for i := range deltas {
-		ids[i] = i
 		deltas[i] = make([]float64, dim)
 		for j := range deltas[i] {
 			deltas[i][j] = rng.NormFloat64()
 		}
 	}
-	weighted := SampleWeightedMean{Counts: map[int]int{0: 7, 3: 2, 5: 11}, Eta: 0.9}
 	for _, shards := range []int{1, 2, 3, 8, 64} {
 		// Fold takes each delta over and recycles it, so it is fed copies.
 		fold := MeanAggregator{}.BeginFold(dim, shards, nil)
 		for i, d := range deltas {
-			fold.Fold(ids[i], append([]float64(nil), d...))
+			fold.Fold(i, append([]float64(nil), d...))
 		}
 		got := fold.Finish()
 		want := MeanAggregator{}.Aggregate(deltas)
 		for j := range want {
 			if got[j] != want[j] {
-				t.Fatalf("shards=%d: mean coord %d = %v, want %v", shards, j, got[j], want[j])
-			}
-		}
-
-		wfold := weighted.BeginFold(dim, shards, nil)
-		for i, d := range deltas {
-			wfold.Fold(ids[i], append([]float64(nil), d...))
-		}
-		wgot := wfold.Finish()
-		wwant := weighted.AggregateWeighted(deltas, ids)
-		for j := range wwant {
-			if wgot[j] != wwant[j] {
-				t.Fatalf("shards=%d: weighted coord %d = %v, want %v", shards, j, wgot[j], wwant[j])
+				t.Fatalf("shards=%d: coord %d = %v, want %v", shards, j, got[j], want[j])
 			}
 		}
 	}
