@@ -64,8 +64,6 @@ type AWResult struct {
 // layer layerIdx, which the suffix scope announces to cached evaluators.
 func AdjustWeights(m *nn.Sequential, layerIdx int, cfg AWConfig, eval ScopedEvaluator) AWResult {
 	w := layerWeights(m, layerIdx)
-	sp := obs.StartSpan("defense.aw.sweep", obs.M.DefenseAWSweepSeconds)
-	defer sp.End()
 	mu, sigma := w.Mean(), w.Std()
 	original := w.Clone()
 	eval.BeginSuffix(m, layerIdx)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/fedcleanse/fedcleanse/internal/nn"
+	"github.com/fedcleanse/fedcleanse/internal/obs"
 )
 
 // flakyReportClient is a fakeReportClient whose fallible surface fails on
@@ -173,6 +174,50 @@ func TestMalformedReportIsDropout(t *testing.T) {
 	res := GlobalPruneOrderDetail(pipelineModel(98), []ReportClient{wide, wide}, 0, PipelineConfig{Method: RAP})
 	if len(res.Dropped) != 0 || len(res.Order) != 8 {
 		t.Fatalf("8-unit cohort: dropped %v, order %v", res.Dropped, res.Order)
+	}
+}
+
+// TestRunPipelineDropsReportsOffTheLayerWidth: RunPipeline's collection
+// takes the target layer's width, not the cohort's. Six of ten clients
+// report twice the layer's six units; at the cohort's width their order
+// reached PruneToThreshold and indexed past the layer. They are dropouts:
+// the run completes at quorum 0 on the four others' order, and fails the
+// quorum at 0.5.
+func TestRunPipelineDropsReportsOffTheLayerWidth(t *testing.T) {
+	acts := []float64{5, 4, 3, 2, 0.1, 0.2}
+	clients := make([]ReportClient, 10)
+	for i := range clients {
+		a := acts
+		if i < 6 {
+			a = append(append([]float64(nil), acts...), acts...)
+		}
+		clients[i] = &fakeReportClient{acts: a}
+	}
+	eval := Evaluator(func(*nn.Sequential) float64 { return 0.9 })
+	for _, method := range []PruneMethod{RAP, MVP} {
+		cfg := DefaultPipelineConfig()
+		cfg.Method, cfg.TargetLayer, cfg.FineTuneRounds, cfg.MaxPruneUnits = method, 0, 0, 2
+		rep := RunPipeline(pipelineModel(99), clients, nil, eval, cfg)
+		if !reflect.DeepEqual(rep.ReportDropouts, []int{0, 1, 2, 3, 4, 5}) {
+			t.Fatalf("%v: dropouts %v, want the six wide reports", method, rep.ReportDropouts)
+		}
+		want := GlobalPruneOrder(pipelineModel(99), clients[6:], 0, cfg)[:2]
+		if !reflect.DeepEqual(rep.Prune.Pruned, want) {
+			t.Fatalf("%v: pruned %v, want %v from the well-formed reports", method, rep.Prune.Pruned, want)
+		}
+		cfg.ReportQuorum = 0.5
+		before := obs.M.DefenseReportQuorumFailures.Value()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v: 4 of 10 reports met a 0.5 quorum", method)
+				}
+			}()
+			RunPipeline(pipelineModel(99), clients, nil, eval, cfg)
+		}()
+		if got := obs.M.DefenseReportQuorumFailures.Value() - before; got != 1 {
+			t.Errorf("%v: %d quorum failures counted, want 1", method, got)
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"github.com/fedcleanse/fedcleanse/internal/nn"
-	"github.com/fedcleanse/fedcleanse/internal/obs"
-)
+import "github.com/fedcleanse/fedcleanse/internal/nn"
 
 // Tuner runs federated fine-tuning rounds over the client population,
 // updating m in place. internal/fl.Server implements it; injecting the
@@ -31,8 +28,6 @@ func FineTune(m *nn.Sequential, tuner Tuner, maxRounds, patience int, eval Scope
 	if patience <= 0 {
 		patience = 2
 	}
-	sp := obs.StartSpan("defense.finetune", obs.M.DefenseFineTuneSeconds)
-	defer sp.End()
 	res := FineTuneResult{Accuracies: []float64{eval.Evaluate(m)}}
 	best := res.Accuracies[0]
 	stale := 0

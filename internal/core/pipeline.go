@@ -158,6 +158,16 @@ type Report struct {
 	// clients whose prune reports failed or were malformed and were excluded
 	// from aggregation; empty when every report arrived.
 	ReportDropouts []int
+	// Timing is each stage's wall time as its span measured it, the one
+	// field two runs of one configuration may disagree on.
+	Timing StageTiming
+}
+
+// StageTiming holds the wall time of the pipeline's stages, zero for a
+// skipped one: report collection, the prune sweep, fine-tuning, and the AW
+// sweeps of every layer together.
+type StageTiming struct {
+	Collect, Sweep, FineTune, AW time.Duration
 }
 
 // RunPipeline executes the paper's Algorithm 1 on model m in place:
@@ -187,16 +197,23 @@ func RunPipeline(m *nn.Sequential, clients []ReportClient, tuner Tuner, eval Sco
 	// Step 1 — federated pruning.
 	rep.AccAfterPrune = rep.AccBefore
 	if !cfg.SkipPrune {
+		// A report is well-formed at the target layer's width, whatever
+		// width most of the cohort reports (PruneToThreshold rejects a
+		// target that is not Prunable).
+		width := 0
+		if p, ok := m.Layer(layerIdx).(nn.Prunable); ok {
+			width = p.Units()
+		}
 		csp := obs.StartChildOf(psc, "defense.prune.collect", nil)
-		collected := GlobalPruneOrderDetailCtx(
-			obs.ContextWithSpan(context.Background(), csp.Context()), m, clients, layerIdx, cfg)
-		csp.End()
+		collected := collectPruneOrder(
+			obs.ContextWithSpan(context.Background(), csp.Context()), m, clients, layerIdx, cfg, width)
+		rep.Timing.Collect = csp.End()
 		rep.ReportDropouts = collected.Dropped
 		obs.M.DefenseReportDropouts.Add(uint64(len(collected.Dropped)))
 		minAcc := rep.AccBefore - cfg.MaxAccuracyDrop
-		ssp := obs.StartChildOf(psc, "defense.prune.sweep", nil)
+		ssp := obs.StartChildOf(psc, "defense.prune.sweep", obs.M.DefensePruneSweepSeconds)
 		rep.Prune = PruneToThreshold(m, layerIdx, collected.Order, eval, minAcc, cfg.MaxPruneUnits)
-		ssp.End()
+		rep.Timing.Sweep = ssp.End()
 		rep.AccAfterPrune = rep.Prune.FinalAccuracy
 		obs.L().Info("defense: pruning done", "pruned", len(rep.Prune.Pruned),
 			"dropouts", len(collected.Dropped), "acc", rep.AccAfterPrune)
@@ -208,17 +225,21 @@ func RunPipeline(m *nn.Sequential, clients []ReportClient, tuner Tuner, eval Sco
 		if tuner == nil {
 			panic("core: fine-tuning requested without a Tuner")
 		}
-		fsp := obs.StartChildOf(psc, "defense.finetune", nil)
+		fsp := obs.StartChildOf(psc, "defense.finetune", obs.M.DefenseFineTuneSeconds)
 		rep.FineTune = FineTune(m, tuner, cfg.FineTuneRounds, cfg.FineTunePatience, eval)
-		fsp.End()
+		rep.Timing.FineTune = fsp.End()
 		rep.AccAfterFineTune = rep.FineTune.Accuracies[len(rep.FineTune.Accuracies)-1]
 		obs.L().Info("defense: fine-tuning done",
 			"rounds", rep.FineTune.Rounds, "acc", rep.AccAfterFineTune)
 	}
 
-	// Step 3 — adjusting extreme weights.
+	// Step 3 — adjusting extreme weights. acc is the evaluator's score of m
+	// as it stands, carried rather than measured again: the stages so far
+	// ended on AccAfterFineTune, and each layer's sweep ends on its last
+	// kept point.
+	acc := rep.AccAfterFineTune
 	if cfg.SkipAW {
-		rep.AccFinal = eval.Evaluate(m)
+		rep.AccFinal = acc
 		return rep
 	}
 	aw := cfg.AW
@@ -239,14 +260,15 @@ func RunPipeline(m *nn.Sequential, clients []ReportClient, tuner Tuner, eval Sco
 			// Each layer's sweep gets its own accuracy budget relative to
 			// the model as it stands, so an early layer cannot starve the
 			// later (often more backdoor-critical) layers.
-			aw.MinAccuracy = eval.Evaluate(m) - drop
+			aw.MinAccuracy = acc - drop
 		}
 		// The span's attempt slot carries the swept layer index — AW has
 		// no client or retry identity, and the layer is what a trace
 		// reader needs to tell the sweeps apart.
-		asp := obs.StartChildOf(psc, "defense.aw.layer", nil).WithAttempt(li)
+		asp := obs.StartChildOf(psc, "defense.aw.layer", obs.M.DefenseAWSweepSeconds).WithAttempt(li)
 		res := AdjustWeights(m, li, aw, eval)
-		asp.End()
+		rep.Timing.AW += asp.End()
+		acc = keptAccuracy(res, aw.MinAccuracy, acc)
 		if i == 0 {
 			rep.AW = res
 		} else {
@@ -257,10 +279,22 @@ func RunPipeline(m *nn.Sequential, clients []ReportClient, tuner Tuner, eval Sco
 			}
 		}
 	}
-	rep.AccFinal = eval.Evaluate(m)
+	rep.AccFinal = acc
 	obs.L().Info("defense: weight adjustment done",
 		"zeroed", rep.AW.Zeroed, "final_delta", rep.AW.FinalDelta, "acc", rep.AccFinal)
 	return rep
+}
+
+// keptAccuracy is the score of the model AdjustWeights returned: the last
+// curve point at or above the guard (the sweep stops at the first point
+// below it), or in, the score the sweep started from, when it kept none.
+func keptAccuracy(res AWResult, guard, in float64) float64 {
+	for i := len(res.Curve) - 1; i >= 0; i-- {
+		if res.Curve[i].Accuracy >= guard {
+			return res.Curve[i].Accuracy
+		}
+	}
+	return in
 }
 
 // DefaultAWLayers returns the default extreme-weight adjustment targets:
@@ -313,16 +347,21 @@ func GlobalPruneOrder(m *nn.Sequential, clients []ReportClient, layerIdx int, cf
 // the client from this aggregation, and so does a malformed one (see
 // compactReports). It panics when no report arrives or fewer than
 // cfg.ReportQuorum of the cohort responds.
+//
+// A report is well-formed at the cohort's width, not the layer's:
+// fedload's and the benchmark's synthetic clients report 64 units against
+// the SmallCNN.
 func GlobalPruneOrderDetail(m *nn.Sequential, clients []ReportClient, layerIdx int, cfg PipelineConfig) PruneOrderResult {
-	return GlobalPruneOrderDetailCtx(context.Background(), m, clients, layerIdx, cfg)
+	return collectPruneOrder(context.Background(), m, clients, layerIdx, cfg, 0)
 }
 
-// GlobalPruneOrderDetailCtx is GlobalPruneOrderDetail with a caller
-// context: the collection context (and cfg.ReportTimeout, when set)
-// derives from ctx, so cancellation and any trace span context it
-// carries propagate into the per-client report calls — a remote
-// client's wire attempts become children of the caller's span.
-func GlobalPruneOrderDetailCtx(ctx context.Context, m *nn.Sequential, clients []ReportClient, layerIdx int, cfg PipelineConfig) PruneOrderResult {
+// collectPruneOrder is GlobalPruneOrderDetail with a caller context and
+// the reports' width given (0 takes the cohort's). The collection context
+// (and cfg.ReportTimeout, when set) derives from ctx, so cancellation and
+// any trace span context it carries propagate into the per-client report
+// calls — a remote client's wire attempts become children of the caller's
+// span.
+func collectPruneOrder(ctx context.Context, m *nn.Sequential, clients []ReportClient, layerIdx int, cfg PipelineConfig, width int) PruneOrderResult {
 	ctx, cancel := reportCtx(ctx, cfg.ReportTimeout)
 	defer cancel()
 	res := PruneOrderResult{}
@@ -334,7 +373,7 @@ func GlobalPruneOrderDetailCtx(ctx context.Context, m *nn.Sequential, clients []
 		parallel.ForWorker(len(clients), func(slot, i int) {
 			reports[i], errs[i] = rankReport(ctx, clients[i], clone(slot), layerIdx)
 		})
-		ok := compactReports(reports, errs, &res, ranksInRange)
+		ok := compactReports(reports, errs, width, &res, ranksInRange)
 		requireReportQuorum(len(ok), len(clients), cfg.ReportQuorum)
 		res.Order = PruneOrderFromRanks(AggregateRanks(ok))
 	case MVP:
@@ -348,7 +387,7 @@ func GlobalPruneOrderDetailCtx(ctx context.Context, m *nn.Sequential, clients []
 		parallel.ForWorker(len(clients), func(slot, i int) {
 			reports[i], errs[i] = voteReport(ctx, clients[i], clone(slot), layerIdx, p)
 		})
-		ok := compactReports(reports, errs, &res, func([]bool) bool { return true })
+		ok := compactReports(reports, errs, width, &res, func([]bool) bool { return true })
 		requireReportQuorum(len(ok), len(clients), cfg.ReportQuorum)
 		res.Order = PruneOrderFromVotes(AggregateVotes(ok))
 	default:
@@ -411,15 +450,19 @@ func ranksInRange(r []int) bool {
 
 // compactReports keeps the successful, well-formed reports in client-index
 // order and files the respondent/dropout indices into res. Well-formed is
-// inRange at the cohort's width: the length most reports share (the first
-// to reach that count wins a tie), so a synthetic fleet sets its own.
-func compactReports[E any](reports [][]E, errs []error, res *PruneOrderResult, inRange func([]E) bool) [][]E {
-	width, best, count := -1, 0, map[int]int{}
-	for i, r := range reports {
-		if errs[i] == nil && len(r) > 0 {
-			count[len(r)]++
-			if count[len(r)] > best {
-				width, best = len(r), count[len(r)]
+// inRange at width, or for width 0 at the cohort's width: the length most
+// reports share (the first to reach that count wins a tie), so a synthetic
+// fleet sets its own.
+func compactReports[E any](reports [][]E, errs []error, width int, res *PruneOrderResult, inRange func([]E) bool) [][]E {
+	if width == 0 {
+		width = -1 // no report arrived: every one is a dropout
+		best, count := 0, map[int]int{}
+		for i, r := range reports {
+			if errs[i] == nil && len(r) > 0 {
+				count[len(r)]++
+				if count[len(r)] > best {
+					width, best = len(r), count[len(r)]
+				}
 			}
 		}
 	}

@@ -208,8 +208,6 @@ func PruneToThreshold(m *nn.Sequential, layerIdx int, order []int, eval ScopedEv
 	if !ok {
 		panic("core: PruneToThreshold target layer is not prunable")
 	}
-	sp := obs.StartSpan("defense.prune.sweep", obs.M.DefensePruneSweepSeconds)
-	defer sp.End()
 	eval.BeginPrune(m, layerIdx)
 	defer eval.EndScope()
 	res := PruneResult{BaselineAccuracy: eval.Evaluate(m)}

@@ -391,7 +391,9 @@ type PhaseTiming struct {
 	Training, Pruning, FineTuning, AW float64
 }
 
-// Fig9 measures the wall-clock time of each phase on all three datasets.
+// Fig9 measures the wall-clock time of each phase on all three datasets:
+// training around Run, and each defense stage of the paper's "All"
+// configuration as RunPipeline's own spans timed it (Report.Timing).
 func Fig9() []PhaseTiming {
 	var out []PhaseTiming
 	scens := []struct {
@@ -403,35 +405,17 @@ func Fig9() []PhaseTiming {
 		{"cifar", CIFARScenario(9, 2)},
 	}
 	for _, sc := range scens {
-		var pt PhaseTiming
-		pt.Dataset = sc.name
 		start := time.Now()
 		t := Run(sc.s)
-		pt.Training = time.Since(start).Seconds()
-
-		m := t.Server.Model.Clone()
-		evalFn := t.ValidationEvaluator()
-		clients := fl.ReportClients(t.Participants)
-		cfg := core.DefaultPipelineConfig()
-		layerIdx := m.LastConvIndex()
-
-		start = time.Now()
-		order := core.GlobalPruneOrder(m, clients, layerIdx, cfg)
-		core.PruneToThreshold(m, layerIdx, order, evalFn, evalFn.Evaluate(m)-cfg.MaxAccuracyDrop, 0)
-		pt.Pruning = time.Since(start).Seconds()
-
-		start = time.Now()
-		core.FineTune(m, t.Server, cfg.FineTuneRounds, cfg.FineTunePatience, evalFn)
-		pt.FineTuning = time.Since(start).Seconds()
-
-		start = time.Now()
-		aw := cfg.AW
-		aw.MinAccuracy = evalFn.Evaluate(m) - cfg.AWMaxAccuracyDrop
-		for _, li := range core.DefaultAWLayers(m, layerIdx) {
-			core.AdjustWeights(m, li, aw, evalFn)
-		}
-		pt.AW = time.Since(start).Seconds()
-		out = append(out, pt)
+		training := time.Since(start).Seconds()
+		_, rep := t.Defend(core.DefaultPipelineConfig())
+		out = append(out, PhaseTiming{
+			Dataset:    sc.name,
+			Training:   training,
+			Pruning:    (rep.Timing.Collect + rep.Timing.Sweep).Seconds(),
+			FineTuning: rep.Timing.FineTune.Seconds(),
+			AW:         rep.Timing.AW.Seconds(),
+		})
 	}
 	return out
 }

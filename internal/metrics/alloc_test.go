@@ -4,6 +4,7 @@ package metrics
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
@@ -121,8 +122,8 @@ func TestRecordQuantActivationsAllocFree(t *testing.T) {
 	}
 }
 
-// The plain metric loops (Accuracy, MeanLoss, LocalActivations) now run
-// their batches on the model's reusable eval buffers (ISSUE 7): per call
+// The plain metric loops (Accuracy, MeanLoss, LocalActivations) run their
+// batches on the model's lent inference buffers: per call
 // they still allocate their small batch/label/result buffers, but the
 // per-batch cost must be zero — evaluating 4× as many batches may not
 // allocate a single byte more. Measured against a warm model so the layer
@@ -157,5 +158,35 @@ func TestMetricLoopsBatchesAllocFree(t *testing.T) {
 			t.Errorf("%s: %v allocs over %d batches vs %v over 1 batch; extra batches must be allocation-free",
 				c.name, perCallAll, (test.Len()+batch-1)/batch, perCallOne)
 		}
+	}
+}
+
+// TestUnscopedEvaluateWarmAllocBudget gates the defense's full evaluations:
+// an unscoped SuffixEvaluator.Evaluate — the guard's score outside a sweep
+// scope — runs on the model's lent inference buffers, so a warm call of a
+// float64 SmallCNN on a validation slice the size of the MNIST scenario's
+// (210 samples: three full batches and a short one) allocates next to
+// nothing (a fresh output per layer and batch would cost 11.5 MiB).
+func TestUnscopedEvaluateWarmAllocBudget(t *testing.T) {
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	_, test := dataset.GenSynthMNIST(dataset.GenConfig{TrainPerClass: 1, TestPerClass: 70, Seed: 11})
+	val := &dataset.Dataset{Shape: test.Shape, Classes: test.Classes, Samples: test.Samples[:test.Len()*3/10]}
+	m := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rand.New(rand.NewSource(83)))
+	e := NewSuffixEvaluator(val, 0)
+	e.Evaluate(m) // warm: layer scratch, batch and prediction buffers
+	e.Evaluate(m)
+	const calls = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		e.Evaluate(m)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("%d bytes per warm unscoped Evaluate over %d samples", per, val.Len())
+	const budget = 256 << 10
+	if per > budget {
+		t.Errorf("a warm unscoped Evaluate allocates %d bytes, budget %d", per, budget)
 	}
 }

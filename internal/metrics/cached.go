@@ -126,10 +126,6 @@ func (e *SuffixEvaluator) BeginPrune(m *nn.Sequential, layerIdx int) {
 // begin computes and caches the boundary activations of every batch.
 func (e *SuffixEvaluator) begin(m *nn.Sequential, boundary int, mode scopeMode, p nn.Prunable) {
 	e.EndScope()
-	// Route the prefix (and later every suffix replay) through reusable
-	// per-layer buffers: inside the scope each batch's activations are
-	// consumed before the next batch is forwarded, so retention is safe.
-	m.SetEvalReuse(true)
 	n := e.ds.Len()
 	e.acts = e.acts[:0]
 	bi := 0
@@ -155,13 +151,11 @@ func (e *SuffixEvaluator) begin(m *nn.Sequential, boundary int, mode scopeMode, 
 }
 
 // EndScope implements core.ScopedEvaluator. The activation cache buffers
-// are kept for the next scope; the model goes back to freshly-allocated
-// inference outputs.
+// are kept for the next scope.
 func (e *SuffixEvaluator) EndScope() {
 	if e.mode == scopeNone {
 		return
 	}
-	e.bound.SetEvalReuse(false)
 	e.mode = scopeNone
 	e.bound = nil
 	e.prunable = nil

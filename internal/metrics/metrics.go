@@ -21,11 +21,6 @@ func Accuracy(m *nn.Sequential, ds *dataset.Dataset, batch int) float64 {
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
-	// Each batch's output is consumed (argmax) before the next pass, so the
-	// whole loop can run on the model's reusable eval buffers.
-	prev := m.EvalReuse()
-	m.SetEvalReuse(true)
-	defer m.SetEvalReuse(prev)
 	correct := 0
 	var (
 		x      *tensor.Tensor
@@ -68,11 +63,6 @@ func LocalActivations(m *nn.Sequential, layerIdx int, ds *dataset.Dataset, batch
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
-	// Activations are accumulated into sums before the next pass, so the
-	// per-layer buffers can be reused batch over batch.
-	prev := m.EvalReuse()
-	m.SetEvalReuse(true)
-	defer m.SetEvalReuse(prev)
 	sums := make([]float64, units)
 	obs := 0
 	var (
@@ -105,11 +95,6 @@ func MeanLoss(m *nn.Sequential, ds *dataset.Dataset, batch int) float64 {
 	if batch <= 0 {
 		batch = DefaultBatch
 	}
-	// Each batch's logits are consumed by the loss before the next pass, so
-	// the whole loop can run on the model's reusable eval buffers.
-	prev := m.EvalReuse()
-	m.SetEvalReuse(true)
-	defer m.SetEvalReuse(prev)
 	total := 0.0
 	var (
 		x, dlogits *tensor.Tensor

@@ -97,16 +97,15 @@ func TestTrainStepWarmAllocFree(t *testing.T) {
 	}
 }
 
-// TestEvalForwardWarmAllocFree gates the eval-mode arena path (ISSUE 7):
-// with eval reuse on, a warm inference pass routes every layer's output
-// through reusable scratch and allocates nothing.
+// TestEvalForwardWarmAllocFree gates the inference path: every pass lends
+// its outputs from layer scratch, so a warm inference pass allocates
+// nothing.
 func TestEvalForwardWarmAllocFree(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 
 	rng := rand.New(rand.NewSource(54))
 	m := NewSmallCNN(Input{C: 1, H: 16, W: 16}, 10, rng)
-	m.SetEvalReuse(true)
 	x := tensor.New(32, 1, 16, 16)
 	x.Randn(rng, 1)
 
@@ -185,8 +184,8 @@ func TestMiniVGGFloat32TrainStepWarmAllocFree(t *testing.T) {
 	}
 }
 
-// TestFloat32EvalForwardWarmAllocFree covers the float32 eval path with
-// eval reuse on (the defense loops' configuration).
+// TestFloat32EvalForwardWarmAllocFree covers the float32 inference path,
+// the widened boundary included.
 func TestFloat32EvalForwardWarmAllocFree(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
@@ -194,7 +193,6 @@ func TestFloat32EvalForwardWarmAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	m := NewSmallCNN(Input{C: 1, H: 16, W: 16}, 10, rng)
 	m.SetBackend(Float32)
-	m.SetEvalReuse(true)
 	x := tensor.New(32, 1, 16, 16)
 	x.Randn(rng, 1)
 

@@ -18,8 +18,8 @@ import (
 // aggregation, the optimizer, checkpointable state and every defense
 // statistic are float64 by construction. Both backends run the same layer
 // code, generic over the element type (pass); what differs is confined to
-// the boundary (stack) and three hooks: weights, the gradient adds
-// (tensor.AddWiden) and output.
+// the boundary (stack) and two hooks: weights and the gradient adds
+// (tensor.AddWiden).
 type Backend int
 
 const (
@@ -64,18 +64,6 @@ func (m *Sequential) SetBackend(b Backend) { m.backend = b }
 // Backend returns the model's arithmetic precision.
 func (m *Sequential) Backend() Backend { return m.backend }
 
-// EvalReuse reports whether inference outputs are currently routed through
-// reusable scratch buffers (see SetEvalReuse). Callers that flip reuse on
-// for a bounded scope use this to restore the previous state.
-func (m *Sequential) EvalReuse() bool { return m.evalReuse }
-
-// is64 reports whether E is float64; it folds to a constant in each
-// instantiation.
-func is64[E tensor.Elem]() bool {
-	_, ok := any(E(0)).(float64)
-	return ok
-}
-
 // weights is the weights hook: p's values as a pass in E reads them. A
 // float64 pass reads Param.Value in place. A float32 pass reads a shadow
 // in its arena under slot, narrowed from Param.Value when sync is set —
@@ -94,35 +82,16 @@ func weights[E tensor.Elem](a *tensor.ArenaOf[E], slot string, p *Param, sync bo
 	return w
 }
 
-// keepsEval is the output hook's rule for inference outputs: they stay in
-// layer scratch (slot "eout", overwritten by the next inference pass) when
-// E is float32 — a float32 activation never leaves the Sequential, whose
-// boundary widens it — and under eval reuse; otherwise they are fresh,
-// because a caller may retain a float64 output across passes.
-func keepsEval[E tensor.Elem](evalReuse bool) bool { return evalReuse || !is64[E]() }
-
-// output is the output hook: a pass's output buffer of the given shape —
-// slot "out" of a for a training pass (reused step after step), "eout" or
-// a fresh tensor for an inference pass (keepsEval).
-func output[E tensor.Elem](a *tensor.ArenaOf[E], train, evalReuse bool, shape ...int) *tensor.Of[E] {
-	switch {
-	case train:
-		return a.Get("out", shape...)
-	case keepsEval[E](evalReuse):
-		return a.Get("eout", shape...)
+// outSlot names the arena slot a pass lends its output from: "out" for a
+// training pass, "eout" for an inference pass. Every pass output is a loan
+// in either precision, overwritten by the layer's next pass (DESIGN.md §8);
+// the slots differ so that an inference pass between a training forward and
+// its backward leaves the outputs backward reads alone.
+func outSlot(train bool) string {
+	if train {
+		return "out"
 	}
-	return tensor.NewOf[E](shape...)
-}
-
-// outputLike is output shaped like x.
-func outputLike[E tensor.Elem](a *tensor.ArenaOf[E], train, evalReuse bool, x *tensor.Of[E]) *tensor.Of[E] {
-	switch {
-	case train:
-		return a.GetLike("out", x)
-	case keepsEval[E](evalReuse):
-		return a.GetLike("eout", x)
-	}
-	return tensor.NewOf[E](x.Shape()...)
+	return "eout"
 }
 
 // stack is Sequential's pass driver in one element type: it chains the
@@ -158,20 +127,22 @@ func (s *stack[E]) forward(m *Sequential, lo, hi int, x *tensor.Tensor, train bo
 	for _, l := range m.layers[lo:hi] {
 		cur = passOf[E](l).forward(cur, train)
 	}
-	return s.widen(m, out, 0, cur, train)
+	return s.widen(out, 0, cur)
 }
 
 // activations is ForwardActivations: every layer output is widened, so
 // downstream activation accounting (pruning votes, defense statistics)
-// stays float64.
+// stays float64. The returned slice is the model's actsBuf.
 func (s *stack[E]) activations(m *Sequential, x *tensor.Tensor) []*tensor.Tensor {
-	acts := m.actsSlice()
+	if len(m.actsBuf) != len(m.layers) {
+		m.actsBuf = make([]*tensor.Tensor, len(m.layers))
+	}
 	cur := s.narrow("in", x)
 	for i, l := range m.layers {
 		cur = passOf[E](l).forward(cur, false)
-		acts[i] = s.widen(m, "act", i, cur, false)
+		m.actsBuf[i] = s.widen("act", i, cur)
 	}
-	return acts
+	return m.actsBuf
 }
 
 // backward runs the layers' backward passes in reverse (parameter
@@ -192,7 +163,7 @@ func (s *stack[E]) backward(m *Sequential, dout *tensor.Tensor, needDX bool) *te
 	if !needDX {
 		return nil
 	}
-	return s.widen(m, "dx", 0, cur, true)
+	return s.widen("dx", 0, cur)
 }
 
 // narrow returns x in E: x itself for float64, a float32 copy staged in
@@ -206,24 +177,16 @@ func (s *stack[E]) narrow(slot string, x *tensor.Tensor) *tensor.Of[E] {
 	return t
 }
 
-// widen returns cur as the float64 the Sequential API promises. A float64
-// cur is returned as it is: the layer's output hook has already made it
-// fresh or scratch. A float32 cur is widened into the model's arena (slot,
-// idx) when reuse or eval reuse says the caller consumes it before the
-// next pass, and into a fresh tensor when the caller may retain it — the
-// ownership rules of the float64 path. Widening is exact, so narrowing the
+// widen returns cur as the float64 the Sequential API promises: cur itself
+// for float64, otherwise cur widened into the model's arena under (slot,
+// idx) — a loan like every pass output. Widening is exact, so narrowing the
 // result again restores cur's bits: a ForwardTo/ForwardFrom split replays
 // the unsplit forward bit for bit.
-func (s *stack[E]) widen(m *Sequential, slot string, idx int, cur *tensor.Of[E], reuse bool) *tensor.Tensor {
+func (s *stack[E]) widen(slot string, idx int, cur *tensor.Of[E]) *tensor.Tensor {
 	if t, ok := any(cur).(*tensor.Tensor); ok {
 		return t
 	}
-	var out *tensor.Tensor
-	if reuse || m.evalReuse {
-		out = s.widened.GetIndexedLike(slot, idx, cur)
-	} else {
-		out = tensor.New(cur.Shape()...)
-	}
+	out := s.widened.GetIndexedLike(slot, idx, cur)
 	cur.To64(out)
 	return out
 }

@@ -291,6 +291,51 @@ func TestFloat32ForwardActivationsTolerance(t *testing.T) {
 	}
 }
 
+// TestInferenceOutputsAreLoans pins the one ownership rule for pass outputs
+// (DESIGN.md §8) in both precisions: a second inference pass returns the
+// first one's buffers — Forward, ForwardTo, ForwardFrom, and
+// ForwardActivations' slice and every tensor in it — filled with its own
+// input's values, the ones a fresh clone computes.
+func TestInferenceOutputsAreLoans(t *testing.T) {
+	for _, backend := range []Backend{Float64, Float32} {
+		rng := rand.New(rand.NewSource(19))
+		m := NewSmallCNN(in1, 10, rng)
+		m.SetBackend(backend)
+		fresh := m.Clone()
+		x := tensor.New(4, in1.C, in1.H, in1.W)
+		y := tensor.New(4, in1.C, in1.H, in1.W)
+		x.Randn(rng, 1)
+		y.Randn(rng, 1)
+		li := m.LastConvIndex()
+		check := func(what string, first, second, want *tensor.Tensor) {
+			t.Helper()
+			if &first.Data[0] != &second.Data[0] {
+				t.Errorf("%v %s: the second pass returned a new buffer", backend, what)
+			}
+			if !second.Equal(want, 0) {
+				t.Errorf("%v %s: the second pass did not compute its own input", backend, what)
+			}
+		}
+		first := m.Forward(x, false)
+		check("Forward", first, m.Forward(y, false), fresh.Forward(y, false))
+		first = m.ForwardTo(li, x)
+		check("ForwardTo", first, m.ForwardTo(li, y), fresh.ForwardTo(li, y))
+		bx, by := first.Clone(), fresh.ForwardTo(li, y).Clone()
+		first = m.ForwardFrom(li, bx)
+		check("ForwardFrom", first, m.ForwardFrom(li, by), fresh.ForwardFrom(li, by))
+		acts := m.ForwardActivations(x)
+		firsts := append([]*tensor.Tensor(nil), acts...)
+		again := m.ForwardActivations(y)
+		if &acts[0] != &again[0] {
+			t.Errorf("%v ForwardActivations: the second pass returned a new slice", backend)
+		}
+		want := fresh.ForwardActivations(y)
+		for i := range again {
+			check(fmt.Sprintf("ForwardActivations[%d]", i), firsts[i], again[i], want[i])
+		}
+	}
+}
+
 // Pruned units stay exactly zero under float32 training: masked float64
 // weights narrow to 0.0f, produce zero activations, and the gradient mask
 // runs after the float32 gradients are widened back.

@@ -30,10 +30,6 @@ type BatchNorm2D struct {
 
 	pruned []bool
 
-	// evalReuse routes inference outputs through the scratch arena
-	// (Sequential.SetEvalReuse).
-	evalReuse bool
-
 	// frozen makes training-mode forward/backward use the running
 	// statistics as constants: no batch statistics, no stat updates, and a
 	// simplified backward. Trigger reverse-engineering (Neural Cleanse)
@@ -129,7 +125,7 @@ func (p *bnPass[E]) forward(x *tensor.Of[E], train bool) *tensor.Of[E] {
 	}
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	hw := h * w
-	out := output(&p.scratch, train, l.evalReuse, n, l.channels, h, w)
+	out := p.scratch.Get(outSlot(train), n, l.channels, h, w)
 	var xhat []E
 	if train {
 		p.xhat = p.scratch.GetLike("xhat", x)
@@ -435,9 +431,6 @@ func (l *BatchNorm2D) SetUnitState(i int, vals []float64, pruned bool) {
 	l.Beta.Value.Data[i] = vals[1]
 	l.pruned[i] = pruned
 }
-
-// setEvalReuse implements evalReuser.
-func (l *BatchNorm2D) setEvalReuse(on bool) { l.evalReuse = on }
 
 func (l *BatchNorm2D) maskGrads() {
 	for c, p := range l.pruned {

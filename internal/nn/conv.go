@@ -29,11 +29,6 @@ type Conv2D struct {
 	// bias are held at zero by EnforceMask.
 	pruned []bool
 
-	// evalReuse routes inference outputs through the scratch arena instead
-	// of fresh allocations (Sequential.SetEvalReuse; scoped to the cached
-	// evaluators' suffix passes, where outputs are consumed per batch).
-	evalReuse bool
-
 	// inShape caches the input batch shape of the last training pass.
 	inShape []int
 
@@ -164,7 +159,7 @@ func (p *convPass[E]) forward(x *tensor.Of[E], train bool) *tensor.Of[E] {
 	fanIn := d.C * d.K * d.K
 	w := weights(&p.scratch, "W", l.W, true)
 	b := weights(&p.scratch, "B", l.B, true)
-	out := output(&p.scratch, train, l.evalReuse, n, l.filters, outH, outW)
+	out := p.scratch.Get(outSlot(train), n, l.filters, outH, outW)
 	if train {
 		p.ensureCols(n, fanIn, spatial)
 		setShape(&l.inShape, x)
@@ -437,9 +432,6 @@ func (l *Conv2D) SetUnitState(i int, vals []float64, pruned bool) {
 	l.B.Value.Data[i] = vals[fanIn]
 	l.pruned[i] = pruned
 }
-
-// setEvalReuse implements evalReuser.
-func (l *Conv2D) setEvalReuse(on bool) { l.evalReuse = on }
 
 // maskGrads zeroes gradients flowing into pruned channels.
 func (l *Conv2D) maskGrads() {

@@ -18,10 +18,6 @@ type Dense struct {
 
 	pruned []bool
 
-	// evalReuse routes inference outputs through the scratch arena
-	// (Sequential.SetEvalReuse).
-	evalReuse bool
-
 	// f64 and f32 are the layer's arithmetic in each precision.
 	f64 densePass[float64]
 	f32 densePass[float32]
@@ -95,7 +91,7 @@ func (p *densePass[E]) forward(x *tensor.Of[E], train bool) *tensor.Of[E] {
 	n := x.Dim(0)
 	w := weights(&p.scratch, "W", l.W, true)
 	b := weights(&p.scratch, "B", l.B, true)
-	out := output(&p.scratch, train, l.evalReuse, n, l.out)
+	out := p.scratch.Get(outSlot(train), n, l.out)
 	p.x = nil
 	if train {
 		p.x = x
@@ -204,9 +200,6 @@ func (l *Dense) SetUnitState(i int, vals []float64, pruned bool) {
 	l.B.Value.Data[i] = vals[l.in]
 	l.pruned[i] = pruned
 }
-
-// setEvalReuse implements evalReuser.
-func (l *Dense) setEvalReuse(on bool) { l.evalReuse = on }
 
 func (l *Dense) maskGrads() {
 	for j, p := range l.pruned {

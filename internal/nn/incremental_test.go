@@ -10,7 +10,7 @@ import (
 
 // Bit-identity of the split forward pass (ISSUE 3): for every boundary li,
 // ForwardTo(li, x) followed by ForwardFrom(li, ·) must reproduce
-// Forward(x, false) exactly, with and without eval-buffer reuse.
+// Forward(x, false) exactly, on cold buffers and on warm ones.
 
 func bitsEqualSlice(t *testing.T, what string, got, want []float64) {
 	t.Helper()
@@ -57,26 +57,24 @@ func TestForwardSplitBitIdenticalAtEveryBoundary(t *testing.T) {
 	}
 }
 
-func TestForwardSplitBitIdenticalUnderEvalReuse(t *testing.T) {
+func TestForwardSplitBitIdenticalOnWarmBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for _, tc := range splitModels(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			x := tensor.New(4, tc.c, 16, 16)
 			x.Randn(rng, 1)
 			want := tc.m.Forward(x, false).Clone()
-			tc.m.SetEvalReuse(true)
 			for li := 0; li <= tc.m.NumLayers(); li++ {
-				// Replaying the suffix twice exercises the warm reuse buffers
-				// — the cached evaluators' steady state.
+				// Replaying the suffix twice exercises the warm buffers — the
+				// cached evaluators' steady state.
 				b := tc.m.ForwardTo(li, x)
 				for rep := 0; rep < 2; rep++ {
 					out := tc.m.ForwardFrom(li, b)
-					bitsEqualSlice(t, tc.name+" reuse split", out.Data, want.Data)
+					bitsEqualSlice(t, tc.name+" warm split", out.Data, want.Data)
 				}
 			}
-			tc.m.SetEvalReuse(false)
 			out := tc.m.Forward(x, false)
-			bitsEqualSlice(t, tc.name+" after reuse off", out.Data, want.Data)
+			bitsEqualSlice(t, tc.name+" full pass after the splits", out.Data, want.Data)
 		})
 	}
 }

@@ -75,7 +75,8 @@ type Layer interface {
 	// Name identifies the layer for reports and parameter naming.
 	Name() string
 	// Forward computes the layer output for a batch. When train is false the
-	// layer may skip caching state needed only by Backward.
+	// layer may skip caching state needed only by Backward. The output is
+	// lent from the layer's scratch, valid until its next pass.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes the gradient of the loss with respect to the layer
 	// output and returns the gradient with respect to the layer input,
@@ -97,7 +98,7 @@ type Layer interface {
 // exists once, as the methods of a pass generic over E; the layer holds
 // one instance per precision. Contracts are Layer's: forward caches state
 // for backward when train is set, and returned tensors are layer-owned
-// scratch unless the output hook (output) says otherwise.
+// scratch (outSlot).
 type pass[E tensor.Elem] interface {
 	forward(x *tensor.Of[E], train bool) *tensor.Of[E]
 	backward(dout *tensor.Of[E]) *tensor.Of[E]

@@ -471,8 +471,9 @@ func TestForwardActivationsLength(t *testing.T) {
 	if len(acts) != m.NumLayers() {
 		t.Fatalf("got %d activations, want %d", len(acts), m.NumLayers())
 	}
+	last := acts[len(acts)-1].Clone() // a loan the next pass overwrites
 	out := m.Forward(x, false)
-	if !acts[len(acts)-1].Equal(out, 1e-12) {
+	if !last.Equal(out, 1e-12) {
 		t.Fatal("last activation != network output")
 	}
 }

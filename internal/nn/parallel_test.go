@@ -60,7 +60,7 @@ func TestModelForwardParallelBitIdentical(t *testing.T) {
 	run := func(w int) *tensor.Tensor {
 		prev := parallel.SetWorkers(w)
 		defer parallel.SetWorkers(prev)
-		return m.Forward(x, false)
+		return m.Forward(x, false).Clone() // a loan the next run overwrites
 	}
 	ref := run(1)
 	for _, w := range []int{2, 8} {

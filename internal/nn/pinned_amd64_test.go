@@ -96,14 +96,13 @@ func pinnedModelHash(build ModelBuilder, in Input, backend Backend) uint64 {
 
 // pinnedPathsHash hashes, after the steps of pinnedTrained, every layer
 // output of ForwardActivations and the boundary and output of the
-// ForwardTo/ForwardFrom split at the last conv, with eval reuse off and
-// then on.
+// ForwardTo/ForwardFrom split at the last conv, twice over: on cold
+// buffers, then on warm ones.
 func pinnedPathsHash(build ModelBuilder, in Input, backend Backend) uint64 {
 	m, ex := pinnedTrained(build, in, backend)
 	li := m.LastConvIndex()
 	h := fnv.New64a()
-	for _, reuse := range []bool{false, true} {
-		m.SetEvalReuse(reuse)
+	for pass := 0; pass < 2; pass++ {
 		for _, act := range m.ForwardActivations(ex) {
 			hashFloats(h, act.Data)
 		}

@@ -9,6 +9,9 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/tensor"
 )
 
+// A layer's outputs are loans its next pass overwrites (DESIGN.md §8), so
+// every output these properties keep across a pass is cloned.
+
 // Property: convolution (without bias) is linear in its input —
 // conv(a·x + b·y) == a·conv(x) + b·conv(y).
 func TestConvLinearityProperty(t *testing.T) {
@@ -28,8 +31,8 @@ func TestConvLinearityProperty(t *testing.T) {
 		mix := x.Clone()
 		mix.Scale(a)
 		mix.AddScaled(b, y)
-		left := conv.Forward(mix, false)
-		ox := conv.Forward(x, false)
+		left := conv.Forward(mix, false).Clone()
+		ox := conv.Forward(x, false).Clone()
 		oy := conv.Forward(y, false)
 		ox.Scale(a)
 		ox.AddScaled(b, oy)
@@ -53,7 +56,7 @@ func TestPoolShiftInvarianceProperty(t *testing.T) {
 		for i := range shifted.Data {
 			shifted.Data[i] += c
 		}
-		a := pool.Forward(x, false)
+		a := pool.Forward(x, false).Clone()
 		b := pool.Forward(shifted, false)
 		for i := range a.Data {
 			if math.Abs(b.Data[i]-(a.Data[i]+c)) > 1e-9 {
@@ -124,7 +127,7 @@ func TestReLUIdempotentProperty(t *testing.T) {
 		relu := NewReLU("r")
 		x := tensor.New(1, 10)
 		x.Randn(r, 2)
-		once := relu.Forward(x, false)
+		once := relu.Forward(x, false).Clone()
 		twice := relu.Forward(once, false)
 		return twice.Equal(once, 0)
 	}

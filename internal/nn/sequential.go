@@ -20,17 +20,12 @@ type Sequential struct {
 	// (backend.go). Clones inherit it; parameters stay float64 either way.
 	backend Backend
 
-	// evalReuse mirrors the layers' eval-reuse state (SetEvalReuse) so the
-	// float32 boundary conversions know whether their widened outputs may
-	// live in the arena or must be fresh.
-	evalReuse bool
-
 	// f64 and f32 are the pass drivers of the two backends (backend.go).
 	f64 stack[float64]
 	f32 stack[float32]
 
-	// actsBuf is the reused ForwardActivations result slice under eval
-	// reuse (actsSlice).
+	// actsBuf is the ForwardActivations result slice, lent like the
+	// tensors it holds.
 	actsBuf []*tensor.Tensor
 
 	// replicas is the free list of working copies anchored on this model
@@ -54,13 +49,16 @@ func (m *Sequential) Layer(i int) Layer { return m.layers[i] }
 func (m *Sequential) NumLayers() int { return len(m.layers) }
 
 // Forward runs the network on a batch. train selects whether layers cache
-// state for Backward.
+// state for Backward. The result is a loan in either precision and either
+// mode: a buffer of the model's, valid until its next pass (DESIGN.md §8).
+// A caller that keeps it across passes clones it.
 func (m *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return m.driver().forward(m, 0, len(m.layers), x, train, "in", "out")
 }
 
 // ForwardTo runs inference through layers [0, hi) and returns the boundary
-// activation (for hi == 0 the input itself on the float64 backend).
+// activation, a loan like Forward's result (for hi == 0 the input itself
+// on the float64 backend).
 // Together with ForwardFrom it splits a forward pass at a layer boundary:
 // callers that mutate only layers ≥ hi can compute the prefix once and
 // replay the suffix per mutation, bit-identically to a full Forward — the
@@ -73,9 +71,9 @@ func (m *Sequential) ForwardTo(hi int, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // ForwardFrom runs inference through layers [li, NumLayers) on a boundary
-// activation produced by ForwardTo(li, ·). Layers never write to their
-// input, so a cached boundary activation can be replayed any number of
-// times.
+// activation produced by ForwardTo(li, ·) and returns a loan like
+// Forward's result. Layers never write to their input, so a cached (cloned)
+// boundary activation can be replayed any number of times.
 func (m *Sequential) ForwardFrom(li int, x *tensor.Tensor) *tensor.Tensor {
 	if li < 0 || li > len(m.layers) {
 		panic(fmt.Sprintf("nn: ForwardFrom boundary %d outside [0,%d]", li, len(m.layers)))
@@ -83,47 +81,13 @@ func (m *Sequential) ForwardFrom(li int, x *tensor.Tensor) *tensor.Tensor {
 	return m.driver().forward(m, li, len(m.layers), x, false, "from", "fout")
 }
 
-// evalReuser is implemented by layers whose inference outputs can be routed
-// through reusable scratch buffers instead of fresh allocations.
-type evalReuser interface {
-	setEvalReuse(on bool)
-}
-
-// SetEvalReuse switches every layer's inference output between freshly
-// allocated tensors (off, the default: callers may retain results across
-// forward passes, see DESIGN.md §8) and reusable per-layer scratch buffers
-// (on: each layer's next inference pass overwrites its previous output).
-// The cached evaluators turn reuse on for the duration of a suffix scope,
-// where every output is consumed before the next batch, making the warm
-// suffix path allocation-free. Clones always start with reuse off.
-func (m *Sequential) SetEvalReuse(on bool) {
-	m.evalReuse = on
-	for _, l := range m.layers {
-		if r, ok := l.(evalReuser); ok {
-			r.setEvalReuse(on)
-		}
-	}
-}
-
 // ForwardActivations runs inference and returns the output of every layer.
 // acts[i] is the output of layer i; the final element is the network output.
 // The federated pruning step uses this to record per-neuron activations.
-// With eval reuse on, the returned slice itself is also reused — valid until
-// the next ForwardActivations call, like the tensors it holds.
+// The slice and the tensors it holds are loans, valid until the model's
+// next pass.
 func (m *Sequential) ForwardActivations(x *tensor.Tensor) []*tensor.Tensor {
 	return m.driver().activations(m, x)
-}
-
-// actsSlice returns the per-layer activation slice for ForwardActivations:
-// a reused buffer under eval reuse, fresh otherwise.
-func (m *Sequential) actsSlice() []*tensor.Tensor {
-	if !m.evalReuse {
-		return make([]*tensor.Tensor, len(m.layers))
-	}
-	if len(m.actsBuf) != len(m.layers) {
-		m.actsBuf = make([]*tensor.Tensor, len(m.layers))
-	}
-	return m.actsBuf
 }
 
 // Backward propagates dout (gradient w.r.t. the network output) through all

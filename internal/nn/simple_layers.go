@@ -14,10 +14,6 @@ type ReLU struct {
 	// that the cached output backward gates on is that pass's.
 	trained bool
 
-	// evalReuse routes inference outputs through the scratch arena
-	// (Sequential.SetEvalReuse).
-	evalReuse bool
-
 	// f64 and f32 are the layer's arithmetic in each precision.
 	f64 reluPass[float64]
 	f32 reluPass[float32]
@@ -27,8 +23,8 @@ type ReLU struct {
 type reluPass[E tensor.Elem] struct {
 	l *ReLU
 
-	// scratch holds the reusable train-mode output and backward dx
-	// buffers. Not cloned.
+	// scratch holds the reusable output and backward dx buffers. Not
+	// cloned.
 	scratch tensor.ArenaOf[E]
 }
 
@@ -58,7 +54,7 @@ func (l *ReLU) passes() (pass[float64], pass[float32]) { return &l.f64, &l.f32 }
 // data-dependent branch per element that mispredicts ~50% of the time on
 // activation-like inputs).
 func (p *reluPass[E]) forward(x *tensor.Of[E], train bool) *tensor.Of[E] {
-	out := outputLike(&p.scratch, train, p.l.evalReuse, x)
+	out := p.scratch.GetLike(outSlot(train), x)
 	tensor.Relu(out.Data, x.Data)
 	p.l.trained = train
 	return out
@@ -83,17 +79,10 @@ func (l *ReLU) Params() []*Param { return nil }
 // CloneLayer implements Layer.
 func (l *ReLU) CloneLayer() Layer { return NewReLU(l.name) }
 
-// setEvalReuse implements evalReuser.
-func (l *ReLU) setEvalReuse(on bool) { l.evalReuse = on }
-
 // Flatten reshapes (N, ...) batches to (N, D).
 type Flatten struct {
 	name    string
 	inShape []int
-
-	// evalReuse routes inference reshape headers through the persistent
-	// per-batch-size set (Sequential.SetEvalReuse).
-	evalReuse bool
 
 	// f64 and f32 are the layer's arithmetic in each precision.
 	f64 flattenPass[float64]
@@ -112,7 +101,7 @@ type flattenPass[E tensor.Elem] struct {
 }
 
 // flattenHdrs is one batch size's set of reshape headers (training output,
-// backward dx, and the eval-reuse output).
+// backward dx, and inference output).
 type flattenHdrs[E tensor.Elem] struct {
 	out, dx, eout *tensor.Of[E]
 }
@@ -143,26 +132,18 @@ func (l *Flatten) passes() (pass[float64], pass[float32]) { return &l.f64, &l.f3
 func (p *flattenPass[E]) forward(x *tensor.Of[E], train bool) *tensor.Of[E] {
 	n := x.Dim(0)
 	d := x.Len() / n
-	if !train {
-		if !keepsEval[E](p.l.evalReuse) {
-			return x.Reshape(n, d)
-		}
-		h := p.headers(n)
-		if h.eout == nil || h.eout.Dim(1) != d {
-			h.eout = x.Reshape(n, d)
-		} else {
-			h.eout.Data = x.Data
-		}
-		return h.eout
-	}
-	setShape(&p.l.inShape, x)
 	h := p.headers(n)
-	if h.out == nil || h.out.Dim(1) != d {
-		h.out = x.Reshape(n, d)
-	} else {
-		h.out.Data = x.Data
+	out := &h.eout
+	if train {
+		setShape(&p.l.inShape, x)
+		out = &h.out
 	}
-	return h.out
+	if *out == nil || (*out).Dim(1) != d {
+		*out = x.Reshape(n, d)
+	} else {
+		(*out).Data = x.Data
+	}
+	return *out
 }
 
 // headers returns the reshape-header set for batch size n, creating it on
@@ -212,9 +193,6 @@ func (l *Flatten) Params() []*Param { return nil }
 // CloneLayer implements Layer.
 func (l *Flatten) CloneLayer() Layer { return NewFlatten(l.name) }
 
-// setEvalReuse implements evalReuser.
-func (l *Flatten) setEvalReuse(on bool) { l.evalReuse = on }
-
 // MaxPool2D performs non-overlapping (or strided) 2-D max pooling over NCHW
 // batches.
 type MaxPool2D struct {
@@ -224,10 +202,6 @@ type MaxPool2D struct {
 
 	inShape []int
 	argmax  []int // flat input index chosen for each output element
-
-	// evalReuse routes inference outputs through the scratch arena
-	// (Sequential.SetEvalReuse).
-	evalReuse bool
 
 	// f64 and f32 are the layer's arithmetic in each precision.
 	f64 poolPass[float64]
@@ -280,7 +254,7 @@ func (p *poolPass[E]) forward(x *tensor.Of[E], train bool) *tensor.Of[E] {
 	if outH <= 0 || outW <= 0 {
 		panic(fmt.Sprintf("nn: %s: window %d too large for %d×%d input", l.name, l.size, h, w))
 	}
-	out := output(&p.scratch, train, l.evalReuse, n, c, outH, outW)
+	out := p.scratch.Get(outSlot(train), n, c, outH, outW)
 	if train {
 		setShape(&l.inShape, x)
 		if cap(l.argmax) < out.Len() {
@@ -397,6 +371,3 @@ func (l *MaxPool2D) Params() []*Param { return nil }
 
 // CloneLayer implements Layer.
 func (l *MaxPool2D) CloneLayer() Layer { return NewMaxPool2D(l.name, l.size, l.stride) }
-
-// setEvalReuse implements evalReuser.
-func (l *MaxPool2D) setEvalReuse(on bool) { l.evalReuse = on }

@@ -51,9 +51,9 @@ var M = struct {
 	DefenseReportDropouts       *Counter   // prune/accuracy reports lost on the wire
 	DefenseReportQuorumFailures *Counter   // report collections aborted below quorum
 	DefensePipelineSeconds      *Histogram // whole Algorithm 1 runs
-	DefensePruneSweepSeconds    *Histogram // PruneToThreshold sweeps
-	DefenseFineTuneSeconds      *Histogram // FineTune phases
-	DefenseAWSweepSeconds       *Histogram // AdjustWeights Δ sweeps (per layer)
+	DefensePruneSweepSeconds    *Histogram // RunPipeline prune sweeps (defense.prune.sweep)
+	DefenseFineTuneSeconds      *Histogram // RunPipeline fine-tuning stages (defense.finetune)
+	DefenseAWSweepSeconds       *Histogram // RunPipeline Δ sweeps, one per layer (defense.aw.layer)
 
 	// Wire protocol (internal/transport).
 	TransportCalls        *Counter   // logical calls through RemoteClient
