@@ -30,12 +30,9 @@ import (
 )
 
 func main() {
-	ds := flag.String("dataset", "mnist", "dataset: mnist, fashion or cifar")
-	victim := flag.Int("victim", 9, "victim label (VL)")
-	target := flag.Int("target", 2, "attack label (AL)")
+	scen := eval.AddScenarioFlags()
 	index := flag.Int("index", 0, "this participant's index in the population")
 	listen := flag.String("listen", "127.0.0.1:0", "listen address")
-	seed := flag.Int64("seed", 0, "experiment seed (0 = scenario default)")
 	quantFlag := flag.String("report-quant", "float64", "activation report precision: float64 (reference) or int8 (quantized recording; ships Acts8 payloads)")
 	traceSeed := flag.Int64("trace-seed", 0, "seed for deterministic trace/span IDs (0 = unique per process)")
 	logf := obs.AddLogFlags()
@@ -53,13 +50,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	s, ok := scenarioByName(*ds, *victim, *target)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *ds)
+	s, err := scen.Scenario()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *seed != 0 {
-		s.Seed = *seed
 	}
 	s.ReportQuant = quant
 	if *index < 0 || *index >= s.Clients {
@@ -79,7 +73,6 @@ func main() {
 		os.Exit(1)
 	}
 	cs := transport.NewClientServer(full, template)
-	cs.SetReportQuant(quant)
 	addr, err := cs.Serve(*listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -116,19 +109,5 @@ func main() {
 	case err := <-cs.Err():
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
-	}
-}
-
-// scenarioByName maps a CLI dataset name to its scenario.
-func scenarioByName(name string, victim, target int) (eval.Scenario, bool) {
-	switch name {
-	case "mnist":
-		return eval.MNISTScenario(victim, target), true
-	case "fashion":
-		return eval.FashionScenario(victim, target), true
-	case "cifar":
-		return eval.CIFARScenario(victim, target), true
-	default:
-		return eval.Scenario{}, false
 	}
 }

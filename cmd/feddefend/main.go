@@ -20,13 +20,10 @@ import (
 )
 
 func main() {
-	ds := flag.String("dataset", "mnist", "dataset: mnist, fashion or cifar")
-	victim := flag.Int("victim", 9, "victim label (VL)")
-	target := flag.Int("target", 2, "attack label (AL)")
+	scen := eval.AddScenarioFlags()
 	mode := flag.String("mode", "all", "defense mode: fp, aw, fp+aw or all")
 	method := flag.String("method", "mvp", "pruning method: rap or mvp")
 	voteRate := flag.Float64("rate", 0.5, "MVP pruning rate p")
-	seed := flag.Int64("seed", 0, "experiment seed (0 = scenario default)")
 	backendFlag := flag.String("backend", "float64", "numeric backend for model arithmetic: float64 (reference) or float32 (faster; aggregation and checkpoints stay float64)")
 	quantFlag := flag.String("report-quant", "float64", "activation report precision: float64 (reference) or int8 (affine-quantized recording; compact wire)")
 	logf := obs.AddLogFlags()
@@ -47,31 +44,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	var s eval.Scenario
-	switch *ds {
-	case "mnist":
-		s = eval.MNISTScenario(*victim, *target)
-	case "fashion":
-		s = eval.FashionScenario(*victim, *target)
-	case "cifar":
-		s = eval.CIFARScenario(*victim, *target)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *ds)
+	s, err := scen.Scenario()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *seed != 0 {
-		s.Seed = *seed
 	}
 	s.Backend = backend
 	s.ReportQuant = quant
-
-	logger.Info("defend: training start", "scenario", s.Name, "report_quant", quant.String(),
-		"tensor_kernel_avx2", obs.M.TensorKernelAVX2.Value())
-	t := eval.Run(s)
-	logger.Info("defend: training done",
-		"ta", fmt.Sprintf("%.1f", t.TA()), "aa", fmt.Sprintf("%.1f", t.AA()))
-
-	cfg := core.DefaultPipelineConfig()
+	cfg, err := eval.DefenseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	switch *method {
 	case "rap":
 		cfg.Method = core.RAP
@@ -82,20 +66,12 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.VoteRate = *voteRate
-	switch *mode {
-	case "fp":
-		cfg.FineTuneRounds = 0
-		cfg.SkipAW = true
-	case "aw":
-		cfg.FineTuneRounds = 0
-		cfg.SkipPrune = true
-	case "fp+aw":
-		cfg.FineTuneRounds = 0
-	case "all":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(2)
-	}
+
+	logger.Info("defend: training start", "scenario", s.Name, "report_quant", quant.String(),
+		"tensor_kernel_avx2", obs.M.TensorKernelAVX2.Value())
+	t := eval.Run(s)
+	logger.Info("defend: training done",
+		"ta", fmt.Sprintf("%.1f", t.TA()), "aa", fmt.Sprintf("%.1f", t.AA()))
 
 	m, rep := t.Defend(cfg)
 	logger.Info("defend: report",

@@ -34,7 +34,7 @@ func main() {
 	opsAddr := flag.String("ops-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
 	seed := flag.Int64("seed", 1, "fleet seed (decorrelates whole fleets)")
 	scale := flag.Float64("scale", 0, "synthetic delta coordinate bound (0 = 1e-3)")
-	quantFlag := flag.String("report-quant", "float64", "report-endpoint precision: float64 (varint ranks + vote bitmaps) or int8 (quantized Acts8 payloads)")
+	quantFlag := flag.String("report-quant", "float64", "the synthetic clients' report precision: float64 (varint ranks) or int8 (ranks from int8 activations, shipped as Acts8 payloads)")
 	traceSeed := flag.Int64("trace-seed", 0, "seed for deterministic trace/span IDs (0 = unique per process)")
 	logf := obs.AddLogFlags()
 	flag.Parse()
@@ -57,9 +57,8 @@ func main() {
 	}
 
 	fleet := transport.NewFleet()
-	fleet.SetReportQuant(quant)
 	for id := 0; id < *clients; id++ {
-		fleet.Add(&fl.SyntheticClient{Id: id, Seed: *seed, Scale: *scale})
+		fleet.Add(&fl.SyntheticClient{Id: id, Seed: *seed, Scale: *scale, Quant: quant})
 	}
 
 	if *opsAddr != "" {

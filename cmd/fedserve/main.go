@@ -35,9 +35,7 @@ import (
 )
 
 func main() {
-	ds := flag.String("dataset", "mnist", "dataset: mnist, fashion or cifar")
-	victim := flag.Int("victim", 9, "victim label (VL)")
-	target := flag.Int("target", 2, "attack label (AL)")
+	scen := eval.AddScenarioFlags()
 	clients := flag.String("clients", "", "comma-separated client addresses, in participant-index order")
 	fleet := flag.String("fleet", "", "fedload fleet address (host:port); replaces -clients with a registered population of fleet-hosted clients")
 	fleetCount := flag.Int("fleet-count", 10000, "registered population size in fleet mode")
@@ -46,7 +44,6 @@ func main() {
 	shards := flag.Int("shards", 0, "streaming fold shards (0 = parallel worker count)")
 	streamWindow := flag.Int("stream-window", 0, "streaming concurrency window (0 = twice the worker count)")
 	rounds := flag.Int("rounds", 0, "override the scenario's round count (0 = scenario default)")
-	seed := flag.Int64("seed", 0, "experiment seed (0 = scenario default)")
 	defend := flag.Bool("defend", true, "run the defense pipeline after training")
 	quorum := flag.Float64("quorum", 0.5, "fraction of clients that must respond for a round to apply (0 = any)")
 	roundTimeout := flag.Duration("round-timeout", 5*time.Minute, "deadline for one aggregation round (0 = none)")
@@ -57,7 +54,6 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 1, "write a boundary checkpoint every N completed rounds")
 	ckptFolds := flag.Int("checkpoint-folds", 0, "also write a partial checkpoint every N folded updates inside a streaming round (0 = boundaries only)")
 	resume := flag.Bool("resume", false, "resume from the newest complete checkpoint in -checkpoint-dir before training")
-	quantFlag := flag.String("report-quant", "float64", "activation report precision the federation runs at: float64 (reference) or int8 (quantized recording; compact wire) — start fedclient/fedload with the same value")
 	flightPath := flag.String("flight-recorder", "", "append one JSONL audit record per applied round to this file (empty = off); the recent records are also served at /rounds on -ops-addr")
 	traceSeed := flag.Int64("trace-seed", 0, "seed for deterministic trace/span IDs (0 = unique per process)")
 	logf := obs.AddLogFlags()
@@ -72,28 +68,11 @@ func main() {
 	if *traceSeed != 0 {
 		obs.SetTraceSeed(*traceSeed)
 	}
-	quant, err := metrics.ParseReportQuant(*quantFlag)
+	s, err := scen.Scenario()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	var s eval.Scenario
-	switch *ds {
-	case "mnist":
-		s = eval.MNISTScenario(*victim, *target)
-	case "fashion":
-		s = eval.FashionScenario(*victim, *target)
-	case "cifar":
-		s = eval.CIFARScenario(*victim, *target)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *ds)
-		os.Exit(2)
-	}
-	if *seed != 0 {
-		s.Seed = *seed
-	}
-	s.ReportQuant = quant
 	addrs := strings.Split(*clients, ",")
 	if *fleet == "" && (*clients == "" || len(addrs) == 0) {
 		fmt.Fprintln(os.Stderr, "one of -clients or -fleet is required")
@@ -211,7 +190,6 @@ func main() {
 		recv := obs.M.TransportReportBytesRecv.Value() - recvBefore
 		reports := uint64(2 * len(reporters))
 		logger.Info("serve: fleet report bandwidth",
-			"report_quant", quant.String(),
 			"reports", reports,
 			"recv_bytes", recv,
 			"bytes_per_report", recv/reports)

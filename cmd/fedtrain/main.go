@@ -20,13 +20,10 @@ import (
 )
 
 func main() {
-	ds := flag.String("dataset", "mnist", "dataset: mnist, fashion or cifar")
-	victim := flag.Int("victim", 9, "victim label (VL)")
-	target := flag.Int("target", 2, "attack label (AL)")
+	scen := eval.AddScenarioFlags()
 	attackers := flag.Int("attackers", -1, "number of attackers (-1 = scenario default)")
 	gamma := flag.Float64("gamma", 0, "model-replacement amplification (0 = scenario default)")
 	rounds := flag.Int("rounds", 0, "training rounds (0 = scenario default)")
-	seed := flag.Int64("seed", 0, "experiment seed (0 = scenario default)")
 	save := flag.String("save", "", "write the trained global model snapshot to this path")
 	workers := flag.Int("workers", 0, "worker goroutines for the parallel simulation paths (0 = FEDCLEANSE_WORKERS or GOMAXPROCS; 1 reproduces the serial path)")
 	backendFlag := flag.String("backend", "float64", "numeric backend for model arithmetic: float64 (reference) or float32 (faster; aggregation and checkpoints stay float64)")
@@ -47,16 +44,9 @@ func main() {
 		parallel.SetWorkers(*workers)
 	}
 
-	var s eval.Scenario
-	switch *ds {
-	case "mnist":
-		s = eval.MNISTScenario(*victim, *target)
-	case "fashion":
-		s = eval.FashionScenario(*victim, *target)
-	case "cifar":
-		s = eval.CIFARScenario(*victim, *target)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *ds)
+	s, err := scen.Scenario()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *attackers >= 0 {
@@ -68,9 +58,6 @@ func main() {
 	if *rounds > 0 {
 		s.FL.Rounds = *rounds
 	}
-	if *seed != 0 {
-		s.Seed = *seed
-	}
 	s.Backend = backend
 
 	t := eval.Build(s)
@@ -81,7 +68,7 @@ func main() {
 	})
 
 	if *save != "" {
-		if err := saveModel(*save, *ds, t); err != nil {
+		if err := saveModel(*save, *scen.Dataset, t); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

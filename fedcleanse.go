@@ -349,10 +349,6 @@ var (
 	AppendActs8 = transport.AppendActs8
 	// DecodeActs8 decodes an Acts8 payload.
 	DecodeActs8 = transport.DecodeActs8
-	// AppendActs64 appends a float64 activation payload.
-	AppendActs64 = transport.AppendActs64
-	// DecodeActs64 decodes an Acts64 payload.
-	DecodeActs64 = transport.DecodeActs64
 )
 
 // Experiment harness (paper scenarios).

@@ -19,10 +19,10 @@ import (
 
 // ActivationReporter is implemented by report clients that can expose the
 // recorded per-neuron average activation vector itself, enabling
-// server-side prune-order construction from compact activation payloads.
-// Transport servers prefer this over RankReport when encoding report
-// responses: shipping the activations (quantized to int8 on the wire)
-// lets one payload serve both the rank and the vote aggregation.
+// server-side prune-order construction from compact activation payloads:
+// a transport host answers a rank request of a participant reporting at
+// int8 with these activations, quantized, which the receiver ranks
+// (RanksFromQuantized) exactly as the participant does.
 type ActivationReporter interface {
 	// ActivationReport returns the client's recorded mean activation per
 	// unit of the Prunable layer at layerIdx.

@@ -46,10 +46,10 @@ func NinePairs() []Pair {
 // sweeps are available through cmd/fedbench -full).
 func QuickPairs() []Pair { return []Pair{{9, 0}, {9, 2}, {4, 9}} }
 
-// DefendMode runs one of the paper's defense modes on a clone of the
-// trained global model: "fp" (pruning only), "aw" (adjusting weights
+// DefenseMode returns the default pipeline configuration of one of the
+// paper's defense modes: "fp" (pruning only), "aw" (adjusting weights
 // only), "fp+aw" (no fine-tuning) or "all" (the complete Algorithm 1).
-func (t *Trained) DefendMode(mode string) (*nn.Sequential, core.Report) {
+func DefenseMode(mode string) (core.PipelineConfig, error) {
 	cfg := core.DefaultPipelineConfig()
 	switch mode {
 	case "fp":
@@ -62,7 +62,17 @@ func (t *Trained) DefendMode(mode string) (*nn.Sequential, core.Report) {
 		cfg.FineTuneRounds = 0
 	case "all":
 	default:
-		panic(fmt.Sprintf("eval: unknown defense mode %q", mode))
+		return cfg, fmt.Errorf("unknown defense mode %q", mode)
+	}
+	return cfg, nil
+}
+
+// DefendMode runs one of the paper's defense modes (DefenseMode) on a
+// clone of the trained global model; an unknown mode panics.
+func (t *Trained) DefendMode(mode string) (*nn.Sequential, core.Report) {
+	cfg, err := DefenseMode(mode)
+	if err != nil {
+		panic("eval: " + err.Error())
 	}
 	return t.Defend(cfg)
 }

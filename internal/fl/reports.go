@@ -32,8 +32,9 @@ func (c *Client) SetReportQuant(q metrics.ReportQuant) { c.quant = q }
 func (c *Client) ReportQuant() metrics.ReportQuant { return c.quant }
 
 // ActivationReport implements core.ActivationReporter: the recorded mean
-// activation per unit of the layer, always at float64 precision (the
-// consumer quantizes at its configured boundary).
+// activation per unit of the layer, always at float64 precision (a
+// transport host quantizes it for the wire when the client reports at
+// int8).
 func (c *Client) ActivationReport(m *nn.Sequential, layerIdx int) []float64 {
 	return metrics.LocalActivations(m, layerIdx, c.data, 0)
 }
@@ -117,6 +118,9 @@ func (a *Attacker) attackActivations(m *nn.Sequential, layerIdx int) []float64 {
 
 // SetReportQuant selects the precision of the attacker's reports.
 func (a *Attacker) SetReportQuant(q metrics.ReportQuant) { a.quant = q }
+
+// ReportQuant returns the attacker's report precision.
+func (a *Attacker) ReportQuant() metrics.ReportQuant { return a.quant }
 
 // ActivationReport implements core.ActivationReporter for the attacker:
 // manipulated activations when the adaptive attack is on, honest clean-

@@ -3,6 +3,7 @@ package fl
 import (
 	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
+	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
@@ -26,6 +27,9 @@ type SyntheticClient struct {
 	// Units is the length of the client's canned activation reports; 0
 	// means 64 (the last-conv width of the MNIST-scale models).
 	Units int
+	// Quant is the precision its rank and vote reports are derived at, as
+	// a Client's are; the zero value is float64.
+	Quant metrics.ReportQuant
 }
 
 var (
@@ -89,14 +93,17 @@ func (c *SyntheticClient) ActivationReport(_ *nn.Sequential, layerIdx int) []flo
 	return acts
 }
 
+// ReportQuant returns the client's report precision.
+func (c *SyntheticClient) ReportQuant() metrics.ReportQuant { return c.Quant }
+
 // RankReport implements core.ReportClient from the canned activations.
 func (c *SyntheticClient) RankReport(m *nn.Sequential, layerIdx int) []int {
-	return core.RanksFromActivations(c.ActivationReport(m, layerIdx))
+	return ranksAt(c.ActivationReport(m, layerIdx), c.Quant)
 }
 
 // VoteReport implements core.ReportClient from the canned activations.
 func (c *SyntheticClient) VoteReport(m *nn.Sequential, layerIdx int, p float64) []bool {
-	return core.VotesFromActivations(c.ActivationReport(m, layerIdx), p)
+	return votesAt(c.ActivationReport(m, layerIdx), p, c.Quant)
 }
 
 // ReportAccuracy implements core.AccuracyReporter with a deterministic

@@ -39,7 +39,6 @@ func TestCodecEncodeWarmAllocFree(t *testing.T) {
 		{"RanksDelta", func(dst []byte) []byte { return AppendRanksDelta(dst, ranks) }},
 		{"VoteBitmap", func(dst []byte) []byte { return AppendVoteBitmap(dst, votes) }},
 		{"Acts8", func(dst []byte) []byte { return AppendActs8(dst, q) }},
-		{"Acts64", func(dst []byte) []byte { return AppendActs64(dst, acts) }},
 	}
 	for _, c := range cases {
 		buf := c.encode(nil)

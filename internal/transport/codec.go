@@ -18,15 +18,15 @@ import (
 //	                 bit i%8 (LSB first); trailing pad bits must be 0
 //	0x03 Acts8       uvarint n, scale float64 LE, zero float64 LE, then
 //	                 n raw int8 codes (metrics.QuantActs)
-//	0x04 Acts64      uvarint n, then n raw float64 LE values
 //
 // Every decoder rejects truncated input, trailing garbage, non-minimal
 // varints and length headers larger than the remaining payload could
 // hold, so decoding allocates at most O(len(input)) and
 // encode(decode(p)) == p for every accepted p — the codecs are
-// canonical. The tag names a payload type, not a wire format: a rank or
-// vote response is whichever of these the client's report precision
-// produces, and a body opening with any other byte is refused.
+// canonical. The tag names a payload type, not a wire format: a rank
+// response is RanksDelta, or Acts8 from a participant reporting at int8; a
+// vote response is a VoteBitmap. A body opening with any other byte is
+// refused.
 //
 // RanksDelta carries arbitrary []int values as long as each fits in int32
 // (rank vectors are permutations of 1..P_L, far inside that); the bound is
@@ -39,8 +39,6 @@ const (
 	TagVoteBitmap byte = 0x02
 	// TagActs8 marks an int8-quantized activation payload.
 	TagActs8 byte = 0x03
-	// TagActs64 marks a float64 activation payload.
-	TagActs64 byte = 0x04
 )
 
 // maxReportLen bounds the element count a report codec accepts — far above
@@ -165,33 +163,6 @@ func DecodeActs8(p []byte) (metrics.QuantActs, error) {
 		q.Q[i] = int8(body[16+i])
 	}
 	return q, nil
-}
-
-// AppendActs64 appends the tagged Acts64 encoding of acts to dst and
-// returns the extended slice.
-func AppendActs64(dst []byte, acts []float64) []byte {
-	dst = append(dst, TagActs64)
-	dst = binary.AppendUvarint(dst, uint64(len(acts)))
-	for _, a := range acts {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a))
-	}
-	return dst
-}
-
-// DecodeActs64 decodes a tagged Acts64 payload.
-func DecodeActs64(p []byte) ([]float64, error) {
-	body, n, err := reportHeader(p, TagActs64, 8)
-	if err != nil {
-		return nil, err
-	}
-	if len(body) != 8*n {
-		return nil, fmt.Errorf("transport: Acts64 body %d bytes, want %d", len(body), 8*n)
-	}
-	acts := make([]float64, n)
-	for i := range acts {
-		acts[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-	}
-	return acts, nil
 }
 
 // reportHeader checks the tag, reads the element count and bounds it by

@@ -134,44 +134,16 @@ func TestActs8Roundtrip(t *testing.T) {
 	}
 }
 
-func TestActs64Roundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{0, 1, 64, 512} {
-		acts := make([]float64, n)
-		for i := range acts {
-			acts[i] = rng.NormFloat64() * 1e3
-		}
-		p := AppendActs64(nil, acts)
-		got, err := DecodeActs64(p)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if len(got) != n {
-			t.Fatalf("roundtrip length %d, want %d", len(got), n)
-		}
-		for i := range got {
-			if math.Float64bits(got[i]) != math.Float64bits(acts[i]) {
-				t.Fatalf("roundtrip[%d] = %g, want %g", i, got[i], acts[i])
-			}
-		}
-		if !bytes.Equal(AppendActs64(nil, got), p) {
-			t.Fatal("encoding not canonical")
-		}
-	}
-}
-
 func TestCodecsRejectMalformedInput(t *testing.T) {
 	valid := map[string][]byte{
-		"ranks":  AppendRanksDelta(nil, []int{3, 1, 2}),
-		"votes":  AppendVoteBitmap(nil, []bool{true, false, true}),
-		"acts8":  AppendActs8(nil, metrics.QuantizeActivations([]float64{1, 2, 3})),
-		"acts64": AppendActs64(nil, []float64{1, 2, 3}),
+		"ranks": AppendRanksDelta(nil, []int{3, 1, 2}),
+		"votes": AppendVoteBitmap(nil, []bool{true, false, true}),
+		"acts8": AppendActs8(nil, metrics.QuantizeActivations([]float64{1, 2, 3})),
 	}
 	decode := map[string]func([]byte) error{
-		"ranks":  func(p []byte) error { _, err := DecodeRanksDelta(p); return err },
-		"votes":  func(p []byte) error { _, err := DecodeVoteBitmap(p); return err },
-		"acts8":  func(p []byte) error { _, err := DecodeActs8(p); return err },
-		"acts64": func(p []byte) error { _, err := DecodeActs64(p); return err },
+		"ranks": func(p []byte) error { _, err := DecodeRanksDelta(p); return err },
+		"votes": func(p []byte) error { _, err := DecodeVoteBitmap(p); return err },
+		"acts8": func(p []byte) error { _, err := DecodeActs8(p); return err },
 	}
 	for name, p := range valid {
 		dec := decode[name]

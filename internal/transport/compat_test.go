@@ -196,7 +196,7 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 		}
 		for _, name := range []string{"model-legacy-gob.bin", "update-legacy-gob.bin",
 			"report-ranks-legacy-gob.bin", "report-votes-legacy-gob.bin"} {
-			if got := loadGolden(t, files, name)[0]; got == wire.Magic[0] || got <= TagActs64 {
+			if got := loadGolden(t, files, name)[0]; got == wire.Magic[0] || got <= TagActs8 {
 				t.Errorf("%s opens with 0x%02x, colliding with the envelope magic or a report tag", name, got)
 			}
 		}
@@ -215,7 +215,7 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 			for what, dec := range map[string]bodyDecoder{
 				"update":   &updatePayload{Limit: 1 << 20},
 				"ranks":    &rankPayload{},
-				"votes":    &votePayload{Rate: 0.5},
+				"votes":    &votePayload{},
 				"accuracy": &accuracyPayload{},
 			} {
 				if err := dec.DecodeBody(bytes.NewReader(data)); err == nil {

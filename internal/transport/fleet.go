@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/fl"
@@ -36,15 +35,14 @@ import (
 // implement the reporting interfaces — fl.SyntheticClient answers them with
 // canned deterministic reports, so a load run exercises the report wire
 // path end to end. Report responses use the compact codecs of codec.go at
-// the fleet's configured quantization (SetReportQuant). Every request is
-// instrumented into the fedload_* metrics, and a participant panic is
+// the participant's own report precision (appendRankReport). Every request
+// is instrumented into the fedload_* metrics, and a participant panic is
 // recovered to an HTTP 500 plus a fedload_handler_panics_total tick
 // instead of taking down the other tens of thousands of clients sharing
 // the process.
 type Fleet struct {
 	mu    sync.RWMutex
 	slots map[int]*fleetSlot
-	quant atomic.Int32 // the metrics.ReportQuant of report responses
 	// last is the last request that decoded: a server sends every client
 	// of a round or a report collection the same body, and the fleet
 	// decodes it once (decodeVerified).
@@ -119,12 +117,6 @@ func (s *fleetSlot) maxBody() int64 {
 func NewFleet() *Fleet {
 	return &Fleet{slots: make(map[int]*fleetSlot)}
 }
-
-// SetReportQuant selects the precision of compact activation report
-// payloads: ReportInt8 ships affine-quantized Acts8 payloads (the ~8x
-// bandwidth mode, DESIGN.md §14); ReportFloat64 — the default — ships the
-// client's losslessly-encoded rank/vote reports.
-func (f *Fleet) SetReportQuant(q metrics.ReportQuant) { f.quant.Store(int32(q)) }
 
 // Add registers participants under their IDs. A duplicate ID is a
 // programming error and panics.
@@ -218,15 +210,14 @@ func (f *Fleet) serve(w http.ResponseWriter, r *http.Request, slot *fleetSlot, e
 		return
 	}
 	defer req.release()
-	quant := metrics.ReportQuant(f.quant.Load())
 	switch ep.kind {
 	case wire.KindUpdateRequest:
 		sp = sp.WithRound(req.Round)
 		handleUpdate(w, slot, req)
 	case wire.KindRankRequest:
-		handleRanks(w, slot, req, quant)
+		handleRanks(w, slot, req)
 	case wire.KindVoteRequest:
-		handleVotes(w, slot, req, quant)
+		handleVotes(w, slot, req)
 	case wire.KindAccuracyRequest:
 		handleAccuracy(w, slot, req)
 	}
@@ -235,10 +226,11 @@ func (f *Fleet) serve(w http.ResponseWriter, r *http.Request, slot *fleetSlot, e
 // readRequest reads one request to the slot under its body cap, counting
 // the bytes into fedload_bytes_in_total, and validates it against the
 // slot's template when there is one: without this a well-formed envelope
-// of the wrong size would panic SetParamsVector inside the handler. The
-// validation runs on every request, one served from the fleet's last
-// verified request included: that one may have passed another slot's, or
-// none. It answers 405 or 400 itself when it returns !ok; the caller
+// of the wrong size would panic SetParamsVector inside the handler, and a
+// report on a layer without units (a ReLU, a pool) the participant's
+// activation recording. The validation runs on every request, one served
+// from the fleet's last verified request included: that one may have
+// passed another slot's, or none. It answers 405 or 400 itself when it returns !ok; the caller
 // releases the returned request.
 func (s *fleetSlot) readRequest(w http.ResponseWriter, r *http.Request, kind uint16, verified *memo[*verifiedRequest]) (request, bool) {
 	req, n, ok := readRequest(w, r, s.maxBody(), kind, verified)
@@ -247,11 +239,14 @@ func (s *fleetSlot) readRequest(w http.ResponseWriter, r *http.Request, kind uin
 		return req, ok
 	}
 	var bad string
-	layered := kind == wire.KindRankRequest || kind == wire.KindVoteRequest
 	if len(req.Global) != s.template.NumParams() {
 		bad = fmt.Sprintf("%d params, want %d", len(req.Global), s.template.NumParams())
-	} else if layered && (req.Layer < 0 || req.Layer >= s.template.NumLayers()) {
-		bad = fmt.Sprintf("layer %d outside [0,%d)", req.Layer, s.template.NumLayers())
+	} else if kind == wire.KindRankRequest || kind == wire.KindVoteRequest {
+		if req.Layer < 0 || req.Layer >= s.template.NumLayers() {
+			bad = fmt.Sprintf("layer %d outside [0,%d)", req.Layer, s.template.NumLayers())
+		} else if _, ok := s.template.Layer(req.Layer).(nn.Prunable); !ok {
+			bad = fmt.Sprintf("layer %d has no units to report on", req.Layer)
+		}
 	}
 	if bad != "" {
 		req.release()
@@ -345,17 +340,17 @@ func handleUpdate(w http.ResponseWriter, slot *fleetSlot, req request) {
 	obs.M.FedloadUpdates.Inc()
 }
 
-func handleRanks(w http.ResponseWriter, slot *fleetSlot, req request, quant metrics.ReportQuant) {
+func handleRanks(w http.ResponseWriter, slot *fleetSlot, req request) {
 	rc, ok := reportClient(w, slot)
 	if !ok {
 		return
 	}
 	var payload []byte
-	slot.report(req.Global, func(m *nn.Sequential) { payload = appendRankReport(nil, rc, m, req.Layer, quant) })
+	slot.report(req.Global, func(m *nn.Sequential) { payload = appendRankReport(nil, rc, m, req.Layer) })
 	writeReport(w, payload)
 }
 
-func handleVotes(w http.ResponseWriter, slot *fleetSlot, req request, quant metrics.ReportQuant) {
+func handleVotes(w http.ResponseWriter, slot *fleetSlot, req request) {
 	if !(req.Rate >= 0 && req.Rate <= 1) { // also rejects NaN
 		http.Error(w, fmt.Sprintf("bad request: rate %g outside [0,1]", req.Rate), http.StatusBadRequest)
 		return
@@ -365,7 +360,7 @@ func handleVotes(w http.ResponseWriter, slot *fleetSlot, req request, quant metr
 		return
 	}
 	var payload []byte
-	slot.report(req.Global, func(m *nn.Sequential) { payload = appendVoteReport(nil, rc, m, req.Layer, req.Rate, quant) })
+	slot.report(req.Global, func(m *nn.Sequential) { payload = AppendVoteBitmap(nil, rc.VoteReport(m, req.Layer, req.Rate)) })
 	writeReport(w, payload)
 }
 
@@ -393,28 +388,23 @@ func requestSpan(r *http.Request, name string, hist *obs.Histogram) obs.Span {
 	return obs.StartSpan(name, hist)
 }
 
-// appendRankReport builds the compact /v1/ranks payload for a report
-// client. In int8 mode an ActivationReporter ships its quantized
-// activation vector (Acts8) and the receiver reconstructs the ranks — one
-// small payload serves both aggregations; otherwise the client-computed
-// rank vector travels varint-delta encoded (RanksDelta), losslessly.
-func appendRankReport(dst []byte, part core.ReportClient, m *nn.Sequential, layer int, quant metrics.ReportQuant) []byte {
-	if ar, ok := part.(core.ActivationReporter); ok && quant == metrics.ReportInt8 {
-		return AppendActs8(dst, metrics.QuantizeActivations(ar.ActivationReport(m, layer)))
-	}
-	return AppendRanksDelta(dst, part.RankReport(m, layer))
+// quantReporter is a participant that reports at a precision of its own,
+// as fl's participants do.
+type quantReporter interface {
+	core.ActivationReporter
+	ReportQuant() metrics.ReportQuant
 }
 
-// appendVoteReport builds the compact /v1/votes payload: always a
-// VoteBitmap. In int8 mode the votes are derived from the quantized
-// activation vector, so they agree bit-for-bit with the ranks a receiver
-// reconstructs from the same client's Acts8 payload.
-func appendVoteReport(dst []byte, part core.ReportClient, m *nn.Sequential, layer int, rate float64, quant metrics.ReportQuant) []byte {
-	if ar, ok := part.(core.ActivationReporter); ok && quant == metrics.ReportInt8 {
-		q := metrics.QuantizeActivations(ar.ActivationReport(m, layer))
-		return AppendVoteBitmap(dst, core.VotesFromQuantized(q.Q, rate))
+// appendRankReport builds the /v1/ranks payload: for a participant
+// reporting at int8, the Acts8 payload of the activations it ranks, which
+// the receiver ranks as the participant does (a byte a unit, where a wide
+// layer's rank deltas take two); otherwise the participant's rank vector,
+// varint-delta encoded (RanksDelta).
+func appendRankReport(dst []byte, part core.ReportClient, m *nn.Sequential, layer int) []byte {
+	if qr, ok := part.(quantReporter); ok && qr.ReportQuant() == metrics.ReportInt8 {
+		return AppendActs8(dst, metrics.QuantizeActivations(qr.ActivationReport(m, layer)))
 	}
-	return AppendVoteBitmap(dst, part.VoteReport(m, layer, rate))
+	return AppendRanksDelta(dst, part.RankReport(m, layer))
 }
 
 // reportContentType marks a tagged compact report payload.

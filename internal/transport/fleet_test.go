@@ -324,7 +324,7 @@ func TestFleetServesReports(t *testing.T) {
 	}
 
 	// int8 mode: same wire, quantized payloads, identical vote/rank shape.
-	f.SetReportQuant(metrics.ReportInt8)
+	f.slots[1].part.(*fl.SyntheticClient).Quant = metrics.ReportInt8
 	recvBefore := obs.M.TransportReportBytesRecv.Value()
 	ranks8, err := rc.TryRankReport(context.Background(), tmpl, 0)
 	if err != nil {
@@ -388,11 +388,11 @@ func TestClientServerReportsBorrowOneWorkingModel(t *testing.T) {
 		}
 		m.AddDeltaVector(1, delta)
 		for _, quant := range []metrics.ReportQuant{metrics.ReportFloat64, metrics.ReportInt8} {
-			cs.SetReportQuant(quant)
+			client.SetReportQuant(quant)
 			check("/v1/ranks", appendRequest(nil, wire.KindRankRequest, request{Model: m, Layer: li}),
-				appendRankReport(nil, client, m, li, quant))
+				appendRankReport(nil, client, m, li))
 			check("/v1/votes", appendRequest(nil, wire.KindVoteRequest, request{Model: m, Layer: li, Rate: 0.3}),
-				appendVoteReport(nil, client, m, li, 0.3, quant))
+				AppendVoteBitmap(nil, client.VoteReport(m, li, 0.3)))
 		}
 		check("/v1/accuracy", appendRequest(nil, wire.KindAccuracyRequest, request{Model: m}),
 			appendAccuracy(nil, client.ReportAccuracy(m)))

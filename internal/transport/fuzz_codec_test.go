@@ -65,21 +65,6 @@ func FuzzDecodeActs8(f *testing.F) {
 	})
 }
 
-func FuzzDecodeActs64(f *testing.F) {
-	f.Add(AppendActs64(nil, []float64{0.25, -1, math.Inf(1)}))
-	f.Add(AppendActs64(nil, nil))
-	f.Add([]byte{TagActs64, 0x02, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, p []byte) {
-		acts, err := DecodeActs64(p)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(AppendActs64(nil, acts), p) {
-			t.Fatalf("accepted non-canonical Acts64 %q", p)
-		}
-	})
-}
-
 // FuzzRanksDeltaValueRoundtrip drives the encode side with fuzzer-chosen
 // values: every int32 sequence must survive encode → decode unchanged.
 func FuzzRanksDeltaValueRoundtrip(f *testing.F) {

@@ -20,12 +20,12 @@
 // pooled buffers. Model parameters travel as flat vectors; both sides hold
 // the architecture (as in cross-silo FL deployments, where the model
 // definition ships with the software). Rank and vote responses are the
-// compact tagged payloads of codec.go (varint-delta ranks, bit-packed
-// votes, int8 activation payloads; DESIGN.md §14). Anything else — the gob
-// structs binaries before the envelope spoke included — is refused: a 400
-// from a handler, a decode error (and so a dropout) at a stub. One handler
-// set serves the endpoints, Fleet's (fleet.go); ClientServer is a fleet of
-// one.
+// compact tagged payloads of codec.go (varint-delta ranks or, from a
+// participant reporting at int8, its int8 activations; bit-packed votes;
+// DESIGN.md §14). Anything else — the gob structs binaries before the
+// envelope spoke included — is refused: a 400 from a handler, a decode
+// error (and so a dropout) at a stub. One handler set serves the endpoints,
+// Fleet's (fleet.go); ClientServer is a fleet of one.
 //
 // Failure model (DESIGN.md §10): every remote call can fail — crashes,
 // stragglers, partitions, corrupted responses. RemoteClient never panics;
@@ -90,10 +90,6 @@ func NewClientServer(part participant, template *nn.Sequential) *ClientServer {
 	f := NewFleet()
 	return &ClientServer{fleet: f, slot: f.add(part, tmpl)}
 }
-
-// SetReportQuant selects the precision of report payloads (see
-// Fleet.SetReportQuant). It must be called before Serve or Handler.
-func (cs *ClientServer) SetReportQuant(q metrics.ReportQuant) { cs.fleet.SetReportQuant(q) }
 
 // SetMiddleware installs a handler wrapper applied around the protocol
 // handler (tests use it to inject server-side faults). It must be called
@@ -362,24 +358,24 @@ func (rc *RemoteClient) TryLocalUpdate(ctx context.Context, global []float64, ro
 }
 
 // TryRankReport implements core.FallibleReportClient over the wire. The
-// response's codec tag names the payload type: compact RanksDelta vectors
-// decode directly, Acts8/Acts64 activation payloads are reconstructed into
-// ranks here (core.RanksFromQuantized / RanksFromActivations).
+// response's codec tag names the payload type: a RanksDelta vector decodes
+// directly, an Acts8 payload is ranked here (core.RanksFromQuantized), as
+// the int8 participant that sent it ranks it.
 func (rc *RemoteClient) TryRankReport(ctx context.Context, m *nn.Sequential, layerIdx int) ([]int, error) {
 	resp, err := call(rc, ctx, "/v1/ranks", wire.KindRankRequest, request{Model: m, Layer: layerIdx}, rankPayload{})
 	return resp.Ranks, err
 }
 
-// TryVoteReport implements core.FallibleReportClient over the wire, with
-// the same tag dispatch as TryRankReport (an activation payload is
-// reconstructed into votes at the requested rate).
+// TryVoteReport implements core.FallibleReportClient over the wire: the
+// response is the participant's VoteBitmap.
 func (rc *RemoteClient) TryVoteReport(ctx context.Context, m *nn.Sequential, layerIdx int, p float64) ([]bool, error) {
-	resp, err := call(rc, ctx, "/v1/votes", wire.KindVoteRequest, request{Model: m, Layer: layerIdx, Rate: p}, votePayload{Rate: p})
+	resp, err := call(rc, ctx, "/v1/votes", wire.KindVoteRequest, request{Model: m, Layer: layerIdx, Rate: p}, votePayload{})
 	return resp.Votes, err
 }
 
 // maxReportBody bounds a report response body read; the largest
-// legitimate payload (Acts64 at maxReportLen units) stays far below it.
+// legitimate payload (RanksDelta at maxReportLen units, at most five bytes
+// a rank) stays far below it.
 const maxReportBody = 1 << 28
 
 // bodyDecoder is a response type, which owns its wire decoding; decode
@@ -407,8 +403,7 @@ func decodeReport(r io.Reader, decode func(b []byte) error) error {
 	return nil
 }
 
-// rankPayload decodes a /v1/ranks response of any payload type that yields
-// ranks.
+// rankPayload decodes a /v1/ranks response: RanksDelta or Acts8.
 type rankPayload struct {
 	Ranks []int
 }
@@ -424,11 +419,6 @@ func (rp *rankPayload) DecodeBody(r io.Reader) error {
 			if q, err = DecodeActs8(b); err == nil {
 				rp.Ranks = core.RanksFromQuantized(q.Q)
 			}
-		case TagActs64:
-			var acts []float64
-			if acts, err = DecodeActs64(b); err == nil {
-				rp.Ranks = core.RanksFromActivations(acts)
-			}
 		default:
 			err = fmt.Errorf("transport: tag 0x%02x is not a rank report", b[0])
 		}
@@ -436,34 +426,15 @@ func (rp *rankPayload) DecodeBody(r io.Reader) error {
 	})
 }
 
-// votePayload decodes a /v1/votes response of any payload type that yields
-// votes; Rate must be set to the requested pruning rate before the call so
-// an activation payload reconstructs the same votes the client would have
-// sent.
+// votePayload decodes a /v1/votes response: a VoteBitmap.
 type votePayload struct {
-	Rate  float64
 	Votes []bool
 }
 
 // DecodeBody implements bodyDecoder.
 func (vp *votePayload) DecodeBody(r io.Reader) error {
 	return decodeReport(r, func(b []byte) (err error) {
-		switch b[0] {
-		case TagVoteBitmap:
-			vp.Votes, err = DecodeVoteBitmap(b)
-		case TagActs8:
-			var q metrics.QuantActs
-			if q, err = DecodeActs8(b); err == nil {
-				vp.Votes = core.VotesFromQuantized(q.Q, vp.Rate)
-			}
-		case TagActs64:
-			var acts []float64
-			if acts, err = DecodeActs64(b); err == nil {
-				vp.Votes = core.VotesFromActivations(acts, vp.Rate)
-			}
-		default:
-			err = fmt.Errorf("transport: tag 0x%02x is not a vote report", b[0])
-		}
+		vp.Votes, err = DecodeVoteBitmap(b)
 		return err
 	})
 }
@@ -534,8 +505,8 @@ func (rc *RemoteClient) ReportAccuracy(m *nn.Sequential) float64 {
 // the same content, or a fresh encode), then up to MaxAttempts HTTP
 // attempts with capped exponential backoff between them, each decoded into
 // a fresh copy of init — which lets a response carry request parameters
-// (votePayload.Rate, updatePayload.Limit) into its decode. Retries stop
-// early on context cancellation and on permanent (4xx) rejections.
+// (updatePayload.Limit) into its decode. Retries stop early on context
+// cancellation and on permanent (4xx) rejections.
 //
 // Every logical call is traced as an obs span feeding
 // transport_call_seconds — a child of the span context carried by ctx

@@ -287,11 +287,8 @@ func TestReportWireModes(t *testing.T) {
 
 	mk := func() *fl.Client { return fl.NewClient(0, train, template, cfg, 72) }
 
-	serve := func(configure func(*ClientServer)) (*RemoteClient, func()) {
-		cs := NewClientServer(mk(), template)
-		if configure != nil {
-			configure(cs)
-		}
+	serve := func(c *fl.Client) (*RemoteClient, func()) {
+		cs := NewClientServer(c, template)
 		addr, err := cs.Serve("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -329,7 +326,7 @@ func TestReportWireModes(t *testing.T) {
 		}
 	}
 
-	rcCompact, stop := serve(nil)
+	rcCompact, stop := serve(mk())
 	sent := obs.M.TransportReportBytesSent.Value()
 	recv := obs.M.TransportReportBytesRecv.Value()
 	check("compact-f64", rcCompact, refRanks, refVotes)
@@ -338,7 +335,7 @@ func TestReportWireModes(t *testing.T) {
 	}
 	stop()
 
-	rcInt8, stop := serve(func(cs *ClientServer) { cs.SetReportQuant(metrics.ReportInt8) })
+	rcInt8, stop := serve(int8Client)
 	check("compact-int8", rcInt8, refRanks8, refVotes8)
 	stop()
 }

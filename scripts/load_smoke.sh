@@ -12,7 +12,7 @@
 #   - the streaming window actually bounded the in-flight working set,
 #   - the report-collection phase (RAP + MVP over one cohort) stayed at
 #     or under REPORT_CEIL bytes per report on the wire (compact codecs,
-#     REPORT_QUANT precision; DESIGN.md §14),
+#     at the fleet clients' REPORT_QUANT precision; DESIGN.md §14),
 #   - the update exchange stayed at raw-vector size both ways: received
 #     update bytes per completed update, and sent request bytes per
 #     attempt, each at or under 8 bytes per parameter + 64 (the versioned
@@ -85,7 +85,6 @@ done
 
 "$workdir/fedserve" -fleet "$fleet" -fleet-count "$POP" -select "$SELECT" \
 	-streaming -rounds "$ROUNDS" -quorum 0.9 -ops-addr 127.0.0.1:0 \
-	-report-quant "$REPORT_QUANT" \
 	-flight-recorder "$workdir/flight.jsonl" \
 	>"$workdir/serve.log" 2>&1 &
 serve_pid=$!
@@ -240,7 +239,6 @@ mkdir -p "$ckpt"
 
 "$workdir/fedserve" -fleet "$fleet" -fleet-count "$POP" -select "$SELECT" \
 	-streaming -rounds 1000000 -quorum 0.9 \
-	-report-quant "$REPORT_QUANT" \
 	-checkpoint-dir "$ckpt" -checkpoint-every 1 \
 	-flight-recorder "$workdir/flight_kill.jsonl" \
 	>"$workdir/serve_kill.log" 2>&1 &
@@ -267,7 +265,6 @@ next=$((10#$next))
 
 "$workdir/fedserve" -fleet "$fleet" -fleet-count "$POP" -select "$SELECT" \
 	-streaming -rounds $((next + RESUME_ROUNDS)) -quorum 0.9 \
-	-report-quant "$REPORT_QUANT" \
 	-checkpoint-dir "$ckpt" -resume \
 	-flight-recorder "$workdir/flight_kill.jsonl" \
 	>"$workdir/serve_resume.log" 2>&1 &
