@@ -335,10 +335,7 @@ func BenchmarkAdaptiveAttacks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := eval.MNISTScenario(9, 2)
 		t := eval.Build(s)
-		t.Attackers[0].SetDefenseBehavior(fl.AttackerDefenseBehavior{
-			ManipulateRanks: true,
-			LieAccuracy:     true,
-		})
+		t.Attackers[0].SetDefenseBehavior(fl.AttackerDefenseBehavior{ManipulateRanks: true})
 		t.Attackers[0].SelfClipDelta = 3
 		t.Server.Train(nil)
 		m, _ := t.DefendMode("all")

@@ -66,7 +66,6 @@ func main() {
 	full, ok := part.(interface {
 		fl.Participant
 		core.ReportClient
-		core.AccuracyReporter
 	})
 	if !ok {
 		fmt.Fprintln(os.Stderr, "participant does not implement the transport surface")

@@ -2,7 +2,7 @@
 // listener, for load-testing the aggregation server at population scales
 // no real per-process clients could reach. Each client is an
 // fl.SyntheticClient — a deterministic pseudo-update generator a few
-// words wide — served at /c/<id>/v1/{update,ranks,votes,accuracy} by a
+// words wide — served at /c/<id>/v1/{update,ranks,votes} by a
 // transport.Fleet, so fedserve drives the whole protocol, defense
 // reports included, through ordinary RemoteClients:
 //

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 
@@ -15,7 +14,7 @@ import (
 // demand, standing in for a remote stub behind a bad network.
 type flakyReportClient struct {
 	fakeReportClient
-	failRanks, failVotes, failAcc bool
+	failRanks, failVotes bool
 }
 
 var errFlaky = errors.New("injected report failure")
@@ -34,20 +33,12 @@ func (f *flakyReportClient) TryVoteReport(_ context.Context, m *nn.Sequential, l
 	return f.VoteReport(m, li, p), nil
 }
 
-func (f *flakyReportClient) TryReportAccuracy(_ context.Context, m *nn.Sequential) (float64, error) {
-	if f.failAcc {
-		return 0, errFlaky
-	}
-	return f.ReportAccuracy(m), nil
-}
-
 // nilReportClient models a remote stub's infallible surface after a wire
-// failure: nil reports, NaN accuracy.
+// failure: nil reports.
 type nilReportClient struct{}
 
 func (nilReportClient) RankReport(*nn.Sequential, int) []int           { return nil }
 func (nilReportClient) VoteReport(*nn.Sequential, int, float64) []bool { return nil }
-func (nilReportClient) ReportAccuracy(*nn.Sequential) float64          { return math.NaN() }
 
 // TestGlobalPruneOrderSkipsFailedReports: a cohort with wire failures must
 // aggregate bit-identically to the same cohort with the failed clients
@@ -249,45 +240,6 @@ func TestGlobalPruneOrderAllFailedPanics(t *testing.T) {
 		}
 	}()
 	GlobalPruneOrder(m, clients, 0, PipelineConfig{Method: RAP})
-}
-
-// TestMeanReportedAccuracySkipsFailures: failed reporters (fallible error
-// or NaN from the infallible surface) drop out of the mean; the mean over
-// the survivors is bit-identical to the cohort without them.
-func TestMeanReportedAccuracySkipsFailures(t *testing.T) {
-	m := pipelineModel(94)
-	clients := []ReportClient{
-		&fakeReportClient{reportedAcc: 0.9},
-		&flakyReportClient{failAcc: true},
-		nilReportClient{},
-		&fakeReportClient{reportedAcc: 0.5},
-	}
-	got, dropped := MeanReportedAccuracyDetail(m, clients, PipelineConfig{})
-	want := MeanReportedAccuracy(m, []ReportClient{
-		&fakeReportClient{reportedAcc: 0.9},
-		&fakeReportClient{reportedAcc: 0.5},
-	})
-	if got != want {
-		t.Fatalf("mean %g, want %g", got, want)
-	}
-	if len(dropped) != 2 || dropped[0] != 1 || dropped[1] != 2 {
-		t.Fatalf("dropped %v, want [1 2]", dropped)
-	}
-}
-
-// TestMeanReportedAccuracyQuorumPanics mirrors the prune-report quorum.
-func TestMeanReportedAccuracyQuorumPanics(t *testing.T) {
-	m := pipelineModel(95)
-	clients := []ReportClient{
-		&fakeReportClient{reportedAcc: 0.9},
-		&flakyReportClient{failAcc: true},
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("missed accuracy quorum did not panic")
-		}
-	}()
-	MeanReportedAccuracyDetail(m, clients, PipelineConfig{ReportQuorum: 0.9})
 }
 
 // TestRunPipelineRecordsReportDropouts: the pipeline report surfaces which

@@ -26,11 +26,6 @@ func (c *actClient) VoteReport(m *nn.Sequential, layerIdx int, p float64) []bool
 	return VotesFromActivations(c.acts, p)
 }
 
-func (c *actClient) ReportAccuracy(m *nn.Sequential) float64 {
-	_ = m.NumParams()
-	return c.acts[0]
-}
-
 // TestGlobalPruneOrderParallelBitIdentical asserts that report collection
 // produces the same global pruning sequence for worker counts 1, 2, 3 and 8,
 // for both RAP and MVP.
@@ -64,28 +59,6 @@ func TestGlobalPruneOrderParallelBitIdentical(t *testing.T) {
 					t.Fatalf("%v workers=%d: prune order %v, want %v", method, w, got, ref)
 				}
 			}
-		}
-	}
-}
-
-// TestMeanReportedAccuracyParallelBitIdentical pins the summation order of
-// the fan-out accuracy evaluator.
-func TestMeanReportedAccuracyParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rng)
-	clients := make([]ReportClient, 9)
-	for i := range clients {
-		clients[i] = &actClient{acts: []float64{rng.Float64()}}
-	}
-	run := func(w int) float64 {
-		prev := parallel.SetWorkers(w)
-		defer parallel.SetWorkers(prev)
-		return MeanReportedAccuracy(m, clients)
-	}
-	ref := run(1)
-	for _, w := range []int{2, 3, 8} {
-		if got := run(w); got != ref {
-			t.Fatalf("workers=%d: mean accuracy %v, want %v (bit-identical)", w, got, ref)
 		}
 	}
 }

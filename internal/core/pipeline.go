@@ -50,13 +50,6 @@ type ReportClient interface {
 	VoteReport(m *nn.Sequential, layerIdx int, p float64) []bool
 }
 
-// AccuracyReporter is optionally implemented by clients when the server
-// has no validation data and must rely on client-reported accuracies
-// (§IV-A). Dishonest implementations are part of the threat model.
-type AccuracyReporter interface {
-	ReportAccuracy(m *nn.Sequential) float64
-}
-
 // FallibleReportClient is implemented by report clients whose reports
 // travel over a network and can fail (transport.RemoteClient). Report
 // collection prefers the Try methods when available: an error means the
@@ -69,14 +62,6 @@ type FallibleReportClient interface {
 	TryRankReport(ctx context.Context, m *nn.Sequential, layerIdx int) ([]int, error)
 	// TryVoteReport is VoteReport with failure reporting and cancellation.
 	TryVoteReport(ctx context.Context, m *nn.Sequential, layerIdx int, p float64) ([]bool, error)
-}
-
-// FallibleAccuracyReporter is AccuracyReporter with failure reporting.
-type FallibleAccuracyReporter interface {
-	AccuracyReporter
-	// TryReportAccuracy is ReportAccuracy with failure reporting and
-	// cancellation.
-	TryReportAccuracy(ctx context.Context, m *nn.Sequential) (float64, error)
 }
 
 // PipelineConfig parameterizes Algorithm 1 end to end.
@@ -335,7 +320,7 @@ func GlobalPruneOrder(m *nn.Sequential, clients []ReportClient, layerIdx int, cf
 // Report collection fans out across clients: each one records activations
 // over its whole local shard, which is the defense's per-client hot path
 // (it scales linearly with cohort size). Every worker gets its own clone
-// of m (see workerClones) — inference mutates per-layer caches, so
+// of m (see fanOutReports) — inference mutates per-layer caches, so
 // sharing the model across goroutines would race — and a clone carries
 // identical parameters, so reports are bit-identical to the serial path.
 // Aggregation itself stays serial in client-index order, so a cohort with
@@ -367,11 +352,8 @@ func collectPruneOrder(ctx context.Context, m *nn.Sequential, clients []ReportCl
 	res := PruneOrderResult{}
 	switch cfg.Method {
 	case RAP:
-		reports := make([][]int, len(clients))
-		errs := make([]error, len(clients))
-		clone := workerClones(m, len(clients))
-		parallel.ForWorker(len(clients), func(slot, i int) {
-			reports[i], errs[i] = rankReport(ctx, clients[i], clone(slot), layerIdx)
+		reports, errs := fanOutReports(m, clients, func(c ReportClient, w *nn.Sequential) ([]int, error) {
+			return rankReport(ctx, c, w, layerIdx)
 		})
 		ok := compactReports(reports, errs, width, &res, ranksInRange)
 		requireReportQuorum(len(ok), len(clients), cfg.ReportQuorum)
@@ -381,11 +363,8 @@ func collectPruneOrder(ctx context.Context, m *nn.Sequential, clients []ReportCl
 		if p == 0 {
 			p = 0.5
 		}
-		reports := make([][]bool, len(clients))
-		errs := make([]error, len(clients))
-		clone := workerClones(m, len(clients))
-		parallel.ForWorker(len(clients), func(slot, i int) {
-			reports[i], errs[i] = voteReport(ctx, clients[i], clone(slot), layerIdx, p)
+		reports, errs := fanOutReports(m, clients, func(c ReportClient, w *nn.Sequential) ([]bool, error) {
+			return voteReport(ctx, c, w, layerIdx, p)
 		})
 		ok := compactReports(reports, errs, width, &res, func([]bool) bool { return true })
 		requireReportQuorum(len(ok), len(clients), cfg.ReportQuorum)
@@ -396,20 +375,24 @@ func collectPruneOrder(ctx context.Context, m *nn.Sequential, clients []ReportCl
 	return res
 }
 
-// workerClones returns the model each parallel.ForWorker slot of an
-// n-client report fan-out hands its clients: one clone of m per worker,
-// made on the slot's first use, instead of one per client. Reports only
-// read parameters — what a forward pass leaves in the layer caches is
+// fanOutReports asks every client for its report across
+// parallel.ForWorker's workers, handing each worker one clone of m, made
+// on the slot's first use, instead of one per client. Reports only read
+// parameters — what a forward pass leaves in the layer caches is
 // overwritten by the next one — so the clients a worker serves in turn
-// see exactly the model a fresh clone would give them.
-func workerClones(m *nn.Sequential, n int) func(slot int) *nn.Sequential {
-	clones := make([]*nn.Sequential, parallel.NumBlocks(n))
-	return func(slot int) *nn.Sequential {
+// see exactly the model a fresh clone would give them. reports[i] and
+// errs[i] are client i's answer.
+func fanOutReports[E any](m *nn.Sequential, clients []ReportClient, report func(c ReportClient, w *nn.Sequential) ([]E, error)) ([][]E, []error) {
+	reports := make([][]E, len(clients))
+	errs := make([]error, len(clients))
+	clones := make([]*nn.Sequential, parallel.NumBlocks(len(clients)))
+	parallel.ForWorker(len(clients), func(slot, i int) {
 		if clones[slot] == nil {
 			clones[slot] = m.Clone()
 		}
-		return clones[slot]
-	}
+		reports[i], errs[i] = report(clients[i], clones[slot])
+	})
+	return reports, errs
 }
 
 // errNilReport marks an infallible client that returned no report
@@ -503,70 +486,4 @@ func reportCtx(parent context.Context, timeout time.Duration) (context.Context, 
 		return context.WithTimeout(parent, timeout)
 	}
 	return context.WithCancel(parent)
-}
-
-// MeanReportedAccuracy averages client-reported accuracies, the fallback
-// evaluator for servers without a validation set. Clients that do not
-// implement AccuracyReporter are skipped entirely; among the reporters,
-// wire failures (FallibleAccuracyReporter errors, or NaN from the
-// infallible surface) drop out of the mean. It panics if no report
-// arrives. The per-client evaluations run concurrently (each worker on
-// its own model clone, see workerClones); the mean is summed serially
-// in client order so the float result matches the serial path — and a
-// cohort with failures matches the same cohort without the failed
-// clients — exactly.
-func MeanReportedAccuracy(m *nn.Sequential, clients []ReportClient) float64 {
-	acc, _ := MeanReportedAccuracyDetail(m, clients, PipelineConfig{})
-	return acc
-}
-
-// MeanReportedAccuracyDetail is MeanReportedAccuracy under cfg's
-// ReportTimeout and ReportQuorum (quorum counted over the clients that
-// implement AccuracyReporter), returning the mean plus the indices (into
-// the clients slice) of reporters that dropped out.
-func MeanReportedAccuracyDetail(m *nn.Sequential, clients []ReportClient, cfg PipelineConfig) (float64, []int) {
-	type reporter struct {
-		idx int
-		r   AccuracyReporter
-	}
-	reporters := make([]reporter, 0, len(clients))
-	for i, c := range clients {
-		if r, ok := c.(AccuracyReporter); ok {
-			reporters = append(reporters, reporter{idx: i, r: r})
-		}
-	}
-	if len(reporters) == 0 {
-		panic("core: no client implements AccuracyReporter")
-	}
-	ctx, cancel := reportCtx(context.Background(), cfg.ReportTimeout)
-	defer cancel()
-	accs := make([]float64, len(reporters))
-	errs := make([]error, len(reporters))
-	clone := workerClones(m, len(reporters))
-	parallel.ForWorker(len(reporters), func(slot, i int) {
-		accs[i], errs[i] = reportAccuracy(ctx, reporters[i].r, clone(slot))
-	})
-	var dropped []int
-	sum, n := 0.0, 0
-	for i := range reporters {
-		if errs[i] != nil {
-			dropped = append(dropped, reporters[i].idx)
-			continue
-		}
-		sum += accs[i]
-		n++
-	}
-	requireReportQuorum(n, len(reporters), cfg.ReportQuorum)
-	return sum / float64(n), dropped
-}
-
-func reportAccuracy(ctx context.Context, r AccuracyReporter, m *nn.Sequential) (float64, error) {
-	if fr, ok := r.(FallibleAccuracyReporter); ok {
-		return fr.TryReportAccuracy(ctx, m)
-	}
-	a := r.ReportAccuracy(m)
-	if math.IsNaN(a) {
-		return 0, errNilReport
-	}
-	return a, nil
 }

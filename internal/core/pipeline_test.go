@@ -11,8 +11,6 @@ import (
 // fakeReportClient serves canned activations.
 type fakeReportClient struct {
 	acts []float64
-	// reportedAcc, when >= 0, is returned by ReportAccuracy.
-	reportedAcc float64
 }
 
 func (f *fakeReportClient) RankReport(_ *nn.Sequential, _ int) []int {
@@ -22,8 +20,6 @@ func (f *fakeReportClient) RankReport(_ *nn.Sequential, _ int) []int {
 func (f *fakeReportClient) VoteReport(_ *nn.Sequential, _ int, p float64) []bool {
 	return VotesFromActivations(f.acts, p)
 }
-
-func (f *fakeReportClient) ReportAccuracy(_ *nn.Sequential) float64 { return f.reportedAcc }
 
 // fakeTuner counts fine-tune invocations.
 type fakeTuner struct{ rounds int }
@@ -190,32 +186,6 @@ func TestGlobalPruneOrderMethods(t *testing.T) {
 	cfg.Method = PruneMethod(99)
 	GlobalPruneOrder(m, clients, 0, cfg)
 }
-
-func TestMeanReportedAccuracy(t *testing.T) {
-	m := pipelineModel(78)
-	clients := []ReportClient{
-		&fakeReportClient{acts: []float64{1, 2, 3, 4, 5, 6}, reportedAcc: 0.8},
-		&fakeReportClient{acts: []float64{1, 2, 3, 4, 5, 6}, reportedAcc: 0.6},
-	}
-	if got := MeanReportedAccuracy(m, clients); got != 0.7 {
-		t.Fatalf("mean reported accuracy %g, want 0.7", got)
-	}
-}
-
-func TestMeanReportedAccuracyPanicsWithoutReporters(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no reporters accepted")
-		}
-	}()
-	MeanReportedAccuracy(pipelineModel(79), []ReportClient{nonReporter{}})
-}
-
-// nonReporter implements ReportClient but not AccuracyReporter.
-type nonReporter struct{}
-
-func (nonReporter) RankReport(_ *nn.Sequential, _ int) []int             { return nil }
-func (nonReporter) VoteReport(_ *nn.Sequential, _ int, _ float64) []bool { return nil }
 
 func TestPruneMethodString(t *testing.T) {
 	if RAP.String() != "RAP" || MVP.String() != "MVP" {

@@ -157,9 +157,9 @@ type ScopedEvaluator interface {
 }
 
 // Evaluator adapts a plain scoring function to ScopedEvaluator with no-op
-// scopes; the loops then evaluate via full forward passes. It is typically
-// metrics.Accuracy over the server's validation set, or a mean of
-// client-reported accuracies when the server holds no data.
+// scopes; the loops then evaluate via full forward passes. It is
+// metrics.Accuracy over the server's validation set: the server's own
+// validation accuracy is the only guard the defense has (Algorithm 1).
 type Evaluator func(m *nn.Sequential) float64
 
 // Evaluate implements ScopedEvaluator.

@@ -131,7 +131,7 @@ func AblationAWLayers(pair Pair) *Table {
 }
 
 // AdaptiveAttackTable evaluates the §VI-B adaptive attacks against the
-// full defense: the rank-manipulating, accuracy-lying attacker (Attack 1),
+// full defense: the rank-manipulating attacker (Attack 1),
 // the pruning-aware attacker (Attack 2, given the true prune order), and
 // the AW-aware self-clipping attacker.
 func AdaptiveAttackTable(pair Pair) *Table {
@@ -146,7 +146,7 @@ func AdaptiveAttackTable(pair Pair) *Table {
 		{"baseline", func(*Trained) {}},
 		{"rank-manipulating", func(t *Trained) {
 			for _, a := range t.Attackers {
-				a.SetDefenseBehavior(fl.AttackerDefenseBehavior{ManipulateRanks: true, LieAccuracy: true})
+				a.SetDefenseBehavior(fl.AttackerDefenseBehavior{ManipulateRanks: true})
 			}
 		}},
 		{"aw-aware self-clip", func(t *Trained) {

@@ -80,9 +80,10 @@ func (a *Attacker) ID() int { return a.id }
 // as in the paper's threat model where the server never sees client data.
 func (a *Attacker) Dataset() *dataset.Dataset { return a.clean }
 
-// PoisonedDataset exposes the attacker's actual training mixture; the
-// defense's fine-tuning step uses it because attackers "also participate
-// in this process" (§IV-B).
+// PoisonedDataset exposes the attacker's actual training mixture, the
+// shard its LocalUpdate trains on. Attackers "also participate in" the
+// defense's fine-tuning (§IV-B) the same way they join a training round:
+// through LocalUpdate, so nothing in the defense reads this.
 func (a *Attacker) PoisonedDataset() *dataset.Dataset { return a.poison }
 
 // LocalUpdate implements Participant: train to x_atk on the poisoned

@@ -18,10 +18,8 @@ import (
 
 var (
 	_ core.ReportClient       = (*Client)(nil)
-	_ core.AccuracyReporter   = (*Client)(nil)
 	_ core.ActivationReporter = (*Client)(nil)
 	_ core.ReportClient       = (*Attacker)(nil)
-	_ core.AccuracyReporter   = (*Attacker)(nil)
 	_ core.ActivationReporter = (*Attacker)(nil)
 )
 
@@ -69,12 +67,6 @@ func votesAt(acts []float64, p float64, q metrics.ReportQuant) []bool {
 	return core.VotesFromActivations(acts, p)
 }
 
-// ReportAccuracy implements core.AccuracyReporter: the model's accuracy on
-// the client's own shard.
-func (c *Client) ReportAccuracy(m *nn.Sequential) float64 {
-	return metrics.Accuracy(m, c.data, 0)
-}
-
 // Adaptive attacker reporting (§VI-B). With no flags set the attacker
 // reports honestly from its clean shard, hiding among benign clients.
 
@@ -85,10 +77,6 @@ type AttackerDefenseBehavior struct {
 	// maximum of their clean and triggered activations so backdoor neurons
 	// look essential and survive pruning.
 	ManipulateRanks bool
-	// LieAccuracy makes the attacker report a perfect accuracy whenever the
-	// server asks clients for pruning feedback, stalling the prune-stop
-	// criterion.
-	LieAccuracy bool
 }
 
 // SetDefenseBehavior installs the adaptive reporting behavior.
@@ -140,14 +128,6 @@ func (a *Attacker) RankReport(m *nn.Sequential, layerIdx int) []int {
 // VoteReport implements core.ReportClient for the attacker.
 func (a *Attacker) VoteReport(m *nn.Sequential, layerIdx int, p float64) []bool {
 	return votesAt(a.ActivationReport(m, layerIdx), p, a.quant)
-}
-
-// ReportAccuracy implements core.AccuracyReporter for the attacker.
-func (a *Attacker) ReportAccuracy(m *nn.Sequential) float64 {
-	if a.defense.LieAccuracy {
-		return 1
-	}
-	return metrics.Accuracy(m, a.clean, 0)
 }
 
 // ReportClients adapts a participant slice to the defense's interface.

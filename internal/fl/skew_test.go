@@ -3,7 +3,6 @@ package fl
 import (
 	"context"
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 
@@ -37,12 +36,6 @@ func (downReporter) TryVoteReport(context.Context, *nn.Sequential, int, float64)
 	return nil, errReporterDown
 }
 
-func (downReporter) ReportAccuracy(*nn.Sequential) float64 { return math.NaN() }
-
-func (downReporter) TryReportAccuracy(context.Context, *nn.Sequential) (float64, error) {
-	return 0, errReporterDown
-}
-
 // skewedCase places the attackers and picks the failure injection.
 type skewedCase struct {
 	name  string
@@ -53,12 +46,10 @@ type skewedCase struct {
 
 // skewedOutcome is everything a worker count could leak into.
 type skewedOutcome struct {
-	Completed  [][]int
-	Trained    []float64
-	Tuned      []float64
-	RAP, MVP   core.PruneOrderResult
-	Acc        float64
-	AccDropped []int
+	Completed [][]int
+	Trained   []float64
+	Tuned     []float64
+	RAP, MVP  core.PruneOrderResult
 }
 
 // runSkewed trains, fine-tunes and collects every report kind over one
@@ -88,33 +79,28 @@ func runSkewed(t *testing.T, w int, tc skewedCase) (skewedOutcome, *nn.Sequentia
 	li := s.Model.LastConvIndex()
 	out.RAP = core.GlobalPruneOrderDetail(s.Model, clients, li, core.PipelineConfig{Method: core.RAP})
 	out.MVP = core.GlobalPruneOrderDetail(s.Model, clients, li, core.PipelineConfig{Method: core.MVP, VoteRate: 0.5})
-	out.Acc, out.AccDropped = core.MeanReportedAccuracyDetail(s.Model, clients, core.PipelineConfig{})
 	return out, s.Model, clients
 }
 
 // perClientCloneReports is the collection the per-worker clones replaced:
 // every client on a fresh clone of its own, serially, failed clients left
 // out, aggregated in client order.
-func perClientCloneReports(m *nn.Sequential, clients []core.ReportClient, li int) (rap, mvp []int, acc float64) {
+func perClientCloneReports(m *nn.Sequential, clients []core.ReportClient, li int) (rap, mvp []int) {
 	var ranks [][]int
 	var votes [][]bool
-	sum, n := 0.0, 0
 	for _, c := range clients {
 		if _, isDown := c.(downReporter); isDown {
 			continue
 		}
 		ranks = append(ranks, c.RankReport(m.Clone(), li))
 		votes = append(votes, c.VoteReport(m.Clone(), li, 0.5))
-		sum += c.(core.AccuracyReporter).ReportAccuracy(m.Clone())
-		n++
 	}
 	return core.PruneOrderFromRanks(core.AggregateRanks(ranks)),
-		core.PruneOrderFromVotes(core.AggregateVotes(votes)),
-		sum / float64(n)
+		core.PruneOrderFromVotes(core.AggregateVotes(votes))
 }
 
-// TestSkewedCohortBitIdenticalAcrossWorkers: rounds, fine-tuning and all
-// three report collections over the paper's skewed cohort are
+// TestSkewedCohortBitIdenticalAcrossWorkers: rounds, fine-tuning and both
+// report collections over the paper's skewed cohort are
 // bit-identical at workers 1/2/3/8, wherever the attackers sit, with a
 // DropPolicy and with a report client that fails — and the per-worker
 // clones give exactly the reports per-client clones gave.
@@ -136,10 +122,9 @@ func TestSkewedCohortBitIdenticalAcrossWorkers(t *testing.T) {
 			ref, model, clients := runSkewed(t, 1, tc)
 			if tc.down >= 0 {
 				want := []int{tc.down}
-				if !reflect.DeepEqual(ref.RAP.Dropped, want) || !reflect.DeepEqual(ref.MVP.Dropped, want) ||
-					!reflect.DeepEqual(ref.AccDropped, want) {
-					t.Fatalf("dropped reporters RAP %v MVP %v accuracy %v, want %v",
-						ref.RAP.Dropped, ref.MVP.Dropped, ref.AccDropped, want)
+				if !reflect.DeepEqual(ref.RAP.Dropped, want) || !reflect.DeepEqual(ref.MVP.Dropped, want) {
+					t.Fatalf("dropped reporters RAP %v MVP %v, want %v",
+						ref.RAP.Dropped, ref.MVP.Dropped, want)
 				}
 			}
 			for _, w := range workers {
@@ -148,10 +133,10 @@ func TestSkewedCohortBitIdenticalAcrossWorkers(t *testing.T) {
 					t.Fatalf("workers=%d differs from workers=1:\n got %+v\nwant %+v", w, summarize(got), summarize(ref))
 				}
 			}
-			rap, mvp, acc := perClientCloneReports(model, clients, model.LastConvIndex())
-			if !reflect.DeepEqual(ref.RAP.Order, rap) || !reflect.DeepEqual(ref.MVP.Order, mvp) || ref.Acc != acc {
-				t.Fatalf("per-worker clones changed the reports: RAP %v vs %v, MVP %v vs %v, accuracy %v vs %v",
-					ref.RAP.Order, rap, ref.MVP.Order, mvp, ref.Acc, acc)
+			rap, mvp := perClientCloneReports(model, clients, model.LastConvIndex())
+			if !reflect.DeepEqual(ref.RAP.Order, rap) || !reflect.DeepEqual(ref.MVP.Order, mvp) {
+				t.Fatalf("per-worker clones changed the reports: RAP %v vs %v, MVP %v vs %v",
+					ref.RAP.Order, rap, ref.MVP.Order, mvp)
 			}
 		})
 	}

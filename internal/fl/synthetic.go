@@ -35,7 +35,6 @@ type SyntheticClient struct {
 var (
 	_ Participant             = (*SyntheticClient)(nil)
 	_ core.ReportClient       = (*SyntheticClient)(nil)
-	_ core.AccuracyReporter   = (*SyntheticClient)(nil)
 	_ core.ActivationReporter = (*SyntheticClient)(nil)
 )
 
@@ -63,13 +62,10 @@ func (c *SyntheticClient) LocalUpdate(global []float64, round int) []float64 {
 	return d
 }
 
-// syntheticDomain* separate the report streams from the update stream (and
-// from each other), so e.g. asking for ranks never perturbs the deltas a
-// load test compares bit-for-bit.
-const (
-	syntheticDomainActs = 0x5f_ac75
-	syntheticDomainAcc  = 0x5f_acc0
-)
+// syntheticDomainActs separates the report stream from the update stream,
+// so asking for ranks never perturbs the deltas a load test compares
+// bit-for-bit.
+const syntheticDomainActs = 0x5f_ac75
 
 // units returns the canned report width.
 func (c *SyntheticClient) units() int {
@@ -104,12 +100,4 @@ func (c *SyntheticClient) RankReport(m *nn.Sequential, layerIdx int) []int {
 // VoteReport implements core.ReportClient from the canned activations.
 func (c *SyntheticClient) VoteReport(m *nn.Sequential, layerIdx int, p float64) []bool {
 	return votesAt(c.ActivationReport(m, layerIdx), p, c.Quant)
-}
-
-// ReportAccuracy implements core.AccuracyReporter with a deterministic
-// pseudo-accuracy in (0.5, 1); the model is ignored and may be nil.
-func (c *SyntheticClient) ReportAccuracy(*nn.Sequential) float64 {
-	rng := participantRNG(syntheticDomainAcc, uint64(c.Seed), uint64(c.Id))
-	defer participantRNGs.Put(rng)
-	return 0.5 + rng.Float64()/2
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // TestClonePreservesParamFlags: every way of deriving a model from another
-// — Clone, RestoreFrom, a replica — carries Name, L2, NoDecay and Stat of
+// — Clone, a replica — carries Name, L2, NoDecay and Stat of
 // every parameter of every layer type (MiniVGG has all six: Conv2D,
 // BatchNorm2D, ReLU, MaxPool2D, Flatten, Dense).
 //
@@ -55,12 +55,9 @@ func TestClonePreservesParamFlags(t *testing.T) {
 		t.Fatalf("MiniVGG marks %d running-statistic parameters, want 14 (7 BatchNorm layers)", stats)
 	}
 
-	restored := NewMiniVGG(Input{C: 3, H: 16, W: 16}, 10, rand.New(rand.NewSource(2)))
-	restored.RestoreFrom(src)
 	derived := map[string]*Sequential{
-		"Clone":       src.Clone(),
-		"RestoreFrom": restored,
-		"Replicas":    src.Replicas().Get().Model,
+		"Clone":    src.Clone(),
+		"Replicas": src.Replicas().Get().Model,
 	}
 	for how, m := range derived {
 		got, want := m.Params(), src.Params()

@@ -11,9 +11,9 @@ import (
 type Sequential struct {
 	layers []Layer
 
-	// params caches the flattened parameter list. Layers never gain or
-	// lose parameters after construction, so the cache is invalidated only
-	// when the layer slice itself changes (RestoreFrom).
+	// params caches the flattened parameter list. Neither the layer slice
+	// nor any layer's parameters change after construction, so the cache
+	// is never invalidated.
 	params []*Param
 
 	// backend selects the arithmetic precision of forward/backward passes
@@ -205,23 +205,11 @@ func FreezeStats(m *Sequential) {
 	}
 }
 
-// RestoreFrom replaces this model's layers with deep copies of src's
-// layers (parameters, prune masks and statistics). Both models must have
-// the same architecture. It lets callers holding a *Sequential roll the
-// model back to a snapshot taken with Clone.
-func (m *Sequential) RestoreFrom(src *Sequential) {
-	if len(m.layers) != len(src.layers) {
-		panic(fmt.Sprintf("nn: RestoreFrom layer count %d, want %d", len(src.layers), len(m.layers)))
-	}
-	for i, l := range src.layers {
-		m.layers[i] = l.CloneLayer()
-	}
-	m.params = nil // the cached parameter pointers just changed
-}
-
 // StatMask returns a flat boolean mask over ParamsVector positions marking
-// Stat parameters (batch-norm running statistics). Attackers that scale
-// their update (model replacement) use it to leave statistics unscaled.
+// Stat parameters (batch-norm running statistics), for comparing where two
+// models or vectors keep their statistics. An attacker that scales its
+// update leaves statistics unscaled by reading each Param's Stat flag
+// (Attacker.LocalUpdate), not this mask.
 func (m *Sequential) StatMask() []bool {
 	mask := make([]bool, 0, m.NumParams())
 	for _, p := range m.Params() {

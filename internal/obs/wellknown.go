@@ -48,7 +48,7 @@ var M = struct {
 	DefensePipelines            *Counter   // RunPipeline invocations
 	DefensePrunedUnits          *Counter   // units left pruned by PruneToThreshold
 	DefenseZeroedWeights        *Counter   // weights zeroed by AdjustWeights
-	DefenseReportDropouts       *Counter   // prune/accuracy reports lost on the wire
+	DefenseReportDropouts       *Counter   // rank/vote reports lost on the wire
 	DefenseReportQuorumFailures *Counter   // report collections aborted below quorum
 	DefensePipelineSeconds      *Histogram // whole Algorithm 1 runs
 	DefensePruneSweepSeconds    *Histogram // RunPipeline prune sweeps (defense.prune.sweep)
@@ -95,7 +95,7 @@ var M = struct {
 	// Load generation (transport.Fleet / cmd/fedload).
 	FedloadClients       *Gauge     // synthetic clients hosted by the fleet
 	FedloadUpdates       *Counter   // update requests served
-	FedloadReports       *Counter   // report requests served (ranks/votes/accuracy)
+	FedloadReports       *Counter   // report requests served (ranks/votes)
 	FedloadBytesIn       *Counter   // request bytes read by the fleet
 	FedloadBytesOut      *Counter   // response bytes written by the fleet
 	FedloadHandlerPanics *Counter   // participant panics recovered by the fleet handler

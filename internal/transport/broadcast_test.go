@@ -245,8 +245,8 @@ func TestBroadcastOneFlippedByteIsRefused(t *testing.T) {
 		}
 	}
 	// The same bytes to another endpoint are the wrong kind there.
-	if rec := serveBody(h, "/v1/accuracy", valid); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "kind") {
-		t.Errorf("update request to /v1/accuracy: HTTP %d %q, want a 400 for its kind", rec.Code, rec.Body.Bytes())
+	if rec := serveBody(h, "/v1/ranks", valid); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "kind") {
+		t.Errorf("update request to /v1/ranks: HTTP %d %q, want a 400 for its kind", rec.Code, rec.Body.Bytes())
 	}
 }
 
@@ -262,7 +262,7 @@ func TestBroadcastHitStillValidates(t *testing.T) {
 		body []byte
 	}{
 		{"/v1/update", appendRequest(nil, wire.KindUpdateRequest, request{Global: make([]float64, n-1), Round: 1})},
-		{"/v1/accuracy", appendRequest(nil, wire.KindAccuracyRequest, request{Global: make([]float64, n+1)})},
+		{"/v1/votes", appendRequest(nil, wire.KindVoteRequest, request{Global: make([]float64, n+1), Rate: 0.5})},
 		{"/v1/ranks", appendRequest(nil, wire.KindRankRequest, request{Global: make([]float64, n), Layer: 99})},
 		{"/v1/votes", appendRequest(nil, wire.KindVoteRequest, request{Global: make([]float64, n), Layer: -1, Rate: 0.5})},
 	} {

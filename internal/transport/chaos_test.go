@@ -87,7 +87,6 @@ func serveChaos(t *testing.T, parts []fl.Participant, template *nn.Sequential,
 		cs := NewClientServer(p.(interface {
 			fl.Participant
 			core.ReportClient
-			core.AccuracyReporter
 		}), template)
 		if mode == serverSide && inj[i] != nil {
 			cs.SetMiddleware(inj[i].Middleware)
@@ -356,7 +355,6 @@ func TestRoundTimeoutReleasesHangingClient(t *testing.T) {
 	cs := NewClientServer(parts[0].(interface {
 		fl.Participant
 		core.ReportClient
-		core.AccuracyReporter
 	}), template)
 	addr, err := cs.Serve("127.0.0.1:0")
 	if err != nil {

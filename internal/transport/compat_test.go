@@ -17,6 +17,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/fl"
 	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
+	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
@@ -27,7 +28,7 @@ import (
 // then pinned; the legacy gob files are frozen bytes nothing in the tree
 // can write any more. The table test below decodes every file through the
 // decoders the current binary actually uses (nn.LoadAny, updatePayload,
-// rankPayload, votePayload, accuracyPayload) and asserts bit-identity with
+// rankPayload, votePayload) and asserts bit-identity with
 // the seeded value — so a wire or serialization change that silently breaks
 // a peer or a file on disk fails CI instead of a rollout — and asserts that
 // the gob files — three wire responses no peer sends any more and a model
@@ -84,11 +85,6 @@ func compatActs() []float64 {
 	return a
 }
 
-// compatAccuracy is the corpus's fixed accuracy report.
-func compatAccuracy() float64 {
-	return rand.New(rand.NewSource(97)).Float64()
-}
-
 // goldenFiles materializes every regenerable corpus entry from the fixed
 // seeds; the four legacy gob files exist only on disk.
 func goldenFiles(t *testing.T) map[string][]byte {
@@ -106,31 +102,23 @@ func goldenFiles(t *testing.T) map[string][]byte {
 	files["report-ranks-compact-v1.bin"] = AppendRanksDelta(nil, compatRanks())
 	files["report-votes-compact-v1.bin"] = AppendVoteBitmap(nil, compatVotes())
 	files["report-acts8-compact-v1.bin"] = AppendActs8(nil, metrics.QuantizeActivations(compatActs()))
-	files["response-accuracy-v1.bin"] = appendAccuracy(nil, compatAccuracy())
 
 	for name, kind := range compatRequestKinds {
-		files[name] = appendRequest(nil, kind, compatRequest(kind))
+		files[name] = appendRequest(nil, kind, compatRequest())
 	}
 	return files
 }
 
 // compatRequestKinds maps the corpus's request files to their kinds.
 var compatRequestKinds = map[string]uint16{
-	"request-update-v1.bin":   wire.KindUpdateRequest,
-	"request-ranks-v1.bin":    wire.KindRankRequest,
-	"request-votes-v1.bin":    wire.KindVoteRequest,
-	"request-accuracy-v1.bin": wire.KindAccuracyRequest,
+	"request-update-v1.bin": wire.KindUpdateRequest,
+	"request-ranks-v1.bin":  wire.KindRankRequest,
+	"request-votes-v1.bin":  wire.KindVoteRequest,
 }
 
-// compatRequest is the corpus's fixed request of a kind. Three ship the
-// delta vector as their global, IEEE specials included; the accuracy
-// request encodes straight from the seeded model, the way RemoteClient
-// sends every report request.
-func compatRequest(kind uint16) request {
-	if kind == wire.KindAccuracyRequest {
-		m, _, _ := compatModel()
-		return request{Model: m}
-	}
+// compatRequest is the corpus's fixed request: every kind ships the delta
+// vector as its global, IEEE specials included.
+func compatRequest() request {
 	return request{Global: compatDelta(), Round: 7, Layer: 2, Rate: 0.25}
 }
 
@@ -185,7 +173,6 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 		for name, want := range map[string]byte{
 			"model-versioned-v1.bin":      wire.Magic[0],
 			"update-versioned-v1.bin":     wire.Magic[0],
-			"response-accuracy-v1.bin":    wire.Magic[0],
 			"report-ranks-compact-v1.bin": TagRanksDelta,
 			"report-votes-compact-v1.bin": TagVoteBitmap,
 			"report-acts8-compact-v1.bin": TagActs8,
@@ -213,10 +200,9 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 			"report-ranks-legacy-gob.bin", "report-votes-legacy-gob.bin"} {
 			data := loadGolden(t, files, name)
 			for what, dec := range map[string]bodyDecoder{
-				"update":   &updatePayload{Limit: 1 << 20},
-				"ranks":    &rankPayload{},
-				"votes":    &votePayload{},
-				"accuracy": &accuracyPayload{},
+				"update": &updatePayload{Limit: 1 << 20},
+				"ranks":  &rankPayload{},
+				"votes":  &votePayload{},
 			} {
 				if err := dec.DecodeBody(bytes.NewReader(data)); err == nil {
 					t.Errorf("%s accepted as a %s response", name, what)
@@ -233,7 +219,7 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 		for _, name := range []string{
 			"model-versioned-v1.bin", "update-versioned-v1.bin",
 			"report-ranks-compact-v1.bin", "report-votes-compact-v1.bin",
-			"report-acts8-compact-v1.bin", "response-accuracy-v1.bin",
+			"report-acts8-compact-v1.bin",
 		} {
 			if !bytes.Equal(loadGolden(t, files, name), files[name]) {
 				t.Errorf("%s: checked-in bytes differ from canonical re-encoding", name)
@@ -315,41 +301,6 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 		}
 	})
 
-	t.Run("accuracy", func(t *testing.T) {
-		var ap accuracyPayload
-		if err := ap.DecodeBody(bytes.NewReader(loadGolden(t, files, "response-accuracy-v1.bin"))); err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(ap.Accuracy) != math.Float64bits(compatAccuracy()) {
-			t.Fatalf("accuracy %v, want %v", ap.Accuracy, compatAccuracy())
-		}
-	})
-}
-
-// TestAccuracyResponseRejections: a malformed accuracy envelope errors,
-// never panics, and unknown sections are skipped.
-func TestAccuracyResponseRejections(t *testing.T) {
-	valid := appendAccuracy(nil, 0.75)
-	value := valid[len(valid)-12 : len(valid)-4]
-	cases := map[string][]byte{
-		"empty":      {},
-		"bad-crc":    append(append([]byte(nil), valid[:len(valid)-1]...), valid[len(valid)-1]^1),
-		"truncated":  valid[:len(valid)-6],
-		"wrong-kind": AppendVersionedUpdate(nil, []float64{0.75}),
-		"no-value":   wire.NewEncoder(wire.KindAccuracy).Section(99, value).Bytes(),
-		"wrong-size": wire.NewEncoder(wire.KindAccuracy).Section(secAccuracyValue, value[:4]).Bytes(),
-		"oversized":  append(append([]byte(nil), valid...), make([]byte, envelopeSlack)...),
-	}
-	for name, data := range cases {
-		var ap accuracyPayload
-		if err := ap.DecodeBody(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	fwd := wire.NewEncoder(wire.KindAccuracy).Section(77, []byte("future")).Section(secAccuracyValue, value).Bytes()
-	if got, err := decodeAccuracy(fwd); err != nil || got != 0.75 {
-		t.Fatalf("unknown section not skipped: %v, %v", got, err)
-	}
 }
 
 // TestVersionedUpdateRoundTrip pins the codec itself: bit-exact floats,
@@ -418,7 +369,7 @@ func TestVersionedUpdateOverWire(t *testing.T) {
 	}
 }
 
-// TestRequestGoldenCorpus pins the four request envelopes the way
+// TestRequestGoldenCorpus pins the three request envelopes the way
 // TestCrossVersionGoldenCorpus pins the response side: the checked-in
 // bytes open with the envelope magic, equal the canonical re-encoding of the fixed
 // seeds, and decode on their endpoint to exactly the fields that went in —
@@ -437,10 +388,7 @@ func TestRequestGoldenCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want := compatRequest(kind)
-		if want.Model != nil {
-			want.Global = want.Model.ParamsVector()
-		}
+		want := compatRequest()
 		if !sameBits(got.Global, want.Global) {
 			t.Errorf("%s: global differs from the seeded vector", name)
 		}
@@ -461,6 +409,14 @@ func TestRequestGoldenCorpus(t *testing.T) {
 			if _, err := decodeRequest(data, otherKind); err == nil {
 				t.Errorf("%s accepted on the endpoint of %s", name, other)
 			}
+		}
+		// RemoteClient encodes report requests straight from the model:
+		// the bytes are those of its parameter vector.
+		m, _, _ := compatModel()
+		fromModel := request{Model: m, Round: 7, Layer: 2, Rate: 0.25}
+		fromGlobal := request{Global: m.ParamsVector(), Round: 7, Layer: 2, Rate: 0.25}
+		if !bytes.Equal(appendRequest(nil, kind, fromModel), appendRequest(nil, kind, fromGlobal)) {
+			t.Errorf("%s: a request encoded from a model differs from one encoded from its parameters", name)
 		}
 	}
 }
@@ -509,13 +465,13 @@ func TestRequestRejections(t *testing.T) {
 	h, n := fuzzHandler()
 	params := wire.AppendFloat64s(wire.AppendUint(nil, uint64(n)), make([]float64, n))
 	padded := func(size int) []byte {
-		bare := wire.NewEncoder(wire.KindAccuracyRequest).Section(77, nil).Section(secReqGlobal, params).Bytes()
-		return wire.NewEncoder(wire.KindAccuracyRequest).Section(77, make([]byte, size-len(bare))).Section(secReqGlobal, params).Bytes()
+		bare := wire.NewEncoder(wire.KindRankRequest).Section(77, nil).Section(secReqGlobal, params).Bytes()
+		return wire.NewEncoder(wire.KindRankRequest).Section(77, make([]byte, size-len(bare))).Section(secReqGlobal, params).Bytes()
 	}
 	limit := int(envelopeLimit(n))
 	for size, want := range map[int]int{limit: http.StatusOK, limit + 1: http.StatusBadRequest} {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/accuracy", bytes.NewReader(padded(size))))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ranks", bytes.NewReader(padded(size))))
 		if rec.Code != want {
 			t.Errorf("%d-byte request: HTTP %d, want %d (%s)", size, rec.Code, want, bytes.TrimSpace(rec.Body.Bytes()))
 		}
@@ -552,8 +508,6 @@ func TestRequestEncodingsAgree(t *testing.T) {
 			appendRequest(nil, wire.KindRankRequest, request{Model: template, Layer: layer})},
 		{"/v1/votes", gobBody(t, VoteRequest{Global: global, Layer: layer, Rate: 0.5}),
 			appendRequest(nil, wire.KindVoteRequest, request{Model: template, Layer: layer, Rate: 0.5})},
-		{"/v1/accuracy", gobBody(t, AccuracyRequest{Global: global}),
-			appendRequest(nil, wire.KindAccuracyRequest, request{Model: template})},
 	}
 	for _, ep := range endpoints {
 		fromCS, bodyCS := served(cs.Handler(), ep.path, ep.envelope)
@@ -580,5 +534,35 @@ func TestRequestEncodingsAgree(t *testing.T) {
 	want := (&fl.SyntheticClient{Id: 3, Seed: 96}).LocalUpdate(global, 3)
 	if !sameBits(up.Delta, want) {
 		t.Error("wire delta differs from the in-process delta")
+	}
+}
+
+// TestAccuracyEndpointIsGone: the defense asks clients for rank and vote
+// reports only, so the request an aggregator that still asked for a
+// client-reported accuracy sends (kind 8, retired, to /v1/accuracy) is a
+// 404 from a ClientServer and from a Fleet — a permanent rejection, never a
+// handler panic.
+func TestAccuracyEndpointIsGone(t *testing.T) {
+	template := nn.NewSmallCNN(nn.Input{C: 1, H: 8, W: 8}, 4, rand.New(rand.NewSource(95)))
+	body := appendRequest(nil, 8, request{Model: template})
+	cs := NewClientServer(&fl.SyntheticClient{Id: 3, Seed: 96, Units: 16}, template)
+	fleet := NewFleet()
+	fleet.Add(&fl.SyntheticClient{Id: 3, Seed: 96, Units: 16})
+	for _, c := range []struct {
+		name, path string
+		h          http.Handler
+	}{
+		{"ClientServer", "/v1/accuracy", cs.Handler()},
+		{"Fleet", "/c/3/v1/accuracy", fleet.Handler()},
+	} {
+		panics := obs.M.FedloadHandlerPanics.Value()
+		rec := httptest.NewRecorder()
+		c.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, bytes.NewReader(body)))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%s %s: HTTP %d, want 404", c.name, c.path, rec.Code)
+		}
+		if got := obs.M.FedloadHandlerPanics.Value() - panics; got != 0 {
+			t.Errorf("%s %s: fedload_handler_panics_total moved by %d", c.name, c.path, got)
+		}
 	}
 }

@@ -31,7 +31,7 @@ import (
 // The fleet's handlers are the package's one implementation of the
 // protocol (ClientServer is a fleet of one, mounted at the root): the
 // update endpoint (POST /c/<id>/v1/update) plus the defense's report
-// endpoints (/v1/ranks, /v1/votes, /v1/accuracy) for participants that
+// endpoints (/v1/ranks, /v1/votes) for participants that
 // implement the reporting interfaces — fl.SyntheticClient answers them with
 // canned deterministic reports, so a load run exercises the report wire
 // path end to end. Report responses use the compact codecs of codec.go at
@@ -51,7 +51,7 @@ type Fleet struct {
 	life lifecycle
 }
 
-// endpoint is one of the protocol's four: the request kind it reads, the
+// endpoint is one of the protocol's three: the request kind it reads, the
 // name its server-side span traces under and the histogram that span feeds.
 type endpoint struct {
 	kind uint16
@@ -59,20 +59,18 @@ type endpoint struct {
 	hist *obs.Histogram
 }
 
-// The four endpoints as a fleet mounts them, by path below /c/<id>/, and as
+// The three endpoints as a fleet mounts them, by path below /c/<id>/, and as
 // a ClientServer does, by path from the root.
 var (
 	fleetEndpoints = map[string]endpoint{
-		"v1/update":   {wire.KindUpdateRequest, "fedload.update", obs.M.FedloadUpdateSeconds},
-		"v1/ranks":    {wire.KindRankRequest, "fedload.ranks", nil},
-		"v1/votes":    {wire.KindVoteRequest, "fedload.votes", nil},
-		"v1/accuracy": {wire.KindAccuracyRequest, "fedload.accuracy", nil},
+		"v1/update": {wire.KindUpdateRequest, "fedload.update", obs.M.FedloadUpdateSeconds},
+		"v1/ranks":  {wire.KindRankRequest, "fedload.ranks", nil},
+		"v1/votes":  {wire.KindVoteRequest, "fedload.votes", nil},
 	}
 	clientEndpoints = map[string]endpoint{
-		"/v1/update":   {wire.KindUpdateRequest, "client.update", nil},
-		"/v1/ranks":    {wire.KindRankRequest, "client.ranks", nil},
-		"/v1/votes":    {wire.KindVoteRequest, "client.votes", nil},
-		"/v1/accuracy": {wire.KindAccuracyRequest, "client.accuracy", nil},
+		"/v1/update": {wire.KindUpdateRequest, "client.update", nil},
+		"/v1/ranks":  {wire.KindRankRequest, "client.ranks", nil},
+		"/v1/votes":  {wire.KindVoteRequest, "client.votes", nil},
 	}
 )
 
@@ -218,8 +216,6 @@ func (f *Fleet) serve(w http.ResponseWriter, r *http.Request, slot *fleetSlot, e
 		handleRanks(w, slot, req)
 	case wire.KindVoteRequest:
 		handleVotes(w, slot, req)
-	case wire.KindAccuracyRequest:
-		handleAccuracy(w, slot, req)
 	}
 }
 
@@ -362,18 +358,6 @@ func handleVotes(w http.ResponseWriter, slot *fleetSlot, req request) {
 	var payload []byte
 	slot.report(req.Global, func(m *nn.Sequential) { payload = AppendVoteBitmap(nil, rc.VoteReport(m, req.Layer, req.Rate)) })
 	writeReport(w, payload)
-}
-
-func handleAccuracy(w http.ResponseWriter, slot *fleetSlot, req request) {
-	ar, ok := slot.part.(core.AccuracyReporter)
-	if !ok {
-		http.Error(w, fmt.Sprintf("client %d serves no reports", slot.part.ID()), http.StatusNotFound)
-		return
-	}
-	var acc float64
-	slot.report(req.Global, func(m *nn.Sequential) { acc = ar.ReportAccuracy(m) })
-	writeBody(w, accuracyContentType, appendAccuracy(nil, acc))
-	obs.M.FedloadReports.Inc()
 }
 
 // requestSpan opens the server-side span for one protocol request: a

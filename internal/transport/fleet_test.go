@@ -315,13 +315,6 @@ func TestFleetServesReports(t *testing.T) {
 			t.Fatalf("vote[%d] = %v, want %v", i, votes[i], wantVotes[i])
 		}
 	}
-	acc, err := rc.TryReportAccuracy(context.Background(), tmpl)
-	if err != nil {
-		t.Fatalf("TryReportAccuracy: %v", err)
-	}
-	if want := syn.ReportAccuracy(nil); acc != want {
-		t.Fatalf("accuracy = %g, want %g", acc, want)
-	}
 
 	// int8 mode: same wire, quantized payloads, identical vote/rank shape.
 	f.slots[1].part.(*fl.SyntheticClient).Quant = metrics.ReportInt8
@@ -394,11 +387,9 @@ func TestClientServerReportsBorrowOneWorkingModel(t *testing.T) {
 			check("/v1/votes", appendRequest(nil, wire.KindVoteRequest, request{Model: m, Layer: li, Rate: 0.3}),
 				AppendVoteBitmap(nil, client.VoteReport(m, li, 0.3)))
 		}
-		check("/v1/accuracy", appendRequest(nil, wire.KindAccuracyRequest, request{Model: m}),
-			appendAccuracy(nil, client.ReportAccuracy(m)))
 	}
 	if made := cs.slot.template.Replicas().Made(); made != 1 {
-		t.Fatalf("15 report calls made %d working copies, want 1", made)
+		t.Fatalf("12 report calls made %d working copies, want 1", made)
 	}
 }
 

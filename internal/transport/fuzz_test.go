@@ -14,7 +14,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
-// Fuzz targets for the request decoder behind the four protocol endpoints.
+// Fuzz targets for the request decoder behind the three protocol endpoints.
 // The invariant under fuzzing: an arbitrary request body either decodes
 // into a well-formed request (HTTP 200) or is rejected with HTTP 400 — the
 // handler never panics and never returns any other status. The legacy gob
@@ -40,7 +40,6 @@ func (s stubFuzzParticipant) RankReport(*nn.Sequential, int) []int {
 func (s stubFuzzParticipant) VoteReport(*nn.Sequential, int, float64) []bool {
 	return make([]bool, s.units)
 }
-func (stubFuzzParticipant) ReportAccuracy(*nn.Sequential) float64 { return 0.5 }
 
 // fuzzHandler builds a small ClientServer and returns its handler plus the
 // template parameter count (for crafting valid and invalid bodies).
@@ -73,9 +72,9 @@ func envelopeSeeds(kind uint16, n int) [][]byte {
 	valid := appendRequest(nil, kind, request{Global: global, Round: 1, Rate: 0.5})
 	badCRC := append([]byte(nil), valid...)
 	badCRC[len(badCRC)-1] ^= 0x01
-	wrongKind := wire.KindAccuracyRequest
-	if kind == wire.KindAccuracyRequest {
-		wrongKind = wire.KindUpdate
+	wrongKind := wire.KindRankRequest
+	if kind == wire.KindRankRequest {
+		wrongKind = wire.KindVoteRequest
 	}
 	countLies := wire.NewEncoder(kind).
 		Section(secReqGlobal, wire.AppendFloat64s(wire.AppendUint(nil, uint64(n)+1), global)).Bytes()
@@ -157,28 +156,15 @@ func FuzzHandleVotes(f *testing.F) {
 	}, envelopeSeeds(wire.KindVoteRequest, n)...))
 }
 
-func FuzzHandleAccuracy(f *testing.F) {
-	_, n := fuzzHandler()
-	valid := gobBody(f, AccuracyRequest{Global: make([]float64, n)})
-	fuzzEndpoint(f, "/v1/accuracy", wire.KindAccuracyRequest, append([][]byte{
-		valid,
-		valid[:len(valid)/2],
-		{},
-		[]byte("garbage"),
-		gobBody(f, AccuracyRequest{Global: []float64{1}}),
-	}, envelopeSeeds(wire.KindAccuracyRequest, n)...))
-}
-
 // TestEnvelopeSeedStatuses pins what the envelope seeds above mean outside
 // a fuzzing run: the well-formed request is served, every malformed one is
 // a 400 — including the fields only some endpoints read.
 func TestEnvelopeSeedStatuses(t *testing.T) {
 	h, n := fuzzHandler()
 	for path, kind := range map[string]uint16{
-		"/v1/update":   wire.KindUpdateRequest,
-		"/v1/ranks":    wire.KindRankRequest,
-		"/v1/votes":    wire.KindVoteRequest,
-		"/v1/accuracy": wire.KindAccuracyRequest,
+		"/v1/update": wire.KindUpdateRequest,
+		"/v1/ranks":  wire.KindRankRequest,
+		"/v1/votes":  wire.KindVoteRequest,
 	} {
 		reads := func(kinds ...uint16) int {
 			for _, k := range kinds {

@@ -24,9 +24,6 @@ type (
 		Layer  int
 		Rate   float64
 	}
-	AccuracyRequest struct {
-		Global []float64
-	}
 )
 
 // gobBody gob-encodes one legacy request.

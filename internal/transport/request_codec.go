@@ -17,7 +17,7 @@ import (
 
 // Requests (DESIGN.md §15). Every request a server sends is a wire
 // envelope of the endpoint's kind (wire.KindUpdateRequest, KindRankRequest,
-// KindVoteRequest, KindAccuracyRequest) built from the sections below,
+// KindVoteRequest) built from the sections below,
 // scalars first, then the parameter vector. A handler accepts nothing else.
 const (
 	// secReqGlobal is the global parameter vector: a uvarint coordinate
@@ -35,7 +35,7 @@ const (
 // requestContentType marks a versioned request payload.
 const requestContentType = "application/x-fedcleanse-request"
 
-// request is any of the four protocol requests; which fields travel
+// request is any of the three protocol requests; which fields travel
 // depends on the kind.
 type request struct {
 	// Global is the parameter vector. On the handler side it comes from the

@@ -6,17 +6,17 @@
 // participants; the transport tests verify bit-identical results between
 // the two.
 //
-// The protocol has four endpoints, mirroring what the paper's server asks
+// The protocol has three endpoints, mirroring what the paper's server asks
 // of clients:
 //
-//	POST /v1/update    — one round of local training; returns the delta
-//	POST /v1/ranks     — RAP rank report for a layer
-//	POST /v1/votes     — MVP vote report for a layer at a rate
-//	POST /v1/accuracy  — client-reported accuracy (pruning feedback)
+//	POST /v1/update  — one round of local training; returns the delta
+//	POST /v1/ranks   — RAP rank report for a layer
+//	POST /v1/votes   — MVP vote report for a layer at a rate
 //
-// There is one wire format (DESIGN.md §15). Requests, update responses and
-// accuracy responses are versioned wire envelopes (request_codec.go,
-// update_codec.go, accuracy_codec.go), encoded into and read through
+// The server guards pruning and AW with its own validation accuracy, so it
+// never asks a client for one. There is one wire format (DESIGN.md §15).
+// Requests and update responses are versioned wire envelopes
+// (request_codec.go, update_codec.go), encoded into and read through
 // pooled buffers. Model parameters travel as flat vectors; both sides hold
 // the architecture (as in cross-silo FL deployments, where the model
 // definition ships with the software). Rank and vote responses are the
@@ -32,9 +32,8 @@
 // each logical call runs a bounded retry loop (per-attempt timeouts,
 // capped exponential backoff) under the caller's context, and surfaces
 // the final error through the fallible interfaces
-// (fl.FallibleParticipant, core.FallibleReportClient,
-// core.FallibleAccuracyReporter) that the round drivers use to record a
-// dropout and continue on the surviving quorum. The deterministic
+// (fl.FallibleParticipant, core.FallibleReportClient) that the round
+// drivers use to record a dropout and continue on the surviving quorum. The deterministic
 // FaultInjector in fault.go reproduces the failure modes in tests.
 package transport
 
@@ -66,7 +65,6 @@ import (
 type participant interface {
 	fl.Participant
 	core.ReportClient
-	core.AccuracyReporter
 }
 
 // ClientServer exposes one federated participant over HTTP: a Fleet of one
@@ -286,12 +284,11 @@ func (c bodyConn) ReadFrom(r io.Reader) (int64, error) {
 }
 
 // RemoteClient is the server-side stub for a client reachable over HTTP.
-// It implements fl.Participant, core.ReportClient and
-// core.AccuracyReporter, so it drops into both federated training and the
-// defense pipeline — and their fallible extensions
-// (fl.FallibleParticipant, core.FallibleReportClient,
-// core.FallibleAccuracyReporter), which the round drivers prefer: a
-// failed call becomes a recorded dropout, never a panic.
+// It implements fl.Participant and core.ReportClient, so it drops into
+// both federated training and the defense pipeline — and their fallible
+// extensions (fl.FallibleParticipant, core.FallibleReportClient), which the
+// round drivers prefer: a failed call becomes a recorded dropout, never a
+// panic.
 type RemoteClient struct {
 	id      int
 	baseURL string
@@ -303,12 +300,10 @@ type RemoteClient struct {
 }
 
 var (
-	_ fl.Participant                = (*RemoteClient)(nil)
-	_ fl.FallibleParticipant        = (*RemoteClient)(nil)
-	_ core.ReportClient             = (*RemoteClient)(nil)
-	_ core.FallibleReportClient     = (*RemoteClient)(nil)
-	_ core.AccuracyReporter         = (*RemoteClient)(nil)
-	_ core.FallibleAccuracyReporter = (*RemoteClient)(nil)
+	_ fl.Participant            = (*RemoteClient)(nil)
+	_ fl.FallibleParticipant    = (*RemoteClient)(nil)
+	_ core.ReportClient         = (*RemoteClient)(nil)
+	_ core.FallibleReportClient = (*RemoteClient)(nil)
 )
 
 // NewRemoteClient builds a stub for the client server at addr
@@ -451,13 +446,6 @@ func readBody(r io.Reader, limit int64) (*wire.Buffer, error) {
 	return buf, nil
 }
 
-// TryReportAccuracy implements core.FallibleAccuracyReporter over the
-// wire.
-func (rc *RemoteClient) TryReportAccuracy(ctx context.Context, m *nn.Sequential) (float64, error) {
-	resp, err := call(rc, ctx, "/v1/accuracy", wire.KindAccuracyRequest, request{Model: m}, accuracyPayload{})
-	return resp.Accuracy, err
-}
-
 // LocalUpdate implements fl.Participant over the wire. A transport
 // failure yields a nil delta, which fl's round drivers record as a
 // dropout (the error is retained in LastErr); prefer TryLocalUpdate for
@@ -488,16 +476,6 @@ func (rc *RemoteClient) VoteReport(m *nn.Sequential, layerIdx int, p float64) []
 		return nil
 	}
 	return v
-}
-
-// ReportAccuracy implements core.AccuracyReporter over the wire; failures
-// yield NaN, which MeanReportedAccuracy skips as a dropout.
-func (rc *RemoteClient) ReportAccuracy(m *nn.Sequential) float64 {
-	a, err := rc.TryReportAccuracy(context.Background(), m)
-	if err != nil {
-		return math.NaN()
-	}
-	return a
 }
 
 // call runs one logical request through the retry loop: one encoded body

@@ -46,7 +46,6 @@ func buildPopulation(t *testing.T) (local []fl.Participant, remote []fl.Particip
 		cs := NewClientServer(p.(interface {
 			fl.Participant
 			core.ReportClient
-			core.AccuracyReporter
 		}), template)
 		addr, err := cs.Serve("127.0.0.1:0")
 		if err != nil {
@@ -102,11 +101,6 @@ func TestRemoteReports(t *testing.T) {
 		if lv[i] != rv[i] {
 			t.Fatalf("vote report differs at %d", i)
 		}
-	}
-	la := local[1].(core.AccuracyReporter).ReportAccuracy(template)
-	ra := remote[1].(core.AccuracyReporter).ReportAccuracy(template)
-	if la != ra {
-		t.Fatalf("accuracy report differs: %g vs %g", la, ra)
 	}
 }
 
@@ -169,7 +163,6 @@ func TestServeTwiceFails(t *testing.T) {
 	cs := NewClientServer(local[1].(interface {
 		fl.Participant
 		core.ReportClient
-		core.AccuracyReporter
 	}), template)
 	if _, err := cs.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -186,7 +179,6 @@ func TestShutdownBeforeServeIsSafe(t *testing.T) {
 	cs := NewClientServer(local[1].(interface {
 		fl.Participant
 		core.ReportClient
-		core.AccuracyReporter
 	}), template)
 	if err := cs.Shutdown(context.Background()); err != nil {
 		t.Fatalf("Shutdown before Serve: %v", err)
@@ -206,7 +198,6 @@ func TestServeErrorChannel(t *testing.T) {
 		return NewClientServer(local[1].(interface {
 			fl.Participant
 			core.ReportClient
-			core.AccuracyReporter
 		}), template)
 	}
 
@@ -247,7 +238,6 @@ func TestClientServerRejectsGet(t *testing.T) {
 	cs := NewClientServer(local[1].(interface {
 		fl.Participant
 		core.ReportClient
-		core.AccuracyReporter
 	}), template)
 	addr, err := cs.Serve("127.0.0.1:0")
 	if err != nil {

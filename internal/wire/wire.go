@@ -70,16 +70,14 @@ const (
 	// KindModelState is a bare parameter/mask payload applied onto an
 	// existing architecture (defense-phase snapshots; internal/nn).
 	KindModelState uint16 = 4
-	// KindUpdateRequest, KindRankRequest, KindVoteRequest and
-	// KindAccuracyRequest are the four protocol requests a server sends a
-	// client (internal/transport request_codec.go).
-	KindUpdateRequest   uint16 = 5
-	KindRankRequest     uint16 = 6
-	KindVoteRequest     uint16 = 7
-	KindAccuracyRequest uint16 = 8
-	// KindAccuracy is one client's reported accuracy, the answer to a
-	// KindAccuracyRequest (internal/transport accuracy_codec.go).
-	KindAccuracy uint16 = 9
+	// KindUpdateRequest, KindRankRequest and KindVoteRequest are the three
+	// protocol requests a server sends a client (internal/transport
+	// request_codec.go).
+	KindUpdateRequest uint16 = 5
+	KindRankRequest   uint16 = 6
+	KindVoteRequest   uint16 = 7
+	// 8 and 9 are retired: they were a client-reported-accuracy request and
+	// its answer, which older binaries may still send. Never reuse them.
 )
 
 // Section is one typed payload slice; Payload aliases the decoded buffer.
