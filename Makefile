@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench alloc-test chaos-test obs-test ops-smoke load-smoke fmt vet gob-check lint check
+.PHONY: build test race bench alloc-test chaos-test obs-test ops-smoke load-smoke fmt vet gob-check fusion-check lint check
 
 ## build: compile every package
 build:
@@ -90,19 +90,22 @@ gob-check:
 		echo "encoding/gob imported outside tests:"; echo "$$offenders"; exit 1; \
 	fi
 
-## lint: the CI lint job locally — gofmt, vet, gob-check and the arm64
-## fusion check always; staticcheck and govulncheck when installed (CI
-## installs them; offline machines skip with a notice rather than failing
-## on a missing tool). The fusion check compiles internal/tensor and
-## internal/nn for arm64 with -S and fails on any fused multiply-add: the
-## layer stack writes every product as E(a*b) so that arm64 computes the
-## bits amd64 does (DESIGN.md §18).
-lint: fmt vet gob-check
+## fusion-check: no fused multiply-add in the arm64 layer stack — compiles
+## internal/tensor and internal/nn for arm64 with -S and fails on any
+## FMADD/FMSUB/FNMADD/FNMSUB: the layer stack writes every product as
+## E(a*b) so that arm64 computes the bits amd64 does (DESIGN.md §18)
+fusion-check:
 	@asm=$$(GOARCH=arm64 $(GO) build -a -gcflags=./internal/tensor=-S -gcflags=./internal/nn=-S ./internal/tensor ./internal/nn 2>&1) || { echo "$$asm"; exit 1; }; \
 	fused=$$(echo "$$asm" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB'); \
 	if [ -n "$$fused" ]; then \
 		echo "fused multiply-adds in the arm64 layer stack (write the product as E(a*b)):"; echo "$$fused"; exit 1; \
 	fi
+
+## lint: the CI lint job locally — gofmt, vet, gob-check and fusion-check
+## always; staticcheck and govulncheck when installed (CI installs them;
+## offline machines skip with a notice rather than failing on a missing
+## tool).
+lint: fmt vet gob-check fusion-check
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -41,7 +41,6 @@ func main() {
 	fleetCount := flag.Int("fleet-count", 10000, "registered population size in fleet mode")
 	sel := flag.Int("select", 0, "clients sampled per round in fleet mode (0 = all)")
 	streaming := flag.Bool("streaming", false, "fold updates into a running aggregate instead of buffering the cohort")
-	shards := flag.Int("shards", 0, "streaming fold shards (0 = parallel worker count)")
 	streamWindow := flag.Int("stream-window", 0, "streaming concurrency window (0 = twice the worker count)")
 	rounds := flag.Int("rounds", 0, "override the scenario's round count (0 = scenario default)")
 	defend := flag.Bool("defend", true, "run the defense pipeline after training")
@@ -125,7 +124,6 @@ func main() {
 	s.FL.Quorum = *quorum
 	s.FL.RoundTimeout = *roundTimeout
 	s.FL.Streaming = *streaming
-	s.FL.Shards = *shards
 	s.FL.StreamWindow = *streamWindow
 	if *rounds > 0 {
 		s.FL.Rounds = *rounds

@@ -102,11 +102,11 @@ type PipelineConfig struct {
 	// activation collapses into a single spatial cell whose amplified
 	// weights sit in that dense layer (see DESIGN.md).
 	AWLayers []int
-	// ReportQuorum is the minimum fraction (0,1] of clients whose reports
-	// must arrive for an aggregation (prune reports, accuracy fallback) to
-	// proceed; collection panics when the quorum is missed, since the
-	// defense cannot act on an unrepresentative minority. 0 accepts any
-	// non-empty subset.
+	// ReportQuorum is the minimum fraction (0,1] of clients whose rank or
+	// vote reports must arrive for a prune aggregation to proceed;
+	// collection panics when the quorum is missed, since the defense
+	// cannot act on an unrepresentative minority. 0 accepts any non-empty
+	// subset.
 	ReportQuorum float64
 	// ReportTimeout bounds each report-collection fan-out; when it expires
 	// the collection context is cancelled, aborting in-flight remote

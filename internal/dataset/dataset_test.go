@@ -333,19 +333,6 @@ func TestPoisonDoesNotMutateOriginal(t *testing.T) {
 	}
 }
 
-func TestRandomTargets(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	targets := RandomTargets(10, 20, rng)
-	if len(targets) != 20 {
-		t.Fatalf("%d targets, want 20", len(targets))
-	}
-	for _, tgt := range targets {
-		if tgt.VictimLabel == tgt.TargetLabel {
-			t.Fatal("victim == target")
-		}
-	}
-}
-
 func TestConcat(t *testing.T) {
 	a, _ := GenSynthMNIST(GenConfig{TrainPerClass: 2, TestPerClass: 1, Seed: 16})
 	b, _ := GenSynthMNIST(GenConfig{TrainPerClass: 3, TestPerClass: 1, Seed: 17})

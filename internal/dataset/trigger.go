@@ -1,9 +1,6 @@
 package dataset
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Pixel is one element of a backdoor trigger: set channel C of position
 // (X, Y) to Value.
@@ -145,20 +142,6 @@ func PoisonTestSet(test *Dataset, cfg PoisonConfig) *Dataset {
 		cfg.Trigger.Apply(p.X, test.Shape)
 		p.Label = cfg.TargetLabel
 		out.Samples = append(out.Samples, p)
-	}
-	return out
-}
-
-// RandomTargets returns n distinct (victim, target) label pairs with
-// victim != target, useful for sweep experiments.
-func RandomTargets(classes, n int, rng *rand.Rand) []PoisonConfig {
-	out := make([]PoisonConfig, 0, n)
-	for len(out) < n {
-		v, t := rng.Intn(classes), rng.Intn(classes)
-		if v == t {
-			continue
-		}
-		out = append(out, PoisonConfig{VictimLabel: v, TargetLabel: t})
 	}
 	return out
 }

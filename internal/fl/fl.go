@@ -237,14 +237,6 @@ func (t *Trainer) Train(m *nn.Sequential, data *dataset.Dataset, rng *rand.Rand)
 	}
 }
 
-// TrainLocal runs cfg.LocalEpochs of minibatch SGD over data on model m,
-// in place. It is the single training loop shared by honest clients,
-// attackers and the fine-tuning phase of the defense. Callers that train
-// repeatedly should hold a Trainer instead to reuse its buffers.
-func TrainLocal(m *nn.Sequential, data *dataset.Dataset, cfg Config, rng *rand.Rand) {
-	NewTrainer(cfg).Train(m, data, rng)
-}
-
 // deltaFrom returns x_i − w_t: m's parameters, read in ParamsVector order
 // straight out of its tensors, minus global — written over every element of
 // a recycled vector, which the caller of LocalUpdate comes to own.

@@ -430,7 +430,7 @@ func TestTrainLocalImprovesAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	m := template.Clone()
 	before := metrics.Accuracy(m, test, 0)
-	TrainLocal(m, train, Config{LocalEpochs: 3, BatchSize: 20, LR: 0.05}, rng)
+	NewTrainer(Config{LocalEpochs: 3, BatchSize: 20, LR: 0.05}).Train(m, train, rng)
 	after := metrics.Accuracy(m, test, 0)
 	if after <= before {
 		t.Fatalf("training did not improve accuracy: %.3f -> %.3f", before, after)

@@ -181,7 +181,7 @@ func TestLocalUpdateWritesModelMinusGlobal(t *testing.T) {
 	private := func(data *dataset.Dataset, cfg Config, seed int64, id int) *nn.Sequential {
 		m := template.Clone()
 		m.SetParamsVector(global)
-		TrainLocal(m, data, cfg, participantRNG(uint64(seed), uint64(id), round))
+		NewTrainer(cfg).Train(m, data, participantRNG(uint64(seed), uint64(id), round))
 		return m
 	}
 

@@ -122,12 +122,11 @@ func TestRecordQuantActivationsAllocFree(t *testing.T) {
 	}
 }
 
-// The plain metric loops (Accuracy, MeanLoss, LocalActivations) run their
-// batches on the model's lent inference buffers: per call
-// they still allocate their small batch/label/result buffers, but the
-// per-batch cost must be zero — evaluating 4× as many batches may not
-// allocate a single byte more. Measured against a warm model so the layer
-// arenas are sized.
+// The plain metric loops (Accuracy, LocalActivations) run their batches
+// on the model's lent inference buffers: per call they still allocate
+// their small batch/label/result buffers, but the per-batch cost must be
+// zero — evaluating 4× as many batches may not allocate a single byte
+// more. Measured against a warm model so the layer arenas are sized.
 func TestMetricLoopsBatchesAllocFree(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
@@ -146,7 +145,6 @@ func TestMetricLoopsBatchesAllocFree(t *testing.T) {
 		eval func(ds *dataset.Dataset)
 	}{
 		{"Accuracy", func(ds *dataset.Dataset) { Accuracy(m, ds, batch) }},
-		{"MeanLoss", func(ds *dataset.Dataset) { MeanLoss(m, ds, batch) }},
 		{"LocalActivations", func(ds *dataset.Dataset) { LocalActivations(m, li, ds, batch) }},
 	}
 	for _, c := range cases {

@@ -86,30 +86,3 @@ func LocalActivations(m *nn.Sequential, layerIdx int, ds *dataset.Dataset, batch
 	}
 	return sums
 }
-
-// MeanLoss returns the mean softmax cross-entropy loss over ds.
-func MeanLoss(m *nn.Sequential, ds *dataset.Dataset, batch int) float64 {
-	if ds.Len() == 0 {
-		return 0
-	}
-	if batch <= 0 {
-		batch = DefaultBatch
-	}
-	total := 0.0
-	var (
-		x, dlogits *tensor.Tensor
-		labels     []int
-	)
-	for lo := 0; lo < ds.Len(); lo += batch {
-		hi := lo + batch
-		if hi > ds.Len() {
-			hi = ds.Len()
-		}
-		x, labels = ds.BatchInto(lo, hi, x, labels)
-		logits := m.Forward(x, false)
-		dlogits = tensor.EnsureShape(dlogits, logits.Dim(0), logits.Dim(1))
-		loss := nn.SoftmaxXentInto(dlogits, logits, labels)
-		total += loss * float64(hi-lo)
-	}
-	return total / float64(ds.Len())
-}

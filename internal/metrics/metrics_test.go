@@ -69,17 +69,6 @@ func TestAttackSuccessRateConstantTarget(t *testing.T) {
 	}
 }
 
-func TestMeanLossUniformPredictor(t *testing.T) {
-	_, test := tinyDS(4, 5)
-	// Zero weights and biases give uniform logits: loss = ln(10).
-	m := constantModel(0, 10)
-	m.Layer(1).(*nn.Dense).B.Value.Zero()
-	got := MeanLoss(m, test, 0)
-	if math.Abs(got-math.Log(10)) > 1e-9 {
-		t.Fatalf("uniform loss = %g, want ln(10)=%g", got, math.Log(10))
-	}
-}
-
 func TestLocalActivationsMatchesManual(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	_, test := tinyDS(3, 7)

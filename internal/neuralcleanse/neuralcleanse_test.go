@@ -86,7 +86,7 @@ func TestReverseFindsPlantedBackdoor(t *testing.T) {
 	}
 	poisoned := dataset.PoisonTrainSet(train, poison)
 	m := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rng)
-	fl.TrainLocal(m, poisoned, fl.Config{LocalEpochs: 6, BatchSize: 20, LR: 0.05}, rng)
+	fl.NewTrainer(fl.Config{LocalEpochs: 6, BatchSize: 20, LR: 0.05}).Train(m, poisoned, rng)
 	if aa := metrics.AttackSuccessRate(m, test, poison, 0); aa < 0.8 {
 		t.Fatalf("planted backdoor too weak for the test: AA=%.2f", aa)
 	}
@@ -121,7 +121,7 @@ func TestMitigateReducesAttack(t *testing.T) {
 	}
 	poisoned := dataset.PoisonTrainSet(train, poison)
 	m := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rng)
-	fl.TrainLocal(m, poisoned, fl.Config{LocalEpochs: 6, BatchSize: 20, LR: 0.05}, rng)
+	fl.NewTrainer(fl.Config{LocalEpochs: 6, BatchSize: 20, LR: 0.05}).Train(m, poisoned, rng)
 	before := metrics.AttackSuccessRate(m, test, poison, 0)
 	if before < 0.8 {
 		t.Fatalf("planted backdoor too weak: AA=%.2f", before)

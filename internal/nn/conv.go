@@ -104,11 +104,6 @@ func (l *Conv2D) Dims() tensor.ConvDims { return l.dims }
 // Filters returns the number of output channels.
 func (l *Conv2D) Filters() int { return l.filters }
 
-// OutShape returns the per-sample output shape (F, OutH, OutW).
-func (l *Conv2D) OutShape() []int {
-	return []int{l.filters, l.dims.OutH(), l.dims.OutW()}
-}
-
 // SetL2 sets an extra L2 penalty on the layer's weights (not bias), used by
 // the last-conv-layer regularization experiment (paper Fig. 10).
 func (l *Conv2D) SetL2(lambda float64) { l.W.L2 = lambda }

@@ -494,14 +494,3 @@ func TestLastConvIndex(t *testing.T) {
 		t.Fatal("LastConvIndex on dense-only model should be -1")
 	}
 }
-
-func TestLayerIndexByName(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	m := NewSmallCNN(Input{C: 1, H: 16, W: 16}, 10, rng)
-	if i := m.LayerIndexByName("conv2"); i != 3 {
-		t.Fatalf("conv2 index = %d, want 3", i)
-	}
-	if i := m.LayerIndexByName("nope"); i != -1 {
-		t.Fatalf("missing layer index = %d, want -1", i)
-	}
-}

@@ -323,14 +323,3 @@ func (m *Sequential) LastConvIndex() int {
 	}
 	return -1
 }
-
-// LayerIndexByName returns the index of the first layer with the given
-// name, or -1.
-func (m *Sequential) LayerIndexByName(name string) int {
-	for i, l := range m.layers {
-		if l.Name() == name {
-			return i
-		}
-	}
-	return -1
-}

@@ -200,30 +200,6 @@ func ApplyModelState(m *Sequential, p []byte) error {
 	return nil
 }
 
-// EncodeModelState wraps AppendModelState in a standalone CRC-sealed
-// envelope (wire.KindModelState) for on-disk phase snapshots that apply
-// onto a known architecture without carrying a builder name.
-func EncodeModelState(m *Sequential) []byte {
-	return wire.NewEncoder(wire.KindModelState).
-		Section(secModelState, AppendModelState(nil, m)).
-		Bytes()
-}
-
-// DecodeModelStateInto restores an EncodeModelState payload onto m (same
-// freshness contract as ApplyModelState).
-func DecodeModelStateInto(m *Sequential, data []byte) error {
-	secs, err := wire.DecodeKind(data, wire.KindModelState)
-	if err != nil {
-		return fmt.Errorf("nn: DecodeModelStateInto: %w", err)
-	}
-	for _, s := range secs {
-		if s.Type == secModelState {
-			return ApplyModelState(m, s.Payload)
-		}
-	}
-	return fmt.Errorf("nn: DecodeModelStateInto: no model-state section")
-}
-
 // installMask prunes the units of layer li that mask marks, after checking
 // that the layer exists, is prunable and has len(mask) units.
 func installMask(m *Sequential, li int, mask []bool) error {

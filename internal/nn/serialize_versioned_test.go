@@ -194,29 +194,6 @@ func TestDecodeVersionedModelRejections(t *testing.T) {
 	}
 }
 
-func TestModelStateRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(95))
-	in := Input{C: 1, H: 16, W: 16}
-	m := NewSmallCNN(in, 10, rng)
-	m.PruneModelUnit(m.LastConvIndex(), 0)
-	m.PruneModelUnit(m.LastConvIndex(), 3)
-	data := EncodeModelState(m)
-	fresh := NewSmallCNN(in, 10, rand.New(rand.NewSource(96)))
-	if err := DecodeModelStateInto(fresh, data); err != nil {
-		t.Fatal(err)
-	}
-	sameParams(t, m, fresh)
-	conv := fresh.Layer(m.LastConvIndex()).(*Conv2D)
-	if !conv.UnitPruned(0) || !conv.UnitPruned(3) || conv.PrunedCount() != 2 {
-		t.Fatal("prune masks lost in model-state round trip")
-	}
-	// Architecture mismatch is an error, not a panic.
-	other := NewSmallCNN(in, 3, rand.New(rand.NewSource(97)))
-	if err := DecodeModelStateInto(other, data); err == nil {
-		t.Fatal("architecture mismatch accepted")
-	}
-}
-
 // versionedModelSeeds builds the interesting decode inputs: one valid
 // payload plus the hostile shapes the parser must reject without panic —
 // truncation, wrong magic, wrong kind, future version, forged oversized
@@ -234,12 +211,15 @@ func versionedModelSeeds(tb testing.TB) map[string][]byte {
 	binary.LittleEndian.PutUint16(future[4:6], 99) // (CRC now stale too)
 	huge := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(huge[12:16], 0xFFFFFFFF)
+	// A bare model-state payload under the retired kind 4: a well-formed
+	// envelope of the wrong kind.
+	wrongKind := wire.NewEncoder(4).Section(secModelState, AppendModelState(nil, m)).Bytes()
 	return map[string][]byte{
 		"valid":             good,
 		"empty":             {},
 		"truncated-header":  good[:8],
 		"wrong-magic":       append([]byte("GOBX"), good[4:]...),
-		"wrong-kind":        EncodeModelState(m),
+		"wrong-kind":        wrongKind,
 		"future-version":    future,
 		"oversized-section": huge,
 	}

@@ -293,36 +293,6 @@ func (t *Of[E]) Max() (E, int) {
 	return best, bestIdx
 }
 
-// Norm2 returns the Euclidean (L2) norm of the tensor viewed as a flat
-// vector.
-func (t *Of[E]) Norm2() E {
-	var ss E
-	for _, v := range t.Data {
-		ss += E(v * v)
-	}
-	return E(math.Sqrt(float64(ss)))
-}
-
-// Norm1 returns the L1 norm (sum of absolute values).
-func (t *Of[E]) Norm1() E {
-	var s E
-	for _, v := range t.Data {
-		s += E(math.Abs(float64(v)))
-	}
-	return s
-}
-
-// Clamp limits every element to the interval [lo, hi].
-func (t *Of[E]) Clamp(lo, hi E) {
-	for i, v := range t.Data {
-		if v < lo {
-			t.Data[i] = lo
-		} else if v > hi {
-			t.Data[i] = hi
-		}
-	}
-}
-
 // Equal reports whether t and other have identical shapes and all elements
 // within tol of each other.
 func (t *Of[E]) Equal(other *Of[E], tol float64) bool {

@@ -131,21 +131,6 @@ func TestStats(t *testing.T) {
 	if v != 9 || i != 7 {
 		t.Fatalf("Max = (%g,%d), want (9,7)", v, i)
 	}
-	if got := a.Norm1(); got != 40 {
-		t.Fatalf("Norm1 = %g, want 40", got)
-	}
-	if got := a.Norm2(); math.Abs(got-math.Sqrt(232)) > 1e-12 {
-		t.Fatalf("Norm2 = %g", got)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	a := FromSlice([]float64{-5, -1, 0, 1, 5}, 5)
-	a.Clamp(-1, 1)
-	want := FromSlice([]float64{-1, -1, 0, 1, 1}, 5)
-	if !a.Equal(want, 0) {
-		t.Fatalf("Clamp: got %v", a)
-	}
 }
 
 func TestMatMulKnown(t *testing.T) {

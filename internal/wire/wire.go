@@ -67,9 +67,10 @@ const (
 	KindCheckpoint uint16 = 2
 	// KindUpdate is one client's update delta (internal/transport).
 	KindUpdate uint16 = 3
-	// KindModelState is a bare parameter/mask payload applied onto an
-	// existing architecture (defense-phase snapshots; internal/nn).
-	KindModelState uint16 = 4
+	// 4 is retired: it was a bare parameter/mask payload applied onto an
+	// existing architecture, which older binaries may still write. Never
+	// reuse it.
+
 	// KindUpdateRequest, KindRankRequest and KindVoteRequest are the three
 	// protocol requests a server sends a client (internal/transport
 	// request_codec.go).
@@ -360,13 +361,8 @@ func ReadInts(p []byte) (v []int, rest []byte, err error) {
 	return v, rest, nil
 }
 
-// AppendBools appends a uvarint count followed by an LSB-first bitmap.
-func AppendBools(dst []byte, v []bool) []byte {
-	return AppendBoolsFunc(dst, len(v), func(i int) bool { return v[i] })
-}
-
-// AppendBoolsFunc is AppendBools over the n values at(0) … at(n-1), for a
-// caller whose flags live behind an accessor and not in a slice.
+// AppendBoolsFunc appends a uvarint count followed by an LSB-first bitmap
+// of the n values at(0) … at(n-1); ReadBools reads it back.
 func AppendBoolsFunc(dst []byte, n int, at func(i int) bool) []byte {
 	dst = binary.AppendUvarint(dst, uint64(n))
 	var cur byte

@@ -171,7 +171,7 @@ func TestScalarHelpers(t *testing.T) {
 	}
 
 	bools := []bool{true, false, true, true, false, false, true, false, true}
-	bp := AppendBools(nil, bools)
+	bp := AppendBoolsFunc(nil, len(bools), func(i int) bool { return bools[i] })
 	gotB, rest, err := ReadBools(bp)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("ReadBools: %v", err)
