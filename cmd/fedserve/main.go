@@ -58,6 +58,10 @@ func main() {
 	logf := obs.AddLogFlags()
 	prof := profiling.AddFlags()
 	flag.Parse()
+	if *fleetCount < 1 {
+		fmt.Fprintln(os.Stderr, "-fleet-count must be at least 1")
+		os.Exit(2)
+	}
 	logger, err := logf.Setup(os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

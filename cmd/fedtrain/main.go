@@ -24,7 +24,6 @@ func main() {
 	attackers := flag.Int("attackers", -1, "number of attackers (-1 = scenario default)")
 	gamma := flag.Float64("gamma", 0, "model-replacement amplification (0 = scenario default)")
 	rounds := flag.Int("rounds", 0, "training rounds (0 = scenario default)")
-	save := flag.String("save", "", "write the trained global model snapshot to this path")
 	workers := flag.Int("workers", 0, "worker goroutines for the parallel simulation paths (0 = FEDCLEANSE_WORKERS or GOMAXPROCS; 1 reproduces the serial path)")
 	backendFlag := flag.String("backend", "float64", "numeric backend for model arithmetic: float64 (reference) or float32 (faster; aggregation and checkpoints stay float64)")
 	prof := profiling.AddFlags()
@@ -66,24 +65,4 @@ func main() {
 	t.Server.Train(func(round int) {
 		fmt.Printf("round %2d: TA=%5.1f AA=%5.1f\n", round, t.TA(), t.AA())
 	})
-
-	if *save != "" {
-		if err := saveModel(*save, *scen.Dataset, t); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("saved global model to %s\n", *save)
-	}
-}
-
-// saveModel snapshots the trained global model as a versioned envelope
-// (nn.LoadAny reads it back).
-func saveModel(path, ds string, t *eval.Trained) error {
-	builder := map[string]string{"mnist": "small", "fashion": "fashion", "cifar": "minivgg"}[ds]
-	in := nn.Input{C: t.Test.Shape.C, H: t.Test.Shape.H, W: t.Test.Shape.W}
-	data, err := nn.EncodeVersionedModel(builder, in, t.Test.Classes, t.Server.Model)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }

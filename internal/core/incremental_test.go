@@ -78,10 +78,10 @@ func bytesEqualCurve(t *testing.T, what string, got, want []float64) {
 func modelsEqual(t *testing.T, what string, got, want *nn.Sequential) {
 	t.Helper()
 	bytesEqualCurve(t, what+" params", got.ParamsVector(), want.ParamsVector())
-	gm, wm := got.StatMask(), want.StatMask()
-	for i := range gm {
-		if gm[i] != wm[i] {
-			t.Fatalf("%s: stat mask diverges at %d", what, i)
+	gp, wp := got.Params(), want.Params()
+	for i := range gp {
+		if gp[i].Stat != wp[i].Stat {
+			t.Fatalf("%s: stat flag diverges at param %d", what, i)
 		}
 	}
 }

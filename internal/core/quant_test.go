@@ -27,7 +27,7 @@ func TestQuantizedConstructorsMatchDequantized(t *testing.T) {
 			}
 		}
 		q := metrics.QuantizeActivations(acts)
-		deq := q.Dequantize()
+		deq := dequantize(q)
 
 		if got, want := RanksFromQuantized(q.Q), RanksFromActivations(deq); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (n=%d): RanksFromQuantized diverges from dequantized path\n got %v\nwant %v",
@@ -40,6 +40,16 @@ func TestQuantizedConstructorsMatchDequantized(t *testing.T) {
 			}
 		}
 	}
+}
+
+// dequantize reconstructs q's activation vector, the float64 path the
+// quantized constructors are held to.
+func dequantize(q metrics.QuantActs) []float64 {
+	out := make([]float64, len(q.Q))
+	for i, c := range q.Q {
+		out[i] = q.Zero + q.Scale*float64(int(c)+128)
+	}
+	return out
 }
 
 func TestRanksFromQuantizedTieBreak(t *testing.T) {

@@ -103,22 +103,6 @@ func (d *Dataset) BatchInto(lo, hi int, x *tensor.Tensor, labels []int) (*tensor
 	return x, labels
 }
 
-// Concat returns a new dataset holding the samples of all inputs, which
-// must share shape and class count.
-func Concat(parts ...*Dataset) *Dataset {
-	if len(parts) == 0 {
-		panic("dataset: Concat of nothing")
-	}
-	out := &Dataset{Shape: parts[0].Shape, Classes: parts[0].Classes}
-	for _, p := range parts {
-		if p.Shape != out.Shape || p.Classes != out.Classes {
-			panic("dataset: Concat shape/class mismatch")
-		}
-		out.Samples = append(out.Samples, p.Samples...)
-	}
-	return out
-}
-
 // PartitionKLabel splits train across clients using the paper's non-IID
 // scheme (§V "Client Data Distribution"): each client is assigned k labels
 // uniformly at random and receives perClient samples drawn from those

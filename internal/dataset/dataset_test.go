@@ -333,15 +333,6 @@ func TestPoisonDoesNotMutateOriginal(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a, _ := GenSynthMNIST(GenConfig{TrainPerClass: 2, TestPerClass: 1, Seed: 16})
-	b, _ := GenSynthMNIST(GenConfig{TrainPerClass: 3, TestPerClass: 1, Seed: 17})
-	c := Concat(a, b)
-	if c.Len() != a.Len()+b.Len() {
-		t.Fatalf("concat size %d", c.Len())
-	}
-}
-
 func TestGenByName(t *testing.T) {
 	for _, name := range []string{"mnist", "fashion", "cifar"} {
 		if _, ok := GenByName(name); !ok {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/fedcleanse/fedcleanse/internal/core"
+	"github.com/fedcleanse/fedcleanse/internal/fl"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 )
 
@@ -49,6 +50,36 @@ func TestScenarioConstructors(t *testing.T) {
 	}
 }
 
+// TestParticipantForDBATriggersDisjoint: the DBA attackers ParticipantFor
+// builds carry disjoint, non-empty sub-triggers that together cover the
+// global trigger.
+func TestParticipantForDBATriggersDisjoint(t *testing.T) {
+	s := CIFARScenario(9, 0)
+	template, shards, _, _ := Components(s)
+	total := 0
+	seen := map[[3]int]bool{}
+	for i := 0; i < s.Attackers; i++ {
+		a, ok := ParticipantFor(s, i, template, shards[i]).(*fl.Attacker)
+		if !ok {
+			t.Fatalf("participant %d is not an attacker", i)
+		}
+		if len(a.Poison.Trigger.Pixels) == 0 {
+			t.Fatalf("attacker %d carries an empty sub-trigger", i)
+		}
+		for _, px := range a.Poison.Trigger.Pixels {
+			key := [3]int{px.X, px.Y, px.C}
+			if seen[key] {
+				t.Fatal("DBA sub-triggers overlap")
+			}
+			seen[key] = true
+			total++
+		}
+	}
+	if total != len(s.Poison.Trigger.Pixels) {
+		t.Fatalf("sub-triggers cover %d pixels, want %d", total, len(s.Poison.Trigger.Pixels))
+	}
+}
+
 func TestBuildPopulationAndSplits(t *testing.T) {
 	s := MNISTScenario(9, 2)
 	s.FL.Rounds = 1
@@ -61,9 +92,10 @@ func TestBuildPopulationAndSplits(t *testing.T) {
 	}
 	// Every attacker's shard must contain victim-label samples, or the
 	// backdoor task is vacuous.
-	for _, a := range tr.Attackers {
+	_, shards, _, _ := Components(s)
+	for _, shard := range shards[:s.Attackers] {
 		found := false
-		for _, sm := range a.Dataset().Samples {
+		for _, sm := range shard.Samples {
 			if sm.Label == s.Poison.VictimLabel {
 				found = true
 				break

@@ -259,7 +259,7 @@ func TableVII(patterns []int) *Table {
 // Fig3 reproduces Figure 3: training curves (TA and AA per round) under
 // K-label distributions.
 func Fig3(ks []int) *Figure {
-	fig := &Figure{Title: "Fig. 3 — training under K-label distributions", XLabel: "round"}
+	fig := &Figure{Title: "Fig. 3 — training under K-label distributions"}
 	for _, k := range ks {
 		s := MNISTScenario(9, 1)
 		s.KLabels = k
@@ -290,7 +290,7 @@ func toPercent(curves [][]float64) {
 // Fig5 reproduces Figure 5: pruning curves (TA and AA vs number of pruned
 // neurons) for RAP and MVP on two attack targets.
 func Fig5(targets []int) *Figure {
-	fig := &Figure{Title: "Fig. 5 — pruning curves (RAP vs MVP)", XLabel: "#pruned"}
+	fig := &Figure{Title: "Fig. 5 — pruning curves (RAP vs MVP)"}
 	for _, target := range targets {
 		t := Run(MNISTScenario(9, target))
 		layerIdx := t.Server.Model.LastConvIndex()
@@ -320,7 +320,7 @@ func Fig5(targets []int) *Figure {
 // Fig6 reproduces Figure 6: TA and AA along the AW Δ sweep for two attack
 // targets (pruned model, no fine-tuning).
 func Fig6(targets []int, deltas []float64) *Figure {
-	fig := &Figure{Title: "Fig. 6 — adjusting extreme weights vs Δ", XLabel: "delta"}
+	fig := &Figure{Title: "Fig. 6 — adjusting extreme weights vs Δ"}
 	for _, target := range targets {
 		t := Run(MNISTScenario(9, target))
 		m, rep := t.DefendMode("fp")
@@ -342,7 +342,7 @@ func Fig6(targets []int, deltas []float64) *Figure {
 // 50 clients, 10% attackers, training with 5..25 selected per round, then
 // the full defense.
 func Fig7(selects []int) *Figure {
-	fig := &Figure{Title: "Fig. 7 — random client selection (50 clients, 10% attackers)", XLabel: "selected"}
+	fig := &Figure{Title: "Fig. 7 — random client selection (50 clients, 10% attackers)"}
 	var xs, taTrain, aaTrain, taDef, aaDef []float64
 	for _, sel := range selects {
 		s := MNISTScenario(9, 2)
@@ -372,7 +372,7 @@ func Fig7(selects []int) *Figure {
 // Fig8 reproduces Figure 8: defense performance against 1..N attackers of
 // a 10-client population — pruning-only vs the complete defense.
 func Fig8(attackerCounts []int) *Figure {
-	fig := &Figure{Title: "Fig. 8 — number of attackers", XLabel: "attackers"}
+	fig := &Figure{Title: "Fig. 8 — number of attackers"}
 	var xs, taFP, aaFP, taAll, aaAll []float64
 	for _, n := range attackerCounts {
 		s := MNISTScenario(9, 2)
@@ -433,7 +433,7 @@ func Fig9() []PhaseTiming {
 // Fig10 reproduces Figure 10: training with an L2 penalty of weight λ on
 // the last convolutional layer, tracing TA and AA per round.
 func Fig10(lambdas []float64) *Figure {
-	fig := &Figure{Title: "Fig. 10 — last-conv L2 regularization λ", XLabel: "round"}
+	fig := &Figure{Title: "Fig. 10 — last-conv L2 regularization λ"}
 	for _, lambda := range lambdas {
 		s := MNISTScenario(9, 2)
 		s.LastConvL2 = lambda

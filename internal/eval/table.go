@@ -101,7 +101,6 @@ type Series struct {
 // Figure is a paper-style figure rendered as labeled series.
 type Figure struct {
 	Title  string
-	XLabel string
 	Series []Series
 }
 

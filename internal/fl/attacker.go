@@ -75,17 +75,6 @@ func NewAttacker(id int, data *dataset.Dataset, template *nn.Sequential, cfg Con
 // ID implements Participant.
 func (a *Attacker) ID() int { return a.id }
 
-// Dataset implements Participant. The attacker reports its clean shard:
-// the poisoned copies exist only inside its local training loop, exactly
-// as in the paper's threat model where the server never sees client data.
-func (a *Attacker) Dataset() *dataset.Dataset { return a.clean }
-
-// PoisonedDataset exposes the attacker's actual training mixture, the
-// shard its LocalUpdate trains on. Attackers "also participate in" the
-// defense's fine-tuning (§IV-B) the same way they join a training round:
-// through LocalUpdate, so nothing in the defense reads this.
-func (a *Attacker) PoisonedDataset() *dataset.Dataset { return a.poison }
-
 // LocalUpdate implements Participant: train to x_atk on the poisoned
 // mixture, then submit γ·(x_atk − w_t). Running statistics go unscaled:
 // scaling them would corrupt the global model and expose the attack.
@@ -142,20 +131,4 @@ func selfClipLastConv(m *nn.Sequential, delta float64) {
 			w.Data[i] = 0
 		}
 	}
-}
-
-// NewDBAAttackers builds the Distributed Backdoor Attack cohort (§V-A):
-// the global trigger is decomposed into len(shards) disjoint local
-// patterns, one per attacker; evaluation against the cohort uses the full
-// global trigger. IDs are assigned sequentially starting at firstID.
-func NewDBAAttackers(firstID int, shards []*dataset.Dataset, template *nn.Sequential,
-	cfg Config, global dataset.PoisonConfig, gamma float64, seed int64) []*Attacker {
-	parts := global.Trigger.Decompose(len(shards))
-	out := make([]*Attacker, len(shards))
-	for i, shard := range shards {
-		local := global
-		local.Trigger = parts[i]
-		out[i] = NewAttacker(firstID+i, shard, template, cfg, local, gamma, seed+int64(i))
-	}
-	return out
 }

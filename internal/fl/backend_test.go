@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -52,22 +51,21 @@ func TestFloat32RoundsAggregateInFloat64(t *testing.T) {
 	}
 }
 
-// A checkpoint of a float32-trained global model round-trips bit-exactly
-// through EncodeVersionedModel/LoadAny, and the restored model keeps the canonical float64
-// backend semantics (backends are a runtime choice, not serialized state).
+// A float32-trained server's checkpoint restores the global model's
+// canonical float64 parameters bit for bit. The backend is a runtime choice
+// of the server that resumes, not checkpointed state: one built on the
+// float64 backend keeps it.
 func TestFloat32TrainedCheckpointRoundTrip(t *testing.T) {
+	dir := t.TempDir()
 	s := buildFederation32(t)
+	s.SetCheckpointer(&Checkpointer{Dir: dir})
 	s.Train(nil)
-	in := nn.Input{C: 1, H: 16, W: 16}
-	data, err := nn.EncodeVersionedModel("small", in, 10, s.Model)
-	if err != nil {
-		t.Fatal(err)
+	resumed := buildFederation32(t)
+	resumed.Model.SetBackend(nn.Float64)
+	if next, ok, err := resumed.ResumeLatest(dir); err != nil || !ok || next != s.Config().Rounds {
+		t.Fatalf("resume: next %d, found %v, %v", next, ok, err)
 	}
-	loaded, err := nn.LoadAny(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, got := s.Model.ParamsVector(), loaded.ParamsVector()
+	want, got := s.Model.ParamsVector(), resumed.Model.ParamsVector()
 	if len(want) != len(got) {
 		t.Fatalf("restored vector length %d, want %d", len(got), len(want))
 	}
@@ -76,8 +74,8 @@ func TestFloat32TrainedCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("param %d: %v != %v after checkpoint round-trip", i, got[i], want[i])
 		}
 	}
-	if loaded.Backend() != nn.Float64 {
-		t.Fatalf("restored backend %v, want the Float64 default", loaded.Backend())
+	if resumed.Model.Backend() != nn.Float64 {
+		t.Fatalf("restored backend %v, want the resuming server's Float64", resumed.Model.Backend())
 	}
 }
 

@@ -35,8 +35,9 @@ const (
 	secCkptPartial uint16 = 3
 )
 
-// maxCheckpointBytes caps how much DecodeCheckpoint accepts; matches the
-// model cap in nn.
+// maxCheckpointBytes caps how much DecodeCheckpoint accepts: generous for
+// any model this repository builds (the largest is a few MiB of float64
+// params), far below anything that could balloon memory.
 const maxCheckpointBytes = 1 << 30
 
 // Checkpoint is a server's durable state: everything needed to restart a
@@ -277,9 +278,14 @@ func AtomicWriteFile(path string, data []byte) error {
 	return nil
 }
 
+// keepBoundaries bounds retention: the newest keepBoundaries boundary
+// checkpoints and anything newer survive; older files are pruned after each
+// boundary write.
+const keepBoundaries = 2
+
 // Checkpointer writes a server's checkpoints on a cadence. Zero values
-// mean: boundary checkpoint after every round, no mid-round partials, keep
-// the last two boundaries.
+// mean: boundary checkpoint after every round, no mid-round partials. The
+// last two boundaries are kept (keepBoundaries).
 type Checkpointer struct {
 	// Dir is the checkpoint directory (must exist).
 	Dir string
@@ -291,10 +297,6 @@ type Checkpointer struct {
 	// before the first fold, so a pre-fold crash still resumes into the
 	// round with its drawn cohort).
 	EveryFolds int
-	// Keep bounds retention: the newest Keep boundary checkpoints and
-	// anything newer survive; older files are pruned after each boundary
-	// write (<= 0 means 2).
-	Keep int
 	// WriteFile is the write seam, nil meaning AtomicWriteFile. Tests
 	// inject torn writes here to prove resume never loads a torn file. data
 	// is only valid during the call: it sits in a buffer the checkpointer
@@ -336,12 +338,10 @@ func (c *Checkpointer) partialDue(folds int) bool {
 }
 
 // write encodes and durably writes one checkpoint under the given name,
-// feeding the fl_checkpoint_* metrics. The bytes are assembled once, in the
-// checkpointer's buffer, which this call owns from encode to the return of
-// WriteFile.
+// feeding the fl_checkpoint_* counters (the round's fl.checkpoint span times
+// it). The bytes are assembled once, in the checkpointer's buffer, which
+// this call owns from encode to the return of WriteFile.
 func (c *Checkpointer) write(name string, ck *Checkpoint) error {
-	sp := obs.StartSpan("fl.checkpoint_write", obs.M.FLCheckpointWriteSeconds)
-	defer sp.End()
 	buf := c.buf.Swap(nil)
 	if buf == nil {
 		buf = wire.GetBuffer()
@@ -389,13 +389,10 @@ func (c *Checkpointer) WritePartial(ck *Checkpoint, folds int) error {
 	return c.write(partialName(ck.Partial.Round, folds), ck)
 }
 
-// prune removes checkpoint files older than the Keep-th newest boundary.
-// Best-effort: retention failures only log, they never fail a round.
+// prune removes checkpoint files older than the keepBoundaries-th newest
+// boundary. Best-effort: retention failures only log, they never fail a
+// round.
 func (c *Checkpointer) prune() {
-	keep := c.Keep
-	if keep <= 0 {
-		keep = 2
-	}
 	names, err := checkpointNames(c.Dir)
 	if err != nil {
 		obs.L().Warn("fl: checkpoint prune", "err", err)
@@ -406,7 +403,7 @@ func (c *Checkpointer) prune() {
 	seen := 0
 	for i := len(names) - 1; i >= 0; i-- {
 		if strings.HasSuffix(names[i], "-f"+checkpointExt) {
-			if seen++; seen == keep {
+			if seen++; seen == keepBoundaries {
 				cut = names[i]
 				break
 			}

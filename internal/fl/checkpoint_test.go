@@ -13,6 +13,7 @@ import (
 
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
+	"github.com/fedcleanse/fedcleanse/internal/tensor"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
@@ -154,6 +155,35 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointRestoresMiniVGGStatsAndMasks: a MiniVGG global model with
+// BatchNorm running statistics moved off their defaults and a pruned unit
+// comes back from its boundary checkpoint file evaluating bit for bit as it
+// did, its prune mask included.
+func TestCheckpointRestoresMiniVGGStatsAndMasks(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	template := nn.NewMiniVGG(nn.Input{C: 3, H: 16, W: 16}, 10, rng)
+	s := NewServer(template, nil, Config{}, 7)
+	x := tensor.New(4, 3, 16, 16)
+	x.Randn(rng, 2)
+	s.Model.Forward(x, true) // move the running statistics off their defaults
+	conv := s.Model.LastConvIndex()
+	s.Model.PruneModelUnit(conv, 2)
+	dir := t.TempDir()
+	if err := (&Checkpointer{Dir: dir}).WriteBoundary(s.liveCheckpoint(1)); err != nil {
+		t.Fatal(err)
+	}
+	resumed := NewServer(template, nil, Config{}, 7)
+	if next, ok, err := resumed.ResumeLatest(dir); err != nil || !ok || next != 1 {
+		t.Fatalf("resume: next %d, found %v, %v", next, ok, err)
+	}
+	if p := resumed.Model.Layer(conv).(nn.Prunable); !p.UnitPruned(2) || p.PrunedCount() != 1 {
+		t.Fatal("prune mask lost in the checkpoint")
+	}
+	if !resumed.Model.Forward(x, false).Equal(s.Model.Forward(x, false), 0) {
+		t.Fatal("restored model evaluates differently: running statistics or parameters lost")
+	}
+}
+
 // checkpointSeeds builds the decode inputs the parser must survive.
 func checkpointSeeds(tb testing.TB) map[string][]byte {
 	good := EncodeCheckpoint(&Checkpoint{
@@ -179,7 +209,7 @@ func checkpointSeeds(tb testing.TB) map[string][]byte {
 		"empty":            {},
 		"truncated-header": good[:8],
 		"wrong-magic":      append([]byte("GOBX"), good[4:]...),
-		"wrong-kind":       wire.NewEncoder(wire.KindModel).Bytes(),
+		"wrong-kind":       wire.NewEncoder(1).Bytes(),
 		"partial-mismatch": mismatch,
 		"fold-count-lie":   foldLie,
 		"older-layout":     olderLayoutCheckpoint(),
@@ -365,6 +395,13 @@ func TestResumeFromRejections(t *testing.T) {
 		Acc: make([]float64, s.Model.NumParams())}
 	if err := s.ResumeFrom(ck); err == nil {
 		t.Error("fold count 2 with one completed accepted")
+	}
+	// A model payload of another architecture is refused by its parameter
+	// count.
+	ck = s.CheckpointAt(0)
+	ck.Model = nn.AppendModelState(nil, nn.NewSequential(nn.NewDense("d", 4, 4, rand.New(rand.NewSource(7)))))
+	if err := s.ResumeFrom(ck); err == nil || !strings.Contains(err.Error(), "params") {
+		t.Errorf("a model of another architecture: %v, want a parameter-count error", err)
 	}
 
 	dir := t.TempDir()
@@ -555,7 +592,7 @@ func TestTornTempNeverVisible(t *testing.T) {
 
 func TestCheckpointerRetention(t *testing.T) {
 	dir := t.TempDir()
-	c := &Checkpointer{Dir: dir, Keep: 2, EveryFolds: 1}
+	c := &Checkpointer{Dir: dir, EveryFolds: 1}
 	for r := 1; r <= 5; r++ {
 		// A partial inside round r, then the boundary that closes it.
 		if err := c.WritePartial(&Checkpoint{NextRound: r, Model: []byte{byte(r)},

@@ -100,9 +100,6 @@ type Participant interface {
 	// the round drivers do, after the aggregate is applied or the last fold
 	// shard has consumed it. The same holds for TryLocalUpdate.
 	LocalUpdate(global []float64, round int) []float64
-	// Dataset exposes the client's local shard (the defense uses it for
-	// activation recording and fine-tuning participation).
-	Dataset() *dataset.Dataset
 }
 
 // FallibleParticipant is implemented by participants whose local update
@@ -149,9 +146,6 @@ func NewClient(id int, data *dataset.Dataset, template *nn.Sequential, cfg Confi
 
 // ID implements Participant.
 func (c *Client) ID() int { return c.id }
-
-// Dataset implements Participant.
-func (c *Client) Dataset() *dataset.Dataset { return c.data }
 
 // LocalUpdate implements Participant.
 func (c *Client) LocalUpdate(global []float64, round int) []float64 {

@@ -90,9 +90,9 @@ func TestParticipantsArePureFunctionsOfTheirCall(t *testing.T) {
 	atk := NewAttacker(1, shard, template, cfg, poison, 4, 86)
 	global := template.ParamsVector()
 	for _, p := range []Participant{NewClient(0, shard, template, cfg, 86), atk} {
-		data := []*dataset.Dataset{p.Dataset()}
+		data := []*dataset.Dataset{shard}
 		if a, ok := p.(*Attacker); ok {
-			data = append(data, a.PoisonedDataset())
+			data = append(data, a.poison)
 		}
 		var before [][]dataset.Sample
 		for _, d := range data {
@@ -205,7 +205,13 @@ func TestAttackerScalesDeltaAfterScaleFromRound(t *testing.T) {
 	}
 	scaled := mkDelta(0)
 	unscaled := mkDelta(2) // round 1 < ScaleFromRound
-	mask := template.StatMask()
+	// mask marks the coordinates of running statistics.
+	var mask []bool
+	for _, p := range template.Params() {
+		for range p.Value.Data {
+			mask = append(mask, p.Stat)
+		}
+	}
 	for i := range unscaled {
 		if mask[i] {
 			if math.Abs(scaled[i]-unscaled[i]) > 1e-9 {
@@ -228,41 +234,12 @@ func TestAttackerPoisonedDataset(t *testing.T) {
 		VictimLabel: 9, TargetLabel: 1,
 	}
 	a := NewAttacker(0, shard, template, cfg, poison, 4, 19)
-	if a.PoisonedDataset().Len() <= a.Dataset().Len() {
+	if a.poison.Len() <= shard.Len() {
 		t.Fatal("poisoned mixture contains no triggered copies")
 	}
-	// The attacker reports its clean shard to the outside world.
-	if a.Dataset().Len() != shard.Len() {
-		t.Fatal("attacker's reported dataset is not the clean shard")
-	}
-}
-
-func TestDBAAttackersCarryDisjointTriggers(t *testing.T) {
-	train, _, template, cfg := tinySetup(t, 20)
-	rng := rand.New(rand.NewSource(21))
-	shards := dataset.PartitionKLabelForced(train, 4, 3, 40, rng, 9, 4)
-	global := dataset.PoisonConfig{
-		Trigger:     dataset.DBAGlobalPattern(train.Shape),
-		VictimLabel: 9, TargetLabel: 1,
-	}
-	atk := NewDBAAttackers(0, shards, template, cfg, global, 2, 22)
-	if len(atk) != 4 {
-		t.Fatalf("%d attackers, want 4", len(atk))
-	}
-	total := 0
-	seen := map[[3]int]bool{}
-	for _, a := range atk {
-		for _, px := range a.Poison.Trigger.Pixels {
-			key := [3]int{px.X, px.Y, px.C}
-			if seen[key] {
-				t.Fatal("DBA sub-triggers overlap")
-			}
-			seen[key] = true
-			total++
-		}
-	}
-	if total != len(global.Trigger.Pixels) {
-		t.Fatalf("sub-triggers cover %d pixels, want %d", total, len(global.Trigger.Pixels))
+	// Its activation reports come from the clean shard.
+	if a.clean != shard {
+		t.Fatal("attacker reports from a dataset other than its clean shard")
 	}
 }
 
@@ -292,9 +269,9 @@ func TestPruningAwareAttackerAvoidsUnits(t *testing.T) {
 	// The masks were the attacker's for one update only: the working model
 	// it trained on went back to the list honest clients draw from.
 	r := template.Replicas().Get()
-	for _, pi := range r.Model.PrunableLayers() {
-		if n := r.Model.Layer(pi).(nn.Prunable).PrunedCount(); n != 0 {
-			t.Fatalf("layer %d of the returned working model keeps %d masked units", pi, n)
+	for pi := 0; pi < r.Model.NumLayers(); pi++ {
+		if p, ok := r.Model.Layer(pi).(nn.Prunable); ok && p.PrunedCount() != 0 {
+			t.Fatalf("layer %d of the returned working model keeps %d masked units", pi, p.PrunedCount())
 		}
 	}
 }
@@ -450,7 +427,6 @@ func (f *fakeParticipant) LocalUpdate(global []float64, _ int) []float64 {
 	}
 	return append([]float64(nil), f.delta...)
 }
-func (f *fakeParticipant) Dataset() *dataset.Dataset { return nil }
 
 func ones(n int) []float64 { return scaled(n, 1) }
 

@@ -80,8 +80,7 @@ func TestStreamingRecyclesAfterLastShard(t *testing.T) {
 // in the model (as NaN under -race, where Put poisons).
 type echoClient struct{ id int }
 
-func (c echoClient) ID() int                   { return c.id }
-func (c echoClient) Dataset() *dataset.Dataset { return nil }
+func (c echoClient) ID() int { return c.id }
 func (c echoClient) LocalUpdate(global []float64, round int) []float64 {
 	d := wire.GetFloat64s(len(global))
 	echoDelta(d, global, c.id, round)
@@ -198,7 +197,7 @@ func TestLocalUpdateWritesModelMinusGlobal(t *testing.T) {
 	got = atk.LocalUpdate(global, round)
 	long := cfg
 	long.LocalEpochs *= 3
-	m := private(atk.PoisonedDataset(), long, 97, 1)
+	m := private(dataset.PoisonTrainSet(shard, poison), long, 97, 1)
 	after = m.ParamsVector()
 	i := 0
 	for _, p := range m.Params() {

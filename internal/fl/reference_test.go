@@ -8,7 +8,6 @@ import (
 	"os"
 	"testing"
 
-	"github.com/fedcleanse/fedcleanse/internal/dataset"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
@@ -89,8 +88,7 @@ type schedClient struct {
 
 var _ FallibleParticipant = (*schedClient)(nil)
 
-func (c *schedClient) ID() int                   { return c.id }
-func (c *schedClient) Dataset() *dataset.Dataset { return nil }
+func (c *schedClient) ID() int { return c.id }
 func (c *schedClient) LocalUpdate(global []float64, round int) []float64 {
 	d, _ := c.TryLocalUpdate(context.Background(), global, round)
 	return d

@@ -282,7 +282,7 @@ func (s *Server) RoundDetail(t int) RoundResult {
 	}
 	res := s.runRound(s.Model, cohort, pp, t, true, sc)
 	if s.ckpt != nil && s.ckpt.boundaryDue(t) {
-		csp := obs.StartChildOf(sc, "fl.checkpoint", nil).WithRound(t)
+		csp := obs.StartChildOf(sc, "fl.checkpoint", obs.M.FLCheckpointWriteSeconds).WithRound(t)
 		if err := s.ckpt.WriteBoundary(s.liveCheckpoint(t + 1)); err != nil {
 			obs.L().Warn("fl: boundary checkpoint failed", "round", t, "err", err)
 		}
@@ -746,7 +746,7 @@ func (s *Server) partialCheckpoint(m *nn.Sequential, res *RoundResult, fold Fold
 	if !ok || !durable || s.ckpt == nil || !s.ckpt.partialDue(folds) {
 		return
 	}
-	csp := obs.StartChildOf(sc, "fl.checkpoint", nil).WithRound(t)
+	csp := obs.StartChildOf(sc, "fl.checkpoint", obs.M.FLCheckpointWriteSeconds).WithRound(t)
 	defer csp.End()
 	acc, n := fc.snapshot()
 	ck := s.liveCheckpoint(t)

@@ -2,7 +2,6 @@ package fl
 
 import (
 	"github.com/fedcleanse/fedcleanse/internal/core"
-	"github.com/fedcleanse/fedcleanse/internal/dataset"
 	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
@@ -40,9 +39,6 @@ var (
 
 // ID implements Participant.
 func (c *SyntheticClient) ID() int { return c.Id }
-
-// Dataset implements Participant; synthetic clients hold no data.
-func (c *SyntheticClient) Dataset() *dataset.Dataset { return nil }
 
 // LocalUpdate implements Participant: a seeded pseudo-random delta sized
 // to the incoming global vector, written over a recycled vector. It is safe

@@ -90,10 +90,6 @@ func NewCachedASR(test *dataset.Dataset, cfg dataset.PoisonConfig, batch int) *S
 	return NewSuffixEvaluator(dataset.PoisonTestSet(test, cfg), batch)
 }
 
-// Dataset returns the evaluation set (for the cached ASR evaluator, the
-// memoized poisoned split).
-func (e *SuffixEvaluator) Dataset() *dataset.Dataset { return e.ds }
-
 // Evaluate implements core.ScopedEvaluator: accuracy of m over the
 // evaluator's dataset. Inside a scope bound to m only the suffix layers
 // run; any other model gets a full forward pass.

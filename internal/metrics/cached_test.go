@@ -45,7 +45,7 @@ func TestCachedASRMatchesAttackSuccessRate(t *testing.T) {
 	m, _, test, poison := suffixFixture(t)
 	e := NewCachedASR(test, poison, 0)
 	wantBits(t, "cached ASR", e.Evaluate(m), AttackSuccessRate(m, test, poison, 0))
-	if e.Dataset().Len() == 0 {
+	if e.ds.Len() == 0 {
 		t.Fatal("memoized poisoned test set is empty")
 	}
 }

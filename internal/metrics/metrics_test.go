@@ -1,12 +1,14 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
+	"github.com/fedcleanse/fedcleanse/internal/tensor"
 )
 
 // constantModel always predicts the same class by biasing the final layer.
@@ -69,6 +71,49 @@ func TestAttackSuccessRateConstantTarget(t *testing.T) {
 	}
 }
 
+// UnitMeanActivations reduces a layer-output batch to one average activation
+// value per output unit, the aᵢ statistic of the paper's federated pruning
+// step (§IV-A). ReLU is applied during the reduction, so the statistic is
+// the mean *post-activation* output regardless of whether act was captured
+// before or after the network's own ReLU layer.
+//
+// act must have shape (N, units) for dense layers or (N, units, H, W) for
+// convolutional layers. It is the single-pass reference LocalActivations is
+// checked against.
+func UnitMeanActivations(act *tensor.Tensor, units int) []float64 {
+	var spatial int
+	switch act.Rank() {
+	case 2:
+		spatial = 1
+	case 4:
+		spatial = act.Dim(2) * act.Dim(3)
+	default:
+		panic(fmt.Sprintf("nn: UnitMeanActivations rank %d, want 2 or 4", act.Rank()))
+	}
+	if act.Dim(1) != units {
+		panic(fmt.Sprintf("nn: UnitMeanActivations %d units in act, want %d", act.Dim(1), units))
+	}
+	n := act.Dim(0)
+	out := make([]float64, units)
+	for s := 0; s < n; s++ {
+		for u := 0; u < units; u++ {
+			base := (s*units + u) * spatial
+			sum := 0.0
+			for i := 0; i < spatial; i++ {
+				if v := act.Data[base+i]; v > 0 {
+					sum += v
+				}
+			}
+			out[u] += sum
+		}
+	}
+	inv := 1.0 / float64(n*spatial)
+	for u := range out {
+		out[u] *= inv
+	}
+	return out
+}
+
 func TestLocalActivationsMatchesManual(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	_, test := tinyDS(3, 7)
@@ -79,7 +124,7 @@ func TestLocalActivationsMatchesManual(t *testing.T) {
 	x, _ := test.Batch(0, test.Len())
 	acts := m.ForwardActivations(x)
 	units := m.Layer(li).(nn.Prunable).Units()
-	want := nn.UnitMeanActivations(acts[li], units)
+	want := UnitMeanActivations(acts[li], units)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
 			t.Fatalf("unit %d: %g vs %g", i, got[i], want[i])

@@ -116,25 +116,6 @@ func (q *QuantActs) Quantize(acts []float64) {
 	}
 }
 
-// Dequantize returns the reconstructed activation vector.
-func (q QuantActs) Dequantize() []float64 {
-	return q.DequantizeInto(nil)
-}
-
-// DequantizeInto reconstructs the activation vector into dst (reused when
-// it has capacity) and returns it. The reconstruction error of each entry
-// is at most Scale/2 — half a quantization step.
-func (q QuantActs) DequantizeInto(dst []float64) []float64 {
-	if cap(dst) < len(q.Q) {
-		dst = make([]float64, len(q.Q))
-	}
-	dst = dst[:len(q.Q)]
-	for i, c := range q.Q {
-		dst[i] = q.Zero + q.Scale*float64(int(c)+128)
-	}
-	return dst
-}
-
 // RecordQuantActivations is the int8 activation recorder: it records the
 // paper's per-neuron average activation statistic (LocalActivations) for
 // the Prunable layer at layerIdx and accumulates it into q's affine int8

@@ -121,9 +121,15 @@ func TestQuantizeReusesBuffers(t *testing.T) {
 	if &q.Q[0] != p0 {
 		t.Fatal("Quantize reallocated a buffer it could reuse")
 	}
-	dst := make([]float64, 0, 256)
-	out := q.DequantizeInto(dst)
-	if &out[0] != &dst[:1][0] {
-		t.Fatal("DequantizeInto reallocated a buffer it could reuse")
+}
+
+// Dequantize reconstructs q's activation vector: the reference the tests
+// hold Quantize to. The reconstruction error of each entry is at most
+// Scale/2 — half a quantization step.
+func (q QuantActs) Dequantize() []float64 {
+	dst := make([]float64, len(q.Q))
+	for i, c := range q.Q {
+		dst[i] = q.Zero + q.Scale*float64(int(c)+128)
 	}
+	return dst
 }

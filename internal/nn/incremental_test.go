@@ -83,11 +83,14 @@ func TestCaptureRestoreUnitRoundTrip(t *testing.T) {
 	for _, tc := range splitModels(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			var snap UnitSnapshot
-			for _, li := range tc.m.PrunableLayers() {
+			for li, l := range tc.m.layers {
 				// Skip BatchNorm targets: PruneModelUnit treats a BN following
 				// a conv as part of that conv's unit, which is what the
 				// defense prunes.
-				if _, isBN := tc.m.Layer(li).(*BatchNorm2D); isBN {
+				if _, ok := l.(Prunable); !ok {
+					continue
+				}
+				if _, isBN := l.(*BatchNorm2D); isBN {
 					continue
 				}
 				before := tc.m.ParamsVector()

@@ -61,35 +61,6 @@ func SoftmaxXentInto(dst, logits *tensor.Tensor, labels []int) (loss float64) {
 	return loss
 }
 
-// Softmax returns the row-wise softmax of logits as a new tensor.
-func Softmax(logits *tensor.Tensor) *tensor.Tensor {
-	if logits.Rank() != 2 {
-		panic(fmt.Sprintf("nn: Softmax logits rank %d, want 2", logits.Rank()))
-	}
-	n, c := logits.Dim(0), logits.Dim(1)
-	out := tensor.New(n, c)
-	for s := 0; s < n; s++ {
-		row := logits.Data[s*c : (s+1)*c]
-		orow := out.Data[s*c : (s+1)*c]
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		sum := 0.0
-		for j, v := range row {
-			e := math.Exp(v - maxv)
-			orow[j] = e
-			sum += e
-		}
-		for j := range orow {
-			orow[j] /= sum
-		}
-	}
-	return out
-}
-
 // Argmax returns the predicted class of every row of logits.
 func Argmax(logits *tensor.Tensor) []int {
 	return ArgmaxInto(make([]int, logits.Dim(0)), logits)

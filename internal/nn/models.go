@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math/rand"
 
 	"github.com/fedcleanse/fedcleanse/internal/tensor"
@@ -121,19 +120,3 @@ func NewMiniVGG(in Input, classes int, rng *rand.Rand) *Sequential {
 // ModelBuilder constructs a fresh model for a given input geometry. The
 // federated experiments use it to seed identical architectures everywhere.
 type ModelBuilder func(in Input, classes int, rng *rand.Rand) *Sequential
-
-// BuilderByName resolves a model architecture by its CLI name.
-func BuilderByName(name string) (ModelBuilder, error) {
-	switch name {
-	case "small":
-		return NewSmallCNN, nil
-	case "large":
-		return NewLargeCNN, nil
-	case "fashion":
-		return NewFashionCNN, nil
-	case "minivgg":
-		return NewMiniVGG, nil
-	default:
-		return nil, fmt.Errorf("nn: unknown model %q (want small, large, fashion or minivgg)", name)
-	}
-}

@@ -21,7 +21,7 @@ import (
 func TestClonePreservesParamFlags(t *testing.T) {
 	src := NewMiniVGG(Input{C: 3, H: 16, W: 16}, 10, rand.New(rand.NewSource(1)))
 	kinds := map[string]bool{}
-	for _, l := range src.Layers() {
+	for _, l := range src.layers {
 		switch l.(type) {
 		case *Conv2D:
 			kinds["conv"] = true

@@ -39,9 +39,6 @@ func NewSequential(layers ...Layer) *Sequential {
 	return &Sequential{layers: append([]Layer(nil), layers...)}
 }
 
-// Layers returns the layer slice (shared; callers must not mutate).
-func (m *Sequential) Layers() []Layer { return m.layers }
-
 // Layer returns layer i.
 func (m *Sequential) Layer(i int) Layer { return m.layers[i] }
 
@@ -205,21 +202,6 @@ func FreezeStats(m *Sequential) {
 	}
 }
 
-// StatMask returns a flat boolean mask over ParamsVector positions marking
-// Stat parameters (batch-norm running statistics), for comparing where two
-// models or vectors keep their statistics. An attacker that scales its
-// update leaves statistics unscaled by reading each Param's Stat flag
-// (Attacker.LocalUpdate), not this mask.
-func (m *Sequential) StatMask() []bool {
-	mask := make([]bool, 0, m.NumParams())
-	for _, p := range m.Params() {
-		for i := 0; i < p.Value.Len(); i++ {
-			mask = append(mask, p.Stat)
-		}
-	}
-	return mask
-}
-
 // EnforceMasks re-applies the prune mask of every Prunable layer.
 func (m *Sequential) EnforceMasks() {
 	for _, l := range m.layers {
@@ -227,18 +209,6 @@ func (m *Sequential) EnforceMasks() {
 			p.EnforceMask()
 		}
 	}
-}
-
-// PrunableLayers returns the indices of layers implementing Prunable, in
-// network order.
-func (m *Sequential) PrunableLayers() []int {
-	var idx []int
-	for i, l := range m.layers {
-		if _, ok := l.(Prunable); ok {
-			idx = append(idx, i)
-		}
-	}
-	return idx
 }
 
 // PruneModelUnit prunes output unit u of the Prunable layer at index li

@@ -63,10 +63,6 @@ func (o *SGD) Step(m *Sequential) {
 	m.EnforceMasks()
 }
 
-// Reset drops all velocity state (e.g. when the model parameters are
-// replaced wholesale by a federated aggregation).
-func (o *SGD) Reset() { o.velocity = nil }
-
 // ZeroVelocity zeroes every velocity buffer in place. The optimizer then
 // behaves exactly like a freshly constructed one (velocity starts at zero)
 // while keeping its buffers, so training loops that restart momentum every

@@ -342,7 +342,7 @@ func TestBatchNormMatchesChannelOuterLoops(t *testing.T) {
 // convLayers returns a model's convolution layers.
 func convLayers(m *Sequential) []*Conv2D {
 	var cs []*Conv2D
-	for _, l := range m.Layers() {
+	for _, l := range m.layers {
 		if c, ok := l.(*Conv2D); ok {
 			cs = append(cs, c)
 		}

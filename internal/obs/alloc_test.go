@@ -42,14 +42,15 @@ func TestHistogramObserveWarmAllocFree(t *testing.T) {
 	}
 }
 
-// TestSpanWarmAllocFree gates the span start/end pair with the default
-// (nop) logger installed — the state every instrumented library runs in
-// unless a command wires a handler.
+// TestSpanWarmAllocFree gates the span start/end pair — a root span, whose
+// End records into the default span ring — with the default (nop) logger
+// installed: the state every instrumented library runs in unless a command
+// wires a handler. AllocsPerRun's warm-up call interns the name.
 func TestSpanWarmAllocFree(t *testing.T) {
 	SetLogger(nil) // the package default, explicit for test isolation
 	h := NewRegistry().Histogram("span_seconds", DurationBuckets)
 	if allocs := testing.AllocsPerRun(100, func() {
-		sp := StartSpan("alloc.test", h)
+		sp := StartRoot("alloc.test", h)
 		sp.End()
 	}); allocs != 0 {
 		t.Errorf("warm span start/end: %v allocs/op, want 0", allocs)

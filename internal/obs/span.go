@@ -7,21 +7,17 @@ import (
 )
 
 // Span traces one coarse stage of work — a federated round, a defense
-// pipeline phase, a remote call. It is a plain value: StartSpan stamps the
-// wall clock, End observes the elapsed seconds into the span's latency
+// pipeline phase, a remote call. It is a plain value: starting one stamps
+// the wall clock, End observes the elapsed seconds into the span's latency
 // histogram and, when the logger handles debug, emits paired start/end
-// events. The warm start/end pair allocates nothing (the span lives on the
-// caller's stack and the debug events are guarded by Enabled), so spans
-// are safe around paths gated by make alloc-test.
-//
-// Spans come in two flavors. StartSpan spans are context-free, exactly as
-// before: no identity, no tree, nothing recorded beyond the histogram.
-// StartRoot/StartChild spans additionally carry a SpanContext (DESIGN.md
-// §16): they link into a per-trace tree via parent IDs, optionally tag the
-// client/round/attempt they cover (WithClient, WithRound, WithAttempt),
-// and on End record themselves into DefaultSpans, the process-wide ring
-// served at /trace. Both flavors stay value-typed and allocation-free on
-// the warm path.
+// events. Every span carries a SpanContext (DESIGN.md §16): StartRoot
+// opens a trace, StartChild/StartChildOf link into one via parent IDs. A
+// span may tag the client/round/attempt it covers (WithClient, WithRound,
+// WithAttempt), and on End records itself into DefaultSpans, the
+// process-wide ring served at /trace. The warm start/end pair allocates
+// nothing (the span lives on the caller's stack and the debug events are
+// guarded by Enabled), so spans are safe around paths gated by make
+// alloc-test.
 type Span struct {
 	name    string
 	hist    *Histogram
@@ -33,46 +29,42 @@ type Span struct {
 	attempt int64
 }
 
-// StartSpan begins an untraced span. hist receives the duration in seconds
-// at End and may be nil for spans that only exist for their events.
-func StartSpan(name string, hist *Histogram) Span {
+// startSpan stamps the clock for a span under sc. hist receives the
+// duration in seconds at End and may be nil for spans that only exist for
+// the trace.
+func startSpan(name string, hist *Histogram, sc SpanContext, parent SpanID) Span {
 	if Enabled(slog.LevelDebug) {
 		L().Debug("span start", "span", name)
 	}
-	return Span{name: name, hist: hist, start: time.Now(), client: -1, round: -1, attempt: -1}
+	return Span{name: name, hist: hist, start: time.Now(), sc: sc, parent: parent,
+		client: -1, round: -1, attempt: -1}
 }
 
-// StartRoot begins a traced span that roots a new trace: fresh TraceID,
-// fresh SpanID, no parent. Use it at the top of a causal unit (one
-// federated round, one defense pipeline run).
+// StartRoot begins a span that roots a new trace: fresh TraceID, fresh
+// SpanID, no parent. Use it at the top of a causal unit (one federated
+// round, one defense pipeline run).
 func StartRoot(name string, hist *Histogram) Span {
-	s := StartSpan(name, hist)
-	s.sc = SpanContext{Trace: NewTraceID(), Span: NewSpanID()}
-	return s
+	return startSpan(name, hist, SpanContext{Trace: NewTraceID(), Span: NewSpanID()}, 0)
 }
 
-// StartChild begins a traced span under the span context carried by ctx.
+// StartChild begins a span under the span context carried by ctx.
 // When ctx carries none, the span roots a new trace instead, so call trees
 // that are sometimes entered without a propagated parent still trace.
 func StartChild(ctx context.Context, name string, hist *Histogram) Span {
 	return StartChildOf(SpanContextFrom(ctx), name, hist)
 }
 
-// StartChildOf begins a traced span under an explicit parent context; a
-// zero parent roots a new trace.
+// StartChildOf begins a span under an explicit parent context; a zero
+// parent roots a new trace.
 func StartChildOf(parent SpanContext, name string, hist *Histogram) Span {
-	s := StartSpan(name, hist)
-	if parent.Valid() {
-		s.sc = SpanContext{Trace: parent.Trace, Span: NewSpanID()}
-		s.parent = parent.Span
-	} else {
-		s.sc = SpanContext{Trace: NewTraceID(), Span: NewSpanID()}
+	if !parent.Valid() {
+		return StartRoot(name, hist)
 	}
-	return s
+	return startSpan(name, hist, SpanContext{Trace: parent.Trace, Span: NewSpanID()}, parent.Span)
 }
 
-// Context returns the span's propagation context (zero for untraced
-// spans). Hand it to ContextWithSpan or InjectHeaders so remote work joins
+// Context returns the span's propagation context (zero for the zero
+// Span). Hand it to ContextWithSpan or InjectHeaders so remote work joins
 // this span's tree.
 func (s Span) Context() SpanContext { return s.sc }
 
@@ -86,7 +78,7 @@ func (s Span) WithRound(t int) Span { s.round = int64(t); return s }
 func (s Span) WithAttempt(n int) Span { s.attempt = int64(n); return s }
 
 // End closes the span: it observes the elapsed duration into the
-// histogram, records traced spans into DefaultSpans, and returns the
+// histogram, records the span into DefaultSpans, and returns the
 // duration. End on the zero Span returns 0 and records nothing — neither
 // the histogram nor the ring sees it — so instrumented code never needs
 // nil checks around conditionally started spans.
@@ -98,11 +90,9 @@ func (s Span) End() time.Duration {
 	if s.hist != nil {
 		s.hist.Observe(d.Seconds())
 	}
-	if s.sc.Valid() {
-		DefaultSpans.append(internName(s.name), s.sc, s.parent,
-			s.start.UnixNano(), d, s.client, s.round, s.attempt)
-		M.TraceSpans.Inc()
-	}
+	DefaultSpans.Append(SpanRecord{Name: s.name, Trace: s.sc.Trace, Span: s.sc.Span, Parent: s.parent,
+		Start: s.start.UnixNano(), Dur: d, Client: s.client, Round: s.round, Attempt: s.attempt})
+	M.TraceSpans.Inc()
 	if s.name != "" && Enabled(slog.LevelDebug) {
 		L().Debug("span end", "span", s.name, "dur", d)
 	}

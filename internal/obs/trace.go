@@ -255,9 +255,9 @@ func NewSpanRing(size int) *SpanRing {
 // DefaultSpans is the process-wide ring every traced Span records into.
 var DefaultSpans = NewSpanRing(8192)
 
-// Append records one completed span. It is safe for concurrent use and
-// performs no allocation — the zero-alloc warm-path gate in alloc_test.go
-// covers it.
+// Append records one completed span; every Span.End runs through it. It is
+// safe for concurrent use and performs no allocation once the name is
+// interned — the zero-alloc warm-path gates in alloc_test.go cover it.
 func (r *SpanRing) Append(rec SpanRecord) {
 	nameID := internName(rec.Name)
 	idx := r.pos.Add(1) - 1
@@ -272,24 +272,6 @@ func (r *SpanRing) Append(rec SpanRecord) {
 	s.client.Store(rec.Client)
 	s.round.Store(rec.Round)
 	s.attempt.Store(rec.Attempt)
-	s.seq.Store(idx + 1)
-}
-
-// append is the Span.End entry point: it avoids building a SpanRecord with
-// a live string when the name is already interned.
-func (r *SpanRing) append(nameID uint32, sc SpanContext, parent SpanID, start int64, dur time.Duration, client, round, attempt int64) {
-	idx := r.pos.Add(1) - 1
-	s := &r.slots[idx&r.mask]
-	s.seq.Store(0)
-	s.trace.Store(uint64(sc.Trace))
-	s.span.Store(uint64(sc.Span))
-	s.parent.Store(uint64(parent))
-	s.name.Store(nameID)
-	s.start.Store(start)
-	s.dur.Store(int64(dur))
-	s.client.Store(client)
-	s.round.Store(round)
-	s.attempt.Store(attempt)
 	s.seq.Store(idx + 1)
 }
 

@@ -39,7 +39,7 @@ var M = struct {
 	FLCheckpointPartials     *Counter   // the mid-round partial subset of writes
 	FLCheckpointWriteErrors  *Counter   // checkpoint writes that failed (round continues)
 	FLCheckpointBytes        *Counter   // encoded checkpoint bytes written
-	FLCheckpointWriteSeconds *Histogram // one atomic checkpoint write (encode + fsync + rename)
+	FLCheckpointWriteSeconds *Histogram // one checkpoint write, timed by its fl.checkpoint span (encode + fsync + rename)
 	FLCheckpointTorn         *Counter   // checkpoint files skipped as torn/corrupt on load
 	FLResumes                *Counter   // servers restored from a checkpoint
 	FLResumedPartialRounds   *Counter   // resumes that re-entered an interrupted round

@@ -71,15 +71,6 @@ func (a *ArenaOf[E]) Get(slot string, shape ...int) *Of[E] {
 	return a.lookup(slot, 0, shape)
 }
 
-// GetIndexed returns the arena's buffer for (slot, idx, shape), allocating
-// a zeroed tensor on first use. The integer index distinguishes same-shaped
-// buffers under one slot name without the caller having to mint per-index
-// slot strings (which would allocate on every lookup): a batch-keyed
-// activation cache holds batch b in GetIndexed("act", b, shape...).
-func (a *ArenaOf[E]) GetIndexed(slot string, idx int, shape ...int) *Of[E] {
-	return a.lookup(slot, idx, shape)
-}
-
 // GetLike returns the arena's buffer with exactly t's shape — t may be of
 // either element type — allocating a zeroed tensor on first use. Unlike
 // Get(slot, t.Shape()...) it reads the shape in place, keeping the warm
@@ -88,7 +79,12 @@ func (a *ArenaOf[E]) GetLike(slot string, t shaped) *Of[E] {
 	return a.lookup(slot, 0, t.dims())
 }
 
-// GetIndexedLike is GetIndexed with the shape read in place from t.
+// GetIndexedLike returns the arena's buffer for (slot, idx) with exactly
+// t's shape, allocating a zeroed tensor on first use. The integer index
+// distinguishes same-shaped buffers under one slot name without the caller
+// having to mint per-index slot strings (which would allocate on every
+// lookup): a batch-keyed activation cache holds batch b at
+// GetIndexedLike("act", b, x).
 func (a *ArenaOf[E]) GetIndexedLike(slot string, idx int, t shaped) *Of[E] {
 	return a.lookup(slot, idx, t.dims())
 }
@@ -138,9 +134,6 @@ func familyBacking[E Elem](fam map[arenaKey][]E, k arenaKey) []E {
 	fam[fk] = data
 	return data
 }
-
-// Reset drops every cached buffer, returning the arena to its zero state.
-func (a *ArenaOf[E]) Reset() { a.m, a.fam = nil, nil }
 
 // EnsureShape returns t when it already has exactly the wanted shape, and a
 // fresh zeroed tensor otherwise (including t == nil). It is the single-slot

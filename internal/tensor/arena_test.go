@@ -47,15 +47,6 @@ func TestArenaGetLikeMatchesGet(t *testing.T) {
 	}
 }
 
-func TestArenaReset(t *testing.T) {
-	var a Arena
-	x := a.Get("x", 5)
-	a.Reset()
-	if a.Get("x", 5) == x {
-		t.Fatal("Reset kept the old buffer")
-	}
-}
-
 func TestArenaRejectsExcessiveRank(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -152,12 +143,12 @@ func TestArenaFullAfterTail(t *testing.T) {
 // its own — the batch-keyed evaluation caches hold every index at once.
 func TestArenaFamiliesDoNotAlias(t *testing.T) {
 	var a Arena
-	base := a.GetIndexed("act", 0, 20, 6)
+	base := a.GetIndexedLike("act", 0, New(20, 6))
 	for name, other := range map[string]*Tensor{
-		"index":    a.GetIndexed("act", 1, 14, 6),
-		"slot":     a.GetIndexed("eout", 0, 14, 6),
-		"trailing": a.GetIndexed("act", 0, 14, 3),
-		"rank":     a.GetIndexed("act", 0, 14, 3, 2),
+		"index":    a.GetIndexedLike("act", 1, New(14, 6)),
+		"slot":     a.GetIndexedLike("eout", 0, New(14, 6)),
+		"trailing": a.GetIndexedLike("act", 0, New(14, 3)),
+		"rank":     a.GetIndexedLike("act", 0, New(14, 3, 2)),
 	} {
 		if &other.Data[0] == &base.Data[0] {
 			t.Errorf("a different %s shares the backing", name)
@@ -175,18 +166,14 @@ func TestArenaFloat32TailSharesFullBatchBacking(t *testing.T) {
 	var a ArenaOf[float32]
 	full := a.Get("x", 20, 8)
 	full.Data[0], full.Data[14*8] = 5, 5
-	tail := a.GetIndexed("x", 0, 14, 8)
+	tail := a.GetIndexedLike("x", 0, New(14, 8))
 	if &tail.Data[0] != &full.Data[0] || len(tail.Data) != 14*8 {
 		t.Fatal("float32 tail batch is not a prefix of the full batch")
 	}
 	if tail.Data[0] != 0 || full.Data[14*8] != 5 {
 		t.Fatal("prefix not zeroed, or zeroed past its end")
 	}
-	if other := a.GetIndexed("x", 1, 14, 8); &other.Data[0] == &full.Data[0] {
+	if other := a.GetIndexedLike("x", 1, New(14, 8)); &other.Data[0] == &full.Data[0] {
 		t.Fatal("a different index shares the backing")
-	}
-	a.Reset()
-	if again := a.Get("x", 14, 8); &again.Data[0] == &full.Data[0] {
-		t.Fatal("Reset kept the family's backing")
 	}
 }

@@ -260,7 +260,7 @@ func TestArenaFloat32Reuse(t *testing.T) {
 	if y := a.Get("y", 4, 5); y == x {
 		t.Fatal("different slot must not alias")
 	}
-	if y := a.GetIndexed("x", 1, 4, 5); y == x {
+	if y := a.GetIndexedLike("x", 1, New(4, 5)); y == x {
 		t.Fatal("indexed lookup must not alias the unindexed slot")
 	}
 	if y := a.GetLike("x", x); y != x {
@@ -269,9 +269,5 @@ func TestArenaFloat32Reuse(t *testing.T) {
 	t64 := New(4, 5)
 	if y := a.GetLike("x", t64); y != x {
 		t.Fatal("GetLike of a float64 tensor must hit the same buffer for the same shape")
-	}
-	a.Reset()
-	if y := a.Get("x", 4, 5); y == x || y.Data[0] != 0 {
-		t.Fatal("Reset must drop cached buffers")
 	}
 }

@@ -42,16 +42,6 @@ func overlaps[E Elem](x, y []E) bool {
 	return xLo < yLo+uintptr(len(y))*size && yLo < xLo+uintptr(len(x))*size
 }
 
-// MatMul returns a·b for 2-D tensors a (m×k) and b (k×n). The result is a
-// freshly allocated m×n tensor, computed by the cache-blocked tiled kernel
-// (kernels.go) — bit-identical to the pre-tile reference for finite inputs.
-func MatMul(a, b *Tensor) *Tensor {
-	m, k, n := checkMatMul(a, b)
-	out := New(m, n)
-	matmulInto(out.Data, a.Data, b.Data, m, k, n)
-	return out
-}
-
 // MatMulInto computes dst = a·b, reusing dst's buffer. dst must be m×n and,
 // as for every Into kernel, must not overlap a or b.
 func MatMulInto[E Elem](dst, a, b *Of[E]) {
@@ -94,19 +84,10 @@ func matmulInto[E Elem](dst, a, b []E, m, k, n int) {
 	matmulTiled(dst, a, b, 0, m, k, n)
 }
 
-// MatMulTransB returns a·bᵀ for a (m×k) and b (n×k). Used by the dense and
-// conv backward passes, avoiding an explicit transpose allocation.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, _, n := checkMatMulTransB(a, b)
-	out := New(m, n)
-	MatMulTransBInto(out, a, b)
-	return out
-}
-
 // MatMulTransBInto computes dst = a·bᵀ for a (m×k) and b (n×k), reusing
-// dst's buffer. dst must be m×n; every cell is overwritten. The kernel and
-// its parallel row-blocking are identical to MatMulTransB, so the result is
-// bit-identical to the allocating variant at any worker count.
+// dst's buffer. dst must be m×n; every cell is overwritten. Used by the dense
+// and conv backward passes, avoiding an explicit transpose allocation; the
+// result is bit-identical at any worker count.
 func MatMulTransBInto[E Elem](dst, a, b *Of[E]) {
 	m, k, n := checkMatMulTransB(a, b)
 	checkInto("MatMulTransBInto", dst, a, b, m, n)
@@ -137,19 +118,10 @@ func checkMatMulTransB[E Elem](a, b *Of[E]) (m, k, n int) {
 	return m, k, n
 }
 
-// MatMulTransA returns aᵀ·b for a (k×m) and b (k×n). Used to compute weight
-// gradients without materializing the transpose.
-func MatMulTransA(a, b *Tensor) *Tensor {
-	m, k, n := checkMatMulTransA(a, b)
-	out := New(m, n)
-	matmulTransAInto(out.Data, a.Data, b.Data, k, m, n)
-	return out
-}
-
 // MatMulTransAInto computes dst = aᵀ·b for a (k×m) and b (k×n), reusing
 // dst's buffer. dst must be m×n; it is zeroed first because the kernel
-// accumulates. Accumulation order matches MatMulTransA exactly, so the
-// result is bit-identical to the allocating variant at any worker count.
+// accumulates. Used to compute weight gradients without materializing the
+// transpose; the result is bit-identical at any worker count.
 func MatMulTransAInto[E Elem](dst, a, b *Of[E]) {
 	m, k, n := checkMatMulTransA(a, b)
 	checkInto("MatMulTransAInto", dst, a, b, m, n)
@@ -177,19 +149,4 @@ func matmulTransAInto[E Elem](dst, a, b []E, k, m, n int) {
 		return
 	}
 	matmulTransATiled(dst, a, b, 0, m, k, m, n)
-}
-
-// Transpose returns the transpose of a 2-D tensor as a new tensor.
-func Transpose(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: Transpose requires rank-2, got %v", a.shape))
-	}
-	m, n := a.Dim(0), a.Dim(1)
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = a.Data[i*n+j]
-		}
-	}
-	return out
 }

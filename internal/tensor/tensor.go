@@ -192,16 +192,6 @@ func (t *Of[E]) Scale(alpha E) {
 	scale(t.Data, t.Data, alpha)
 }
 
-// Mul multiplies t by other element-wise (Hadamard product).
-func (t *Of[E]) Mul(other *Of[E]) {
-	if len(t.Data) != len(other.Data) {
-		panic(fmt.Sprintf("tensor: Mul length mismatch %d vs %d", len(t.Data), len(other.Data)))
-	}
-	for i, v := range other.Data {
-		t.Data[i] *= v
-	}
-}
-
 // CopyFrom copies other's elements into t. Lengths must match.
 func (t *Of[E]) CopyFrom(other *Of[E]) {
 	if len(t.Data) != len(other.Data) {
@@ -276,21 +266,6 @@ func (t *Of[E]) Std() E {
 		ss += E(d * d)
 	}
 	return E(math.Sqrt(float64(ss / E(len(t.Data)))))
-}
-
-// Max returns the maximum element and its flat index. It panics on an empty
-// tensor.
-func (t *Of[E]) Max() (E, int) {
-	if len(t.Data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	best, bestIdx := t.Data[0], 0
-	for i, v := range t.Data[1:] {
-		if v > best {
-			best, bestIdx = v, i+1
-		}
-	}
-	return best, bestIdx
 }
 
 // Equal reports whether t and other have identical shapes and all elements

@@ -22,32 +22,20 @@ import (
 )
 
 // The cross-version compatibility corpus (testdata/wire): one golden file
-// per encoding a deployed binary has ever produced — legacy gob models and
-// responses, compact v1 report payloads, versioned envelopes. The files of
-// the current encodings are regenerated from fixed seeds with -update and
-// then pinned; the legacy gob files are frozen bytes nothing in the tree
-// can write any more. The table test below decodes every file through the
-// decoders the current binary actually uses (nn.LoadAny, updatePayload,
-// rankPayload, votePayload) and asserts bit-identity with
-// the seeded value — so a wire or serialization change that silently breaks
-// a peer or a file on disk fails CI instead of a rollout — and asserts that
-// the gob files — three wire responses no peer sends any more and a model
-// snapshot from a fedtrain older than the envelope — are refused with an
-// error.
+// per encoding a deployed peer has ever sent — legacy gob responses, compact
+// v1 report payloads, versioned envelopes. The files of the current
+// encodings are regenerated from fixed seeds with -update and then pinned;
+// the legacy gob files are frozen bytes nothing in the tree can write any
+// more. The table test below decodes every file through the decoders the
+// current binary actually uses (updatePayload, rankPayload, votePayload,
+// decodeRequest) and asserts bit-identity with the seeded value — so a wire
+// change that silently breaks a peer fails CI instead of a rollout — and
+// asserts that the gob files, three wire responses no peer sends any more,
+// are refused with an error.
 
 var updateGolden = flag.Bool("update", false, "regenerate the testdata/wire golden corpus")
 
 const goldenDir = "testdata/wire"
-
-// compatModel is the corpus's fixed model: a pure function of its seeds,
-// with one pruned unit so the mask state crosses formats too.
-func compatModel() (*nn.Sequential, nn.Input, int) {
-	in := nn.Input{C: 1, H: 8, W: 8}
-	const classes = 4
-	m := nn.NewSmallCNN(in, classes, rand.New(rand.NewSource(91)))
-	m.PruneModelUnit(m.PrunableLayers()[0], 1)
-	return m, in, classes
-}
 
 // compatDelta is the corpus's fixed update delta, salted with the IEEE
 // specials a lossless float codec must carry through.
@@ -86,18 +74,9 @@ func compatActs() []float64 {
 }
 
 // goldenFiles materializes every regenerable corpus entry from the fixed
-// seeds; the four legacy gob files exist only on disk.
-func goldenFiles(t *testing.T) map[string][]byte {
-	t.Helper()
-	m, in, classes := compatModel()
+// seeds; the three legacy gob files exist only on disk.
+func goldenFiles() map[string][]byte {
 	files := map[string][]byte{}
-
-	versionedModel, err := nn.EncodeVersionedModel("small", in, classes, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	files["model-versioned-v1.bin"] = versionedModel
-
 	files["update-versioned-v1.bin"] = AppendVersionedUpdate(nil, compatDelta())
 	files["report-ranks-compact-v1.bin"] = AppendRanksDelta(nil, compatRanks())
 	files["report-votes-compact-v1.bin"] = AppendVoteBitmap(nil, compatVotes())
@@ -163,15 +142,12 @@ func sameBits(a, b []float64) bool {
 // with deployed peers and files — fix the change, do not regenerate the
 // files.
 func TestCrossVersionGoldenCorpus(t *testing.T) {
-	files := goldenFiles(t)
-	refModel, _, _ := compatModel()
-	refParams := refModel.ParamsVector()
+	files := goldenFiles()
 
 	t.Run("first-byte", func(t *testing.T) {
 		// What tells the families apart: the envelope magic, a report tag,
 		// or — for gob — the length of a type descriptor, which is neither.
 		for name, want := range map[string]byte{
-			"model-versioned-v1.bin":      wire.Magic[0],
 			"update-versioned-v1.bin":     wire.Magic[0],
 			"report-ranks-compact-v1.bin": TagRanksDelta,
 			"report-votes-compact-v1.bin": TagVoteBitmap,
@@ -181,7 +157,7 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 				t.Errorf("%s opens with 0x%02x, want 0x%02x", name, got, want)
 			}
 		}
-		for _, name := range []string{"model-legacy-gob.bin", "update-legacy-gob.bin",
+		for _, name := range []string{"update-legacy-gob.bin",
 			"report-ranks-legacy-gob.bin", "report-votes-legacy-gob.bin"} {
 			if got := loadGolden(t, files, name)[0]; got == wire.Magic[0] || got <= TagActs8 {
 				t.Errorf("%s opens with 0x%02x, colliding with the envelope magic or a report tag", name, got)
@@ -191,11 +167,7 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 
 	t.Run("legacy-gob-refused", func(t *testing.T) {
 		// Every gob wire response is refused by every response decoder — an
-		// error, which a round records as a dropout; never a misparse. The
-		// gob model snapshot is refused by the model loader the same way.
-		if _, err := nn.LoadAny(bytes.NewReader(loadGolden(t, files, "model-legacy-gob.bin"))); err == nil {
-			t.Error("model-legacy-gob.bin accepted as a model")
-		}
+		// error, which a round records as a dropout; never a misparse.
 		for _, name := range []string{"update-legacy-gob.bin",
 			"report-ranks-legacy-gob.bin", "report-votes-legacy-gob.bin"} {
 			data := loadGolden(t, files, name)
@@ -217,23 +189,13 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 		// legacy files are pinned but not re-derived — gob's type-descriptor
 		// layout belongs to the Go release that wrote them.)
 		for _, name := range []string{
-			"model-versioned-v1.bin", "update-versioned-v1.bin",
+			"update-versioned-v1.bin",
 			"report-ranks-compact-v1.bin", "report-votes-compact-v1.bin",
 			"report-acts8-compact-v1.bin",
 		} {
 			if !bytes.Equal(loadGolden(t, files, name), files[name]) {
 				t.Errorf("%s: checked-in bytes differ from canonical re-encoding", name)
 			}
-		}
-	})
-
-	t.Run("models", func(t *testing.T) {
-		m, err := nn.LoadAny(bytes.NewReader(loadGolden(t, files, "model-versioned-v1.bin")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameBits(m.ParamsVector(), refParams) {
-			t.Fatal("model-versioned-v1.bin: parameters differ from the seeded model")
 		}
 	})
 
@@ -325,7 +287,7 @@ func TestVersionedUpdateRejections(t *testing.T) {
 		"empty":       {},
 		"wrong-magic": append([]byte{0xAB}, valid[1:]...),
 		"truncated":   valid[:len(valid)-6],
-		"wrong-kind":  wire.NewEncoder(wire.KindModel).Bytes(),
+		"wrong-kind":  wire.NewEncoder(1).Bytes(),
 		"no-delta":    wire.NewEncoder(wire.KindUpdate).Section(99, []byte{1}).Bytes(),
 		"count-lies": wire.NewEncoder(wire.KindUpdate).
 			Section(secUpdateDelta, wire.AppendUint(nil, 1<<40)).Bytes(),
@@ -375,7 +337,7 @@ func TestVersionedUpdateOverWire(t *testing.T) {
 // seeds, and decode on their endpoint to exactly the fields that went in —
 // and on no other endpoint.
 func TestRequestGoldenCorpus(t *testing.T) {
-	files := goldenFiles(t)
+	files := goldenFiles()
 	for name, kind := range compatRequestKinds {
 		data := loadGolden(t, files, name)
 		if !bytes.HasPrefix(data, wire.Magic[:]) {
@@ -412,7 +374,7 @@ func TestRequestGoldenCorpus(t *testing.T) {
 		}
 		// RemoteClient encodes report requests straight from the model:
 		// the bytes are those of its parameter vector.
-		m, _, _ := compatModel()
+		m := nn.NewSmallCNN(nn.Input{C: 1, H: 8, W: 8}, 4, rand.New(rand.NewSource(91)))
 		fromModel := request{Model: m, Round: 7, Layer: 2, Rate: 0.25}
 		fromGlobal := request{Global: m.ParamsVector(), Round: 7, Layer: 2, Rate: 0.25}
 		if !bytes.Equal(appendRequest(nil, kind, fromModel), appendRequest(nil, kind, fromGlobal)) {

@@ -201,7 +201,10 @@ func (f *Fleet) route(w http.ResponseWriter, r *http.Request) {
 // serve answers one request to an endpoint from slot: the one place a
 // request is read, validated and traced, whichever way it was mounted.
 func (f *Fleet) serve(w http.ResponseWriter, r *http.Request, slot *fleetSlot, ep endpoint) {
-	sp := requestSpan(r, ep.span, ep.hist).WithClient(slot.part.ID())
+	// A child of the caller's attempt span when the request carries trace
+	// headers, linking this process's work into the caller's round tree; a
+	// request without them roots a trace of its own.
+	sp := obs.StartChildOf(obs.ExtractHeaders(r.Header), ep.span, ep.hist).WithClient(slot.part.ID())
 	defer func() { sp.End() }()
 	req, ok := slot.readRequest(w, r, ep.kind, &f.last)
 	if !ok {
@@ -358,18 +361,6 @@ func handleVotes(w http.ResponseWriter, slot *fleetSlot, req request) {
 	var payload []byte
 	slot.report(req.Global, func(m *nn.Sequential) { payload = AppendVoteBitmap(nil, rc.VoteReport(m, req.Layer, req.Rate)) })
 	writeReport(w, payload)
-}
-
-// requestSpan opens the server-side span for one protocol request: a
-// child of the caller's attempt span when the request carries trace
-// headers — linking this process's work into the caller's round tree —
-// and an untraced span otherwise, so callers without tracing do not
-// scatter one-span trees through the ring.
-func requestSpan(r *http.Request, name string, hist *obs.Histogram) obs.Span {
-	if sc := obs.ExtractHeaders(r.Header); sc.Valid() {
-		return obs.StartChildOf(sc, name, hist)
-	}
-	return obs.StartSpan(name, hist)
 }
 
 // quantReporter is a participant that reports at a precision of its own,

@@ -204,7 +204,6 @@ func TestFleetServesManyClientsOneListener(t *testing.T) {
 type panicker struct{ id int }
 
 func (p *panicker) ID() int                              { return p.id }
-func (p *panicker) Dataset() *dataset.Dataset            { return nil }
 func (p *panicker) LocalUpdate([]float64, int) []float64 { panic("synthetic participant bug") }
 
 // TestFleetRecoversParticipantPanic: one faulty participant yields HTTP

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"github.com/fedcleanse/fedcleanse/internal/dataset"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/tensor"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
@@ -25,8 +24,7 @@ import (
 // and validators, not model training.
 type stubFuzzParticipant struct{ units int }
 
-func (stubFuzzParticipant) ID() int                   { return 0 }
-func (stubFuzzParticipant) Dataset() *dataset.Dataset { return nil }
+func (stubFuzzParticipant) ID() int { return 0 }
 func (stubFuzzParticipant) LocalUpdate(global []float64, _ int) []float64 {
 	return make([]float64, len(global))
 }

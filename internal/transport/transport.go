@@ -33,8 +33,9 @@
 // capped exponential backoff) under the caller's context, and surfaces
 // the final error through the fallible interfaces
 // (fl.FallibleParticipant, core.FallibleReportClient) that the round
-// drivers use to record a dropout and continue on the surviving quorum. The deterministic
-// FaultInjector in fault.go reproduces the failure modes in tests.
+// drivers use to record a dropout and continue on the surviving quorum. The
+// tests' deterministic FaultInjector (fault_test.go) reproduces the failure
+// modes through WithTransport and ClientServer.SetMiddleware.
 package transport
 
 import (
@@ -52,7 +53,6 @@ import (
 	"time"
 
 	"github.com/fedcleanse/fedcleanse/internal/core"
-	"github.com/fedcleanse/fedcleanse/internal/dataset"
 	"github.com/fedcleanse/fedcleanse/internal/fl"
 	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
@@ -323,11 +323,6 @@ func NewRemoteClient(id int, addr string, opts ...RemoteOption) *RemoteClient {
 
 // ID implements fl.Participant.
 func (rc *RemoteClient) ID() int { return rc.id }
-
-// Dataset implements fl.Participant. Remote clients never expose their
-// data — that is the point of federated learning — so it returns nil; the
-// defense uses the report endpoints instead.
-func (rc *RemoteClient) Dataset() *dataset.Dataset { return nil }
 
 // LastErr returns the error of the client's most recent failed call, or
 // nil if the last call succeeded.

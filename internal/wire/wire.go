@@ -10,8 +10,8 @@
 //	      10  sections, each: type uint16 LE | length uint32 LE | payload
 //	     end  crc32   uint32 LE, IEEE, over every preceding byte
 //
-// The envelope exists so models, update deltas and round-state checkpoints
-// survive binary upgrades: a reader skips section types it does not know
+// The envelope exists so update deltas, protocol requests and round-state
+// checkpoints survive binary upgrades: a reader skips section types it does not know
 // (forward compatibility within a version) and refuses versions from the
 // future (a version bump means the section semantics changed). The CRC
 // turns a torn file — a crash mid-write on a filesystem without atomic
@@ -23,9 +23,9 @@
 // fails the magic check with ErrMagic rather than being misread.
 //
 // Decoding never panics and never allocates beyond the input: Decode
-// slices sections out of the caller's buffer, and Buffer.ReadAll (behind
-// ReadPayload) caps an io.Reader at an explicit budget before any parsing
-// happens, so a hostile length field cannot balloon memory.
+// slices sections out of the caller's buffer, and Buffer.ReadAll caps an
+// io.Reader at an explicit budget before any parsing happens, so a hostile
+// length field cannot balloon memory.
 //
 // The package also holds the two free lists the wire path runs on, each with
 // its ownership rule: Buffer (bytes, which never leave the call that took
@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"slices"
 )
@@ -60,9 +59,10 @@ const (
 
 // Payload kinds. New kinds append; numbers are wire-stable.
 const (
-	// KindModel is a self-contained model snapshot (builder + geometry +
-	// parameter/mask state; internal/nn).
-	KindModel uint16 = 1
+	// 1 is retired: it was a self-contained model snapshot (builder,
+	// geometry and parameter/mask state) that older binaries may have
+	// written to disk. Never reuse it.
+
 	// KindCheckpoint is a federated round-state checkpoint (internal/fl).
 	KindCheckpoint uint16 = 2
 	// KindUpdate is one client's update delta (internal/transport).
@@ -245,18 +245,6 @@ func DecodeKind(data []byte, want uint16) ([]Section, error) {
 		return nil, fmt.Errorf("wire: payload kind %d, want %d", kind, want)
 	}
 	return secs, nil
-}
-
-// ReadPayload reads one whole payload from r into a slice the caller
-// owns, refusing to buffer more than max bytes. The bytes are gathered in
-// a pooled Buffer and copied out once at their final size.
-func ReadPayload(r io.Reader, max int64) ([]byte, error) {
-	b := GetBuffer()
-	defer b.Release()
-	if err := b.ReadAll(r, max); err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), b.B...), nil
 }
 
 // Scalar and slice payload helpers. These are the section *contents*; the

@@ -105,7 +105,7 @@ func TestTrailingBytesRejected(t *testing.T) {
 }
 
 func TestDecodeKind(t *testing.T) {
-	if _, err := DecodeKind(sample(), KindModel); err == nil ||
+	if _, err := DecodeKind(sample(), KindUpdate); err == nil ||
 		!strings.Contains(err.Error(), "kind") {
 		t.Fatalf("kind mismatch not rejected: %v", err)
 	}
@@ -128,13 +128,17 @@ func TestOtherFamiliesRefused(t *testing.T) {
 	}
 }
 
-func TestReadPayloadBudget(t *testing.T) {
+// TestBufferReadAllBudget: ReadAll takes a payload of exactly the budget
+// and refuses one byte more.
+func TestBufferReadAllBudget(t *testing.T) {
 	data := sample()
-	got, err := ReadPayload(bytes.NewReader(data), int64(len(data)))
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("ReadPayload at exact budget: %v", err)
+	b := GetBuffer()
+	defer b.Release()
+	if err := b.ReadAll(bytes.NewReader(data), int64(len(data))); err != nil || !bytes.Equal(b.B, data) {
+		t.Fatalf("ReadAll at exact budget: %v", err)
 	}
-	if _, err := ReadPayload(bytes.NewReader(data), int64(len(data))-1); err == nil {
+	b.B = b.B[:0]
+	if err := b.ReadAll(bytes.NewReader(data), int64(len(data))-1); err == nil {
 		t.Fatal("over-budget payload accepted")
 	}
 }
