@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench alloc-test chaos-test obs-test ops-smoke load-smoke fmt vet gob-check fusion-check lint check
+.PHONY: build test race bench alloc-test chaos-test obs-test ops-smoke load-smoke repro-diff fmt vet gob-check fusion-check lint check
 
 ## build: compile every package
 build:
@@ -70,6 +70,13 @@ chaos-test:
 	FEDCLEANSE_WORKERS=4 $(GO) test -race -short -count=1 \
 		-run 'Chaos|Fault|Quorum|FineTune|Serve|Shutdown|RemoteClient|RoundTimeout|Fuzz|Drop|Checkpoint|Resume|KillRestart|Torn|CrossVersion|Versioned|Rejections|EncodingsAgree|Recycle|Broadcast|Reference|Panic|CohortSelection' \
 		./internal/transport ./internal/fl ./internal/nn ./internal/wire
+
+## repro-diff: the experiment runner's byte-identity check — fedbench at
+## BASE (default HEAD~1) against the working tree, wall-clock lines dropped
+## (scripts/fedbench_diff.sh; ARGS overrides the default "-exp all")
+BASE ?= HEAD~1
+repro-diff:
+	./scripts/fedbench_diff.sh $(BASE) $(ARGS)
 
 ## fmt: fail if any file needs gofmt
 fmt:

@@ -1,18 +1,15 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation section at a reduced scale (one or two settings each; the
-// full sweeps are produced by cmd/fedbench, optionally with -full).
-// DESIGN.md §4 maps each benchmark to the paper artifact it reproduces,
+// Benchmarks of the paper's evaluation section at a reduced scale (one
+// or two settings each; the full sweeps are produced by cmd/fedbench,
+// optionally with -full), then of the round and the defense loops under
+// them. DESIGN.md §4 maps each spec to the paper artifact it reproduces,
 // and EXPERIMENTS.md records a captured run against the paper's numbers.
-//
-// Each benchmark iteration performs a complete experiment (federated
-// training under attack plus the relevant defense or measurement), so
-// ns/op is the end-to-end cost of regenerating that artifact.
 package fedcleanse
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
@@ -26,104 +23,27 @@ import (
 // benchSink prevents dead-code elimination of experiment results.
 var benchSink any
 
-// onePair keeps the default bench cost bounded: a single backdoor task.
-var onePair = []eval.Pair{{VL: 9, AL: 2}}
-
-func BenchmarkTableI(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = eval.TableI(onePair)
+// BenchmarkArtifacts regenerates every table and figure, one
+// sub-benchmark per spec, each on a grid of its own: an iteration is the
+// artifact's federated trainings under attack plus its defenses or
+// measurements, so ns/op is the end-to-end cost of regenerating it. One
+// backdoor task per table keeps the cost bounded.
+func BenchmarkArtifacts(b *testing.B) {
+	onePair := []eval.Pair{{VL: 9, AL: 2}}
+	sw := eval.Sweep{
+		Pairs: onePair, NinePairs: onePair, SizePairs: onePair,
+		Patterns: []int{1, 9}, KLabels: []int{3}, Targets: []int{2},
+		Selects: []int{10}, Attackers: []int{1, 6},
+		Deltas: []float64{5, 4, 3, 2}, Lambdas: []float64{0.01},
+		VoteRates: []float64{0.1, 0.3, 0.5, 0.7, 0.9}, Pair: onePair[0],
 	}
-}
-
-func BenchmarkTableII(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = eval.TableII(onePair)
-	}
-}
-
-func BenchmarkTableIII(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = eval.TableIII(onePair)
-	}
-}
-
-func BenchmarkTableIV(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = eval.TableIV(eval.Pair{VL: 9, AL: 2})
-	}
-}
-
-func BenchmarkTableV(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = eval.TableV(onePair)
-	}
-}
-
-func BenchmarkTableVI(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = eval.TableVI(onePair)
-	}
-}
-
-func BenchmarkTableVII(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = eval.TableVII([]int{1, 9})
-	}
-}
-
-func BenchmarkFig3(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = eval.Fig3([]int{3})
-	}
-}
-
-func BenchmarkFig5(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = eval.Fig5([]int{2})
-	}
-}
-
-func BenchmarkFig6(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = eval.Fig6([]int{2}, []float64{5, 4, 3, 2})
-	}
-}
-
-func BenchmarkFig7(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = eval.Fig7([]int{10})
-	}
-}
-
-func BenchmarkFig8(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = eval.Fig8([]int{1, 6})
-	}
-}
-
-func BenchmarkFig9(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = eval.Fig9()
-	}
-}
-
-func BenchmarkFig10(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchSink = eval.Fig10([]float64{0.01})
+	for _, sp := range eval.Specs(sw) {
+		b.Run(sp.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				eval.RunGrid([]eval.Spec{sp}, nn.Float64, func(_, text string, _ time.Duration) { benchSink = text })
+			}
+		})
 	}
 }
 

@@ -7,8 +7,12 @@
 //	fedbench -exp table1 -full      # the paper's full 18-pair sweep
 //	fedbench -exp all               # everything (slow)
 //
-// Results print as text tables/series; EXPERIMENTS.md records a captured
-// run against the paper's numbers.
+// The selected experiments run as one grid (eval.RunGrid): each distinct
+// federation trains once for every experiment that needs it. Results print
+// as text tables/series, each followed by its "[<id> done in <s>s]" line,
+// and the run ends with "[all: <cells> cells, <k> federations trained,
+// <s> s]". EXPERIMENTS.md records a captured run against the paper's
+// numbers.
 package main
 
 import (
@@ -32,6 +36,20 @@ func main() {
 	prof := profiling.AddFlags()
 	logf := obs.AddLogFlags()
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
+		os.Exit(2)
+	}
+	var specs []eval.Spec
+	for _, sp := range eval.Specs(eval.PaperSweep(*full)) {
+		if *expFlag == "all" || *expFlag == sp.ID {
+			specs = append(specs, sp)
+		}
+	}
+	if len(specs) == 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *expFlag)
+		os.Exit(2)
+	}
 	if _, err := logf.Setup(os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -45,61 +63,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	eval.SetDefaultBackend(backend)
-
-	pairs := eval.QuickPairs()
-	ninePairs := eval.QuickPairs()
-	if *full {
-		pairs = eval.FullPairs()
-		ninePairs = eval.NinePairs()
-	}
-
-	run := func(id string, f func()) {
-		if *expFlag != "all" && *expFlag != id {
-			return
-		}
-		start := time.Now()
-		f()
-		fmt.Printf("[%s done in %.1fs]\n\n", id, time.Since(start).Seconds())
-	}
-
-	run("table1", func() { fmt.Print(eval.TableI(pairs).Render()) })
-	run("table2", func() { fmt.Print(eval.TableII(ninePairs).Render()) })
-	run("table3", func() { fmt.Print(eval.TableIII(ninePairs).Render()) })
-	run("table4", func() { fmt.Print(eval.TableIV(eval.Pair{VL: 9, AL: 2}).Render()) })
-	run("table5", func() { fmt.Print(eval.TableV(pairs).Render()) })
-	run("table6", func() { fmt.Print(eval.TableVI(eval.QuickPairs()).Render()) })
-	run("table7", func() { fmt.Print(eval.TableVII([]int{1, 3, 5, 7, 9}).Render()) })
-	run("fig3", func() { fmt.Print(eval.Fig3([]int{3, 5, 7}).Render()) })
-	run("fig5", func() { fmt.Print(eval.Fig5([]int{0, 2}).Render()) })
-	run("fig6", func() {
-		fmt.Print(eval.Fig6([]int{0, 2}, []float64{5, 4, 3, 2.5, 2, 1.5, 1}).Render())
+	start := time.Now()
+	cells, trained := eval.RunGrid(specs, backend, func(id, text string, took time.Duration) {
+		fmt.Print(text)
+		fmt.Printf("[%s done in %.1fs]\n\n", id, took.Seconds())
 	})
-	run("fig7", func() {
-		sel := []int{5, 15, 25}
-		if *full {
-			sel = []int{5, 10, 15, 20, 25}
-		}
-		fmt.Print(eval.Fig7(sel).Render())
-	})
-	run("fig8", func() {
-		counts := []int{1, 3, 6, 9}
-		if *full {
-			counts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-		}
-		fmt.Print(eval.Fig8(counts).Render())
-	})
-	run("fig9", func() { fmt.Print(eval.RenderTimings(eval.Fig9())) })
-	run("fig10", func() { fmt.Print(eval.Fig10([]float64{0, 0.01, 0.05}).Render()) })
-	run("ablation-mask", func() { fmt.Print(eval.AblationMaskedPruning(eval.Pair{VL: 9, AL: 2}).Render()) })
-	run("ablation-rate", func() {
-		fmt.Print(eval.AblationVoteRate(eval.Pair{VL: 9, AL: 2}, []float64{0.1, 0.3, 0.5, 0.7, 0.9}).Render())
-	})
-	run("ablation-aw", func() { fmt.Print(eval.AblationAWLayers(eval.Pair{VL: 9, AL: 2}).Render()) })
-	run("adaptive", func() { fmt.Print(eval.AdaptiveAttackTable(eval.Pair{VL: 9, AL: 2}).Render()) })
-
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
-		os.Exit(2)
-	}
+	fmt.Printf("[all: %d cells, %d federations trained, %.1f s]\n", cells, trained, time.Since(start).Seconds())
 }

@@ -35,22 +35,22 @@ func TestFloat32BackendMNISTParity(t *testing.T) {
 	}
 }
 
-// SetDefaultBackend stamps the backend onto every scenario constructor
-// (the cmd/fedbench -backend plumbing).
-func TestSetDefaultBackend(t *testing.T) {
-	prev := SetDefaultBackend(nn.Float32)
-	defer SetDefaultBackend(prev)
-	if b := MNISTScenario(9, 2).Backend; b != nn.Float32 {
-		t.Fatalf("MNISTScenario backend %v, want Float32", b)
+// A float32 grid runs every cell on float32: each planned training builds
+// a float32 template (the cmd/fedbench -backend plumbing).
+func TestGridBackendBuildsFloat32Templates(t *testing.T) {
+	g, _ := plan(Specs(PaperSweep(false)), nn.Float32)
+	for _, tr := range g.trainings {
+		if b := tr.s.Backend; b != nn.Float32 {
+			t.Fatalf("%s: scenario backend %v, want Float32", tr.s.Name, b)
+		}
 	}
-	if b := FashionScenario(9, 2).Backend; b != nn.Float32 {
-		t.Fatalf("FashionScenario backend %v, want Float32", b)
-	}
-	if b := CIFARScenario(9, 2).Backend; b != nn.Float32 {
-		t.Fatalf("CIFARScenario backend %v, want Float32", b)
-	}
-	SetDefaultBackend(prev)
-	if b := MNISTScenario(9, 2).Backend; b != prev {
-		t.Fatalf("MNISTScenario backend %v after restore, want %v", b, prev)
+	for _, of := range []func(int, int) Scenario{MNISTScenario, FashionScenario, CIFARScenario} {
+		g, _ := plan([]Spec{{"one", func(g *grid) func() string {
+			g.after(of(9, 2), func(*Trained) {})
+			return nil
+		}}}, nn.Float32)
+		if template, _, _, _ := Components(g.trainings[0].s); template.Backend() != nn.Float32 {
+			t.Fatalf("%s: template backend %v, want Float32", g.trainings[0].s.Name, template.Backend())
+		}
 	}
 }

@@ -269,3 +269,29 @@ func TestDefenseIsAPureFunctionOfTheTrainedModel(t *testing.T) {
 	after, repAfter := tr.DefendMode("all")
 	same(`"all" after "fp" and "fp+aw"`, first, after, rep, repAfter)
 }
+
+// TestSeedFlag: -seed N reseeds the whole scenario the way bench/ does
+// (Seed = N, GenCfg.Seed = N+10); -seed 0 keeps each scenario's defaults.
+func TestSeedFlag(t *testing.T) {
+	for _, c := range []struct {
+		dataset    string
+		seed, want int64
+		wantGen    int64
+	}{
+		{"mnist", 7, 7, 17},
+		{"cifar", 7, 7, 17},
+		{"mnist", 0, 1, 11},
+		{"cifar", 0, 2, 13},
+	} {
+		victim, target := 9, 2
+		f := &ScenarioFlags{Dataset: &c.dataset, Victim: &victim, Target: &target, Seed: &c.seed}
+		s, err := f.Scenario()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Seed != c.want || s.GenCfg.Seed != c.wantGen {
+			t.Errorf("%s -seed %d: Seed %d, GenCfg.Seed %d; want %d, %d",
+				c.dataset, c.seed, s.Seed, s.GenCfg.Seed, c.want, c.wantGen)
+		}
+	}
+}

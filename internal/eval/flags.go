@@ -26,8 +26,8 @@ func AddScenarioFlags() *ScenarioFlags {
 	}
 }
 
-// Scenario returns the paper scenario the parsed flags name, its seed
-// replaced when -seed is not 0, or an error for an unknown dataset.
+// Scenario returns the paper scenario the parsed flags name, reseeded by
+// WithSeed when -seed is not 0, or an error for an unknown dataset.
 func (f *ScenarioFlags) Scenario() (Scenario, error) {
 	var s Scenario
 	switch *f.Dataset {
@@ -41,7 +41,7 @@ func (f *ScenarioFlags) Scenario() (Scenario, error) {
 		return Scenario{}, fmt.Errorf("unknown dataset %q", *f.Dataset)
 	}
 	if *f.Seed != 0 {
-		s.Seed = *f.Seed
+		s = s.WithSeed(*f.Seed)
 	}
 	return s, nil
 }

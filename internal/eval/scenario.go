@@ -65,22 +65,6 @@ type Scenario struct {
 	Seed int64
 }
 
-// defaultBackend is the numeric backend stamped onto scenarios returned by
-// the constructors below. Experiment drivers (cmd/fedbench) that build many
-// scenarios through the table/figure helpers set it once from their
-// -backend flag instead of threading the choice through every call.
-var defaultBackend nn.Backend
-
-// SetDefaultBackend sets the numeric backend future scenario constructors
-// stamp onto their Scenario (the zero default is nn.Float64). It returns
-// the previous default. Not safe for concurrent use with scenario
-// construction; call it once at startup.
-func SetDefaultBackend(b nn.Backend) nn.Backend {
-	prev := defaultBackend
-	defaultBackend = b
-	return prev
-}
-
 // MNISTScenario returns the paper's MNIST-scale setting: 10 clients, one
 // attacker, 3-label non-IID shards, small CNN, 3-pixel trigger.
 func MNISTScenario(victim, target int) Scenario {
@@ -101,8 +85,7 @@ func MNISTScenario(victim, target int) Scenario {
 			TargetLabel: target,
 			Copies:      2,
 		},
-		Backend: defaultBackend,
-		Seed:    1,
+		Seed: 1,
 	}
 }
 
@@ -138,9 +121,16 @@ func CIFARScenario(victim, target int) Scenario {
 			VictimLabel: victim,
 			TargetLabel: target,
 		},
-		Backend: defaultBackend,
-		Seed:    2,
+		Seed: 2,
 	}
+}
+
+// WithSeed returns s reseeded at n the way bench/ and the commands derive
+// their seeds: Seed = n and GenCfg.Seed = n+10 (the server's selection
+// seed, Seed+300, follows).
+func (s Scenario) WithSeed(n int64) Scenario {
+	s.Seed, s.GenCfg.Seed = n, n+10
+	return s
 }
 
 // Trained is a fully-built scenario after federated training.

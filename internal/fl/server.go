@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+	"time"
 
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
@@ -264,7 +265,15 @@ func (s *Server) Round(t int) []int {
 // recorder is installed, the round's outcome is additionally persisted as
 // one RoundAudit record.
 func (s *Server) RoundDetail(t int) RoundResult {
-	sp := obs.StartRoot("fl.round", obs.M.FLRoundSeconds).WithRound(t)
+	res, _ := s.roundUnder(obs.SpanContext{}, t)
+	return res
+}
+
+// roundUnder is RoundDetail with the round's span a child of parent (a
+// zero parent roots the round's own trace); it also returns the span's
+// duration.
+func (s *Server) roundUnder(parent obs.SpanContext, t int) (RoundResult, time.Duration) {
+	sp := obs.StartChildOf(parent, "fl.round", obs.M.FLRoundSeconds).WithRound(t)
 	sc := sp.Context()
 	retries0 := obs.M.TransportRetries.Value()
 	attempts0 := obs.M.TransportAttempts.Value()
@@ -291,7 +300,7 @@ func (s *Server) RoundDetail(t int) RoundResult {
 	dur := sp.End()
 	s.recordAudit(&res, sc.Trace, dur, pp,
 		obs.M.TransportRetries.Value()-retries0, obs.M.TransportAttempts.Value()-attempts0)
-	return res
+	return res, dur
 }
 
 // SetCheckpointer installs c; subsequent training rounds persist their
@@ -848,16 +857,24 @@ func (s *Server) quorumCount(selected int) int {
 	return max(1, int(math.Ceil(s.cfg.Quorum*float64(selected))))
 }
 
-// Train runs cfg.Rounds rounds. After each round, onRound (if non-nil) is
-// invoked with the completed round index; experiments use it to trace
-// accuracy curves (Fig. 3, Fig. 7).
-func (s *Server) Train(onRound func(round int)) {
+// Train runs cfg.Rounds rounds as one trace: an "fl.train" root span with
+// every round's "fl.round" span as its child. After each round, onRound
+// (if non-nil) is invoked with the completed round index; experiments use
+// it to trace accuracy curves (Figs. 3 and 10). Train returns the training
+// time, the summed durations of the round spans, which leaves out the time
+// onRound took.
+func (s *Server) Train(onRound func(round int)) time.Duration {
+	sp := obs.StartRoot("fl.train", nil)
+	defer sp.End()
+	var took time.Duration
 	for t := 0; t < s.cfg.Rounds; t++ {
-		s.Round(t)
+		_, d := s.roundUnder(sp.Context(), t)
+		took += d
 		if onRound != nil {
 			onRound(t)
 		}
 	}
+	return took
 }
 
 // Cohort draws keep training and fine-tuning rounds of one index apart.
