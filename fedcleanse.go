@@ -109,7 +109,9 @@ type (
 	PruneMethod = core.PruneMethod
 	// DefenseReport is the stage-by-stage telemetry of a pipeline run.
 	DefenseReport = core.Report
-	// ReportClient is the defense's view of a federated client.
+	// ReportClient is the defense's view of a federated client. The model
+	// a report is asked on is shared by concurrent calls: read it, never
+	// modify it or run it.
 	ReportClient = core.ReportClient
 	// ScopedEvaluator scores candidate models for the defense's
 	// mutate-then-evaluate loops and accepts mutation scopes so

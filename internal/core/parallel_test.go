@@ -10,14 +10,14 @@ import (
 
 // actClient derives reports from a fixed activation vector, mimicking an
 // honest client with deterministic local data. It reads the model it is
-// handed (exercising the per-goroutine clone path) but keys its answer on
+// handed, shared by every concurrent report call, but keys its answer on
 // its own activations.
 type actClient struct {
 	acts []float64
 }
 
 func (c *actClient) RankReport(m *nn.Sequential, layerIdx int) []int {
-	_ = m.NumParams() // touch the clone like a real forward pass would
+	_ = m.NumParams() // read the shared model, as a real client does
 	return RanksFromActivations(c.acts)
 }
 

@@ -43,6 +43,12 @@ func (m PruneMethod) String() string {
 // compute reports from true activations on their shard; adaptive attackers
 // (§VI-B) return manipulated reports. Raw activations never leave the
 // client, matching the paper's privacy argument.
+//
+// The model is shared: a collection hands the same m to every client, from
+// concurrent goroutines, so a report must only read it — its parameters and
+// its Params list, never a forward pass, which writes the layers' buffers.
+// A client that runs the model works on a copy of its own (fl.Client
+// borrows one from its nn.Replicas list).
 type ReportClient interface {
 	// RankReport returns the client's RAP rank vector for the layer.
 	RankReport(m *nn.Sequential, layerIdx int) []int
@@ -319,10 +325,10 @@ func GlobalPruneOrder(m *nn.Sequential, clients []ReportClient, layerIdx int, cf
 //
 // Report collection fans out across clients: each one records activations
 // over its whole local shard, which is the defense's per-client hot path
-// (it scales linearly with cohort size). Every worker gets its own clone
-// of m (see fanOutReports) — inference mutates per-layer caches, so
-// sharing the model across goroutines would race — and a clone carries
-// identical parameters, so reports are bit-identical to the serial path.
+// (it scales linearly with cohort size). Every client is handed m itself,
+// to read (see ReportClient): one that runs a forward pass does so on a
+// working model of its own holding m's parameters, so reports are
+// bit-identical to the serial path.
 // Aggregation itself stays serial in client-index order, so a cohort with
 // wire failures aggregates bit-identically to the same cohort with the
 // failed clients removed.
@@ -352,8 +358,8 @@ func collectPruneOrder(ctx context.Context, m *nn.Sequential, clients []ReportCl
 	res := PruneOrderResult{}
 	switch cfg.Method {
 	case RAP:
-		reports, errs := fanOutReports(m, clients, func(c ReportClient, w *nn.Sequential) ([]int, error) {
-			return rankReport(ctx, c, w, layerIdx)
+		reports, errs := fanOutReports(m, clients, func(c ReportClient, m *nn.Sequential) ([]int, error) {
+			return rankReport(ctx, c, m, layerIdx)
 		})
 		ok := compactReports(reports, errs, width, &res, ranksInRange)
 		requireReportQuorum(len(ok), len(clients), cfg.ReportQuorum)
@@ -363,8 +369,8 @@ func collectPruneOrder(ctx context.Context, m *nn.Sequential, clients []ReportCl
 		if p == 0 {
 			p = 0.5
 		}
-		reports, errs := fanOutReports(m, clients, func(c ReportClient, w *nn.Sequential) ([]bool, error) {
-			return voteReport(ctx, c, w, layerIdx, p)
+		reports, errs := fanOutReports(m, clients, func(c ReportClient, m *nn.Sequential) ([]bool, error) {
+			return voteReport(ctx, c, m, layerIdx, p)
 		})
 		ok := compactReports(reports, errs, width, &res, func([]bool) bool { return true })
 		requireReportQuorum(len(ok), len(clients), cfg.ReportQuorum)
@@ -375,22 +381,17 @@ func collectPruneOrder(ctx context.Context, m *nn.Sequential, clients []ReportCl
 	return res
 }
 
-// fanOutReports asks every client for its report across
-// parallel.ForWorker's workers, handing each worker one clone of m, made
-// on the slot's first use, instead of one per client. Reports only read
-// parameters — what a forward pass leaves in the layer caches is
-// overwritten by the next one — so the clients a worker serves in turn
-// see exactly the model a fresh clone would give them. reports[i] and
-// errs[i] are client i's answer.
-func fanOutReports[E any](m *nn.Sequential, clients []ReportClient, report func(c ReportClient, w *nn.Sequential) ([]E, error)) ([][]E, []error) {
+// fanOutReports asks every client for its report across parallel.For's
+// workers, handing each the same model m (ReportClient's contract: shared,
+// read-only). m's Params list is built first, since that cache is filled on
+// first use and a RemoteClient reads it to encode its request. reports[i]
+// and errs[i] are client i's answer.
+func fanOutReports[E any](m *nn.Sequential, clients []ReportClient, report func(c ReportClient, m *nn.Sequential) ([]E, error)) ([][]E, []error) {
 	reports := make([][]E, len(clients))
 	errs := make([]error, len(clients))
-	clones := make([]*nn.Sequential, parallel.NumBlocks(len(clients)))
-	parallel.ForWorker(len(clients), func(slot, i int) {
-		if clones[slot] == nil {
-			clones[slot] = m.Clone()
-		}
-		reports[i], errs[i] = report(clients[i], clones[slot])
+	m.Params()
+	parallel.For(len(clients), func(i int) {
+		reports[i], errs[i] = report(clients[i], m)
 	})
 	return reports, errs
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
@@ -117,8 +118,9 @@ func TestFederationsDoNotBleed(t *testing.T) {
 
 // TestWorkingModelsFollowWorkersNotPopulation: a 64-client federation
 // under two workers trains on at most two working models over three batch
-// rounds, and on at most StreamWindow of them streaming — and a registry
-// whose factory builds a real client per materialization finds them warm.
+// rounds and reports on the same ones, and on at most StreamWindow of them
+// streaming — and a registry whose factory builds a real client per
+// materialization finds them warm.
 func TestWorkingModelsFollowWorkersNotPopulation(t *testing.T) {
 	population := 64
 	if testing.Short() {
@@ -137,6 +139,15 @@ func TestWorkingModelsFollowWorkersNotPopulation(t *testing.T) {
 	}
 	if n := f.template.Replicas().Made(); n < 1 || n > 2 {
 		t.Fatalf("%d clients under 2 workers trained on %d working models, want at most 2", population, n)
+	}
+	// Reports borrow from the same list: collecting the population's ranks
+	// and votes adds no working model to it.
+	for _, method := range []core.PruneMethod{core.RAP, core.MVP} {
+		cfg := core.PipelineConfig{Method: method, VoteRate: 0.5}
+		core.GlobalPruneOrder(f.server.Model, ReportClients(f.server.Participants), f.template.LastConvIndex(), cfg)
+		if n := f.template.Replicas().Made(); n > 2 {
+			t.Fatalf("%v reports from %d clients under 2 workers took the list to %d working models, want at most 2", method, population, n)
+		}
 	}
 
 	const window = 3

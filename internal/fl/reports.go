@@ -5,6 +5,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
 	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
+	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
 // Honest defense participation: clients record true average activations on
@@ -34,19 +35,33 @@ func (c *Client) ReportQuant() metrics.ReportQuant { return c.quant }
 // transport host quantizes it for the wire when the client reports at
 // int8).
 func (c *Client) ActivationReport(m *nn.Sequential, layerIdx int) []float64 {
-	return metrics.LocalActivations(m, layerIdx, c.data, 0)
+	r := borrowAt(c.replicas, m)
+	defer c.replicas.Put(r)
+	return metrics.LocalActivations(r.Model, layerIdx, c.data, 0)
 }
 
 // RankReport implements core.ReportClient.
 func (c *Client) RankReport(m *nn.Sequential, layerIdx int) []int {
-	acts := metrics.LocalActivations(m, layerIdx, c.data, 0)
-	return ranksAt(acts, c.quant)
+	return ranksAt(c.ActivationReport(m, layerIdx), c.quant)
 }
 
 // VoteReport implements core.ReportClient.
 func (c *Client) VoteReport(m *nn.Sequential, layerIdx int, p float64) []bool {
-	acts := metrics.LocalActivations(m, layerIdx, c.data, 0)
-	return votesAt(acts, p, c.quant)
+	return votesAt(c.ActivationReport(m, layerIdx), p, c.quant)
+}
+
+// borrowAt borrows a working model from replicas holding m's parameters: a
+// report is LocalUpdate's kind of call, a function of the global parameters
+// and the participant's data, and m is the collection's shared, read-only
+// model (core.ReportClient). The copy carries none of m's prune masks and
+// needs none: a pruned unit's parameters are zero in m, so they are zero in
+// the copy, and the forward passes agree. The caller puts it back.
+func borrowAt(replicas *nn.Replicas, m *nn.Sequential) *nn.Replica {
+	r := replicas.Get()
+	global := flatParams(m)
+	r.Model.SetParamsVector(global)
+	wire.PutFloat64s(global)
+	return r
 }
 
 // ranksAt derives a rank report from recorded activations at the given
@@ -84,7 +99,8 @@ func (a *Attacker) SetDefenseBehavior(b AttackerDefenseBehavior) { a.defense = b
 
 // attackActivations returns activations that make trigger-sensitive
 // neurons look as active as benign-essential ones: the element-wise max of
-// clean-shard activations and fully-triggered-shard activations.
+// clean-shard activations and fully-triggered-shard activations, both
+// recorded on one borrowed working model.
 func (a *Attacker) attackActivations(m *nn.Sequential, layerIdx int) []float64 {
 	clean := metrics.LocalActivations(m, layerIdx, a.clean, 0)
 	triggered := &dataset.Dataset{Shape: a.clean.Shape, Classes: a.clean.Classes}
@@ -114,10 +130,12 @@ func (a *Attacker) ReportQuant() metrics.ReportQuant { return a.quant }
 // manipulated activations when the adaptive attack is on, honest clean-
 // shard activations otherwise.
 func (a *Attacker) ActivationReport(m *nn.Sequential, layerIdx int) []float64 {
+	r := borrowAt(a.replicas, m)
+	defer a.replicas.Put(r)
 	if a.defense.ManipulateRanks {
-		return a.attackActivations(m, layerIdx)
+		return a.attackActivations(r.Model, layerIdx)
 	}
-	return metrics.LocalActivations(m, layerIdx, a.clean, 0)
+	return metrics.LocalActivations(r.Model, layerIdx, a.clean, 0)
 }
 
 // RankReport implements core.ReportClient for the attacker.

@@ -56,14 +56,28 @@ type ReversedTrigger struct {
 	FlipRate float64
 }
 
-// ReverseTrigger optimizes a minimal trigger flipping data to label. The
-// model is cloned and frozen; m is not mutated.
-func ReverseTrigger(m *nn.Sequential, data *dataset.Dataset, label int, cfg Config) ReversedTrigger {
+// ReverseAll reverse-engineers a trigger for every label, all on one clone
+// of m with its BatchNorm statistics frozen; m is not mutated. Nothing
+// carries over from one label to the next: the parameters and running
+// statistics stay fixed, each step zeroes the gradients, and a pass
+// overwrites whatever the previous one left in the layers' buffers.
+func ReverseAll(m *nn.Sequential, data *dataset.Dataset, cfg Config) []ReversedTrigger {
 	if cfg.Steps <= 0 || cfg.Batch <= 0 || cfg.LR <= 0 {
 		panic(fmt.Sprintf("neuralcleanse: bad config %+v", cfg))
 	}
 	model := m.Clone()
 	nn.FreezeStats(model)
+	out := make([]ReversedTrigger, data.Classes)
+	for l := range out {
+		out[l] = reverseTrigger(model, data, l, cfg)
+	}
+	return out
+}
+
+// reverseTrigger optimizes a minimal trigger flipping data to label on
+// model, a working model with frozen statistics whose parameters it only
+// reads.
+func reverseTrigger(model *nn.Sequential, data *dataset.Dataset, label int, cfg Config) ReversedTrigger {
 	s := data.Shape
 	hw := s.H * s.W
 	mask := make([]float64, hw)
@@ -126,15 +140,6 @@ func ReverseTrigger(m *nn.Sequential, data *dataset.Dataset, label int, cfg Conf
 		out.MaskNorm += math.Abs(v)
 	}
 	out.FlipRate = flipRate(model, data, label, mask, pattern, cfg.Batch)
-	return out
-}
-
-// ReverseAll reverse-engineers a trigger for every label.
-func ReverseAll(m *nn.Sequential, data *dataset.Dataset, cfg Config) []ReversedTrigger {
-	out := make([]ReversedTrigger, data.Classes)
-	for l := 0; l < data.Classes; l++ {
-		out[l] = ReverseTrigger(m, data, l, cfg)
-	}
 	return out
 }
 

@@ -92,14 +92,15 @@ func TestReverseFindsPlantedBackdoor(t *testing.T) {
 	}
 
 	cfg := Config{Steps: 80, Batch: 40, LR: 0.2, Lambda: 0.02}
-	target := ReverseTrigger(m, test, poison.TargetLabel, cfg)
+	w := frozenClone(m)
+	target := reverseTrigger(w, test, poison.TargetLabel, cfg)
 	if target.FlipRate < 0.8 {
 		t.Fatalf("reversed trigger flips only %.2f of inputs", target.FlipRate)
 	}
 	// Compare with a couple of benign labels: the backdoored label's
 	// trigger should be no larger than theirs.
 	for _, benign := range []int{3, 6} {
-		b := ReverseTrigger(m, test, benign, cfg)
+		b := reverseTrigger(w, test, benign, cfg)
 		if target.MaskNorm > b.MaskNorm*1.5 {
 			t.Fatalf("backdoor trigger norm %.2f vs benign label %d norm %.2f",
 				target.MaskNorm, benign, b.MaskNorm)
@@ -126,7 +127,7 @@ func TestMitigateReducesAttack(t *testing.T) {
 	if before < 0.8 {
 		t.Fatalf("planted backdoor too weak: AA=%.2f", before)
 	}
-	trig := ReverseTrigger(m, test, poison.TargetLabel, Config{Steps: 80, Batch: 40, LR: 0.2, Lambda: 0.02})
+	trig := reverseTrigger(frozenClone(m), test, poison.TargetLabel, Config{Steps: 80, Batch: 40, LR: 0.2, Lambda: 0.02})
 	evalFn := metrics.NewSuffixEvaluator(test, 0)
 	baseline := evalFn.Evaluate(m)
 	pruned := Mitigate(m, trig, test, evalFn, baseline-0.1)
@@ -145,5 +146,12 @@ func TestReverseTriggerRejectsBadConfig(t *testing.T) {
 			t.Fatal("bad config accepted")
 		}
 	}()
-	ReverseTrigger(nil, nil, 0, Config{})
+	ReverseAll(nil, nil, Config{})
+}
+
+// frozenClone is the working model ReverseAll optimizes on.
+func frozenClone(m *nn.Sequential) *nn.Sequential {
+	w := m.Clone()
+	nn.FreezeStats(w)
+	return w
 }

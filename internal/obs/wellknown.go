@@ -73,9 +73,9 @@ var M = struct {
 	// attempt RemoteClient sends, any endpoint.
 	TransportRequestBytesSent *Counter
 
-	// For/ForWorker/ForBlocks fan-outs (internal/parallel). Counted per
-	// worker goroutine (a block, or a claim loop's slot), never per index,
-	// so the kernels' warm paths stay atomic-add cheap.
+	// For/ForBlocks fan-outs (internal/parallel). Counted per worker
+	// goroutine (a block, or one claim loop of For), never per index, so
+	// the kernels' warm paths stay atomic-add cheap.
 	ForTasks      *Counter // worker goroutines' worth of work executed
 	ForQueueDepth *Gauge   // fanned-out workers started but not yet finished
 

@@ -6,9 +6,9 @@
 // Two shapes, two guarantees. ForBlocks/ForBlocksIndexed split [0,n) into
 // contiguous blocks whose boundaries depend only on n and the worker
 // count; a block is the unit of ownership, so kernels key scratch on it.
-// For/ForWorker hand out single indices to whichever worker is free next
-// (a claim loop), so uneven per-index cost never idles a worker while
-// indices remain; which goroutine runs an index is unspecified. Either
+// For hands out single indices to whichever worker is free next (a claim
+// loop), so uneven per-index cost never idles a worker while indices
+// remain; which goroutine runs an index is unspecified. Either
 // way every index is visited exactly once, so callers that write results
 // only into per-index (or per-block) destinations and reduce them
 // serially in index order produce bit-identical output for every worker
@@ -184,9 +184,9 @@ func ForBlocksIndexed(n int, f func(blk, lo, hi int)) {
 }
 
 // NumBlocks returns the number of blocks ForBlocks/ForBlocksIndexed will
-// split [0,n) into — and the number of worker slots ForWorker will run —
-// under the current worker count: min(Workers(), n), at least 1 for
-// positive n. Callers sizing per-block or per-slot scratch use it.
+// split [0,n) into — and the number of workers For will run — under the
+// current worker count: min(Workers(), n), at least 1 for positive n.
+// Callers sizing per-block scratch use it.
 func NumBlocks(n int) int {
 	if n <= 0 {
 		return 0
@@ -201,49 +201,40 @@ func NumBlocks(n int) int {
 	return w
 }
 
-// For runs f(i) for every i in [0,n) across the effective worker count:
-// ForWorker without the slot.
-func For(n int, f func(i int)) {
-	ForWorker(n, func(_, i int) { f(i) })
-}
-
-// ForWorker runs f(slot, i) for every i in [0,n) on NumBlocks(n) worker
-// goroutines that each claim the next unclaimed index until none are left,
-// so no worker idles while indices remain, however uneven their cost.
-// slot identifies the worker: it lies in [0, NumBlocks(n)) and exactly one
-// goroutine per call carries it, so callers can key reusable per-worker
-// scratch on it without races. Which slot runs which index is unspecified.
+// For runs f(i) for every i in [0,n) on NumBlocks(n) worker goroutines
+// that each claim the next unclaimed index until none are left, so no
+// worker idles while indices remain, however uneven their cost. Which
+// goroutine runs which index is unspecified.
 //
 // Every index is visited exactly once even when some calls panic: a panic
 // is caught per index, the remaining indices still run, and the first
 // panic is re-raised after all workers drain.
-func ForWorker(n int, f func(slot, i int)) {
+func For(n int, f func(i int)) {
 	if n <= 0 {
 		return
 	}
 	var pr panicRecorder
 	var next atomic.Int64
-	// One single-index block per worker: the block index is the slot, and
-	// the fan-out, its per-goroutine metrics and the inline single-worker
-	// path are ForBlocksIndexed's.
-	ForBlocksIndexed(NumBlocks(n), func(slot, _, _ int) {
+	// One single-index block per worker: the fan-out, its per-goroutine
+	// metrics and the inline single-worker path are ForBlocks'.
+	ForBlocks(NumBlocks(n), func(_, _ int) {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
-			callRecover(&pr, f, slot, i)
+			callRecover(&pr, f, i)
 		}
 	})
 	pr.repanic()
 }
 
-// callRecover invokes f(slot, i), diverting a panic into the recorder.
-func callRecover(pr *panicRecorder, f func(slot, i int), slot, i int) {
+// callRecover invokes f(i), diverting a panic into the recorder.
+func callRecover(pr *panicRecorder, f func(i int), i int) {
 	defer func() {
 		if v := recover(); v != nil {
 			pr.record(v)
 		}
 	}()
-	f(slot, i)
+	f(i)
 }

@@ -205,8 +205,6 @@ func TestForZeroAndNegative(t *testing.T) {
 	called := false
 	For(0, func(int) { called = true })
 	For(-3, func(int) { called = true })
-	ForWorker(0, func(int, int) { called = true })
-	ForWorker(-3, func(int, int) { called = true })
 	ForBlocks(0, func(int, int) { called = true })
 	if called {
 		t.Fatal("empty ranges invoked the body")
@@ -244,40 +242,4 @@ func TestForIsWorkConserving(t *testing.T) {
 			t.Fatal("For left indices queued behind a blocked one while a worker sat idle")
 		}
 	})
-}
-
-// TestForWorkerSlotsAreExclusive: a slot is carried by one goroutine per
-// call, so plain (non-atomic) per-slot state is race-free — the -race job
-// is the assertion — and every slot lies below NumBlocks(n), also when n
-// is below the worker count.
-func TestForWorkerSlotsAreExclusive(t *testing.T) {
-	for _, tc := range []struct{ w, n int }{
-		{1, 1000}, {2, 1000}, {3, 1000}, {8, 1000}, {64, 1000}, {8, 3}, {8, 1},
-	} {
-		withWorkers(t, tc.w, func() {
-			slots := NumBlocks(tc.n)
-			perSlot := make([]int, slots)
-			seen := make([]int, tc.n)
-			ForWorker(tc.n, func(slot, i int) {
-				if slot < 0 || slot >= slots {
-					t.Errorf("workers=%d n=%d: slot %d outside [0,%d)", tc.w, tc.n, slot, slots)
-					return
-				}
-				perSlot[slot]++
-				seen[i]++
-			})
-			total := 0
-			for _, c := range perSlot {
-				total += c
-			}
-			if total != tc.n {
-				t.Fatalf("workers=%d n=%d: slots ran %d indices", tc.w, tc.n, total)
-			}
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", tc.w, tc.n, i, c)
-				}
-			}
-		})
-	}
 }

@@ -82,10 +82,10 @@ type fleetSlot struct {
 	part fl.Participant
 	// template, in a slot that has one (NewClientServer), is the model
 	// architecture: requests are validated against it and report calls get
-	// a working copy of it (report). A slot without one (Fleet.Add) is
-	// architecture-agnostic: it validates neither the parameter vector nor
-	// the layer index and hands the participant a nil model, which
-	// synthetic participants ignore.
+	// it with the requested parameters installed (report). A slot without
+	// one (Fleet.Add) is architecture-agnostic: it validates neither the
+	// parameter vector nor the layer index and hands the participant a nil
+	// model, which synthetic participants ignore.
 	template *nn.Sequential
 }
 
@@ -256,12 +256,13 @@ func (s *fleetSlot) readRequest(w http.ResponseWriter, r *http.Request, kind uin
 }
 
 // report runs one report call into the participant under the slot mutex,
-// handing it the model the call reports on: a working copy borrowed from
-// the template's free list (nn.Replicas) with the requested parameters
-// installed, or nil for a slot without a template. The mutex serializes the
-// slot's calls, so the list holds one copy however many requests the slot
-// serves. Nothing prunes the template — NewClientServer's private clone — so
-// the copy carries no mask the requested parameters would not.
+// handing it the model the call reports on: the slot's template with the
+// requested parameters installed, or nil for a slot without a template. The
+// mutex serializes the slot's calls, so nothing else reads the template's
+// parameters meanwhile — readRequest's validation reads only its shape. The
+// participant only reads the model (core.ReportClient) and runs it on a
+// working model of its own. Nothing prunes the template — NewClientServer's
+// private clone — so it carries no mask the requested parameters would not.
 func (s *fleetSlot) report(global []float64, call func(m *nn.Sequential)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -269,11 +270,8 @@ func (s *fleetSlot) report(global []float64, call func(m *nn.Sequential)) {
 		call(nil)
 		return
 	}
-	reps := s.template.Replicas()
-	rep := reps.Get()
-	rep.Model.SetParamsVector(global)
-	call(rep.Model)
-	reps.Put(rep)
+	s.template.SetParamsVector(global)
+	call(s.template)
 }
 
 // update runs one LocalUpdate under the slot mutex.

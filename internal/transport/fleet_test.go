@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -346,11 +347,13 @@ func TestFleetServesReports(t *testing.T) {
 	}
 }
 
-// TestClientServerReportsBorrowOneWorkingModel: however many report calls
-// a ClientServer serves, they run on one working copy of its template,
-// borrowed from the template's free list, and each answer is byte for byte
-// the one a fresh clone holding the request's parameters gives — at both
-// report precisions, whatever parameters the copy held before.
+// TestClientServerReportsBorrowOneWorkingModel: however many report and
+// update calls a ClientServer serves, interleaved, they run on one working
+// model — the participant's, borrowed from its own template's free list —
+// and the slot's template lends none, nor builds a list to lend from. Each
+// report is byte for byte the one a fresh clone holding the request's
+// parameters gives, at both report precisions, and each update the
+// participant's in-process one, whatever the working model held before.
 func TestClientServerReportsBorrowOneWorkingModel(t *testing.T) {
 	train, _ := dataset.GenSynthMNIST(dataset.GenConfig{TrainPerClass: 4, TestPerClass: 1, Seed: 80})
 	template := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rand.New(rand.NewSource(81)))
@@ -367,7 +370,7 @@ func TestClientServerReportsBorrowOneWorkingModel(t *testing.T) {
 			t.Fatalf("%s: HTTP %d", path, rec.Code)
 		}
 		if !bytes.Equal(rec.Body.Bytes(), want) {
-			t.Fatalf("%s: response differs from the fresh clone's", path)
+			t.Fatalf("%s: response differs from the in-process one", path)
 		}
 	}
 	for i := 0; i < 3; i++ {
@@ -379,16 +382,23 @@ func TestClientServerReportsBorrowOneWorkingModel(t *testing.T) {
 			delta[j] = 0.05 * rng.NormFloat64()
 		}
 		m.AddDeltaVector(1, delta)
+		global := m.ParamsVector()
 		for _, quant := range []metrics.ReportQuant{metrics.ReportFloat64, metrics.ReportInt8} {
 			client.SetReportQuant(quant)
 			check("/v1/ranks", appendRequest(nil, wire.KindRankRequest, request{Model: m, Layer: li}),
 				appendRankReport(nil, client, m, li))
+			check("/v1/update", appendRequest(nil, wire.KindUpdateRequest, request{Global: global, Round: i}),
+				AppendVersionedUpdate(nil, client.LocalUpdate(global, i)))
 			check("/v1/votes", appendRequest(nil, wire.KindVoteRequest, request{Model: m, Layer: li, Rate: 0.3}),
 				AppendVoteBitmap(nil, client.VoteReport(m, li, 0.3)))
 		}
 	}
-	if made := cs.slot.template.Replicas().Made(); made != 1 {
-		t.Fatalf("12 report calls made %d working copies, want 1", made)
+	if made := template.Replicas().Made(); made != 1 {
+		t.Fatalf("12 report and 6 update calls, served and in process, made %d working models, want 1", made)
+	}
+	// Sequential.replicas is created by the first Replicas call.
+	if !reflect.ValueOf(cs.slot.template).Elem().FieldByName("replicas").IsNil() {
+		t.Fatal("the slot's template built a free list of working models")
 	}
 }
 

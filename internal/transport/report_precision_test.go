@@ -27,25 +27,68 @@ import (
 // participant's in-process RankReport and VoteReport. A rank response is an
 // Acts8 payload from an int8 participant and a RanksDelta otherwise; a vote
 // response is always a VoteBitmap.
+//
+// The models reported on are a SmallCNN away from its initialization and a
+// MiniVGG with units pruned in its last conv layer and in the conv layer
+// before it, whose BatchNorm channels the pruning masks too. A request
+// carries parameters, not masks, and a participant reports on an unmasked
+// working model of its own; the Client's activations still equal those of
+// the masked model itself.
 func TestRemoteReportsMatchInProcess(t *testing.T) {
-	train, _ := dataset.GenSynthMNIST(dataset.GenConfig{TrainPerClass: 6, TestPerClass: 1, Seed: 113})
-	template := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rand.New(rand.NewSource(114)))
+	smallTrain, _ := dataset.GenSynthMNIST(dataset.GenConfig{TrainPerClass: 6, TestPerClass: 1, Seed: 113})
+	vggTrain, _ := dataset.GenSynthCIFAR(dataset.GenConfig{TrainPerClass: 6, TestPerClass: 1, Seed: 120})
+	in16 := func(c int) nn.Input { return nn.Input{C: c, H: 16, W: 16} }
+	for _, setup := range []struct {
+		name     string
+		train    *dataset.Dataset
+		template *nn.Sequential
+		prune    bool
+	}{
+		{"SmallCNN", smallTrain, nn.NewSmallCNN(in16(1), 10, rand.New(rand.NewSource(114))), false},
+		{"pruned MiniVGG", vggTrain, nn.NewMiniVGG(in16(3), 10, rand.New(rand.NewSource(121))), true},
+	} {
+		train, template := setup.train, setup.template
+		li := template.LastConvIndex()
+		// Reports are taken on parameters away from the initialization.
+		m := template.Clone()
+		rng := rand.New(rand.NewSource(115))
+		delta := make([]float64, m.NumParams())
+		for i := range delta {
+			delta[i] = 0.05 * rng.NormFloat64()
+		}
+		m.AddDeltaVector(1, delta)
+		if setup.prune {
+			prev := li - 1
+			for _, ok := m.Layer(prev).(*nn.Conv2D); !ok; _, ok = m.Layer(prev).(*nn.Conv2D) {
+				prev--
+			}
+			if _, ok := m.Layer(prev + 1).(*nn.BatchNorm2D); !ok {
+				t.Fatalf("%s: layer %d is followed by %s, not a BatchNorm", setup.name, prev, m.Layer(prev+1).Name())
+			}
+			for _, u := range []int{0, 5, 17} {
+				m.PruneModelUnit(li, u)
+				m.PruneModelUnit(prev, u)
+			}
+		}
+		testReportsMatchInProcess(t, setup.name, train, template, m, li)
+	}
+}
+
+// testReportsMatchInProcess is TestRemoteReportsMatchInProcess on one
+// model m of template's architecture, reported on at layer li.
+func testReportsMatchInProcess(t *testing.T, name string, train *dataset.Dataset, template, m *nn.Sequential, li int) {
 	cfg := fl.Config{Rounds: 1, LocalEpochs: 1, BatchSize: 20, LR: 0.05}
 	poison := dataset.PoisonConfig{Trigger: dataset.PixelPattern(3, train.Shape), VictimLabel: 9, TargetLabel: 1}
-	li := template.LastConvIndex()
-	// Reports are taken on parameters away from the initialization.
-	m := template.Clone()
-	rng := rand.New(rand.NewSource(115))
-	delta := make([]float64, m.NumParams())
-	for i := range delta {
-		delta[i] = 0.05 * rng.NormFloat64()
-	}
-	m.AddDeltaVector(1, delta)
 	ctx := context.Background()
+	// What a fresh clone of m records, masks and all.
+	wantActs := metrics.LocalActivations(m.Clone(), li, train, 0)
 
 	for _, quant := range []metrics.ReportQuant{metrics.ReportFloat64, metrics.ReportInt8} {
 		client := fl.NewClient(0, train, template, cfg, 116)
 		client.SetReportQuant(quant)
+		if acts := client.ActivationReport(m, li); !slices.Equal(acts, wantActs) {
+			t.Errorf("%s at %v: the client records %v, the model itself %v", name, quant, acts, wantActs)
+		}
 		honest := fl.NewAttacker(1, train, template, cfg, poison, 2, 117)
 		honest.SetReportQuant(quant)
 		liar := fl.NewAttacker(2, train, template, cfg, poison, 2, 118)
@@ -72,7 +115,8 @@ func TestRemoteReportsMatchInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, p := range parts {
+		for who, p := range parts {
+			who = name + " " + who
 			cs := NewClientServer(p, template)
 			for _, ep := range []struct {
 				path string
@@ -87,7 +131,7 @@ func TestRemoteReportsMatchInProcess(t *testing.T) {
 				cs.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, ep.path, bytes.NewReader(body)))
 				if rec.Code != http.StatusOK || rec.Body.Len() == 0 || rec.Body.Bytes()[0] != ep.tag {
 					t.Fatalf("%s at %v: %s answered HTTP %d, payload %x…, want tag 0x%02x",
-						name, quant, ep.path, rec.Code, rec.Body.Bytes()[:min(rec.Body.Len(), 4)], ep.tag)
+						who, quant, ep.path, rec.Code, rec.Body.Bytes()[:min(rec.Body.Len(), 4)], ep.tag)
 				}
 			}
 			addr, err := cs.Serve("127.0.0.1:0")
@@ -101,12 +145,12 @@ func TestRemoteReportsMatchInProcess(t *testing.T) {
 			} {
 				ranks, err := rc.TryRankReport(ctx, m, li)
 				if err != nil || !slices.Equal(ranks, wantRanks) {
-					t.Errorf("%s at %v through the %s: ranks %v (err %v), want %v", name, quant, via, ranks, err, wantRanks)
+					t.Errorf("%s at %v through the %s: ranks %v (err %v), want %v", who, quant, via, ranks, err, wantRanks)
 				}
 				for _, rate := range []float64{0.3, 0.5} {
 					votes, err := rc.TryVoteReport(ctx, m, li, rate)
 					if want := p.VoteReport(m, li, rate); err != nil || !slices.Equal(votes, want) {
-						t.Errorf("%s at %v through the %s: votes at %g %v (err %v), want %v", name, quant, via, rate, votes, err, want)
+						t.Errorf("%s at %v through the %s: votes at %g %v (err %v), want %v", who, quant, via, rate, votes, err, want)
 					}
 				}
 			}
