@@ -81,7 +81,7 @@ func benchFLRound(b *testing.B, workers int, backend nn.Backend, clients, attack
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = server.Round(i)
+		benchSink = server.RoundDetail(i).Completed
 	}
 }
 
@@ -127,11 +127,11 @@ func BenchmarkFLRoundPopulation(b *testing.B) {
 			})
 			reg.RegisterRange(0, clients)
 			server := fl.NewRegistryServer(template, reg, cfg, 70)
-			server.Round(0) // the first round makes the working models
+			server.RoundDetail(0) // the first round makes the working models
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchSink = server.Round(i + 1)
+				benchSink = server.RoundDetail(i + 1).Completed
 			}
 		})
 	}

@@ -63,7 +63,7 @@ func TestPublicScenarioAPI(t *testing.T) {
 	if len(tr.Participants) != s.Clients {
 		t.Fatalf("%d participants, want %d", len(tr.Participants), s.Clients)
 	}
-	tr.Server.Round(0)
+	tr.Server.RoundDetail(0)
 	if ta := tr.TA(); ta <= 0 {
 		t.Fatalf("TA = %g after one round", ta)
 	}

@@ -23,12 +23,14 @@ type FineTuneResult struct {
 // consecutive rounds ("the server can observe the updated global model's
 // performance and stop when the accuracy does not improve any further").
 // Prune masks on m survive aggregation because the model re-applies them
-// on every parameter installation.
-func FineTune(m *nn.Sequential, tuner Tuner, maxRounds, patience int, eval ScopedEvaluator) FineTuneResult {
+// on every parameter installation. acc is eval's score of m as it stands,
+// which the caller already holds (the pruning sweep ends on it), so
+// fine-tuning starts without evaluating m again.
+func FineTune(m *nn.Sequential, acc float64, tuner Tuner, maxRounds, patience int, eval ScopedEvaluator) FineTuneResult {
 	if patience <= 0 {
 		patience = 2
 	}
-	res := FineTuneResult{Accuracies: []float64{eval.Evaluate(m)}}
+	res := FineTuneResult{Accuracies: []float64{acc}}
 	best := res.Accuracies[0]
 	stale := 0
 	for r := 0; r < maxRounds; r++ {

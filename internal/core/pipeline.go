@@ -217,7 +217,7 @@ func RunPipeline(m *nn.Sequential, clients []ReportClient, tuner Tuner, eval Sco
 			panic("core: fine-tuning requested without a Tuner")
 		}
 		fsp := obs.StartChildOf(psc, "defense.finetune", obs.M.DefenseFineTuneSeconds)
-		rep.FineTune = FineTune(m, tuner, cfg.FineTuneRounds, cfg.FineTunePatience, eval)
+		rep.FineTune = FineTune(m, rep.AccAfterPrune, tuner, cfg.FineTuneRounds, cfg.FineTunePatience, eval)
 		rep.Timing.FineTune = fsp.End()
 		rep.AccAfterFineTune = rep.FineTune.Accuracies[len(rep.FineTune.Accuracies)-1]
 		obs.L().Info("defense: fine-tuning done",

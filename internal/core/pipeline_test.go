@@ -214,21 +214,26 @@ func TestDefaultAWLayersFindsDense(t *testing.T) {
 func TestFineTuneTracksBest(t *testing.T) {
 	m := pipelineModel(82)
 	tuner := &fakeTuner{}
-	// Accuracy improves for 3 rounds then plateaus.
-	seq := []float64{0.5, 0.6, 0.7, 0.8, 0.8, 0.8, 0.8}
-	i := 0
+	// From 0.5, accuracy improves for 3 rounds then plateaus.
+	seq := []float64{0.6, 0.7, 0.8, 0.8, 0.8, 0.8}
+	i, calls := 0, 0
 	eval := Evaluator(func(*nn.Sequential) float64 {
+		calls++
 		v := seq[i]
 		if i < len(seq)-1 {
 			i++
 		}
 		return v
 	})
-	res := FineTune(m, tuner, 10, 2, eval)
+	res := FineTune(m, 0.5, tuner, 10, 2, eval)
 	if res.Rounds != 5 { // 3 improving + 2 stale
 		t.Fatalf("ran %d rounds, want 5", res.Rounds)
 	}
 	if res.Accuracies[0] != 0.5 {
 		t.Fatalf("missing pre-tuning accuracy: %v", res.Accuracies)
+	}
+	// The starting score is the caller's: one evaluation per round.
+	if calls != res.Rounds {
+		t.Fatalf("%d evaluations for %d rounds", calls, res.Rounds)
 	}
 }

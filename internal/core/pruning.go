@@ -27,7 +27,14 @@ import (
 // 1-based position of neuron i when neurons are sorted by decreasing
 // activation (rank 1 = most active, rank P_L = most dormant). Ties are
 // broken by neuron index for determinism.
-func RanksFromActivations(acts []float64) []int {
+//
+// acts is the float64 recording or its int8 codes (metrics.QuantActs.Q,
+// DESIGN.md §14). The dequantization map a = zero + scale·(q+128) is
+// monotonically increasing (scale ≥ 0), so ranking the codes gives
+// exactly the ranks of the dequantized activations, without materializing
+// a float64 vector: a receiver ranks an Acts8 payload as the int8
+// participant that sent it does.
+func RanksFromActivations[A int8 | float64](acts []A) []int {
 	order := argsortDesc(acts)
 	ranks := make([]int, len(acts))
 	for pos, unit := range order {
@@ -72,8 +79,9 @@ func PruneOrderFromRanks(meanRanks []float64) []int {
 
 // VotesFromActivations converts a client's activations into the MVP vote
 // report for pruning rate p: exactly ⌊p·P_L⌋ of the least-active neurons
-// receive a prune vote (true).
-func VotesFromActivations(acts []float64, p float64) []bool {
+// receive a prune vote (true). Like RanksFromActivations it takes the
+// float64 recording or its int8 codes, with the same result.
+func VotesFromActivations[A int8 | float64](acts []A, p float64) []bool {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("core: pruning rate %g outside [0,1]", p))
 	}
@@ -120,7 +128,7 @@ func PruneOrderFromVotes(share []float64) []int {
 
 // argsortDesc returns the indices of xs sorted by decreasing value, ties
 // broken by ascending index.
-func argsortDesc(xs []float64) []int {
+func argsortDesc[A int8 | float64](xs []A) []int {
 	idx := make([]int, len(xs))
 	for i := range idx {
 		idx[i] = i

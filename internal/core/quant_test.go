@@ -10,7 +10,7 @@ import (
 
 // The load-bearing contract of the quantized report path: ranking and
 // voting directly on int8 codes is bit-identical to dequantizing first and
-// running the float64 constructors. This is what lets the server rebuild
+// ranking and voting the float64s. This is what lets the server rebuild
 // reports from Acts8 wire payloads without a float64 round trip.
 func TestQuantizedConstructorsMatchDequantized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -29,13 +29,13 @@ func TestQuantizedConstructorsMatchDequantized(t *testing.T) {
 		q := metrics.QuantizeActivations(acts)
 		deq := dequantize(q)
 
-		if got, want := RanksFromQuantized(q.Q), RanksFromActivations(deq); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (n=%d): RanksFromQuantized diverges from dequantized path\n got %v\nwant %v",
+		if got, want := RanksFromActivations(q.Q), RanksFromActivations(deq); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d): ranks of the codes diverge from dequantized path\n got %v\nwant %v",
 				trial, n, got, want)
 		}
 		for _, p := range []float64{0, 0.3, 0.5, 1} {
-			if got, want := VotesFromQuantized(q.Q, p), VotesFromActivations(deq, p); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d (n=%d, p=%g): VotesFromQuantized diverges from dequantized path",
+			if got, want := VotesFromActivations(q.Q, p), VotesFromActivations(deq, p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (n=%d, p=%g): votes of the codes diverge from dequantized path",
 					trial, n, p)
 			}
 		}
@@ -52,19 +52,19 @@ func dequantize(q metrics.QuantActs) []float64 {
 	return out
 }
 
-func TestRanksFromQuantizedTieBreak(t *testing.T) {
+func TestRanksFromInt8CodesTieBreak(t *testing.T) {
 	// Equal codes must rank by ascending index, like the float64 path.
 	q := []int8{5, -3, 5, 127, -3}
-	ranks := RanksFromQuantized(q)
+	ranks := RanksFromActivations(q)
 	want := []int{2, 4, 3, 1, 5}
 	if !reflect.DeepEqual(ranks, want) {
 		t.Fatalf("ranks = %v, want %v", ranks, want)
 	}
 }
 
-func TestVotesFromQuantizedRate(t *testing.T) {
+func TestVotesFromInt8CodesRate(t *testing.T) {
 	q := []int8{10, -20, 30, -40, 0, 25, -128, 127}
-	votes := VotesFromQuantized(q, 0.5)
+	votes := VotesFromActivations(q, 0.5)
 	k := 0
 	for _, v := range votes {
 		if v {
@@ -85,7 +85,7 @@ func TestVotesFromQuantizedRate(t *testing.T) {
 			t.Fatal("rate out of range should panic")
 		}
 	}()
-	VotesFromQuantized(q, 1.5)
+	VotesFromActivations(q, 1.5)
 }
 
 // Aggregating quantized-constructed rank reports must feed AggregateRanks
@@ -96,7 +96,7 @@ func TestQuantizedRanksArePermutations(t *testing.T) {
 	for i := range q {
 		q[i] = int8(rng.Intn(256) - 128)
 	}
-	ranks := RanksFromQuantized(q)
+	ranks := RanksFromActivations(q)
 	seen := make([]bool, len(ranks)+1)
 	for _, r := range ranks {
 		if r < 1 || r > len(ranks) || seen[r] {

@@ -316,11 +316,11 @@ func Specs(sw Sweep) []Spec {
 				evalFn := t.ValidationEvaluator()
 				masked := t.Server.Model.Clone()
 				res := core.PruneToThreshold(masked, li, order, evalFn, evalFn.Evaluate(masked)-cfg.MaxAccuracyDrop, 0)
-				core.FineTune(masked, t.Server, cfg.FineTuneRounds, cfg.FineTunePatience, evalFn)
+				core.FineTune(masked, res.FinalAccuracy, t.Server, cfg.FineTuneRounds, cfg.FineTunePatience, evalFn)
 				row.Cells["masked"] = t.cell(masked)
 				zeroOnly := t.Server.Model.Clone()
 				zeroUnits(zeroOnly, li, res.Pruned)
-				core.FineTune(zeroOnly, t.Server, cfg.FineTuneRounds, cfg.FineTunePatience, evalFn)
+				core.FineTune(zeroOnly, evalFn.Evaluate(zeroOnly), t.Server, cfg.FineTuneRounds, cfg.FineTunePatience, evalFn)
 				row.Cells["zero-only"] = t.cell(zeroOnly)
 			})
 			return tbl.Render

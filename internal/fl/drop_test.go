@@ -27,7 +27,7 @@ func TestRoundWithAllClientsDroppedIsNoOp(t *testing.T) {
 	srv := NewServer(template, []Participant{p}, cfg, 61)
 	srv.Drop = dropAll{}
 	before := srv.Model.ParamsVector()
-	ids := srv.Round(0)
+	ids := srv.RoundDetail(0).Completed
 	if len(ids) != 0 {
 		t.Fatalf("round reported %d survivors, want 0", len(ids))
 	}
@@ -49,7 +49,7 @@ func TestRoundSkipsDroppedClients(t *testing.T) {
 	srv := NewServer(template, parts, cfg, 63)
 	srv.Drop = dropIDs{1: true}
 	before := srv.Model.ParamsVector()
-	ids := srv.Round(0)
+	ids := srv.RoundDetail(0).Completed
 	if len(ids) != 1 || ids[0] != 0 {
 		t.Fatalf("survivors %v, want [0]", ids)
 	}

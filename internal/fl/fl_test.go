@@ -137,7 +137,7 @@ func TestServerRoundAppliesAggregate(t *testing.T) {
 	p := &fakeParticipant{id: 0, delta: ones(n)}
 	srv := NewServer(template, []Participant{p}, cfg, 8)
 	before := srv.Model.ParamsVector()
-	srv.Round(0)
+	srv.RoundDetail(0)
 	after := srv.Model.ParamsVector()
 	for i := range after {
 		if math.Abs(after[i]-(before[i]+1)) > 1e-12 {
@@ -155,7 +155,7 @@ func TestServerAveragesAcrossParticipants(t *testing.T) {
 	}
 	srv := NewServer(template, parts, cfg, 10)
 	before := srv.Model.ParamsVector()
-	srv.Round(0)
+	srv.RoundDetail(0)
 	after := srv.Model.ParamsVector()
 	for i := range after {
 		if math.Abs(after[i]-(before[i]+2)) > 1e-12 {
@@ -173,7 +173,7 @@ func TestServerClientSelection(t *testing.T) {
 		parts = append(parts, &fakeParticipant{id: i, delta: make([]float64, n)})
 	}
 	srv := NewServer(template, parts, cfg, 12)
-	ids := srv.Round(0)
+	ids := srv.RoundDetail(0).Completed
 	if len(ids) != 2 {
 		t.Fatalf("selected %d clients, want 2", len(ids))
 	}
@@ -183,7 +183,7 @@ func TestServerClientSelection(t *testing.T) {
 	// SelectPerRound = 0 means everyone.
 	cfg.SelectPerRound = 0
 	srv = NewServer(template, parts, cfg, 13)
-	if ids := srv.Round(0); len(ids) != 5 {
+	if ids := srv.RoundDetail(0).Completed; len(ids) != 5 {
 		t.Fatalf("selected %d clients with SelectPerRound=0, want 5", len(ids))
 	}
 }

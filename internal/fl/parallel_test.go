@@ -84,7 +84,7 @@ func TestRoundParallelWithDropsBitIdentical(t *testing.T) {
 		s.Drop = RandomDrop{P: 0.3, Seed: 77}
 		var ids [][]int
 		for r := 0; r < s.Config().Rounds; r++ {
-			ids = append(ids, s.Round(r))
+			ids = append(ids, s.RoundDetail(r).Completed)
 		}
 		return s.Model.ParamsVector(), ids
 	}

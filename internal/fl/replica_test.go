@@ -71,7 +71,7 @@ func TestFederationsDoNotBleed(t *testing.T) {
 		f := pick(build())
 		var out [][]float64
 		for r := 0; r < rounds; r++ {
-			f.server.Round(r)
+			f.server.RoundDetail(r)
 			out = append(out, f.server.Model.ParamsVector())
 		}
 		return out
@@ -91,8 +91,8 @@ func TestFederationsDoNotBleed(t *testing.T) {
 		}
 	}
 	for r := 0; r < rounds; r++ {
-		a.server.Round(r)
-		b.server.Round(r)
+		a.server.RoundDetail(r)
+		b.server.RoundDetail(r)
 		same("A", r, a.server.Model.ParamsVector(), wantA[r])
 		same("B", r, b.server.Model.ParamsVector(), wantB[r])
 	}

@@ -68,7 +68,7 @@ func borrowAt(replicas *nn.Replicas, m *nn.Sequential) *nn.Replica {
 // precision.
 func ranksAt(acts []float64, q metrics.ReportQuant) []int {
 	if q == metrics.ReportInt8 {
-		return core.RanksFromQuantized(metrics.QuantizeActivations(acts).Q)
+		return core.RanksFromActivations(metrics.QuantizeActivations(acts).Q)
 	}
 	return core.RanksFromActivations(acts)
 }
@@ -77,7 +77,7 @@ func ranksAt(acts []float64, q metrics.ReportQuant) []int {
 // precision.
 func votesAt(acts []float64, p float64, q metrics.ReportQuant) []bool {
 	if q == metrics.ReportInt8 {
-		return core.VotesFromQuantized(metrics.QuantizeActivations(acts).Q, p)
+		return core.VotesFromActivations(metrics.QuantizeActivations(acts).Q, p)
 	}
 	return core.VotesFromActivations(acts, p)
 }

@@ -232,12 +232,13 @@ func (e *NonFiniteUpdateError) Error() string {
 	return fmt.Sprintf("fl: participant returned an update with %v at coordinate %d", e.Value, e.Index)
 }
 
-// Round executes one federated round: select clients, collect their
-// updates from the current global parameters, aggregate, and apply. It
-// returns the IDs of the clients whose updates were collected. Failed
-// clients — DropPolicy drops, and FallibleParticipant errors on the wire
-// path — are recorded as dropouts and excluded from the aggregate; the
-// round applies once cfg.Quorum of the selected cohort has responded.
+// RoundDetail executes one federated round: select clients, collect their
+// updates from the current global parameters, aggregate, and apply. Its
+// result carries the full failure telemetry; Completed holds the IDs of the
+// clients whose updates were collected. Failed clients — DropPolicy drops,
+// and FallibleParticipant errors on the wire path — are recorded as
+// dropouts and excluded from the aggregate; the round applies once
+// cfg.Quorum of the selected cohort has responded.
 //
 // Local training runs concurrently across the selected clients (bounded by
 // parallel.Workers, or by the window when the round streams). A delta is a
@@ -246,16 +247,12 @@ func (e *NonFiniteUpdateError) Error() string {
 // bit-identical for any worker count and any call history. A round in which
 // a set of clients fails on the wire aggregates exactly like one in which
 // the same set was dropped by policy.
-func (s *Server) Round(t int) []int {
-	return s.RoundDetail(t).Completed
-}
-
-// RoundDetail is Round with full failure telemetry. On a server with a
-// checkpointer installed it also persists round state: a boundary
-// checkpoint after each due round, and partial checkpoints mid-fold when
-// the round's fold can snapshot. After ResumeFrom restored a partial
-// checkpoint, the next call re-enters the interrupted round: t must equal
-// the checkpointed round.
+//
+// On a server with a checkpointer installed it also persists round state: a
+// boundary checkpoint after each due round, and partial checkpoints
+// mid-fold when the round's fold can snapshot. After ResumeFrom restored a
+// partial checkpoint, the next call re-enters the interrupted round: t must
+// equal the checkpointed round.
 //
 // The whole round is one trace (DESIGN.md §16): RoundDetail roots the
 // "fl.round" span (feeding fl_round_seconds), every remote call, retry

@@ -65,7 +65,7 @@ func runSkewed(t *testing.T, w int, tc skewedCase) (skewedOutcome, *nn.Sequentia
 	}
 	var out skewedOutcome
 	for r := 0; r < s.Config().Rounds; r++ {
-		out.Completed = append(out.Completed, s.Round(r))
+		out.Completed = append(out.Completed, s.RoundDetail(r).Completed)
 	}
 	out.Trained = s.Model.ParamsVector()
 	tuned := s.Model.Clone()

@@ -143,7 +143,7 @@ func TestStreamingFallsBackForBatchOnlyRules(t *testing.T) {
 	}
 	ref := NewServer(template, parts, cfg, 76)
 	ref.Agg = batchOnlyAgg{}
-	ref.Round(0)
+	ref.RoundDetail(0)
 
 	cfg.Streaming = true
 	srv := NewServer(template, parts, cfg, 76)

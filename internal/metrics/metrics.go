@@ -75,8 +75,7 @@ func LocalActivations(m *nn.Sequential, layerIdx int, ds *dataset.Dataset, batch
 			hi = ds.Len()
 		}
 		x, labels = ds.BatchInto(lo, hi, x, labels)
-		acts := m.ForwardActivations(x)
-		obs += nn.AccumulateUnitActivations(acts[layerIdx], units, sums)
+		obs += nn.AccumulateUnitActivations(m.ForwardTo(layerIdx+1, x), units, sums)
 	}
 	if obs > 0 {
 		inv := 1.0 / float64(obs)

@@ -114,20 +114,37 @@ func UnitMeanActivations(act *tensor.Tensor, units int) []float64 {
 	return out
 }
 
+// TestLocalActivationsMatchesManual checks the recording against one
+// full-batch pass through the layers' own float64 Forward, up to the
+// recorded layer. The float32 backend narrows the input once and widens
+// only the recorded layer, so it agrees within forward tolerance.
 func TestLocalActivationsMatchesManual(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	_, test := tinyDS(3, 7)
-	m := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rng)
-	li := m.LastConvIndex()
-	got := LocalActivations(m, li, test, 8)
-	// Manual: single full-batch pass.
-	x, _ := test.Batch(0, test.Len())
-	acts := m.ForwardActivations(x)
-	units := m.Layer(li).(nn.Prunable).Units()
-	want := UnitMeanActivations(acts[li], units)
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("unit %d: %g vs %g", i, got[i], want[i])
+	cases := []struct {
+		name    string
+		build   nn.ModelBuilder
+		gen     func(dataset.GenConfig) (*dataset.Dataset, *dataset.Dataset)
+		backend nn.Backend
+		tol     float64
+	}{
+		{"SmallCNN/float64", nn.NewSmallCNN, dataset.GenSynthMNIST, nn.Float64, 1e-9},
+		{"MiniVGG/float32", nn.NewMiniVGG, dataset.GenSynthCIFAR, nn.Float32, 1e-4},
+	}
+	for _, c := range cases {
+		rng := rand.New(rand.NewSource(6))
+		_, test := c.gen(dataset.GenConfig{TrainPerClass: 3, TestPerClass: 3, Seed: 7})
+		m := c.build(nn.Input{C: test.Shape.C, H: test.Shape.H, W: test.Shape.W}, test.Classes, rng)
+		m.SetBackend(c.backend)
+		li := m.LastConvIndex()
+		got := LocalActivations(m, li, test, 8)
+		act, _ := test.Batch(0, test.Len())
+		for i := 0; i <= li; i++ {
+			act = m.Layer(i).Forward(act, false)
+		}
+		want := UnitMeanActivations(act, m.Layer(li).(nn.Prunable).Units())
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > c.tol*(1+math.Abs(want[i])) {
+				t.Fatalf("%s unit %d: %g vs %g", c.name, i, got[i], want[i])
+			}
 		}
 	}
 }

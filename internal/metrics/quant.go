@@ -57,8 +57,8 @@ func ParseReportQuant(s string) (ReportQuant, error) {
 //
 // Because the affine map is monotonic (Scale ≥ 0), ordering neurons by code
 // is the same as ordering them by dequantized activation — which is why the
-// pruning defense can rank directly on Q (core.RanksFromQuantized) without
-// ever materializing float64s.
+// pruning defense ranks Q directly (core.RanksFromActivations takes the
+// codes) without ever materializing float64s.
 type QuantActs struct {
 	Scale float64
 	Zero  float64

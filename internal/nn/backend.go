@@ -108,7 +108,6 @@ type stack[E tensor.Elem] struct {
 // driver is a stack of either element type, as Sequential calls it.
 type driver interface {
 	forward(m *Sequential, lo, hi int, x *tensor.Tensor, train bool, in, out string) *tensor.Tensor
-	activations(m *Sequential, x *tensor.Tensor) []*tensor.Tensor
 	backward(m *Sequential, dout *tensor.Tensor, needDX bool) *tensor.Tensor
 }
 
@@ -127,22 +126,7 @@ func (s *stack[E]) forward(m *Sequential, lo, hi int, x *tensor.Tensor, train bo
 	for _, l := range m.layers[lo:hi] {
 		cur = passOf[E](l).forward(cur, train)
 	}
-	return s.widen(out, 0, cur)
-}
-
-// activations is ForwardActivations: every layer output is widened, so
-// downstream activation accounting (pruning votes, defense statistics)
-// stays float64. The returned slice is the model's actsBuf.
-func (s *stack[E]) activations(m *Sequential, x *tensor.Tensor) []*tensor.Tensor {
-	if len(m.actsBuf) != len(m.layers) {
-		m.actsBuf = make([]*tensor.Tensor, len(m.layers))
-	}
-	cur := s.narrow("in", x)
-	for i, l := range m.layers {
-		cur = passOf[E](l).forward(cur, false)
-		m.actsBuf[i] = s.widen("act", i, cur)
-	}
-	return m.actsBuf
+	return s.widen(out, cur)
 }
 
 // backward runs the layers' backward passes in reverse (parameter
@@ -163,7 +147,7 @@ func (s *stack[E]) backward(m *Sequential, dout *tensor.Tensor, needDX bool) *te
 	if !needDX {
 		return nil
 	}
-	return s.widen("dx", 0, cur)
+	return s.widen("dx", cur)
 }
 
 // narrow returns x in E: x itself for float64, a float32 copy staged in
@@ -178,15 +162,15 @@ func (s *stack[E]) narrow(slot string, x *tensor.Tensor) *tensor.Of[E] {
 }
 
 // widen returns cur as the float64 the Sequential API promises: cur itself
-// for float64, otherwise cur widened into the model's arena under (slot,
-// idx) — a loan like every pass output. Widening is exact, so narrowing the
+// for float64, otherwise cur widened into the model's arena under slot — a
+// loan like every pass output. Widening is exact, so narrowing the
 // result again restores cur's bits: a ForwardTo/ForwardFrom split replays
 // the unsplit forward bit for bit.
-func (s *stack[E]) widen(slot string, idx int, cur *tensor.Of[E]) *tensor.Tensor {
+func (s *stack[E]) widen(slot string, cur *tensor.Of[E]) *tensor.Tensor {
 	if t, ok := any(cur).(*tensor.Tensor); ok {
 		return t
 	}
-	out := s.widened.GetIndexedLike(slot, idx, cur)
+	out := s.widened.GetLike(slot, cur)
 	cur.To64(out)
 	return out
 }

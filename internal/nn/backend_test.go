@@ -262,22 +262,25 @@ func TestFloat32ForwardSplitExact(t *testing.T) {
 	}
 }
 
-// ForwardActivations on the float32 backend returns one activation per
-// layer with the same shapes as the float64 path, within forward
-// tolerance.
-func TestFloat32ForwardActivationsTolerance(t *testing.T) {
+// ForwardTo on the float32 backend returns every layer's output with the
+// same shape as the float64 path, within forward tolerance.
+func TestFloat32ForwardToTolerance(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	m := NewSmallCNN(in1, 10, rng)
 	x := tensor.New(4, in1.C, in1.H, in1.W)
 	x.Randn(rng, 1)
-	m.SetBackend(Float64)
-	ref := m.ForwardActivations(x)
-	refCopies := make([]*tensor.Tensor, len(ref))
-	for i, a := range ref {
-		refCopies[i] = a.Clone()
+	// Each ForwardTo output is a loan the next pass overwrites.
+	outputs := func() []*tensor.Tensor {
+		acts := make([]*tensor.Tensor, m.NumLayers())
+		for i := range acts {
+			acts[i] = m.ForwardTo(i+1, x).Clone()
+		}
+		return acts
 	}
+	m.SetBackend(Float64)
+	refCopies := outputs()
 	m.SetBackend(Float32)
-	got := m.ForwardActivations(x)
+	got := outputs()
 	if len(got) != len(refCopies) {
 		t.Fatalf("activation count %d vs %d", len(got), len(refCopies))
 	}
@@ -293,9 +296,8 @@ func TestFloat32ForwardActivationsTolerance(t *testing.T) {
 
 // TestInferenceOutputsAreLoans pins the one ownership rule for pass outputs
 // (DESIGN.md §8) in both precisions: a second inference pass returns the
-// first one's buffers — Forward, ForwardTo, ForwardFrom, and
-// ForwardActivations' slice and every tensor in it — filled with its own
-// input's values, the ones a fresh clone computes.
+// first one's buffers — Forward, ForwardTo and ForwardFrom — filled with
+// its own input's values, the ones a fresh clone computes.
 func TestInferenceOutputsAreLoans(t *testing.T) {
 	for _, backend := range []Backend{Float64, Float32} {
 		rng := rand.New(rand.NewSource(19))
@@ -323,16 +325,6 @@ func TestInferenceOutputsAreLoans(t *testing.T) {
 		bx, by := first.Clone(), fresh.ForwardTo(li, y).Clone()
 		first = m.ForwardFrom(li, bx)
 		check("ForwardFrom", first, m.ForwardFrom(li, by), fresh.ForwardFrom(li, by))
-		acts := m.ForwardActivations(x)
-		firsts := append([]*tensor.Tensor(nil), acts...)
-		again := m.ForwardActivations(y)
-		if &acts[0] != &again[0] {
-			t.Errorf("%v ForwardActivations: the second pass returned a new slice", backend)
-		}
-		want := fresh.ForwardActivations(y)
-		for i := range again {
-			check(fmt.Sprintf("ForwardActivations[%d]", i), firsts[i], again[i], want[i])
-		}
 	}
 }
 
@@ -407,7 +399,7 @@ func TestFloat32CloneAndInterleavedEval(t *testing.T) {
 	// model between steps does): the eval scratch must not corrupt the
 	// training-path caches or results.
 	m.Forward(x, false)
-	m.ForwardActivations(x)
+	m.ForwardTo(m.LastConvIndex()+1, x)
 	m.ZeroGrads()
 	logits = m.Forward(x, true)
 	_, d2 := SoftmaxXent(logits, labels)

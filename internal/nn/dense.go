@@ -71,9 +71,6 @@ func (l *Dense) In() int { return l.in }
 // Out returns the output width.
 func (l *Dense) Out() int { return l.out }
 
-// SetL2 sets an extra L2 penalty on the layer's weights (not bias).
-func (l *Dense) SetL2(lambda float64) { l.W.L2 = lambda }
-
 // Forward implements Layer for x of shape (N, In).
 func (l *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor { return l.f64.forward(x, train) }
 

@@ -17,7 +17,7 @@
 //     masked out, which zeroes their parameters and pins them to zero
 //     across later gradient steps (so federated fine-tuning cannot
 //     resurrect a pruned "backdoor neuron").
-//   - Sequential.ForwardActivations exposes every intermediate activation,
+//   - Sequential.ForwardTo returns the output of any layer boundary,
 //     which the federated pruning step uses to record per-neuron average
 //     activation values on client data.
 package nn

@@ -11,9 +11,6 @@ type Input struct {
 	C, H, W int
 }
 
-// Elems returns the number of scalars per sample.
-func (in Input) Elems() int { return in.C * in.H * in.W }
-
 // NewSmallCNN builds the paper's small MNIST network: two convolutional
 // layers (8 and 16 channels) followed by two fully connected layers
 // (Table VI "Small NN"; the architecture used for the MNIST experiments).

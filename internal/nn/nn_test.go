@@ -432,22 +432,6 @@ func TestModelZooShapes(t *testing.T) {
 	}
 }
 
-func TestForwardActivationsLength(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	m := NewSmallCNN(Input{C: 1, H: 16, W: 16}, 10, rng)
-	x := tensor.New(1, 1, 16, 16)
-	x.Randn(rng, 1)
-	acts := m.ForwardActivations(x)
-	if len(acts) != m.NumLayers() {
-		t.Fatalf("got %d activations, want %d", len(acts), m.NumLayers())
-	}
-	last := acts[len(acts)-1].Clone() // a loan the next pass overwrites
-	out := m.Forward(x, false)
-	if !last.Equal(out, 1e-12) {
-		t.Fatal("last activation != network output")
-	}
-}
-
 func TestLastConvIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	m := NewFashionCNN(Input{C: 1, H: 16, W: 16}, 10, rng)

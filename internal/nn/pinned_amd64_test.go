@@ -95,16 +95,16 @@ func pinnedModelHash(build ModelBuilder, in Input, backend Backend) uint64 {
 }
 
 // pinnedPathsHash hashes, after the steps of pinnedTrained, every layer
-// output of ForwardActivations and the boundary and output of the
-// ForwardTo/ForwardFrom split at the last conv, twice over: on cold
+// output as ForwardTo(1..NumLayers) returns it and the boundary and output
+// of the ForwardTo/ForwardFrom split at the last conv, twice over: on cold
 // buffers, then on warm ones.
 func pinnedPathsHash(build ModelBuilder, in Input, backend Backend) uint64 {
 	m, ex := pinnedTrained(build, in, backend)
 	li := m.LastConvIndex()
 	h := fnv.New64a()
 	for pass := 0; pass < 2; pass++ {
-		for _, act := range m.ForwardActivations(ex) {
-			hashFloats(h, act.Data)
+		for hi := 1; hi <= m.NumLayers(); hi++ {
+			hashFloats(h, m.ForwardTo(hi, ex).Data)
 		}
 		mid := m.ForwardTo(li, ex)
 		hashFloats(h, mid.Data)

@@ -24,10 +24,6 @@ type Sequential struct {
 	f64 stack[float64]
 	f32 stack[float32]
 
-	// actsBuf is the ForwardActivations result slice, lent like the
-	// tensors it holds.
-	actsBuf []*tensor.Tensor
-
 	// replicas is the free list of working copies anchored on this model
 	// (replicas.go), created on first use. Not cloned or serialized.
 	replicasOnce sync.Once
@@ -76,15 +72,6 @@ func (m *Sequential) ForwardFrom(li int, x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: ForwardFrom boundary %d outside [0,%d]", li, len(m.layers)))
 	}
 	return m.driver().forward(m, li, len(m.layers), x, false, "from", "fout")
-}
-
-// ForwardActivations runs inference and returns the output of every layer.
-// acts[i] is the output of layer i; the final element is the network output.
-// The federated pruning step uses this to record per-neuron activations.
-// The slice and the tensors it holds are loans, valid until the model's
-// next pass.
-func (m *Sequential) ForwardActivations(x *tensor.Tensor) []*tensor.Tensor {
-	return m.driver().activations(m, x)
 }
 
 // Backward propagates dout (gradient w.r.t. the network output) through all

@@ -78,37 +78,36 @@ func NewOpsHandler(r *Registry) http.Handler {
 type OpsServer struct {
 	server *http.Server
 	addr   string
-	errc   chan error
 }
 
 // ServeOps starts the ops endpoint for registry r on addr (":9090",
 // "127.0.0.1:0" for an ephemeral port) on a background goroutine and
 // returns once the listener is bound. The endpoint is read-only
 // diagnostics; a failure to serve never takes the process down — the
-// terminal error is delivered on Err instead.
+// terminal error is logged as a warning instead.
 func ServeOps(addr string, r *Registry) (*OpsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: ops listen: %w", err)
 	}
+	return serveOps(ln, r), nil
+}
+
+// serveOps serves the ops endpoint for r on ln until Shutdown, logging any
+// other end of serving.
+func serveOps(ln net.Listener, r *Registry) *OpsServer {
 	srv := &http.Server{Handler: NewOpsHandler(r), ReadHeaderTimeout: 10 * time.Second}
-	o := &OpsServer{server: srv, addr: ln.Addr().String(), errc: make(chan error, 1)}
+	o := &OpsServer{server: srv, addr: ln.Addr().String()}
 	go func() {
-		err := srv.Serve(ln)
-		if errors.Is(err, http.ErrServerClosed) {
-			err = nil
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			L().Warn("obs: ops endpoint stopped serving", "addr", o.addr, "err", err)
 		}
-		o.errc <- err
 	}()
-	return o, nil
+	return o
 }
 
 // Addr returns the bound listen address.
 func (o *OpsServer) Addr() string { return o.addr }
-
-// Err returns the channel delivering the terminal serve error (nil after a
-// clean Shutdown).
-func (o *OpsServer) Err() <-chan error { return o.errc }
 
 // Shutdown stops the endpoint gracefully.
 func (o *OpsServer) Shutdown(ctx context.Context) error {

@@ -1,12 +1,16 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -129,12 +133,50 @@ func TestServeOpsLifecycle(t *testing.T) {
 	if err := o.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	select {
-	case err := <-o.Err():
-		if err != nil {
-			t.Errorf("terminal serve error: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Error("no terminal error after shutdown")
+}
+
+// lockedBuffer is a bytes.Buffer a logging goroutine and the test share.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestServeOpsLogsServeFailure: an ops endpoint whose listener dies under
+// it leaves one warning naming the error, since nothing else watches it.
+func TestServeOpsLogsServeFailure(t *testing.T) {
+	var logs lockedBuffer
+	SetLogger(slog.New(NewConsoleHandler(&logs, slog.LevelInfo)))
+	defer SetLogger(nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := opsFixture()
+	o := serveOps(ln, r)
+	defer o.Shutdown(context.Background())
+	ln.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(logs.String(), "WARN") && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // a second warning would land by now
+	out := logs.String()
+	if n := strings.Count(out, "WARN"); n != 1 {
+		t.Fatalf("%d warnings after the listener closed, want 1:\n%s", n, out)
+	}
+	if !strings.Contains(out, net.ErrClosed.Error()) {
+		t.Errorf("the warning does not name the serve error %q:\n%s", net.ErrClosed, out)
 	}
 }

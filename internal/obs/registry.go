@@ -34,9 +34,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the value by n (negative n decreases it).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -68,12 +65,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count.Add(1)
 	h.sum.add(v)
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum.load() }
 
 // atomicFloat accumulates a float64 through CAS on its bit pattern, so
 // concurrent Observe calls never lose updates and never allocate.

@@ -55,14 +55,14 @@ func TestConcurrentHistogram(t *testing.T) {
 		}
 		wg.Wait()
 		total := uint64(workers * perWorker)
-		if h.Count() != total {
-			t.Errorf("workers=%d: count = %d, want %d", workers, h.Count(), total)
+		s := r.Snapshot().Histograms["lat_seconds"]
+		if s.Count != total {
+			t.Errorf("workers=%d: count = %d, want %d", workers, s.Count, total)
 		}
 		// Per worker, i%3 over [0,2000) yields 667 zeros, 667 ones, 666 twos.
-		if wantSum := float64(workers) * (667 + 2*666); h.Sum() != wantSum {
-			t.Errorf("workers=%d: sum = %g, want %g", workers, h.Sum(), wantSum)
+		if wantSum := float64(workers) * (667 + 2*666); s.Sum != wantSum {
+			t.Errorf("workers=%d: sum = %g, want %g", workers, s.Sum, wantSum)
 		}
-		s := r.Snapshot().Histograms["lat_seconds"]
 		// 0 and 1 land in bucket le=1, 2 in le=2, nothing overflows.
 		want := []uint64{uint64(workers) * 1334, uint64(workers) * 666, 0}
 		for i, c := range s.Counts {

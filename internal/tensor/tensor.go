@@ -177,16 +177,6 @@ func (t *Of[E]) AddScaled(alpha E, other *Of[E]) {
 	axpy(t.Data, alpha, other.Data)
 }
 
-// Sub subtracts other from t element-wise.
-func (t *Of[E]) Sub(other *Of[E]) {
-	if len(t.Data) != len(other.Data) {
-		panic(fmt.Sprintf("tensor: Sub length mismatch %d vs %d", len(t.Data), len(other.Data)))
-	}
-	for i, v := range other.Data {
-		t.Data[i] -= v
-	}
-}
-
 // Scale multiplies every element by alpha.
 func (t *Of[E]) Scale(alpha E) {
 	scale(t.Data, t.Data, alpha)

@@ -253,7 +253,7 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := core.RanksFromQuantized(q.Q)
+		want := core.RanksFromActivations(q.Q)
 		var rp rankPayload
 		if err := rp.DecodeBody(bytes.NewReader(data)); err != nil {
 			t.Fatal(err)

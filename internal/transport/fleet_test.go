@@ -325,7 +325,7 @@ func TestFleetServesReports(t *testing.T) {
 	}
 	recvRank := obs.M.TransportReportBytesRecv.Value() - recvBefore
 	q := metrics.QuantizeActivations(syn.ActivationReport(nil, 0))
-	want8 := core.RanksFromQuantized(q.Q)
+	want8 := core.RanksFromActivations(q.Q)
 	for i := range ranks8 {
 		if ranks8[i] != want8[i] {
 			t.Fatalf("int8 rank[%d] = %d, want %d", i, ranks8[i], want8[i])
@@ -339,7 +339,7 @@ func TestFleetServesReports(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TryVoteReport (int8): %v", err)
 	}
-	wantV8 := core.VotesFromQuantized(q.Q, 0.5)
+	wantV8 := core.VotesFromActivations(q.Q, 0.5)
 	for i := range votes8 {
 		if votes8[i] != wantV8[i] {
 			t.Fatalf("int8 vote[%d] = %v, want %v", i, votes8[i], wantV8[i])

@@ -349,8 +349,9 @@ func (rc *RemoteClient) TryLocalUpdate(ctx context.Context, global []float64, ro
 
 // TryRankReport implements core.FallibleReportClient over the wire. The
 // response's codec tag names the payload type: a RanksDelta vector decodes
-// directly, an Acts8 payload is ranked here (core.RanksFromQuantized), as
-// the int8 participant that sent it ranks it.
+// directly, an Acts8 payload's codes are ranked here
+// (core.RanksFromActivations), as the int8 participant that sent it ranks
+// them.
 func (rc *RemoteClient) TryRankReport(ctx context.Context, m *nn.Sequential, layerIdx int) ([]int, error) {
 	resp, err := call(rc, ctx, "/v1/ranks", wire.KindRankRequest, request{Model: m, Layer: layerIdx}, rankPayload{})
 	return resp.Ranks, err
@@ -407,7 +408,7 @@ func (rp *rankPayload) DecodeBody(r io.Reader) error {
 		case TagActs8:
 			var q metrics.QuantActs
 			if q, err = DecodeActs8(b); err == nil {
-				rp.Ranks = core.RanksFromQuantized(q.Q)
+				rp.Ranks = core.RanksFromActivations(q.Q)
 			}
 		default:
 			err = fmt.Errorf("transport: tag 0x%02x is not a rank report", b[0])
