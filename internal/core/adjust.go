@@ -72,16 +72,7 @@ func AdjustWeights(m *nn.Sequential, layerIdx int, cfg AWConfig, eval ScopedEval
 	res.FinalDelta = cfg.StartDelta + cfg.Eps // sentinel: nothing clipped yet
 	backup := original.Clone()
 	for delta := cfg.StartDelta; delta >= cfg.MinDelta-1e-12; delta -= cfg.Eps {
-		lo, hi := mu-delta*sigma, mu+delta*sigma
-		zeroed := 0
-		for i, v := range original.Data {
-			if v < lo || v > hi {
-				w.Data[i] = 0
-				zeroed++
-			} else {
-				w.Data[i] = v
-			}
-		}
+		zeroed := tensor.ZeroOutside(w.Data, original.Data, mu, sigma, delta)
 		m.EnforceMasks()
 		acc := eval.Evaluate(m)
 		res.Curve = append(res.Curve, AWPoint{Delta: delta, Zeroed: zeroed, Accuracy: acc})
@@ -118,14 +109,7 @@ func AWSweep(m *nn.Sequential, layerIdx int, deltas []float64, evals ...ScopedEv
 		curves[i] = append(curves[i], e.Evaluate(m))
 	}
 	for _, delta := range deltas {
-		lo, hi := mu-delta*sigma, mu+delta*sigma
-		for i, v := range original.Data {
-			if v < lo || v > hi {
-				w.Data[i] = 0
-			} else {
-				w.Data[i] = v
-			}
-		}
+		tensor.ZeroOutside(w.Data, original.Data, mu, sigma, delta)
 		m.EnforceMasks()
 		for i, e := range evals {
 			curves[i] = append(curves[i], e.Evaluate(m))

@@ -124,11 +124,5 @@ func selfClipLastConv(m *nn.Sequential, delta float64) {
 	}
 	conv := m.Layer(li).(*nn.Conv2D)
 	w := conv.W.Value
-	mu, sigma := w.Mean(), w.Std()
-	lo, hi := mu-delta*sigma, mu+delta*sigma
-	for i, v := range w.Data {
-		if v < lo || v > hi {
-			w.Data[i] = 0
-		}
-	}
+	tensor.ZeroOutside(w.Data, w.Data, w.Mean(), w.Std(), delta)
 }

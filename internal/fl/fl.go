@@ -41,6 +41,7 @@ type Config struct {
 	// updates must arrive for the round's aggregate to be applied; a
 	// round below quorum is recorded but leaves the model untouched. 0
 	// keeps the historical behavior of applying with any single update.
+	// A rule's CohortMinimum raises the quorum to its minimum.
 	Quorum float64
 	// RoundTimeout bounds one round's update collection; when it expires
 	// the round context is cancelled, which aborts in-flight remote calls

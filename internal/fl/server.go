@@ -26,6 +26,14 @@ type Aggregator interface {
 	Aggregate(deltas [][]float64) []float64
 }
 
+// CohortMinimum is implemented by an Aggregator defined only on at least
+// MinUpdates() deltas (TrimmedMean and the Krum family in internal/robust).
+// The server discards a round with fewer arrivals the way it discards a
+// round below quorum, instead of calling the rule, which panics on them.
+type CohortMinimum interface {
+	MinUpdates() int
+}
+
 // MeanAggregator is plain coordinate-wise averaging, the paper's
 // w_{t+1} = w_t + (1/N) Σ Δw^i rule.
 type MeanAggregator struct{}
@@ -621,9 +629,9 @@ func flatParams(m *nn.Sequential) []float64 {
 // those rules: they stay batch-only.
 type collectAllFold struct {
 	rule Aggregator
-	// need is the round's quorum. Finish runs the rule on nothing less: a
-	// batch-only rule has arity preconditions (Krum's n ≥ 2f+3) the quorum
-	// is there to meet, and a discarded round's aggregate is never read.
+	// need is the round's quorum, which covers the rule's CohortMinimum.
+	// Finish runs the rule on nothing less: a discarded round's aggregate
+	// is never read.
 	need   int
 	deltas [][]float64
 }
@@ -845,13 +853,18 @@ func (s *Server) aggregator() Aggregator {
 	return s.Agg
 }
 
-// quorumCount converts cfg.Quorum into the minimum number of arrived
-// updates for a cohort of the given size (at least one).
+// quorumCount is the minimum number of arrived updates a round over a
+// cohort of the given size applies: cfg.Quorum of the cohort, at least one,
+// and at least the rule's CohortMinimum.
 func (s *Server) quorumCount(selected int) int {
-	if s.cfg.Quorum <= 0 {
-		return 1
+	need := 1
+	if s.cfg.Quorum > 0 {
+		need = max(1, int(math.Ceil(s.cfg.Quorum*float64(selected))))
 	}
-	return max(1, int(math.Ceil(s.cfg.Quorum*float64(selected))))
+	if cm, ok := s.aggregator().(CohortMinimum); ok {
+		need = max(need, cm.MinUpdates())
+	}
+	return need
 }
 
 // Train runs cfg.Rounds rounds as one trace: an "fl.train" root span with

@@ -28,7 +28,8 @@ type BatchNorm2D struct {
 	// inference statistics consistent with its aggregated weights.
 	RunMean, RunVar *Param
 
-	pruned []bool
+	// unitMask prunes channels: unit c is Gamma[c] and Beta[c].
+	unitMask
 
 	// frozen makes training-mode forward/backward use the running
 	// statistics as constants: no batch statistics, no stat updates, and a
@@ -82,7 +83,6 @@ func NewBatchNorm2D(name string, channels int) *BatchNorm2D {
 		Beta:     newParam(name+".beta", channels),
 		RunMean:  newParam(name+".runmean", channels),
 		RunVar:   newParam(name+".runvar", channels),
-		pruned:   make([]bool, channels),
 	}
 	l.Gamma.Value.Fill(1)
 	l.Gamma.NoDecay = true
@@ -93,9 +93,10 @@ func NewBatchNorm2D(name string, channels int) *BatchNorm2D {
 	return l.bind()
 }
 
-// bind points the layer's passes at it.
+// bind points the layer's passes and its mask at it.
 func (l *BatchNorm2D) bind() *BatchNorm2D {
 	l.f64.l, l.f32.l = l, l
+	l.bindUnits(l.name, l.channels, unitSpan{l.Gamma, 1, 1, 1}, unitSpan{l.Beta, 1, 1, 1})
 	return l
 }
 
@@ -373,70 +374,8 @@ func (l *BatchNorm2D) CloneLayer() Layer {
 		Beta:     l.Beta.clone(),
 		RunMean:  l.RunMean.clone(),
 		RunVar:   l.RunVar.clone(),
-		pruned:   append([]bool(nil), l.pruned...),
+		unitMask: unitMask{pruned: append([]bool(nil), l.pruned...)},
 		frozen:   l.frozen,
 	}
 	return c.bind()
-}
-
-// Units implements Prunable.
-func (l *BatchNorm2D) Units() int { return l.channels }
-
-// PruneUnit implements Prunable: the channel's affine output is pinned to
-// zero.
-func (l *BatchNorm2D) PruneUnit(i int) {
-	if i < 0 || i >= l.channels {
-		panic(fmt.Sprintf("nn: %s: PruneUnit(%d) out of range [0,%d)", l.name, i, l.channels))
-	}
-	l.pruned[i] = true
-	l.EnforceMask()
-}
-
-// UnitPruned implements Prunable.
-func (l *BatchNorm2D) UnitPruned(i int) bool { return l.pruned[i] }
-
-// PrunedCount implements Prunable.
-func (l *BatchNorm2D) PrunedCount() int {
-	n := 0
-	for _, p := range l.pruned {
-		if p {
-			n++
-		}
-	}
-	return n
-}
-
-// EnforceMask implements Prunable.
-func (l *BatchNorm2D) EnforceMask() {
-	for c, p := range l.pruned {
-		if p {
-			l.Gamma.Value.Data[c] = 0
-			l.Beta.Value.Data[c] = 0
-		}
-	}
-}
-
-// AppendUnitState implements Prunable: the channel's affine parameters
-// (the running statistics are not touched by pruning).
-func (l *BatchNorm2D) AppendUnitState(dst []float64, i int) []float64 {
-	return append(dst, l.Gamma.Value.Data[i], l.Beta.Value.Data[i])
-}
-
-// SetUnitState implements Prunable.
-func (l *BatchNorm2D) SetUnitState(i int, vals []float64, pruned bool) {
-	if len(vals) != 2 {
-		panic(fmt.Sprintf("nn: %s: unit state length %d, want 2", l.name, len(vals)))
-	}
-	l.Gamma.Value.Data[i] = vals[0]
-	l.Beta.Value.Data[i] = vals[1]
-	l.pruned[i] = pruned
-}
-
-func (l *BatchNorm2D) maskGrads() {
-	for c, p := range l.pruned {
-		if p {
-			l.Gamma.Grad.Data[c] = 0
-			l.Beta.Grad.Data[c] = 0
-		}
-	}
 }

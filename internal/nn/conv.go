@@ -25,9 +25,8 @@ type Conv2D struct {
 	// W has shape (filters, C·K·K); B has shape (filters).
 	W, B *Param
 
-	// pruned[i] marks output channel i as removed. The channel's weights and
-	// bias are held at zero by EnforceMask.
-	pruned []bool
+	// unitMask prunes output channels: unit u is row u of W and B[u].
+	unitMask
 
 	// inShape caches the input batch shape of the last training pass.
 	inShape []int
@@ -82,16 +81,17 @@ func NewConv2D(name string, dims tensor.ConvDims, filters int, rng *rand.Rand) *
 		index:   tensor.ConvIndexFor(dims),
 		W:       newParam(name+".W", filters, fanIn),
 		B:       newParam(name+".B", filters),
-		pruned:  make([]bool, filters),
 	}
 	l.B.NoDecay = true
 	heInit(l.W.Value, fanIn, rng)
 	return l.bind()
 }
 
-// bind points the layer's passes at it.
+// bind points the layer's passes and its mask at it.
 func (l *Conv2D) bind() *Conv2D {
 	l.f64.l, l.f32.l = l, l
+	fanIn := l.W.Value.Dim(1)
+	l.bindUnits(l.name, l.filters, unitSpan{l.W, fanIn, 1, fanIn}, unitSpan{l.B, 1, 1, 1})
 	return l
 }
 
@@ -358,87 +358,13 @@ func (l *Conv2D) Params() []*Param { return []*Param{l.W, l.B} }
 // the clone warms up its own.
 func (l *Conv2D) CloneLayer() Layer {
 	c := &Conv2D{
-		name:    l.name,
-		dims:    l.dims,
-		filters: l.filters,
-		index:   l.index,
-		W:       l.W.clone(),
-		B:       l.B.clone(),
-		pruned:  append([]bool(nil), l.pruned...),
+		name:     l.name,
+		dims:     l.dims,
+		filters:  l.filters,
+		index:    l.index,
+		W:        l.W.clone(),
+		B:        l.B.clone(),
+		unitMask: unitMask{pruned: append([]bool(nil), l.pruned...)},
 	}
 	return c.bind()
-}
-
-// Units implements Prunable: one unit per output channel.
-func (l *Conv2D) Units() int { return l.filters }
-
-// PruneUnit implements Prunable.
-func (l *Conv2D) PruneUnit(i int) {
-	if i < 0 || i >= l.filters {
-		panic(fmt.Sprintf("nn: %s: PruneUnit(%d) out of range [0,%d)", l.name, i, l.filters))
-	}
-	l.pruned[i] = true
-	l.EnforceMask()
-}
-
-// UnitPruned implements Prunable.
-func (l *Conv2D) UnitPruned(i int) bool { return l.pruned[i] }
-
-// PrunedCount implements Prunable.
-func (l *Conv2D) PrunedCount() int {
-	n := 0
-	for _, p := range l.pruned {
-		if p {
-			n++
-		}
-	}
-	return n
-}
-
-// EnforceMask implements Prunable.
-func (l *Conv2D) EnforceMask() {
-	fanIn := l.W.Value.Dim(1)
-	for f, p := range l.pruned {
-		if !p {
-			continue
-		}
-		row := l.W.Value.Data[f*fanIn : (f+1)*fanIn]
-		for j := range row {
-			row[j] = 0
-		}
-		l.B.Value.Data[f] = 0
-	}
-}
-
-// AppendUnitState implements Prunable: the channel's weight row and bias.
-func (l *Conv2D) AppendUnitState(dst []float64, i int) []float64 {
-	fanIn := l.W.Value.Dim(1)
-	dst = append(dst, l.W.Value.Data[i*fanIn:(i+1)*fanIn]...)
-	return append(dst, l.B.Value.Data[i])
-}
-
-// SetUnitState implements Prunable.
-func (l *Conv2D) SetUnitState(i int, vals []float64, pruned bool) {
-	fanIn := l.W.Value.Dim(1)
-	if len(vals) != fanIn+1 {
-		panic(fmt.Sprintf("nn: %s: unit state length %d, want %d", l.name, len(vals), fanIn+1))
-	}
-	copy(l.W.Value.Data[i*fanIn:(i+1)*fanIn], vals[:fanIn])
-	l.B.Value.Data[i] = vals[fanIn]
-	l.pruned[i] = pruned
-}
-
-// maskGrads zeroes gradients flowing into pruned channels.
-func (l *Conv2D) maskGrads() {
-	fanIn := l.W.Value.Dim(1)
-	for f, p := range l.pruned {
-		if !p {
-			continue
-		}
-		row := l.W.Grad.Data[f*fanIn : (f+1)*fanIn]
-		for j := range row {
-			row[j] = 0
-		}
-		l.B.Grad.Data[f] = 0
-	}
 }

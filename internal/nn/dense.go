@@ -16,7 +16,8 @@ type Dense struct {
 	// W has shape (In, Out); B has shape (Out).
 	W, B *Param
 
-	pruned []bool
+	// unitMask prunes output units: unit u is column u of W and B[u].
+	unitMask
 
 	// f64 and f32 are the layer's arithmetic in each precision.
 	f64 densePass[float64]
@@ -44,21 +45,21 @@ func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
 		panic(fmt.Sprintf("nn: %s: non-positive dims %d×%d", name, in, out))
 	}
 	l := &Dense{
-		name:   name,
-		in:     in,
-		out:    out,
-		W:      newParam(name+".W", in, out),
-		B:      newParam(name+".B", out),
-		pruned: make([]bool, out),
+		name: name,
+		in:   in,
+		out:  out,
+		W:    newParam(name+".W", in, out),
+		B:    newParam(name+".B", out),
 	}
 	l.B.NoDecay = true
 	heInit(l.W.Value, in, rng)
 	return l.bind()
 }
 
-// bind points the layer's passes at it.
+// bind points the layer's passes and its mask at it.
 func (l *Dense) bind() *Dense {
 	l.f64.l, l.f32.l = l, l
+	l.bindUnits(l.name, l.out, unitSpan{l.W, 1, l.out, l.in}, unitSpan{l.B, 1, 1, 1})
 	return l
 }
 
@@ -129,83 +130,12 @@ func (l *Dense) Params() []*Param { return []*Param{l.W, l.B} }
 // CloneLayer implements Layer.
 func (l *Dense) CloneLayer() Layer {
 	c := &Dense{
-		name:   l.name,
-		in:     l.in,
-		out:    l.out,
-		W:      l.W.clone(),
-		B:      l.B.clone(),
-		pruned: append([]bool(nil), l.pruned...),
+		name:     l.name,
+		in:       l.in,
+		out:      l.out,
+		W:        l.W.clone(),
+		B:        l.B.clone(),
+		unitMask: unitMask{pruned: append([]bool(nil), l.pruned...)},
 	}
 	return c.bind()
-}
-
-// Units implements Prunable: one unit per output column.
-func (l *Dense) Units() int { return l.out }
-
-// PruneUnit implements Prunable.
-func (l *Dense) PruneUnit(i int) {
-	if i < 0 || i >= l.out {
-		panic(fmt.Sprintf("nn: %s: PruneUnit(%d) out of range [0,%d)", l.name, i, l.out))
-	}
-	l.pruned[i] = true
-	l.EnforceMask()
-}
-
-// UnitPruned implements Prunable.
-func (l *Dense) UnitPruned(i int) bool { return l.pruned[i] }
-
-// PrunedCount implements Prunable.
-func (l *Dense) PrunedCount() int {
-	n := 0
-	for _, p := range l.pruned {
-		if p {
-			n++
-		}
-	}
-	return n
-}
-
-// EnforceMask implements Prunable.
-func (l *Dense) EnforceMask() {
-	for j, p := range l.pruned {
-		if !p {
-			continue
-		}
-		for i := 0; i < l.in; i++ {
-			l.W.Value.Data[i*l.out+j] = 0
-		}
-		l.B.Value.Data[j] = 0
-	}
-}
-
-// AppendUnitState implements Prunable: the unit's weight column and bias.
-func (l *Dense) AppendUnitState(dst []float64, i int) []float64 {
-	for r := 0; r < l.in; r++ {
-		dst = append(dst, l.W.Value.Data[r*l.out+i])
-	}
-	return append(dst, l.B.Value.Data[i])
-}
-
-// SetUnitState implements Prunable.
-func (l *Dense) SetUnitState(i int, vals []float64, pruned bool) {
-	if len(vals) != l.in+1 {
-		panic(fmt.Sprintf("nn: %s: unit state length %d, want %d", l.name, len(vals), l.in+1))
-	}
-	for r := 0; r < l.in; r++ {
-		l.W.Value.Data[r*l.out+i] = vals[r]
-	}
-	l.B.Value.Data[i] = vals[l.in]
-	l.pruned[i] = pruned
-}
-
-func (l *Dense) maskGrads() {
-	for j, p := range l.pruned {
-		if !p {
-			continue
-		}
-		for i := 0; i < l.in; i++ {
-			l.W.Grad.Data[i*l.out+j] = 0
-		}
-		l.B.Grad.Data[j] = 0
-	}
 }

@@ -13,10 +13,10 @@
 //
 // Two design points serve the defense in internal/core:
 //
-//   - Conv2D and Dense implement Prunable: output channels/units can be
-//     masked out, which zeroes their parameters and pins them to zero
-//     across later gradient steps (so federated fine-tuning cannot
-//     resurrect a pruned "backdoor neuron").
+//   - Conv2D, Dense and BatchNorm2D implement Prunable: output
+//     channels/units can be masked out, which zeroes their parameters and
+//     pins them to zero across later gradient steps (so federated
+//     fine-tuning cannot resurrect a pruned "backdoor neuron").
 //   - Sequential.ForwardTo returns the output of any layer boundary,
 //     which the federated pruning step uses to record per-neuron average
 //     activation values on client data.
@@ -126,6 +126,9 @@ func setShape[E tensor.Elem](dst *[]int, x *tensor.Of[E]) {
 
 // Prunable is implemented by layers whose output units ("neurons" in the
 // paper's terminology: convolution channels or dense units) can be pruned.
+// Conv2D, Dense and BatchNorm2D implement it with one embedded unitMask
+// (mask.go); each declares in its bind method which parameter coordinates
+// make up a unit.
 type Prunable interface {
 	Layer
 	// Units returns the number of output units.

@@ -198,58 +198,58 @@ func (m *Sequential) EnforceMasks() {
 	}
 }
 
-// PruneModelUnit prunes output unit u of the Prunable layer at index li
-// and, when the immediately following layer is a BatchNorm2D, prunes the
-// same channel there too (otherwise normalization would re-inflate the
-// dead channel's zeros into a non-zero bias). It panics if layer li is not
-// Prunable.
-func (m *Sequential) PruneModelUnit(li, u int) {
+// unitLayers returns the layers whose unit u PruneModelUnit(li, u) prunes,
+// and CaptureUnit and RestoreUnit save and reinstate: layer li itself and,
+// when the immediately following layer is a BatchNorm2D, that layer too
+// (otherwise normalization would re-inflate the dead channel's zeros into
+// a non-zero bias). It panics if layer li is not Prunable.
+func (m *Sequential) unitLayers(li int) (ls [2]Prunable, n int) {
 	p, ok := m.layers[li].(Prunable)
 	if !ok {
 		panic(fmt.Sprintf("nn: layer %d (%s) is not prunable", li, m.layers[li].Name()))
 	}
-	p.PruneUnit(u)
+	ls[0], n = p, 1
 	if li+1 < len(m.layers) {
 		if bn, ok := m.layers[li+1].(*BatchNorm2D); ok {
-			bn.PruneUnit(u)
+			ls[1], n = bn, 2
 		}
+	}
+	return ls, n
+}
+
+// PruneModelUnit prunes output unit u of the Prunable layer at index li in
+// every layer of unitLayers(li). It panics if layer li is not Prunable.
+func (m *Sequential) PruneModelUnit(li, u int) {
+	ls, n := m.unitLayers(li)
+	for _, p := range ls[:n] {
+		p.PruneUnit(u)
 	}
 }
 
 // UnitSnapshot holds the parameter state touched by PruneModelUnit(li, u):
-// the unit's slice of the Prunable layer at li plus, when the next layer is
-// a BatchNorm2D, that channel's affine parameters. CaptureUnit fills one,
-// RestoreUnit reinstates it — a revert that copies a handful of floats
-// instead of cloning the whole model. Snapshots reuse their backing slices
-// across captures, so a guarded prune loop allocates nothing after the
-// first capture.
+// unit u's values and mask flag in each layer of unitLayers(li).
+// CaptureUnit fills one, RestoreUnit reinstates it — a revert that copies a
+// handful of floats instead of cloning the whole model. Snapshots reuse
+// their backing slice across captures, so a guarded prune loop allocates
+// nothing after the first capture.
 type UnitSnapshot struct {
 	li, unit int
-	vals     []float64
-	pruned   bool
-	hasBN    bool
-	bnVals   []float64
-	bnPruned bool
+	// vals holds the layers' unit states back to back; layer i's ends at
+	// ends[i].
+	vals   []float64
+	ends   [2]int
+	pruned [2]bool
 }
 
 // CaptureUnit records the state PruneModelUnit(li, u) would mutate,
 // reusing prev's backing storage. It panics if layer li is not Prunable.
 func (m *Sequential) CaptureUnit(li, u int, prev UnitSnapshot) UnitSnapshot {
-	p, ok := m.layers[li].(Prunable)
-	if !ok {
-		panic(fmt.Sprintf("nn: layer %d (%s) is not prunable", li, m.layers[li].Name()))
-	}
+	ls, n := m.unitLayers(li)
 	snap := prev
-	snap.li, snap.unit = li, u
-	snap.vals = p.AppendUnitState(snap.vals[:0], u)
-	snap.pruned = p.UnitPruned(u)
-	snap.hasBN = false
-	if li+1 < len(m.layers) {
-		if bn, ok := m.layers[li+1].(*BatchNorm2D); ok {
-			snap.hasBN = true
-			snap.bnVals = bn.AppendUnitState(snap.bnVals[:0], u)
-			snap.bnPruned = bn.UnitPruned(u)
-		}
+	snap.li, snap.unit, snap.vals = li, u, snap.vals[:0]
+	for i, p := range ls[:n] {
+		snap.vals = p.AppendUnitState(snap.vals, u)
+		snap.ends[i], snap.pruned[i] = len(snap.vals), p.UnitPruned(u)
 	}
 	return snap
 }
@@ -259,13 +259,11 @@ func (m *Sequential) CaptureUnit(li, u int, prev UnitSnapshot) UnitSnapshot {
 // unit's parameters and sets its mask flags, both of which the snapshot
 // carries.
 func (m *Sequential) RestoreUnit(snap UnitSnapshot) {
-	p, ok := m.layers[snap.li].(Prunable)
-	if !ok {
-		panic(fmt.Sprintf("nn: layer %d (%s) is not prunable", snap.li, m.layers[snap.li].Name()))
-	}
-	p.SetUnitState(snap.unit, snap.vals, snap.pruned)
-	if snap.hasBN {
-		m.layers[snap.li+1].(*BatchNorm2D).SetUnitState(snap.unit, snap.bnVals, snap.bnPruned)
+	ls, n := m.unitLayers(snap.li)
+	start := 0
+	for i, p := range ls[:n] {
+		p.SetUnitState(snap.unit, snap.vals[start:snap.ends[i]], snap.pruned[i])
+		start = snap.ends[i]
 	}
 }
 

@@ -3,7 +3,9 @@
 // and Multi-Krum (Blanchard et al.), Bulyan (El Mhamdi et al.),
 // coordinate-wise trimmed mean and coordinate-wise median (Yin et al.).
 // All satisfy internal/fl.Aggregator, so they drop into the federated
-// server in place of plain averaging.
+// server in place of plain averaging; those defined only on a minimum
+// number of updates state it as fl.CohortMinimum, and the server discards
+// a round that delivers fewer.
 //
 // The paper (and the works it cites) reports that these rules fail to stop
 // model-replacement backdoors under non-IID data; the examples/robust_agg
@@ -25,7 +27,14 @@ type Krum struct {
 	F int
 }
 
-var _ fl.Aggregator = Krum{}
+var (
+	_ fl.Aggregator    = Krum{}
+	_ fl.CohortMinimum = Krum{}
+)
+
+// MinUpdates implements fl.CohortMinimum: a Krum score sums the distances
+// to at least one other update.
+func (Krum) MinUpdates() int { return 2 }
 
 // Aggregate implements fl.Aggregator: it returns the single selected
 // update (Krum discards all others).
@@ -93,7 +102,13 @@ type MultiKrum struct {
 	M int
 }
 
-var _ fl.Aggregator = MultiKrum{}
+var (
+	_ fl.Aggregator    = MultiKrum{}
+	_ fl.CohortMinimum = MultiKrum{}
+)
+
+// MinUpdates implements fl.CohortMinimum: Krum's.
+func (MultiKrum) MinUpdates() int { return 2 }
 
 // Aggregate implements fl.Aggregator.
 func (mk MultiKrum) Aggregate(deltas [][]float64) []float64 {
@@ -129,7 +144,14 @@ type TrimmedMean struct {
 	Trim int
 }
 
-var _ fl.Aggregator = TrimmedMean{}
+var (
+	_ fl.Aggregator    = TrimmedMean{}
+	_ fl.CohortMinimum = TrimmedMean{}
+)
+
+// MinUpdates implements fl.CohortMinimum: one value survives trimming Trim
+// from each end.
+func (t TrimmedMean) MinUpdates() int { return 2*t.Trim + 1 }
 
 // Aggregate implements fl.Aggregator.
 func (t TrimmedMean) Aggregate(deltas [][]float64) []float64 {
@@ -193,7 +215,13 @@ type Bulyan struct {
 	F int
 }
 
-var _ fl.Aggregator = Bulyan{}
+var (
+	_ fl.Aggregator    = Bulyan{}
+	_ fl.CohortMinimum = Bulyan{}
+)
+
+// MinUpdates implements fl.CohortMinimum: Krum's, for the selection.
+func (Bulyan) MinUpdates() int { return 2 }
 
 // Aggregate implements fl.Aggregator.
 func (b Bulyan) Aggregate(deltas [][]float64) []float64 {

@@ -258,6 +258,26 @@ func (t *Of[E]) Std() E {
 	return E(math.Sqrt(float64(ss / E(len(t.Data)))))
 }
 
+// ZeroOutside writes src into dst with every value outside mu ± delta·sigma
+// replaced by zero, and returns how many it replaced; dst may be src. This
+// is the adjusting-weights clip (AW) of the defense and of the attacker that
+// evades it. The product is written float64(delta*sigma) so that arm64
+// computes the bounds amd64 does (no fused multiply-add).
+func ZeroOutside(dst, src []float64, mu, sigma, delta float64) int {
+	checkLens("ZeroOutside", len(dst), len(src))
+	lo, hi := mu-float64(delta*sigma), mu+float64(delta*sigma)
+	zeroed := 0
+	for i, v := range src {
+		if v < lo || v > hi {
+			dst[i] = 0
+			zeroed++
+		} else {
+			dst[i] = v
+		}
+	}
+	return zeroed
+}
+
 // Equal reports whether t and other have identical shapes and all elements
 // within tol of each other.
 func (t *Of[E]) Equal(other *Of[E], tol float64) bool {

@@ -166,6 +166,24 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestZeroOutside: values outside mu ± delta·sigma become zero, the bounds
+// themselves and NaN stay, into a separate destination and in place.
+func TestZeroOutside(t *testing.T) {
+	src := []float64{-3.5, -2.5, 1, 4.5, 5, math.NaN()}
+	want := []float64{0, -2.5, 1, 4.5, 0, math.NaN()}
+	dst := make([]float64, len(src))
+	for _, d := range [][]float64{dst, src} {
+		if n := ZeroOutside(d, src, 1, 1.5, 2.5); n != 2 {
+			t.Fatalf("zeroed %d, want 2", n)
+		}
+		for i, v := range d {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("ZeroOutside = %v, want %v", d, want)
+			}
+		}
+	}
+}
+
 func TestMatMulKnown(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)

@@ -55,7 +55,8 @@ var stdInterfaces = []struct{ pkg, name string }{
 // non-test file under internal/ is referenced from a non-test file of the
 // module (commands, examples, the benchmark and the facade included),
 // implements a method of an interface (one of the module's, or one of
-// stdInterfaces), or is in keptMethods. A method only tests call is
+// stdInterfaces) on its own type or on a type it is promoted into, or is in
+// keptMethods. A method only tests call is
 // deleted. Standard-library imports come from the build cache's export
 // data (go list -export), so the check costs a build of the module, not a
 // type-check of the standard library from source.
@@ -126,35 +127,7 @@ func TestInternalMethodsHaveCallers(t *testing.T) {
 		ifaces = append(ifaces, p.Scope().Lookup(s.name).Type().Underlying().(*types.Interface))
 	}
 
-	declared := map[string]bool{}
-	var uncalled []string
-	for _, pkg := range module {
-		rel, ok := strings.CutPrefix(pkg.Path(), modulePath+"/internal/")
-		if !ok {
-			continue
-		}
-		for _, name := range pkg.Scope().Names() {
-			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			for i := 0; i < named.NumMethods(); i++ {
-				m := named.Method(i)
-				key := rel + "." + tn.Name() + "." + m.Name()
-				declared[key] = true
-				if !m.Exported() || used[m] || implementsSome(named, m.Name(), ifaces) {
-					continue
-				}
-				if _, kept := keptMethods[key]; !kept {
-					uncalled = append(uncalled, key)
-				}
-			}
-		}
-	}
+	declared, uncalled := census(module, used, ifaces)
 	for key := range keptMethods {
 		if !declared[key] {
 			t.Errorf("keptMethods names %s, which is not declared", key)
@@ -165,6 +138,99 @@ func TestInternalMethodsHaveCallers(t *testing.T) {
 		t.Fatalf("%d exported methods under internal/ have no caller outside tests and implement no interface (delete them, or add them to keptMethods with a reason): %s",
 			len(uncalled), strings.Join(uncalled, ", "))
 	}
+}
+
+// TestCensusFollowsPromotedMethods runs the census over a fixture in which
+// mask's methods are promoted into Layer. Need is kept: Layer implements
+// Unit, which declares it. Extra fails: Layer has it too, but no interface
+// declares it.
+func TestCensusFollowsPromotedMethods(t *testing.T) {
+	const src = `package fixture
+
+type Unit interface {
+	Name() string
+	Need()
+}
+
+type mask struct{}
+
+func (*mask) Need()  {}
+func (*mask) Extra() {}
+
+type Layer struct{ mask }
+
+func (*Layer) Name() string { return "layer" }
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "fixture.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+	pkg, err := (&types.Config{}).Check(modulePath+"/internal/fixture", fset, []*ast.File{f}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ifaces []*types.Interface
+	for _, tv := range info.Types {
+		if iface, ok := tv.Type.(*types.Interface); ok {
+			ifaces = append(ifaces, iface)
+		}
+	}
+	_, uncalled := census([]*types.Package{pkg}, nil, ifaces)
+	if want := "fixture.mask.Extra"; len(uncalled) != 1 || uncalled[0] != want {
+		t.Fatalf("census flags %v, want [%s]", uncalled, want)
+	}
+}
+
+// census returns the keys ("<package>.<Type>.<Method>", the package relative
+// to internal/) of the exported methods declared under internal/ in module,
+// and those of them that used does not hold, no interface of ifaces reaches
+// and keptMethods does not name. An interface reaches a method through its
+// own type, or through a type of the module it is promoted into.
+func census(module []*types.Package, used map[*types.Func]bool, ifaces []*types.Interface) (declared map[string]bool, uncalled []string) {
+	var named []*types.Named
+	for _, pkg := range module {
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && !types.IsInterface(n) {
+					named = append(named, n)
+				}
+			}
+		}
+	}
+	declared = map[string]bool{}
+	for _, n := range named {
+		rel, ok := strings.CutPrefix(n.Obj().Pkg().Path(), modulePath+"/internal/")
+		if !ok {
+			continue
+		}
+		for i := 0; i < n.NumMethods(); i++ {
+			m := n.Method(i)
+			key := rel + "." + n.Obj().Name() + "." + m.Name()
+			declared[key] = true
+			if !m.Exported() || used[m] || implementsSome(n, m.Name(), ifaces) || promotedInto(m, named, ifaces) {
+				continue
+			}
+			if _, kept := keptMethods[key]; !kept {
+				uncalled = append(uncalled, key)
+			}
+		}
+	}
+	return declared, uncalled
+}
+
+// promotedInto reports whether method m reaches an interface of ifaces
+// through a type of named that embeds m's receiver: the type's method set
+// (or its pointer's) resolves m's name to m itself, and the type implements
+// an interface that declares the name.
+func promotedInto(m *types.Func, named []*types.Named, ifaces []*types.Interface) bool {
+	for _, n := range named {
+		if obj, _, _ := types.LookupFieldOrMethod(n, true, m.Pkg(), m.Name()); obj == m && implementsSome(n, m.Name(), ifaces) {
+			return true
+		}
+	}
+	return false
 }
 
 // implementsSome reports whether named, or a pointer to it, implements an
