@@ -97,15 +97,16 @@ gob-check:
 		echo "encoding/gob imported outside tests:"; echo "$$offenders"; exit 1; \
 	fi
 
-## fusion-check: no fused multiply-add in the arm64 layer stack — compiles
-## internal/tensor and internal/nn for arm64 with -S and fails on any
-## FMADD/FMSUB/FNMADD/FNMSUB: the layer stack writes every product as
-## E(a*b) so that arm64 computes the bits amd64 does (DESIGN.md §18)
+## fusion-check: no fused multiply-add in the arm64 layer stack, the
+## defense or the federation — compiles internal/tensor, internal/nn,
+## internal/core and internal/fl for arm64 with -S and fails on any
+## FMADD/FMSUB/FNMADD/FNMSUB: they write every product that feeds an add
+## as E(a*b) so that arm64 computes the bits amd64 does (DESIGN.md §18)
 fusion-check:
-	@asm=$$(GOARCH=arm64 $(GO) build -a -gcflags=./internal/tensor=-S -gcflags=./internal/nn=-S ./internal/tensor ./internal/nn 2>&1) || { echo "$$asm"; exit 1; }; \
+	@asm=$$(GOARCH=arm64 $(GO) build -a -gcflags=./internal/tensor=-S -gcflags=./internal/nn=-S -gcflags=./internal/core=-S -gcflags=./internal/fl=-S ./internal/tensor ./internal/nn ./internal/core ./internal/fl 2>&1) || { echo "$$asm"; exit 1; }; \
 	fused=$$(echo "$$asm" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB'); \
 	if [ -n "$$fused" ]; then \
-		echo "fused multiply-adds in the arm64 layer stack (write the product as E(a*b)):"; echo "$$fused"; exit 1; \
+		echo "fused multiply-adds in the arm64 build (write the product as E(a*b)):"; echo "$$fused"; exit 1; \
 	fi
 
 ## lint: the CI lint job locally — gofmt, vet, gob-check and fusion-check

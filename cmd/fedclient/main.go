@@ -33,7 +33,7 @@ func main() {
 	scen := eval.AddScenarioFlags()
 	index := flag.Int("index", 0, "this participant's index in the population")
 	listen := flag.String("listen", "127.0.0.1:0", "listen address")
-	quantFlag := flag.String("report-quant", "float64", "activation report precision: float64 (reference) or int8 (quantized recording; ships Acts8 payloads)")
+	quantFlag := flag.String("report-quant", "float64", "report precision: float64 (reference) or int8 (ranks and votes from int8-quantized activations; the wire carries ranks or votes either way)")
 	traceSeed := flag.Int64("trace-seed", 0, "seed for deterministic trace/span IDs (0 = unique per process)")
 	logf := obs.AddLogFlags()
 	flag.Parse()

@@ -25,7 +25,7 @@ func main() {
 	method := flag.String("method", "mvp", "pruning method: rap or mvp")
 	voteRate := flag.Float64("rate", 0.5, "MVP pruning rate p")
 	backendFlag := flag.String("backend", "float64", "numeric backend for model arithmetic: float64 (reference) or float32 (faster; aggregation and checkpoints stay float64)")
-	quantFlag := flag.String("report-quant", "float64", "activation report precision: float64 (reference) or int8 (affine-quantized recording; compact wire)")
+	quantFlag := flag.String("report-quant", "float64", "report precision: float64 (reference) or int8 (ranks and votes from affine-int8-quantized activations)")
 	logf := obs.AddLogFlags()
 	flag.Parse()
 	logger, err := logf.Setup(os.Stdout)

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"github.com/fedcleanse/fedcleanse/internal/fl"
-	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/transport"
 )
@@ -34,7 +33,6 @@ func main() {
 	opsAddr := flag.String("ops-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
 	seed := flag.Int64("seed", 1, "fleet seed (decorrelates whole fleets)")
 	scale := flag.Float64("scale", 0, "synthetic delta coordinate bound (0 = 1e-3)")
-	quantFlag := flag.String("report-quant", "float64", "the synthetic clients' report precision: float64 (varint ranks) or int8 (ranks from int8 activations, shipped as Acts8 payloads)")
 	traceSeed := flag.Int64("trace-seed", 0, "seed for deterministic trace/span IDs (0 = unique per process)")
 	logf := obs.AddLogFlags()
 	flag.Parse()
@@ -46,11 +44,6 @@ func main() {
 	if *traceSeed != 0 {
 		obs.SetTraceSeed(*traceSeed)
 	}
-	quant, err := metrics.ParseReportQuant(*quantFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	if *clients < 1 {
 		fmt.Fprintln(os.Stderr, "-clients must be at least 1")
 		os.Exit(2)
@@ -58,7 +51,7 @@ func main() {
 
 	fleet := transport.NewFleet()
 	for id := 0; id < *clients; id++ {
-		fleet.Add(&fl.SyntheticClient{Id: id, Seed: *seed, Scale: *scale, Quant: quant})
+		fleet.Add(&fl.SyntheticClient{Id: id, Seed: *seed, Scale: *scale})
 	}
 
 	if *opsAddr != "" {

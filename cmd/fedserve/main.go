@@ -21,6 +21,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -62,6 +63,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-fleet-count must be at least 1")
 		os.Exit(2)
 	}
+	addrs := strings.Split(*clients, ",")
+	if *fleet == "" && *clients == "" {
+		fmt.Fprintln(os.Stderr, "one of -clients or -fleet is required")
+		os.Exit(2)
+	}
+	if *fleet != "" && *clients != "" {
+		fmt.Fprintln(os.Stderr, "-clients and -fleet are mutually exclusive")
+		os.Exit(2)
+	}
+	// An empty entry would be a client at "http://" that drops out of every
+	// round yet counts in the quorum's cohort size.
+	if *clients != "" && slices.ContainsFunc(addrs, func(a string) bool { return strings.TrimSpace(a) == "" }) {
+		fmt.Fprintln(os.Stderr, "-clients has an empty address")
+		os.Exit(2)
+	}
 	logger, err := logf.Setup(os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -74,15 +90,6 @@ func main() {
 	s, err := scen.Scenario()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	addrs := strings.Split(*clients, ",")
-	if *fleet == "" && (*clients == "" || len(addrs) == 0) {
-		fmt.Fprintln(os.Stderr, "one of -clients or -fleet is required")
-		os.Exit(2)
-	}
-	if *fleet != "" && *clients != "" {
-		fmt.Fprintln(os.Stderr, "-clients and -fleet are mutually exclusive")
 		os.Exit(2)
 	}
 

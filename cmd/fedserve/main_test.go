@@ -18,20 +18,31 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestFleetCountBelowOneIsAUsageError: an empty fleet population is refused
-// before anything starts — exit status 2 and one line naming the flag — not
-// trained on until the first report collection panics on its quorum.
+// TestFleetCountBelowOneIsAUsageError: a population that cannot train is
+// refused before anything starts — exit status 2 and one line naming the
+// flag. An empty fleet would be trained on until the first report
+// collection panics on its quorum; an empty -clients entry (a doubled or a
+// trailing comma) would be a client at "http://" that drops out of every
+// round yet counts in the quorum's cohort size.
 func TestFleetCountBelowOneIsAUsageError(t *testing.T) {
-	for _, n := range []string{"0", "-3"} {
-		cmd := exec.Command(os.Args[0], "-fleet", "127.0.0.1:1", "-fleet-count", n, "-rounds", "1")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-fleet", "127.0.0.1:1", "-fleet-count", "0"}, "-fleet-count must be at least 1"},
+		{[]string{"-fleet", "127.0.0.1:1", "-fleet-count", "-3"}, "-fleet-count must be at least 1"},
+		{[]string{"-clients", "127.0.0.1:1,,127.0.0.1:2"}, "-clients has an empty address"},
+		{[]string{"-clients", "127.0.0.1:1,"}, "-clients has an empty address"},
+	} {
+		cmd := exec.Command(os.Args[0], append(c.args, "-rounds", "1")...)
 		cmd.Env = append(os.Environ(), "FEDSERVE_RUN_MAIN=1")
 		out, err := cmd.CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Fatalf("-fleet-count %s: %v, want exit status 2\n%s", n, err, out)
+			t.Fatalf("%v: %v, want exit status 2\n%s", c.args, err, out)
 		}
-		if got := strings.TrimSpace(string(out)); got != "-fleet-count must be at least 1" {
-			t.Fatalf("-fleet-count %s printed %q", n, got)
+		if got := strings.TrimSpace(string(out)); got != c.want {
+			t.Fatalf("%v printed %q, want %q", c.args, got, c.want)
 		}
 	}
 }

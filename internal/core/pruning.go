@@ -29,11 +29,10 @@ import (
 // broken by neuron index for determinism.
 //
 // acts is the float64 recording or its int8 codes (metrics.QuantActs.Q,
-// DESIGN.md §14). The dequantization map a = zero + scale·(q+128) is
-// monotonically increasing (scale ≥ 0), so ranking the codes gives
-// exactly the ranks of the dequantized activations, without materializing
-// a float64 vector: a receiver ranks an Acts8 payload as the int8
-// participant that sent it does.
+// DESIGN.md §14): a participant reporting at int8 ranks its own codes. The
+// dequantization map a = zero + scale·(q+128) is monotonically increasing
+// (scale ≥ 0), so ranking the codes gives exactly the ranks of the
+// dequantized activations, without materializing a float64 vector.
 func RanksFromActivations[A int8 | float64](acts []A) []int {
 	order := argsortDesc(acts)
 	ranks := make([]int, len(acts))

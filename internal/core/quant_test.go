@@ -10,8 +10,8 @@ import (
 
 // The load-bearing contract of the quantized report path: ranking and
 // voting directly on int8 codes is bit-identical to dequantizing first and
-// ranking and voting the float64s. This is what lets the server rebuild
-// reports from Acts8 wire payloads without a float64 round trip.
+// ranking and voting the float64s. This is what lets an int8 participant
+// report from its codes without a float64 round trip.
 func TestQuantizedConstructorsMatchDequantized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {

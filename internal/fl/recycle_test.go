@@ -239,7 +239,7 @@ func TestSyntheticReseedMatchesFreshSource(t *testing.T) {
 			defer wg.Done()
 			rng := fresh(98, 7, uint64(round))
 			for i, v := range c.LocalUpdate(global, round) {
-				if want := 1e-3 * (2*rng.Float64() - 1); v != want {
+				if want := 1e-3 * (float64(2*float64(rng.Float64())) - 1); v != want {
 					t.Errorf("round %d: delta[%d] = %v, want %v", round, i, v, want)
 					return
 				}
@@ -248,7 +248,7 @@ func TestSyntheticReseedMatchesFreshSource(t *testing.T) {
 	}
 	wg.Wait()
 	rng := fresh(syntheticDomainActs, 98, 7, 3)
-	for i, v := range c.ActivationReport(nil, 3) {
+	for i, v := range c.activations(3) {
 		if want := rng.Float64(); v != want {
 			t.Fatalf("activation[%d] = %v, want %v", i, v, want)
 		}

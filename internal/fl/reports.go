@@ -10,31 +10,24 @@ import (
 
 // Honest defense participation: clients record true average activations on
 // their local shard and derive rank/vote reports from them (§IV-A). The
-// raw activations never leave the client.
+// raw activations never leave the client: a report is ranks or votes.
 //
 // With SetReportQuant(metrics.ReportInt8) the recorded vector passes
-// through the affine int8 quantizer before ranking or voting, so the
-// in-process report matches bit-for-bit what a remote peer reconstructs
-// from the compact Acts8 wire payload (DESIGN.md §14).
+// through the affine int8 quantizer before ranking or voting, and the
+// participant ranks or votes on the codes itself (DESIGN.md §14).
 
 var (
-	_ core.ReportClient       = (*Client)(nil)
-	_ core.ActivationReporter = (*Client)(nil)
-	_ core.ReportClient       = (*Attacker)(nil)
-	_ core.ActivationReporter = (*Attacker)(nil)
+	_ core.ReportClient = (*Client)(nil)
+	_ core.ReportClient = (*Attacker)(nil)
 )
 
 // SetReportQuant selects the precision of the client's activation reports.
 func (c *Client) SetReportQuant(q metrics.ReportQuant) { c.quant = q }
 
-// ReportQuant returns the client's report precision.
-func (c *Client) ReportQuant() metrics.ReportQuant { return c.quant }
-
-// ActivationReport implements core.ActivationReporter: the recorded mean
-// activation per unit of the layer, always at float64 precision (a
-// transport host quantizes it for the wire when the client reports at
-// int8).
-func (c *Client) ActivationReport(m *nn.Sequential, layerIdx int) []float64 {
+// activationReport is the recorded mean activation per unit of the layer,
+// at float64 precision; ranksAt and votesAt quantize it when the client
+// reports at int8.
+func (c *Client) activationReport(m *nn.Sequential, layerIdx int) []float64 {
 	r := borrowAt(c.replicas, m)
 	defer c.replicas.Put(r)
 	return metrics.LocalActivations(r.Model, layerIdx, c.data, 0)
@@ -42,12 +35,12 @@ func (c *Client) ActivationReport(m *nn.Sequential, layerIdx int) []float64 {
 
 // RankReport implements core.ReportClient.
 func (c *Client) RankReport(m *nn.Sequential, layerIdx int) []int {
-	return ranksAt(c.ActivationReport(m, layerIdx), c.quant)
+	return ranksAt(c.activationReport(m, layerIdx), c.quant)
 }
 
 // VoteReport implements core.ReportClient.
 func (c *Client) VoteReport(m *nn.Sequential, layerIdx int, p float64) []bool {
-	return votesAt(c.ActivationReport(m, layerIdx), p, c.quant)
+	return votesAt(c.activationReport(m, layerIdx), p, c.quant)
 }
 
 // borrowAt borrows a working model from replicas holding m's parameters: a
@@ -123,13 +116,9 @@ func (a *Attacker) attackActivations(m *nn.Sequential, layerIdx int) []float64 {
 // SetReportQuant selects the precision of the attacker's reports.
 func (a *Attacker) SetReportQuant(q metrics.ReportQuant) { a.quant = q }
 
-// ReportQuant returns the attacker's report precision.
-func (a *Attacker) ReportQuant() metrics.ReportQuant { return a.quant }
-
-// ActivationReport implements core.ActivationReporter for the attacker:
-// manipulated activations when the adaptive attack is on, honest clean-
-// shard activations otherwise.
-func (a *Attacker) ActivationReport(m *nn.Sequential, layerIdx int) []float64 {
+// activationReport is the attacker's recorded activations: manipulated
+// when the adaptive attack is on, honest clean-shard activations otherwise.
+func (a *Attacker) activationReport(m *nn.Sequential, layerIdx int) []float64 {
 	r := borrowAt(a.replicas, m)
 	defer a.replicas.Put(r)
 	if a.defense.ManipulateRanks {
@@ -140,12 +129,12 @@ func (a *Attacker) ActivationReport(m *nn.Sequential, layerIdx int) []float64 {
 
 // RankReport implements core.ReportClient for the attacker.
 func (a *Attacker) RankReport(m *nn.Sequential, layerIdx int) []int {
-	return ranksAt(a.ActivationReport(m, layerIdx), a.quant)
+	return ranksAt(a.activationReport(m, layerIdx), a.quant)
 }
 
 // VoteReport implements core.ReportClient for the attacker.
 func (a *Attacker) VoteReport(m *nn.Sequential, layerIdx int, p float64) []bool {
-	return votesAt(a.ActivationReport(m, layerIdx), p, a.quant)
+	return votesAt(a.activationReport(m, layerIdx), p, a.quant)
 }
 
 // ReportClients adapts a participant slice to the defense's interface.

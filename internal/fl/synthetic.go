@@ -2,7 +2,6 @@ package fl
 
 import (
 	"github.com/fedcleanse/fedcleanse/internal/core"
-	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
@@ -26,15 +25,11 @@ type SyntheticClient struct {
 	// Units is the length of the client's canned activation reports; 0
 	// means 64 (the last-conv width of the MNIST-scale models).
 	Units int
-	// Quant is the precision its rank and vote reports are derived at, as
-	// a Client's are; the zero value is float64.
-	Quant metrics.ReportQuant
 }
 
 var (
-	_ Participant             = (*SyntheticClient)(nil)
-	_ core.ReportClient       = (*SyntheticClient)(nil)
-	_ core.ActivationReporter = (*SyntheticClient)(nil)
+	_ Participant       = (*SyntheticClient)(nil)
+	_ core.ReportClient = (*SyntheticClient)(nil)
 )
 
 // ID implements Participant.
@@ -53,7 +48,11 @@ func (c *SyntheticClient) LocalUpdate(global []float64, round int) []float64 {
 	defer participantRNGs.Put(rng)
 	d := wire.GetFloat64s(len(global))
 	for i := range d {
-		d[i] = scale * (2*rng.Float64() - 1)
+		// No fused multiply-add on arm64 (make fusion-check): the inner
+		// conversion keeps Float64's inlined scaling multiply out of 2·r,
+		// which the compiler writes r+r, and the outer one keeps 2·r out of
+		// the subtraction. 2·r is exact, so neither changes a bit.
+		d[i] = scale * (float64(2*float64(rng.Float64())) - 1)
 	}
 	return d
 }
@@ -71,11 +70,10 @@ func (c *SyntheticClient) units() int {
 	return 64
 }
 
-// ActivationReport implements core.ActivationReporter with a canned
-// activation vector — a pure function of (Seed, Id, layerIdx) — so a fleet
-// of synthetic clients exercises the defense's report path without models.
-// The model argument is ignored and may be nil.
-func (c *SyntheticClient) ActivationReport(_ *nn.Sequential, layerIdx int) []float64 {
+// activations is the client's canned activation vector, a pure function
+// of (Seed, Id, layerIdx), so a fleet of synthetic clients exercises the
+// defense's report path without models.
+func (c *SyntheticClient) activations(layerIdx int) []float64 {
 	rng := participantRNG(syntheticDomainActs, uint64(c.Seed), uint64(c.Id), uint64(layerIdx))
 	defer participantRNGs.Put(rng)
 	acts := make([]float64, c.units())
@@ -85,15 +83,14 @@ func (c *SyntheticClient) ActivationReport(_ *nn.Sequential, layerIdx int) []flo
 	return acts
 }
 
-// ReportQuant returns the client's report precision.
-func (c *SyntheticClient) ReportQuant() metrics.ReportQuant { return c.Quant }
-
-// RankReport implements core.ReportClient from the canned activations.
-func (c *SyntheticClient) RankReport(m *nn.Sequential, layerIdx int) []int {
-	return ranksAt(c.ActivationReport(m, layerIdx), c.Quant)
+// RankReport implements core.ReportClient from the canned activations. The
+// model argument is ignored and may be nil.
+func (c *SyntheticClient) RankReport(_ *nn.Sequential, layerIdx int) []int {
+	return core.RanksFromActivations(c.activations(layerIdx))
 }
 
-// VoteReport implements core.ReportClient from the canned activations.
-func (c *SyntheticClient) VoteReport(m *nn.Sequential, layerIdx int, p float64) []bool {
-	return votesAt(c.ActivationReport(m, layerIdx), p, c.Quant)
+// VoteReport implements core.ReportClient from the canned activations. The
+// model argument is ignored and may be nil.
+func (c *SyntheticClient) VoteReport(_ *nn.Sequential, layerIdx int, p float64) []bool {
+	return core.VotesFromActivations(c.activations(layerIdx), p)
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"github.com/fedcleanse/fedcleanse/internal/fl"
-	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
@@ -24,13 +23,10 @@ func TestCodecEncodeWarmAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	ranks := rng.Perm(512)
 	votes := make([]bool, 512)
-	acts := make([]float64, 512)
 	for i := range ranks {
 		ranks[i]++
 		votes[i] = rng.Intn(2) == 1
-		acts[i] = rng.NormFloat64()
 	}
-	q := metrics.QuantizeActivations(acts)
 
 	cases := []struct {
 		name   string
@@ -38,7 +34,6 @@ func TestCodecEncodeWarmAllocFree(t *testing.T) {
 	}{
 		{"RanksDelta", func(dst []byte) []byte { return AppendRanksDelta(dst, ranks) }},
 		{"VoteBitmap", func(dst []byte) []byte { return AppendVoteBitmap(dst, votes) }},
-		{"Acts8", func(dst []byte) []byte { return AppendActs8(dst, q) }},
 	}
 	for _, c := range cases {
 		buf := c.encode(nil)

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"github.com/fedcleanse/fedcleanse/internal/metrics"
 )
 
 // Compact report wire codecs (DESIGN.md §14). Defense report responses are
@@ -16,16 +14,17 @@ import (
 //	                 consecutive rank values (previous value starts at 0)
 //	0x02 VoteBitmap  uvarint n, then ceil(n/8) bytes, vote i at byte i/8
 //	                 bit i%8 (LSB first); trailing pad bits must be 0
-//	0x03 Acts8       uvarint n, scale float64 LE, zero float64 LE, then
-//	                 n raw int8 codes (metrics.QuantActs)
+//
+// Tags 0x03 and 0x04 are retired (an int8 activation payload and a
+// float64 one): never reuse them.
 //
 // Every decoder rejects truncated input, trailing garbage, non-minimal
 // varints and length headers larger than the remaining payload could
 // hold, so decoding allocates at most O(len(input)) and
 // encode(decode(p)) == p for every accepted p — the codecs are
 // canonical. The tag names a payload type, not a wire format: a rank
-// response is RanksDelta, or Acts8 from a participant reporting at int8; a
-// vote response is a VoteBitmap. A body opening with any other byte is
+// response is a RanksDelta and a vote response a VoteBitmap, whatever the
+// participant's report precision. A body opening with any other byte is
 // refused.
 //
 // RanksDelta carries arbitrary []int values as long as each fits in int32
@@ -37,8 +36,6 @@ const (
 	TagRanksDelta byte = 0x01
 	// TagVoteBitmap marks a bit-packed vote bitmap.
 	TagVoteBitmap byte = 0x02
-	// TagActs8 marks an int8-quantized activation payload.
-	TagActs8 byte = 0x03
 )
 
 // maxReportLen bounds the element count a report codec accepts — far above
@@ -129,40 +126,6 @@ func DecodeVoteBitmap(p []byte) ([]bool, error) {
 		return nil, fmt.Errorf("transport: VoteBitmap pad bits not zero")
 	}
 	return votes, nil
-}
-
-// AppendActs8 appends the tagged Acts8 encoding of q to dst and returns
-// the extended slice. The warm path allocates nothing when dst has
-// capacity.
-func AppendActs8(dst []byte, q metrics.QuantActs) []byte {
-	dst = append(dst, TagActs8)
-	dst = binary.AppendUvarint(dst, uint64(len(q.Q)))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(q.Scale))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(q.Zero))
-	for _, c := range q.Q {
-		dst = append(dst, byte(c))
-	}
-	return dst
-}
-
-// DecodeActs8 decodes a tagged Acts8 payload.
-func DecodeActs8(p []byte) (metrics.QuantActs, error) {
-	body, n, err := reportHeader(p, TagActs8, 1)
-	if err != nil {
-		return metrics.QuantActs{}, err
-	}
-	if len(body) != 16+n {
-		return metrics.QuantActs{}, fmt.Errorf("transport: Acts8 body %d bytes, want %d", len(body), 16+n)
-	}
-	q := metrics.QuantActs{
-		Scale: math.Float64frombits(binary.LittleEndian.Uint64(body[0:8])),
-		Zero:  math.Float64frombits(binary.LittleEndian.Uint64(body[8:16])),
-		Q:     make([]int8, n),
-	}
-	for i := range q.Q {
-		q.Q[i] = int8(body[16+i])
-	}
-	return q, nil
 }
 
 // reportHeader checks the tag, reads the element count and bounds it by

@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-
 	"testing"
-
-	"github.com/fedcleanse/fedcleanse/internal/metrics"
 )
 
 func TestRanksDeltaRoundtrip(t *testing.T) {
@@ -104,46 +101,14 @@ func uvarintLen(n int) int {
 	return l
 }
 
-func TestActs8Roundtrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{0, 1, 5, 64, 512} {
-		acts := make([]float64, n)
-		for i := range acts {
-			acts[i] = rng.NormFloat64()
-		}
-		q := metrics.QuantizeActivations(acts)
-		p := AppendActs8(nil, q)
-		if want := 1 + uvarintLen(n) + 16 + n; len(p) != want {
-			t.Fatalf("Acts8 for %d units is %d bytes, want %d", n, len(p), want)
-		}
-		got, err := DecodeActs8(p)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if got.Scale != q.Scale || got.Zero != q.Zero || len(got.Q) != len(q.Q) {
-			t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", got, q)
-		}
-		for i := range got.Q {
-			if got.Q[i] != q.Q[i] {
-				t.Fatalf("roundtrip Q[%d] = %d, want %d", i, got.Q[i], q.Q[i])
-			}
-		}
-		if !bytes.Equal(AppendActs8(nil, got), p) {
-			t.Fatal("encoding not canonical")
-		}
-	}
-}
-
 func TestCodecsRejectMalformedInput(t *testing.T) {
 	valid := map[string][]byte{
 		"ranks": AppendRanksDelta(nil, []int{3, 1, 2}),
 		"votes": AppendVoteBitmap(nil, []bool{true, false, true}),
-		"acts8": AppendActs8(nil, metrics.QuantizeActivations([]float64{1, 2, 3})),
 	}
 	decode := map[string]func([]byte) error{
 		"ranks": func(p []byte) error { _, err := DecodeRanksDelta(p); return err },
 		"votes": func(p []byte) error { _, err := DecodeVoteBitmap(p); return err },
-		"acts8": func(p []byte) error { _, err := DecodeActs8(p); return err },
 	}
 	for name, p := range valid {
 		dec := decode[name]

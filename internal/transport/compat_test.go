@@ -11,11 +11,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/fl"
-	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
@@ -25,13 +26,13 @@ import (
 // per encoding a deployed peer has ever sent — legacy gob responses, compact
 // v1 report payloads, versioned envelopes. The files of the current
 // encodings are regenerated from fixed seeds with -update and then pinned;
-// the legacy gob files are frozen bytes nothing in the tree can write any
-// more. The table test below decodes every file through the decoders the
-// current binary actually uses (updatePayload, rankPayload, votePayload,
-// decodeRequest) and asserts bit-identity with the seeded value — so a wire
-// change that silently breaks a peer fails CI instead of a rollout — and
-// asserts that the gob files, three wire responses no peer sends any more,
-// are refused with an error.
+// the legacy gob files and the retired Acts8 report are frozen bytes nothing
+// in the tree can write any more. The table test below decodes every file
+// through the decoders the current binary actually uses (updatePayload,
+// rankPayload, votePayload, decodeRequest) and asserts bit-identity with the
+// seeded value — so a wire change that silently breaks a peer fails CI
+// instead of a rollout — and asserts that the frozen files, four wire
+// responses no peer sends any more, are refused with an error.
 
 var updateGolden = flag.Bool("update", false, "regenerate the testdata/wire golden corpus")
 
@@ -64,23 +65,19 @@ func compatVotes() []bool {
 	return v
 }
 
-func compatActs() []float64 {
-	rng := rand.New(rand.NewSource(94))
-	a := make([]float64, 64)
-	for i := range a {
-		a[i] = rng.Float64()
-	}
-	return a
-}
+// acts8Golden is the retired int8 activation report (tag 0x03: a uvarint
+// unit count, scale and zero as float64 LE, then a code a unit), 64 units,
+// as an int8 participant answered /v1/ranks before a rank report became
+// ranks at every precision.
+const acts8Golden = "report-acts8-compact-v1.bin"
 
 // goldenFiles materializes every regenerable corpus entry from the fixed
-// seeds; the three legacy gob files exist only on disk.
+// seeds; the three legacy gob files and acts8Golden exist only on disk.
 func goldenFiles() map[string][]byte {
 	files := map[string][]byte{}
 	files["update-versioned-v1.bin"] = AppendVersionedUpdate(nil, compatDelta())
 	files["report-ranks-compact-v1.bin"] = AppendRanksDelta(nil, compatRanks())
 	files["report-votes-compact-v1.bin"] = AppendVoteBitmap(nil, compatVotes())
-	files["report-acts8-compact-v1.bin"] = AppendActs8(nil, metrics.QuantizeActivations(compatActs()))
 
 	for name, kind := range compatRequestKinds {
 		files[name] = appendRequest(nil, kind, compatRequest())
@@ -145,13 +142,14 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 	files := goldenFiles()
 
 	t.Run("first-byte", func(t *testing.T) {
-		// What tells the families apart: the envelope magic, a report tag,
-		// or — for gob — the length of a type descriptor, which is neither.
+		// What tells the families apart: the envelope magic, a report tag
+		// (live, or retired: 0x03 Acts8, 0x04 its float64 twin), or — for
+		// gob — the length of a type descriptor, which is none of these.
 		for name, want := range map[string]byte{
 			"update-versioned-v1.bin":     wire.Magic[0],
 			"report-ranks-compact-v1.bin": TagRanksDelta,
 			"report-votes-compact-v1.bin": TagVoteBitmap,
-			"report-acts8-compact-v1.bin": TagActs8,
+			acts8Golden:                   0x03,
 		} {
 			if got := loadGolden(t, files, name)[0]; got != want {
 				t.Errorf("%s opens with 0x%02x, want 0x%02x", name, got, want)
@@ -159,7 +157,7 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 		}
 		for _, name := range []string{"update-legacy-gob.bin",
 			"report-ranks-legacy-gob.bin", "report-votes-legacy-gob.bin"} {
-			if got := loadGolden(t, files, name)[0]; got == wire.Magic[0] || got <= TagActs8 {
+			if got := loadGolden(t, files, name)[0]; got == wire.Magic[0] || got <= 0x04 {
 				t.Errorf("%s opens with 0x%02x, colliding with the envelope magic or a report tag", name, got)
 			}
 		}
@@ -191,7 +189,6 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 		for _, name := range []string{
 			"update-versioned-v1.bin",
 			"report-ranks-compact-v1.bin", "report-votes-compact-v1.bin",
-			"report-acts8-compact-v1.bin",
 		} {
 			if !bytes.Equal(loadGolden(t, files, name), files[name]) {
 				t.Errorf("%s: checked-in bytes differ from canonical re-encoding", name)
@@ -248,21 +245,57 @@ func TestCrossVersionGoldenCorpus(t *testing.T) {
 	})
 
 	t.Run("acts8", func(t *testing.T) {
-		data := loadGolden(t, files, "report-acts8-compact-v1.bin")
-		q, err := DecodeActs8(data)
-		if err != nil {
-			t.Fatal(err)
+		// The retired int8 activation report is refused by both report
+		// decoders — an error, which a collection records as a dropout;
+		// never a misparse.
+		data := loadGolden(t, files, acts8Golden)
+		if len(data) != 1+1+16+64 {
+			t.Fatalf("%s is %d bytes, want the 82 of a 64-unit Acts8 report", acts8Golden, len(data))
 		}
-		want := core.RanksFromActivations(q.Q)
-		var rp rankPayload
-		if err := rp.DecodeBody(bytes.NewReader(data)); err != nil {
-			t.Fatal(err)
-		}
-		if !sameIntSlices(rp.Ranks, want) {
-			t.Fatalf("acts8 ranks %v, want %v", rp.Ranks, want)
+		for what, dec := range map[string]bodyDecoder{
+			"ranks": &rankPayload{},
+			"votes": &votePayload{},
+		} {
+			if err := dec.DecodeBody(bytes.NewReader(data)); err == nil {
+				t.Errorf("%s accepted as a %s response", acts8Golden, what)
+			}
 		}
 	})
+}
 
+// TestActs8PeerIsADropout: a peer that answers /v1/ranks with the retired
+// Acts8 bytes is one of GlobalPruneOrderDetail's Dropped, and the rest of
+// the cohort's prune order is exactly the order without that peer.
+func TestActs8PeerIsADropout(t *testing.T) {
+	// The peer answers as an int8 participant built before a rank report
+	// became ranks did.
+	acts8 := loadGolden(t, goldenFiles(), acts8Golden)
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", reportContentType)
+		_, _ = w.Write(acts8)
+	}))
+	defer old.Close()
+	_, addr, shutdown := startFleet(t, 4, 78)
+	defer shutdown()
+
+	policy := WithRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond})
+	var rest []core.ReportClient
+	for id := 0; id < 4; id++ {
+		rest = append(rest, NewRemoteClient(id, FleetClientAddr(addr, id), policy))
+	}
+	const oldID = 2
+	cohort := slices.Insert(slices.Clone(rest), oldID, core.ReportClient(NewRemoteClient(oldID, old.Listener.Addr().String(), policy)))
+
+	m := fleetTemplate()
+	cfg := core.PipelineConfig{Method: core.RAP}
+	got := core.GlobalPruneOrderDetail(m, cohort, 0, cfg)
+	if !slices.Equal(got.Dropped, []int{oldID}) {
+		t.Fatalf("dropped %v, want [%d]", got.Dropped, oldID)
+	}
+	want := core.GlobalPruneOrderDetail(m, rest, 0, cfg)
+	if len(want.Dropped) != 0 || !slices.Equal(got.Order, want.Order) {
+		t.Fatalf("order with the Acts8 peer %v, without it %v (dropped %v)", got.Order, want.Order, want.Dropped)
+	}
 }
 
 // TestVersionedUpdateRoundTrip pins the codec itself: bit-exact floats,

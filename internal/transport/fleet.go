@@ -10,7 +10,6 @@ import (
 
 	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/fl"
-	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
@@ -34,9 +33,9 @@ import (
 // endpoints (/v1/ranks, /v1/votes) for participants that
 // implement the reporting interfaces — fl.SyntheticClient answers them with
 // canned deterministic reports, so a load run exercises the report wire
-// path end to end. Report responses use the compact codecs of codec.go at
-// the participant's own report precision (appendRankReport). Every request
-// is instrumented into the fedload_* metrics, and a participant panic is
+// path end to end. Report responses carry the participant's own ranks and
+// votes in the compact codecs of codec.go. Every request is instrumented
+// into the fedload_* metrics, and a participant panic is
 // recovered to an HTTP 500 plus a fedload_handler_panics_total tick
 // instead of taking down the other tens of thousands of clients sharing
 // the process.
@@ -343,7 +342,7 @@ func handleRanks(w http.ResponseWriter, slot *fleetSlot, req request) {
 		return
 	}
 	var payload []byte
-	slot.report(req.Global, func(m *nn.Sequential) { payload = appendRankReport(nil, rc, m, req.Layer) })
+	slot.report(req.Global, func(m *nn.Sequential) { payload = AppendRanksDelta(nil, rc.RankReport(m, req.Layer)) })
 	writeReport(w, payload)
 }
 
@@ -359,25 +358,6 @@ func handleVotes(w http.ResponseWriter, slot *fleetSlot, req request) {
 	var payload []byte
 	slot.report(req.Global, func(m *nn.Sequential) { payload = AppendVoteBitmap(nil, rc.VoteReport(m, req.Layer, req.Rate)) })
 	writeReport(w, payload)
-}
-
-// quantReporter is a participant that reports at a precision of its own,
-// as fl's participants do.
-type quantReporter interface {
-	core.ActivationReporter
-	ReportQuant() metrics.ReportQuant
-}
-
-// appendRankReport builds the /v1/ranks payload: for a participant
-// reporting at int8, the Acts8 payload of the activations it ranks, which
-// the receiver ranks as the participant does (a byte a unit, where a wide
-// layer's rank deltas take two); otherwise the participant's rank vector,
-// varint-delta encoded (RanksDelta).
-func appendRankReport(dst []byte, part core.ReportClient, m *nn.Sequential, layer int) []byte {
-	if qr, ok := part.(quantReporter); ok && qr.ReportQuant() == metrics.ReportInt8 {
-		return AppendActs8(dst, metrics.QuantizeActivations(qr.ActivationReport(m, layer)))
-	}
-	return AppendRanksDelta(dst, part.RankReport(m, layer))
 }
 
 // reportContentType marks a tagged compact report payload.

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
 	"github.com/fedcleanse/fedcleanse/internal/fl"
 	"github.com/fedcleanse/fedcleanse/internal/metrics"
@@ -282,19 +281,22 @@ func TestFleetDuplicateAddPanics(t *testing.T) {
 
 // TestFleetServesReports: the fleet's report endpoints answer with the
 // synthetic clients' canned reports through completely unmodified
-// RemoteClients, at both report precisions, and the int8 responses are an
-// order of magnitude smaller than the request-independent float64 vector
-// would be.
+// RemoteClients, a rank report of 64 units in at most 67 bytes (a byte a
+// rank, the first at most two, plus tag and length).
 func TestFleetServesReports(t *testing.T) {
-	f, addr, shutdown := startFleet(t, 3, 77)
+	_, addr, shutdown := startFleet(t, 3, 77)
 	defer shutdown()
 	tmpl := fleetTemplate()
 	syn := &fl.SyntheticClient{Id: 1, Seed: 77}
 
 	rc := NewRemoteClient(1, FleetClientAddr(addr, 1))
+	recvBefore := obs.M.TransportReportBytesRecv.Value()
 	ranks, err := rc.TryRankReport(context.Background(), tmpl, 0)
 	if err != nil {
 		t.Fatalf("TryRankReport: %v", err)
+	}
+	if recvRank := obs.M.TransportReportBytesRecv.Value() - recvBefore; recvRank == 0 || recvRank > 67 {
+		t.Fatalf("rank payload %d bytes, want (0,67]", recvRank)
 	}
 	wantRanks := syn.RankReport(nil, 0)
 	if len(ranks) != len(wantRanks) {
@@ -313,36 +315,6 @@ func TestFleetServesReports(t *testing.T) {
 	for i := range votes {
 		if votes[i] != wantVotes[i] {
 			t.Fatalf("vote[%d] = %v, want %v", i, votes[i], wantVotes[i])
-		}
-	}
-
-	// int8 mode: same wire, quantized payloads, identical vote/rank shape.
-	f.slots[1].part.(*fl.SyntheticClient).Quant = metrics.ReportInt8
-	recvBefore := obs.M.TransportReportBytesRecv.Value()
-	ranks8, err := rc.TryRankReport(context.Background(), tmpl, 0)
-	if err != nil {
-		t.Fatalf("TryRankReport (int8): %v", err)
-	}
-	recvRank := obs.M.TransportReportBytesRecv.Value() - recvBefore
-	q := metrics.QuantizeActivations(syn.ActivationReport(nil, 0))
-	want8 := core.RanksFromActivations(q.Q)
-	for i := range ranks8 {
-		if ranks8[i] != want8[i] {
-			t.Fatalf("int8 rank[%d] = %d, want %d", i, ranks8[i], want8[i])
-		}
-	}
-	// 64 canned units: Acts8 is ~82 bytes vs ~525 for the float64 vector.
-	if recvRank == 0 || recvRank > 128 {
-		t.Fatalf("int8 rank payload %d bytes, want (0,128]", recvRank)
-	}
-	votes8, err := rc.TryVoteReport(context.Background(), tmpl, 0, 0.5)
-	if err != nil {
-		t.Fatalf("TryVoteReport (int8): %v", err)
-	}
-	wantV8 := core.VotesFromActivations(q.Q, 0.5)
-	for i := range votes8 {
-		if votes8[i] != wantV8[i] {
-			t.Fatalf("int8 vote[%d] = %v, want %v", i, votes8[i], wantV8[i])
 		}
 	}
 }
@@ -386,7 +358,7 @@ func TestClientServerReportsBorrowOneWorkingModel(t *testing.T) {
 		for _, quant := range []metrics.ReportQuant{metrics.ReportFloat64, metrics.ReportInt8} {
 			client.SetReportQuant(quant)
 			check("/v1/ranks", appendRequest(nil, wire.KindRankRequest, request{Model: m, Layer: li}),
-				appendRankReport(nil, client, m, li))
+				AppendRanksDelta(nil, client.RankReport(m, li)))
 			check("/v1/update", appendRequest(nil, wire.KindUpdateRequest, request{Global: global, Round: i}),
 				AppendVersionedUpdate(nil, client.LocalUpdate(global, i)))
 			check("/v1/votes", appendRequest(nil, wire.KindVoteRequest, request{Model: m, Layer: li, Rate: 0.3}),

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
@@ -46,21 +45,6 @@ func FuzzDecodeVoteBitmap(f *testing.F) {
 		}
 		if !bytes.Equal(AppendVoteBitmap(nil, votes), p) {
 			t.Fatalf("accepted non-canonical VoteBitmap %q", p)
-		}
-	})
-}
-
-func FuzzDecodeActs8(f *testing.F) {
-	f.Add(AppendActs8(nil, metrics.QuantizeActivations([]float64{1, 2, 3})))
-	f.Add(AppendActs8(nil, metrics.QuantActs{}))
-	f.Add([]byte{TagActs8, 0x04, 1, 2, 3})
-	f.Fuzz(func(t *testing.T, p []byte) {
-		q, err := DecodeActs8(p)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(AppendActs8(nil, q), p) {
-			t.Fatalf("accepted non-canonical Acts8 %q", p)
 		}
 	})
 }

@@ -54,7 +54,6 @@ import (
 
 	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/fl"
-	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
@@ -347,11 +346,8 @@ func (rc *RemoteClient) TryLocalUpdate(ctx context.Context, global []float64, ro
 	return resp.Delta, err
 }
 
-// TryRankReport implements core.FallibleReportClient over the wire. The
-// response's codec tag names the payload type: a RanksDelta vector decodes
-// directly, an Acts8 payload's codes are ranked here
-// (core.RanksFromActivations), as the int8 participant that sent it ranks
-// them.
+// TryRankReport implements core.FallibleReportClient over the wire: the
+// response is the participant's RanksDelta, at either report precision.
 func (rc *RemoteClient) TryRankReport(ctx context.Context, m *nn.Sequential, layerIdx int) ([]int, error) {
 	resp, err := call(rc, ctx, "/v1/ranks", wire.KindRankRequest, request{Model: m, Layer: layerIdx}, rankPayload{})
 	return resp.Ranks, err
@@ -394,7 +390,7 @@ func decodeReport(r io.Reader, decode func(b []byte) error) error {
 	return nil
 }
 
-// rankPayload decodes a /v1/ranks response: RanksDelta or Acts8.
+// rankPayload decodes a /v1/ranks response: a RanksDelta.
 type rankPayload struct {
 	Ranks []int
 }
@@ -402,17 +398,7 @@ type rankPayload struct {
 // DecodeBody implements bodyDecoder.
 func (rp *rankPayload) DecodeBody(r io.Reader) error {
 	return decodeReport(r, func(b []byte) (err error) {
-		switch b[0] {
-		case TagRanksDelta:
-			rp.Ranks, err = DecodeRanksDelta(b)
-		case TagActs8:
-			var q metrics.QuantActs
-			if q, err = DecodeActs8(b); err == nil {
-				rp.Ranks = core.RanksFromActivations(q.Q)
-			}
-		default:
-			err = fmt.Errorf("transport: tag 0x%02x is not a rank report", b[0])
-		}
+		rp.Ranks, err = DecodeRanksDelta(b)
 		return err
 	})
 }

@@ -264,10 +264,10 @@ func httpGet(url string) (int, error) {
 }
 
 // TestReportWireModes: the same participant must produce equal reports
-// at both report precisions — compact float64 (varint ranks + vote
-// bitmap) and compact int8 (Acts8 activation payloads reconstructed
-// server-side) — with the int8 mode matching an in-process client
-// configured for int8 reports bit-for-bit.
+// at both report precisions — varint ranks and a vote bitmap, ranked and
+// voted by the participant from its float64 activations or from their int8
+// codes — with the int8 mode matching an in-process client configured for
+// int8 reports bit-for-bit.
 func TestReportWireModes(t *testing.T) {
 	train, _ := dataset.GenSynthMNIST(dataset.GenConfig{TrainPerClass: 20, TestPerClass: 5, Seed: 70})
 	rng := rand.New(rand.NewSource(71))

@@ -11,8 +11,8 @@
 #     not the population (the same bound must hold for POP=10k and 100k),
 #   - the streaming window actually bounded the in-flight working set,
 #   - the report-collection phase (RAP + MVP over one cohort) stayed at
-#     or under REPORT_CEIL bytes per report on the wire (compact codecs,
-#     at the fleet clients' REPORT_QUANT precision; DESIGN.md §14),
+#     or under REPORT_CEIL bytes per report on the wire (a RanksDelta or a
+#     VoteBitmap of the fleet clients' 64 canned units; DESIGN.md §14),
 #   - the update exchange stayed at raw-vector size both ways: received
 #     update bytes per completed update, and sent request bytes per
 #     attempt, each at or under 8 bytes per parameter + 64 (the versioned
@@ -43,7 +43,6 @@ ROUNDS=${ROUNDS:-20}
 HEAP_BOUND=${HEAP_BOUND:-268435456} # 256 MiB
 TIMEOUT=${TIMEOUT:-120}
 OUT_DIR=${OUT_DIR:-load-smoke-artifacts}
-REPORT_QUANT=${REPORT_QUANT:-int8}
 REPORT_CEIL=${REPORT_CEIL:-256}
 RESUME_ROUNDS=${RESUME_ROUNDS:-$ROUNDS}
 
@@ -64,7 +63,6 @@ fail() {
 go build -o "$workdir" ./cmd/fedload ./cmd/fedserve ./cmd/fedtrace
 
 "$workdir/fedload" -clients "$POP" -listen 127.0.0.1:0 -ops-addr 127.0.0.1:0 \
-	-report-quant "$REPORT_QUANT" \
 	>"$workdir/fedload.log" 2>&1 &
 pids+=($!)
 
@@ -159,7 +157,7 @@ reports=$(metric "$fleet_metrics" fedload_reports_total)
 per_report=$(sed -n 's/.*bytes_per_report=\([0-9]*\).*/\1/p' "$workdir/serve.log" | head -1)
 [ -n "${per_report:-}" ] || { cat "$workdir/serve.log" >&2; fail "fedserve logged no report-collection phase"; }
 [ "$per_report" -le "$REPORT_CEIL" ] ||
-	fail "report payloads average $per_report bytes ($REPORT_QUANT), exceeding ceiling $REPORT_CEIL"
+	fail "report payloads average $per_report bytes, exceeding ceiling $REPORT_CEIL"
 
 # Update-path bandwidth gate, both directions: an envelope is the raw
 # little-endian vector plus a few dozen bytes of framing, so anything
@@ -182,7 +180,7 @@ per_request=$((${request_sent:-0} / attempts))
 	fail "requests average $per_request bytes, want 1..$update_ceil (8 x $params params + 64)"
 
 echo "load smoke: OK (population=$POP cohort=$SELECT rounds=$applied applied," \
-	"fleet updates=$updates, reports=$reports at $per_report B/report ($REPORT_QUANT)," \
+	"fleet updates=$updates, reports=$reports at $per_report B/report," \
 	"$per_update B/update and $per_request B/request against a ceiling of $update_ceil," \
 	"server heap=$heap bytes, peak in-flight=$peak)"
 
