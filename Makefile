@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench alloc-test chaos-test obs-test ops-smoke load-smoke repro-diff fmt vet gob-check fusion-check lint check
+.PHONY: build test race bench alloc-test chaos-test obs-test ops-smoke load-smoke repro-diff fmt vet gob-check fusion-check doc-check lint check
 
 ## build: compile every package
 build:
@@ -36,7 +36,7 @@ alloc-test:
 	$(GO) test -run 'AllocFree|AllocBudget' -v ./internal/tensor ./internal/nn ./internal/fl ./internal/metrics ./internal/obs ./internal/transport ./internal/parallel
 
 ## obs-test: the observability gate — registry/logger/span/ops-endpoint
-## unit tests (DESIGN.md §11) plus the remote-run metrics integration
+## unit tests (DESIGN.md §10) plus the remote-run metrics integration
 ## test (a faulty federation must leave non-zero round, retry and
 ## stage-latency metrics)
 obs-test:
@@ -101,7 +101,7 @@ gob-check:
 ## defense or the federation — compiles internal/tensor, internal/nn,
 ## internal/core and internal/fl for arm64 with -S and fails on any
 ## FMADD/FMSUB/FNMADD/FNMSUB: they write every product that feeds an add
-## as E(a*b) so that arm64 computes the bits amd64 does (DESIGN.md §18)
+## as E(a*b) so that arm64 computes the bits amd64 does (DESIGN.md §3)
 fusion-check:
 	@asm=$$(GOARCH=arm64 $(GO) build -a -gcflags=./internal/tensor=-S -gcflags=./internal/nn=-S -gcflags=./internal/core=-S -gcflags=./internal/fl=-S ./internal/tensor ./internal/nn ./internal/core ./internal/fl 2>&1) || { echo "$$asm"; exit 1; }; \
 	fused=$$(echo "$$asm" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB'); \
@@ -109,11 +109,17 @@ fusion-check:
 		echo "fused multiply-adds in the arm64 build (write the product as E(a*b)):"; echo "$$fused"; exit 1; \
 	fi
 
-## lint: the CI lint job locally — gofmt, vet, gob-check and fusion-check
+## doc-check: every name, flag, make target, path and DESIGN.md §N
+## citation in the documents builders read resolves in the tree
+## (docs_test.go; also part of the plain test suite)
+doc-check:
+	$(GO) test -count=1 -run TestDocReferences .
+
+## lint: the CI lint job locally — gofmt, vet, gob-check, doc-check and fusion-check
 ## always; staticcheck and govulncheck when installed (CI installs them;
 ## offline machines skip with a notice rather than failing on a missing
 ## tool).
-lint: fmt vet gob-check fusion-check
+lint: fmt vet gob-check doc-check fusion-check
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -1,7 +1,7 @@
 // Benchmarks of the paper's evaluation section at a reduced scale (one
 // or two settings each; the full sweeps are produced by cmd/fedbench,
 // optionally with -full), then of the round and the defense loops under
-// them. DESIGN.md §4 maps each spec to the paper artifact it reproduces,
+// them. DESIGN.md §11 maps each spec to the paper artifact it reproduces,
 // and EXPERIMENTS.md records a captured run against the paper's numbers.
 package fedcleanse
 
@@ -93,7 +93,7 @@ func BenchmarkFLRound16ClientsParallel(b *testing.B) { benchFLRound(b, 0, nn.Flo
 // training 3x the local epochs on a poisoned (larger) shard, so client
 // cost is skewed where the 16-client pair above is uniform. Its
 // workers=1|2|4|8 sub-benchmarks are the scaling curve of the
-// work-conserving fan-out (DESIGN.md §7): a round should cost about the
+// work-conserving fan-out (DESIGN.md §5): a round should cost about the
 // summed client cost divided by the workers the host really has. The
 // nightly workflow records it on a multi-core runner.
 func BenchmarkFLRoundPaperCohort(b *testing.B) {
@@ -109,7 +109,7 @@ func BenchmarkFLRoundPaperCohort(b *testing.B) {
 // stays at 10 and the workers at 2 while the registered population grows
 // 10 → 100 → 1000, every sampled slot materialized by a factory that builds
 // a real fl.NewClient. Clients borrow their working model from the
-// template's free list (DESIGN.md §8), so ns/op and B/op should be flat in
+// template's free list (DESIGN.md §4), so ns/op and B/op should be flat in
 // the population: a client that has never trained before finds a warm
 // model. The nightly workflow appends it to the same artifact.
 func BenchmarkFLRoundPopulation(b *testing.B) {

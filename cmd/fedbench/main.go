@@ -1,5 +1,5 @@
 // Command fedbench regenerates the tables and figures of the paper's
-// evaluation section (see DESIGN.md §4 for the experiment index).
+// evaluation section (see DESIGN.md §11 for the experiment index).
 //
 // Usage:
 //

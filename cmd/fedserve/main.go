@@ -10,7 +10,7 @@
 // /rounds (the flight recorder's recent audit records), and
 // net/http/pprof. -log-level/-log-json control the structured event
 // stream; a final metrics snapshot prints on exit. -flight-recorder
-// appends the per-round audit trail to a JSONL file (DESIGN.md §16);
+// appends the per-round audit trail to a JSONL file (DESIGN.md §10);
 // -trace-seed pins the trace/span ID sequence for reproducible runs.
 package main
 
@@ -114,7 +114,7 @@ func main() {
 		_ = obs.Default.WriteText(os.Stdout)
 	}()
 
-	// The flight recorder is the durable audit trail (DESIGN.md §16): one
+	// The flight recorder is the durable audit trail (DESIGN.md §10): one
 	// JSONL record per round, plus the recent window on /rounds.
 	var flight *obs.FlightRecorder
 	if *flightPath != "" {
@@ -275,7 +275,7 @@ func main() {
 		"aa_after", fmt.Sprintf("%.1f", aa(m)))
 }
 
-// setupDurability installs the checkpointer (DESIGN.md §15) and, under
+// setupDurability installs the checkpointer (DESIGN.md §7) and, under
 // -resume, restores the newest complete checkpoint, returning the first
 // round the training loop should run. Resuming against an empty or
 // missing directory starts fresh — the normal first boot of a durable

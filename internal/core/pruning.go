@@ -29,7 +29,7 @@ import (
 // broken by neuron index for determinism.
 //
 // acts is the float64 recording or its int8 codes (metrics.QuantActs.Q,
-// DESIGN.md §14): a participant reporting at int8 ranks its own codes. The
+// DESIGN.md §9): a participant reporting at int8 ranks its own codes. The
 // dequantization map a = zero + scale·(q+128) is monotonically increasing
 // (scale ≥ 0), so ranking the codes gives exactly the ranks of the
 // dequantized activations, without materializing a float64 vector.

@@ -19,7 +19,7 @@ func setReportQuant(parts []fl.Participant, q metrics.ReportQuant) {
 }
 
 // TestInt8ReportMNISTDefenseParity is the end-to-end fidelity gate for
-// int8 activation reports (DESIGN.md §14): on the paper's MNIST scenario
+// int8 activation reports (DESIGN.md §9): on the paper's MNIST scenario
 // the defense driven by quantized reports must (a) produce a global prune
 // order that agrees with the float64 reference everywhere except where
 // quantization genuinely ties neighbouring activations, and (b) land the

@@ -52,11 +52,11 @@ type Scenario struct {
 	// scenario's template (clients, attackers, defense clones). The zero
 	// value is nn.Float64, the canonical reference arithmetic; nn.Float32
 	// runs layer kernels in float32 while aggregation, optimizer state and
-	// checkpoints stay float64 (DESIGN.md §13).
+	// checkpoints stay float64 (DESIGN.md §4).
 	Backend nn.Backend
 
 	// ReportQuant selects the precision every participant records its
-	// activation report at (DESIGN.md §14). The zero value is the float64
+	// activation report at (DESIGN.md §9). The zero value is the float64
 	// reference; metrics.ReportInt8 ranks and votes on affine-quantized
 	// int8 codes, the representation the compact wire ships.
 	ReportQuant metrics.ReportQuant

@@ -66,7 +66,7 @@ func roundAllocVectors(t *testing.T, cfg Config) float64 {
 
 // TestBatchRoundAllocBudget: a batch round's 64 deltas, the global it
 // flattens and the aggregate all come from and go back to the free list
-// (DESIGN.md §19), so the round allocates bookkeeping only — a fraction of
+// (DESIGN.md §6), so the round allocates bookkeeping only — a fraction of
 // one vector (0.14 measured), where it allocated 66 and then two.
 func TestBatchRoundAllocBudget(t *testing.T) {
 	if v := roundAllocVectors(t, Config{}); v >= 1 {
@@ -197,7 +197,7 @@ func TestInProcessRoundAllocBudget(t *testing.T) {
 // 64-client MiniVGG federation under two workers keeps no more than an
 // 8-client one, give or take two working models. A float64 working model
 // is 9.6 MiB of it; 12.4 when the attacker's tail batch had a buffer set of
-// its own beside the full batch's (DESIGN.md §8).
+// its own beside the full batch's (DESIGN.md §4).
 func TestResidentSetFollowsWorkers(t *testing.T) {
 	prev := parallel.SetWorkers(2)
 	defer parallel.SetWorkers(prev)

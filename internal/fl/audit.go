@@ -8,7 +8,7 @@ import (
 )
 
 // RoundAudit is one federated round's flight-recorder record (DESIGN.md
-// §16): the structured, queryable counterpart of the round's log lines.
+// §10): the structured, queryable counterpart of the round's log lines.
 // Selected/Completed/Dropped/Errors/Applied/PeakInFlight mirror the
 // round's RoundResult field for field; the rest is round context a
 // post-mortem needs — the trace ID tying the record to its span tree, the

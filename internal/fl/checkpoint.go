@@ -15,7 +15,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
-// Durable rounds (DESIGN.md §15). A multi-day federation is one SIGKILL
+// Durable rounds (DESIGN.md §7). A multi-day federation is one SIGKILL
 // away from losing every applied round unless the server's state — model
 // parameters, round counter, seed and, mid-round, the streaming fold
 // accumulator — survives on disk. A Checkpointer writes

@@ -49,7 +49,7 @@ type Config struct {
 	// (in-process participants cannot be cancelled either way).
 	RoundTimeout time.Duration
 	// Streaming folds each arriving update into a running aggregate and
-	// discards it (DESIGN.md §12), holding O(StreamWindow) deltas instead
+	// discards it (DESIGN.md §6), holding O(StreamWindow) deltas instead
 	// of the whole cohort — bit-identical to the same round without it.
 	// It takes a rule that implements StreamingAggregator; under any other
 	// the round collects the whole cohort as if Streaming were off, and
@@ -94,7 +94,7 @@ type Participant interface {
 	// wire handler by every request with the same bytes — so it must not be
 	// modified, nor retained past the call.
 	//
-	// The returned slice goes the other way (DESIGN.md §19): it belongs to
+	// The returned slice goes the other way (DESIGN.md §6): it belongs to
 	// the caller from the moment it is returned, so the participant must not
 	// keep, reuse or hand out a second time what it returned, and the caller
 	// may recycle it (wire.PutFloat64s) once nothing can read it any more —
@@ -164,7 +164,7 @@ func (c *Client) LocalUpdate(global []float64, round int) []float64 {
 // the training hot path performs no heap allocations. A Trainer is
 // single-goroutine state, like the model it trains, and its optimizer
 // buffers are keyed on that model's parameters, so the two stay together:
-// Client and Attacker borrow them as one nn.Replica (DESIGN.md §8), which
+// Client and Attacker borrow them as one nn.Replica (DESIGN.md §4), which
 // makes the number of warm Trainers the number of concurrent local updates,
 // not the number of participants.
 type Trainer struct {

@@ -13,7 +13,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
-// The ownership suite (DESIGN.md §19). Delta vectors are recycled, so a
+// The ownership suite (DESIGN.md §6). Delta vectors are recycled, so a
 // release that comes too early hands a vector a shard is still reading to
 // the next client to overwrite. Race builds make that loud twice over —
 // the detector reports it and wire.PutFloat64s poisons the vector with
@@ -102,7 +102,7 @@ func (firstInputRule) Aggregate(deltas [][]float64) []float64 { return deltas[0]
 
 // TestRoundRecyclesGlobalAndAggregate: the round's own two vectors — the
 // flattened global and, on the batch path, the rule's result — travel
-// through the free list like the deltas (DESIGN.md §19), and the model is,
+// through the free list like the deltas (DESIGN.md §6), and the model is,
 // bit for bit, what the same sums over freshly allocated vectors give:
 // batch and streaming, and under a rule that hands back an input.
 func TestRoundRecyclesGlobalAndAggregate(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
 )
 
-// The sharing suite (DESIGN.md §8). Clients and attackers train on working
+// The sharing suite (DESIGN.md §4). Clients and attackers train on working
 // models borrowed from their template's free list, so what used to be
 // private by construction — masks, per-layer L2, the backend, optimizer
 // state — is now private by discipline. These tests put two federations and

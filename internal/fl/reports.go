@@ -14,7 +14,7 @@ import (
 //
 // With SetReportQuant(metrics.ReportInt8) the recorded vector passes
 // through the affine int8 quantizer before ranking or voting, and the
-// participant ranks or votes on the codes itself (DESIGN.md §14).
+// participant ranks or votes on the codes itself (DESIGN.md §9).
 
 var (
 	_ core.ReportClient = (*Client)(nil)

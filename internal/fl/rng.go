@@ -14,7 +14,7 @@ var participantRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource
 
 // participantRNG derives an RNG from the hashed values — a call's own key,
 // (seed, id, round) for an update, (domain, seed, round) for a cohort
-// (DESIGN.md §7) — for the caller to hold alone until it hands it back to
+// (DESIGN.md §5) — for the caller to hold alone until it hands it back to
 // participantRNGs.
 func participantRNG(vals ...uint64) *rand.Rand {
 	h := fnv.New64a()

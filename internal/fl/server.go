@@ -21,7 +21,7 @@ type Aggregator interface {
 	// Aggregate returns the global update computed from per-client deltas.
 	// Implementations must not mutate the input slices, nor retain them
 	// past the moment the server has applied the result: it recycles them
-	// then (DESIGN.md §19). The result is handed over the same way — the
+	// then (DESIGN.md §6). The result is handed over the same way — the
 	// server recycles it too once applied, so a rule must not keep it.
 	Aggregate(deltas [][]float64) []float64
 }
@@ -111,7 +111,7 @@ type Server struct {
 	CrashHook func(p CrashPoint, round, folds int)
 
 	// Audit, when non-nil, receives one RoundAudit record per RoundDetail
-	// call — the durable flight-recorder trail (DESIGN.md §16). nil keeps
+	// call — the durable flight-recorder trail (DESIGN.md §10). nil keeps
 	// auditing off, so embedded servers and tests pay nothing.
 	Audit *obs.FlightRecorder
 	// AuditAmend, when set, edits each audit record before it is written;
@@ -129,7 +129,7 @@ type Server struct {
 	pendingPartial *PartialRound
 	pendingCohort  []Participant
 	// foldScratch backs the streaming fold's accumulator so steady-state
-	// streaming rounds reuse one buffer (DESIGN.md §12).
+	// streaming rounds reuse one buffer (DESIGN.md §6).
 	foldScratch tensor.Arena
 }
 
@@ -262,7 +262,7 @@ func (e *NonFiniteUpdateError) Error() string {
 // partial checkpoint, the next call re-enters the interrupted round: t must
 // equal the checkpointed round.
 //
-// The whole round is one trace (DESIGN.md §16): RoundDetail roots the
+// The whole round is one trace (DESIGN.md §10): RoundDetail roots the
 // "fl.round" span (feeding fl_round_seconds), every remote call, retry
 // attempt, fold merge and checkpoint write hangs off it as a child span,
 // and — via the transport's trace headers — so does the handler work in
@@ -446,7 +446,7 @@ func (s *Server) populationSize() int {
 	return len(s.Participants)
 }
 
-// runRound is the one round loop (DESIGN.md §12): training rounds against
+// runRound is the one round loop (DESIGN.md §6): training rounds against
 // the global model, the defense's fine-tuning rounds against its working
 // model m, streaming or not, fresh or resumed. A round is a start state —
 // fresh: the cohort minus its policy drops; resumed (pp non-nil): the
@@ -607,7 +607,7 @@ func (s *Server) roundContext(sc obs.SpanContext) (context.Context, context.Canc
 // flatParams is m.ParamsVector() over a free-list vector: the global every
 // participant of a round reads. runRound puts it back as soon as collection
 // has joined — every client's outcome received — because by then nothing
-// can read it (DESIGN.md §19): a participant may not keep global past
+// can read it (DESIGN.md §6): a participant may not keep global past
 // LocalUpdate, a RemoteClient reads it only to encode the request or to
 // compare it with the last one encoded, before its first attempt, and a
 // fleet handler works on a copy decoded from the request's bytes. A
@@ -651,7 +651,7 @@ func (f *collectAllFold) Finish() []float64 {
 
 // release recycles the deltas and the aggregate once it has been applied.
 // Only then are they dead: the rule has seen every input and its result is
-// in the model (DESIGN.md §19). A rule that returned one of its inputs
+// in the model (DESIGN.md §6). A rule that returned one of its inputs
 // gets it released once, as the input.
 func (f *collectAllFold) release(agg []float64) {
 	for _, d := range f.deltas {

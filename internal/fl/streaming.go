@@ -10,10 +10,10 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
-// Streaming aggregation (DESIGN.md §12) is a choice of fold, not of round:
+// Streaming aggregation (DESIGN.md §6) is a choice of fold, not of round:
 // under Config.Streaming the round loop hands each arriving delta to the
 // rule's own Fold, which adds it into a running aggregate and recycles it
-// as soon as the last shard has read it (§19), so peak memory follows the
+// as soon as the last shard has read it (§6), so peak memory follows the
 // collection window — O(window × dim) — where the collect-all fold of a
 // round that does not stream holds O(cohort × dim).
 //
@@ -57,7 +57,7 @@ type StreamingAggregator interface {
 
 // Fold accumulates one round's update deltas. Fold must be called from a
 // single goroutine, in participant order over the round's survivors. The
-// call hands the delta over (DESIGN.md §19): the caller must neither read
+// call hands the delta over (DESIGN.md §6): the caller must neither read
 // nor write it afterwards, and the fold recycles it once nothing of its own
 // reads it any more — which, with shards, is after Fold has returned.
 // id names the delta's client; the folds of this package do not read it.

@@ -9,7 +9,7 @@ import (
 )
 
 // ReportQuant selects the numeric representation of a client's recorded
-// activation report (DESIGN.md §14). Float64 is the reference path —
+// activation report (DESIGN.md §9). Float64 is the reference path —
 // LocalActivations verbatim; Int8 quantizes the recorded vector through an
 // affine (scale, zero-point) map before it is ranked, voted on, or shipped.
 // Int8 is the single lossy boundary of the report path; everything

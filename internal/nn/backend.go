@@ -10,7 +10,7 @@ import (
 // Backend selects the element type the model's forward/backward arithmetic
 // runs in. Float64 is the canonical reference path; Float32 trades
 // per-element precision for roughly halved memory traffic on the matmul-
-// and conv-bound hot loops (DESIGN.md §13).
+// and conv-bound hot loops (DESIGN.md §4).
 //
 // The precision boundary is drawn at the Sequential API: callers always
 // pass and receive *tensor.Tensor (float64) regardless of backend, layer
@@ -84,7 +84,7 @@ func weights[E tensor.Elem](a *tensor.ArenaOf[E], slot string, p *Param, sync bo
 
 // outSlot names the arena slot a pass lends its output from: "out" for a
 // training pass, "eout" for an inference pass. Every pass output is a loan
-// in either precision, overwritten by the layer's next pass (DESIGN.md §8);
+// in either precision, overwritten by the layer's next pass (DESIGN.md §4);
 // the slots differ so that an inference pass between a training forward and
 // its backward leaves the outputs backward reads alone.
 func outSlot(train bool) string {

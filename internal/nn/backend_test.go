@@ -14,7 +14,7 @@ import (
 // reference; the float32 path computes the same graph with float32
 // activations and weights, so outputs agree to float32 resolution scaled
 // by the depth of the accumulation chains. The bounds asserted here are
-// the ones documented in DESIGN.md §13: forward activations to ~1e-4
+// the ones documented in DESIGN.md §4: forward activations to ~1e-4
 // relative, gradients and a full optimizer step to ~1e-3 relative.
 
 // relDiff is |a-b| scaled by max(1, |a|, |b|), so tiny absolute noise on
@@ -295,7 +295,7 @@ func TestFloat32ForwardToTolerance(t *testing.T) {
 }
 
 // TestInferenceOutputsAreLoans pins the one ownership rule for pass outputs
-// (DESIGN.md §8) in both precisions: a second inference pass returns the
+// (DESIGN.md §4) in both precisions: a second inference pass returns the
 // first one's buffers — Forward, ForwardTo and ForwardFrom — filled with
 // its own input's values, the ones a fresh clone computes.
 func TestInferenceOutputsAreLoans(t *testing.T) {

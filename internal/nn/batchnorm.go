@@ -173,7 +173,7 @@ func (l *BatchNorm2D) perChannel() (a, b, c []float64) {
 // position) order, exactly the order of the channel-outer loops this
 // replaces, so every statistic has the same bits; what changes is that the
 // additions of different channels no longer wait for one another
-// (DESIGN.md §18).
+// (DESIGN.md §4).
 func bnForward[E tensor.Elem](l *BatchNorm2D, out, xhat, x []E, n, hw int, train bool) {
 	ch := l.channels
 	mean, variance, inv := l.perChannel()

@@ -167,7 +167,7 @@ func BenchmarkMiniVGGTrainStepFloat32(b *testing.B) {
 	}
 }
 
-// The per-element costs of the passes DESIGN.md §18 moved off the scalar
+// The per-element costs of the passes DESIGN.md §3 moved off the scalar
 // path, reported as ns/elem so that the bench-smoke artifact records the
 // figure each was accepted at.
 

@@ -37,7 +37,7 @@ type Conv2D struct {
 }
 
 // convPass is Conv2D's forward and backward in E. None of its state is
-// cloned or serialized — see DESIGN.md §8.
+// cloned or serialized — see DESIGN.md §4.
 type convPass[E tensor.Elem] struct {
 	l *Conv2D
 

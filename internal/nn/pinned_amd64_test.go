@@ -12,7 +12,7 @@ import (
 )
 
 // The hashes below were captured at the parent of the commit that put
-// AVX2 micro-kernels under the tiled matmuls (DESIGN.md §17), when every
+// AVX2 micro-kernels under the tiled matmuls (DESIGN.md §3), when every
 // kernel was the pure-Go loop. They pin "bit-identical" on a whole model
 // inside tier-1: the assembly path (AVX2 hosts) and the Go fallback (older
 // CPUs) must both reproduce them. The file is amd64-only because the
@@ -26,7 +26,7 @@ const (
 
 // The remaining (model, backend) pairs and the inference paths other than
 // Forward, captured at the parent of the commit that made the layer stack
-// generic over the element type (DESIGN.md §13): BatchNorm's float64 path
+// generic over the element type (DESIGN.md §4): BatchNorm's float64 path
 // and SmallCNN's float32 path had no whole-model hash before it.
 const (
 	pinnedSmallCNNFloat32 = 0x3fd25745ce86d973

@@ -9,7 +9,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/tensor"
 )
 
-// A layer's outputs are loans its next pass overwrites (DESIGN.md §8), so
+// A layer's outputs are loans its next pass overwrites (DESIGN.md §4), so
 // every output these properties keep across a pass is cloned.
 
 // Property: convolution (without bias) is linear in its input —

@@ -43,7 +43,7 @@ func (m *Sequential) NumLayers() int { return len(m.layers) }
 
 // Forward runs the network on a batch. train selects whether layers cache
 // state for Backward. The result is a loan in either precision and either
-// mode: a buffer of the model's, valid until its next pass (DESIGN.md §8).
+// mode: a buffer of the model's, valid until its next pass (DESIGN.md §4).
 // A caller that keeps it across passes clones it.
 func (m *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return m.driver().forward(m, 0, len(m.layers), x, train, "in", "out")

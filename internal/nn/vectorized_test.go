@@ -10,7 +10,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/tensor"
 )
 
-// Tests of the passes DESIGN.md §18 moved off the scalar path, at the layer
+// Tests of the passes DESIGN.md §3 moved off the scalar path, at the layer
 // level: the re-looped BatchNorm against a verbatim copy of the
 // channel-outer loops it replaced, the sharing of the conv tables between
 // clones, and the ReLU's trained marker.

@@ -13,7 +13,7 @@ import (
 // the /rounds endpoint. It is the "what happened" counterpart to the span
 // ring's "when": per-round audit records (fl.RoundAudit) carry the cohort,
 // drops, retries, applied decision and checkpoint path, so a chaos or load
-// run can be audited after the fact without debug logs (DESIGN.md §16).
+// run can be audited after the fact without debug logs (DESIGN.md §10).
 //
 // Record appends are serialized by a mutex and flushed line-at-a-time (the
 // file is opened O_APPEND; a crash can lose at most the final partial

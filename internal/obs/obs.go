@@ -20,7 +20,7 @@
 //     influence it.
 //
 // Event taxonomy, the metric naming scheme and the determinism argument
-// are documented in DESIGN.md §11.
+// are documented in DESIGN.md §10.
 package obs
 
 import (

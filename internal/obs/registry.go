@@ -89,7 +89,7 @@ func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()
 // construction time of the instrumented component. The returned pointers
 // are then updated lock-free, so the hot path never touches the registry
 // again. Names follow the prometheus-style snake_case scheme documented in
-// DESIGN.md §11 (_total for counters, _seconds for latency histograms).
+// DESIGN.md §10 (_total for counters, _seconds for latency histograms).
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter

@@ -10,7 +10,7 @@ import (
 // pipeline phase, a remote call. It is a plain value: starting one stamps
 // the wall clock, End observes the elapsed seconds into the span's latency
 // histogram and, when the logger handles debug, emits paired start/end
-// events. Every span carries a SpanContext (DESIGN.md §16): StartRoot
+// events. Every span carries a SpanContext (DESIGN.md §10): StartRoot
 // opens a trace, StartChild/StartChildOf link into one via parent IDs. A
 // span may tag the client/round/attempt it covers (WithClient, WithRound,
 // WithAttempt), and on End records itself into DefaultSpans, the

@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-// Distributed tracing (DESIGN.md §16). A trace is a tree of spans covering
+// Distributed tracing (DESIGN.md §10). A trace is a tree of spans covering
 // one causal unit of work — typically one federated round — across the
 // server, its retried transport attempts, and the fleet processes serving
 // them. The layer is deliberately tiny: IDs are 64-bit values from a

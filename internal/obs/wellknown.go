@@ -18,7 +18,7 @@ var DurationBuckets = []float64{
 // an atomic — never a map lookup, never an allocation. The naming scheme
 // is snake_case with a subsystem prefix (fl_, defense_, transport_,
 // parallel_), `_total` for counters and `_seconds` for latency histograms
-// (DESIGN.md §11).
+// (DESIGN.md §10).
 var M = struct {
 	// Federated rounds (internal/fl).
 	FLRounds         *Counter   // aggregation rounds driven (training + fine-tuning)
@@ -28,13 +28,13 @@ var M = struct {
 	FLQuorumFailures *Counter   // rounds discarded below quorum
 	FLRoundSeconds   *Histogram // wall time of one aggregation round
 
-	// Streaming sharded aggregation (internal/fl, DESIGN.md §12).
+	// Streaming sharded aggregation (internal/fl, DESIGN.md §6).
 	FLRegisteredClients  *Gauge     // population size registered with fl.Registry
 	FLStreamInFlightPeak *Gauge     // last round's peak of trained-but-unfolded updates
 	FLStreamFallbacks    *Counter   // streaming rounds degraded to batch (non-streaming rule)
 	FLShardMergeSeconds  *Histogram // shard-partial merge + final scale per streaming round
 
-	// Durable rounds (internal/fl, DESIGN.md §15).
+	// Durable rounds (internal/fl, DESIGN.md §7).
 	FLCheckpointWrites       *Counter   // checkpoints written (boundary + partial)
 	FLCheckpointPartials     *Counter   // the mid-round partial subset of writes
 	FLCheckpointWriteErrors  *Counter   // checkpoint writes that failed (round continues)
@@ -61,15 +61,15 @@ var M = struct {
 	TransportAttempts     *Counter   // individual HTTP attempts
 	TransportRetries      *Counter   // attempts after the first (each waits a backoff)
 	TransportCallSeconds  *Histogram // logical call latency including retries
-	// Report-path bandwidth (DESIGN.md §14): payload bytes of report
+	// Report-path bandwidth (DESIGN.md §9): payload bytes of report
 	// responses (ranks/votes) as sent by servers and as successfully
 	// decoded by RemoteClient, any encoding.
 	TransportReportBytesSent *Counter
 	TransportReportBytesRecv *Counter
-	// Update-path bandwidth (DESIGN.md §15): payload bytes of /v1/update
+	// Update-path bandwidth (DESIGN.md §7): payload bytes of /v1/update
 	// responses as successfully decoded by RemoteClient, any encoding.
 	TransportUpdateBytesRecv *Counter
-	// Request-path bandwidth (DESIGN.md §15): body bytes of every request
+	// Request-path bandwidth (DESIGN.md §7): body bytes of every request
 	// attempt RemoteClient sends, any endpoint.
 	TransportRequestBytesSent *Counter
 
@@ -79,7 +79,7 @@ var M = struct {
 	ForTasks      *Counter // worker goroutines' worth of work executed
 	ForQueueDepth *Gauge   // fanned-out workers started but not yet finished
 
-	// Numeric kernels (internal/tensor, DESIGN.md §17–18). Set once at
+	// Numeric kernels (internal/tensor, DESIGN.md §3). Set once at
 	// tensor package initialization from CPUID: 1 when the tiled matmuls
 	// and the element-wise passes between them (ReLU, bias and gradient
 	// adds, the optimizer's axpy, precision conversions, BatchNorm's
@@ -88,7 +88,7 @@ var M = struct {
 	// when the same commit trains 2–3× slower on another host.
 	TensorKernelAVX2 *Gauge
 
-	// Tracing + flight recorder (DESIGN.md §16).
+	// Tracing + flight recorder (DESIGN.md §10).
 	TraceSpans    *Counter // traced spans recorded into the span ring
 	FlightRecords *Counter // audit records written by the flight recorder
 

@@ -1,7 +1,7 @@
 // Package profiling wires the standard pprof escape hatches into the
 // repository's commands: -cpuprofile captures where a federated run spends
 // its time, -memprofile captures what still allocates (the training hot
-// path is allocation-free after warm-up — see DESIGN.md §8 — so the heap
+// path is allocation-free after warm-up — see DESIGN.md §4 — so the heap
 // profile is dominated by model and dataset construction).
 package profiling
 

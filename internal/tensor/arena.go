@@ -32,7 +32,7 @@ type arenaKey struct {
 // backing: a tail batch first asked for after the full batch is a second
 // header over a prefix of the full batch's memory, not a second buffer.
 //
-// Ownership rules (see DESIGN.md §8):
+// Ownership rules (see DESIGN.md §4):
 //   - An arena is single-goroutine state, exactly like the layer that owns
 //     it. Concurrent workers must each own their own arena (or per-block
 //     scratch), mirroring how the conv forward pass hands every worker

@@ -82,7 +82,7 @@ func BenchmarkCol2Im16x16(b *testing.B) {
 }
 
 // The benchmarks below report ns/elem — the figure the element-wise
-// routines and the narrow-map tables were accepted at (DESIGN.md §18), so
+// routines and the narrow-map tables were accepted at (DESIGN.md §3), so
 // the bench-smoke artifact has something a later regression can be
 // compared with.
 

@@ -18,7 +18,7 @@ import (
 //
 // Every draw goes down both kernel paths: the entry points run whatever
 // the host dispatches to (the AVX2 assembly where CPUID allows it,
-// DESIGN.md §17), the pure-Go tiled loops are called directly, and both
+// DESIGN.md §3), the pure-Go tiled loops are called directly, and both
 // must match the oracle — so the assembly is compared with the Go loops
 // bit for bit on every shape the fuzzer finds.
 //

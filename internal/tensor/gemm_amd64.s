@@ -1,7 +1,7 @@
 #include "textflag.h"
 
 // AVX2 micro-kernels under the three tiled matmuls (kernels_amd64.go,
-// DESIGN.md §17). Each computes a kc-deep panel of FOUR output rows, keeps
+// DESIGN.md §3). Each computes a kc-deep panel of FOUR output rows, keeps
 // a column tile's partial sums in registers across the panel — one lane
 // per output cell — and adds the products in ascending p with a separately
 // rounded multiply and add (VMULPx then VADDPx). No FMA, no horizontal

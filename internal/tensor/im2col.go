@@ -95,7 +95,7 @@ type ConvIndex struct {
 // a call per segment: on the shipped stride-1 3×3 geometries the gather
 // beats the walk 2.6×, 4× and 9× at widths 8, 4 and 2 (the scatter 1.6×,
 // 2.7× and 4×) and is within a tenth of it at 16, where the table would
-// also be four times the size (DESIGN.md §18; BenchmarkIm2ColNarrow).
+// also be four times the size (DESIGN.md §3; BenchmarkIm2ColNarrow).
 const narrowConvWidth = 8
 
 // convSentinels is the number of sentinel cells the padding cells are

@@ -35,12 +35,12 @@ package tensor
 // computed when, never the order within a cell, which is why serial,
 // parallel and reference results match bit for bit per precision. The
 // assembly keeps the rule by vectorizing across cells, never across p,
-// and never fusing (DESIGN.md §17).
+// and never fusing (DESIGN.md §3).
 
 // Elem is the set of element types the kernels are instantiated for.
 // float64 is the canonical precision (FL aggregation, checkpoints, the
 // defense's accounting); float32 is the opt-in speed backend (DESIGN.md
-// §13).
+// §4).
 type Elem interface {
 	~float32 | ~float64
 }

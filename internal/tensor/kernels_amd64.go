@@ -10,7 +10,7 @@ import (
 // assembly (gemm_amd64.s) when the CPU and the OS support it, the pure-Go
 // loops of kernels.go otherwise. The choice is made once, from CPUID, and
 // nothing else selects it; both paths produce the same bits (DESIGN.md
-// §17), so the choice is visible only in the step time and in the
+// §3), so the choice is visible only in the step time and in the
 // tensor_kernel_avx2 gauge. The element-wise passes (vec_amd64.go) follow
 // the same switch.
 

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// The vectorized kernels (DESIGN.md §17) against the pure-Go loops, bit for
+// The vectorized kernels (DESIGN.md §3) against the pure-Go loops, bit for
 // bit, on the shapes a vector kernel gets wrong first: every column count
 // from zero to one past two vectors, every operand start offset inside a
 // vector (so loads and stores begin unaligned), row counts on both sides

@@ -8,9 +8,9 @@
 //
 // The hot loops have two forms that give the same bits: pure Go, and on
 // amd64 CPUs with AVX2 the assembly of gemm_amd64.s (the three tiled
-// matmuls, DESIGN.md §17) and vec_amd64.s (the element-wise passes of
+// matmuls, DESIGN.md §3) and vec_amd64.s (the element-wise passes of
 // vec.go: ReLU, bias and gradient adds, axpy, precision conversions,
-// BatchNorm's normalize and dx rows, DESIGN.md §18). CPUID picks at
+// BatchNorm's normalize and dx rows, DESIGN.md §3). CPUID picks at
 // start-up; there is no flag. ConvIndex is the table form of
 // Im2Col/Col2Im for narrow feature maps, in plain Go on every platform.
 //
@@ -27,7 +27,7 @@ import (
 )
 
 // Of is a dense row-major array of E values. The layer stack runs in
-// either precision over it (DESIGN.md §13); everything else uses Tensor.
+// either precision over it (DESIGN.md §3); everything else uses Tensor.
 //
 // The zero value is an empty tensor. Use New, NewOf or FromSlice to
 // create a tensor with a shape.

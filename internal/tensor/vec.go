@@ -15,7 +15,7 @@ import (
 // Go loops (vec_noasm.go); CPUID decides, as for the matmuls, and nothing
 // else does.
 //
-// One rule makes the two paths the same function (DESIGN.md §18): a lane
+// One rule makes the two paths the same function (DESIGN.md §3): a lane
 // is an element. Each element's arithmetic is the Go loop's arithmetic in
 // the Go loop's order, every multiply and add rounded on its own, and no
 // sum is ever split across lanes — none of these passes reduces. So the
@@ -125,7 +125,7 @@ func Axpy[E Elem](dst []E, alpha E, src []E) {
 
 // axpyGo and the other loops below write every product as E(a*b): the
 // conversion is a rounding point the Go spec guarantees, so no compiler
-// fuses the multiply into the add (arm64's would, DESIGN.md §18).
+// fuses the multiply into the add (arm64's would, DESIGN.md §3).
 func axpyGo[E Elem](dst []E, alpha E, src []E) {
 	for i, v := range src {
 		dst[i] += E(alpha * v)

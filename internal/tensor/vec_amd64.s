@@ -1,7 +1,7 @@
 #include "textflag.h"
 
 // AVX2 routines under the element-wise passes of vec.go (vec_amd64.go,
-// DESIGN.md §18). One rule: a lane is an element. Every routine walks its
+// DESIGN.md §3). One rule: a lane is an element. Every routine walks its
 // operands once, a vector at a time and then an element at a time, and
 // does to each element what the Go loop does, in the Go loop's order, with
 // every multiply, add and subtract rounded on its own (VMULPx, VADDPx,

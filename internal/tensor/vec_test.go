@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// The element-wise passes (vec.go, DESIGN.md §18) against their Go loops,
+// The element-wise passes (vec.go, DESIGN.md §3) against their Go loops,
 // bit for bit. The exported functions run whatever the host dispatches to
 // — the AVX2 routines where CPUID allows, the same Go loops elsewhere, in
 // which case only the canaries are being checked. The harness is shared by

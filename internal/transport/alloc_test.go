@@ -75,7 +75,7 @@ func TestEnvelopeEncodeWarmAllocFree(t *testing.T) {
 // synthetic participant together — at 16 KiB, whatever the model's size. No
 // vector is owed: the delta the participant returns and the delta the stub
 // decodes come from the free list and go back to it, and the handler's
-// global is the fleet's last verified one (DESIGN.md §19) — the test hands
+// global is the fleet's last verified one (DESIGN.md §8) — the test hands
 // its delta back as the round drivers do. Bodies are pooled, the request's
 // is the one lastRequest holds (the second phase checks that no call with
 // an unchanged global encodes another) and goes to the socket from there

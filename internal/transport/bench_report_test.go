@@ -23,7 +23,7 @@ func makeBenchReport(units int) benchReport {
 	return benchReport{ranks: ranks, votes: votes}
 }
 
-// TestReportByteBudget gates what a participant ships (DESIGN.md §14): at
+// TestReportByteBudget gates what a participant ships (DESIGN.md §9): at
 // the layer widths the tree's models report on (16, 32, 50 and 64 units),
 // a RanksDelta of any rank permutation plus a VoteBitmap is at most
 // n + ⌈n/8⌉ + 5 bytes — a byte a rank (every delta of a permutation of

@@ -17,7 +17,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
-// The broadcast suite (DESIGN.md §15, §19). A stub takes its request body
+// The broadcast suite (DESIGN.md §8). A stub takes its request body
 // from the last one encoded when the content is the same, and a fleet
 // answers a body equal to its last verified one from that one's decode. The
 // tests hold both to "nothing but the content decides": the bytes a stub

@@ -13,7 +13,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
 )
 
-// The kill-and-restart chaos suite (DESIGN.md §15): a coordinator driving
+// The kill-and-restart chaos suite (DESIGN.md §7): a coordinator driving
 // a wire-served federation is killed at scripted durability-critical
 // instants — before any fold, mid-collection, after quorum but before the
 // apply — and restarted as a fresh process image that resumes from its

@@ -6,7 +6,7 @@ import (
 	"math"
 )
 
-// Compact report wire codecs (DESIGN.md §14). Defense report responses are
+// Compact report wire codecs (DESIGN.md §9). Defense report responses are
 // tiny and extremely numerous at fleet scale, so they are purpose-built
 // losslessly-invertible encodings behind a self-describing 1-byte tag:
 //

@@ -94,7 +94,7 @@ func TestFleetRoundsMatchInProcess(t *testing.T) {
 }
 
 // TestFleetRoundTripRecyclesDeltas is the ownership gate over the wire
-// (DESIGN.md §19): with handler and stubs in one process, every delta — the
+// (DESIGN.md §6): with handler and stubs in one process, every delta — the
 // one the participant returns, the one the stub decodes — and every decoded
 // global is drawn from the one free list the handler, the batch round and
 // the fold's last shard give back to. Batch and streaming rounds, over

@@ -75,7 +75,7 @@ func FuzzRanksDeltaValueRoundtrip(f *testing.F) {
 }
 
 // FuzzUpdateDecodeAfterFailure guards the recycled vectors under the update
-// decode (DESIGN.md §19). A decode that fails after it drew a vector hands it
+// decode (DESIGN.md §6). A decode that fails after it drew a vector hands it
 // back, so the next decode may be given that very vector, or one another
 // client's values went through: whatever it publishes must equal, element
 // for element, a decode of the same bytes into fresh memory.

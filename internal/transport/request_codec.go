@@ -15,7 +15,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
-// Requests (DESIGN.md §15). Every request a server sends is a wire
+// Requests (DESIGN.md §7). Every request a server sends is a wire
 // envelope of the endpoint's kind (wire.KindUpdateRequest, KindRankRequest,
 // KindVoteRequest) built from the sections below,
 // scalars first, then the parameter vector. A handler accepts nothing else.

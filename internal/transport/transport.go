@@ -14,7 +14,7 @@
 //	POST /v1/votes   — MVP vote report for a layer at a rate
 //
 // The server guards pruning and AW with its own validation accuracy, so it
-// never asks a client for one. There is one wire format (DESIGN.md §15).
+// never asks a client for one. There is one wire format (DESIGN.md §7).
 // Requests and update responses are versioned wire envelopes
 // (request_codec.go, update_codec.go), encoded into and read through
 // pooled buffers. Model parameters travel as flat vectors; both sides hold
@@ -22,12 +22,12 @@
 // definition ships with the software). Rank and vote responses are the
 // compact tagged payloads of codec.go (varint-delta ranks or, from a
 // participant reporting at int8, its int8 activations; bit-packed votes;
-// DESIGN.md §14). Anything else — the gob structs binaries before the
+// DESIGN.md §9). Anything else — the gob structs binaries before the
 // envelope spoke included — is refused: a 400 from a handler, a decode
 // error (and so a dropout) at a stub. One handler set serves the endpoints,
 // Fleet's (fleet.go); ClientServer is a fleet of one.
 //
-// Failure model (DESIGN.md §10): every remote call can fail — crashes,
+// Failure model (DESIGN.md §8): every remote call can fail — crashes,
 // stragglers, partitions, corrupted responses. RemoteClient never panics;
 // each logical call runs a bounded retry loop (per-attempt timeouts,
 // capped exponential backoff) under the caller's context, and surfaces
@@ -470,7 +470,7 @@ func (rc *RemoteClient) VoteReport(m *nn.Sequential, layerIdx int, p float64) []
 //
 // Every logical call is traced as an obs span feeding
 // transport_call_seconds — a child of the span context carried by ctx
-// (DESIGN.md §16), so a round's tree covers its remote calls. Each HTTP
+// (DESIGN.md §10), so a round's tree covers its remote calls. Each HTTP
 // attempt is a further child span with a fresh span ID, and that attempt
 // span's context rides the request as trace headers: the receiving
 // handler links under the exact attempt that reached it, retries

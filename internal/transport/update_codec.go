@@ -9,7 +9,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
-// Update responses (DESIGN.md §15): the delta wrapped in the wire envelope
+// Update responses (DESIGN.md §7): the delta wrapped in the wire envelope
 // (KindUpdate), which buys a CRC over the payload, forward-compatible
 // section skipping and a future-version refusal — the same durability
 // contract the model and checkpoint payloads get.

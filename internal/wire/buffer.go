@@ -9,12 +9,12 @@ import (
 
 // Buffer is a pooled, growable byte slice: where payload bytes live while
 // they cross one call — encoded before a write, gathered from a reader
-// before a decode. The ownership rule (DESIGN.md §15) is that pooled bytes
+// before a decode. The ownership rule (DESIGN.md §7) is that pooled bytes
 // never escape the call that took the Buffer: whatever is decoded out of B
 // must be a copy — for a parameter-sized vector, into one from GetFloat64s —
 // and nothing may reference B after Release. A Buffer that outlives its
 // call is refcounted by its holder, and the last reference releases it
-// (transport's request bodies, DESIGN.md §19).
+// (transport's request bodies, DESIGN.md §8).
 type Buffer struct {
 	B []byte
 }

@@ -9,7 +9,7 @@ import (
 // uses — the update delta a participant returns, the delta a stub decodes
 // out of a response, the global a handler decodes out of a request. A round
 // moves cohort × 2 such vectors and each is garbage microseconds after it
-// was filled, so they are recycled instead of allocated (DESIGN.md §19).
+// was filled, so they are recycled instead of allocated (DESIGN.md §6).
 //
 // Unlike a Buffer, a vector crosses calls and goroutines, so the ownership
 // rule is about who holds it, not which call: a vector from GetFloat64s
@@ -25,7 +25,7 @@ import (
 // allocates does not depend on where the collector stood when it began
 // (a sync.Pool, trimmed by the GC, lost a cohort's vectors between one
 // round's Put and the next round's Get in some runs and not in others,
-// DESIGN.md §19 "residual modes"). Nothing has a size to configure: a
+// DESIGN.md §6 "residual modes"). Nothing has a size to configure: a
 // vector too short for the caller is dropped, so the list follows the
 // model in use. Put allocates only when the stack itself grows, i.e. not in
 // steady state — a Put often sits where a handler has already answered,

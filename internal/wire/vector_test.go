@@ -29,7 +29,7 @@ func TestFloat64sFreeList(t *testing.T) {
 // TestFloat64sFreeListOutlivesCollections: what a round puts back is what the
 // next round gets, however many collections ran in between — the property a
 // sync.Pool does not have, and the reason one run of cleanse_cifar_f32
-// allocated a cohort of vectors more than the next (DESIGN.md §19).
+// allocated a cohort of vectors more than the next (DESIGN.md §6).
 func TestFloat64sFreeListOutlivesCollections(t *testing.T) {
 	const cohort, n = 10, 4096
 	held := make([][]float64, cohort)

@@ -1,5 +1,5 @@
 // Package wire defines the repository's versioned, self-describing
-// serialization envelope (DESIGN.md §15): a fixed magic, a format version,
+// serialization envelope (DESIGN.md §7): a fixed magic, a format version,
 // a payload kind and a sequence of typed sections over raw little-endian
 // scalar payloads, closed by a CRC32 of everything preceding it.
 //
@@ -30,7 +30,7 @@
 // The package also holds the two free lists the wire path runs on, each with
 // its ownership rule: Buffer (bytes, which never leave the call that took
 // them) and GetFloat64s/PutFloat64s (parameter-sized vectors, which change
-// hands and are recycled by their last owner; DESIGN.md §19).
+// hands and are recycled by their last owner; DESIGN.md §6).
 package wire
 
 import (

@@ -12,16 +12,16 @@
 #   - the streaming window actually bounded the in-flight working set,
 #   - the report-collection phase (RAP + MVP over one cohort) stayed at
 #     or under REPORT_CEIL bytes per report on the wire (a RanksDelta or a
-#     VoteBitmap of the fleet clients' 64 canned units; DESIGN.md §14),
+#     VoteBitmap of the fleet clients' 64 canned units; DESIGN.md §9),
 #   - the update exchange stayed at raw-vector size both ways: received
 #     update bytes per completed update, and sent request bytes per
 #     attempt, each at or under 8 bytes per parameter + 64 (the versioned
-#     envelope, the only wire format; DESIGN.md §15),
+#     envelope, the only wire format; DESIGN.md §7),
 #   - a durable run SIGKILLed right after its first checkpoint restarts
 #     with -resume, actually resumes (fl_resumes_total), finishes the
 #     remaining rounds under the same heap bound, and leaves the fleet
-#     with zero recovered panics (DESIGN.md §15),
-#   - the tracing + audit trail (DESIGN.md §16): the server's /trace and
+#     with zero recovered panics (DESIGN.md §7),
+#   - the tracing + audit trail (DESIGN.md §10): the server's /trace and
 #     /rounds surfaces and the -flight-recorder JSONL all parse through
 #     fedtrace (which exits non-zero on malformed JSON), the audit count
 #     matches the rounds the logs show — including across the
@@ -184,7 +184,7 @@ echo "load smoke: OK (population=$POP cohort=$SELECT rounds=$applied applied," \
 	"$per_update B/update and $per_request B/request against a ceiling of $update_ceil," \
 	"server heap=$heap bytes, peak in-flight=$peak)"
 
-# ---- Tracing + audit-trail gates (DESIGN.md §16) ---------------------
+# ---- Tracing + audit-trail gates (DESIGN.md §10) ---------------------
 # fedtrace exits non-zero on any malformed JSON, so piping every captured
 # artifact through it doubles as the well-formedness gate; the summaries
 # land in OUT_DIR next to the raw captures.
@@ -223,7 +223,7 @@ grep -q '^summary: phase name=fedload.update ' "$OUT_DIR/fedload_trace_summary.t
 echo "load smoke: tracing OK (audits=$audits rounds, applied=$audit_applied," \
 	"server and fleet rings populated, all captures parse)"
 
-# ---- Kill-and-resume leg (DESIGN.md §15) -----------------------------
+# ---- Kill-and-resume leg (DESIGN.md §7) -----------------------------
 # A fresh durable run against the still-warm fleet: SIGKILL fedserve as
 # soon as its first checkpoint lands, restart it with -resume, and
 # require the restart to actually resume and finish RESUME_ROUNDS more
