@@ -1,9 +1,12 @@
 // Command fedclient runs one federated participant as a standalone
-// process, serving the transport protocol over HTTP. All processes of a
-// federation must be started with the same scenario flags (dataset,
-// victim, target, seed, population sizes); each derives its own shard
-// deterministically from the shared seed, so no data ever crosses the
-// wire.
+// process: a transport.Fleet of one, serving participant <index> at
+// /c/<index>/v1/... over HTTP. All processes of a federation must be
+// started with the same scenario flags (dataset, victim, target, seed,
+// population sizes); each derives its own shard deterministically from the
+// shared seed, so no data ever crosses the wire. fedserve's -clients lists
+// the processes in index order: the address at position i must be the
+// fedclient started with -index i, or that participant's calls are
+// refused (HTTP 404) and it drops out.
 //
 // Example (one attacker and two honest clients on loopback):
 //
@@ -21,9 +24,7 @@ import (
 	"os/signal"
 	"time"
 
-	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/eval"
-	"github.com/fedcleanse/fedcleanse/internal/fl"
 	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/transport"
@@ -62,17 +63,9 @@ func main() {
 	}
 
 	template, shards, _, _ := eval.Components(s)
-	part := eval.ParticipantFor(s, *index, template, shards[*index])
-	full, ok := part.(interface {
-		fl.Participant
-		core.ReportClient
-	})
-	if !ok {
-		fmt.Fprintln(os.Stderr, "participant does not implement the transport surface")
-		os.Exit(1)
-	}
-	cs := transport.NewClientServer(full, template)
-	addr, err := cs.Serve(*listen)
+	fleet := transport.NewFleet()
+	fleet.AddWithModel(eval.ParticipantFor(s, *index, template, shards[*index]), template)
+	addr, err := fleet.Serve(*listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -97,15 +90,15 @@ func main() {
 	case <-ch:
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		if err := cs.Shutdown(ctx); err != nil {
+		if err := fleet.Shutdown(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "shutdown:", err)
 			os.Exit(1)
 		}
-		if err := <-cs.Err(); err != nil {
+		if err := <-fleet.Err(); err != nil {
 			fmt.Fprintln(os.Stderr, "serve:", err)
 			os.Exit(1)
 		}
-	case err := <-cs.Err():
+	case err := <-fleet.Err():
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}

@@ -2,7 +2,11 @@
 // fedclient processes, then (optionally) the defense pipeline — one
 // federation spread across OS processes, communicating only through the
 // transport protocol. Start it with the same scenario flags as the
-// fedclient processes (see cmd/fedclient for a full example).
+// fedclient processes (see cmd/fedclient for a full example). -clients
+// lists their host:port addresses in index order; participant i is reached
+// at /c/i on the i-th (transport.FleetClientAddr), so a misplaced address
+// is refused with a 404 and its participant drops out rather than answering
+// under another index.
 //
 // While a run is in flight, -ops-addr exposes the live diagnostics
 // surface: /metrics (text or JSON snapshot of the obs registry),
@@ -37,7 +41,7 @@ import (
 
 func main() {
 	scen := eval.AddScenarioFlags()
-	clients := flag.String("clients", "", "comma-separated client addresses, in participant-index order")
+	clients := flag.String("clients", "", "comma-separated fedclient addresses (host:port), in participant-index order: position i must be the fedclient started with -index i")
 	fleet := flag.String("fleet", "", "fedload fleet address (host:port); replaces -clients with a registered population of fleet-hosted clients")
 	fleetCount := flag.Int("fleet-count", 10000, "registered population size in fleet mode")
 	sel := flag.Int("select", 0, "clients sampled per round in fleet mode (0 = all)")
@@ -207,7 +211,7 @@ func main() {
 
 	parts := make([]fl.Participant, len(addrs))
 	for i, addr := range addrs {
-		parts[i] = transport.NewRemoteClient(i, strings.TrimSpace(addr),
+		parts[i] = transport.NewRemoteClient(i, transport.FleetClientAddr(strings.TrimSpace(addr), i),
 			transport.WithRetryPolicy(retry))
 	}
 	// The population size follows the actually connected clients.

@@ -129,9 +129,8 @@ func TestMalformedReportIsDropout(t *testing.T) {
 			cfg := DefaultPipelineConfig()
 			cfg.Method = tc.method
 			cfg.TargetLayer = 0
-			cfg.MaxPruneUnits = 2
 			cfg.FineTuneRounds = 0
-			eval := Evaluator(func(*nn.Sequential) float64 { return 0.95 })
+			eval := twoPrunes(0.95)
 			mixed := []ReportClient{healthy[0], tc.bad, healthy[1]}
 			rep := RunPipeline(pipelineModel(97), mixed, nil, eval, cfg)
 			if !tc.dropped {
@@ -184,10 +183,10 @@ func TestRunPipelineDropsReportsOffTheLayerWidth(t *testing.T) {
 		}
 		clients[i] = &fakeReportClient{acts: a}
 	}
-	eval := Evaluator(func(*nn.Sequential) float64 { return 0.9 })
+	eval := twoPrunes(0.9)
 	for _, method := range []PruneMethod{RAP, MVP} {
 		cfg := DefaultPipelineConfig()
-		cfg.Method, cfg.TargetLayer, cfg.FineTuneRounds, cfg.MaxPruneUnits = method, 0, 0, 2
+		cfg.Method, cfg.TargetLayer, cfg.FineTuneRounds = method, 0, 0
 		rep := RunPipeline(pipelineModel(99), clients, nil, eval, cfg)
 		if !reflect.DeepEqual(rep.ReportDropouts, []int{0, 1, 2, 3, 4, 5}) {
 			t.Fatalf("%v: dropouts %v, want the six wide reports", method, rep.ReportDropouts)
@@ -253,10 +252,9 @@ func TestRunPipelineRecordsReportDropouts(t *testing.T) {
 			failRanks:        true, failVotes: true,
 		},
 	}
-	eval := Evaluator(func(*nn.Sequential) float64 { return 0.95 })
+	eval := twoPrunes(0.95)
 	cfg := DefaultPipelineConfig()
 	cfg.TargetLayer = 0
-	cfg.MaxPruneUnits = 2
 	cfg.FineTuneRounds = 0
 	rep := RunPipeline(m, clients, nil, eval, cfg)
 	if len(rep.ReportDropouts) != 1 || rep.ReportDropouts[0] != 1 {

@@ -127,9 +127,9 @@ func TestPruneToThresholdCachedMatchesNaive(t *testing.T) {
 	minAcc := (lo + hi) / 2
 	eachWorkerCount(t, func(t *testing.T) {
 		mN := f.template.Clone()
-		want := core.PruneToThreshold(mN, f.layerIdx, f.order, f.naiveTA(), minAcc, 0)
+		want := core.PruneToThreshold(mN, f.layerIdx, f.order, f.naiveTA(), minAcc)
 		mC := f.template.Clone()
-		got := core.PruneToThreshold(mC, f.layerIdx, f.order, f.cachedTA(), minAcc, 0)
+		got := core.PruneToThreshold(mC, f.layerIdx, f.order, f.cachedTA(), minAcc)
 		if len(got.Steps) != len(want.Steps) || len(got.Pruned) != len(want.Pruned) {
 			t.Fatalf("trace shape: %d/%d steps, %d/%d pruned",
 				len(got.Steps), len(want.Steps), len(got.Pruned), len(want.Pruned))
@@ -206,7 +206,7 @@ func TestCachedEvaluatorScopeHandover(t *testing.T) {
 	minAcc := (lo + hi) / 2
 
 	run := func(ta core.ScopedEvaluator, m *nn.Sequential) (core.PruneResult, core.AWResult) {
-		pr := core.PruneToThreshold(m, f.layerIdx, f.order, ta, minAcc, 0)
+		pr := core.PruneToThreshold(m, f.layerIdx, f.order, ta, minAcc)
 		aw := core.AdjustWeights(m, f.layerIdx, core.AWConfig{StartDelta: 3, MinDelta: 1, Eps: 1, MinAccuracy: 0}, ta)
 		return pr, aw
 	}

@@ -85,8 +85,6 @@ type PipelineConfig struct {
 	// AWMaxAccuracyDrop is the adjusting-weights guard relative to the
 	// evaluator score right before AW; 0 falls back to MaxAccuracyDrop.
 	AWMaxAccuracyDrop float64
-	// MaxPruneUnits bounds pruned units per layer (0 = unbounded).
-	MaxPruneUnits int
 	// SkipPrune and SkipAW disable individual stages, giving the paper's
 	// ablation modes: FP-only (SkipAW), AW-only (SkipPrune), FP+AW
 	// (FineTuneRounds=0) and All (everything on).
@@ -203,7 +201,7 @@ func RunPipeline(m *nn.Sequential, clients []ReportClient, tuner Tuner, eval Sco
 		obs.M.DefenseReportDropouts.Add(uint64(len(collected.Dropped)))
 		minAcc := rep.AccBefore - cfg.MaxAccuracyDrop
 		ssp := obs.StartChildOf(psc, "defense.prune.sweep", obs.M.DefensePruneSweepSeconds)
-		rep.Prune = PruneToThreshold(m, layerIdx, collected.Order, eval, minAcc, cfg.MaxPruneUnits)
+		rep.Prune = PruneToThreshold(m, layerIdx, collected.Order, eval, minAcc)
 		rep.Timing.Sweep = ssp.End()
 		rep.AccAfterPrune = rep.Prune.FinalAccuracy
 		obs.L().Info("defense: pruning done", "pruned", len(rep.Prune.Pruned),

@@ -21,10 +21,21 @@ func (f *fakeReportClient) VoteReport(_ *nn.Sequential, _ int, p float64) []bool
 	return VotesFromActivations(f.acts, p)
 }
 
-// fakeTuner counts fine-tune invocations.
-type fakeTuner struct{ rounds int }
+// fakeTuner counts fine-tune calls, whatever their int argument means.
+type fakeTuner struct{ calls int }
 
-func (f *fakeTuner) FineTune(_ *nn.Sequential, rounds int) { f.rounds += rounds }
+func (f *fakeTuner) FineTune(*nn.Sequential, int) { f.calls++ }
+
+// twoPrunes scores acc until more than two units of layer 0 are pruned,
+// then 0: the accuracy guard stops pruning at two units.
+func twoPrunes(acc float64) Evaluator {
+	return func(m *nn.Sequential) float64 {
+		if m.Layer(0).(nn.Prunable).PrunedCount() > 2 {
+			return 0
+		}
+		return acc
+	}
+}
 
 // pipelineModel returns a conv(6)->relu->flatten->dense model.
 func pipelineModel(seed int64) *nn.Sequential {
@@ -46,10 +57,9 @@ func TestRunPipelineAllStages(t *testing.T) {
 		&fakeReportClient{acts: []float64{4, 5, 2, 3, 0.2, 0.1}},
 	}
 	tuner := &fakeTuner{}
-	eval := Evaluator(func(*nn.Sequential) float64 { return 0.95 })
+	eval := twoPrunes(0.95)
 	cfg := DefaultPipelineConfig()
 	cfg.TargetLayer = 0
-	cfg.MaxPruneUnits = 2
 	cfg.FineTuneRounds = 3
 	cfg.FineTunePatience = 5 // eval is constant, patience must end it
 	rep := RunPipeline(m, clients, tuner, eval, cfg)
@@ -64,7 +74,7 @@ func TestRunPipelineAllStages(t *testing.T) {
 	if !conv.UnitPruned(4) || !conv.UnitPruned(5) {
 		t.Fatalf("wrong units pruned: %v", rep.Prune.Pruned)
 	}
-	if tuner.rounds == 0 {
+	if tuner.calls == 0 {
 		t.Fatal("tuner never invoked")
 	}
 	if rep.AccBefore != 0.95 || rep.AccFinal != 0.95 {
@@ -82,8 +92,8 @@ func TestRunPipelineFineTuneEarlyStop(t *testing.T) {
 	cfg.FineTuneRounds = 50
 	cfg.FineTunePatience = 2
 	RunPipeline(m, clients, tuner, eval, cfg)
-	if tuner.rounds != 2 {
-		t.Fatalf("fine-tuned %d rounds, want early stop at 2", tuner.rounds)
+	if tuner.calls != 2 {
+		t.Fatalf("fine-tuned %d rounds, want early stop at 2", tuner.calls)
 	}
 }
 

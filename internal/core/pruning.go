@@ -203,14 +203,13 @@ type PruneResult struct {
 
 // PruneToThreshold prunes units of layer layerIdx of m in the given global
 // order (Algorithm 1 lines 7-13), stopping — and reverting the offending
-// prune — as soon as the evaluator drops below minAcc. m is modified in
-// place. maxUnits bounds the number of pruned units (0 means no bound
-// beyond leaving at least one unit alive).
+// prune — as soon as the evaluator drops below minAcc, and always leaves at
+// least one unit alive. m is modified in place.
 //
 // The loop announces a prune scope so cached evaluators replay only the
 // suffix per step, and reverts a violating prune via a per-unit snapshot
 // (Sequential.CaptureUnit/RestoreUnit) instead of cloning the model.
-func PruneToThreshold(m *nn.Sequential, layerIdx int, order []int, eval ScopedEvaluator, minAcc float64, maxUnits int) PruneResult {
+func PruneToThreshold(m *nn.Sequential, layerIdx int, order []int, eval ScopedEvaluator, minAcc float64) PruneResult {
 	p, ok := m.Layer(layerIdx).(nn.Prunable)
 	if !ok {
 		panic("core: PruneToThreshold target layer is not prunable")
@@ -220,9 +219,6 @@ func PruneToThreshold(m *nn.Sequential, layerIdx int, order []int, eval ScopedEv
 	res := PruneResult{BaselineAccuracy: eval.Evaluate(m)}
 	res.FinalAccuracy = res.BaselineAccuracy
 	limit := len(order) - 1 // always keep at least one unit
-	if maxUnits > 0 && maxUnits < limit {
-		limit = maxUnits
-	}
 	var snap nn.UnitSnapshot
 	for _, unit := range order {
 		if len(res.Pruned) >= limit {

@@ -232,7 +232,7 @@ func TestPruneToThresholdStopsAndReverts(t *testing.T) {
 		return 1.0
 	})
 	order := []int{5, 4, 3, 2, 1, 0}
-	res := PruneToThreshold(m, layerIdx, order, eval, 0.9, 0)
+	res := PruneToThreshold(m, layerIdx, order, eval, 0.9)
 	if len(res.Pruned) != 3 {
 		t.Fatalf("pruned %d units, want 3", len(res.Pruned))
 	}
@@ -260,21 +260,11 @@ func TestPruneToThresholdStopsAndReverts(t *testing.T) {
 	}
 }
 
-func TestPruneToThresholdRespectsMaxUnits(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	m, layerIdx := plantedConv(t, rng)
-	eval := Evaluator(func(*nn.Sequential) float64 { return 1 })
-	res := PruneToThreshold(m, layerIdx, []int{0, 1, 2, 3, 4, 5}, eval, 0, 2)
-	if len(res.Pruned) != 2 {
-		t.Fatalf("pruned %d, want 2 (maxUnits)", len(res.Pruned))
-	}
-}
-
 func TestPruneToThresholdNeverKillsAllUnits(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	m, layerIdx := plantedConv(t, rng)
 	eval := Evaluator(func(*nn.Sequential) float64 { return 1 }) // never stops
-	res := PruneToThreshold(m, layerIdx, []int{0, 1, 2, 3, 4, 5}, eval, 0, 0)
+	res := PruneToThreshold(m, layerIdx, []int{0, 1, 2, 3, 4, 5}, eval, 0)
 	if len(res.Pruned) != 5 {
 		t.Fatalf("pruned %d, want 5 (one unit must survive)", len(res.Pruned))
 	}

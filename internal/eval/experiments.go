@@ -315,7 +315,7 @@ func Specs(sw Sweep) []Spec {
 				order := core.GlobalPruneOrder(t.Server.Model, fl.ReportClients(t.Participants), li, cfg)
 				evalFn := t.ValidationEvaluator()
 				masked := t.Server.Model.Clone()
-				res := core.PruneToThreshold(masked, li, order, evalFn, evalFn.Evaluate(masked)-cfg.MaxAccuracyDrop, 0)
+				res := core.PruneToThreshold(masked, li, order, evalFn, evalFn.Evaluate(masked)-cfg.MaxAccuracyDrop)
 				core.FineTune(masked, res.FinalAccuracy, t.Server, cfg.FineTuneRounds, cfg.FineTunePatience, evalFn)
 				row.Cells["masked"] = t.cell(masked)
 				zeroOnly := t.Server.Model.Clone()

@@ -34,11 +34,7 @@ func refPipeline(m *nn.Sequential, clients []core.ReportClient, tuner core.Tuner
 		order, rep.ReportDropouts = refPruneOrder(m, clients, li, cfg)
 		rep.Prune = core.PruneResult{BaselineAccuracy: acc(m)}
 		rep.Prune.FinalAccuracy = rep.Prune.BaselineAccuracy
-		limit := len(order) - 1
-		if cfg.MaxPruneUnits > 0 && cfg.MaxPruneUnits < limit {
-			limit = cfg.MaxPruneUnits
-		}
-		for _, u := range order[:limit] {
+		for _, u := range order[:len(order)-1] {
 			next := m.Clone()
 			next.PruneModelUnit(li, u)
 			a := acc(next)
@@ -226,7 +222,6 @@ func TestRunPipelineMatchesReference(t *testing.T) {
 			cfg := core.DefaultPipelineConfig()
 			cfg.Method = []core.PruneMethod{core.RAP, core.MVP}[rng.Intn(2)]
 			cfg.MaxAccuracyDrop = []float64{0.01, 0.02, 0.05}[rng.Intn(3)]
-			cfg.MaxPruneUnits = []int{0, 0, 3}[rng.Intn(3)]
 			cfg.SkipPrune = rng.Intn(5) == 0
 			cfg.SkipAW = rng.Intn(5) == 0
 			cfg.FineTuneRounds = rng.Intn(3)

@@ -188,7 +188,7 @@ func Mitigate(m *nn.Sequential, trig ReversedTrigger, data *dataset.Dataset, eva
 		diff[i] = triggered[i] - clean[i]
 	}
 	order := argsortDesc(diff)
-	res := core.PruneToThreshold(m, li, order, eval, minAcc, 0)
+	res := core.PruneToThreshold(m, li, order, eval, minAcc)
 	return len(res.Pruned)
 }
 

@@ -211,10 +211,11 @@ func TestBroadcastConcurrentStubsOneFleet(t *testing.T) {
 	}
 }
 
-// serveBody runs one request through h synchronously.
+// serveBody runs one request to participant 0's endpoint path (/v1/…)
+// through the fleet handler h synchronously.
 func serveBody(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/c/0"+path, bytes.NewReader(body)))
 	return rec
 }
 
@@ -251,12 +252,12 @@ func TestBroadcastOneFlippedByteIsRefused(t *testing.T) {
 }
 
 // TestBroadcastHitStillValidates: a well-formed request of the wrong length
-// or with an out-of-range layer becomes a ClientServer's last verified
+// or with an out-of-range layer becomes a fleet's last verified
 // request — it decoded — and is refused by the template's validation every
 // time it comes back.
 func TestBroadcastHitStillValidates(t *testing.T) {
-	cs, n := fuzzClientServer()
-	h := cs.Handler()
+	f, n := fuzzFleet()
+	h := f.Handler()
 	for _, c := range []struct {
 		path string
 		body []byte
@@ -270,9 +271,9 @@ func TestBroadcastHitStillValidates(t *testing.T) {
 			if rec := serveBody(h, c.path, c.body); rec.Code != http.StatusBadRequest {
 				t.Errorf("%s, request %d: HTTP %d, want 400", c.path, i, rec.Code)
 			}
-			cs.fleet.last.mu.Lock()
-			v := cs.fleet.last.v
-			cs.fleet.last.mu.Unlock()
+			f.last.mu.Lock()
+			v := f.last.v
+			f.last.mu.Unlock()
 			if v == nil || !bytes.Equal(v.body.B, c.body) {
 				t.Fatalf("%s, request %d: not the last verified request", c.path, i)
 			}
@@ -284,15 +285,15 @@ func TestBroadcastHitStillValidates(t *testing.T) {
 // is held by the last verified request alone once they have returned, and
 // goes back to the free list once, when another request replaces it.
 func TestBroadcastSharedGlobalReleasedOnce(t *testing.T) {
-	cs, n := fuzzClientServer()
-	h := cs.Handler()
+	f, n := fuzzFleet()
+	h := f.Handler()
 	request1 := appendRequest(nil, wire.KindUpdateRequest, request{Global: make([]float64, n), Round: 1})
 	for i := 0; i < 5; i++ {
 		if rec := serveBody(h, "/v1/update", request1); rec.Code != http.StatusOK {
 			t.Fatalf("request %d: HTTP %d", i, rec.Code)
 		}
 	}
-	v := cs.fleet.last.v
+	v := f.last.v
 	if refs := v.refs.Load(); refs != 1 {
 		t.Fatalf("the verified request holds %d references after its handlers returned, want 1", refs)
 	}

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -79,19 +78,15 @@ const restartFaulty = 3
 // -timeout chaos tests.
 func serveRestartFleet(t *testing.T, template *nn.Sequential) (addrs []string, shutdown func()) {
 	t.Helper()
-	var servers []*ClientServer
+	var stops []func()
 	for _, p := range restartParts(template) {
-		cs := NewClientServer(p.(participant), template)
-		addr, err := cs.Serve("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers = append(servers, cs)
+		addr, stop := serveOne(p, template, nil)
+		stops = append(stops, stop)
 		addrs = append(addrs, addr)
 	}
 	return addrs, func() {
-		for _, s := range servers {
-			_ = s.Shutdown(context.Background())
+		for _, stop := range stops {
+			stop()
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package transport
 
 import (
-	"context"
 	"math/rand"
+	"net/http"
 	"testing"
 	"time"
 
@@ -16,10 +16,11 @@ import (
 
 // The chaos harness: the buildPopulation federation served over loopback
 // HTTP with a deterministic FaultInjector on a minority of clients, either
-// client-side (WithTransport) or server-side (SetMiddleware). Every chaos
-// run is compared bit for bit against a fault-free run in which the same
-// clients are excluded by an in-process DropPolicy — the tentpole
-// guarantee that wire failures and policy drops are the same event.
+// client-side (WithTransport) or server-side (Middleware around the
+// client's fleet handler). Every chaos run is compared bit for bit against
+// a fault-free run in which the same clients are excluded by an in-process
+// DropPolicy — the tentpole guarantee that wire failures and policy drops
+// are the same event.
 
 // chaosMode selects which side of the wire injects the faults.
 type chaosMode int
@@ -76,26 +77,21 @@ func recoverRetry() RetryPolicy {
 		BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}
 }
 
-// serveChaos puts each participant behind an HTTP server and returns the
-// remote stubs. inj maps a participant's slice index to its fault
-// injector, installed per mode; faulty clients get the given retry policy.
+// serveChaos puts each participant in a fleet of its own behind an HTTP
+// server and returns the remote stubs. inj maps a participant's slice index
+// to its fault injector, installed per mode; faulty clients get the given
+// retry policy.
 func serveChaos(t *testing.T, parts []fl.Participant, template *nn.Sequential,
 	inj map[int]*FaultInjector, retry RetryPolicy, mode chaosMode) (remote []fl.Participant, shutdown func()) {
 	t.Helper()
-	var servers []*ClientServer
+	var stops []func()
 	for i, p := range parts {
-		cs := NewClientServer(p.(interface {
-			fl.Participant
-			core.ReportClient
-		}), template)
+		var mw func(http.Handler) http.Handler
 		if mode == serverSide && inj[i] != nil {
-			cs.SetMiddleware(inj[i].Middleware)
+			mw = inj[i].Middleware
 		}
-		addr, err := cs.Serve("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers = append(servers, cs)
+		addr, stop := serveOne(p, template, mw)
+		stops = append(stops, stop)
 		opts := []RemoteOption{}
 		if inj[i] != nil {
 			opts = append(opts, WithRetryPolicy(retry))
@@ -106,8 +102,8 @@ func serveChaos(t *testing.T, parts []fl.Participant, template *nn.Sequential,
 		remote = append(remote, NewRemoteClient(p.ID(), addr, opts...))
 	}
 	shutdown = func() {
-		for _, s := range servers {
-			_ = s.Shutdown(context.Background())
+		for _, stop := range stops {
+			stop()
 		}
 	}
 	return remote, shutdown
@@ -302,9 +298,10 @@ func TestChaosPipelineMinorityFaultyBitIdentical(t *testing.T) {
 // bit-identical to a fault-free run. A connection reset fails before the
 // participant is reached; a response truncated on the server comes after
 // the participant trained, so the retry trains it again — to the same bits,
-// its update being a function of (seed, id, global, round) alone.
+// its update being a function of (seed, id, global, round) alone. Each
+// faulty client's injector sees two exchanges a round, so the faults fired.
 func TestChaosTransientFaultRecovers(t *testing.T) {
-	run := func(sched Schedule, mode chaosMode) ([]float64, []fl.RoundResult) {
+	run := func(sched Schedule, mode chaosMode) ([]float64, []fl.RoundResult, int) {
 		prev := parallel.SetWorkers(8)
 		defer parallel.SetWorkers(prev)
 		train, _, template, cfg := chaosSetup()
@@ -320,9 +317,13 @@ func TestChaosTransientFaultRecovers(t *testing.T) {
 		for r := 0; r < cfg.Rounds; r++ {
 			rounds = append(rounds, srv.RoundDetail(r))
 		}
-		return srv.Model.ParamsVector(), rounds
+		exchanges := 0
+		for _, in := range inj {
+			exchanges += in.Calls("/v1/update")
+		}
+		return srv.Model.ParamsVector(), rounds, exchanges
 	}
-	refParams, _ := run(nil, clientSide)
+	refParams, _, _ := run(nil, clientSide)
 	for _, tc := range []struct {
 		name  string
 		fault FaultKind
@@ -332,8 +333,11 @@ func TestChaosTransientFaultRecovers(t *testing.T) {
 		{"server-side truncate", FaultTruncate, serverSide},
 	} {
 		// The first attempt of every round faults, its retry succeeds.
-		params, rounds := run(Script{"/v1/update": {{Kind: tc.fault}, {}, {Kind: tc.fault}}}, tc.mode)
+		params, rounds, exchanges := run(Script{"/v1/update": {{Kind: tc.fault}, {}, {Kind: tc.fault}}}, tc.mode)
 		assertSameParams(t, tc.name, params, refParams)
+		if want := 2 * 2 * len(rounds); exchanges != want {
+			t.Fatalf("%s: the faulty clients' injectors saw %d update exchanges, want %d", tc.name, exchanges, want)
+		}
 		for r, res := range rounds {
 			if len(res.Dropped) != 0 || len(res.Errs) != 0 || len(res.Completed) != 3 {
 				t.Fatalf("%s: round %d recorded a dropout despite successful retry: %+v", tc.name, r, res)
@@ -351,17 +355,8 @@ func TestRoundTimeoutReleasesHangingClient(t *testing.T) {
 	cfg.RoundTimeout = 300 * time.Millisecond
 	parts := chaosClients(train, template, cfg)[2:3]
 	inj := NewFaultInjector(AlwaysFail{FaultHang})
-	var servers []*ClientServer
-	cs := NewClientServer(parts[0].(interface {
-		fl.Participant
-		core.ReportClient
-	}), template)
-	addr, err := cs.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	servers = append(servers, cs)
-	defer func() { _ = servers[0].Shutdown(context.Background()) }()
+	addr, stop := serveOne(parts[0], template, nil)
+	defer stop()
 	// A generous retry policy: only the round deadline can release the hang.
 	rc := NewRemoteClient(parts[0].ID(), addr,
 		WithRetryPolicy(RetryPolicy{MaxAttempts: 3, AttemptTimeout: time.Minute}),

@@ -24,7 +24,7 @@ import (
 //     resumed round marked (Resumed, ResumePrefix, checkpoint path);
 //   - every audited trace ID names one connected span tree in the ring,
 //     rooted at the round's fl.round span and crossing the wire into the
-//     client servers' handler spans.
+//     clients' fleet handler spans (fedload.update).
 func TestChaosFleetTraceAndAuditResume(t *testing.T) {
 	obs.DefaultSpans.Reset()
 	template := restartTemplate()
@@ -167,7 +167,7 @@ func assertAuditMatchesResult(t *testing.T, a fl.RoundAudit, rr fl.RoundResult) 
 // in the ring (handler spans can end a beat after the caller reads the
 // response) and asserts it is one connected tree: a single fl.round root,
 // every other span reachable from it, with the wire legs — call, attempt
-// and the client server's handler span — present.
+// and the client fleet's handler span — present.
 func assertConnectedTrace(t *testing.T, a fl.RoundAudit) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -196,7 +196,7 @@ func assertConnectedTrace(t *testing.T, a fl.RoundAudit) {
 		}
 		ok := roots == 1 && orphans == 0 && root.Name == "fl.round" &&
 			names["transport.call"] > 0 && names["transport.attempt"] > 0 &&
-			names["client.update"] > 0 &&
+			names["fedload.update"] > 0 &&
 			(a.Round != 1 || names["fl.round.resume"] == 1)
 		if ok {
 			if root.Round != int64(a.Round) {

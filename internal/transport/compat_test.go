@@ -348,12 +348,8 @@ func TestVersionedUpdateRejections(t *testing.T) {
 func TestVersionedUpdateOverWire(t *testing.T) {
 	template := nn.NewSmallCNN(nn.Input{C: 1, H: 8, W: 8}, 4, rand.New(rand.NewSource(95)))
 	global := template.ParamsVector()
-	cs := NewClientServer(&fl.SyntheticClient{Id: 0, Seed: 96}, template)
-	addr, err := cs.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = cs.Shutdown(context.Background()) }()
+	addr, stop := serveOne(&fl.SyntheticClient{Id: 0, Seed: 96}, template, nil)
+	defer stop()
 	got, err := NewRemoteClient(0, addr).TryLocalUpdate(context.Background(), global, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -465,30 +461,28 @@ func TestRequestRejections(t *testing.T) {
 	}
 	limit := int(envelopeLimit(n))
 	for size, want := range map[int]int{limit: http.StatusOK, limit + 1: http.StatusBadRequest} {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ranks", bytes.NewReader(padded(size))))
-		if rec.Code != want {
+		if rec := serveBody(h, "/v1/ranks", padded(size)); rec.Code != want {
 			t.Errorf("%d-byte request: HTTP %d, want %d (%s)", size, rec.Code, want, bytes.TrimSpace(rec.Body.Bytes()))
 		}
 	}
 }
 
-// TestRequestEncodingsAgree pins that there is one request format and one
-// handler set. The gob request an aggregator older than the envelope sends
-// draws 400 — never 200, never a panic — from a ClientServer and from a
-// Fleet on every endpoint, and the envelope request RemoteClient sends
-// draws byte-identical responses from the two.
+// TestRequestEncodingsAgree pins that there is one request format. The
+// gob request an aggregator older than the envelope sends draws 400 —
+// never 200, never a panic — from a fleet slot with a model architecture
+// and from one without, on every endpoint, and the envelope request
+// RemoteClient sends is served by both.
 func TestRequestEncodingsAgree(t *testing.T) {
 	template := nn.NewSmallCNN(nn.Input{C: 1, H: 8, W: 8}, 4, rand.New(rand.NewSource(95)))
 	global := template.ParamsVector()
 	layer := template.LastConvIndex()
 
-	cs := NewClientServer(&fl.SyntheticClient{Id: 3, Seed: 96, Units: 16}, template)
 	fleet := NewFleet()
-	fleet.Add(&fl.SyntheticClient{Id: 3, Seed: 96, Units: 16})
-	served := func(h http.Handler, path string, body []byte) (int, []byte) {
+	fleet.AddWithModel(&fl.SyntheticClient{Id: 3, Seed: 96, Units: 16}, template)
+	fleet.Add(&fl.SyntheticClient{Id: 4, Seed: 96, Units: 16})
+	served := func(path string, body []byte) (int, []byte) {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		fleet.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 		return rec.Code, rec.Body.Bytes()
 	}
 
@@ -505,23 +499,17 @@ func TestRequestEncodingsAgree(t *testing.T) {
 			appendRequest(nil, wire.KindVoteRequest, request{Model: template, Layer: layer, Rate: 0.5})},
 	}
 	for _, ep := range endpoints {
-		fromCS, bodyCS := served(cs.Handler(), ep.path, ep.envelope)
-		fromFleet, bodyFleet := served(fleet.Handler(), "/c/3"+ep.path, ep.envelope)
-		if fromCS != http.StatusOK || fromFleet != http.StatusOK {
-			t.Fatalf("%s: envelope request drew HTTP %d / %d", ep.path, fromCS, fromFleet)
-		}
-		if !bytes.Equal(bodyCS, bodyFleet) {
-			t.Errorf("%s: ClientServer and Fleet answered the same request differently", ep.path)
-		}
-		if code, _ := served(cs.Handler(), ep.path, ep.legacy); code != http.StatusBadRequest {
-			t.Errorf("ClientServer %s: gob request drew HTTP %d, want 400", ep.path, code)
-		}
-		if code, _ := served(fleet.Handler(), "/c/3"+ep.path, ep.legacy); code != http.StatusBadRequest {
-			t.Errorf("Fleet %s: gob request drew HTTP %d, want 400", ep.path, code)
+		for _, prefix := range []string{"/c/3", "/c/4"} {
+			if code, _ := served(prefix+ep.path, ep.envelope); code != http.StatusOK {
+				t.Fatalf("%s%s: envelope request drew HTTP %d", prefix, ep.path, code)
+			}
+			if code, _ := served(prefix+ep.path, ep.legacy); code != http.StatusBadRequest {
+				t.Errorf("%s%s: gob request drew HTTP %d, want 400", prefix, ep.path, code)
+			}
 		}
 	}
 	// The update response is also the in-process delta, bit for bit.
-	_, body := served(cs.Handler(), "/v1/update", endpoints[0].envelope)
+	_, body := served("/c/3/v1/update", endpoints[0].envelope)
 	up := updatePayload{Limit: int64(len(body))}
 	if err := up.DecodeBody(bytes.NewReader(body)); err != nil {
 		t.Fatal(err)
@@ -535,29 +523,23 @@ func TestRequestEncodingsAgree(t *testing.T) {
 // TestAccuracyEndpointIsGone: the defense asks clients for rank and vote
 // reports only, so the request an aggregator that still asked for a
 // client-reported accuracy sends (kind 8, retired, to /v1/accuracy) is a
-// 404 from a ClientServer and from a Fleet — a permanent rejection, never a
-// handler panic.
+// 404 from a fleet slot with a model architecture and from one without — a
+// permanent rejection, never a handler panic.
 func TestAccuracyEndpointIsGone(t *testing.T) {
 	template := nn.NewSmallCNN(nn.Input{C: 1, H: 8, W: 8}, 4, rand.New(rand.NewSource(95)))
 	body := appendRequest(nil, 8, request{Model: template})
-	cs := NewClientServer(&fl.SyntheticClient{Id: 3, Seed: 96, Units: 16}, template)
 	fleet := NewFleet()
-	fleet.Add(&fl.SyntheticClient{Id: 3, Seed: 96, Units: 16})
-	for _, c := range []struct {
-		name, path string
-		h          http.Handler
-	}{
-		{"ClientServer", "/v1/accuracy", cs.Handler()},
-		{"Fleet", "/c/3/v1/accuracy", fleet.Handler()},
-	} {
+	fleet.AddWithModel(&fl.SyntheticClient{Id: 3, Seed: 96, Units: 16}, template)
+	fleet.Add(&fl.SyntheticClient{Id: 4, Seed: 96, Units: 16})
+	for _, path := range []string{"/c/3/v1/accuracy", "/c/4/v1/accuracy"} {
 		panics := obs.M.FedloadHandlerPanics.Value()
 		rec := httptest.NewRecorder()
-		c.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, bytes.NewReader(body)))
+		fleet.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 		if rec.Code != http.StatusNotFound {
-			t.Errorf("%s %s: HTTP %d, want 404", c.name, c.path, rec.Code)
+			t.Errorf("%s: HTTP %d, want 404", path, rec.Code)
 		}
 		if got := obs.M.FedloadHandlerPanics.Value() - panics; got != 0 {
-			t.Errorf("%s %s: fedload_handler_panics_total moved by %d", c.name, c.path, got)
+			t.Errorf("%s: fedload_handler_panics_total moved by %d", path, got)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -18,8 +19,8 @@ import (
 // added latency — on a fixed, seeded schedule, so chaos tests can assert
 // bit-identical results against an equivalent fault-free run. The same
 // injector works on both sides of the wire: as an http.RoundTripper on a
-// RemoteClient (WithTransport) and as middleware on a ClientServer
-// (SetMiddleware).
+// RemoteClient (WithTransport) and as middleware around a Fleet's handler
+// (serveOne).
 
 // FaultKind enumerates the injectable failure modes.
 type FaultKind int
@@ -161,8 +162,14 @@ func NewFaultInjector(sched Schedule) *FaultInjector {
 	return &FaultInjector{sched: sched, calls: make(map[string]int)}
 }
 
-// take consumes the next schedule slot for an endpoint.
-func (f *FaultInjector) take(endpoint string) Fault {
+// take consumes the next schedule slot for the endpoint a request path
+// names: the path from its "/v1/" on, so a schedule keyed "/v1/update"
+// applies whichever participant prefix (/c/<id>) the path carries.
+func (f *FaultInjector) take(path string) Fault {
+	endpoint := path
+	if i := strings.Index(path, "/v1/"); i >= 0 {
+		endpoint = path[i:]
+	}
 	f.mu.Lock()
 	n := f.calls[endpoint]
 	f.calls[endpoint] = n + 1
@@ -227,7 +234,7 @@ func (f *FaultInjector) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // Middleware wraps a handler with the same fault schedule on the server
-// side, for ClientServer.SetMiddleware.
+// side.
 func (f *FaultInjector) Middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fault := f.take(r.URL.Path)

@@ -15,11 +15,11 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
-// Fleet hosts many federated participants behind ONE listener, which is
-// what makes tens of thousands of wire-attached clients practical in a
-// load test: one OS process, one port, one http.Server, however many
-// participants. Each participant answers at the path prefix /c/<id>, so
-// the stub address for client 42 on a fleet bound to host:port is
+// Fleet hosts federated participants behind ONE listener: one OS process,
+// one port, one http.Server, however many participants — one in a
+// fedclient process, tens of thousands in a fedload load test. Each
+// participant answers at the path prefix /c/<id>, so the stub address for
+// client 42 on a fleet bound to host:port is
 //
 //	host:port/c/42
 //
@@ -28,9 +28,8 @@ import (
 // unmodified RemoteClients.
 //
 // The fleet's handlers are the package's one implementation of the
-// protocol (ClientServer is a fleet of one, mounted at the root): the
-// update endpoint (POST /c/<id>/v1/update) plus the defense's report
-// endpoints (/v1/ranks, /v1/votes) for participants that
+// protocol: the update endpoint (POST /c/<id>/v1/update) plus the
+// defense's report endpoints (/v1/ranks, /v1/votes) for participants that
 // implement the reporting interfaces — fl.SyntheticClient answers them with
 // canned deterministic reports, so a load run exercises the report wire
 // path end to end. Report responses carry the participant's own ranks and
@@ -58,20 +57,12 @@ type endpoint struct {
 	hist *obs.Histogram
 }
 
-// The three endpoints as a fleet mounts them, by path below /c/<id>/, and as
-// a ClientServer does, by path from the root.
-var (
-	fleetEndpoints = map[string]endpoint{
-		"v1/update": {wire.KindUpdateRequest, "fedload.update", obs.M.FedloadUpdateSeconds},
-		"v1/ranks":  {wire.KindRankRequest, "fedload.ranks", nil},
-		"v1/votes":  {wire.KindVoteRequest, "fedload.votes", nil},
-	}
-	clientEndpoints = map[string]endpoint{
-		"/v1/update": {wire.KindUpdateRequest, "client.update", nil},
-		"/v1/ranks":  {wire.KindRankRequest, "client.ranks", nil},
-		"/v1/votes":  {wire.KindVoteRequest, "client.votes", nil},
-	}
-)
+// fleetEndpoints are the three endpoints, by path below /c/<id>/.
+var fleetEndpoints = map[string]endpoint{
+	"v1/update": {wire.KindUpdateRequest, "fedload.update", obs.M.FedloadUpdateSeconds},
+	"v1/ranks":  {wire.KindRankRequest, "fedload.ranks", nil},
+	"v1/votes":  {wire.KindVoteRequest, "fedload.votes", nil},
+}
 
 // fleetSlot pairs a participant with the mutex serializing calls into it:
 // fl's participants are concurrency-safe, but the fleet does not assume that
@@ -79,7 +70,7 @@ var (
 type fleetSlot struct {
 	mu   sync.Mutex
 	part fl.Participant
-	// template, in a slot that has one (NewClientServer), is the model
+	// template, in a slot that has one (AddWithModel), is the model
 	// architecture: requests are validated against it and report calls get
 	// it with the requested parameters installed (report). A slot without
 	// one (Fleet.Add) is architecture-agnostic: it validates neither the
@@ -115,16 +106,29 @@ func NewFleet() *Fleet {
 	return &Fleet{slots: make(map[int]*fleetSlot)}
 }
 
-// Add registers participants under their IDs. A duplicate ID is a
-// programming error and panics.
+// Add registers participants under their IDs, in slots without a model
+// architecture (fleetSlot.template). A duplicate ID is a programming error
+// and panics.
 func (f *Fleet) Add(parts ...fl.Participant) {
 	for _, p := range parts {
 		f.add(p, nil)
 	}
 }
 
+// AddWithModel registers one participant whose reports are taken on models
+// of template's architecture, like Add otherwise. Its slot carries a
+// private clone of template, its Params list built before concurrent
+// handlers read it: requests are validated against the architecture, and
+// report calls are handed the clone with the requested parameters
+// installed.
+func (f *Fleet) AddWithModel(p fl.Participant, template *nn.Sequential) {
+	tmpl := template.Clone()
+	tmpl.Params()
+	f.add(p, tmpl)
+}
+
 // add registers one participant, with the template its slot carries.
-func (f *Fleet) add(p fl.Participant, template *nn.Sequential) *fleetSlot {
+func (f *Fleet) add(p fl.Participant, template *nn.Sequential) {
 	slot := &fleetSlot{part: p, template: template}
 	f.mu.Lock()
 	if _, dup := f.slots[p.ID()]; dup {
@@ -135,7 +139,6 @@ func (f *Fleet) add(p fl.Participant, template *nn.Sequential) *fleetSlot {
 	n := len(f.slots)
 	f.mu.Unlock()
 	obs.M.FedloadClients.Set(int64(n))
-	return slot
 }
 
 // Len reports the number of hosted participants.
@@ -198,7 +201,7 @@ func (f *Fleet) route(w http.ResponseWriter, r *http.Request) {
 }
 
 // serve answers one request to an endpoint from slot: the one place a
-// request is read, validated and traced, whichever way it was mounted.
+// request is read, validated and traced.
 func (f *Fleet) serve(w http.ResponseWriter, r *http.Request, slot *fleetSlot, ep endpoint) {
 	// A child of the caller's attempt span when the request carries trace
 	// headers, linking this process's work into the caller's round tree; a
@@ -260,7 +263,7 @@ func (s *fleetSlot) readRequest(w http.ResponseWriter, r *http.Request, kind uin
 // mutex serializes the slot's calls, so nothing else reads the template's
 // parameters meanwhile — readRequest's validation reads only its shape. The
 // participant only reads the model (core.ReportClient) and runs it on a
-// working model of its own. Nothing prunes the template — NewClientServer's
+// working model of its own. Nothing prunes the template — AddWithModel's
 // private clone — so it carries no mask the requested parameters would not.
 func (s *fleetSlot) report(global []float64, call func(m *nn.Sequential)) {
 	s.mu.Lock()

@@ -44,6 +44,21 @@ func startFleet(t *testing.T, count int, seed int64) (*Fleet, string, func()) {
 	return f, addr, func() { _ = f.Shutdown(context.Background()) }
 }
 
+// serveOne hosts p, reporting on models of template's architecture, in a
+// fleet of its own on a loopback server, the fleet's handler wrapped in mw
+// when mw is not nil (a FaultInjector's Middleware), and returns p's stub
+// address and a func that stops the server.
+func serveOne(p fl.Participant, template *nn.Sequential, mw func(http.Handler) http.Handler) (string, func()) {
+	f := NewFleet()
+	f.AddWithModel(p, template)
+	h := f.Handler()
+	if mw != nil {
+		h = mw(h)
+	}
+	srv := httptest.NewServer(h)
+	return FleetClientAddr(srv.Listener.Addr().String(), p.ID()), srv.Close
+}
+
 // TestFleetRoundsMatchInProcess is the fleet's bit-identity gate: a
 // registry-backed streaming federation of 50 clients driven over one
 // loopback listener must produce the same parameters and telemetry as the
@@ -236,18 +251,24 @@ func TestFleetRecoversParticipantPanic(t *testing.T) {
 }
 
 // TestFleetRejectsUnknownPaths: unknown clients and unknown endpoints are
-// 404s, which RemoteClient treats as permanent (no retry storm).
+// 404s, which RemoteClient treats as permanent (no retry storm). That
+// includes a stub addressed to the wrong process: fedserve's stub 1 built on
+// the address of a fedclient started with -index 0.
 func TestFleetRejectsUnknownPaths(t *testing.T) {
 	_, addr, shutdown := startFleet(t, 1, 95)
 	defer shutdown()
-	rc := NewRemoteClient(7, FleetClientAddr(addr, 7),
-		WithRetryPolicy(RetryPolicy{MaxAttempts: 3}))
-	attempts := obs.M.TransportAttempts.Value()
-	if _, err := rc.TryLocalUpdate(context.Background(), make([]float64, 4), 0); err == nil {
-		t.Fatal("unknown client id answered")
-	}
-	if got := obs.M.TransportAttempts.Value() - attempts; got != 1 {
-		t.Fatalf("404 retried: %d attempts, want 1", got)
+	for _, id := range []int{7, 1} {
+		rc := NewRemoteClient(id, FleetClientAddr(addr, id),
+			WithRetryPolicy(RetryPolicy{MaxAttempts: 3}))
+		attempts := obs.M.TransportAttempts.Value()
+		_, err := rc.TryLocalUpdate(context.Background(), make([]float64, 4), 0)
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusNotFound {
+			t.Fatalf("client %d on a fleet hosting only 0: err = %v, want a 404 StatusError", id, err)
+		}
+		if got := obs.M.TransportAttempts.Value() - attempts; got != 1 {
+			t.Fatalf("client %d: 404 retried: %d attempts, want 1", id, got)
+		}
 	}
 	// Unknown endpoints under a known client are 404s too.
 	rc0 := NewRemoteClient(0, FleetClientAddr(addr, 0),
@@ -319,25 +340,27 @@ func TestFleetServesReports(t *testing.T) {
 	}
 }
 
-// TestClientServerReportsBorrowOneWorkingModel: however many report and
-// update calls a ClientServer serves, interleaved, they run on one working
-// model — the participant's, borrowed from its own template's free list —
-// and the slot's template lends none, nor builds a list to lend from. Each
+// TestServedModelReportsBorrowOneWorkingModel: however many report and
+// update calls an AddWithModel slot serves, interleaved, they run on one
+// working model — the participant's, borrowed from its own template's free
+// list — and the slot's template lends none, nor builds a list to lend
+// from. Each
 // report is byte for byte the one a fresh clone holding the request's
 // parameters gives, at both report precisions, and each update the
 // participant's in-process one, whatever the working model held before.
-func TestClientServerReportsBorrowOneWorkingModel(t *testing.T) {
+func TestServedModelReportsBorrowOneWorkingModel(t *testing.T) {
 	train, _ := dataset.GenSynthMNIST(dataset.GenConfig{TrainPerClass: 4, TestPerClass: 1, Seed: 80})
 	template := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rand.New(rand.NewSource(81)))
 	client := fl.NewClient(0, train, template, fl.Config{Rounds: 1, LocalEpochs: 1, BatchSize: 20, LR: 0.05}, 82)
-	cs := NewClientServer(client, template)
+	f := NewFleet()
+	f.AddWithModel(client, template)
 	li := template.LastConvIndex()
 	rng := rand.New(rand.NewSource(83))
 
 	check := func(path string, body, want []byte) {
 		t.Helper()
 		rec := httptest.NewRecorder()
-		cs.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		f.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/c/0"+path, bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: HTTP %d", path, rec.Code)
 		}
@@ -369,7 +392,7 @@ func TestClientServerReportsBorrowOneWorkingModel(t *testing.T) {
 		t.Fatalf("12 report and 6 update calls, served and in process, made %d working models, want 1", made)
 	}
 	// Sequential.replicas is created by the first Replicas call.
-	if !reflect.ValueOf(cs.slot.template).Elem().FieldByName("replicas").IsNil() {
+	if !reflect.ValueOf(f.slots[0].template).Elem().FieldByName("replicas").IsNil() {
 		t.Fatal("the slot's template built a free list of working models")
 	}
 }

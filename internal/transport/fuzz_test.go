@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"github.com/fedcleanse/fedcleanse/internal/nn"
@@ -39,16 +38,17 @@ func (s stubFuzzParticipant) VoteReport(*nn.Sequential, int, float64) []bool {
 	return make([]bool, s.units)
 }
 
-// fuzzHandler builds a small ClientServer and returns its handler plus the
-// template parameter count (for crafting valid and invalid bodies).
+// fuzzHandler builds a small fleet hosting participant 0 with a model
+// architecture and returns its handler plus the template parameter count
+// (for crafting valid and invalid bodies).
 func fuzzHandler() (http.Handler, int) {
-	cs, n := fuzzClientServer()
-	return cs.Handler(), n
+	f, n := fuzzFleet()
+	return f.Handler(), n
 }
 
-// fuzzClientServer is fuzzHandler's ClientServer, for tests that look at
-// its fleet's last verified request.
-func fuzzClientServer() (*ClientServer, int) {
+// fuzzFleet is fuzzHandler's fleet, for tests that look at its last
+// verified request.
+func fuzzFleet() (*Fleet, int) {
 	rng := rand.New(rand.NewSource(7))
 	d := tensor.ConvDims{C: 1, H: 4, W: 4, K: 3, Stride: 1, Pad: 1}
 	template := nn.NewSequential(
@@ -57,7 +57,9 @@ func fuzzClientServer() (*ClientServer, int) {
 		nn.NewFlatten("flatten"),
 		nn.NewDense("fc", 4*16, 3, rng),
 	)
-	return NewClientServer(stubFuzzParticipant{units: 4}, template), template.NumParams()
+	f := NewFleet()
+	f.AddWithModel(stubFuzzParticipant{units: 4}, template)
+	return f, template.NumParams()
 }
 
 // envelopeSeeds are the versioned-envelope seeds of one endpoint: the
@@ -184,9 +186,7 @@ func TestEnvelopeSeedStatuses(t *testing.T) {
 			http.StatusBadRequest,                             // oversized
 		}
 		for i, body := range envelopeSeeds(kind, n) {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-			if rec.Code != want[i] {
+			if rec := serveBody(h, path, body); rec.Code != want[i] {
 				t.Errorf("%s seed %d: HTTP %d, want %d (%s)", path, i, rec.Code, want[i], bytes.TrimSpace(rec.Body.Bytes()))
 			}
 		}

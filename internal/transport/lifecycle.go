@@ -17,10 +17,9 @@ const (
 	lsClosed
 )
 
-// lifecycle is the serve-once state machine shared by this package's HTTP
-// servers (ClientServer, Fleet): bind a listener, serve on a background
-// goroutine, deliver the terminal error on a buffered channel, shut down
-// at most once. Serve can be called at most once; a second call, or a
+// lifecycle is the serve-once state machine of a Fleet's HTTP server:
+// bind a listener, serve on a background goroutine, deliver the terminal
+// error on a buffered channel, shut down at most once. Serve can be called at most once; a second call, or a
 // call after shutdown, is an error.
 type lifecycle struct {
 	mu       sync.Mutex

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
 	"github.com/fedcleanse/fedcleanse/internal/fl"
 	"github.com/fedcleanse/fedcleanse/internal/metrics"
@@ -23,8 +25,8 @@ import (
 // its reports, and the wire carries what it computes. For a Client, an
 // Attacker (honest, and manipulating its ranks) and a SyntheticClient, at
 // float64 and at int8, the ranks (RAP) and votes (MVP) a RemoteClient gets
-// through a ClientServer and through a Fleet are bit for bit the
-// participant's in-process RankReport and VoteReport. A rank response is a
+// through a Fleet that hosts it with the model architecture are bit for bit
+// the participant's in-process RankReport and VoteReport. A rank response is a
 // RanksDelta and a vote response a VoteBitmap at either precision: the
 // participant ranks and votes on its own codes, and its activations never
 // leave it.
@@ -89,7 +91,10 @@ func testReportsMatchInProcess(t *testing.T, name string, train *dataset.Dataset
 		liar := fl.NewAttacker(2, train, template, cfg, poison, 2, 118)
 		liar.SetReportQuant(quant)
 		liar.SetDefenseBehavior(fl.AttackerDefenseBehavior{ManipulateRanks: true})
-		parts := map[string]participant{
+		parts := map[string]interface {
+			fl.Participant
+			core.ReportClient
+		}{
 			"client":                client,
 			"attacker":              honest,
 			"attacker-manipulating": liar,
@@ -98,9 +103,7 @@ func testReportsMatchInProcess(t *testing.T, name string, train *dataset.Dataset
 
 		fleet := NewFleet()
 		for _, p := range parts {
-			tmpl := template.Clone()
-			tmpl.Params()
-			fleet.add(p, tmpl)
+			fleet.AddWithModel(p, template)
 		}
 		fleetAddr, err := fleet.Serve("127.0.0.1:0")
 		if err != nil {
@@ -108,7 +111,6 @@ func testReportsMatchInProcess(t *testing.T, name string, train *dataset.Dataset
 		}
 		for who, p := range parts {
 			who = name + " " + who
-			cs := NewClientServer(p, template)
 			for _, ep := range []struct {
 				path string
 				kind uint16
@@ -119,33 +121,24 @@ func testReportsMatchInProcess(t *testing.T, name string, train *dataset.Dataset
 			} {
 				rec := httptest.NewRecorder()
 				body := appendRequest(nil, ep.kind, request{Model: m, Layer: li, Rate: 0.5})
-				cs.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, ep.path, bytes.NewReader(body)))
+				path := fmt.Sprintf("/c/%d%s", p.ID(), ep.path)
+				fleet.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 				if rec.Code != http.StatusOK || rec.Body.Len() == 0 || rec.Body.Bytes()[0] != ep.tag {
 					t.Fatalf("%s at %v: %s answered HTTP %d, payload %x…, want tag 0x%02x",
 						who, quant, ep.path, rec.Code, rec.Body.Bytes()[:min(rec.Body.Len(), 4)], ep.tag)
 				}
 			}
-			addr, err := cs.Serve("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
+			rc := NewRemoteClient(p.ID(), FleetClientAddr(fleetAddr, p.ID()))
+			ranks, err := rc.TryRankReport(ctx, m, li)
+			if want := p.RankReport(m, li); err != nil || !slices.Equal(ranks, want) {
+				t.Errorf("%s at %v: ranks %v (err %v), want %v", who, quant, ranks, err, want)
 			}
-			wantRanks := p.RankReport(m, li)
-			for via, rc := range map[string]*RemoteClient{
-				"client server": NewRemoteClient(p.ID(), addr),
-				"fleet":         NewRemoteClient(p.ID(), FleetClientAddr(fleetAddr, p.ID())),
-			} {
-				ranks, err := rc.TryRankReport(ctx, m, li)
-				if err != nil || !slices.Equal(ranks, wantRanks) {
-					t.Errorf("%s at %v through the %s: ranks %v (err %v), want %v", who, quant, via, ranks, err, wantRanks)
-				}
-				for _, rate := range []float64{0.3, 0.5} {
-					votes, err := rc.TryVoteReport(ctx, m, li, rate)
-					if want := p.VoteReport(m, li, rate); err != nil || !slices.Equal(votes, want) {
-						t.Errorf("%s at %v through the %s: votes at %g %v (err %v), want %v", who, quant, via, rate, votes, err, want)
-					}
+			for _, rate := range []float64{0.3, 0.5} {
+				votes, err := rc.TryVoteReport(ctx, m, li, rate)
+				if want := p.VoteReport(m, li, rate); err != nil || !slices.Equal(votes, want) {
+					t.Errorf("%s at %v: votes at %g %v (err %v), want %v", who, quant, rate, votes, err, want)
 				}
 			}
-			_ = cs.Shutdown(ctx)
 		}
 		_ = fleet.Shutdown(ctx)
 	}
@@ -169,12 +162,8 @@ func TestReportOnANonPrunableLayerIsRejected(t *testing.T) {
 	if layer < 0 {
 		t.Fatal("SmallCNN has no layer without units")
 	}
-	cs := NewClientServer(client, template)
-	addr, err := cs.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cs.Shutdown(context.Background())
+	addr, stop := serveOne(client, template, nil)
+	defer stop()
 	rc := NewRemoteClient(0, addr, WithRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}))
 
 	calls := map[string]func() error{

@@ -85,7 +85,7 @@ func TestTraceHeaderVersionedUpdatesPropagation(t *testing.T) {
 // attempt that actually reached it.
 func TestTraceFaultRetryKeepsTraceNewSpanPerAttempt(t *testing.T) {
 	obs.DefaultSpans.Reset()
-	inj := NewFaultInjector(Script{"/c/0/v1/update": {{Kind: FaultConnError}}})
+	inj := NewFaultInjector(Script{"/v1/update": {{Kind: FaultConnError}}})
 	rc, shutdown := startTraceFleet(t, WithRetryPolicy(chaosRetry()), WithTransport(inj))
 	defer shutdown()
 	root := obs.StartRoot("test.root", nil)

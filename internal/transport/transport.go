@@ -1,17 +1,22 @@
 // Package transport runs the federated protocol over real network
-// connections: each client is an HTTP server speaking a small binary
-// message protocol, and the aggregation server drives rounds through
-// RemoteClient stubs. The in-process simulator (internal/fl) and this
-// package share all interfaces, so a federation can mix local and remote
-// participants; the transport tests verify bit-identical results between
-// the two.
+// connections: a Fleet hosts participants behind one HTTP listener — one
+// participant in a fedclient process, thousands in a fedload one — speaking
+// a small binary message protocol, and the aggregation server drives rounds
+// through RemoteClient stubs. The in-process simulator (internal/fl) and
+// this package share all interfaces, so a federation can mix local and
+// remote participants; the transport tests verify bit-identical results
+// between the two.
 //
-// The protocol has three endpoints, mirroring what the paper's server asks
-// of clients:
+// Participant <id> answers three endpoints under the path prefix /c/<id>,
+// mirroring what the paper's server asks of clients:
 //
-//	POST /v1/update  — one round of local training; returns the delta
-//	POST /v1/ranks   — RAP rank report for a layer
-//	POST /v1/votes   — MVP vote report for a layer at a rate
+//	POST /c/<id>/v1/update  — one round of local training; returns the delta
+//	POST /c/<id>/v1/ranks   — RAP rank report for a layer
+//	POST /c/<id>/v1/votes   — MVP vote report for a layer at a rate
+//
+// A stub is built on FleetClientAddr(addr, id), so an address names the
+// participant: a stub pointed at a fleet that does not host its id gets a
+// 404, which it does not retry.
 //
 // The server guards pruning and AW with its own validation accuracy, so it
 // never asks a client for one. There is one wire format (DESIGN.md §7).
@@ -20,12 +25,10 @@
 // pooled buffers. Model parameters travel as flat vectors; both sides hold
 // the architecture (as in cross-silo FL deployments, where the model
 // definition ships with the software). Rank and vote responses are the
-// compact tagged payloads of codec.go (varint-delta ranks or, from a
-// participant reporting at int8, its int8 activations; bit-packed votes;
-// DESIGN.md §9). Anything else — the gob structs binaries before the
+// compact tagged payloads of codec.go (varint-delta ranks, bit-packed
+// votes; DESIGN.md §9). Anything else — the gob structs binaries before the
 // envelope spoke included — is refused: a 400 from a handler, a decode
-// error (and so a dropout) at a stub. One handler set serves the endpoints,
-// Fleet's (fleet.go); ClientServer is a fleet of one.
+// error (and so a dropout) at a stub.
 //
 // Failure model (DESIGN.md §8): every remote call can fail — crashes,
 // stragglers, partitions, corrupted responses. RemoteClient never panics;
@@ -35,7 +38,8 @@
 // (fl.FallibleParticipant, core.FallibleReportClient) that the round
 // drivers use to record a dropout and continue on the surviving quorum. The
 // tests' deterministic FaultInjector (fault_test.go) reproduces the failure
-// modes through WithTransport and ClientServer.SetMiddleware.
+// modes on both sides of the wire: installed on a stub with WithTransport,
+// and wrapped around a Fleet's Handler by the test that serves it.
 package transport
 
 import (
@@ -59,75 +63,6 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
-
-// participant is the full client-side surface the transport exposes.
-type participant interface {
-	fl.Participant
-	core.ReportClient
-}
-
-// ClientServer exposes one federated participant over HTTP: a Fleet of one
-// whose endpoints are mounted at the root (/v1/update, …) instead of under
-// /c/<id>, and whose slot carries the model architecture, so requests are
-// validated against it and report calls are handed a reconstructed model.
-type ClientServer struct {
-	fleet *Fleet
-	slot  *fleetSlot
-
-	mwMu       sync.Mutex
-	middleware func(http.Handler) http.Handler
-}
-
-// NewClientServer wraps a participant (an fl.Client or fl.Attacker; both
-// implement the defense reporting interfaces) with a private clone of
-// template, its Params list built before concurrent handlers read it.
-func NewClientServer(part participant, template *nn.Sequential) *ClientServer {
-	tmpl := template.Clone()
-	tmpl.Params()
-	f := NewFleet()
-	return &ClientServer{fleet: f, slot: f.add(part, tmpl)}
-}
-
-// SetMiddleware installs a handler wrapper applied around the protocol
-// handler (tests use it to inject server-side faults). It must be called
-// before Serve or Handler.
-func (cs *ClientServer) SetMiddleware(mw func(http.Handler) http.Handler) {
-	cs.mwMu.Lock()
-	defer cs.mwMu.Unlock()
-	cs.middleware = mw
-}
-
-// Handler returns the protocol handler (with any installed middleware),
-// for callers that embed the endpoints into their own server.
-func (cs *ClientServer) Handler() http.Handler {
-	h := recoverToError(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if ep, ok := clientEndpoints[r.URL.Path]; ok {
-			cs.fleet.serve(w, r, cs.slot, ep)
-		} else {
-			http.NotFound(w, r)
-		}
-	}))
-	cs.mwMu.Lock()
-	mw := cs.middleware
-	cs.mwMu.Unlock()
-	if mw != nil {
-		return mw(h)
-	}
-	return h
-}
-
-// Serve starts listening on addr and serves until Shutdown, returning the
-// bound address (see Fleet.Serve).
-func (cs *ClientServer) Serve(addr string) (string, error) {
-	return cs.fleet.life.serve(addr, cs.Handler())
-}
-
-// Err returns the channel that delivers the terminal serve error (see
-// Fleet.Err).
-func (cs *ClientServer) Err() <-chan error { return cs.fleet.Err() }
-
-// Shutdown stops the server (see Fleet.Shutdown).
-func (cs *ClientServer) Shutdown(ctx context.Context) error { return cs.fleet.Shutdown(ctx) }
 
 // RetryPolicy bounds RemoteClient's per-call retry loop.
 type RetryPolicy struct {

@@ -16,8 +16,8 @@ import (
 )
 
 // buildPopulation creates the same clients twice: once as in-process
-// participants, once wrapped behind HTTP servers with remote stubs. The
-// returned shutdown func stops all servers.
+// participants, once each in a fleet of its own behind an HTTP server, with
+// remote stubs. The returned shutdown func stops all servers.
 func buildPopulation(t *testing.T) (local []fl.Participant, remote []fl.Participant,
 	template *nn.Sequential, test *dataset.Dataset, shutdown func()) {
 	t.Helper()
@@ -41,22 +41,15 @@ func buildPopulation(t *testing.T) (local []fl.Participant, remote []fl.Particip
 	}
 
 	local = mkClients()
-	var servers []*ClientServer
+	var stops []func()
 	for _, p := range mkClients() {
-		cs := NewClientServer(p.(interface {
-			fl.Participant
-			core.ReportClient
-		}), template)
-		addr, err := cs.Serve("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		servers = append(servers, cs)
+		addr, stop := serveOne(p, template, nil)
+		stops = append(stops, stop)
 		remote = append(remote, NewRemoteClient(p.ID(), addr))
 	}
 	shutdown = func() {
-		for _, s := range servers {
-			_ = s.Shutdown(context.Background())
+		for _, stop := range stops {
+			stop()
 		}
 	}
 	return local, remote, template, testDS, shutdown
@@ -158,72 +151,61 @@ func TestRemoteClientRespectsCallerContext(t *testing.T) {
 }
 
 func TestServeTwiceFails(t *testing.T) {
-	local, _, template, _, shutdown := buildPopulation(t)
-	defer shutdown()
-	cs := NewClientServer(local[1].(interface {
-		fl.Participant
-		core.ReportClient
-	}), template)
-	if _, err := cs.Serve("127.0.0.1:0"); err != nil {
+	f := NewFleet()
+	f.Add(&fl.SyntheticClient{Id: 0})
+	if _, err := f.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer cs.Shutdown(context.Background())
-	if _, err := cs.Serve("127.0.0.1:0"); err == nil {
+	defer f.Shutdown(context.Background())
+	if _, err := f.Serve("127.0.0.1:0"); err == nil {
 		t.Fatal("second Serve did not fail")
 	}
 }
 
 func TestShutdownBeforeServeIsSafe(t *testing.T) {
-	local, _, template, _, shutdown := buildPopulation(t)
-	defer shutdown()
-	cs := NewClientServer(local[1].(interface {
-		fl.Participant
-		core.ReportClient
-	}), template)
-	if err := cs.Shutdown(context.Background()); err != nil {
+	f := NewFleet()
+	f.Add(&fl.SyntheticClient{Id: 0})
+	if err := f.Shutdown(context.Background()); err != nil {
 		t.Fatalf("Shutdown before Serve: %v", err)
 	}
-	if _, err := cs.Serve("127.0.0.1:0"); err == nil {
+	if _, err := f.Serve("127.0.0.1:0"); err == nil {
 		t.Fatal("Serve after Shutdown did not fail")
 	}
-	if err := cs.Shutdown(context.Background()); err != nil {
+	if err := f.Shutdown(context.Background()); err != nil {
 		t.Fatalf("double Shutdown: %v", err)
 	}
 }
 
 func TestServeErrorChannel(t *testing.T) {
-	local, _, template, _, shutdown := buildPopulation(t)
-	defer shutdown()
-	mk := func() *ClientServer {
-		return NewClientServer(local[1].(interface {
-			fl.Participant
-			core.ReportClient
-		}), template)
+	mk := func() *Fleet {
+		f := NewFleet()
+		f.Add(&fl.SyntheticClient{Id: 0})
+		return f
 	}
 
 	// Clean shutdown delivers nil.
-	cs := mk()
-	if cs.Err() != nil {
+	f := mk()
+	if f.Err() != nil {
 		t.Fatal("Err non-nil before Serve")
 	}
-	if _, err := cs.Serve("127.0.0.1:0"); err != nil {
+	if _, err := f.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cs.Shutdown(context.Background()); err != nil {
+	if err := f.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-cs.Err(); err != nil {
+	if err := <-f.Err(); err != nil {
 		t.Fatalf("clean shutdown delivered %v, want nil", err)
 	}
 
 	// A listener failure out from under the server delivers the error.
-	cs = mk()
-	if _, err := cs.Serve("127.0.0.1:0"); err != nil {
+	f = mk()
+	if _, err := f.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	cs.fleet.life.listener.Close()
+	f.life.listener.Close()
 	select {
-	case err := <-cs.Err():
+	case err := <-f.Err():
 		if err == nil {
 			t.Fatal("listener failure delivered nil")
 		}
@@ -232,24 +214,25 @@ func TestServeErrorChannel(t *testing.T) {
 	}
 }
 
-func TestClientServerRejectsGet(t *testing.T) {
-	local, _, template, _, shutdown := buildPopulation(t)
-	defer shutdown()
-	cs := NewClientServer(local[1].(interface {
-		fl.Participant
-		core.ReportClient
-	}), template)
-	addr, err := cs.Serve("127.0.0.1:0")
+// TestServeRejectsGet: the protocol's endpoints take POSTs only, in a slot
+// with a model architecture as in one without.
+func TestServeRejectsGet(t *testing.T) {
+	f := NewFleet()
+	f.AddWithModel(&fl.SyntheticClient{Id: 1}, fleetTemplate())
+	f.Add(&fl.SyntheticClient{Id: 2})
+	addr, err := f.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cs.Shutdown(context.Background())
-	resp, err := httpGet("http://" + addr + "/v1/update")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp != 405 {
-		t.Fatalf("GET returned %d, want 405", resp)
+	defer f.Shutdown(context.Background())
+	for _, id := range []int{1, 2} {
+		code, err := httpGet("http://" + FleetClientAddr(addr, id) + "/v1/update")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != http.StatusMethodNotAllowed {
+			t.Fatalf("client %d: GET returned %d, want 405", id, code)
+		}
 	}
 }
 
@@ -278,12 +261,8 @@ func TestReportWireModes(t *testing.T) {
 	mk := func() *fl.Client { return fl.NewClient(0, train, template, cfg, 72) }
 
 	serve := func(c *fl.Client) (*RemoteClient, func()) {
-		cs := NewClientServer(c, template)
-		addr, err := cs.Serve("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewRemoteClient(0, addr), func() { _ = cs.Shutdown(context.Background()) }
+		addr, stop := serveOne(c, template, nil)
+		return NewRemoteClient(0, addr), stop
 	}
 
 	// Reference reports straight from in-process clients.

@@ -24,14 +24,13 @@ import (
 // reason. Keys are "<package>.<Type>.<Method>", the package relative to
 // internal/.
 var keptMethods = map[string]string{
-	"nn.Replicas.Made":                     "the borrow tests' only count of the working models a list made",
-	"nn.Sequential.Backend":                "the tests' only view of a model's backend",
-	"tensor.Of.Equal":                      "the tests' tolerance comparison of two tensors, in eight packages",
-	"tensor.Of.At":                         "the tests' read of one element by its coordinates",
-	"tensor.Of.Set":                        "the tests' write of one element by its coordinates",
-	"transport.RemoteClient.LastErr":       "the retry tests' only view of the error behind a dropout",
-	"obs.SpanRing.Reset":                   "isolates the tests that read the process-wide span ring",
-	"transport.ClientServer.SetMiddleware": "the fault-injection seam of the chaos tests",
+	"nn.Replicas.Made":               "the borrow tests' only count of the working models a list made",
+	"nn.Sequential.Backend":          "the tests' only view of a model's backend",
+	"tensor.Of.Equal":                "the tests' tolerance comparison of two tensors, in eight packages",
+	"tensor.Of.At":                   "the tests' read of one element by its coordinates",
+	"tensor.Of.Set":                  "the tests' write of one element by its coordinates",
+	"transport.RemoteClient.LastErr": "the retry tests' only view of the error behind a dropout",
+	"obs.SpanRing.Reset":             "isolates the tests that read the process-wide span ring",
 }
 
 // stdInterfaces are the standard-library interfaces through which code the

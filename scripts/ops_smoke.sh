@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Smoke-test the fedserve ops endpoint end to end: build fedclient and
-# fedserve, start a 3-client loopback federation with -ops-addr, wait for
-# the endpoint, and check /healthz, /metrics (text + JSON) and pprof.
-# Shared by `make ops-smoke` and the CI bench-smoke job.
+# Smoke-test a federation across processes and the fedserve ops endpoint
+# end to end: build fedclient and fedserve, start a 3-client loopback
+# federation with -ops-addr, wait for a round that applied, and check that
+# the processes federated (completed updates, no dropouts), /healthz,
+# /metrics (text + JSON) and pprof. Shared by `make ops-smoke` and the CI
+# bench-smoke job.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,7 +44,14 @@ done
 clients=$(IFS=,; echo "${addrs[*]}")
 "$workdir/fedserve" -clients "$clients" -ops-addr 127.0.0.1:0 -defend=false \
 	>"$workdir/serve.log" 2>&1 &
-pids+=($!)
+serve_pid=$!
+pids+=("$serve_pid")
+
+fail() {
+	echo "ops smoke: $1" >&2
+	grep 'serve: ' "$workdir/serve.log" | tail -n 5 >&2 || true
+	exit 1
+}
 
 ops=
 for _ in $(seq 1 240); do
@@ -50,25 +59,32 @@ for _ in $(seq 1 240); do
 	[ -n "$ops" ] && break
 	sleep 0.5
 done
-if [ -z "$ops" ]; then
-	echo "fedserve never announced its ops endpoint" >&2
-	cat "$workdir/serve.log" >&2
-	exit 1
-fi
+[ -n "$ops" ] || fail "fedserve never announced its ops endpoint"
 
-fail() {
-	echo "ops smoke: $1" >&2
-	exit 1
-}
+# The processes federate once a round applies: a quorum of the clients
+# answered over the wire. A fedserve whose clients all refuse it (say, at
+# another URL layout) runs out of rounds without one, and exits.
+applied=
+for _ in $(seq 1 240); do
+	applied=$(grep -m1 'serve: round done.*applied=true' "$workdir/serve.log" || true)
+	[ -n "$applied" ] && break
+	kill -0 "$serve_pid" 2>/dev/null || break
+	sleep 0.5
+done
+[ -n "$applied" ] || fail "fedserve applied no round: the processes did not federate"
 
 health=$(curl -fsS "http://$ops/healthz")
 [ "$health" = "ok" ] || fail "/healthz answered '$health', want ok"
 metrics=$(curl -fsS "http://$ops/metrics")
 echo "$metrics" | grep -q '^fl_rounds_total ' || fail "/metrics missing fl_rounds_total"
+completed=$(echo "$metrics" | sed -n 's/^fl_completed_updates_total //p')
+dropped=$(echo "$metrics" | sed -n 's/^fl_dropped_total //p')
+[ "${completed:-0}" -gt 0 ] || fail "fl_completed_updates_total is '$completed', want > 0"
+[ "$dropped" = 0 ] || fail "fl_dropped_total is '$dropped', want 0"
 echo "$metrics" | grep -q '^transport_call_seconds_bucket{le="+Inf"}' ||
 	fail "/metrics missing transport_call_seconds buckets"
 snapshot=$(curl -fsS "http://$ops/metrics?format=json")
 echo "$snapshot" | grep -q '"counters"' || fail "/metrics?format=json is not a snapshot object"
 curl -fsS "http://$ops/debug/pprof/cmdline" >/dev/null || fail "pprof endpoint unreachable"
 
-echo "ops endpoint smoke: OK ($ops)"
+echo "ops endpoint smoke: OK ($ops; $completed updates completed, none dropped)"
