@@ -12,7 +12,8 @@
 // as text tables/series, each followed by its "[<id> done in <s>s]" line,
 // and the run ends with "[all: <cells> cells, <k> federations trained,
 // <s> s]". EXPERIMENTS.md records a captured run against the paper's
-// numbers.
+// numbers. FEDCLEANSE_WORKERS pins the worker count (parallel.Workers);
+// the tables are the same bytes at any count.
 package main
 
 import (
@@ -24,14 +25,12 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/eval"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
-	"github.com/fedcleanse/fedcleanse/internal/parallel"
 	"github.com/fedcleanse/fedcleanse/internal/profiling"
 )
 
 func main() {
 	expFlag := flag.String("exp", "all", "experiment id: table1..table7, fig3, fig5..fig10, ablation-mask, ablation-rate, ablation-aw, adaptive, or all")
 	full := flag.Bool("full", false, "run the paper's full sweeps instead of the reduced defaults")
-	workers := flag.Int("workers", 0, "worker goroutines for the parallel simulation paths (0 = FEDCLEANSE_WORKERS or GOMAXPROCS; 1 reproduces the serial path)")
 	backendFlag := flag.String("backend", "float64", "numeric backend for model arithmetic in every experiment: float64 (reference) or float32 (faster; aggregation and checkpoints stay float64)")
 	prof := profiling.AddFlags()
 	logf := obs.AddLogFlags()
@@ -55,9 +54,6 @@ func main() {
 		os.Exit(2)
 	}
 	defer prof.Start()()
-	if *workers > 0 {
-		parallel.SetWorkers(*workers)
-	}
 	backend, err := nn.ParseBackend(*backendFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -1,12 +1,13 @@
 // Command fedclient runs one federated participant as a standalone
 // process: a transport.Fleet of one, serving participant <index> at
 // /c/<index>/v1/... over HTTP. All processes of a federation must be
-// started with the same scenario flags (dataset, victim, target, seed,
-// population sizes); each derives its own shard deterministically from the
-// shared seed, so no data ever crosses the wire. fedserve's -clients lists
-// the processes in index order: the address at position i must be the
-// fedclient started with -index i, or that participant's calls are
-// refused (HTTP 404) and it drops out.
+// started with the same scenario flags (eval.AddScenarioFlags: dataset,
+// labels, seed, attackers, gamma, rounds, backend, report precision); each
+// derives its own shard deterministically from the shared seed, so no data
+// ever crosses the wire. fedserve's -clients lists the processes in index
+// order: the address at position i must be the fedclient started with
+// -index i, or that participant's calls are refused (HTTP 404) and it
+// drops out.
 //
 // Example (one attacker and two honest clients on loopback):
 //
@@ -25,7 +26,6 @@ import (
 	"time"
 
 	"github.com/fedcleanse/fedcleanse/internal/eval"
-	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/transport"
 )
@@ -34,7 +34,6 @@ func main() {
 	scen := eval.AddScenarioFlags()
 	index := flag.Int("index", 0, "this participant's index in the population")
 	listen := flag.String("listen", "127.0.0.1:0", "listen address")
-	quantFlag := flag.String("report-quant", "float64", "report precision: float64 (reference) or int8 (ranks and votes from int8-quantized activations; the wire carries ranks or votes either way)")
 	traceSeed := flag.Int64("trace-seed", 0, "seed for deterministic trace/span IDs (0 = unique per process)")
 	logf := obs.AddLogFlags()
 	flag.Parse()
@@ -45,18 +44,11 @@ func main() {
 	if *traceSeed != 0 {
 		obs.SetTraceSeed(*traceSeed)
 	}
-	quant, err := metrics.ParseReportQuant(*quantFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	s, err := scen.Scenario()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	s.ReportQuant = quant
 	if *index < 0 || *index >= s.Clients {
 		fmt.Fprintf(os.Stderr, "index %d outside population of %d\n", *index, s.Clients)
 		os.Exit(2)

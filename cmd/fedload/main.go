@@ -7,7 +7,7 @@
 // reports included, through ordinary RemoteClients:
 //
 //	fedload  -clients 10000 -listen 127.0.0.1:7100 -ops-addr 127.0.0.1:7101 &
-//	fedserve -fleet 127.0.0.1:7100 -fleet-count 10000 -select 256 -streaming
+//	fedserve -fleet 127.0.0.1:7100 -fleet-count 10000 -select 256
 //
 // -ops-addr exposes /metrics with the fedload_* counters (updates served,
 // bytes in/out, recovered handler panics) and the process memory gauges;

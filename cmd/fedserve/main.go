@@ -1,12 +1,32 @@
-// Command fedserve runs the federated aggregation server against remote
-// fedclient processes, then (optionally) the defense pipeline — one
-// federation spread across OS processes, communicating only through the
-// transport protocol. Start it with the same scenario flags as the
-// fedclient processes (see cmd/fedclient for a full example). -clients
-// lists their host:port addresses in index order; participant i is reached
-// at /c/i on the i-th (transport.FleetClientAddr), so a misplaced address
-// is refused with a 404 and its participant drops out rather than answering
-// under another index.
+// Command fedserve runs the federated aggregation server of one scenario,
+// then (optionally) the paper's defense pipeline (Algorithm 1) over its
+// clients, and prints the per-round benign test accuracy (TA) and attack
+// success rate (AA) and a stage-by-stage defense report.
+//
+// Where the clients live is the only thing that differs between its modes:
+//
+//   - neither -clients nor -fleet: the scenario's participants are built in
+//     this process (eval.Build);
+//   - -clients: remote fedclient processes started with the same scenario
+//     flags (see cmd/fedclient for a full example), listed as host:port in
+//     index order; participant i is reached at /c/i on the i-th
+//     (transport.FleetClientAddr), so a misplaced address is refused with a
+//     404 and its participant drops out rather than answering under another
+//     index;
+//   - -fleet: a fedload process hosting -fleet-count synthetic clients. Their
+//     updates carry no task to evaluate or defend, so the rounds log no
+//     TA/AA and the run closes with a report-collection phase (one RAP and
+//     one MVP sweep) instead of the defense; -mode none skips it.
+//
+// Every mode runs the same round loop and samples -select clients per
+// round. Remote rounds fold each update as it arrives (fl.MeanAggregator
+// streams bit-identically to a collect-all round); in-process rounds
+// collect every update first, which keeps both cores busy, unless
+// -checkpoint-folds needs the streaming fold's partial state. With
+// -checkpoint-dir the server writes checkpoints and resumes from the newest
+// one the directory holds; a checkpoint of another scenario (every scenario
+// flag but -rounds, which a resumed run may extend), seed or population, or
+// one past -rounds, exits 1.
 //
 // While a run is in flight, -ops-addr exposes the live diagnostics
 // surface: /metrics (text or JSON snapshot of the obs registry),
@@ -16,15 +36,21 @@
 // stream; a final metrics snapshot prints on exit. -flight-recorder
 // appends the per-round audit trail to a JSONL file (DESIGN.md §10);
 // -trace-seed pins the trace/span ID sequence for reproducible runs.
+//
+// Example (train the MNIST 9→2 task in-process, then defend):
+//
+//	fedserve -dataset mnist -victim 9 -target 2 -mode all -method mvp
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"time"
@@ -32,8 +58,6 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/eval"
 	"github.com/fedcleanse/fedcleanse/internal/fl"
-	"github.com/fedcleanse/fedcleanse/internal/metrics"
-	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/profiling"
 	"github.com/fedcleanse/fedcleanse/internal/transport"
@@ -41,60 +65,77 @@ import (
 
 func main() {
 	scen := eval.AddScenarioFlags()
-	clients := flag.String("clients", "", "comma-separated fedclient addresses (host:port), in participant-index order: position i must be the fedclient started with -index i")
-	fleet := flag.String("fleet", "", "fedload fleet address (host:port); replaces -clients with a registered population of fleet-hosted clients")
+	clients := flag.String("clients", "", "comma-separated fedclient addresses (host:port), in participant-index order: position i must be the fedclient started with -index i (empty = in-process participants)")
+	fleet := flag.String("fleet", "", "fedload fleet address (host:port); replaces the participants with a registered population of fleet-hosted clients")
 	fleetCount := flag.Int("fleet-count", 10000, "registered population size in fleet mode")
-	sel := flag.Int("select", 0, "clients sampled per round in fleet mode (0 = all)")
-	streaming := flag.Bool("streaming", false, "fold updates into a running aggregate instead of buffering the cohort")
-	streamWindow := flag.Int("stream-window", 0, "streaming concurrency window (0 = twice the worker count)")
-	rounds := flag.Int("rounds", 0, "override the scenario's round count (0 = scenario default)")
-	defend := flag.Bool("defend", true, "run the defense pipeline after training")
+	sel := flag.Int("select", 0, "clients sampled per round (0 = all)")
+	streamWindow := flag.Int("stream-window", 0, "how many clients a streaming round trains concurrently (0 = twice the worker count)")
+	mode := flag.String("mode", "all", "defense after training: fp, aw, fp+aw, all or none (with -fleet: all collects reports, none skips it)")
+	method := flag.String("method", "mvp", "pruning method: rap or mvp")
+	voteRate := flag.Float64("rate", 0.5, "MVP pruning rate p")
 	quorum := flag.Float64("quorum", 0.5, "fraction of clients that must respond for a round to apply (0 = any)")
 	roundTimeout := flag.Duration("round-timeout", 5*time.Minute, "deadline for one aggregation round (0 = none)")
 	retries := flag.Int("retries", 3, "attempts per remote call")
 	attemptTimeout := flag.Duration("attempt-timeout", time.Minute, "deadline per remote call attempt")
 	opsAddr := flag.String("ops-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
-	ckptDir := flag.String("checkpoint-dir", "", "persist round-state checkpoints into this directory (empty = off)")
+	ckptDir := flag.String("checkpoint-dir", "", "persist round-state checkpoints into this directory and resume from the newest one it holds (empty = off)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "write a boundary checkpoint every N completed rounds")
-	ckptFolds := flag.Int("checkpoint-folds", 0, "also write a partial checkpoint every N folded updates inside a streaming round (0 = boundaries only)")
-	resume := flag.Bool("resume", false, "resume from the newest complete checkpoint in -checkpoint-dir before training")
+	ckptFolds := flag.Int("checkpoint-folds", 0, "also write a partial checkpoint every N folded updates inside a round (0 = boundaries only; set in-process, it makes the rounds stream)")
 	flightPath := flag.String("flight-recorder", "", "append one JSONL audit record per applied round to this file (empty = off); the recent records are also served at /rounds on -ops-addr")
 	traceSeed := flag.Int64("trace-seed", 0, "seed for deterministic trace/span IDs (0 = unique per process)")
 	logf := obs.AddLogFlags()
 	prof := profiling.AddFlags()
 	flag.Parse()
-	if *fleetCount < 1 {
-		fmt.Fprintln(os.Stderr, "-fleet-count must be at least 1")
+	usage := func(msg string) {
+		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(2)
+	}
+	if *fleetCount < 1 {
+		usage("-fleet-count must be at least 1")
 	}
 	addrs := strings.Split(*clients, ",")
-	if *fleet == "" && *clients == "" {
-		fmt.Fprintln(os.Stderr, "one of -clients or -fleet is required")
-		os.Exit(2)
-	}
 	if *fleet != "" && *clients != "" {
-		fmt.Fprintln(os.Stderr, "-clients and -fleet are mutually exclusive")
-		os.Exit(2)
+		usage("-clients and -fleet are mutually exclusive")
 	}
 	// An empty entry would be a client at "http://" that drops out of every
 	// round yet counts in the quorum's cohort size.
 	if *clients != "" && slices.ContainsFunc(addrs, func(a string) bool { return strings.TrimSpace(a) == "" }) {
-		fmt.Fprintln(os.Stderr, "-clients has an empty address")
-		os.Exit(2)
+		usage("-clients has an empty address")
 	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if *fleet != "" && (set["method"] || set["rate"] || *mode != "all" && *mode != "none") {
+		usage("-fleet takes -mode all or none and no -method or -rate: its closing phase is one RAP and one MVP report sweep")
+	}
+	s, err := scen.Scenario()
+	if err != nil {
+		usage(err.Error())
+	}
+	defend := *mode != "none"
+	var cfg core.PipelineConfig
+	if defend {
+		if cfg, err = eval.DefenseMode(*mode); err != nil {
+			usage(err.Error())
+		}
+	}
+	switch *method {
+	case "rap":
+		cfg.Method = core.RAP
+	case "mvp":
+		cfg.Method = core.MVP
+	default:
+		usage(fmt.Sprintf("unknown method %q", *method))
+	}
+	cfg.VoteRate = *voteRate
+	cfg.ReportQuorum = *quorum
+	cfg.ReportTimeout = *roundTimeout
 	logger, err := logf.Setup(os.Stdout)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		usage(err.Error())
 	}
 	defer prof.Start()()
 	if *traceSeed != 0 {
 		obs.SetTraceSeed(*traceSeed)
-	}
-	s, err := scen.Scenario()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
 	}
 
 	// The ops endpoint comes up before any training so a long run is
@@ -132,98 +173,57 @@ func main() {
 		defer flight.Close()
 	}
 
-	template, _, test, validation := eval.Components(s)
 	retry := transport.DefaultRetryPolicy()
 	retry.MaxAttempts = *retries
 	retry.AttemptTimeout = *attemptTimeout
 	s.FL.Quorum = *quorum
 	s.FL.RoundTimeout = *roundTimeout
-	s.FL.Streaming = *streaming
+	// A streaming round trains a window of clients and folds them in
+	// participant order, so in-process, where every client competes for the
+	// same cores, it idles one: the default mnist run takes about 3.9 s
+	// streamed against 3.0 s collected on 2 cores, for the same bits. Only
+	// partial checkpoints need it there: they snapshot the streaming fold.
+	s.FL.Streaming = *clients != "" || *fleet != "" || *ckptFolds > 0
 	s.FL.StreamWindow = *streamWindow
-	if *rounds > 0 {
-		s.FL.Rounds = *rounds
-	}
+	s.FL.SelectPerRound = *sel
 
-	if *fleet != "" {
-		// Fleet mode: a fedload process hosts *fleet-count synthetic clients
-		// behind one listener. Only the clients sampled into a round's cohort
-		// get a RemoteClient stub, built on demand through the registry
-		// factory — server memory follows the cohort, not the population.
-		// Synthetic updates carry no signal to defend, so instead of the full
-		// pipeline the run closes with a report-collection phase: one RAP and
-		// one MVP sweep over a sampled cohort, exercising the report wire at
-		// scale and logging its measured per-report cost.
-		fleetAddr := strings.TrimSpace(*fleet)
-		reg := fl.NewRegistry(func(id int) fl.Participant {
-			return transport.NewRemoteClient(id, transport.FleetClientAddr(fleetAddr, id),
+	// t is the trained scenario the TA/AA lines and the defense read; a
+	// fleet's synthetic participants have none, so it stays nil there.
+	var (
+		t      *eval.Trained
+		server *fl.Server
+		reg    *fl.Registry
+	)
+	switch {
+	case *fleet != "":
+		// Only the clients sampled into a round's cohort get a RemoteClient
+		// stub, built on demand through the registry factory — server
+		// memory follows the cohort, not the population.
+		addr := strings.TrimSpace(*fleet)
+		template, _, _, _ := eval.Components(s)
+		reg = fl.NewRegistry(func(id int) fl.Participant {
+			return transport.NewRemoteClient(id, transport.FleetClientAddr(addr, id),
 				transport.WithRetryPolicy(retry))
 		})
 		reg.RegisterRange(0, *fleetCount)
-		s.FL.SelectPerRound = *sel
-		server := fl.NewRegistryServer(template, reg, s.FL, s.Seed+300)
-		server.Audit = flight
-		startRound := setupDurability(server, logger, *ckptDir, *ckptEvery, *ckptFolds, *resume)
-		logger.Info("serve: fleet training start",
-			"fleet", fleetAddr, "population", reg.Len(), "params", template.NumParams(),
-			"select", *sel, "streaming", *streaming, "rounds", server.Config().Rounds,
-			"tensor_kernel_avx2", obs.M.TensorKernelAVX2.Value())
-		for round := startRound; round < server.Config().Rounds; round++ {
-			res := server.RoundDetail(round)
-			obs.SampleProcess()
-			logger.Info("serve: round done",
-				"round", round,
-				"completed", len(res.Completed),
-				"dropped", len(res.Dropped),
-				"applied", res.Applied,
-				"peak_inflight", res.PeakInFlight)
+		server = fl.NewRegistryServer(template, reg, s.FL, s.Seed+300)
+	case *clients == "":
+		t = eval.Build(s)
+	default:
+		template, _, test, validation := eval.Components(s)
+		parts := make([]fl.Participant, len(addrs))
+		for i, addr := range addrs {
+			parts[i] = transport.NewRemoteClient(i, transport.FleetClientAddr(strings.TrimSpace(addr), i),
+				transport.WithRetryPolicy(retry))
 		}
-		if !*defend {
-			return
-		}
-		cohort := *sel
-		if cohort <= 0 || cohort > reg.Len() {
-			cohort = min(64, reg.Len())
-		}
-		parts := reg.Cohort(cohort, rand.New(rand.NewSource(s.Seed+400)))
-		reporters := fl.ReportClients(parts)
-		li := template.LastConvIndex()
-		recvBefore := obs.M.TransportReportBytesRecv.Value()
-		for _, method := range []core.PruneMethod{core.RAP, core.MVP} {
-			cfg := core.DefaultPipelineConfig()
-			cfg.Method = method
-			cfg.ReportQuorum = *quorum
-			cfg.ReportTimeout = *roundTimeout
-			res := core.GlobalPruneOrderDetail(server.Model, reporters, li, cfg)
-			logger.Info("serve: fleet report collection done",
-				"method", method.String(),
-				"responded", len(res.Responded),
-				"dropped", len(res.Dropped),
-				"order_len", len(res.Order))
-		}
-		recv := obs.M.TransportReportBytesRecv.Value() - recvBefore
-		reports := uint64(2 * len(reporters))
-		logger.Info("serve: fleet report bandwidth",
-			"reports", reports,
-			"recv_bytes", recv,
-			"bytes_per_report", recv/reports)
-		return
+		t = &eval.Trained{Scenario: s, Server: fl.NewServer(template, parts, s.FL, s.Seed+300),
+			Participants: parts, Test: test, Validation: validation}
 	}
-
-	parts := make([]fl.Participant, len(addrs))
-	for i, addr := range addrs {
-		parts[i] = transport.NewRemoteClient(i, transport.FleetClientAddr(strings.TrimSpace(addr), i),
-			transport.WithRetryPolicy(retry))
+	if t != nil {
+		server = t.Server
 	}
-	// The population size follows the actually connected clients.
-	s.FL.SelectPerRound = 0
-	server := fl.NewServer(template, parts, s.FL, s.Seed+300)
 	server.Audit = flight
-	startRound := setupDurability(server, logger, *ckptDir, *ckptEvery, *ckptFolds, *resume)
-
-	taEval := metrics.NewSuffixEvaluator(test, 0)
-	asrEval := metrics.NewCachedASR(test, s.Poison, 0)
-	ta := func(m *nn.Sequential) float64 { return 100 * taEval.Evaluate(m) }
-	aa := func(m *nn.Sequential) float64 { return 100 * asrEval.Evaluate(m) }
+	startRound := setupDurability(server, logger, *ckptDir, *ckptEvery, *ckptFolds, scenarioRecord(s))
 
 	// Each round is evaluated exactly once. With a flight recorder the
 	// evaluation runs inside the AuditAmend hook — the record and the log
@@ -231,79 +231,162 @@ func main() {
 	// evaluates directly.
 	var lastTA, lastAA float64
 	evaluated := false
-	if flight != nil {
+	if flight != nil && t != nil {
 		server.AuditAmend = func(a *fl.RoundAudit) {
-			tav, aav := ta(server.Model), aa(server.Model)
+			tav, aav := t.TA(), t.AA()
 			a.TestAccuracy, a.AttackSuccessRate = &tav, &aav
 			lastTA, lastAA, evaluated = tav, aav, true
 		}
 	}
 
-	logger.Info("serve: training start", "clients", len(parts), "rounds", server.Config().Rounds,
-		"tensor_kernel_avx2", obs.M.TensorKernelAVX2.Value())
+	start := []any{"scenario", s.Name, "select", s.FL.SelectPerRound,
+		"rounds", server.Config().Rounds, "params", server.Model.NumParams(),
+		"backend", s.Backend.String(), "report_quant", s.ReportQuant.String()}
+	if t == nil {
+		start = append(start, "fleet", strings.TrimSpace(*fleet), "population", reg.Len())
+	} else {
+		start = append(start, "clients", len(t.Participants), "attackers", s.Attackers, "gamma", s.Gamma)
+	}
+	logger.Info("serve: training start", append(start, "tensor_kernel_avx2", obs.M.TensorKernelAVX2.Value())...)
 	for round := startRound; round < server.Config().Rounds; round++ {
 		res := server.RoundDetail(round)
-		if !evaluated {
-			lastTA, lastAA = ta(server.Model), aa(server.Model)
+		obs.SampleProcess()
+		done := []any{"round", round}
+		if t != nil {
+			if !evaluated {
+				lastTA, lastAA = t.TA(), t.AA()
+			}
+			evaluated = false
+			done = append(done, "ta", fmt.Sprintf("%.1f", lastTA), "aa", fmt.Sprintf("%.1f", lastAA))
 		}
-		evaluated = false
-		logger.Info("serve: round done",
-			"round", round,
-			"ta", fmt.Sprintf("%.1f", lastTA),
-			"aa", fmt.Sprintf("%.1f", lastAA),
+		logger.Info("serve: round done", append(done,
+			"completed", len(res.Completed),
 			"dropped", len(res.Dropped),
-			"applied", res.Applied)
+			"applied", res.Applied,
+			"peak_inflight", res.PeakInFlight)...)
 	}
 
-	if !*defend {
-		return
+	switch {
+	case !defend:
+	case t == nil:
+		collectFleetReports(server, reg, s, cfg, logger)
+	default:
+		runDefense(t, cfg, *mode, logger)
 	}
-	logger.Info("serve: defense pipeline start")
-	cfg := core.DefaultPipelineConfig()
-	cfg.ReportQuorum = *quorum
-	cfg.ReportTimeout = *roundTimeout
-	m := server.Model.Clone()
-	evalFn := metrics.NewSuffixEvaluator(validation, 0)
-	rep := core.RunPipeline(m, fl.ReportClients(parts), server, evalFn, cfg)
+}
+
+// runDefense runs Algorithm 1 on a clone of the trained global model and
+// logs each stage's outcome and the TA/AA before and after.
+func runDefense(t *eval.Trained, cfg core.PipelineConfig, mode string, logger *slog.Logger) {
+	logger.Info("serve: defense pipeline start", "mode", mode, "method", cfg.Method.String())
+	m, rep := t.Defend(cfg)
 	if len(rep.ReportDropouts) > 0 {
 		logger.Warn("serve: prune reports lost", "clients", fmt.Sprint(rep.ReportDropouts))
 	}
 	logger.Info("serve: defense done",
+		"mode", mode,
+		"method", cfg.Method.String(),
+		"target_layer", rep.TargetLayer,
 		"pruned", len(rep.Prune.Pruned),
 		"finetune_rounds", rep.FineTune.Rounds,
-		"zeroed", rep.AW.Zeroed)
+		"zeroed", rep.AW.Zeroed,
+		"final_delta", fmt.Sprintf("%.2f", rep.AW.FinalDelta))
+	logger.Info("serve: validation accuracy",
+		"before", fmt.Sprintf("%.3f", rep.AccBefore),
+		"prune", fmt.Sprintf("%.3f", rep.AccAfterPrune),
+		"finetune", fmt.Sprintf("%.3f", rep.AccAfterFineTune),
+		"final", fmt.Sprintf("%.3f", rep.AccFinal))
 	logger.Info("serve: result",
-		"ta_before", fmt.Sprintf("%.1f", ta(server.Model)),
-		"ta_after", fmt.Sprintf("%.1f", ta(m)),
-		"aa_before", fmt.Sprintf("%.1f", aa(server.Model)),
-		"aa_after", fmt.Sprintf("%.1f", aa(m)))
+		"ta_before", fmt.Sprintf("%.1f", t.TA()),
+		"ta_after", fmt.Sprintf("%.1f", t.ModelTA(m)),
+		"aa_before", fmt.Sprintf("%.1f", t.AA()),
+		"aa_after", fmt.Sprintf("%.1f", t.ModelAA(m)))
 }
 
-// setupDurability installs the checkpointer (DESIGN.md §7) and, under
-// -resume, restores the newest complete checkpoint, returning the first
-// round the training loop should run. Resuming against an empty or
-// missing directory starts fresh — the normal first boot of a durable
-// deployment.
-func setupDurability(server *fl.Server, logger *slog.Logger, dir string, every, folds int, resume bool) int {
+// collectFleetReports closes a fleet run: one RAP and one MVP sweep over a
+// sampled cohort, exercising the report wire at scale and logging its
+// measured per-report cost.
+func collectFleetReports(server *fl.Server, reg *fl.Registry, s eval.Scenario, cfg core.PipelineConfig, logger *slog.Logger) {
+	cohort := s.FL.SelectPerRound
+	if cohort <= 0 || cohort > reg.Len() {
+		cohort = min(64, reg.Len())
+	}
+	parts := reg.Cohort(cohort, rand.New(rand.NewSource(s.Seed+400)))
+	reporters := fl.ReportClients(parts)
+	li := server.Model.LastConvIndex()
+	recvBefore := obs.M.TransportReportBytesRecv.Value()
+	for _, method := range []core.PruneMethod{core.RAP, core.MVP} {
+		cfg.Method = method
+		res := core.GlobalPruneOrderDetail(server.Model, reporters, li, cfg)
+		logger.Info("serve: fleet report collection done",
+			"method", method.String(),
+			"responded", len(res.Responded),
+			"dropped", len(res.Dropped),
+			"order_len", len(res.Order))
+	}
+	recv := obs.M.TransportReportBytesRecv.Value() - recvBefore
+	reports := uint64(2 * len(reporters))
+	logger.Info("serve: fleet report bandwidth",
+		"reports", reports,
+		"recv_bytes", recv,
+		"bytes_per_report", recv/reports)
+}
+
+// scenarioFile holds the scenario record of the run a checkpoint directory
+// belongs to; checkpoint files are *.fcc, so the checkpointer ignores it.
+const scenarioFile = "scenario"
+
+// scenarioRecord names what a run trains: every scenario flag but -rounds,
+// as resolved (so -seed 0 and the scenario's default seed agree). A resumed
+// run may extend -rounds; anything else here changes the task or the
+// participants mid-run.
+func scenarioRecord(s eval.Scenario) string {
+	return fmt.Sprintf("%s seed=%d attackers=%d gamma=%g backend=%s report-quant=%s\n",
+		s.Name, s.Seed, s.Attackers, s.Gamma, s.Backend, s.ReportQuant)
+}
+
+// setupDurability installs the checkpointer (DESIGN.md §7) and restores the
+// newest complete checkpoint in dir, returning the first round the
+// training loop should run. An empty or missing directory starts fresh —
+// the first boot of a durable deployment — and records the run's scenario
+// there. A checkpoint this run cannot continue exits 1: another scenario
+// (the record differs or is missing), seed or population, a round past
+// -rounds, an unreadable file.
+func setupDurability(server *fl.Server, logger *slog.Logger, dir string, every, folds int, scenario string) int {
 	if dir == "" {
-		if resume {
-			fmt.Fprintln(os.Stderr, "-resume requires -checkpoint-dir")
-			os.Exit(2)
-		}
 		return 0
 	}
-	server.SetCheckpointer(&fl.Checkpointer{Dir: dir, EveryRounds: every, EveryFolds: folds})
-	if !resume {
-		return 0
-	}
-	next, resumed, err := server.ResumeLatest(dir)
-	if err != nil {
+	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "resume:", err)
 		os.Exit(1)
 	}
+	server.SetCheckpointer(&fl.Checkpointer{Dir: dir, EveryRounds: every, EveryFolds: folds})
+	next, resumed, err := server.ResumeLatest(dir)
+	if err != nil {
+		fail(err)
+	}
+	record := filepath.Join(dir, scenarioFile)
 	if !resumed {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			fail(err)
+		}
+		if err := fl.AtomicWriteFile(record, []byte(scenario)); err != nil {
+			fail(err)
+		}
 		logger.Info("serve: no checkpoint found, starting fresh", "dir", dir)
 		return 0
+	}
+	had, err := os.ReadFile(record)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		fail(fmt.Errorf("%s holds checkpoints but no %s record of their scenario", dir, scenarioFile))
+	case err != nil:
+		fail(err)
+	case string(had) != scenario:
+		fail(fmt.Errorf("%s holds checkpoints of another scenario: %q, this run is %q",
+			dir, strings.TrimSpace(string(had)), strings.TrimSpace(scenario)))
+	case next > server.Config().Rounds:
+		fail(fmt.Errorf("%s holds a checkpoint at round %d, past -rounds %d", dir, next, server.Config().Rounds))
 	}
 	logger.Info("serve: resumed from checkpoint", "dir", dir, "next_round", next)
 	return next

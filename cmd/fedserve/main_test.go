@@ -23,8 +23,11 @@ func TestMain(m *testing.M) {
 // flag. An empty fleet would be trained on until the first report
 // collection panics on its quorum; an empty -clients entry (a doubled or a
 // trailing comma) would be a client at "http://" that drops out of every
-// round yet counts in the quorum's cohort size.
+// round yet counts in the quorum's cohort size. A fleet run closes with its
+// report collection, not the defense, so a -method, a -rate or a defense
+// -mode it would ignore is refused the same way.
 func TestFleetCountBelowOneIsAUsageError(t *testing.T) {
+	const fleetDefense = "-fleet takes -mode all or none and no -method or -rate: its closing phase is one RAP and one MVP report sweep"
 	for _, c := range []struct {
 		args []string
 		want string
@@ -33,6 +36,10 @@ func TestFleetCountBelowOneIsAUsageError(t *testing.T) {
 		{[]string{"-fleet", "127.0.0.1:1", "-fleet-count", "-3"}, "-fleet-count must be at least 1"},
 		{[]string{"-clients", "127.0.0.1:1,,127.0.0.1:2"}, "-clients has an empty address"},
 		{[]string{"-clients", "127.0.0.1:1,"}, "-clients has an empty address"},
+		{[]string{"-fleet", "127.0.0.1:1", "-method", "mvp"}, fleetDefense},
+		{[]string{"-fleet", "127.0.0.1:1", "-rate", "0.3"}, fleetDefense},
+		{[]string{"-fleet", "127.0.0.1:1", "-mode", "fp"}, fleetDefense},
+		{[]string{"-fleet", "127.0.0.1:1", "-mode", "none", "-method", "rap"}, fleetDefense},
 	} {
 		cmd := exec.Command(os.Args[0], append(c.args, "-rounds", "1")...)
 		cmd.Env = append(os.Environ(), "FEDSERVE_RUN_MAIN=1")
@@ -43,6 +50,59 @@ func TestFleetCountBelowOneIsAUsageError(t *testing.T) {
 		}
 		if got := strings.TrimSpace(string(out)); got != c.want {
 			t.Fatalf("%v printed %q, want %q", c.args, got, c.want)
+		}
+	}
+}
+
+// TestCheckpointDirResumes: a durable fedserve resumes whenever
+// -checkpoint-dir holds a checkpoint of its scenario. In-process on mnist,
+// a 2-round run leaves its checkpoints; a -rounds 3 run in the same
+// directory resumes at round 2 and runs one round. A run that cannot
+// continue them exits 1 instead of training over (and pruning away) the
+// earlier run's files or defending its model under other labels: another
+// -seed, another -victim (same seed and population, so only the scenario
+// record tells), or -rounds below the checkpoint's round.
+func TestCheckpointDirResumes(t *testing.T) {
+	dir := t.TempDir()
+	run := func(args ...string) (string, error) {
+		cmd := exec.Command(os.Args[0], append([]string{"-checkpoint-dir", dir, "-mode", "none"}, args...)...)
+		cmd.Env = append(os.Environ(), "FEDSERVE_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		return string(out), err
+	}
+	out, err := run("-rounds", "2")
+	if err != nil {
+		t.Fatalf("first run: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "starting fresh") || strings.Count(out, "serve: round done") != 2 {
+		t.Fatalf("first run did not train 2 fresh rounds:\n%s", out)
+	}
+	out, err = run("-rounds", "3")
+	if err != nil {
+		t.Fatalf("second run: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "serve: resumed from checkpoint") || !strings.Contains(out, "next_round=2") {
+		t.Fatalf("second run did not resume at round 2:\n%s", out)
+	}
+	if n := strings.Count(out, "serve: round done"); n != 1 || !strings.Contains(out, "serve: round done round=2 ") {
+		t.Fatalf("second run ran %d rounds, want round 2 only:\n%s", n, out)
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-rounds", "3", "-seed", "5"}, "seed"},
+		{[]string{"-rounds", "3", "-victim", "4"}, "another scenario"},
+		{[]string{"-rounds", "3", "-attackers", "0"}, "another scenario"},
+		{[]string{"-rounds", "2"}, "past -rounds 2"},
+	} {
+		out, err = run(c.args...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%v: %v, want exit status 1\n%s", c.args, err, out)
+		}
+		if !strings.Contains(out, "resume:") || !strings.Contains(out, c.want) || strings.Contains(out, "round done") {
+			t.Fatalf("%v printed no resume error naming %q, or trained:\n%s", c.args, c.want, out)
 		}
 	}
 }

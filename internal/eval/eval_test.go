@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"flag"
 	"math"
 	"reflect"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/fl"
+	"github.com/fedcleanse/fedcleanse/internal/metrics"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 )
 
@@ -272,26 +274,67 @@ func TestDefenseIsAPureFunctionOfTheTrainedModel(t *testing.T) {
 
 // TestSeedFlag: -seed N reseeds the whole scenario the way bench/ does
 // (Seed = N, GenCfg.Seed = N+10); -seed 0 keeps each scenario's defaults.
+// The other scenario flags override their fields when set and keep the
+// scenario's values at their defaults, and an unknown backend or report
+// precision is an error.
 func TestSeedFlag(t *testing.T) {
+	// AddScenarioFlags registers on the process-wide set; a private one
+	// lets the test run twice in one binary and leaves no value behind.
+	saved := flag.CommandLine
+	flag.CommandLine = flag.NewFlagSet(t.Name(), flag.ContinueOnError)
+	t.Cleanup(func() { flag.CommandLine = saved })
+	f := AddScenarioFlags()
+	set := func(name, value string) {
+		if err := flag.Set(name, value); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, c := range []struct {
-		dataset    string
-		seed, want int64
-		wantGen    int64
+		dataset, seed string
+		want, wantGen int64
 	}{
-		{"mnist", 7, 7, 17},
-		{"cifar", 7, 7, 17},
-		{"mnist", 0, 1, 11},
-		{"cifar", 0, 2, 13},
+		{"mnist", "7", 7, 17},
+		{"cifar", "7", 7, 17},
+		{"mnist", "0", 1, 11},
+		{"cifar", "0", 2, 13},
 	} {
-		victim, target := 9, 2
-		f := &ScenarioFlags{Dataset: &c.dataset, Victim: &victim, Target: &target, Seed: &c.seed}
+		set("dataset", c.dataset)
+		set("seed", c.seed)
 		s, err := f.Scenario()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s.Seed != c.want || s.GenCfg.Seed != c.wantGen {
-			t.Errorf("%s -seed %d: Seed %d, GenCfg.Seed %d; want %d, %d",
+			t.Errorf("%s -seed %s: Seed %d, GenCfg.Seed %d; want %d, %d",
 				c.dataset, c.seed, s.Seed, s.GenCfg.Seed, c.want, c.wantGen)
+		}
+		def := CIFARScenario(9, 2)
+		if c.dataset == "mnist" {
+			def = MNISTScenario(9, 2)
+		}
+		if s.Attackers != def.Attackers || s.Gamma != def.Gamma || s.FL.Rounds != def.FL.Rounds ||
+			s.Backend != nn.Float64 || s.ReportQuant != metrics.ReportFloat64 {
+			t.Errorf("%s at default flags: attackers %d gamma %v rounds %d backend %v quant %v, want the scenario's",
+				c.dataset, s.Attackers, s.Gamma, s.FL.Rounds, s.Backend, s.ReportQuant)
+		}
+	}
+	set("attackers", "0")
+	set("gamma", "3")
+	set("rounds", "5")
+	set("backend", "float32")
+	set("report-quant", "int8")
+	s, err := f.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Attackers != 0 || s.Gamma != 3 || s.FL.Rounds != 5 || s.Backend != nn.Float32 || s.ReportQuant != metrics.ReportInt8 {
+		t.Errorf("overrides: attackers %d gamma %v rounds %d backend %v quant %v",
+			s.Attackers, s.Gamma, s.FL.Rounds, s.Backend, s.ReportQuant)
+	}
+	for _, bad := range [][2]string{{"backend", "float16"}, {"report-quant", "int4"}} {
+		set(bad[0], bad[1])
+		if _, err := f.Scenario(); err == nil {
+			t.Errorf("-%s %s: no error", bad[0], bad[1])
 		}
 	}
 }

@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"github.com/fedcleanse/fedcleanse/internal/obs"
 )
@@ -15,23 +14,22 @@ import (
 type ClientFactory func(id int) Participant
 
 // Registry tracks a federation's registered population without holding a
-// Participant per client: a registered-but-idle client is one ID in a
-// slice plus one set entry — O(1) memory — and only the clients sampled
+// Participant per client: the population is one ID range [lo, hi), so a
+// registered-but-idle client costs nothing, and only the clients sampled
 // into a round's cohort are materialized, through the factory. This is
 // what separates population size (how many clients exist) from cohort
 // size (how many train per round), the scaling split the ROADMAP's
 // 100k–1M-client target requires.
 //
 // Sampling is deterministic: SampleIDs draws k registered IDs without
-// replacement by a partial Fisher–Yates shuffle over the registration
-// order, consuming only the caller's seeded *rand.Rand — O(k) time and
-// memory, never O(population). Two registries with equal registration
-// sequences and equal RNG states sample identical cohorts.
+// replacement by a partial Fisher–Yates shuffle over the range, consuming
+// only the caller's seeded *rand.Rand — O(k) time and memory, never
+// O(population). Two registries over equal ranges and equal RNG states
+// sample identical cohorts.
 type Registry struct {
-	mu      sync.RWMutex
-	ids     []int
-	seen    map[int]struct{}
-	factory ClientFactory
+	lo, hi     int
+	registered bool
+	factory    ClientFactory
 }
 
 // NewRegistry builds an empty registry over the given factory.
@@ -39,67 +37,43 @@ func NewRegistry(factory ClientFactory) *Registry {
 	if factory == nil {
 		panic("fl: NewRegistry with nil factory")
 	}
-	return &Registry{factory: factory, seen: make(map[int]struct{})}
+	return &Registry{factory: factory}
 }
 
-// Register adds client IDs to the population, ignoring duplicates, and
-// updates the fl_registered_clients gauge.
-func (r *Registry) Register(ids ...int) {
-	r.mu.Lock()
-	for _, id := range ids {
-		if _, dup := r.seen[id]; dup {
-			continue
-		}
-		r.seen[id] = struct{}{}
-		r.ids = append(r.ids, id)
-	}
-	n := len(r.ids)
-	r.mu.Unlock()
-	obs.M.FLRegisteredClients.Set(int64(n))
-}
-
-// RegisterRange registers the half-open ID range [lo, hi).
+// RegisterRange registers the half-open ID range [lo, hi) as the
+// population (empty when hi <= lo) and updates the fl_registered_clients
+// gauge. A registry holds one range: a second call panics.
 func (r *Registry) RegisterRange(lo, hi int) {
-	if hi <= lo {
-		return
+	if r.registered {
+		panic("fl: Registry.RegisterRange called twice")
 	}
-	ids := make([]int, 0, hi-lo)
-	for id := lo; id < hi; id++ {
-		ids = append(ids, id)
-	}
-	r.Register(ids...)
+	r.lo, r.hi, r.registered = lo, max(lo, hi), true
+	obs.M.FLRegisteredClients.Set(int64(r.Len()))
 }
 
 // Len reports the registered population size.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.ids)
-}
+func (r *Registry) Len() int { return r.hi - r.lo }
 
 // has reports whether id is registered.
-func (r *Registry) has(id int) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.seen[id]
-	return ok
-}
+func (r *Registry) has(id int) bool { return r.lo <= id && id < r.hi }
 
 // SampleIDs draws k distinct registered IDs using rng. k <= 0 or
-// k >= Len() returns the whole population in registration order.
+// k >= Len() returns the whole population in ascending order.
 func (r *Registry) SampleIDs(k int, rng *rand.Rand) []int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := len(r.ids)
+	n := r.Len()
 	if n == 0 {
 		return nil
 	}
 	if k <= 0 || k >= n {
-		return append([]int(nil), r.ids...)
+		out := make([]int, n)
+		for i := range out {
+			out[i] = r.lo + i
+		}
+		return out
 	}
-	out := make([]int, k)
-	for i, idx := range sampleIndices(n, k, rng) {
-		out[i] = r.ids[idx]
+	out := sampleIndices(n, k, rng)
+	for i := range out {
+		out[i] += r.lo
 	}
 	return out
 }

@@ -49,29 +49,55 @@ func TestRegistrySampleDistinctAndRegistered(t *testing.T) {
 }
 
 // TestRegistrySampleWholePopulation: k <= 0 and k >= n both return the
-// full population in registration order.
+// full range in ascending order; a partial sample is the range's lower
+// bound plus the sampled indices, so an offset range draws the same
+// cohorts as [0, n) shifted.
 func TestRegistrySampleWholePopulation(t *testing.T) {
 	r := NewRegistry(func(id int) Participant { return &fakeParticipant{id: id} })
-	r.Register(7, 3, 5)
+	r.RegisterRange(7, 10)
 	for _, k := range []int{0, 3, 10} {
 		got := r.SampleIDs(k, rand.New(rand.NewSource(12)))
-		if !sameInts(got, []int{7, 3, 5}) {
-			t.Fatalf("k=%d: got %v, want registration order [7 3 5]", k, got)
+		if !sameInts(got, []int{7, 8, 9}) {
+			t.Fatalf("k=%d: got %v, want the range [7 8 9]", k, got)
 		}
+	}
+	got := r.SampleIDs(2, rand.New(rand.NewSource(12)))
+	want := sampleIndices(3, 2, rand.New(rand.NewSource(12)))
+	for i := range want {
+		want[i] += 7
+	}
+	if !sameInts(got, want) {
+		t.Fatalf("sample of 2 from [7, 10) = %v, want %v", got, want)
 	}
 }
 
-// TestRegistryDuplicateAndGauge: duplicate registration is ignored and the
-// population gauge tracks Len.
+// TestRegistryDuplicateAndGauge: the population gauge tracks Len, an empty
+// range registers nobody, and a registry takes one range — a second
+// RegisterRange panics instead of merging or dropping IDs.
 func TestRegistryDuplicateAndGauge(t *testing.T) {
 	r := NewRegistry(func(id int) Participant { return &fakeParticipant{id: id} })
-	r.Register(1, 2, 2, 3)
-	r.Register(3, 4)
+	r.RegisterRange(1, 5)
 	if r.Len() != 4 {
-		t.Fatalf("Len=%d after duplicate registrations, want 4", r.Len())
+		t.Fatalf("Len=%d for the range [1, 5), want 4", r.Len())
 	}
 	if got := obs.M.FLRegisteredClients.Value(); got != 4 {
 		t.Fatalf("fl_registered_clients=%d, want 4", got)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a second RegisterRange did not panic")
+			}
+		}()
+		r.RegisterRange(5, 6)
+	}()
+	if r.Len() != 4 || !r.has(1) || !r.has(4) || r.has(0) || r.has(5) {
+		t.Fatalf("registry changed by the refused second range: Len=%d", r.Len())
+	}
+	empty := NewRegistry(func(id int) Participant { return &fakeParticipant{id: id} })
+	empty.RegisterRange(3, 1)
+	if empty.Len() != 0 || empty.SampleIDs(0, rand.New(rand.NewSource(1))) != nil {
+		t.Fatalf("range [3, 1) registered %d clients, want 0", empty.Len())
 	}
 }
 

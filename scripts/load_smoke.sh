@@ -18,9 +18,9 @@
 #     attempt, each at or under 8 bytes per parameter + 64 (the versioned
 #     envelope, the only wire format; DESIGN.md §7),
 #   - a durable run SIGKILLed right after its first checkpoint restarts
-#     with -resume, actually resumes (fl_resumes_total), finishes the
-#     remaining rounds under the same heap bound, and leaves the fleet
-#     with zero recovered panics (DESIGN.md §7),
+#     on the same -checkpoint-dir, actually resumes (fl_resumes_total),
+#     finishes the remaining rounds under the same heap bound, and leaves
+#     the fleet with zero recovered panics (DESIGN.md §7),
 #   - the tracing + audit trail (DESIGN.md §10): the server's /trace and
 #     /rounds surfaces and the -flight-recorder JSONL all parse through
 #     fedtrace (which exits non-zero on malformed JSON), the audit count
@@ -82,7 +82,7 @@ done
 [ -n "$fleet_ops" ] || fail "fedload never announced its ops endpoint"
 
 "$workdir/fedserve" -fleet "$fleet" -fleet-count "$POP" -select "$SELECT" \
-	-streaming -rounds "$ROUNDS" -quorum 0.9 -ops-addr 127.0.0.1:0 \
+	-rounds "$ROUNDS" -quorum 0.9 -ops-addr 127.0.0.1:0 \
 	-flight-recorder "$workdir/flight.jsonl" \
 	>"$workdir/serve.log" 2>&1 &
 serve_pid=$!
@@ -163,7 +163,7 @@ per_report=$(sed -n 's/.*bytes_per_report=\([0-9]*\).*/\1/p' "$workdir/serve.log
 # little-endian vector plus a few dozen bytes of framing, so anything
 # above 8 bytes per parameter + 64 means a fatter encoding is back on
 # the wire.
-params=$(sed -n 's/.*fleet training start.* params=\([0-9]*\).*/\1/p' "$workdir/serve.log" | head -1)
+params=$(sed -n 's/.*training start.* params=\([0-9]*\).*/\1/p' "$workdir/serve.log" | head -1)
 [ -n "${params:-}" ] || { cat "$workdir/serve.log" >&2; fail "fedserve did not log the model's parameter count"; }
 update_ceil=$((8 * params + 64))
 completed=$(metric "$server_metrics" fl_completed_updates_total)
@@ -225,7 +225,7 @@ echo "load smoke: tracing OK (audits=$audits rounds, applied=$audit_applied," \
 
 # ---- Kill-and-resume leg (DESIGN.md §7) -----------------------------
 # A fresh durable run against the still-warm fleet: SIGKILL fedserve as
-# soon as its first checkpoint lands, restart it with -resume, and
+# soon as its first checkpoint lands, restart it on the same directory, and
 # require the restart to actually resume and finish RESUME_ROUNDS more
 # rounds. The killed run gets an effectively unbounded round budget so
 # the kill always lands mid-run regardless of scale; the restart's round
@@ -236,7 +236,7 @@ ckpt="$workdir/ckpt"
 mkdir -p "$ckpt"
 
 "$workdir/fedserve" -fleet "$fleet" -fleet-count "$POP" -select "$SELECT" \
-	-streaming -rounds 1000000 -quorum 0.9 \
+	-rounds 1000000 -quorum 0.9 \
 	-checkpoint-dir "$ckpt" -checkpoint-every 1 \
 	-flight-recorder "$workdir/flight_kill.jsonl" \
 	>"$workdir/serve_kill.log" 2>&1 &
@@ -262,8 +262,8 @@ next=$(ls "$ckpt"/ckpt-*-f.fcc | sort | tail -1 |
 next=$((10#$next))
 
 "$workdir/fedserve" -fleet "$fleet" -fleet-count "$POP" -select "$SELECT" \
-	-streaming -rounds $((next + RESUME_ROUNDS)) -quorum 0.9 \
-	-checkpoint-dir "$ckpt" -resume \
+	-rounds $((next + RESUME_ROUNDS)) -quorum 0.9 \
+	-checkpoint-dir "$ckpt" \
 	-flight-recorder "$workdir/flight_kill.jsonl" \
 	>"$workdir/serve_resume.log" 2>&1 &
 resume_pid=$!

@@ -42,7 +42,7 @@ for i in 0 1 2; do
 done
 
 clients=$(IFS=,; echo "${addrs[*]}")
-"$workdir/fedserve" -clients "$clients" -ops-addr 127.0.0.1:0 -defend=false \
+"$workdir/fedserve" -clients "$clients" -ops-addr 127.0.0.1:0 -mode none \
 	>"$workdir/serve.log" 2>&1 &
 serve_pid=$!
 pids+=("$serve_pid")
