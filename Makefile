@@ -60,7 +60,8 @@ load-smoke:
 ## lifecycle, the decoder fuzz seeds, and the durability suite
 ## (kill-and-restart resume, torn checkpoints, the wire golden corpus and
 ## the refusal of the deleted gob formats), the delta-ownership suites
-## (Recycle: a vector released too early is a race and a NaN here), the
+## (Recycle, and Fold's own contract: a vector released too early is a race
+## and a NaN here), the
 ## shared request bodies and handler globals (Broadcast), the round loop
 ## against its reference round and a panicking participant, and cohort
 ## selection as a pure function of (seed, round) (CohortSelection).
@@ -68,7 +69,7 @@ load-smoke:
 ## target covers it.
 chaos-test:
 	FEDCLEANSE_WORKERS=4 $(GO) test -race -short -count=1 \
-		-run 'Chaos|Fault|Quorum|FineTune|Serve|Shutdown|RemoteClient|RoundTimeout|Fuzz|Drop|Checkpoint|Resume|KillRestart|Torn|CrossVersion|Versioned|Rejections|EncodingsAgree|Recycle|Broadcast|Reference|Panic|CohortSelection' \
+		-run 'Chaos|Fault|Quorum|FineTune|Serve|Shutdown|RemoteClient|RoundTimeout|Fuzz|Drop|Checkpoint|Resume|KillRestart|Torn|CrossVersion|Versioned|Rejections|EncodingsAgree|Recycle|Fold|Broadcast|Reference|Panic|CohortSelection' \
 		./internal/transport ./internal/fl ./internal/nn ./internal/wire
 
 ## repro-diff: the experiment runner's byte-identity check — fedbench at

@@ -34,15 +34,11 @@ func main() {
 	scen := eval.AddScenarioFlags()
 	index := flag.Int("index", 0, "this participant's index in the population")
 	listen := flag.String("listen", "127.0.0.1:0", "listen address")
-	traceSeed := flag.Int64("trace-seed", 0, "seed for deterministic trace/span IDs (0 = unique per process)")
 	logf := obs.AddLogFlags()
 	flag.Parse()
 	if _, err := logf.Setup(os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *traceSeed != 0 {
-		obs.SetTraceSeed(*traceSeed)
 	}
 	s, err := scen.Scenario()
 	if err != nil {

@@ -33,16 +33,12 @@ func main() {
 	opsAddr := flag.String("ops-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
 	seed := flag.Int64("seed", 1, "fleet seed (decorrelates whole fleets)")
 	scale := flag.Float64("scale", 0, "synthetic delta coordinate bound (0 = 1e-3)")
-	traceSeed := flag.Int64("trace-seed", 0, "seed for deterministic trace/span IDs (0 = unique per process)")
 	logf := obs.AddLogFlags()
 	flag.Parse()
 	logger, err := logf.Setup(os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *traceSeed != 0 {
-		obs.SetTraceSeed(*traceSeed)
 	}
 	if *clients < 1 {
 		fmt.Fprintln(os.Stderr, "-clients must be at least 1")

@@ -35,7 +35,8 @@
 // net/http/pprof. -log-level/-log-json control the structured event
 // stream; a final metrics snapshot prints on exit. -flight-recorder
 // appends the per-round audit trail to a JSONL file (DESIGN.md §10);
-// -trace-seed pins the trace/span ID sequence for reproducible runs.
+// FEDCLEANSE_TRACE_SEED pins the trace/span ID sequence for reproducible
+// runs.
 //
 // Example (train the MNIST 9→2 task in-process, then defend):
 //
@@ -82,7 +83,6 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 1, "write a boundary checkpoint every N completed rounds")
 	ckptFolds := flag.Int("checkpoint-folds", 0, "also write a partial checkpoint every N folded updates inside a round (0 = boundaries only; set in-process, it makes the rounds stream)")
 	flightPath := flag.String("flight-recorder", "", "append one JSONL audit record per applied round to this file (empty = off); the recent records are also served at /rounds on -ops-addr")
-	traceSeed := flag.Int64("trace-seed", 0, "seed for deterministic trace/span IDs (0 = unique per process)")
 	logf := obs.AddLogFlags()
 	prof := profiling.AddFlags()
 	flag.Parse()
@@ -134,9 +134,6 @@ func main() {
 		usage(err.Error())
 	}
 	defer prof.Start()()
-	if *traceSeed != 0 {
-		obs.SetTraceSeed(*traceSeed)
-	}
 
 	// The ops endpoint comes up before any training so a long run is
 	// observable from its first round.

@@ -55,10 +55,8 @@ type Config struct {
 	// the round collects the whole cohort as if Streaming were off, and
 	// counts fl_stream_fallbacks_total.
 	Streaming bool
-	// Shards is the number of aggregator goroutines a streaming round
-	// folds across, each owning a contiguous slice of the parameter
-	// vector; 0 means the parallel worker count. Any value produces
-	// bit-identical aggregates.
+	// Shards is ignored: a streaming round folds on its own goroutine. It
+	// stays only so existing callers compile.
 	Shards int
 	// StreamWindow bounds how many clients a streaming round trains
 	// concurrently (and therefore how many un-folded updates exist at
@@ -98,8 +96,8 @@ type Participant interface {
 	// the caller from the moment it is returned, so the participant must not
 	// keep, reuse or hand out a second time what it returned, and the caller
 	// may recycle it (wire.PutFloat64s) once nothing can read it any more —
-	// the round drivers do, after the aggregate is applied or the last fold
-	// shard has consumed it. The same holds for TryLocalUpdate.
+	// the round drivers do, after the aggregate is applied or once the
+	// streaming fold has added it. The same holds for TryLocalUpdate.
 	LocalUpdate(global []float64, round int) []float64
 }
 

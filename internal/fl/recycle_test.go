@@ -14,7 +14,7 @@ import (
 )
 
 // The ownership suite (DESIGN.md §6). Delta vectors are recycled, so a
-// release that comes too early hands a vector a shard is still reading to
+// release that comes too early hands a vector the fold is still to add to
 // the next client to overwrite. Race builds make that loud twice over —
 // the detector reports it and wire.PutFloat64s poisons the vector with
 // NaN — and these tests put real reuse under it: synthetic participants
@@ -29,12 +29,12 @@ func syntheticServer(template *nn.Sequential, population, cohort int, cfg Config
 	return NewRegistryServer(template, reg, cfg, 93)
 }
 
-// TestStreamingRecyclesAfterLastShard: streaming rounds over recycled
-// deltas equal batch rounds bit for bit for every shard count, window and
-// worker count, hold no more than the window in flight and leave no
-// parameter non-finite. Moving the release from the last shard to the
-// return of Fold fails it (and the kill-restart suites).
-func TestStreamingRecyclesAfterLastShard(t *testing.T) {
+// TestStreamingRecyclesFoldedDeltas: streaming rounds over recycled deltas
+// equal batch rounds bit for bit for every window and worker count, hold no
+// more than the window in flight and leave no parameter non-finite.
+// Releasing a delta before the fold has added it fails it (and the
+// kill-restart suites).
+func TestStreamingRecyclesFoldedDeltas(t *testing.T) {
 	const population, cohort, rounds = 200, 24, 5
 	_, _, template, _ := tinySetup(t, 91)
 	run := func(workers int, cfg Config) ([]float64, int) {

@@ -258,9 +258,9 @@ func (e *NonFiniteUpdateError) Error() string {
 //
 // On a server with a checkpointer installed it also persists round state: a
 // boundary checkpoint after each due round, and partial checkpoints
-// mid-fold when the round's fold can snapshot. After ResumeFrom restored a
-// partial checkpoint, the next call re-enters the interrupted round: t must
-// equal the checkpointed round.
+// mid-fold when the round's fold can be checkpointed. After ResumeFrom
+// restored a partial checkpoint, the next call re-enters the interrupted
+// round: t must equal the checkpointed round.
 //
 // The whole round is one trace (DESIGN.md §10): RoundDetail roots the
 // "fl.round" span (feeding fl_round_seconds), every remote call, retry
@@ -469,8 +469,8 @@ func (s *Server) runRound(m *nn.Sequential, selected []Participant, pp *PartialR
 	obs.M.FLRounds.Inc()
 	need := s.quorumCount(len(selected))
 	fold, streams := s.beginFold(m.NumParams(), need)
-	if fc, ok := fold.(foldSnapshotter); ok && pp != nil {
-		fc.restore(pp.Acc, pp.FoldN)
+	if mf, ok := fold.(*meanFold); ok && pp != nil {
+		mf.restore(pp.Acc, pp.FoldN)
 	} else if pp != nil {
 		// The one way a recorded prefix is lost: this server's fold cannot
 		// take an accumulator back (the rule does not stream, or
@@ -506,6 +506,12 @@ func (s *Server) runRound(m *nn.Sequential, selected []Participant, pp *PartialR
 	}
 	peak, panicked := s.collectAndFold(ctx, m, fold, active, global, t, &res, durable, workers, hold)
 	wire.PutFloat64s(global)
+	if panicked != nil {
+		// Raised again only now that every collection worker has returned;
+		// the unfinished fold is dropped, and the next round's BeginFold
+		// zeroes the arena accumulator it wrote.
+		panic(panicked)
+	}
 	var mergeSeconds *obs.Histogram
 	if streams {
 		mergeSeconds = obs.M.FLShardMergeSeconds
@@ -515,11 +521,6 @@ func (s *Server) runRound(m *nn.Sequential, selected []Participant, pp *PartialR
 	msp := obs.StartChildOf(sc, "fl.fold.merge", mergeSeconds).WithRound(t)
 	agg := fold.Finish()
 	msp.End()
-	if panicked != nil {
-		// Raised again only now that the fold is finished: its shards write
-		// the server's arena accumulator, which the next round reuses.
-		panic(panicked)
-	}
 	arrived := len(res.Completed)
 	obs.M.FLCompleted.Add(uint64(arrived - prior))
 	if arrived < need {
@@ -548,7 +549,7 @@ func (s *Server) beginFold(dim, need int) (fold Fold, streams bool) {
 	rule := s.aggregator()
 	if s.cfg.Streaming {
 		if sa, ok := rule.(StreamingAggregator); ok {
-			return sa.BeginFold(dim, s.cfg.Shards, &s.foldScratch), true
+			return sa.BeginFold(dim, 0, &s.foldScratch), true
 		}
 		obs.M.FLStreamFallbacks.Inc()
 	}
@@ -749,28 +750,27 @@ func (s *Server) collectAndFold(ctx context.Context, m *nn.Sequential, fold Fold
 }
 
 // partialCheckpoint writes a mid-round checkpoint when one is due after
-// the folds so far: quiesce the fold, seal its accumulator — read in place,
+// the folds so far: it seals the fold's accumulator — read in place,
 // nothing folds while this goroutine encodes — with the round's bookkeeping.
-// A fold that cannot snapshot writes none. A failed write logs and counts —
-// the round itself carries on; durability degrades to the previous
-// checkpoint.
+// Only MeanAggregator's fold can be checkpointed; any other writes none. A
+// failed write logs and counts — the round itself carries on; durability
+// degrades to the previous checkpoint.
 func (s *Server) partialCheckpoint(m *nn.Sequential, res *RoundResult, fold Fold, t int, durable bool, sc obs.SpanContext) {
 	folds := len(res.Completed)
-	fc, ok := fold.(foldSnapshotter)
+	mf, ok := fold.(*meanFold)
 	if !ok || !durable || s.ckpt == nil || !s.ckpt.partialDue(folds) {
 		return
 	}
 	csp := obs.StartChildOf(sc, "fl.checkpoint", obs.M.FLCheckpointWriteSeconds).WithRound(t)
 	defer csp.End()
-	acc, n := fc.snapshot()
 	ck := s.liveCheckpoint(t)
 	ck.Partial = &PartialRound{
 		Round:     t,
 		Selected:  res.Selected,
 		Completed: res.Completed,
 		Dropped:   res.Dropped,
-		FoldN:     n,
-		Acc:       acc,
+		FoldN:     mf.n,
+		Acc:       mf.acc,
 	}
 	if err := s.ckpt.WritePartial(ck, folds); err != nil {
 		obs.L().Warn("fl: partial checkpoint failed", "round", t, "folds", folds, "err", err)

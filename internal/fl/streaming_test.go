@@ -6,6 +6,7 @@ import (
 
 	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
+	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
 // The streaming equivalence suite: every streaming round must be
@@ -165,10 +166,9 @@ func TestStreamingFallsBackForBatchOnlyRules(t *testing.T) {
 	}
 }
 
-// TestShardedFoldMatchesAggregate is the unit-level bit-identity check:
-// folding random deltas one at a time equals the one-shot Aggregate,
-// bitwise, for shard counts beyond the coordinate count.
-func TestShardedFoldMatchesAggregate(t *testing.T) {
+// TestFoldMatchesAggregate is the unit-level bit-identity check: folding
+// random deltas one at a time equals the one-shot Aggregate, bitwise.
+func TestFoldMatchesAggregate(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const dim, clients = 37, 9
 	deltas := make([][]float64, clients)
@@ -178,29 +178,35 @@ func TestShardedFoldMatchesAggregate(t *testing.T) {
 			deltas[i][j] = rng.NormFloat64()
 		}
 	}
-	for _, shards := range []int{1, 2, 3, 8, 64} {
-		// Fold takes each delta over and recycles it, so it is fed copies.
-		fold := MeanAggregator{}.BeginFold(dim, shards, nil)
-		for i, d := range deltas {
-			fold.Fold(i, append([]float64(nil), d...))
-		}
-		got := fold.Finish()
-		want := MeanAggregator{}.Aggregate(deltas)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("shards=%d: coord %d = %v, want %v", shards, j, got[j], want[j])
-			}
+	// Fold takes each delta over and recycles it, so it is fed copies.
+	fold := MeanAggregator{}.BeginFold(dim, 0, nil)
+	for i, d := range deltas {
+		fold.Fold(i, append([]float64(nil), d...))
+	}
+	got := fold.Finish()
+	want := MeanAggregator{}.Aggregate(deltas)
+	for j := range want {
+		if got[j] != want[j] {
+			t.Fatalf("coord %d = %v, want %v", j, got[j], want[j])
 		}
 	}
 }
 
 // TestFoldContract pins the Fold lifecycle: nil aggregate when nothing
-// folded, panic on reuse after Finish, on double Finish and on a
-// mismatched delta length.
+// folded, the delta back on the free list when Fold returns, panic on reuse
+// after Finish, on double Finish and on a mismatched delta length.
 func TestFoldContract(t *testing.T) {
 	if got := (MeanAggregator{}).BeginFold(4, 2, nil).Finish(); got != nil {
 		t.Fatalf("empty fold returned %v, want nil", got)
 	}
+	const dim = 1 << 14
+	owned := MeanAggregator{}.BeginFold(dim, 2, nil)
+	delta := make([]float64, dim)
+	owned.Fold(0, delta)
+	if next := wire.GetFloat64s(dim); &next[0] != &delta[0] {
+		t.Fatal("the vector drawn after Fold returned is not the folded delta: Fold kept it")
+	}
+	owned.Finish()
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {

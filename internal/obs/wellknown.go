@@ -32,7 +32,7 @@ var M = struct {
 	FLRegisteredClients  *Gauge     // population size registered with fl.Registry
 	FLStreamInFlightPeak *Gauge     // last round's peak of trained-but-unfolded updates
 	FLStreamFallbacks    *Counter   // streaming rounds degraded to batch (non-streaming rule)
-	FLShardMergeSeconds  *Histogram // shard-partial merge + final scale per streaming round
+	FLShardMergeSeconds  *Histogram // the streaming fold's final scale (Finish) per round
 
 	// Durable rounds (internal/fl, DESIGN.md §7).
 	FLCheckpointWrites       *Counter   // checkpoints written (boundary + partial)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Load-smoke the streaming aggregation path end to end: a fedload fleet
 # hosting POP synthetic clients behind one listener, driven by fedserve in
-# fleet mode (registry sampling + streaming sharded aggregation) for
+# fleet mode (registry sampling + streaming aggregation) for
 # ROUNDS rounds of SELECT-client cohorts. Asserts:
 #
 #   - at least one round reached quorum and applied,
