@@ -99,12 +99,13 @@ gob-check:
 	fi
 
 ## fusion-check: no fused multiply-add in the arm64 layer stack, the
-## defense or the federation — compiles internal/tensor, internal/nn,
-## internal/core and internal/fl for arm64 with -S and fails on any
+## defense, the federation or the dataset generators — compiles
+## internal/tensor, internal/nn, internal/core, internal/fl and
+## internal/dataset for arm64 with -S and fails on any
 ## FMADD/FMSUB/FNMADD/FNMSUB: they write every product that feeds an add
 ## as E(a*b) so that arm64 computes the bits amd64 does (DESIGN.md §3)
 fusion-check:
-	@asm=$$(GOARCH=arm64 $(GO) build -a -gcflags=./internal/tensor=-S -gcflags=./internal/nn=-S -gcflags=./internal/core=-S -gcflags=./internal/fl=-S ./internal/tensor ./internal/nn ./internal/core ./internal/fl 2>&1) || { echo "$$asm"; exit 1; }; \
+	@asm=$$(GOARCH=arm64 $(GO) build -a -gcflags=./internal/tensor=-S -gcflags=./internal/nn=-S -gcflags=./internal/core=-S -gcflags=./internal/fl=-S -gcflags=./internal/dataset=-S ./internal/tensor ./internal/nn ./internal/core ./internal/fl ./internal/dataset 2>&1) || { echo "$$asm"; exit 1; }; \
 	fused=$$(echo "$$asm" | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB'); \
 	if [ -n "$$fused" ]; then \
 		echo "fused multiply-adds in the arm64 build (write the product as E(a*b)):"; echo "$$fused"; exit 1; \

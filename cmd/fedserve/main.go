@@ -26,7 +26,8 @@
 // -checkpoint-dir the server writes checkpoints and resumes from the newest
 // one the directory holds; a checkpoint of another scenario (every scenario
 // flag but -rounds, which a resumed run may extend), seed or population, or
-// one past -rounds, exits 1.
+// one past -rounds, exits 1. So does a defense or fleet report sweep whose
+// reports miss -quorum, after one "serve: defense failed" line.
 //
 // While a run is in flight, -ops-addr exposes the live diagnostics
 // surface: /metrics (text or JSON snapshot of the obs registry),
@@ -133,6 +134,13 @@ func main() {
 	if err != nil {
 		usage(err.Error())
 	}
+	// A failed defense exits 1 once every deferred flush below has run.
+	exit := 0
+	defer func() {
+		if exit != 0 {
+			os.Exit(exit)
+		}
+	}()
 	defer prof.Start()()
 
 	// The ops endpoint comes up before any training so a long run is
@@ -266,19 +274,27 @@ func main() {
 	switch {
 	case !defend:
 	case t == nil:
-		collectFleetReports(server, reg, s, cfg, logger)
+		err = collectFleetReports(server, reg, s, cfg, logger)
 	default:
-		runDefense(t, cfg, *mode, logger)
+		err = runDefense(t, cfg, *mode, logger)
+	}
+	if err != nil {
+		logger.Error("serve: defense failed", "err", err)
+		exit = 1
 	}
 }
 
 // runDefense runs Algorithm 1 on a clone of the trained global model and
-// logs each stage's outcome and the TA/AA before and after.
-func runDefense(t *eval.Trained, cfg core.PipelineConfig, mode string, logger *slog.Logger) {
+// logs each stage's outcome and the TA/AA before and after. It returns the
+// report collection's *core.ReportQuorumError when that missed its quorum.
+func runDefense(t *eval.Trained, cfg core.PipelineConfig, mode string, logger *slog.Logger) error {
 	logger.Info("serve: defense pipeline start", "mode", mode, "method", cfg.Method.String())
 	m, rep := t.Defend(cfg)
 	if len(rep.ReportDropouts) > 0 {
 		logger.Warn("serve: prune reports lost", "clients", fmt.Sprint(rep.ReportDropouts))
+	}
+	if rep.Err != nil {
+		return rep.Err
 	}
 	logger.Info("serve: defense done",
 		"mode", mode,
@@ -298,12 +314,14 @@ func runDefense(t *eval.Trained, cfg core.PipelineConfig, mode string, logger *s
 		"ta_after", fmt.Sprintf("%.1f", t.ModelTA(m)),
 		"aa_before", fmt.Sprintf("%.1f", t.AA()),
 		"aa_after", fmt.Sprintf("%.1f", t.ModelAA(m)))
+	return nil
 }
 
 // collectFleetReports closes a fleet run: one RAP and one MVP sweep over a
 // sampled cohort, exercising the report wire at scale and logging its
-// measured per-report cost.
-func collectFleetReports(server *fl.Server, reg *fl.Registry, s eval.Scenario, cfg core.PipelineConfig, logger *slog.Logger) {
+// measured per-report cost. It returns the first sweep's
+// *core.ReportQuorumError when one missed its quorum.
+func collectFleetReports(server *fl.Server, reg *fl.Registry, s eval.Scenario, cfg core.PipelineConfig, logger *slog.Logger) error {
 	cohort := s.FL.SelectPerRound
 	if cohort <= 0 || cohort > reg.Len() {
 		cohort = min(64, reg.Len())
@@ -315,6 +333,9 @@ func collectFleetReports(server *fl.Server, reg *fl.Registry, s eval.Scenario, c
 	for _, method := range []core.PruneMethod{core.RAP, core.MVP} {
 		cfg.Method = method
 		res := core.GlobalPruneOrderDetail(server.Model, reporters, li, cfg)
+		if res.Err != nil {
+			return res.Err
+		}
 		logger.Info("serve: fleet report collection done",
 			"method", method.String(),
 			"responded", len(res.Responded),
@@ -327,6 +348,7 @@ func collectFleetReports(server *fl.Server, reg *fl.Registry, s eval.Scenario, c
 		"reports", reports,
 		"recv_bytes", recv,
 		"bytes_per_report", recv/reports)
+	return nil
 }
 
 // scenarioFile holds the scenario record of the run a checkpoint directory

@@ -2,10 +2,15 @@ package main
 
 import (
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+
+	"github.com/fedcleanse/fedcleanse/internal/fl"
+	"github.com/fedcleanse/fedcleanse/internal/transport"
 )
 
 // TestMain runs the command itself when the test binary is re-executed
@@ -21,7 +26,7 @@ func TestMain(m *testing.M) {
 // TestFleetCountBelowOneIsAUsageError: a population that cannot train is
 // refused before anything starts — exit status 2 and one line naming the
 // flag. An empty fleet would be trained on until the first report
-// collection panics on its quorum; an empty -clients entry (a doubled or a
+// collection fails its quorum; an empty -clients entry (a doubled or a
 // trailing comma) would be a client at "http://" that drops out of every
 // round yet counts in the quorum's cohort size. A fleet run closes with its
 // report collection, not the defense, so a -method, a -rate or a defense
@@ -104,5 +109,43 @@ func TestCheckpointDirResumes(t *testing.T) {
 		if !strings.Contains(out, "resume:") || !strings.Contains(out, c.want) || strings.Contains(out, "round done") {
 			t.Fatalf("%v printed no resume error naming %q, or trained:\n%s", c.args, c.want, out)
 		}
+	}
+}
+
+// TestDefenseBelowQuorumExits1: a fleet whose every rank and vote call is
+// refused with a 400 (permanent, so tried once) trains its round, then
+// fails the report sweep's quorum. fedserve logs one line naming the
+// quorum error and exits 1, without a panic's goroutine dump.
+func TestDefenseBelowQuorumExits1(t *testing.T) {
+	fleet := transport.NewFleet()
+	for id := 0; id < 4; id++ {
+		fleet.Add(&fl.SyntheticClient{Id: id, Seed: 1})
+	}
+	h := fleet.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/v1/ranks") || strings.HasSuffix(r.URL.Path, "/v1/votes") {
+			http.Error(w, "refused", http.StatusBadRequest)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	cmd := exec.Command(os.Args[0], "-fleet", strings.TrimPrefix(srv.URL, "http://"),
+		"-fleet-count", "4", "-select", "4", "-rounds", "1", "-mode", "all")
+	cmd.Env = append(os.Environ(), "FEDSERVE_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("%v, want exit status 1\n%s", err, out)
+	}
+	const want = "serve: defense failed err=core: 0 of 4 reports arrived, quorum needs 2"
+	if !strings.Contains(string(out), want) || strings.Count(string(out), "serve: defense failed") != 1 {
+		t.Fatalf("output lacks the one line %q:\n%s", want, out)
+	}
+	if strings.Contains(string(out), "goroutine ") || strings.Contains(string(out), "panic:") {
+		t.Fatalf("output carries a panic:\n%s", out)
+	}
+	if !strings.Contains(string(out), "\ndefense_report_quorum_failures_total 1\n") {
+		t.Fatalf("the exit snapshot does not count the quorum failure:\n%s", out)
 	}
 }

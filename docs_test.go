@@ -47,7 +47,7 @@ var goToolFlags = map[string]bool{
 var docAllowlist = map[string]string{
 	// Standard-library packages: the compiler resolves their names.
 	"sync": "standard library", "slog": "standard library", "http": "standard library",
-	"math": "standard library", "testing": "standard library", "flag": "standard library",
+	"math": "standard library", "flag": "standard library",
 	"GOAMD64": "toolchain environment variable",
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -39,6 +40,29 @@ type nilReportClient struct{}
 
 func (nilReportClient) RankReport(*nn.Sequential, int) []int           { return nil }
 func (nilReportClient) VoteReport(*nn.Sequential, int, float64) []bool { return nil }
+
+// requireQuorumError fails unless err is the *ReportQuorumError of a
+// collection in which arrived of cohort reports came where need were due.
+func requireQuorumError(t *testing.T, err error, arrived, cohort, need int) {
+	t.Helper()
+	var qe *ReportQuorumError
+	if !errors.As(err, &qe) {
+		t.Fatalf("err = %v, want a *ReportQuorumError", err)
+	}
+	if want := (ReportQuorumError{Arrived: arrived, Cohort: cohort, Need: need}); *qe != want {
+		t.Fatalf("quorum error %+v, want %+v", *qe, want)
+	}
+}
+
+// requireSameParams fails unless m's parameters are want, bit for bit.
+func requireSameParams(t *testing.T, m *nn.Sequential, want []float64) {
+	t.Helper()
+	for i, v := range m.ParamsVector() {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Fatalf("param %d = %v, want the input's %v", i, v, want[i])
+		}
+	}
+}
 
 // TestGlobalPruneOrderSkipsFailedReports: a cohort with wire failures must
 // aggregate bit-identically to the same cohort with the failed clients
@@ -147,14 +171,17 @@ func TestMalformedReportIsDropout(t *testing.T) {
 				t.Fatalf("pruned %v, want %v (malformed report leaked into the aggregate)",
 					rep.Prune.Pruned, want.Prune.Pruned)
 			}
-			// The malformed report counts against the quorum like a lost one.
+			// The malformed report counts against the quorum like a lost one:
+			// the pipeline stops after collection with the model untouched.
 			cfg.ReportQuorum = 1
-			defer func() {
-				if recover() == nil {
-					t.Fatal("a malformed report met a full quorum")
-				}
-			}()
-			GlobalPruneOrderDetail(pipelineModel(97), mixed, 0, cfg)
+			m := pipelineModel(97)
+			in := m.ParamsVector()
+			rep = RunPipeline(m, mixed, nil, eval, cfg)
+			requireQuorumError(t, rep.Err, 2, 3, 3)
+			requireSameParams(t, m, in)
+			if len(rep.Prune.Pruned) != 0 {
+				t.Fatalf("pruned %v below quorum", rep.Prune.Pruned)
+			}
 		})
 	}
 
@@ -171,8 +198,8 @@ func TestMalformedReportIsDropout(t *testing.T) {
 // takes the target layer's width, not the cohort's. Six of ten clients
 // report twice the layer's six units; at the cohort's width their order
 // reached PruneToThreshold and indexed past the layer. They are dropouts:
-// the run completes at quorum 0 on the four others' order, and fails the
-// quorum at 0.5.
+// the run completes at quorum 0 on the four others' order, and at 0.5
+// returns the quorum error with the model untouched.
 func TestRunPipelineDropsReportsOffTheLayerWidth(t *testing.T) {
 	acts := []float64{5, 4, 3, 2, 0.1, 0.2}
 	clients := make([]ReportClient, 10)
@@ -197,22 +224,21 @@ func TestRunPipelineDropsReportsOffTheLayerWidth(t *testing.T) {
 		}
 		cfg.ReportQuorum = 0.5
 		before := obs.M.DefenseReportQuorumFailures.Value()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%v: 4 of 10 reports met a 0.5 quorum", method)
-				}
-			}()
-			RunPipeline(pipelineModel(99), clients, nil, eval, cfg)
-		}()
+		m := pipelineModel(99)
+		in := m.ParamsVector()
+		rep = RunPipeline(m, clients, nil, eval, cfg)
+		requireQuorumError(t, rep.Err, 4, 10, 5)
+		requireSameParams(t, m, in)
 		if got := obs.M.DefenseReportQuorumFailures.Value() - before; got != 1 {
 			t.Errorf("%v: %d quorum failures counted, want 1", method, got)
 		}
 	}
 }
 
-// TestGlobalPruneOrderQuorumPanics: too many failures abort collection.
-func TestGlobalPruneOrderQuorumPanics(t *testing.T) {
+// TestGlobalPruneOrderQuorumMissIsAnError: too many failures abort the
+// collection with a *ReportQuorumError and no order, and the telemetry
+// still says who answered.
+func TestGlobalPruneOrderQuorumMissIsAnError(t *testing.T) {
 	m := pipelineModel(92)
 	clients := []ReportClient{
 		&fakeReportClient{acts: []float64{5, 4, 3, 2, 0.1, 0.2}},
@@ -220,25 +246,27 @@ func TestGlobalPruneOrderQuorumPanics(t *testing.T) {
 		&flakyReportClient{failRanks: true, failVotes: true},
 	}
 	cfg := PipelineConfig{Method: MVP, VoteRate: 0.5, ReportQuorum: 0.67}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("missed quorum did not panic")
-		}
-	}()
-	GlobalPruneOrderDetail(m, clients, 0, cfg)
+	res := GlobalPruneOrderDetail(m, clients, 0, cfg)
+	requireQuorumError(t, res.Err, 1, 3, 3)
+	if res.Order != nil || !reflect.DeepEqual(res.Responded, []int{0}) || !reflect.DeepEqual(res.Dropped, []int{1, 2}) {
+		t.Fatalf("order %v, responded %v, dropped %v; want no order, [0], [1 2]", res.Order, res.Responded, res.Dropped)
+	}
 }
 
 // TestGlobalPruneOrderAllFailedPanics: with every report lost there is
-// nothing to aggregate, quorum or not.
+// nothing to aggregate, quorum or not. GlobalPruneOrderDetail returns the
+// error; GlobalPruneOrder, which only in-process experiments call, panics
+// with it.
 func TestGlobalPruneOrderAllFailedPanics(t *testing.T) {
 	m := pipelineModel(93)
 	clients := []ReportClient{&flakyReportClient{failRanks: true, failVotes: true}}
+	cfg := PipelineConfig{Method: RAP}
+	requireQuorumError(t, GlobalPruneOrderDetail(m, clients, 0, cfg).Err, 0, 1, 1)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("total report loss did not panic")
-		}
+		err, _ := recover().(error)
+		requireQuorumError(t, err, 0, 1, 1)
 	}()
-	GlobalPruneOrder(m, clients, 0, PipelineConfig{Method: RAP})
+	GlobalPruneOrder(m, clients, 0, cfg)
 }
 
 // TestRunPipelineRecordsReportDropouts: the pipeline report surfaces which

@@ -107,10 +107,9 @@ type PipelineConfig struct {
 	// weights sit in that dense layer (see DESIGN.md).
 	AWLayers []int
 	// ReportQuorum is the minimum fraction (0,1] of clients whose rank or
-	// vote reports must arrive for a prune aggregation to proceed;
-	// collection panics when the quorum is missed, since the defense
-	// cannot act on an unrepresentative minority. 0 accepts any non-empty
-	// subset.
+	// vote reports must arrive for a prune aggregation to proceed; a
+	// missed quorum is a *ReportQuorumError, since the defense cannot act
+	// on an unrepresentative minority. 0 accepts any non-empty subset.
 	ReportQuorum float64
 	// ReportTimeout bounds each report-collection fan-out; when it expires
 	// the collection context is cancelled, aborting in-flight remote
@@ -150,6 +149,10 @@ type Report struct {
 	// Timing is each stage's wall time as its span measured it, the one
 	// field two runs of one configuration may disagree on.
 	Timing StageTiming
+	// Err is the *ReportQuorumError of a report collection that missed
+	// its quorum. The pipeline then stops after collection and leaves the
+	// model unchanged.
+	Err error
 }
 
 // StageTiming holds the wall time of the pipeline's stages, zero for a
@@ -163,7 +166,8 @@ type StageTiming struct {
 // federated pruning (rank or vote aggregation over the clients' reports),
 // optional federated fine-tuning through the tuner, and adjusting extreme
 // weights. eval is the server's accuracy guard. tuner may be nil only when
-// cfg.FineTuneRounds is 0.
+// cfg.FineTuneRounds is 0. A report collection below cfg.ReportQuorum
+// returns at once with Report.Err set and m unchanged.
 func RunPipeline(m *nn.Sequential, clients []ReportClient, tuner Tuner, eval ScopedEvaluator, cfg PipelineConfig) Report {
 	if len(clients) == 0 {
 		panic("core: RunPipeline with no clients")
@@ -199,6 +203,10 @@ func RunPipeline(m *nn.Sequential, clients []ReportClient, tuner Tuner, eval Sco
 		rep.Timing.Collect = csp.End()
 		rep.ReportDropouts = collected.Dropped
 		obs.M.DefenseReportDropouts.Add(uint64(len(collected.Dropped)))
+		if collected.Err != nil {
+			rep.Err = collected.Err
+			return rep
+		}
 		minAcc := rep.AccBefore - cfg.MaxAccuracyDrop
 		ssp := obs.StartChildOf(psc, "defense.prune.sweep", obs.M.DefensePruneSweepSeconds)
 		rep.Prune = PruneToThreshold(m, layerIdx, collected.Order, eval, minAcc)
@@ -304,18 +312,35 @@ func DefaultAWLayers(m *nn.Sequential, pruneLayer int) []int {
 // collection telemetry: which clients (by index into the clients slice)
 // responded and which dropped out. A dropped client contributes nothing
 // to the aggregate — the order is computed exactly as if the cohort had
-// never contained it.
+// never contained it. Err is a *ReportQuorumError when too few reports
+// arrived, and Order is then nil.
 type PruneOrderResult struct {
 	Order     []int
 	Responded []int
 	Dropped   []int
+	Err       error
+}
+
+// ReportQuorumError is a report collection in which Arrived of the Cohort's
+// reports were well-formed where the quorum needs Need.
+type ReportQuorumError struct {
+	Arrived, Cohort, Need int
+}
+
+func (e *ReportQuorumError) Error() string {
+	return fmt.Sprintf("core: %d of %d reports arrived, quorum needs %d", e.Arrived, e.Cohort, e.Need)
 }
 
 // GlobalPruneOrder collects rank or vote reports from every client and
 // aggregates them into the server's global pruning sequence for the layer.
-// It is GlobalPruneOrderDetail without the telemetry.
+// It is GlobalPruneOrderDetail without the telemetry, for in-process
+// experiments: a missed quorum panics with the *ReportQuorumError.
 func GlobalPruneOrder(m *nn.Sequential, clients []ReportClient, layerIdx int, cfg PipelineConfig) []int {
-	return GlobalPruneOrderDetail(m, clients, layerIdx, cfg).Order
+	res := GlobalPruneOrderDetail(m, clients, layerIdx, cfg)
+	if res.Err != nil {
+		panic(res.Err)
+	}
+	return res.Order
 }
 
 // GlobalPruneOrderDetail collects rank or vote reports and aggregates the
@@ -334,8 +359,8 @@ func GlobalPruneOrder(m *nn.Sequential, clients []ReportClient, layerIdx int, cf
 // Clients implementing FallibleReportClient are collected through the
 // fallible path under cfg.ReportTimeout; a failed (or nil) report drops
 // the client from this aggregation, and so does a malformed one (see
-// compactReports). It panics when no report arrives or fewer than
-// cfg.ReportQuorum of the cohort responds.
+// compactReports). When no report arrives or fewer than cfg.ReportQuorum
+// of the cohort responds, Err is a *ReportQuorumError.
 //
 // A report is well-formed at the cohort's width, not the layer's:
 // fedload's and the benchmark's synthetic clients report 64 units against
@@ -360,8 +385,9 @@ func collectPruneOrder(ctx context.Context, m *nn.Sequential, clients []ReportCl
 			return rankReport(ctx, c, m, layerIdx)
 		})
 		ok := compactReports(reports, errs, width, &res, ranksInRange)
-		requireReportQuorum(len(ok), len(clients), cfg.ReportQuorum)
-		res.Order = PruneOrderFromRanks(AggregateRanks(ok))
+		if res.Err = checkReportQuorum(len(ok), len(clients), cfg.ReportQuorum); res.Err == nil {
+			res.Order = PruneOrderFromRanks(AggregateRanks(ok))
+		}
 	case MVP:
 		p := cfg.VoteRate
 		if p == 0 {
@@ -371,8 +397,9 @@ func collectPruneOrder(ctx context.Context, m *nn.Sequential, clients []ReportCl
 			return voteReport(ctx, c, m, layerIdx, p)
 		})
 		ok := compactReports(reports, errs, width, &res, func([]bool) bool { return true })
-		requireReportQuorum(len(ok), len(clients), cfg.ReportQuorum)
-		res.Order = PruneOrderFromVotes(AggregateVotes(ok))
+		if res.Err = checkReportQuorum(len(ok), len(clients), cfg.ReportQuorum); res.Err == nil {
+			res.Order = PruneOrderFromVotes(AggregateVotes(ok))
+		}
 	default:
 		panic(fmt.Sprintf("core: unknown prune method %v", cfg.Method))
 	}
@@ -460,10 +487,9 @@ func compactReports[E any](reports [][]E, errs []error, width int, res *PruneOrd
 	return ok
 }
 
-// requireReportQuorum panics when too few of the cohort's reports arrived.
-// The shortfall is counted and logged before the panic so a crashed
-// defense run still leaves its cause in the metrics and the event stream.
-func requireReportQuorum(got, cohort int, quorum float64) {
+// checkReportQuorum returns a *ReportQuorumError when too few of the
+// cohort's reports arrived, after counting and logging the shortfall.
+func checkReportQuorum(got, cohort int, quorum float64) error {
 	need := 1
 	if quorum > 0 {
 		if n := int(math.Ceil(quorum * float64(cohort))); n > need {
@@ -474,8 +500,9 @@ func requireReportQuorum(got, cohort int, quorum float64) {
 		obs.M.DefenseReportQuorumFailures.Inc()
 		obs.L().Error("defense: report collection below quorum",
 			"arrived", got, "cohort", cohort, "need", need)
-		panic(fmt.Sprintf("core: %d of %d reports arrived, quorum needs %d", got, cohort, need))
+		return &ReportQuorumError{Arrived: got, Cohort: cohort, Need: need}
 	}
+	return nil
 }
 
 // reportCtx builds the collection context for a report fan-out on top of

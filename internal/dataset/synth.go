@@ -138,7 +138,7 @@ func makePrototypes(seed int64, spec synthSpec) [][]float64 {
 		if spec.baseBlend > 0 {
 			base := bases[class%spec.groups]
 			for i := range p {
-				p[i] = spec.baseBlend*base[i] + (1-spec.baseBlend)*p[i]
+				p[i] = float64(spec.baseBlend*base[i]) + float64((1-spec.baseBlend)*p[i])
 			}
 		}
 		protos[class] = p
@@ -149,6 +149,10 @@ func makePrototypes(seed int64, spec synthSpec) [][]float64 {
 // drawPrototype paints random strokes, blobs and rectangles onto a fresh
 // canvas. Color channels receive correlated copies weighted by a per-class
 // hue so 3-channel tasks carry both shape and color signal.
+//
+// Here and in the helpers, every product that feeds an add is written
+// float64(a*b) so arm64 does not fuse it (make fusion-check) and draws
+// amd64's datasets.
 func drawPrototype(s Shape, margin int, rng *rand.Rand) []float64 {
 	mono := make([]float64, s.H*s.W)
 	spanW, spanH := s.W-2*margin, s.H-2*margin
@@ -158,14 +162,14 @@ func drawPrototype(s Shape, margin int, rng *rand.Rand) []float64 {
 		drawLine(mono, s.H, s.W,
 			margin+rng.Intn(spanW), margin+rng.Intn(spanH),
 			margin+rng.Intn(spanW), margin+rng.Intn(spanH),
-			0.7+0.3*rng.Float64())
+			0.7+float64(0.3*rng.Float64()))
 	}
 	// 1-2 blobs inside the content region.
 	blobs := 1 + rng.Intn(2)
 	for i := 0; i < blobs; i++ {
 		drawBlob(mono, s.H, s.W,
 			margin+1+rng.Intn(maxInt(spanW-2, 1)), margin+1+rng.Intn(maxInt(spanH-2, 1)),
-			1.2+1.8*rng.Float64(), 0.6+0.4*rng.Float64())
+			1.2+float64(1.8*rng.Float64()), 0.6+float64(0.4*rng.Float64()))
 	}
 	if s.C == 1 {
 		return mono
@@ -173,7 +177,7 @@ func drawPrototype(s Shape, margin int, rng *rand.Rand) []float64 {
 	// Per-channel hue weights in [0.2, 1.0].
 	out := make([]float64, s.C*s.H*s.W)
 	for c := 0; c < s.C; c++ {
-		hue := 0.2 + 0.8*rng.Float64()
+		hue := 0.2 + float64(0.8*rng.Float64())
 		for i, v := range mono {
 			out[c*s.H*s.W+i] = hue * v
 		}
@@ -181,11 +185,14 @@ func drawPrototype(s Shape, margin int, rng *rand.Rand) []float64 {
 	// Low-frequency color texture so color alone does not decide the class.
 	for c := 0; c < s.C; c++ {
 		fx, fy := rng.Float64()*0.8, rng.Float64()*0.8
-		ph := rng.Float64() * 2 * math.Pi
-		amp := 0.15 + 0.15*rng.Float64()
+		// 2π is one constant: Float64()*2*π let arm64 write the exact
+		// doubling as r+r and fuse Float64's scaling multiply into it.
+		ph := float64(2 * math.Pi * rng.Float64())
+		amp := 0.15 + float64(0.15*rng.Float64())
 		for y := 0; y < s.H; y++ {
 			for x := 0; x < s.W; x++ {
-				out[c*s.H*s.W+y*s.W+x] += amp * (1 + math.Sin(fx*float64(x)+fy*float64(y)+ph)) / 2
+				arg := float64(fx*float64(x)) + float64(fy*float64(y)) + ph
+				out[c*s.H*s.W+y*s.W+x] += float64(amp * (1 + math.Sin(arg)) / 2)
 			}
 		}
 	}
@@ -197,8 +204,8 @@ func drawLine(canvas []float64, h, w, x0, y0, x1, y1 int, v float64) {
 	steps := maxInt(absInt(x1-x0), absInt(y1-y0)) + 1
 	for i := 0; i <= steps; i++ {
 		t := float64(i) / float64(steps)
-		x := int(math.Round(float64(x0) + t*float64(x1-x0)))
-		y := int(math.Round(float64(y0) + t*float64(y1-y0)))
+		x := int(math.Round(float64(x0) + float64(t*float64(x1-x0))))
+		y := int(math.Round(float64(y0) + float64(t*float64(y1-y0))))
 		stamp(canvas, h, w, x, y, v)
 		stamp(canvas, h, w, x+1, y, v*0.6)
 		stamp(canvas, h, w, x, y+1, v*0.6)
@@ -215,7 +222,7 @@ func drawBlob(canvas []float64, h, w, cx, cy int, r, v float64) {
 				continue
 			}
 			d2 := float64(dx*dx + dy*dy)
-			canvas[y*w+x] += v * math.Exp(-d2/(2*r*r))
+			canvas[y*w+x] += float64(v * math.Exp(-d2/(2*r*r)))
 		}
 	}
 }
@@ -236,7 +243,7 @@ func renderSample(proto []float64, spec synthSpec, label int, rng *rand.Rand) Sa
 	x := make([]float64, s.Elems())
 	dx := rng.Intn(2*spec.shift+1) - spec.shift
 	dy := rng.Intn(2*spec.shift+1) - spec.shift
-	bright := spec.brightLo + (spec.brightHi-spec.brightLo)*rng.Float64()
+	bright := spec.brightLo + float64((spec.brightHi-spec.brightLo)*rng.Float64())
 	for c := 0; c < s.C; c++ {
 		for y := 0; y < s.H; y++ {
 			sy := y - dy
@@ -246,7 +253,7 @@ func renderSample(proto []float64, spec synthSpec, label int, rng *rand.Rand) Sa
 				if sx >= 0 && sx < s.W && sy >= 0 && sy < s.H {
 					v = proto[c*s.H*s.W+sy*s.W+sx]
 				}
-				v = bright*v + rng.NormFloat64()*spec.noise
+				v = float64(bright*v) + float64(rng.NormFloat64()*spec.noise)
 				if spec.distort > 0 && rng.Float64() < spec.distort {
 					v = 0
 				}
