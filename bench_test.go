@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
@@ -41,7 +40,8 @@ func BenchmarkArtifacts(b *testing.B) {
 		b.Run(sp.ID, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				eval.RunGrid([]eval.Spec{sp}, nn.Float64, func(_, text string, _ time.Duration) { benchSink = text })
+				cells, _, _ := eval.RunGrid([]eval.Spec{sp}, nn.Float64, nil)
+				benchSink = sp.Render(cells)
 			}
 		})
 	}

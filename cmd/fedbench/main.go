@@ -8,11 +8,13 @@
 //	fedbench -exp all               # everything (slow)
 //
 // The selected experiments run as one grid (eval.RunGrid): each distinct
-// federation trains once for every experiment that needs it. Results print
-// as text tables/series, each followed by its "[<id> done in <s>s]" line,
-// and the run ends with "[all: <cells> cells, <k> federations trained,
-// <s> s]". EXPERIMENTS.md records a captured run against the paper's
-// numbers. FEDCLEANSE_WORKERS pins the worker count (parallel.Workers);
+// federation trains once for every experiment that needs it. An experiment
+// measures cells (eval.Cell, one record per measurement); as soon as it is
+// complete its cells print as a table or as TA/AA series (Spec.Render),
+// followed by its "[<id> done in <s>s]" line. The run ends with "[all:
+// <cells> cells, <k> federations trained, <s> s]", where cells counts the
+// (training, arm) pairs declared. EXPERIMENTS.md records a captured run
+// against the paper's numbers. FEDCLEANSE_WORKERS pins the worker count (parallel.Workers);
 // the tables are the same bytes at any count.
 package main
 
@@ -60,9 +62,9 @@ func main() {
 		os.Exit(2)
 	}
 	start := time.Now()
-	cells, trained := eval.RunGrid(specs, backend, func(id, text string, took time.Duration) {
-		fmt.Print(text)
-		fmt.Printf("[%s done in %.1fs]\n\n", id, took.Seconds())
+	_, arms, trained := eval.RunGrid(specs, backend, func(sp eval.Spec, cells []eval.Cell, took time.Duration) {
+		fmt.Print(sp.Render(cells))
+		fmt.Printf("[%s done in %.1fs]\n\n", sp.ID, took.Seconds())
 	})
-	fmt.Printf("[all: %d cells, %d federations trained, %.1f s]\n", cells, trained, time.Since(start).Seconds())
+	fmt.Printf("[all: %d cells, %d federations trained, %.1f s]\n", arms, trained, time.Since(start).Seconds())
 }

@@ -134,7 +134,9 @@ func main() {
 	if err != nil {
 		usage(err.Error())
 	}
-	// A failed defense exits 1 once every deferred flush below has run.
+	// A failure from here on (the ops endpoint, the flight recorder, a
+	// refused resume, a failed defense) sets exit and returns, so main
+	// exits 1 once every deferred flush below has run.
 	exit := 0
 	defer func() {
 		if exit != 0 {
@@ -142,6 +144,11 @@ func main() {
 		}
 	}()
 	defer prof.Start()()
+	defer func() {
+		obs.SampleProcess()
+		fmt.Println("\nfinal metrics snapshot:")
+		_ = obs.Default.WriteText(os.Stdout)
+	}()
 
 	// The ops endpoint comes up before any training so a long run is
 	// observable from its first round.
@@ -149,7 +156,8 @@ func main() {
 		ops, err := obs.ServeOps(*opsAddr, obs.Default)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit = 1
+			return
 		}
 		logger.Info("serve: ops endpoint up", "addr", ops.Addr())
 		defer func() {
@@ -158,11 +166,6 @@ func main() {
 			_ = ops.Shutdown(ctx)
 		}()
 	}
-	defer func() {
-		obs.SampleProcess()
-		fmt.Println("\nfinal metrics snapshot:")
-		_ = obs.Default.WriteText(os.Stdout)
-	}()
 
 	// The flight recorder is the durable audit trail (DESIGN.md §10): one
 	// JSONL record per round, plus the recent window on /rounds.
@@ -171,7 +174,8 @@ func main() {
 		flight, err = obs.NewFlightRecorder(*flightPath, 0)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			exit = 1
+			return
 		}
 		obs.SetFlightRecorder(flight)
 		logger.Info("serve: flight recorder on", "path", flight.Path())
@@ -228,7 +232,12 @@ func main() {
 		server = t.Server
 	}
 	server.Audit = flight
-	startRound := setupDurability(server, logger, *ckptDir, *ckptEvery, *ckptFolds, scenarioRecord(s))
+	startRound, err := setupDurability(server, logger, *ckptDir, *ckptEvery, *ckptFolds, scenarioRecord(s))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "resume:", err)
+		exit = 1
+		return
+	}
 
 	// Each round is evaluated exactly once. With a flight recorder the
 	// evaluation runs inside the AuditAmend hook — the record and the log
@@ -368,45 +377,41 @@ func scenarioRecord(s eval.Scenario) string {
 // newest complete checkpoint in dir, returning the first round the
 // training loop should run. An empty or missing directory starts fresh —
 // the first boot of a durable deployment — and records the run's scenario
-// there. A checkpoint this run cannot continue exits 1: another scenario
-// (the record differs or is missing), seed or population, a round past
-// -rounds, an unreadable file.
-func setupDurability(server *fl.Server, logger *slog.Logger, dir string, every, folds int, scenario string) int {
+// there. It returns an error for a checkpoint this run cannot continue:
+// another scenario (the record differs or is missing), seed or
+// population, a round past -rounds, an unreadable file.
+func setupDurability(server *fl.Server, logger *slog.Logger, dir string, every, folds int, scenario string) (int, error) {
 	if dir == "" {
-		return 0
-	}
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "resume:", err)
-		os.Exit(1)
+		return 0, nil
 	}
 	server.SetCheckpointer(&fl.Checkpointer{Dir: dir, EveryRounds: every, EveryFolds: folds})
 	next, resumed, err := server.ResumeLatest(dir)
 	if err != nil {
-		fail(err)
+		return 0, err
 	}
 	record := filepath.Join(dir, scenarioFile)
 	if !resumed {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
-			fail(err)
+			return 0, err
 		}
 		if err := fl.AtomicWriteFile(record, []byte(scenario)); err != nil {
-			fail(err)
+			return 0, err
 		}
 		logger.Info("serve: no checkpoint found, starting fresh", "dir", dir)
-		return 0
+		return 0, nil
 	}
 	had, err := os.ReadFile(record)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
-		fail(fmt.Errorf("%s holds checkpoints but no %s record of their scenario", dir, scenarioFile))
+		return 0, fmt.Errorf("%s holds checkpoints but no %s record of their scenario", dir, scenarioFile)
 	case err != nil:
-		fail(err)
+		return 0, err
 	case string(had) != scenario:
-		fail(fmt.Errorf("%s holds checkpoints of another scenario: %q, this run is %q",
-			dir, strings.TrimSpace(string(had)), strings.TrimSpace(scenario)))
+		return 0, fmt.Errorf("%s holds checkpoints of another scenario: %q, this run is %q",
+			dir, strings.TrimSpace(string(had)), strings.TrimSpace(scenario))
 	case next > server.Config().Rounds:
-		fail(fmt.Errorf("%s holds a checkpoint at round %d, past -rounds %d", dir, next, server.Config().Rounds))
+		return 0, fmt.Errorf("%s holds a checkpoint at round %d, past -rounds %d", dir, next, server.Config().Rounds)
 	}
 	logger.Info("serve: resumed from checkpoint", "dir", dir, "next_round", next)
-	return next
+	return next, nil
 }

@@ -2,10 +2,12 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -92,22 +94,33 @@ func TestCheckpointDirResumes(t *testing.T) {
 	if n := strings.Count(out, "serve: round done"); n != 1 || !strings.Contains(out, "serve: round done round=2 ") {
 		t.Fatalf("second run ran %d rounds, want round 2 only:\n%s", n, out)
 	}
-	for _, c := range []struct {
-		args []string
-		want string
+	// Each refusal exits 1 after main's deferred flushes: the CPU profile
+	// is written and the exit snapshot printed. So does a flight recorder
+	// that cannot be opened.
+	for i, c := range []struct {
+		args       []string
+		kind, want string
 	}{
-		{[]string{"-rounds", "3", "-seed", "5"}, "seed"},
-		{[]string{"-rounds", "3", "-victim", "4"}, "another scenario"},
-		{[]string{"-rounds", "3", "-attackers", "0"}, "another scenario"},
-		{[]string{"-rounds", "2"}, "past -rounds 2"},
+		{[]string{"-rounds", "3", "-seed", "5"}, "resume:", "seed"},
+		{[]string{"-rounds", "3", "-victim", "4"}, "resume:", "another scenario"},
+		{[]string{"-rounds", "3", "-attackers", "0"}, "resume:", "another scenario"},
+		{[]string{"-rounds", "2"}, "resume:", "past -rounds 2"},
+		{[]string{"-rounds", "3", "-flight-recorder", filepath.Join(dir, "missing", "flight.jsonl")}, "obs: flight recorder", "no such file"},
 	} {
-		out, err = run(c.args...)
+		profile := filepath.Join(t.TempDir(), fmt.Sprintf("cpu%d.pprof", i))
+		out, err = run(append(c.args, "-cpuprofile", profile)...)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 			t.Fatalf("%v: %v, want exit status 1\n%s", c.args, err, out)
 		}
-		if !strings.Contains(out, "resume:") || !strings.Contains(out, c.want) || strings.Contains(out, "round done") {
-			t.Fatalf("%v printed no resume error naming %q, or trained:\n%s", c.args, c.want, out)
+		if !strings.Contains(out, c.kind) || !strings.Contains(out, c.want) || strings.Contains(out, "round done") {
+			t.Fatalf("%v printed no %s error naming %q, or trained:\n%s", c.args, c.kind, c.want, out)
+		}
+		if !strings.Contains(out, "final metrics snapshot:") {
+			t.Fatalf("%v exited without the exit snapshot:\n%s", c.args, out)
+		}
+		if fi, err := os.Stat(profile); err != nil || fi.Size() == 0 {
+			t.Fatalf("%v left no CPU profile (%v):\n%s", c.args, err, out)
 		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 func main() {
 	fmt.Println("adaptive attackers vs the full defense (SynthMNIST, 9->2):")
 	fmt.Println("(training may take a few minutes per variant)")
-	tbl := fedcleanse.AdaptiveAttackTable(fedcleanse.ExperimentPair{VL: 9, AL: 2})
-	fmt.Print(tbl.Render())
+	_, table := fedcleanse.AdaptiveAttackTable(fedcleanse.ExperimentPair{VL: 9, AL: 2})
+	fmt.Print(table)
 
 	fmt.Println("\nreading the table: 'training' columns show the attack landing;")
 	fmt.Println("'all' columns show TA/AA after pruning + fine-tuning + weight")

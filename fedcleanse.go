@@ -149,8 +149,8 @@ type (
 	Trained = eval.Trained
 	// ExperimentPair is one (victim, attack) label pair.
 	ExperimentPair = eval.Pair
-	// ResultTable is a paper-style results table.
-	ResultTable = eval.Table
+	// ResultCell is one measurement of an experiment.
+	ResultCell = eval.Cell
 )
 
 var (

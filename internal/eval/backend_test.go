@@ -81,16 +81,15 @@ func TestFloat32BackendMNISTParity(t *testing.T) {
 // A float32 grid runs every cell on float32: each planned training builds
 // a float32 template (the cmd/fedbench -backend plumbing).
 func TestGridBackendBuildsFloat32Templates(t *testing.T) {
-	g, _ := plan(Specs(PaperSweep(false)), nn.Float32)
+	g := plan(Specs(PaperSweep(false)), nn.Float32)
 	for _, tr := range g.trainings {
 		if b := tr.s.Backend; b != nn.Float32 {
 			t.Fatalf("%s: scenario backend %v, want Float32", tr.s.Name, b)
 		}
 	}
 	for _, of := range []func(int, int) Scenario{MNISTScenario, FashionScenario, CIFARScenario} {
-		g, _ := plan([]Spec{{"one", func(g *grid) func() string {
-			g.after(of(9, 2), func(*Trained) {})
-			return nil
+		g := plan([]Spec{{ID: "one", plan: func(g *grid) {
+			g.after(of(9, 2), func(*Trained) []Cell { return nil })
 		}}}, nn.Float32)
 		if template, _, _, _ := Components(g.trainings[0].s); template.Backend() != nn.Float32 {
 			t.Fatalf("%s: template backend %v, want Float32", g.trainings[0].s.Name, template.Backend())

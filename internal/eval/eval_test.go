@@ -4,7 +4,6 @@ import (
 	"flag"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"github.com/fedcleanse/fedcleanse/internal/core"
@@ -132,51 +131,63 @@ func TestDefendModeRejectsUnknown(t *testing.T) {
 	tr.DefendMode("banish")
 }
 
+// The renderers' exact bytes: fedbench's output is compared byte for byte
+// across commits (scripts/fedbench_diff.sh), so these pin every space.
+
+const (
+	twoRowTable = "test\n" +
+		"setting        | a             | b            \n" +
+		"               |     TA     AA |     TA     AA\n" +
+		"r1             |   90.0   10.0 |   80.0   20.0\n" +
+		"r2             |   70.0   30.0 |   60.0   40.0\n" +
+		"avg            |   80.0   20.0 |   70.0   30.0\n"
+	oneRowTable = "one\n" +
+		"setting        | a            \n" +
+		"               |     TA     AA\n" +
+		"9->2           |   91.6   26.7\n"
+	countTable = "counts\n" +
+		"setting        | training      | fp            |   pruned |   zeroed\n" +
+		"               |     TA     AA |     TA     AA |          |         \n" +
+		"1-pixel        |   90.3   97.8 |   88.1   40.0 |        7 |      113\n" +
+		"9-pixel        |   89.7   99.9 |   87.5   10.2 |       12 |        0\n" +
+		"avg            |   90.0   98.8 |   87.8   25.1\n"
+	twoSeriesFigure = "fig\n" +
+		"  TA target 2 layer 3          (0: 91.6) (5: 90.0) (2.5: 88.4)\n" +
+		"  AA target 2 layer 3          (0: 97.8) (5: 60.1) (2.5: 26.7)\n"
+)
+
 func TestTableRenderAndAverages(t *testing.T) {
-	tbl := &Table{
-		Title: "test",
-		Modes: []string{"a", "b"},
-		Rows: []Row{
-			{Label: "r1", Cells: map[string]Cell{"a": {TA: 90, AA: 10}, "b": {TA: 80, AA: 20}}},
-			{Label: "r2", Cells: map[string]Cell{"a": {TA: 70, AA: 30}, "b": {TA: 60, AA: 40}}},
-		},
+	two := []Cell{
+		{Row: "r1", Arm: "a", TA: 90, AA: 10}, {Row: "r1", Arm: "b", TA: 80, AA: 20},
+		{Row: "r2", Arm: "a", TA: 70, AA: 30}, {Row: "r2", Arm: "b", TA: 60, AA: 40},
 	}
-	avg := tbl.Averages()
-	if avg["a"].TA != 80 || avg["a"].AA != 20 || avg["b"].TA != 70 {
-		t.Fatalf("averages wrong: %+v", avg)
+	if got := renderTable("test", two, nil); got != twoRowTable {
+		t.Errorf("two-row table:\n%q\nwant\n%q", got, twoRowTable)
 	}
-	out := tbl.Render()
-	for _, want := range []string{"test", "r1", "r2", "avg", "90.0", "40.0"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
+	one := []Cell{{Row: "9->2", Arm: "a", TA: 91.6, AA: 26.7}}
+	if got := renderTable("one", one, nil); got != oneRowTable {
+		t.Errorf("one-row table:\n%q\nwant\n%q", got, oneRowTable)
 	}
 }
 
 func TestTableRenderExtraCols(t *testing.T) {
-	tbl := &Table{
-		Title:     "x",
-		Modes:     []string{"m"},
-		ExtraCols: []string{"pruned"},
-		Rows: []Row{
-			{Label: "r", Cells: map[string]Cell{"m": {TA: 1, AA: 2}}, Extra: map[string]int{"pruned": 7}},
-		},
+	cells := []Cell{
+		{Row: "1-pixel", Arm: "training", TA: 90.3, AA: 97.8}, {Row: "1-pixel", Arm: "fp", TA: 88.1, AA: 40, Pruned: 7, Zeroed: 113},
+		{Row: "9-pixel", Arm: "training", TA: 89.7, AA: 99.9}, {Row: "9-pixel", Arm: "fp", TA: 87.5, AA: 10.2, Pruned: 12},
 	}
-	if !strings.Contains(tbl.Render(), "7") {
-		t.Fatal("extra column not rendered")
+	counts := []count{{"pruned", "fp", prunedCount}, {"zeroed", "fp", zeroedCount}}
+	if got := renderTable("counts", cells, counts); got != countTable {
+		t.Errorf("table with integer columns:\n%q\nwant\n%q", got, countTable)
 	}
 }
 
 func TestFigureRender(t *testing.T) {
-	fig := &Figure{
-		Title:  "fig",
-		Series: []Series{{Name: "TA", X: []float64{0, 1}, Y: []float64{97.5, 98.5}}},
+	var cells []Cell
+	for i, x := range []float64{0, 5, 2.5} {
+		cells = append(cells, Cell{Arm: "target 2 layer 3", X: x, TA: []float64{91.6, 90, 88.4}[i], AA: []float64{97.8, 60.1, 26.7}[i]})
 	}
-	out := fig.Render()
-	for _, want := range []string{"fig", "TA", "97.5", "98.5"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("figure render missing %q:\n%s", want, out)
-		}
+	if got := renderSeries("fig", cells); got != twoSeriesFigure {
+		t.Errorf("two-series figure:\n%q\nwant\n%q", got, twoSeriesFigure)
 	}
 }
 

@@ -65,27 +65,33 @@ func DefenseMode(mode string) (core.PipelineConfig, error) {
 // DefendMode runs one of the paper's defense modes (DefenseMode) on a
 // clone of the trained global model; an unknown mode panics.
 func (t *Trained) DefendMode(mode string) (*nn.Sequential, core.Report) {
+	return t.Defend(modeConfig(mode))
+}
+
+// modeConfig is DefenseMode's configuration; an unknown mode panics.
+func modeConfig(mode string) core.PipelineConfig {
 	cfg, err := DefenseMode(mode)
 	if err != nil {
 		panic("eval: " + err.Error())
 	}
-	return t.Defend(cfg)
+	return cfg
 }
 
-// cell measures m on t's test split and backdoor task; modeCell measures
-// the model a defense mode leaves.
-func (t *Trained) cell(m *nn.Sequential) Cell { return Cell{TA: t.ModelTA(m), AA: t.ModelAA(m)} }
-
-func (t *Trained) modeCell(mode string) Cell {
-	m, _ := t.DefendMode(mode)
-	return t.cell(m)
+// cell measures m on t's test split and backdoor task as column arm of
+// row; trained measures the trained global model, as column "training".
+func (t *Trained) cell(row, arm string, m *nn.Sequential) Cell {
+	return Cell{Row: row, Arm: arm, TA: t.ModelTA(m), AA: t.ModelAA(m)}
 }
 
-// row appends a row and returns it; its maps are the table's.
-func (t *Table) row(label string) Row {
-	r := Row{Label: label, Cells: map[string]Cell{}, Extra: map[string]int{}}
-	t.Rows = append(t.Rows, r)
-	return r
+func (t *Trained) trained(row string) Cell { return t.cell(row, "training", t.Server.Model) }
+
+// defense measures the model cfg's defense leaves, with its report's
+// counts.
+func (t *Trained) defense(row, arm string, cfg core.PipelineConfig) Cell {
+	m, rep := t.Defend(cfg)
+	c := t.cell(row, arm, m)
+	c.Pruned, c.Zeroed, c.FineTuned, c.Delta = len(rep.Prune.Pruned), rep.AW.Zeroed, rep.FineTune.Rounds, rep.AW.FinalDelta
+	return c
 }
 
 func mnist(p Pair) Scenario { return MNISTScenario(p.VL, p.AL) }
@@ -126,313 +132,248 @@ func PaperSweep(full bool) Sweep {
 // ablations and the adaptive attacks, in fedbench's order.
 func Specs(sw Sweep) []Spec {
 	return []Spec{
-		{"table1", func(g *grid) func() string {
-			return modeTable(g, "Table I — SynthMNIST: Training vs FP+AW vs All", sw.Pairs,
-				[]string{"fp+aw", "all"}, mnist)
+		{ID: "table1", Title: "Table I — SynthMNIST: Training vs FP+AW vs All", plan: func(g *grid) {
+			modeTable(g, sw.Pairs, []string{"fp+aw", "all"}, mnist)
 		}},
-		{"table2", func(g *grid) func() string {
-			return modeTable(g, "Table II — SynthFashion: Training vs FP vs FP+AW vs All", sw.NinePairs,
-				[]string{"fp", "fp+aw", "all"}, func(p Pair) Scenario { return FashionScenario(p.VL, p.AL) })
+		{ID: "table2", Title: "Table II — SynthFashion: Training vs FP vs FP+AW vs All", plan: func(g *grid) {
+			modeTable(g, sw.NinePairs, []string{"fp", "fp+aw", "all"}, func(p Pair) Scenario { return FashionScenario(p.VL, p.AL) })
 		}},
-		{"table3", func(g *grid) func() string {
-			return modeTable(g, "Table III — SynthCIFAR + DBA: Training vs FP vs FP+AW vs All", sw.NinePairs,
-				[]string{"fp", "fp+aw", "all"}, func(p Pair) Scenario { return CIFARScenario(p.VL, p.AL) })
+		{ID: "table3", Title: "Table III — SynthCIFAR + DBA: Training vs FP vs FP+AW vs All", plan: func(g *grid) {
+			modeTable(g, sw.NinePairs, []string{"fp", "fp+aw", "all"}, func(p Pair) Scenario { return CIFARScenario(p.VL, p.AL) })
 		}},
-		{"table4", func(g *grid) func() string {
-			tbl := &Table{Title: "Table IV — defense comparison with Neural Cleanse", Modes: []string{"training", "neural-cleanse", "ours"}}
+		{ID: "table4", Title: "Table IV — defense comparison with Neural Cleanse", plan: func(g *grid) {
 			for _, d := range datasets {
-				row := tbl.row(d.name)
-				g.after(d.of(sw.Pair.VL, sw.Pair.AL), func(t *Trained) {
-					row.Cells["training"] = t.cell(t.Server.Model)
-					row.Cells["neural-cleanse"] = t.cell(neuralCleanse(t))
-					row.Cells["ours"] = t.modeCell("all")
+				row := d.name
+				g.after(d.of(sw.Pair.VL, sw.Pair.AL), func(t *Trained) []Cell {
+					return []Cell{t.trained(row), t.cell(row, "neural-cleanse", neuralCleanse(t)), t.defense(row, "ours", modeConfig("all"))}
 				})
 			}
-			return tbl.Render
 		}},
-		{"table5", func(g *grid) func() string {
-			tbl := &Table{Title: "Table V — pruning only: RAP vs MVP", Modes: []string{"training", "rap", "mvp"}}
+		{ID: "table5", Title: "Table V — pruning only: RAP vs MVP", plan: func(g *grid) {
 			for _, p := range sw.Pairs {
-				row := tbl.row(p.String())
-				g.after(mnist(p), func(t *Trained) {
-					row.Cells["training"] = t.cell(t.Server.Model)
+				row := p.String()
+				g.after(mnist(p), func(t *Trained) []Cell {
+					cells := []Cell{t.trained(row)}
 					for _, method := range []core.PruneMethod{core.RAP, core.MVP} {
-						cfg, _ := DefenseMode("fp")
+						cfg := modeConfig("fp")
 						cfg.Method = method
-						m, _ := t.Defend(cfg)
-						row.Cells[strings.ToLower(method.String())] = t.cell(m)
+						cells = append(cells, t.defense(row, strings.ToLower(method.String()), cfg))
 					}
+					return cells
 				})
 			}
-			return tbl.Render
 		}},
-		{"table6", func(g *grid) func() string {
-			// AW alone on the small (8/16) and large (20/50) CNNs; N counts
-			// zeroed weights.
-			tbl := &Table{Title: "Table VI — AW only: small vs large NN",
-				Modes:     []string{"small-training", "small-aw", "large-training", "large-aw"},
-				ExtraCols: []string{"N-small", "N-large"}}
-			for _, p := range sw.SizePairs {
-				row := tbl.row(p.String())
-				for _, size := range []string{"small", "large"} {
-					size, s := size, mnist(p)
-					if size == "large" {
-						s.Build = nn.NewLargeCNN
+		{ID: "table6", Title: "Table VI — AW only: small vs large NN",
+			counts: []count{{"N-small", "small-aw", zeroedCount}, {"N-large", "large-aw", zeroedCount}},
+			plan: func(g *grid) {
+				// AW alone on the small (8/16) and large (20/50) CNNs; N counts
+				// zeroed weights.
+				for _, p := range sw.SizePairs {
+					row := p.String()
+					for _, size := range []string{"small", "large"} {
+						size, s := size, mnist(p)
+						if size == "large" {
+							s.Build = nn.NewLargeCNN
+						}
+						g.after(s, func(t *Trained) []Cell {
+							return []Cell{t.cell(row, size+"-training", t.Server.Model), t.defense(row, size+"-aw", modeConfig("aw"))}
+						})
 					}
-					g.after(s, func(t *Trained) {
-						row.Cells[size+"-training"] = t.cell(t.Server.Model)
-						m, rep := t.DefendMode("aw")
-						row.Cells[size+"-aw"] = t.cell(m)
-						row.Extra["N-"+size] = rep.AW.Zeroed
+				}
+			}},
+		{ID: "table7", Title: "Table VII — attack patterns (pixels) with fixed Δ=3",
+			counts: []count{{"pruned", "fp", prunedCount}, {"zeroed", "fp+aw", zeroedCount}},
+			plan: func(g *grid) {
+				for _, n := range sw.Patterns {
+					row, s := fmt.Sprintf("%d-pixel", n), MNISTScenario(9, 1)
+					s.Poison.Trigger = dataset.PixelPattern(n, dataset.Shape{C: 1, H: 16, W: 16})
+					g.after(s, func(t *Trained) []Cell {
+						// A single clip at the paper's fixed Δ=3, no accuracy-guarded
+						// descent.
+						cfg := modeConfig("fp+aw")
+						cfg.AW = core.AWConfig{StartDelta: 3, MinDelta: 3, Eps: 1, MinAccuracy: -1}
+						return []Cell{t.trained(row), t.defense(row, "fp", modeConfig("fp")), t.defense(row, "fp+aw", cfg)}
 					})
 				}
-			}
-			return tbl.Render
-		}},
-		{"table7", func(g *grid) func() string {
-			tbl := &Table{Title: "Table VII — attack patterns (pixels) with fixed Δ=3",
-				Modes: []string{"training", "fp", "fp+aw"}, ExtraCols: []string{"pruned", "zeroed"}}
-			for _, n := range sw.Patterns {
-				row := tbl.row(fmt.Sprintf("%d-pixel", n))
-				s := MNISTScenario(9, 1)
-				s.Poison.Trigger = dataset.PixelPattern(n, dataset.Shape{C: 1, H: 16, W: 16})
-				g.after(s, func(t *Trained) {
-					row.Cells["training"] = t.cell(t.Server.Model)
-					m, rep := t.DefendMode("fp")
-					row.Cells["fp"], row.Extra["pruned"] = t.cell(m), len(rep.Prune.Pruned)
-					// A single clip at the paper's fixed Δ=3, no accuracy-guarded
-					// descent.
-					cfg, _ := DefenseMode("fp+aw")
-					cfg.AW = core.AWConfig{StartDelta: 3, MinDelta: 3, Eps: 1, MinAccuracy: -1}
-					m, rep = t.Defend(cfg)
-					row.Cells["fp+aw"], row.Extra["zeroed"] = t.cell(m), rep.AW.Zeroed
-				})
-			}
-			return tbl.Render
-		}},
-		{"fig3", func(g *grid) func() string {
-			fig := &Figure{Title: "Fig. 3 — training under K-label distributions"}
+			}},
+		{ID: "fig3", Title: "Fig. 3 — training under K-label distributions", layout: asSeries, plan: func(g *grid) {
 			for _, k := range sw.KLabels {
 				s := MNISTScenario(9, 1)
 				s.KLabels = k
-				curve(g, fig, s, fmt.Sprintf("k=%d", k))
+				curve(g, s, fmt.Sprintf("k=%d", k))
 			}
-			return fig.Render
 		}},
-		{"fig5", func(g *grid) func() string {
-			parts := make([][]Series, len(sw.Targets))
-			for i, target := range sw.Targets {
-				i, target := i, target
-				g.after(MNISTScenario(9, target), func(t *Trained) {
+		{ID: "fig5", Title: "Fig. 5 — pruning curves (RAP vs MVP)", layout: asSeries, plan: func(g *grid) {
+			for _, target := range sw.Targets {
+				target := target
+				g.after(MNISTScenario(9, target), func(t *Trained) (cells []Cell) {
 					li := t.Server.Model.LastConvIndex()
 					for _, method := range []core.PruneMethod{core.RAP, core.MVP} {
 						cfg := core.DefaultPipelineConfig()
 						cfg.Method = method
 						order := core.GlobalPruneOrder(t.Server.Model, fl.ReportClients(t.Participants), li, cfg)
 						curves := core.PruneSweep(t.Server.Model.Clone(), li, order, t.TestEvaluator(), t.ASREvaluator())
-						parts[i] = append(parts[i], sweep(fmt.Sprintf("%s target %d", method, target), nil, curves)...)
+						cells = append(cells, sweep(fmt.Sprintf("%s target %d", method, target), nil, curves)...)
 					}
+					return cells
 				})
 			}
-			return figure("Fig. 5 — pruning curves (RAP vs MVP)", parts)
 		}},
-		{"fig6", func(g *grid) func() string {
+		{ID: "fig6", Title: "Fig. 6 — adjusting extreme weights vs Δ", layout: asSeries, plan: func(g *grid) {
 			// The AW Δ sweep on the pruned model, no fine-tuning; x = 0 is the
 			// unclipped model.
-			parts := make([][]Series, len(sw.Targets))
-			for i, target := range sw.Targets {
-				i, target := i, target
-				g.after(MNISTScenario(9, target), func(t *Trained) {
+			for _, target := range sw.Targets {
+				target := target
+				g.after(MNISTScenario(9, target), func(t *Trained) (cells []Cell) {
 					m, rep := t.DefendMode("fp")
 					for _, li := range core.DefaultAWLayers(m, rep.TargetLayer) {
 						curves := core.AWSweep(m.Clone(), li, sw.Deltas, t.TestEvaluator(), t.ASREvaluator())
-						parts[i] = append(parts[i], sweep(fmt.Sprintf("target %d layer %d", target, li),
+						cells = append(cells, sweep(fmt.Sprintf("target %d layer %d", target, li),
 							append([]float64{0}, sw.Deltas...), curves)...)
 					}
+					return cells
 				})
 			}
-			return figure("Fig. 6 — adjusting extreme weights vs Δ", parts)
 		}},
-		{"fig7", func(g *grid) func() string {
-			return points(g, "Fig. 7 — random client selection (50 clients, 10% attackers)", sw.Selects,
-				[]string{"TA after training", "AA after training", "TA after defense", "AA after defense"},
-				func(sel int) Scenario {
-					s := MNISTScenario(9, 2)
-					s.Clients, s.Attackers, s.PerClient = 50, 5, 40
-					s.GenCfg.TrainPerClass = 220
-					s.FL.SelectPerRound, s.FL.Rounds = sel, 30
-					return s
-				}, func(t *Trained) []Cell { return []Cell{t.cell(t.Server.Model), t.modeCell("all")} })
+		{ID: "fig7", Title: "Fig. 7 — random client selection (50 clients, 10% attackers)", layout: asSeries, plan: func(g *grid) {
+			points(g, sw.Selects, func(sel int) Scenario {
+				s := MNISTScenario(9, 2)
+				s.Clients, s.Attackers, s.PerClient = 50, 5, 40
+				s.GenCfg.TrainPerClass = 220
+				s.FL.SelectPerRound, s.FL.Rounds = sel, 30
+				return s
+			}, func(t *Trained) []Cell {
+				return []Cell{t.cell("", "after training", t.Server.Model), t.defense("", "after defense", modeConfig("all"))}
+			})
 		}},
-		{"fig8", func(g *grid) func() string {
-			return points(g, "Fig. 8 — number of attackers", sw.Attackers,
-				[]string{"TA pruning only", "AA pruning only", "TA full defense", "AA full defense"},
-				func(n int) Scenario {
-					s := MNISTScenario(9, 2)
-					s.Attackers = n
-					return s
-				}, func(t *Trained) []Cell { return []Cell{t.modeCell("fp"), t.modeCell("all")} })
+		{ID: "fig8", Title: "Fig. 8 — number of attackers", layout: asSeries, plan: func(g *grid) {
+			points(g, sw.Attackers, func(n int) Scenario {
+				s := MNISTScenario(9, 2)
+				s.Attackers = n
+				return s
+			}, func(t *Trained) []Cell {
+				return []Cell{t.defense("", "pruning only", modeConfig("fp")), t.defense("", "full defense", modeConfig("all"))}
+			})
 		}},
-		{"fig9", func(g *grid) func() string {
+		{ID: "fig9", Title: "Fig. 9 — wall-clock seconds per phase", layout: asPhases, plan: func(g *grid) {
 			// Training is the summed round spans of the federation's training;
 			// each defense stage is the "All" pipeline's own span
 			// (Report.Timing).
-			rows := make([]string, len(datasets))
-			for i, d := range datasets {
-				i, name := i, d.name
-				g.add(d.of(sw.Pair.VL, sw.Pair.AL), setup{}, arm{after: func(t *Trained, training time.Duration) {
+			for _, d := range datasets {
+				row := d.name
+				g.add(d.of(sw.Pair.VL, sw.Pair.AL), setup{}, arm{after: func(t *Trained, training time.Duration) []Cell {
 					_, rep := t.Defend(core.DefaultPipelineConfig())
-					rows[i] = fmt.Sprintf("%-8s %10.2f %10.2f %10.2f %10.2f\n", name, training.Seconds(),
-						(rep.Timing.Collect + rep.Timing.Sweep).Seconds(), rep.Timing.FineTune.Seconds(), rep.Timing.AW.Seconds())
+					return []Cell{{Row: row, Seconds: []float64{training.Seconds(),
+						(rep.Timing.Collect + rep.Timing.Sweep).Seconds(), rep.Timing.FineTune.Seconds(), rep.Timing.AW.Seconds()}}}
 				}})
 			}
-			return func() string {
-				return "Fig. 9 — wall-clock seconds per phase\n" + fmt.Sprintf("%-8s %10s %10s %10s %10s\n",
-					"dataset", "training", "pruning", "fine-tune", "aw") + strings.Join(rows, "")
-			}
 		}},
-		{"fig10", func(g *grid) func() string {
+		{ID: "fig10", Title: "Fig. 10 — last-conv L2 regularization λ", layout: asSeries, plan: func(g *grid) {
 			// Training with an L2 penalty of weight λ on the last conv layer.
-			fig := &Figure{Title: "Fig. 10 — last-conv L2 regularization λ"}
 			for _, lambda := range sw.Lambdas {
 				s := MNISTScenario(9, 2)
 				s.LastConvL2 = lambda
-				curve(g, fig, s, fmt.Sprintf("λ=%g", lambda))
+				curve(g, s, fmt.Sprintf("λ=%g", lambda))
 			}
-			return fig.Render
 		}},
-		{"ablation-mask", func(g *grid) func() string {
+		{ID: "ablation-mask", Title: "Ablation — masked vs zero-only pruning (after fine-tuning)", plan: func(g *grid) {
 			// Masked pruning (the default: pruned units stay zero through
 			// fine-tuning) vs zero-only pruning (weights zeroed once, free to
 			// regrow). Fine-tuning runs with the attackers present, so
 			// resurrection is a live risk; both are measured after it.
-			tbl := &Table{Title: "Ablation — masked vs zero-only pruning (after fine-tuning)", Modes: []string{"training", "masked", "zero-only"}}
-			row := tbl.row(sw.Pair.String())
-			g.after(mnist(sw.Pair), func(t *Trained) {
-				row.Cells["training"] = t.cell(t.Server.Model)
+			row := sw.Pair.String()
+			g.after(mnist(sw.Pair), func(t *Trained) []Cell {
+				cells := []Cell{t.trained(row)}
 				li := t.Server.Model.LastConvIndex()
 				cfg := core.DefaultPipelineConfig()
 				order := core.GlobalPruneOrder(t.Server.Model, fl.ReportClients(t.Participants), li, cfg)
 				evalFn := t.ValidationEvaluator()
 				masked := t.Server.Model.Clone()
 				res := core.PruneToThreshold(masked, li, order, evalFn, evalFn.Evaluate(masked)-cfg.MaxAccuracyDrop)
-				core.FineTune(masked, res.FinalAccuracy, t.Server, cfg.FineTuneRounds, cfg.FineTunePatience, evalFn)
-				row.Cells["masked"] = t.cell(masked)
+				ft := core.FineTune(masked, res.FinalAccuracy, t.Server, cfg.FineTuneRounds, cfg.FineTunePatience, evalFn)
+				c := t.cell(row, "masked", masked)
+				c.Pruned, c.FineTuned = len(res.Pruned), ft.Rounds
+				cells = append(cells, c)
 				zeroOnly := t.Server.Model.Clone()
 				zeroUnits(zeroOnly, li, res.Pruned)
-				core.FineTune(zeroOnly, evalFn.Evaluate(zeroOnly), t.Server, cfg.FineTuneRounds, cfg.FineTunePatience, evalFn)
-				row.Cells["zero-only"] = t.cell(zeroOnly)
+				ft = core.FineTune(zeroOnly, evalFn.Evaluate(zeroOnly), t.Server, cfg.FineTuneRounds, cfg.FineTunePatience, evalFn)
+				c = t.cell(row, "zero-only", zeroOnly)
+				c.Pruned, c.FineTuned = len(res.Pruned), ft.Rounds
+				return append(cells, c)
 			})
-			return tbl.Render
 		}},
-		{"ablation-rate", func(g *grid) func() string {
+		{ID: "ablation-rate", Title: "Ablation — MVP vote rate p (FP+AW)", counts: []count{{"pruned", "fp+aw", prunedCount}}, plan: func(g *grid) {
 			// MVP's vote rate p under FP+AW; the paper reports 0.3-0.7 as the
 			// useful band.
-			tbl := &Table{Title: "Ablation — MVP vote rate p (FP+AW)", Modes: []string{"fp+aw"}, ExtraCols: []string{"pruned"}}
 			for _, p := range sw.VoteRates {
-				p, row := p, tbl.row(fmt.Sprintf("p=%.1f", p))
-				g.after(mnist(sw.Pair), func(t *Trained) {
-					cfg, _ := DefenseMode("fp+aw")
-					cfg.VoteRate = p
-					m, rep := t.Defend(cfg)
-					row.Cells["fp+aw"], row.Extra["pruned"] = t.cell(m), len(rep.Prune.Pruned)
-				})
+				row, cfg := fmt.Sprintf("p=%.1f", p), modeConfig("fp+aw")
+				cfg.VoteRate = p
+				g.after(mnist(sw.Pair), func(t *Trained) []Cell { return []Cell{t.defense(row, "fp+aw", cfg)} })
 			}
-			return tbl.Render
 		}},
-		{"ablation-aw", func(g *grid) func() string {
+		{ID: "ablation-aw", Title: "Ablation — AW target layers (no fine-tuning)", plan: func(g *grid) {
 			// AW on the last conv layer only (the paper's literal procedure) vs
 			// the default, which adds the first dense layer after it.
-			tbl := &Table{Title: "Ablation — AW target layers (no fine-tuning)", Modes: []string{"training", "last-conv", "conv+dense"}}
-			row := tbl.row(sw.Pair.String())
-			g.after(mnist(sw.Pair), func(t *Trained) {
-				row.Cells["training"] = t.cell(t.Server.Model)
-				cfg, _ := DefenseMode("fp+aw")
+			row := sw.Pair.String()
+			g.after(mnist(sw.Pair), func(t *Trained) []Cell {
+				cfg := modeConfig("fp+aw")
 				cfg.AWLayers = []int{t.Server.Model.LastConvIndex()}
-				m, _ := t.Defend(cfg)
-				row.Cells["last-conv"] = t.cell(m)
-				row.Cells["conv+dense"] = t.modeCell("fp+aw")
+				return []Cell{t.trained(row), t.defense(row, "last-conv", cfg), t.defense(row, "conv+dense", modeConfig("fp+aw"))}
 			})
-			return tbl.Render
 		}},
-		{"adaptive", func(g *grid) func() string { return adaptiveTable(g, mnist(sw.Pair)).Render }},
+		adaptive(mnist(sw.Pair)),
 	}
 }
 
-// modeTable plans a paper-style table of defense modes over one scenario
-// per pair.
-func modeTable(g *grid, title string, pairs []Pair, modes []string, scen func(Pair) Scenario) func() string {
-	tbl := &Table{Title: title, Modes: append([]string{"training"}, modes...)}
+// modeTable declares a row per pair: the trained model of scen(pair), then
+// each defense mode's.
+func modeTable(g *grid, pairs []Pair, modes []string, scen func(Pair) Scenario) {
 	for _, p := range pairs {
-		row := tbl.row(p.String())
-		g.after(scen(p), func(t *Trained) {
-			row.Cells["training"] = t.cell(t.Server.Model)
+		row := p.String()
+		g.after(scen(p), func(t *Trained) []Cell {
+			cells := []Cell{t.trained(row)}
 			for _, mode := range modes {
-				row.Cells[mode] = t.modeCell(mode)
+				cells = append(cells, t.defense(row, mode, modeConfig(mode)))
 			}
+			return cells
 		})
 	}
-	return tbl.Render
 }
 
-// curve plans an observer of s's training that traces TA and AA after
-// every round, as the series "TA label" and "AA label" of fig.
-func curve(g *grid, fig *Figure, s Scenario, label string) {
-	i := len(fig.Series)
-	fig.Series = append(fig.Series, Series{Name: "TA " + label}, Series{Name: "AA " + label})
-	g.add(s, setup{}, arm{observe: func(t *Trained, round int) {
-		ta, aa := &fig.Series[i], &fig.Series[i+1]
-		ta.X, ta.Y = append(ta.X, float64(round)), append(ta.Y, t.TA())
-		aa.X, aa.Y = append(aa.X, float64(round)), append(aa.Y, t.AA())
+// curve declares an observer of s's training: a point of series label
+// after every round.
+func curve(g *grid, s Scenario, label string) {
+	g.add(s, setup{}, arm{observe: func(t *Trained, round int) []Cell {
+		return []Cell{{Arm: label, X: float64(round), TA: t.TA(), AA: t.AA()}}
 	}})
 }
 
-// points plans one cell per x and a figure with one point per x on each
-// named series: the cells' TA and AA, in order.
-func points(g *grid, title string, xs []int, names []string, scen func(x int) Scenario, cells func(*Trained) []Cell) func() string {
-	fig := &Figure{Title: title}
-	for _, name := range names {
-		fig.Series = append(fig.Series, Series{Name: name, X: make([]float64, len(xs)), Y: make([]float64, len(xs))})
-	}
-	for j, x := range xs {
-		j := j
-		for i := range fig.Series {
-			fig.Series[i].X[j] = float64(x)
-		}
-		g.after(scen(x), func(t *Trained) {
-			for i, c := range cells(t) {
-				fig.Series[2*i].Y[j], fig.Series[2*i+1].Y[j] = c.TA, c.AA
+// points declares an arm per x on scen(x)'s training: the cells measure
+// returns, at x.
+func points(g *grid, xs []int, scen func(x int) Scenario, measure func(*Trained) []Cell) {
+	for _, x := range xs {
+		x := x
+		g.after(scen(x), func(t *Trained) []Cell {
+			cells := measure(t)
+			for i := range cells {
+				cells[i].X = float64(x)
 			}
+			return cells
 		})
 	}
-	return fig.Render
 }
 
-// sweep turns a sweep's TA and AA curves (fractions) into percent series;
-// nil xs numbers the steps from 0.
-func sweep(label string, xs []float64, curves [][]float64) []Series {
-	for _, c := range curves {
-		for i := range c {
-			c[i] *= 100
+// sweep turns a sweep's TA and AA curves (fractions) into the points of
+// series label, in percent; nil xs numbers the steps from 0.
+func sweep(label string, xs []float64, curves [][]float64) []Cell {
+	cells := make([]Cell, len(curves[0]))
+	for i := range cells {
+		cells[i] = Cell{Arm: label, X: float64(i), TA: 100 * curves[0][i], AA: 100 * curves[1][i]}
+		if xs != nil {
+			cells[i].X = xs[i]
 		}
 	}
-	if xs == nil {
-		for i := range curves[0] {
-			xs = append(xs, float64(i))
-		}
-	}
-	return []Series{{Name: "TA " + label, X: xs, Y: curves[0]}, {Name: "AA " + label, X: xs, Y: curves[1]}}
-}
-
-// figure renders the series each cell filled, in plan order.
-func figure(title string, parts [][]Series) func() string {
-	return func() string {
-		fig := &Figure{Title: title}
-		for _, p := range parts {
-			fig.Series = append(fig.Series, p...)
-		}
-		return fig.Render()
-	}
+	return cells
 }
 
 // neuralCleanse reverses a trigger for every label on the validation split
@@ -484,45 +425,43 @@ func zeroUnits(m *nn.Sequential, layerIdx int, units []int) {
 	}
 }
 
-// adaptiveTable plans the §VI-B adaptive attacks on s against the full
+// adaptive declares the §VI-B adaptive attacks on s against the full
 // defense: the rank-manipulating attacker (Attack 1), the AW-aware
 // self-clipping attacker, and the pruning-aware attacker (Attack 2), which
 // is handed the true prune order. The paper calls obtaining that order
 // "nearly impossible"; this is the worst case. The order comes from the
 // baseline federation, declared first so that it trains first.
-func adaptiveTable(g *grid, s Scenario) *Table {
-	tbl := &Table{Title: "Discussion §VI-B — adaptive attacks vs the full defense", Modes: []string{"training", "all"}}
-	var avoidLayer int
-	var avoid []int
-	g.after(s, func(t *Trained) {
-		avoidLayer = t.Server.Model.LastConvIndex()
-		order := core.GlobalPruneOrder(t.Server.Model, fl.ReportClients(t.Participants), avoidLayer, core.DefaultPipelineConfig())
-		avoid = order[:len(order)/2]
-	})
-	for _, su := range []setup{
-		{"baseline", nil},
-		{"rank-manipulating", func(a *fl.Attacker) {
-			a.SetDefenseBehavior(fl.AttackerDefenseBehavior{ManipulateRanks: true})
-		}},
-		{"aw-aware self-clip", func(a *fl.Attacker) { a.SelfClipDelta = 3 }},
-		{"pruning-aware", func(a *fl.Attacker) { a.AvoidLayer, a.AvoidUnits = avoidLayer, append([]int(nil), avoid...) }},
-	} {
-		row := tbl.row(su.name)
-		g.add(s, su, arm{after: func(t *Trained, _ time.Duration) {
-			row.Cells["training"] = t.cell(t.Server.Model)
-			row.Cells["all"] = t.modeCell("all")
-		}})
-	}
-	return tbl
+func adaptive(s Scenario) Spec {
+	return Spec{ID: "adaptive", Title: "Discussion §VI-B — adaptive attacks vs the full defense", plan: func(g *grid) {
+		var avoidLayer int
+		var avoid []int
+		g.after(s, func(t *Trained) []Cell {
+			avoidLayer = t.Server.Model.LastConvIndex()
+			order := core.GlobalPruneOrder(t.Server.Model, fl.ReportClients(t.Participants), avoidLayer, core.DefaultPipelineConfig())
+			avoid = order[:len(order)/2]
+			return nil
+		})
+		for _, su := range []setup{
+			{"baseline", nil},
+			{"rank-manipulating", func(a *fl.Attacker) {
+				a.SetDefenseBehavior(fl.AttackerDefenseBehavior{ManipulateRanks: true})
+			}},
+			{"aw-aware self-clip", func(a *fl.Attacker) { a.SelfClipDelta = 3 }},
+			{"pruning-aware", func(a *fl.Attacker) { a.AvoidLayer, a.AvoidUnits = avoidLayer, append([]int(nil), avoid...) }},
+		} {
+			row := su.name
+			g.add(s, su, arm{after: func(t *Trained, _ time.Duration) []Cell {
+				return []Cell{t.trained(row), t.defense(row, "all", modeConfig("all"))}
+			}})
+		}
+	}}
 }
 
 // AdaptiveAttackTable evaluates the §VI-B adaptive attacks against the
-// full defense on the MNIST task pair (adaptiveTable).
-func AdaptiveAttackTable(pair Pair) *Table {
-	var tbl *Table
-	RunGrid([]Spec{{"adaptive", func(g *grid) func() string {
-		tbl = adaptiveTable(g, mnist(pair))
-		return tbl.Render
-	}}}, nn.Float64, nil)
-	return tbl
+// full defense on the MNIST task pair (adaptive) and returns their cells
+// and the table they print.
+func AdaptiveAttackTable(pair Pair) ([]Cell, string) {
+	sp := adaptive(mnist(pair))
+	cells, _, _ := RunGrid([]Spec{sp}, nn.Float64, nil)
+	return cells, sp.Render(cells)
 }

@@ -11,11 +11,35 @@ import (
 )
 
 // Spec is one paper artifact, a table or a figure, as cells over trained
-// federations. plan declares the spec's cells on a grid and returns the
-// function that renders their results once the grid has run.
+// federations. plan declares the spec's arms on a grid; each arm's cells
+// print in the spec's layout, titled Title, in the order plan declared
+// the arms.
 type Spec struct {
-	ID   string
-	plan func(g *grid) (render func() string)
+	ID, Title string
+	layout    layout
+	// counts are a table's integer columns.
+	counts []count
+	plan   func(g *grid)
+}
+
+// layout is how a spec prints its cells.
+type layout int
+
+const (
+	asTable  layout = iota // renderTable
+	asSeries               // renderSeries
+	asPhases               // renderPhases
+)
+
+// Render prints cells, the spec's own, in the spec's layout.
+func (sp Spec) Render(cells []Cell) string {
+	switch sp.layout {
+	case asSeries:
+		return renderSeries(sp.Title, cells)
+	case asPhases:
+		return renderPhases(sp.Title, cells)
+	}
+	return renderTable(sp.Title, cells, sp.counts)
 }
 
 // setup adjusts every attacker of a built population before it trains
@@ -26,13 +50,13 @@ type setup struct {
 	attack func(*fl.Attacker)
 }
 
-// arm is one measurement on a trained federation, declared by spec.
-// observe, when set, runs after every training round; after, when set,
-// runs once training ends and is given the training time.
+// arm is one measurement on a trained federation, declared by spec; its
+// cells go to slot. observe, when set, runs after every training round;
+// after, when set, runs once training ends and is given the training time.
 type arm struct {
-	spec    int
-	observe func(t *Trained, round int)
-	after   func(t *Trained, training time.Duration)
+	spec, slot int
+	observe    func(t *Trained, round int) []Cell
+	after      func(t *Trained, training time.Duration) []Cell
 }
 
 // training is one distinct federation, with every arm declared on it.
@@ -44,13 +68,15 @@ type training struct {
 	arms  []arm
 }
 
-// grid holds the planned cells of a set of specs: each distinct training
-// once, in the order the specs first declared it. cells counts each spec's
-// cells.
+// grid holds the planned arms of a set of specs: each distinct training
+// once, in the order the specs first declared it. arms counts each spec's
+// arms, and slots holds every arm's cells in declaration order, so a
+// spec's arms fill a run of slots.
 type grid struct {
 	backend   nn.Backend
 	spec      int
-	cells     []int
+	arms      []int
+	slots     [][]Cell
 	trainings []*training
 	byKey     map[string]*training
 }
@@ -68,14 +94,15 @@ func (g *grid) add(s Scenario, su setup, a arm) {
 		g.byKey[key] = tr
 		g.trainings = append(g.trainings, tr)
 	}
-	a.spec = g.spec
+	a.spec, a.slot = g.spec, len(g.slots)
 	tr.arms = append(tr.arms, a)
-	g.cells[g.spec]++
+	g.slots = append(g.slots, nil)
+	g.arms[g.spec]++
 }
 
-// after declares a cell that measures s's trained federation.
-func (g *grid) after(s Scenario, f func(*Trained)) {
-	g.add(s, setup{}, arm{after: func(t *Trained, _ time.Duration) { f(t) }})
+// after declares an arm that measures s's trained federation.
+func (g *grid) after(s Scenario, f func(*Trained) []Cell) {
+	g.add(s, setup{}, arm{after: func(t *Trained, _ time.Duration) []Cell { return f(t) }})
 }
 
 // scenarioKey encodes every field of s, naming Gen and Build by their
@@ -89,40 +116,43 @@ func scenarioKey(s Scenario) string {
 	return fmt.Sprintf("gen:%s build:%s %#v", gen, build, s)
 }
 
-// plan declares every cell of specs on a grid over the given backend and
-// returns it with each spec's render function.
-func plan(specs []Spec, backend nn.Backend) (*grid, []func() string) {
-	g := &grid{backend: backend, cells: make([]int, len(specs)), byKey: map[string]*training{}}
-	renders := make([]func() string, len(specs))
+// plan declares every arm of specs on a grid over the given backend.
+func plan(specs []Spec, backend nn.Backend) *grid {
+	g := &grid{backend: backend, arms: make([]int, len(specs)), byKey: map[string]*training{}}
 	for i, sp := range specs {
 		g.spec = i
-		renders[i] = sp.plan(g)
+		sp.plan(g)
 	}
-	return g, renders
+	return g
 }
 
-// RunGrid plans every cell of specs on the given backend, trains each
-// distinct federation once and runs all of its cells, then drops it before
+// RunGrid plans every arm of specs on the given backend, trains each
+// distinct federation once and runs all of its arms, then drops it before
 // building the next: one trained federation is live at a time. Trainings
 // run in the order the specs first declared them, so an arm may hand a
 // result to the setup of a training declared after it.
 //
-// emit (if non-nil) receives each spec's rendering, in spec order, as soon
-// as that spec and every one before it are complete, with the time charged
-// to it: its cells, and the trainings it was first to declare. RunGrid
-// returns the number of cells and of federations trained.
-func RunGrid(specs []Spec, backend nn.Backend, emit func(id, text string, took time.Duration)) (cells, trained int) {
-	g, renders := plan(specs, backend)
-	pending := append([]int(nil), g.cells...)
+// emit (if non-nil) receives each spec's cells, in spec order, as soon as
+// that spec and every one before it are complete, with the time charged
+// to it: its arms, and the trainings it was first to declare. RunGrid
+// returns every spec's cells in that order, the number of (training, arm)
+// pairs declared and the number of federations trained.
+func RunGrid(specs []Spec, backend nn.Backend, emit func(sp Spec, cells []Cell, took time.Duration)) (cells []Cell, arms, trained int) {
+	g := plan(specs, backend)
+	pending := append([]int(nil), g.arms...)
 	for _, n := range pending {
-		cells += n
+		arms += n
 	}
 	took := make([]time.Duration, len(specs))
-	next := 0
+	next, slot := 0, 0
 	flush := func() {
 		for ; next < len(specs) && pending[next] == 0; next++ {
+			from := len(cells)
+			for end := slot + g.arms[next]; slot < end; slot++ {
+				cells = append(cells, g.slots[slot]...)
+			}
 			if emit != nil {
-				emit(specs[next].ID, renders[next](), took[next])
+				emit(specs[next], cells[from:len(cells):len(cells)], took[next])
 			}
 		}
 	}
@@ -135,10 +165,16 @@ func RunGrid(specs []Spec, backend nn.Backend, emit func(id, text string, took t
 				attack(a)
 			}
 		}
+		measured := func(a arm, cs []Cell) {
+			for _, c := range cs {
+				c.Exp, c.Seed = specs[a.spec].ID, tr.s.Seed
+				g.slots[a.slot] = append(g.slots[a.slot], c)
+			}
+		}
 		training := t.Server.Train(func(round int) {
 			for _, a := range tr.arms {
 				if a.observe != nil {
-					a.observe(t, round)
+					measured(a, a.observe(t, round))
 				}
 			}
 		})
@@ -146,12 +182,12 @@ func RunGrid(specs []Spec, backend nn.Backend, emit func(id, text string, took t
 		for _, a := range tr.arms {
 			start := time.Now()
 			if a.after != nil {
-				a.after(t, training)
+				measured(a, a.after(t, training))
 			}
 			took[a.spec] += time.Since(start)
 			pending[a.spec]--
 		}
 		flush()
 	}
-	return cells, len(g.trainings)
+	return cells, arms, len(g.trainings)
 }

@@ -73,18 +73,23 @@ func TestScenarioKeyCoversEveryField(t *testing.T) {
 	}
 }
 
-// TestQuickGridPlan pins the training count of fedbench -exp all without
-// training anything: 30 distinct federations carry every cell.
+// TestQuickGridPlan pins the plan of fedbench -exp all without training
+// anything: 58 cells, each spec's count in order, over 30 distinct
+// federations.
 func TestQuickGridPlan(t *testing.T) {
 	specs := Specs(PaperSweep(false))
-	g, renders := plan(specs, nn.Float64)
-	if len(renders) != len(specs) || len(specs) != 18 {
-		t.Fatalf("%d specs, %d render functions, want 18 of each", len(specs), len(renders))
+	g := plan(specs, nn.Float64)
+	if len(specs) != 18 {
+		t.Fatalf("%d specs, want 18", len(specs))
 	}
-	if n := len(g.trainings); n > 30 {
-		t.Fatalf("the quick grid trains %d federations, want at most 30", n)
+	total := 0
+	for _, n := range g.arms {
+		total += n
 	}
-	t.Logf("%v cells over %d trainings", g.cells, len(g.trainings))
+	want := "[3 3 3 3 3 6 5 3 2 2 3 4 3 3 1 5 1 5]"
+	if got := fmt.Sprint(g.arms); got != want || total != 58 || len(g.trainings) != 30 {
+		t.Fatalf("%s = %d cells over %d trainings, want %s = 58 over 30", got, total, len(g.trainings), want)
+	}
 }
 
 // toy is a two-round MNIST federation small enough for tier-1.
@@ -102,27 +107,28 @@ func toy(p Pair) Scenario {
 // in a grid of its own, and the grid trains each shared federation once.
 func TestSharedTrainingsRenderAsAlone(t *testing.T) {
 	specs := []Spec{
-		{"modes", func(g *grid) func() string {
-			return modeTable(g, "modes", []Pair{{9, 2}, {9, 0}}, []string{"fp", "all"}, toy)
+		{ID: "modes", Title: "modes", plan: func(g *grid) {
+			modeTable(g, []Pair{{9, 2}, {9, 0}}, []string{"fp", "all"}, toy)
 		}},
-		{"curves", func(g *grid) func() string {
-			fig := &Figure{Title: "curves"}
+		{ID: "curves", Title: "curves", layout: asSeries, plan: func(g *grid) {
 			for _, l := range []float64{0, 0.05} {
 				s := toy(Pair{9, 2})
 				s.LastConvL2 = l
-				curve(g, fig, s, fmt.Sprint(l))
+				curve(g, s, fmt.Sprint(l))
 			}
-			return fig.Render
 		}},
-		{"adaptive", func(g *grid) func() string { return adaptiveTable(g, toy(Pair{9, 2})).Render }},
+		adaptive(toy(Pair{9, 2})),
 	}
 	alone := map[string]string{}
 	for _, sp := range specs {
-		RunGrid([]Spec{sp}, nn.Float64, func(id, text string, _ time.Duration) { alone[id] = text })
+		RunGrid([]Spec{sp}, nn.Float64, func(sp Spec, cs []Cell, _ time.Duration) { alone[sp.ID] = sp.Render(cs) })
 	}
 	var order []string
-	cells, trained := RunGrid(specs, nn.Float64, func(id, text string, _ time.Duration) {
+	var emitted []Cell
+	cells, arms, trained := RunGrid(specs, nn.Float64, func(sp Spec, cs []Cell, _ time.Duration) {
+		id, text := sp.ID, sp.Render(cs)
 		order = append(order, id)
+		emitted = append(emitted, cs...)
 		if text != alone[id] {
 			t.Errorf("%s in a shared grid:\n%s\nalone:\n%s", id, text, alone[id])
 		}
@@ -131,7 +137,16 @@ func TestSharedTrainingsRenderAsAlone(t *testing.T) {
 		t.Fatalf("emitted %v, want the specs in order", order)
 	}
 	// modes: 9->2, 9->0; curves: λ=0.05; adaptive: three attacker setups.
-	if trained != 6 || cells != 2+2+5 {
-		t.Fatalf("%d cells over %d trainings, want 9 over 6", cells, trained)
+	if trained != 6 || arms != 2+2+5 {
+		t.Fatalf("%d cells over %d trainings, want 9 over 6", arms, trained)
+	}
+	// RunGrid returns what it emitted, each cell keyed by its spec and seed.
+	if !reflect.DeepEqual(cells, emitted) {
+		t.Fatalf("RunGrid returned %d cells, emitted %d", len(cells), len(emitted))
+	}
+	for _, c := range cells {
+		if c.Exp == "" || c.Seed != toy(Pair{9, 2}).Seed {
+			t.Fatalf("cell %+v lacks its experiment or seed", c)
+		}
 	}
 }

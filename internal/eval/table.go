@@ -2,116 +2,132 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
-// Cell is one (test accuracy, attack accuracy) measurement in percent.
+// Cell is one measurement: what one arm measured on one trained
+// federation. Exp, Row, Arm, X and Seed key it. A table's cell sits in
+// row Row and column Arm; a figure's cell is the point at X of the series
+// labelled Arm.
 type Cell struct {
+	Exp, Row, Arm string
+	X             float64
+	Seed          int64
+	// TA and AA are the test and attack accuracy, in percent.
 	TA, AA float64
+	// Pruned, Delta, Zeroed and FineTuned are a defense arm's report: the
+	// units left pruned, the last Δ whose clip was kept, the weights zeroed
+	// and the fine-tuning rounds run.
+	Pruned, Zeroed, FineTuned int
+	Delta                     float64
+	// Seconds are Fig. 9's wall seconds per phase: training, pruning,
+	// fine-tuning, AW.
+	Seconds []float64
 }
 
-// Row is one experiment setting across the table's modes.
-type Row struct {
-	// Label describes the setting (e.g. "9->0" or a dataset name).
-	Label string
-	// Cells maps mode name to measurement.
-	Cells map[string]Cell
-	// Extra carries per-row integers (e.g. pruned-neuron counts), keyed by
-	// column name; rendered after the mode cells.
-	Extra map[string]int
+// count is a table's integer column: a count from one arm's cell.
+type count struct {
+	name, arm string
+	of        func(Cell) int
 }
 
-// Table is a paper-style results table.
-type Table struct {
-	Title string
-	// Modes are the cell columns, in render order.
-	Modes []string
-	// ExtraCols are integer columns, in render order.
-	ExtraCols []string
-	Rows      []Row
-}
+var (
+	prunedCount = func(c Cell) int { return c.Pruned }
+	zeroedCount = func(c Cell) int { return c.Zeroed }
+)
 
-// Averages returns the per-mode mean cell over all rows.
-func (t *Table) Averages() map[string]Cell {
-	out := make(map[string]Cell, len(t.Modes))
-	if len(t.Rows) == 0 {
-		return out
-	}
-	for _, m := range t.Modes {
-		var c Cell
-		for _, r := range t.Rows {
-			c.TA += r.Cells[m].TA
-			c.AA += r.Cells[m].AA
+// renderTable prints cells as a table: a row per Row and a TA/AA column
+// per Arm, each in the order the cells first name it, then the integer
+// columns, and an avg row of the TA/AA columns under two rows or more.
+func renderTable(title string, cells []Cell, counts []count) string {
+	var rows, arms []string
+	at := map[[2]string]Cell{}
+	for _, c := range cells {
+		if !slices.Contains(rows, c.Row) {
+			rows = append(rows, c.Row)
 		}
-		n := float64(len(t.Rows))
-		out[m] = Cell{TA: c.TA / n, AA: c.AA / n}
+		if !slices.Contains(arms, c.Arm) {
+			arms = append(arms, c.Arm)
+		}
+		at[[2]string{c.Row, c.Arm}] = c
 	}
-	return out
-}
-
-// Render formats the table as aligned text with a trailing average row.
-func (t *Table) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", t.Title)
-	fmt.Fprintf(&b, "%-14s", "setting")
-	for _, m := range t.Modes {
-		fmt.Fprintf(&b, " | %-13s", m)
+	fmt.Fprintf(&b, "%s\n%-14s", title, "setting")
+	for _, a := range arms {
+		fmt.Fprintf(&b, " | %-13s", a)
 	}
-	for _, e := range t.ExtraCols {
-		fmt.Fprintf(&b, " | %8s", e)
+	for _, k := range counts {
+		fmt.Fprintf(&b, " | %8s", k.name)
 	}
-	b.WriteString("\n")
-	fmt.Fprintf(&b, "%-14s", "")
-	for range t.Modes {
+	fmt.Fprintf(&b, "\n%-14s", "")
+	for range arms {
 		fmt.Fprintf(&b, " | %6s %6s", "TA", "AA")
 	}
-	for range t.ExtraCols {
+	for range counts {
 		fmt.Fprintf(&b, " | %8s", "")
 	}
 	b.WriteString("\n")
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%-14s", r.Label)
-		for _, m := range t.Modes {
-			c := r.Cells[m]
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-14s", r)
+		for _, a := range arms {
+			c := at[[2]string{r, a}]
 			fmt.Fprintf(&b, " | %6.1f %6.1f", c.TA, c.AA)
 		}
-		for _, e := range t.ExtraCols {
-			fmt.Fprintf(&b, " | %8d", r.Extra[e])
+		for _, k := range counts {
+			fmt.Fprintf(&b, " | %8d", k.of(at[[2]string{r, k.arm}]))
 		}
 		b.WriteString("\n")
 	}
-	if len(t.Rows) > 1 {
-		avg := t.Averages()
+	if len(rows) > 1 {
 		fmt.Fprintf(&b, "%-14s", "avg")
-		for _, m := range t.Modes {
-			c := avg[m]
-			fmt.Fprintf(&b, " | %6.1f %6.1f", c.TA, c.AA)
+		for _, a := range arms {
+			var ta, aa float64
+			for _, r := range rows {
+				ta += at[[2]string{r, a}].TA
+				aa += at[[2]string{r, a}].AA
+			}
+			n := float64(len(rows))
+			fmt.Fprintf(&b, " | %6.1f %6.1f", ta/n, aa/n)
 		}
 		b.WriteString("\n")
 	}
 	return b.String()
 }
 
-// Series is one named curve of a figure.
-type Series struct {
-	Name string
-	X, Y []float64
-}
-
-// Figure is a paper-style figure rendered as labeled series.
-type Figure struct {
-	Title  string
-	Series []Series
-}
-
-// Render formats the figure's series as aligned text columns.
-func (f *Figure) Render() string {
+// renderSeries prints cells as a figure: per series label, in the order
+// the cells first name it, a "TA label" and an "AA label" line of (x: y)
+// points in cell order.
+func renderSeries(title string, cells []Cell) string {
+	var labels []string
+	points := map[string][]Cell{}
+	for _, c := range cells {
+		if points[c.Arm] == nil {
+			labels = append(labels, c.Arm)
+		}
+		points[c.Arm] = append(points[c.Arm], c)
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", f.Title)
-	for _, s := range f.Series {
-		fmt.Fprintf(&b, "  %-28s", s.Name)
-		for i := range s.X {
-			fmt.Fprintf(&b, " (%g: %.1f)", s.X[i], s.Y[i])
+	fmt.Fprintf(&b, "%s\n", title)
+	for _, l := range labels {
+		ta, aa := fmt.Sprintf("  %-28s", "TA "+l), fmt.Sprintf("  %-28s", "AA "+l)
+		for _, c := range points[l] {
+			ta += fmt.Sprintf(" (%g: %.1f)", c.X, c.TA)
+			aa += fmt.Sprintf(" (%g: %.1f)", c.X, c.AA)
+		}
+		b.WriteString(ta + "\n" + aa + "\n")
+	}
+	return b.String()
+}
+
+// renderPhases prints Fig. 9: a row of phase seconds per cell.
+func renderPhases(title string, cells []Cell) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n%-8s %10s %10s %10s %10s\n", title, "dataset", "training", "pruning", "fine-tune", "aw")
+	for _, c := range cells {
+		fmt.Fprintf(&b, "%-8s", c.Row)
+		for _, s := range c.Seconds {
+			fmt.Fprintf(&b, " %10.2f", s)
 		}
 		b.WriteString("\n")
 	}

@@ -8,8 +8,8 @@
 // a round that delivers fewer.
 //
 // The paper (and the works it cites) reports that these rules fail to stop
-// model-replacement backdoors under non-IID data; the examples/robust_agg
-// program and the integration tests reproduce that observation.
+// model-replacement backdoors under non-IID data; examples/robust_agg
+// measures each rule's TA and AA against one such attacker.
 package robust
 
 import (
