@@ -38,7 +38,7 @@ var goToolFlags = map[string]bool{
 	"run": true, "race": true, "short": true, "count": true, "bench": true,
 	"benchtime": true, "benchmem": true, "fuzz": true, "fuzztime": true,
 	"v": true, "timeout": true, "gcflags": true, "a": true, "o": true, "S": true,
-	"deps": true, "export": true,
+	"deps": true, "export": true, "shuffle": true,
 }
 
 // docAllowlist holds the names a document may cite that no file of the

@@ -151,6 +151,10 @@ const (
 		"1-pixel        |   90.3   97.8 |   88.1   40.0 |        7 |      113\n" +
 		"9-pixel        |   89.7   99.9 |   87.5   10.2 |       12 |        0\n" +
 		"avg            |   90.0   98.8 |   87.8   25.1\n"
+	wideTable = "wide\n" +
+		"setting            | training      | neural-cleanse\n" +
+		"                   |     TA     AA |      TA     AA\n" +
+		"aw-aware self-clip |   90.6   97.8 |    72.2   97.8\n"
 	twoSeriesFigure = "fig\n" +
 		"  TA target 2 layer 3          (0: 91.6) (5: 90.0) (2.5: 88.4)\n" +
 		"  AA target 2 layer 3          (0: 97.8) (5: 60.1) (2.5: 26.7)\n"
@@ -167,6 +171,11 @@ func TestTableRenderAndAverages(t *testing.T) {
 	one := []Cell{{Row: "9->2", Arm: "a", TA: 91.6, AA: 26.7}}
 	if got := renderTable("one", one, nil); got != oneRowTable {
 		t.Errorf("one-row table:\n%q\nwant\n%q", got, oneRowTable)
+	}
+	// A label longer than its column's default width widens that column.
+	wide := []Cell{{Row: "aw-aware self-clip", Arm: "training", TA: 90.6, AA: 97.8}, {Row: "aw-aware self-clip", Arm: "neural-cleanse", TA: 72.2, AA: 97.8}}
+	if got := renderTable("wide", wide, nil); got != wideTable {
+		t.Errorf("table with long labels:\n%q\nwant\n%q", got, wideTable)
 	}
 }
 
@@ -200,8 +209,7 @@ func TestEndToEndDefense(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end federated training is slow")
 	}
-	s := MNISTScenario(9, 2)
-	tr := Run(s)
+	tr := trained(t, MNISTScenario(9, 2))
 	taTrain, aaTrain := tr.TA(), tr.AA()
 	if taTrain < 80 {
 		t.Fatalf("training TA %.1f, want >= 80", taTrain)
@@ -222,15 +230,13 @@ func TestEndToEndDefense(t *testing.T) {
 	}
 }
 
-// TestPruneOnlyModesRun exercises the RAP/MVP plumbing end to end on a
-// short scenario.
+// TestPruneOnlyModesRun exercises the RAP/MVP plumbing end to end on the
+// pipeline oracle's short federation.
 func TestPruneOnlyModesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("federated training is slow")
 	}
-	s := MNISTScenario(9, 0)
-	s.FL.Rounds = 6
-	tr := Run(s)
+	tr := trained(t, oracleScenario(nn.Float64))
 	for _, method := range []core.PruneMethod{core.RAP, core.MVP} {
 		cfg := core.DefaultPipelineConfig()
 		cfg.Method = method
@@ -256,7 +262,7 @@ func TestDefenseIsAPureFunctionOfTheTrainedModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end federated training is slow")
 	}
-	tr := Run(MNISTScenario(9, 2))
+	tr := trained(t, MNISTScenario(9, 2))
 	same := func(label string, a, b *nn.Sequential, ra, rb core.Report) {
 		t.Helper()
 		pa, pb := a.ParamsVector(), b.ParamsVector()

@@ -430,7 +430,9 @@ func zeroUnits(m *nn.Sequential, layerIdx int, units []int) {
 // self-clipping attacker, and the pruning-aware attacker (Attack 2), which
 // is handed the true prune order. The paper calls obtaining that order
 // "nearly impossible"; this is the worst case. The order comes from the
-// baseline federation, declared first so that it trains first.
+// baseline federation, declared first so that it trains first. Attack 1
+// changes only the attackers' reports, so its row is an arm on the
+// baseline federation that manipulates ranks for its own defense alone.
 func adaptive(s Scenario) Spec {
 	return Spec{ID: "adaptive", Title: "Discussion §VI-B — adaptive attacks vs the full defense", plan: func(g *grid) {
 		var avoidLayer int
@@ -441,18 +443,26 @@ func adaptive(s Scenario) Spec {
 			avoid = order[:len(order)/2]
 			return nil
 		})
+		defended := func(t *Trained, row string) []Cell {
+			return []Cell{t.trained(row), t.defense(row, "all", modeConfig("all"))}
+		}
+		g.after(s, func(t *Trained) []Cell { return defended(t, "baseline") })
+		g.after(s, func(t *Trained) []Cell {
+			manipulate := func(on bool) {
+				for _, a := range t.Attackers {
+					a.SetDefenseBehavior(fl.AttackerDefenseBehavior{ManipulateRanks: on})
+				}
+			}
+			manipulate(true)
+			defer manipulate(false)
+			return defended(t, "rank-manipulating")
+		})
 		for _, su := range []setup{
-			{"baseline", nil},
-			{"rank-manipulating", func(a *fl.Attacker) {
-				a.SetDefenseBehavior(fl.AttackerDefenseBehavior{ManipulateRanks: true})
-			}},
 			{"aw-aware self-clip", func(a *fl.Attacker) { a.SelfClipDelta = 3 }},
 			{"pruning-aware", func(a *fl.Attacker) { a.AvoidLayer, a.AvoidUnits = avoidLayer, append([]int(nil), avoid...) }},
 		} {
 			row := su.name
-			g.add(s, su, arm{after: func(t *Trained, _ time.Duration) []Cell {
-				return []Cell{t.trained(row), t.defense(row, "all", modeConfig("all"))}
-			}})
+			g.add(s, su, arm{after: func(t *Trained, _ time.Duration) []Cell { return defended(t, row) }})
 		}
 	}}
 }

@@ -74,7 +74,7 @@ func TestScenarioKeyCoversEveryField(t *testing.T) {
 }
 
 // TestQuickGridPlan pins the plan of fedbench -exp all without training
-// anything: 58 cells, each spec's count in order, over 30 distinct
+// anything: 58 cells, each spec's count in order, over 29 distinct
 // federations.
 func TestQuickGridPlan(t *testing.T) {
 	specs := Specs(PaperSweep(false))
@@ -87,8 +87,8 @@ func TestQuickGridPlan(t *testing.T) {
 		total += n
 	}
 	want := "[3 3 3 3 3 6 5 3 2 2 3 4 3 3 1 5 1 5]"
-	if got := fmt.Sprint(g.arms); got != want || total != 58 || len(g.trainings) != 30 {
-		t.Fatalf("%s = %d cells over %d trainings, want %s = 58 over 30", got, total, len(g.trainings), want)
+	if got := fmt.Sprint(g.arms); got != want || total != 58 || len(g.trainings) != 29 {
+		t.Fatalf("%s = %d cells over %d trainings, want %s = 58 over 29", got, total, len(g.trainings), want)
 	}
 }
 
@@ -136,9 +136,9 @@ func TestSharedTrainingsRenderAsAlone(t *testing.T) {
 	if fmt.Sprint(order) != "[modes curves adaptive]" {
 		t.Fatalf("emitted %v, want the specs in order", order)
 	}
-	// modes: 9->2, 9->0; curves: λ=0.05; adaptive: three attacker setups.
-	if trained != 6 || arms != 2+2+5 {
-		t.Fatalf("%d cells over %d trainings, want 9 over 6", arms, trained)
+	// modes: 9->2, 9->0; curves: λ=0.05; adaptive: two attacker setups.
+	if trained != 5 || arms != 2+2+5 {
+		t.Fatalf("%d cells over %d trainings, want 9 over 5", arms, trained)
 	}
 	// RunGrid returns what it emitted, each cell keyed by its spec and seed.
 	if !reflect.DeepEqual(cells, emitted) {

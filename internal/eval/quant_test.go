@@ -9,15 +9,6 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/metrics"
 )
 
-// setReportQuant flips every participant's report precision in place.
-// Report precision never feeds back into training, so one trained
-// federation serves both defense runs.
-func setReportQuant(parts []fl.Participant, q metrics.ReportQuant) {
-	for _, p := range parts {
-		p.(interface{ SetReportQuant(metrics.ReportQuant) }).SetReportQuant(q)
-	}
-}
-
 // TestInt8ReportMNISTDefenseParity is the end-to-end fidelity gate for
 // int8 activation reports (DESIGN.md §9): on the paper's MNIST scenario
 // the defense driven by quantized reports must (a) produce a global prune
@@ -29,14 +20,14 @@ func TestInt8ReportMNISTDefenseParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end federated training is slow")
 	}
-	tr := Run(MNISTScenario(9, 2))
+	tr := trained(t, MNISTScenario(9, 2))
 	clients := fl.ReportClients(tr.Participants)
 	li := tr.Server.Model.LastConvIndex()
 
 	// Report collection is pure evaluation — flipping the precision on the
 	// same trained federation isolates quantization exactly.
 	order := func(method core.PruneMethod, q metrics.ReportQuant) []int {
-		setReportQuant(tr.Participants, q)
+		setReportQuant(t, tr.Participants, q)
 		cfg := core.DefaultPipelineConfig()
 		cfg.Method = method
 		return core.GlobalPruneOrder(tr.Server.Model, clients, li, cfg)
@@ -71,7 +62,7 @@ func TestInt8ReportMNISTDefenseParity(t *testing.T) {
 	// Fine-tuning is a pure function of the trained federation too, so the
 	// same Trained defends at both precisions.
 	defend := func(q metrics.ReportQuant) (ta, aa float64) {
-		setReportQuant(tr.Participants, q)
+		setReportQuant(t, tr.Participants, q)
 		m, _ := tr.Defend(core.DefaultPipelineConfig())
 		return tr.ModelTA(m), tr.ModelAA(m)
 	}

@@ -196,39 +196,55 @@ func (c refClient) VoteReport(m *nn.Sequential, li int, p float64) []bool {
 	return append(v, v...)
 }
 
-// TestRunPipelineMatchesReference compares core.RunPipeline with
-// refPipeline bit for bit — prune order and stop step, fine-tuning curve,
-// Δ curve and zeroed count, every Report field but the stage timings, and
-// every parameter and prune mask of the defended model — over random
-// configurations: RAP or MVP, float64 or float32, float64 or int8 reports,
-// workers 1/2/8, report dropouts (a missing report or a minority of
-// wrong-width ones) with and without a quorum that is just met, SkipPrune,
-// SkipAW, zero to two fine-tuning rounds and the AW layer list.
+// oracleScenario is the short MNIST 9→2 federation TestRunPipelineMatchesReference
+// and TestPruneOnlyModesRun defend.
+func oracleScenario(b nn.Backend) Scenario {
+	s := MNISTScenario(9, 2)
+	s.FL.Rounds = 10
+	s.FL.LocalEpochs = 1
+	s.Backend = b
+	return s
+}
+
+// TestRunPipelineMatchesReference is the whole-pipeline oracle. It compares
+// core.RunPipeline, guarded by the cached metrics.SuffixEvaluator
+// (DESIGN.md §9), with refPipeline's serial full forwards bit for bit —
+// prune order and stop step, fine-tuning curve, Δ curve and zeroed count,
+// every Report field but the stage timings, and every parameter and prune
+// mask of the defended model. The grid is both backends × float64 or int8
+// reports × RAP/MVP × {All, SkipPrune, SkipAW, no fine-tuning}; each cell
+// draws the accuracy drop, the patience, the AW layer list, report
+// dropouts (a missing report or a minority of wrong-width ones) with or
+// without a quorum that is just met, and one or two fine-tuning rounds
+// outside the no-fine-tuning mode, then runs RunPipeline at workers 1, 2
+// and 8. Under -short it runs 10 of the 16 cells per backend, drawn, each
+// at one drawn worker count and at most one fine-tuning round, so the
+// race job's work does not grow.
 func TestRunPipelineMatchesReference(t *testing.T) {
 	defer parallel.SetWorkers(parallel.SetWorkers(0))
-	perBackend := 10
-	if !testing.Short() {
-		perBackend = 16
-	}
 	rng := rand.New(rand.NewSource(35))
 	for _, backend := range []nn.Backend{nn.Float64, nn.Float32} {
-		s := MNISTScenario(9, 2)
-		s.FL.Rounds = 10
-		s.FL.LocalEpochs = 1
-		s.Backend = backend
-		tr := Run(s)
+		tr := trained(t, oracleScenario(backend))
 		li := tr.Server.Model.LastConvIndex()
-		for k := 0; k < perBackend; k++ {
+		// Cell k of 16 is report precision k/8, method k/4%2, mode k%4.
+		cells, workerCounts := rng.Perm(16), []int{1, 2, 8}
+		if testing.Short() {
+			cells = cells[:10]
+		}
+		for _, k := range cells {
+			quant := []metrics.ReportQuant{metrics.ReportFloat64, metrics.ReportInt8}[k/8]
+			mode := []string{"all", "skip-prune", "skip-aw", "no-finetune"}[k%4]
 			cfg := core.DefaultPipelineConfig()
-			cfg.Method = []core.PruneMethod{core.RAP, core.MVP}[rng.Intn(2)]
+			cfg.Method = []core.PruneMethod{core.RAP, core.MVP}[k/4%2]
 			cfg.MaxAccuracyDrop = []float64{0.01, 0.02, 0.05}[rng.Intn(3)]
-			cfg.SkipPrune = rng.Intn(5) == 0
-			cfg.SkipAW = rng.Intn(5) == 0
-			cfg.FineTuneRounds = rng.Intn(3)
+			cfg.FineTuneRounds = 1 + rng.Intn(2)
 			cfg.FineTunePatience = 1 + rng.Intn(2)
 			cfg.AWLayers = [][]int{nil, {li}, core.DefaultAWLayers(tr.Server.Model, li)[1:]}[rng.Intn(3)]
-			quant := []metrics.ReportQuant{metrics.ReportFloat64, metrics.ReportInt8}[rng.Intn(2)]
-			setReportQuant(tr.Participants, quant)
+			cfg.SkipPrune, cfg.SkipAW = mode == "skip-prune", mode == "skip-aw"
+			if mode == "no-finetune" {
+				cfg.FineTuneRounds = 0
+			}
+			setReportQuant(t, tr.Participants, quant)
 			clients := fl.ReportClients(tr.Participants)
 			failed := rng.Intn(4)
 			for _, i := range rng.Perm(len(clients))[:failed] {
@@ -237,43 +253,31 @@ func TestRunPipelineMatchesReference(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				cfg.ReportQuorum = (float64(len(clients)-failed) - 0.5) / float64(len(clients))
 			}
-			workers := []int{1, 2, 8}[rng.Intn(3)]
-			name := fmt.Sprintf("%v/%v/%v/workers=%d/failed=%d/cfg=%+v", backend, quant, cfg.Method, workers, failed, cfg)
-
-			parallel.SetWorkers(workers)
-			got := tr.Server.Model.Clone()
-			rep := core.RunPipeline(got, clients, tr.Server, tr.ValidationEvaluator(), cfg)
+			if testing.Short() {
+				workerCounts = []int{[]int{1, 2, 8}[rng.Intn(3)]}
+				cfg.FineTuneRounds = min(cfg.FineTuneRounds, 1)
+			}
 			want, ref := refPipeline(tr.Server.Model.Clone(), clients, tr.Server, tr.Validation, cfg)
-
-			for _, f := range []struct {
-				field     string
-				got, want any
-			}{
-				{"Method", rep.Method, ref.Method},
-				{"TargetLayer", rep.TargetLayer, ref.TargetLayer},
-				{"Prune", rep.Prune, ref.Prune},
-				{"FineTune", rep.FineTune, ref.FineTune},
-				{"AW", rep.AW, ref.AW},
-				{"AccBefore", rep.AccBefore, ref.AccBefore},
-				{"AccAfterPrune", rep.AccAfterPrune, ref.AccAfterPrune},
-				{"AccAfterFineTune", rep.AccAfterFineTune, ref.AccAfterFineTune},
-				{"AccFinal", rep.AccFinal, ref.AccFinal},
-				{"ReportDropouts", rep.ReportDropouts, ref.ReportDropouts},
-			} {
-				if !reflect.DeepEqual(f.got, f.want) {
-					t.Fatalf("%s: Report.%s = %+v, reference %+v", name, f.field, f.got, f.want)
+			for _, workers := range workerCounts {
+				name := fmt.Sprintf("%v/%v/%v/%s/workers=%d/failed=%d/cfg=%+v", backend, quant, cfg.Method, mode, workers, failed, cfg)
+				parallel.SetWorkers(workers)
+				got := tr.Server.Model.Clone()
+				rep := core.RunPipeline(got, clients, tr.Server, tr.ValidationEvaluator(), cfg)
+				rep.Timing = core.StageTiming{} // wall time
+				if !reflect.DeepEqual(rep, ref) {
+					t.Fatalf("%s: report %+v, reference %+v", name, rep, ref)
 				}
-			}
-			pg, pw := got.ParamsVector(), want.ParamsVector()
-			for i := range pw {
-				if math.Float64bits(pg[i]) != math.Float64bits(pw[i]) {
-					t.Fatalf("%s: param %d = %v, reference %v", name, i, pg[i], pw[i])
+				pg, pw := got.ParamsVector(), want.ParamsVector()
+				for i := range pw {
+					if math.Float64bits(pg[i]) != math.Float64bits(pw[i]) {
+						t.Fatalf("%s: param %d = %v, reference %v", name, i, pg[i], pw[i])
+					}
 				}
-			}
-			pl, wl := got.Layer(li).(nn.Prunable), want.Layer(li).(nn.Prunable)
-			for u := 0; u < pl.Units(); u++ {
-				if pl.UnitPruned(u) != wl.UnitPruned(u) {
-					t.Fatalf("%s: unit %d pruned %v, reference %v", name, u, pl.UnitPruned(u), wl.UnitPruned(u))
+				pl, wl := got.Layer(li).(nn.Prunable), want.Layer(li).(nn.Prunable)
+				for u := 0; u < pl.Units(); u++ {
+					if pl.UnitPruned(u) != wl.UnitPruned(u) {
+						t.Fatalf("%s: unit %d pruned %v, reference %v", name, u, pl.UnitPruned(u), wl.UnitPruned(u))
+					}
 				}
 			}
 		}

@@ -39,7 +39,8 @@ var (
 
 // renderTable prints cells as a table: a row per Row and a TA/AA column
 // per Arm, each in the order the cells first name it, then the integer
-// columns, and an avg row of the TA/AA columns under two rows or more.
+// columns, and an avg row of the TA/AA columns under two rows or more. The
+// setting column and each arm's column widen to fit their longest label.
 func renderTable(title string, cells []Cell, counts []count) string {
 	var rows, arms []string
 	at := map[[2]string]Cell{}
@@ -52,27 +53,36 @@ func renderTable(title string, cells []Cell, counts []count) string {
 		}
 		at[[2]string{c.Row, c.Arm}] = c
 	}
+	setting := 14
+	for _, r := range rows {
+		setting = max(setting, len(r))
+	}
+	// taw is each arm's TA field width: the AA field after it is 6 wide.
+	taw := make([]int, len(arms))
+	for i, a := range arms {
+		taw[i] = max(13, len(a)) - 7
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%-14s", title, "setting")
-	for _, a := range arms {
-		fmt.Fprintf(&b, " | %-13s", a)
+	fmt.Fprintf(&b, "%s\n%-*s", title, setting, "setting")
+	for i, a := range arms {
+		fmt.Fprintf(&b, " | %-*s", taw[i]+7, a)
 	}
 	for _, k := range counts {
 		fmt.Fprintf(&b, " | %8s", k.name)
 	}
-	fmt.Fprintf(&b, "\n%-14s", "")
-	for range arms {
-		fmt.Fprintf(&b, " | %6s %6s", "TA", "AA")
+	fmt.Fprintf(&b, "\n%-*s", setting, "")
+	for i := range arms {
+		fmt.Fprintf(&b, " | %*s %6s", taw[i], "TA", "AA")
 	}
 	for range counts {
 		fmt.Fprintf(&b, " | %8s", "")
 	}
 	b.WriteString("\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s", r)
-		for _, a := range arms {
+		fmt.Fprintf(&b, "%-*s", setting, r)
+		for i, a := range arms {
 			c := at[[2]string{r, a}]
-			fmt.Fprintf(&b, " | %6.1f %6.1f", c.TA, c.AA)
+			fmt.Fprintf(&b, " | %*.1f %6.1f", taw[i], c.TA, c.AA)
 		}
 		for _, k := range counts {
 			fmt.Fprintf(&b, " | %8d", k.of(at[[2]string{r, k.arm}]))
@@ -80,15 +90,15 @@ func renderTable(title string, cells []Cell, counts []count) string {
 		b.WriteString("\n")
 	}
 	if len(rows) > 1 {
-		fmt.Fprintf(&b, "%-14s", "avg")
-		for _, a := range arms {
+		fmt.Fprintf(&b, "%-*s", setting, "avg")
+		for i, a := range arms {
 			var ta, aa float64
 			for _, r := range rows {
 				ta += at[[2]string{r, a}].TA
 				aa += at[[2]string{r, a}].AA
 			}
 			n := float64(len(rows))
-			fmt.Fprintf(&b, " | %6.1f %6.1f", ta/n, aa/n)
+			fmt.Fprintf(&b, " | %*.1f %6.1f", taw[i], ta/n, aa/n)
 		}
 		b.WriteString("\n")
 	}
