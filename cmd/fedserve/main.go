@@ -19,14 +19,14 @@
 //     one MVP sweep) instead of the defense; -mode none skips it.
 //
 // Every mode runs the same round loop and samples -select clients per
-// round. Remote rounds fold each update as it arrives (fl.MeanAggregator
-// streams bit-identically to a collect-all round); in-process rounds
-// collect every update first, which keeps both cores busy, unless
-// -checkpoint-folds needs the streaming fold's partial state. With
-// -checkpoint-dir the server writes checkpoints and resumes from the newest
-// one the directory holds; a checkpoint of another scenario (every scenario
-// flag but -rounds, which a resumed run may extend), seed or population, or
-// one past -rounds, exits 1. So does a defense or fleet report sweep whose
+// round, and every round folds each update into fl.MeanAggregator's running
+// sum as it arrives. Remote rounds bound how many updates are in flight by
+// -stream-window; in-process rounds train one client per core without a
+// window, which keeps every core busy. With -checkpoint-dir the server
+// writes checkpoints and resumes from the newest one the directory holds;
+// a checkpoint of another scenario (every scenario flag but -rounds, which
+// a resumed run may extend), seed or population, or one past -rounds,
+// exits 1. So does a defense or fleet report sweep whose
 // reports miss -quorum, after one "serve: defense failed" line.
 //
 // While a run is in flight, -ops-addr exposes the live diagnostics
@@ -71,7 +71,7 @@ func main() {
 	fleet := flag.String("fleet", "", "fedload fleet address (host:port); replaces the participants with a registered population of fleet-hosted clients")
 	fleetCount := flag.Int("fleet-count", 10000, "registered population size in fleet mode")
 	sel := flag.Int("select", 0, "clients sampled per round (0 = all)")
-	streamWindow := flag.Int("stream-window", 0, "how many clients a streaming round trains concurrently (0 = twice the worker count)")
+	streamWindow := flag.Int("stream-window", 0, "how many clients a round over -clients or -fleet trains concurrently (0 = twice the worker count)")
 	mode := flag.String("mode", "all", "defense after training: fp, aw, fp+aw, all or none (with -fleet: all collects reports, none skips it)")
 	method := flag.String("method", "mvp", "pruning method: rap or mvp")
 	voteRate := flag.Float64("rate", 0.5, "MVP pruning rate p")
@@ -82,7 +82,7 @@ func main() {
 	opsAddr := flag.String("ops-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty = off)")
 	ckptDir := flag.String("checkpoint-dir", "", "persist round-state checkpoints into this directory and resume from the newest one it holds (empty = off)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "write a boundary checkpoint every N completed rounds")
-	ckptFolds := flag.Int("checkpoint-folds", 0, "also write a partial checkpoint every N folded updates inside a round (0 = boundaries only; set in-process, it makes the rounds stream)")
+	ckptFolds := flag.Int("checkpoint-folds", 0, "also write a partial checkpoint every N folded updates inside a round (0 = boundaries only)")
 	flightPath := flag.String("flight-recorder", "", "append one JSONL audit record per applied round to this file (empty = off); the recent records are also served at /rounds on -ops-addr")
 	logf := obs.AddLogFlags()
 	prof := profiling.AddFlags()
@@ -187,12 +187,9 @@ func main() {
 	retry.AttemptTimeout = *attemptTimeout
 	s.FL.Quorum = *quorum
 	s.FL.RoundTimeout = *roundTimeout
-	// A streaming round trains a window of clients and folds them in
-	// participant order, so in-process, where every client competes for the
-	// same cores, it idles one: the default mnist run takes about 3.9 s
-	// streamed against 3.0 s collected on 2 cores, for the same bits. Only
-	// partial checkpoints need it there: they snapshot the streaming fold.
-	s.FL.Streaming = *clients != "" || *fleet != "" || *ckptFolds > 0
+	// The window bounds the updates held for remote participants; in-process,
+	// where every client competes for the same cores, it would idle one.
+	s.FL.Streaming = *clients != "" || *fleet != ""
 	s.FL.StreamWindow = *streamWindow
 	s.FL.SelectPerRound = *sel
 

@@ -68,7 +68,9 @@ func TestFleetCountBelowOneIsAUsageError(t *testing.T) {
 // continue them exits 1 instead of training over (and pruning away) the
 // earlier run's files or defending its model under other labels: another
 // -seed, another -victim (same seed and population, so only the scenario
-// record tells), or -rounds below the checkpoint's round.
+// record tells), or -rounds below the checkpoint's round. In-process,
+// -checkpoint-folds writes partial checkpoints without bounding the round's
+// window: every round folds, so durability does not need Streaming.
 func TestCheckpointDirResumes(t *testing.T) {
 	dir := t.TempDir()
 	run := func(args ...string) (string, error) {
@@ -122,6 +124,18 @@ func TestCheckpointDirResumes(t *testing.T) {
 		if fi, err := os.Stat(profile); err != nil || fi.Size() == 0 {
 			t.Fatalf("%v left no CPU profile (%v):\n%s", c.args, err, out)
 		}
+	}
+
+	dir = t.TempDir()
+	out, err = run("-rounds", "1", "-checkpoint-folds", "1")
+	if err != nil {
+		t.Fatalf("-checkpoint-folds run: %v\n%s", err, out)
+	}
+	if partials, _ := filepath.Glob(filepath.Join(dir, "ckpt-*-p*.fcc")); len(partials) == 0 {
+		t.Fatalf("-checkpoint-folds 1 wrote no partial checkpoint:\n%s", out)
+	}
+	if strings.Count(out, "serve: round done") != 1 || strings.Count(out, "peak_inflight=0") != 1 {
+		t.Fatalf("an in-process round bounded its window (want peak_inflight=0):\n%s", out)
 	}
 }
 

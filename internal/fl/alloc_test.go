@@ -12,6 +12,7 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/dataset"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
 	"github.com/fedcleanse/fedcleanse/internal/parallel"
+	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
 // TestTrainerWarmAllocFree gates the end-to-end local-update hot path: a
@@ -37,24 +38,40 @@ func TestTrainerWarmAllocFree(t *testing.T) {
 }
 
 // roundAllocVectors is what one warm 64-client round over synthetic
-// participants allocates, in parameter vectors. The collector is held off
-// while it measures, so the free list is trimmed by nothing but the round
-// itself.
-func roundAllocVectors(t *testing.T, cfg Config) float64 {
+// participants allocates, in parameter vectors, on a server that set, when
+// non-nil, adjusts. applied is whether every round must apply. The
+// collector is held off while it measures, so the free list is trimmed by
+// nothing but the round itself.
+func roundAllocVectors(t *testing.T, cfg Config, set func(*Server), applied bool) float64 {
 	t.Helper()
 	prev := parallel.SetWorkers(2)
 	defer parallel.SetWorkers(prev)
 	_, _, template, _ := tinySetup(t, 64)
 	s := syntheticServer(template, 1000, 64, cfg)
+	if set != nil {
+		set(s)
+	}
 	const warm, rounds = 3, 10
 	for r := 0; r < warm; r++ {
 		s.RoundDetail(r)
+	}
+	// A round without a window holds as many deltas as clients ran ahead of
+	// the one it folds next, which scheduling decides, and the free list
+	// grows once to each new depth. Drawing the deepest round's vectors
+	// once — 64 deltas, the global and the accumulator — makes the measured
+	// rounds steady state whatever depth the warm ones reached.
+	stock := make([][]float64, 64+2)
+	for i := range stock {
+		stock[i] = wire.GetFloat64s(template.NumParams())
+	}
+	for _, v := range stock {
+		wire.PutFloat64s(v)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for r := warm; r < warm+rounds; r++ {
-		if res := s.RoundDetail(r); !res.Applied || len(res.Completed) != 64 {
+		if res := s.RoundDetail(r); res.Applied != applied || applied && len(res.Completed) != 64 {
 			t.Fatalf("round %d: %+v", r, res)
 		}
 	}
@@ -64,21 +81,33 @@ func roundAllocVectors(t *testing.T, cfg Config) float64 {
 	return vectors
 }
 
-// TestBatchRoundAllocBudget: a batch round's 64 deltas, the global it
-// flattens and the aggregate all come from and go back to the free list
-// (DESIGN.md §6), so the round allocates bookkeeping only — a fraction of
-// one vector (0.14 measured), where it allocated 66 and then two.
+// TestBatchRoundAllocBudget: a round without Streaming's window folds too,
+// and its 64 deltas, the global it flattens and the fold's accumulator all
+// come from and go back to the free list (DESIGN.md §6), so the round
+// allocates bookkeeping only — a fraction of one vector (0.13 measured),
+// where it allocated 66 and then two.
 func TestBatchRoundAllocBudget(t *testing.T) {
-	if v := roundAllocVectors(t, Config{}); v >= 1 {
+	if v := roundAllocVectors(t, Config{}, nil, true); v >= 1 {
 		t.Errorf("a warm 64-client batch round allocates %.2f parameter vectors, budget 1", v)
 	}
 }
 
-// TestStreamingRoundAllocBudget is the same gate on the streaming round,
-// whose deltas the fold recycles as it adds them (0.12–0.13 measured, all
-// of it round bookkeeping).
+// TestDiscardedRoundAllocBudget: a round below quorum hands back what it
+// drew too — the mean fold's accumulator, or the deltas the collect-all
+// fold kept — so discarded rounds stay within the same budget.
+func TestDiscardedRoundAllocBudget(t *testing.T) {
+	for _, agg := range []Aggregator{nil, batchOnlyAgg{}} {
+		set := func(s *Server) { s.Agg, s.Drop = agg, RandomDrop{P: 0.5, Seed: 65} }
+		if v := roundAllocVectors(t, Config{Quorum: 1}, set, false); v >= 1 {
+			t.Errorf("rule %T: a warm discarded 64-client round allocates %.2f parameter vectors, budget 1", agg, v)
+		}
+	}
+}
+
+// TestStreamingRoundAllocBudget is the same gate under Streaming's window
+// (0.12–0.13 measured, all of it round bookkeeping).
 func TestStreamingRoundAllocBudget(t *testing.T) {
-	if v := roundAllocVectors(t, Config{Streaming: true, Shards: 2, StreamWindow: 4}); v >= 1 {
+	if v := roundAllocVectors(t, Config{Streaming: true, Shards: 2, StreamWindow: 4}, nil, true); v >= 1 {
 		t.Errorf("a warm 64-client streaming round allocates %.2f parameter vectors, budget 1", v)
 	}
 }
@@ -101,7 +130,7 @@ func TestCheckpointWriteAllocBudget(t *testing.T) {
 	s := syntheticServer(template, 100, 8, Config{Streaming: true, Shards: 2})
 	s.SetCheckpointer(&Checkpointer{Dir: t.TempDir(), EveryFolds: 1,
 		WriteFile: func(string, []byte) error { return nil }})
-	fold, _ := s.beginFold(template.NumParams(), 1)
+	fold := s.beginFold(template.NumParams(), 1)
 	defer fold.Finish()
 	res := RoundResult{Selected: []int{3, 1, 4, 5, 9, 2, 6, 8}, Completed: []int{3, 1, 4}}
 	write := func() {

@@ -31,7 +31,7 @@ type RoundAudit struct {
 	// Round context.
 	Quorum     int    `json:"quorum"` // updates required to apply
 	Aggregator string `json:"aggregator"`
-	Streaming  bool   `json:"streaming"`
+	Streaming  bool   `json:"streaming"` // Config.Streaming: the window, not the fold
 	Resumed    bool   `json:"resumed"`
 	// ResumePrefix is the fold count restored from the partial checkpoint
 	// when Resumed; the round re-collected only the suffix past it.

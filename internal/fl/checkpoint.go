@@ -17,7 +17,7 @@ import (
 
 // Durable rounds (DESIGN.md §7). A multi-day federation is one SIGKILL
 // away from losing every applied round unless the server's state — model
-// parameters, round counter, seed and, mid-round, the streaming fold
+// parameters, round counter, seed and, mid-round, the mean fold's
 // accumulator — survives on disk. A Checkpointer writes
 // that state as CRC-sealed wire.KindCheckpoint envelopes on a configurable
 // cadence, atomically (temp file + fsync + rename), so the directory only
@@ -55,7 +55,7 @@ type Checkpoint struct {
 	Registered int
 	// Model is the global model's parameter/mask payload.
 	Model []byte
-	// Partial, when non-nil, is the interrupted streaming round's state.
+	// Partial, when non-nil, is the interrupted folding round's state.
 	Partial *PartialRound
 
 	// live, on the checkpoints a server cuts for its own checkpointer, is
@@ -65,7 +65,7 @@ type Checkpoint struct {
 	live *nn.Sequential
 }
 
-// PartialRound captures a streaming round mid-fold: the cohort bookkeeping
+// PartialRound captures a folding round mid-fold: the cohort bookkeeping
 // plus the fold accumulator, so a resumed server starts the round from
 // there (Server.ResumeFrom checks it first) and collects only the
 // participants that had not yet folded. The fold is strictly
@@ -293,9 +293,9 @@ type Checkpointer struct {
 	// round (<= 0 means every round).
 	EveryRounds int
 	// EveryFolds, when > 0, additionally writes a partial checkpoint
-	// inside streaming rounds after every n-th folded update (plus one
-	// before the first fold, so a pre-fold crash still resumes into the
-	// round with its drawn cohort).
+	// inside every round that folds (MeanAggregator's, Streaming or not)
+	// after every n-th folded update (plus one before the first fold, so a
+	// pre-fold crash still resumes into the round with its drawn cohort).
 	EveryFolds int
 	// WriteFile is the write seam, nil meaning AtomicWriteFile. Tests
 	// inject torn writes here to prove resume never loads a torn file. data

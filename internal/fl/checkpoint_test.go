@@ -670,12 +670,12 @@ func runUntilCrash(t *testing.T, s *Server, rounds int) (completed int, crashed 
 	return rounds, false
 }
 
-// syntheticDurableServer builds a streaming federation of stateless
-// synthetic clients with a checkpointer attached — the fixture for the
-// kill-and-restart tests.
-func syntheticDurableServer(t *testing.T, template *nn.Sequential, dir string, drop DropPolicy) *Server {
+// syntheticDurableServer builds a federation of stateless synthetic clients
+// with a checkpointer attached — the fixture for the kill-and-restart tests.
+// streaming bounds its rounds' window to 2; either way its rounds fold.
+func syntheticDurableServer(t *testing.T, template *nn.Sequential, dir string, drop DropPolicy, streaming bool) *Server {
 	t.Helper()
-	cfg := Config{Rounds: 5, SelectPerRound: 6, Quorum: 0.5, Streaming: true, Shards: 4, StreamWindow: 2}
+	cfg := Config{Rounds: 5, SelectPerRound: 6, Quorum: 0.5, Streaming: streaming, Shards: 4, StreamWindow: 2}
 	parts := make([]Participant, 10)
 	for i := range parts {
 		parts[i] = &SyntheticClient{Id: i, Seed: 11}
@@ -689,17 +689,18 @@ func syntheticDurableServer(t *testing.T, template *nn.Sequential, dir string, d
 }
 
 // TestKillRestartBitIdentity is the fl-level kill-and-restart pin: for
-// each scripted crash point, a server killed mid-run and resumed from its
-// checkpoints must finish with parameters bit-identical to an
-// uninterrupted run — including the cohorts it selects after the resumed
-// round. The cross-process, wire-served version of this suite lives in
-// internal/transport's chaos tests.
+// each scripted crash point, with and without Streaming's window, a server
+// killed mid-run and resumed from its checkpoints must re-enter the
+// interrupted round from its partial checkpoint and finish with parameters
+// bit-identical to an uninterrupted run — including the cohorts it selects
+// after the resumed round. The cross-process, wire-served version of this
+// suite lives in internal/transport's chaos tests.
 func TestKillRestartBitIdentity(t *testing.T) {
 	template := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rand.New(rand.NewSource(7)))
 	drop := dropIDs{3: true}
 	const rounds = 5
 
-	ref := syntheticDurableServer(t, template, "", drop)
+	ref := syntheticDurableServer(t, template, "", drop, true)
 	for r := 0; r < rounds; r++ {
 		ref.RoundDetail(r)
 	}
@@ -719,29 +720,39 @@ func TestKillRestartBitIdentity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			s := syntheticDurableServer(t, template, dir, drop)
-			crashAt(s, tc.point, tc.round, tc.folds)
-			if _, crashed := runUntilCrash(t, s, rounds); !crashed {
-				t.Fatal("scripted crash never fired")
-			}
-			// "Restart": a fresh process image resumes from disk.
-			res := syntheticDurableServer(t, template, dir, drop)
-			next, resumed, err := res.ResumeLatest(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !resumed {
-				t.Fatal("no checkpoint found after crash")
-			}
-			for r := next; r < rounds; r++ {
-				res.RoundDetail(r)
-			}
-			got := res.Model.ParamsVector()
-			for i := range refParams {
-				if got[i] != refParams[i] {
-					t.Fatalf("param %d = %v, want %v (resumed run diverged)", i, got[i], refParams[i])
-				}
+			for _, streaming := range []bool{true, false} {
+				t.Run(fmt.Sprintf("streaming=%v", streaming), func(t *testing.T) {
+					dir := t.TempDir()
+					s := syntheticDurableServer(t, template, dir, drop, streaming)
+					crashAt(s, tc.point, tc.round, tc.folds)
+					if _, crashed := runUntilCrash(t, s, rounds); !crashed {
+						t.Fatal("scripted crash never fired")
+					}
+					// "Restart": a fresh process image resumes from disk.
+					res := syntheticDurableServer(t, template, dir, drop, streaming)
+					next, resumed, err := res.ResumeLatest(dir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !resumed {
+						t.Fatal("no checkpoint found after crash")
+					}
+					// Every crash point lies inside a round, after its opening
+					// partial checkpoint.
+					if res.pendingPartial == nil || next != tc.round {
+						t.Fatalf("resumed at round %d with partial %v, want round %d's partial checkpoint",
+							next, res.pendingPartial != nil, tc.round)
+					}
+					for r := next; r < rounds; r++ {
+						res.RoundDetail(r)
+					}
+					got := res.Model.ParamsVector()
+					for i := range refParams {
+						if got[i] != refParams[i] {
+							t.Fatalf("param %d = %v, want %v (resumed run diverged)", i, got[i], refParams[i])
+						}
+					}
+				})
 			}
 		})
 	}
@@ -753,7 +764,7 @@ func TestKillRestartBitIdentity(t *testing.T) {
 func TestKillRestartAcrossWorkers(t *testing.T) {
 	template := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rand.New(rand.NewSource(7)))
 	const rounds = 4
-	ref := syntheticDurableServer(t, template, "", nil)
+	ref := syntheticDurableServer(t, template, "", nil, true)
 	for r := 0; r < rounds; r++ {
 		ref.RoundDetail(r)
 	}
@@ -763,12 +774,12 @@ func TestKillRestartAcrossWorkers(t *testing.T) {
 			prev := parallel.SetWorkers(workers)
 			defer parallel.SetWorkers(prev)
 			dir := t.TempDir()
-			s := syntheticDurableServer(t, template, dir, nil)
+			s := syntheticDurableServer(t, template, dir, nil, true)
 			crashAt(s, CrashMidCollection, 1, 3)
 			if _, crashed := runUntilCrash(t, s, rounds); !crashed {
 				t.Fatal("scripted crash never fired")
 			}
-			res := syntheticDurableServer(t, template, dir, nil)
+			res := syntheticDurableServer(t, template, dir, nil, true)
 			next, resumed, err := res.ResumeLatest(dir)
 			if err != nil || !resumed {
 				t.Fatalf("resume: %v (found %v)", err, resumed)
@@ -791,9 +802,9 @@ func TestKillRestartAcrossWorkers(t *testing.T) {
 func TestResumeRejectsPopulationMismatch(t *testing.T) {
 	template := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rand.New(rand.NewSource(7)))
 	dir := t.TempDir()
-	s := syntheticDurableServer(t, template, dir, nil)
+	s := syntheticDurableServer(t, template, dir, nil, true)
 	s.RoundDetail(0)
-	other := syntheticDurableServer(t, template, "", nil)
+	other := syntheticDurableServer(t, template, "", nil, true)
 	other.Participants = other.Participants[:5]
 	if _, _, err := other.ResumeLatest(dir); err == nil {
 		t.Fatal("population mismatch accepted")
@@ -805,7 +816,7 @@ func TestResumeRejectsPopulationMismatch(t *testing.T) {
 func TestFineTuneNeverCheckpoints(t *testing.T) {
 	template := nn.NewSmallCNN(nn.Input{C: 1, H: 16, W: 16}, 10, rand.New(rand.NewSource(7)))
 	dir := t.TempDir()
-	s := syntheticDurableServer(t, template, dir, nil)
+	s := syntheticDurableServer(t, template, dir, nil, true)
 	work := template.Clone()
 	s.FineTune(work, 2)
 	names, err := checkpointNames(dir)

@@ -48,17 +48,16 @@ type Config struct {
 	// and records the stragglers as dropouts. 0 means no deadline
 	// (in-process participants cannot be cancelled either way).
 	RoundTimeout time.Duration
-	// Streaming folds each arriving update into a running aggregate and
-	// discards it (DESIGN.md §6), holding O(StreamWindow) deltas instead
-	// of the whole cohort — bit-identical to the same round without it.
-	// It takes a rule that implements StreamingAggregator; under any other
-	// the round collects the whole cohort as if Streaming were off, and
-	// counts fl_stream_fallbacks_total.
+	// Streaming bounds the round's window (DESIGN.md §6): StreamWindow
+	// clients train, and O(StreamWindow) un-folded deltas wait, at a time —
+	// bit-identical to the same round without it. Whether a round folds is
+	// the rule's (StreamingAggregator); under a rule that cannot, the round
+	// runs unbounded and counts fl_stream_fallbacks_total.
 	Streaming bool
-	// Shards is ignored: a streaming round folds on its own goroutine. It
+	// Shards is ignored: a round folds on its own goroutine. It
 	// stays only so existing callers compile.
 	Shards int
-	// StreamWindow bounds how many clients a streaming round trains
+	// StreamWindow bounds how many clients a round under Streaming trains
 	// concurrently (and therefore how many un-folded updates exist at
 	// once); 0 means twice the parallel worker count.
 	StreamWindow int
@@ -96,8 +95,9 @@ type Participant interface {
 	// the caller from the moment it is returned, so the participant must not
 	// keep, reuse or hand out a second time what it returned, and the caller
 	// may recycle it (wire.PutFloat64s) once nothing can read it any more —
-	// the round drivers do, after the aggregate is applied or once the
-	// streaming fold has added it. The same holds for TryLocalUpdate.
+	// the round drivers do, once the mean fold has added it or, on the
+	// collect-all fold, after the aggregate is applied. The same holds for
+	// TryLocalUpdate.
 	LocalUpdate(global []float64, round int) []float64
 }
 

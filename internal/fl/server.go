@@ -46,7 +46,8 @@ func (MeanAggregator) Aggregate(deltas [][]float64) []float64 {
 		panic("fl: aggregate of zero deltas")
 	}
 	// Zero, then add every delta in participant order, then scale once: the
-	// scalar sequence per coordinate that the streaming fold repeats.
+	// scalar sequence per coordinate that the mean fold repeats, kept apart
+	// from the fold so the fold's tests compare it with code it does not share.
 	out := wire.GetFloat64s(len(deltas[0]))
 	clear(out)
 	for _, d := range deltas {
@@ -128,9 +129,6 @@ type Server struct {
 	// its cohort; the next RoundDetail call consumes both.
 	pendingPartial *PartialRound
 	pendingCohort  []Participant
-	// foldScratch backs the streaming fold's accumulator so steady-state
-	// streaming rounds reuse one buffer (DESIGN.md §6).
-	foldScratch tensor.Arena
 }
 
 // CrashPoint names the scripted kill points of a round, in execution
@@ -208,9 +206,9 @@ type RoundResult struct {
 	// false when fewer than quorum updates arrived.
 	Applied bool
 	// PeakInFlight is the largest number of trained-but-not-yet-folded
-	// updates a streaming fold's round held at once — its working-set
+	// updates a round under Config.Streaming held at once — its working-set
 	// bound, governed by Config.StreamWindow. Zero when nothing bounds the
-	// hold: a round on the collect-all fold keeps the whole cohort.
+	// hold: a round without Streaming, or on the collect-all fold.
 	PeakInFlight int
 }
 
@@ -249,7 +247,7 @@ func (e *NonFiniteUpdateError) Error() string {
 // cfg.Quorum of the selected cohort has responded.
 //
 // Local training runs concurrently across the selected clients (bounded by
-// parallel.Workers, or by the window when the round streams). A delta is a
+// parallel.Workers, or by the window under Config.Streaming). A delta is a
 // function of (seed, id, global, round) — its participant holds the model it
 // trains on alone and only reads the global and its shard — so the round is
 // bit-identical for any worker count and any call history. A round in which
@@ -452,9 +450,9 @@ func (s *Server) populationSize() int {
 // fresh: the cohort minus its policy drops; resumed (pp non-nil): the
 // checkpoint's bookkeeping, the cohort's unaccounted suffix and a restored
 // accumulator — then flatten the global, collect and fold, finish the
-// fold, check quorum, apply. What differs between modes is the Fold it is
-// handed (beginFold), so survivor sets, drop accounting and the applied
-// sum cannot drift apart between them.
+// fold, check quorum, apply. The rule picks the Fold (beginFold) and
+// Config.Streaming only the window, so survivor sets, drop accounting and
+// the applied sum cannot drift apart between modes.
 //
 // The round runs under the trace rooted by its driver (RoundDetail or
 // FineTune): sc is the round span's context, threaded into the collection
@@ -468,13 +466,14 @@ func (s *Server) populationSize() int {
 func (s *Server) runRound(m *nn.Sequential, selected []Participant, pp *PartialRound, t int, durable bool, sc obs.SpanContext) RoundResult {
 	obs.M.FLRounds.Inc()
 	need := s.quorumCount(len(selected))
-	fold, streams := s.beginFold(m.NumParams(), need)
+	fold := s.beginFold(m.NumParams(), need)
+	all, collects := fold.(*collectAllFold)
 	if mf, ok := fold.(*meanFold); ok && pp != nil {
 		mf.restore(pp.Acc, pp.FoldN)
 	} else if pp != nil {
 		// The one way a recorded prefix is lost: this server's fold cannot
-		// take an accumulator back (the rule does not stream, or
-		// cfg.Streaming is off). The recorded cohort runs fresh.
+		// take an accumulator back (the rule does not fold). The recorded
+		// cohort runs fresh.
 		obs.L().Warn("fl: fold cannot restore a partial checkpoint, re-running round",
 			"round", t, "fold", fmt.Sprintf("%T", fold))
 		pp = nil
@@ -496,11 +495,12 @@ func (s *Server) runRound(m *nn.Sequential, selected []Participant, pp *PartialR
 	ctx, cancel := s.roundContext(sc)
 	defer cancel()
 	s.crash(CrashPreFold, t, prior)
-	// Nothing bounds what a round that does not stream holds — its fold
-	// keeps every delta anyway — so it trains parallel.Workers() clients at
-	// a time; a streaming round trains, and holds, a window of them.
+	// Under Streaming a round trains, and holds, a window of clients. Without
+	// it (or on the collect-all fold, which keeps every delta anyway) nothing
+	// bounds the hold, and parallel.Workers() clients train at a time.
+	windowed := s.cfg.Streaming && !collects
 	workers, hold := parallel.NumBlocks(len(active)), len(active)
-	if streams {
+	if windowed {
 		workers = s.windowSize(len(active))
 		hold = workers
 	}
@@ -508,19 +508,21 @@ func (s *Server) runRound(m *nn.Sequential, selected []Participant, pp *PartialR
 	wire.PutFloat64s(global)
 	if panicked != nil {
 		// Raised again only now that every collection worker has returned;
-		// the unfinished fold is dropped, and the next round's BeginFold
-		// zeroes the arena accumulator it wrote.
+		// the unfinished fold, accumulator and all, goes to the collector.
 		panic(panicked)
 	}
-	var mergeSeconds *obs.Histogram
-	if streams {
-		mergeSeconds = obs.M.FLShardMergeSeconds
+	if windowed {
 		res.PeakInFlight = peak
 		obs.M.FLStreamInFlightPeak.Set(int64(peak))
 	}
-	msp := obs.StartChildOf(sc, "fl.fold.merge", mergeSeconds).WithRound(t)
+	merge := obs.M.FLShardMergeSeconds // the mean fold's scale, not a batch rule's Aggregate
+	if collects {
+		merge = nil
+	}
+	msp := obs.StartChildOf(sc, "fl.fold.merge", merge).WithRound(t)
 	agg := fold.Finish()
 	msp.End()
+	defer all.release(agg) // applied or discarded, dead once the round returns
 	arrived := len(res.Completed)
 	obs.M.FLCompleted.Add(uint64(arrived - prior))
 	if arrived < need {
@@ -534,26 +536,22 @@ func (s *Server) runRound(m *nn.Sequential, selected []Participant, pp *PartialR
 	s.crash(CrashPostQuorumPreApply, t, arrived)
 	m.AddDeltaVector(1, agg)
 	res.Applied = true
-	if all, ok := fold.(*collectAllFold); ok {
-		all.release(agg)
-	}
 	return res
 }
 
-// beginFold opens the round's fold: the rule's own when the server streams
-// and the rule can fold one delta at a time, else the collect-all fold —
-// which is how a batch-only rule (internal/robust) runs under a streaming
-// server, counted into fl_stream_fallbacks_total. need is the round's
-// quorum.
-func (s *Server) beginFold(dim, need int) (fold Fold, streams bool) {
+// beginFold opens the round's fold: the rule's own whenever the rule can
+// fold one delta at a time, else the collect-all fold — which is how a
+// batch-only rule (internal/robust) runs, under a streaming server counted
+// into fl_stream_fallbacks_total. need is the round's quorum.
+func (s *Server) beginFold(dim, need int) Fold {
 	rule := s.aggregator()
+	if sa, ok := rule.(StreamingAggregator); ok {
+		return sa.BeginFold(dim, 0, nil)
+	}
 	if s.cfg.Streaming {
-		if sa, ok := rule.(StreamingAggregator); ok {
-			return sa.BeginFold(dim, 0, &s.foldScratch), true
-		}
 		obs.M.FLStreamFallbacks.Inc()
 	}
-	return &collectAllFold{rule: rule, need: need}, false
+	return &collectAllFold{rule: rule, need: need}
 }
 
 // startRound is a round's start state: its telemetry record and the
@@ -623,11 +621,11 @@ func flatParams(m *nn.Sequential) []float64 {
 	return v
 }
 
-// collectAllFold is the Fold of a round that does not stream: it keeps
-// every survivor's delta in participant order and hands the rule the whole
-// cohort once, in Finish — the only shape a rule that needs every delta at
-// once (internal/robust) can take. It is the server's, not a BeginFold on
-// those rules: they stay batch-only.
+// collectAllFold is the Fold of a rule that cannot fold: it keeps every
+// survivor's delta in participant order and hands the rule the whole cohort
+// once, in Finish — the only shape a rule that needs every delta at once
+// (internal/robust) can take. It is the server's, not a BeginFold on those
+// rules: they stay batch-only.
 type collectAllFold struct {
 	rule Aggregator
 	// need is the round's quorum, which covers the rule's CohortMinimum.
@@ -650,16 +648,19 @@ func (f *collectAllFold) Finish() []float64 {
 	return f.rule.Aggregate(f.deltas)
 }
 
-// release recycles the deltas and the aggregate once it has been applied.
-// Only then are they dead: the rule has seen every input and its result is
-// in the model (DESIGN.md §6). A rule that returned one of its inputs
-// gets it released once, as the input.
+// release recycles the deltas and the aggregate once it has been applied or
+// its round discarded. Only then are they dead: the rule has seen every
+// input and its result is in the model (DESIGN.md §6). A rule that returned
+// one of its inputs gets it released once, as the input. On a nil f — a
+// round on the mean fold — it releases the aggregate alone.
 func (f *collectAllFold) release(agg []float64) {
-	for _, d := range f.deltas {
-		if len(agg) > 0 && &d[0] == &agg[0] {
-			agg = nil
+	if f != nil {
+		for _, d := range f.deltas {
+			if len(agg) > 0 && &d[0] == &agg[0] {
+				agg = nil
+			}
+			wire.PutFloat64s(d)
 		}
-		wire.PutFloat64s(d)
 	}
 	wire.PutFloat64s(agg)
 }

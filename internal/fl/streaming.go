@@ -7,12 +7,12 @@ import (
 	"github.com/fedcleanse/fedcleanse/internal/wire"
 )
 
-// Streaming aggregation (DESIGN.md §6) is a choice of fold, not of round:
-// under Config.Streaming the round loop hands each arriving delta to the
-// rule's own Fold, which adds it into a running aggregate and recycles it
-// before it returns, so peak memory follows the collection window —
-// O(window × dim) — where the collect-all fold of a round that does not
-// stream holds O(cohort × dim).
+// Folding (DESIGN.md §6) is the rule's, not the round's: whenever the rule
+// implements StreamingAggregator the round loop hands each arriving delta to
+// the rule's own Fold, which adds it into a running aggregate and recycles it
+// before it returns. Config.Streaming only bounds how many clients train, and
+// so how many un-folded deltas exist, at once — O(window × dim) — where an
+// unbounded round holds up to O(cohort × dim).
 //
 // Bit-identity contract: the one-shot aggregate is a per-coordinate scalar
 // recurrence in participant order (acc[j] += d_i[j] for i = 0,1,2,…, then
@@ -29,18 +29,16 @@ import (
 // to sum-then-scale, so the fold keeps sum-then-scale.
 
 // StreamingAggregator is implemented by aggregation rules that can fold
-// one arriving delta at a time into a running aggregate. MeanAggregator
-// streams; the Byzantine-robust rules in internal/robust need every delta
-// at once (pairwise distances, per coordinate sorts) and deliberately do
-// not, so a streaming server hands them its collect-all fold.
+// one arriving delta at a time into a running aggregate, as MeanAggregator
+// does. The Byzantine-robust rules in internal/robust need every delta at
+// once (pairwise distances, per coordinate sorts) and deliberately do not,
+// so the server hands them its collect-all fold.
 type StreamingAggregator interface {
 	Aggregator
 	// BeginFold opens one round's fold over parameter vectors of the
-	// given dimension. shards is ignored — the fold adds on its caller's
-	// goroutine — and stays only so existing callers compile. scratch, when
-	// non-nil, backs the running accumulator so a long-lived server reuses
-	// one buffer across rounds; the slice returned by Finish then remains
-	// valid only until the next BeginFold against the same arena.
+	// given dimension. shards and scratch are ignored — the fold adds on
+	// its caller's goroutine into a free-list accumulator — and stay only
+	// so existing callers compile.
 	BeginFold(dim, shards int, scratch *tensor.Arena) Fold
 }
 
@@ -51,7 +49,8 @@ type StreamingAggregator interface {
 // free list by the time Fold returns.
 // id names the delta's client; the folds of this package do not read it.
 // Finish must be called exactly once; it returns the aggregate (nil when
-// nothing was folded).
+// nothing was folded), which is handed over like a delta: the server puts it
+// back on the free list once it has applied it, so a fold must not keep it.
 type Fold interface {
 	Fold(id int, delta []float64)
 	Finish() []float64
@@ -60,16 +59,10 @@ type Fold interface {
 var _ StreamingAggregator = MeanAggregator{}
 
 // BeginFold implements StreamingAggregator: the streaming form of plain
-// coordinate-wise averaging.
-func (MeanAggregator) BeginFold(dim, _ int, scratch *tensor.Arena) Fold {
-	var acc []float64
-	if scratch != nil {
-		t := scratch.Get("fl.fold.acc", dim)
-		t.Zero()
-		acc = t.Data
-	} else {
-		acc = make([]float64, dim)
-	}
+// coordinate-wise averaging, summing into a zeroed free-list vector.
+func (MeanAggregator) BeginFold(dim, _ int, _ *tensor.Arena) Fold {
+	acc := wire.GetFloat64s(dim)
+	clear(acc)
 	return &meanFold{acc: acc}
 }
 
@@ -85,7 +78,7 @@ type meanFold struct {
 }
 
 // Fold implements Fold: the scalar sequence MeanAggregator.Aggregate runs,
-// one delta at a time.
+// one delta at a time; the delta then goes back on the free list.
 func (f *meanFold) Fold(_ int, delta []float64) {
 	if f.finished {
 		panic("fl: Fold after Finish")
@@ -110,14 +103,15 @@ func (f *meanFold) restore(acc []float64, n int) {
 	f.n = n
 }
 
-// Finish implements Fold: the final scale. The round times it: runRound's
-// fl.fold.merge span feeds fl_shard_merge_seconds.
+// Finish implements Fold: the final scale, timed by runRound's fl.fold.merge
+// span. With nothing folded it recycles the accumulator and returns nil.
 func (f *meanFold) Finish() []float64 {
 	if f.finished {
 		panic("fl: Finish called twice")
 	}
 	f.finished = true
 	if f.n == 0 {
+		wire.PutFloat64s(f.acc)
 		return nil
 	}
 	tensor.Scale(f.acc, f.acc, 1.0/float64(f.n))

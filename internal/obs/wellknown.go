@@ -28,11 +28,11 @@ var M = struct {
 	FLQuorumFailures *Counter   // rounds discarded below quorum
 	FLRoundSeconds   *Histogram // wall time of one aggregation round
 
-	// Streaming sharded aggregation (internal/fl, DESIGN.md §6).
+	// Folds and the Streaming window (internal/fl, DESIGN.md §6).
 	FLRegisteredClients  *Gauge     // population size registered with fl.Registry
-	FLStreamInFlightPeak *Gauge     // last round's peak of trained-but-unfolded updates
-	FLStreamFallbacks    *Counter   // streaming rounds degraded to batch (non-streaming rule)
-	FLShardMergeSeconds  *Histogram // the streaming fold's final scale (Finish) per round
+	FLStreamInFlightPeak *Gauge     // last Streaming round's peak of trained-but-unfolded updates
+	FLStreamFallbacks    *Counter   // Streaming rounds of a rule that cannot fold, run unbounded on the collect-all fold
+	FLShardMergeSeconds  *Histogram // the mean fold's final scale (Finish) per round, windowed or not
 
 	// Durable rounds (internal/fl, DESIGN.md §7).
 	FLCheckpointWrites       *Counter   // checkpoints written (boundary + partial)
