@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench alloc-test chaos-test obs-test ops-smoke load-smoke repro-diff fmt vet gob-check fusion-check doc-check lint check
+.PHONY: build test race bench alloc-test chaos-test obs-test ops-smoke load-smoke repro-diff example-check fmt vet gob-check fusion-check doc-check lint check
 
 ## build: compile every package
 build:
@@ -72,6 +72,20 @@ chaos-test:
 		-run 'Chaos|Fault|Quorum|FineTune|Serve|Shutdown|RemoteClient|RoundTimeout|Fuzz|Drop|Checkpoint|Resume|KillRestart|Torn|CrossVersion|Versioned|Rejections|EncodingsAgree|Recycle|Fold|Broadcast|Reference|Panic|CohortSelection' \
 		./internal/transport ./internal/fl ./internal/nn ./internal/wire
 
+## example-check: the examples print what the documents say they print —
+## examples/quickstart's output is README.md's quick-start block byte for
+## byte, and examples/backdoor_mnist's attack lands (AA after training at
+## least 90)
+example-check:
+	@want=$$(mktemp); trap 'rm -f "$$want"' EXIT; \
+	sed -n '/^federated training/,/^pipeline:/p' README.md > "$$want"; \
+	$(GO) run ./examples/quickstart | diff -u "$$want" - || { \
+		echo "examples/quickstart no longer prints README.md's quick-start block"; exit 1; }; \
+	aa=$$($(GO) run ./examples/backdoor_mnist | sed -n 's/^after training: .* AA=\([0-9.]*\)%$$/\1/p'); \
+	echo "examples/backdoor_mnist: AA after training $$aa"; \
+	awk -v aa="$$aa" 'BEGIN { exit !(aa != "" && aa + 0 >= 90) }' || { \
+		echo "examples/backdoor_mnist: the attack does not land (AA after training below 90)"; exit 1; }
+
 ## repro-diff: the experiment runner's byte-identity check — fedbench at
 ## BASE (default HEAD~1) against the working tree, wall-clock lines dropped
 ## (scripts/fedbench_diff.sh; ARGS overrides the default "-exp all")
@@ -134,4 +148,4 @@ lint: fmt vet gob-check doc-check fusion-check
 	fi
 
 ## check: everything CI runs
-check: lint build test race chaos-test obs-test
+check: lint build test example-check race chaos-test obs-test

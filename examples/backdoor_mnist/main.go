@@ -24,10 +24,12 @@ func main() {
 	rng := rand.New(rand.NewSource(7))
 
 	// Data: synthetic MNIST stand-in, split non-IID (3 labels per client).
+	// The attacker, client 0, needs victim-label samples to poison, so its
+	// shard is forced to hold the victim label.
 	train, test := fedcleanse.GenSynthMNIST(fedcleanse.GenConfig{
 		TrainPerClass: 150, TestPerClass: 60, Seed: 21,
 	})
-	shards := fedcleanse.PartitionKLabel(train, clients, kLabels, perClient, rng)
+	shards := fedcleanse.PartitionKLabelForced(train, clients, kLabels, perClient, rng, victim, 1)
 
 	// Model template and FL config.
 	template := fedcleanse.NewSmallCNN(

@@ -53,8 +53,6 @@ var NewSmallCNN = nn.NewSmallCNN
 type (
 	// Dataset is an in-memory labeled image collection.
 	Dataset = dataset.Dataset
-	// DatasetShape is the image geometry of a dataset.
-	DatasetShape = dataset.Shape
 	// GenConfig controls synthetic dataset generation.
 	GenConfig = dataset.GenConfig
 	// Trigger is a BadNets-style pixel-pattern backdoor.
@@ -69,10 +67,11 @@ var (
 	GenSynthMNIST = dataset.GenSynthMNIST
 	// PartitionKLabel splits a dataset across clients, K labels each.
 	PartitionKLabel = dataset.PartitionKLabel
+	// PartitionKLabelForced is PartitionKLabel with a label forced into
+	// the first shards (an attacker needs victim-label samples to poison).
+	PartitionKLabelForced = dataset.PartitionKLabelForced
 	// PixelPattern builds the paper's n-pixel corner triggers.
 	PixelPattern = dataset.PixelPattern
-	// DBAGlobalPattern builds the Distributed Backdoor Attack trigger.
-	DBAGlobalPattern = dataset.DBAGlobalPattern
 )
 
 // Federated learning simulator.
@@ -147,23 +146,15 @@ type (
 	Scenario = eval.Scenario
 	// Trained is a built and federatedly trained scenario.
 	Trained = eval.Trained
-	// ExperimentPair is one (victim, attack) label pair.
-	ExperimentPair = eval.Pair
-	// ResultCell is one measurement of an experiment.
-	ResultCell = eval.Cell
 )
 
 var (
 	// MNISTScenario is the paper's MNIST-scale setting.
 	MNISTScenario = eval.MNISTScenario
-	// CIFARScenario is the CIFAR-scale DBA setting.
-	CIFARScenario = eval.CIFARScenario
 	// BuildScenario constructs a scenario's population without training.
 	BuildScenario = eval.Build
 	// Run builds and trains a scenario.
 	Run = eval.Run
-	// AdaptiveAttackTable evaluates the §VI-B adaptive attacks.
-	AdaptiveAttackTable = eval.AdaptiveAttackTable
 )
 
 // Metrics.

@@ -92,6 +92,3 @@ func TestPruneMethodConstants(t *testing.T) {
 		}
 	}
 }
-
-// The adaptive-attack table is too slow to build here; pin its signature.
-var _ func(fedcleanse.ExperimentPair) ([]fedcleanse.ResultCell, string) = fedcleanse.AdaptiveAttackTable

@@ -332,14 +332,3 @@ func TestPoisonDoesNotMutateOriginal(t *testing.T) {
 		}
 	}
 }
-
-func TestGenByName(t *testing.T) {
-	for _, name := range []string{"mnist", "fashion", "cifar"} {
-		if _, ok := GenByName(name); !ok {
-			t.Fatalf("GenByName(%q) missing", name)
-		}
-	}
-	if _, ok := GenByName("imagenet"); ok {
-		t.Fatal("unknown dataset accepted")
-	}
-}

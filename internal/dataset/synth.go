@@ -89,21 +89,6 @@ func GenSynthCIFAR(cfg GenConfig) (train, test *Dataset) {
 	return genSynth(cfg, spec)
 }
 
-// GenByName resolves a synthetic dataset generator by its CLI name
-// ("mnist", "fashion" or "cifar").
-func GenByName(name string) (func(GenConfig) (*Dataset, *Dataset), bool) {
-	switch name {
-	case "mnist":
-		return GenSynthMNIST, true
-	case "fashion":
-		return GenSynthFashion, true
-	case "cifar":
-		return GenSynthCIFAR, true
-	default:
-		return nil, false
-	}
-}
-
 // genSynth builds the train and test splits for one spec.
 func genSynth(cfg GenConfig, spec synthSpec) (train, test *Dataset) {
 	protos := makePrototypes(cfg.Seed, spec)

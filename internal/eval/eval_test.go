@@ -136,18 +136,18 @@ func TestDefendModeRejectsUnknown(t *testing.T) {
 
 const (
 	twoRowTable = "test\n" +
-		"setting        | a             | b            \n" +
+		"setting        | a             | b\n" +
 		"               |     TA     AA |     TA     AA\n" +
 		"r1             |   90.0   10.0 |   80.0   20.0\n" +
 		"r2             |   70.0   30.0 |   60.0   40.0\n" +
 		"avg            |   80.0   20.0 |   70.0   30.0\n"
 	oneRowTable = "one\n" +
-		"setting        | a            \n" +
+		"setting        | a\n" +
 		"               |     TA     AA\n" +
 		"9->2           |   91.6   26.7\n"
 	countTable = "counts\n" +
 		"setting        | training      | fp            |   pruned |   zeroed\n" +
-		"               |     TA     AA |     TA     AA |          |         \n" +
+		"               |     TA     AA |     TA     AA |          |\n" +
 		"1-pixel        |   90.3   97.8 |   88.1   40.0 |        7 |      113\n" +
 		"9-pixel        |   89.7   99.9 |   87.5   10.2 |       12 |        0\n" +
 		"avg            |   90.0   98.8 |   87.8   25.1\n"

@@ -466,12 +466,3 @@ func adaptive(s Scenario) Spec {
 		}
 	}}
 }
-
-// AdaptiveAttackTable evaluates the §VI-B adaptive attacks against the
-// full defense on the MNIST task pair (adaptive) and returns their cells
-// and the table they print.
-func AdaptiveAttackTable(pair Pair) ([]Cell, string) {
-	sp := adaptive(mnist(pair))
-	cells, _, _ := RunGrid([]Spec{sp}, nn.Float64, nil)
-	return cells, sp.Render(cells)
-}

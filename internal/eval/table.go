@@ -40,7 +40,8 @@ var (
 // renderTable prints cells as a table: a row per Row and a TA/AA column
 // per Arm, each in the order the cells first name it, then the integer
 // columns, and an avg row of the TA/AA columns under two rows or more. The
-// setting column and each arm's column widen to fit their longest label.
+// setting column and each arm's column widen to fit their longest label;
+// the two header lines end at their last non-blank character.
 func renderTable(title string, cells []Cell, counts []count) string {
 	var rows, arms []string
 	at := map[[2]string]Cell{}
@@ -62,22 +63,19 @@ func renderTable(title string, cells []Cell, counts []count) string {
 	for i, a := range arms {
 		taw[i] = max(13, len(a)) - 7
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%-*s", title, setting, "setting")
+	var names, units strings.Builder
+	fmt.Fprintf(&names, "%-*s", setting, "setting")
+	fmt.Fprintf(&units, "%-*s", setting, "")
 	for i, a := range arms {
-		fmt.Fprintf(&b, " | %-*s", taw[i]+7, a)
+		fmt.Fprintf(&names, " | %-*s", taw[i]+7, a)
+		fmt.Fprintf(&units, " | %*s %6s", taw[i], "TA", "AA")
 	}
 	for _, k := range counts {
-		fmt.Fprintf(&b, " | %8s", k.name)
+		fmt.Fprintf(&names, " | %8s", k.name)
+		fmt.Fprintf(&units, " | %8s", "")
 	}
-	fmt.Fprintf(&b, "\n%-*s", setting, "")
-	for i := range arms {
-		fmt.Fprintf(&b, " | %*s %6s", taw[i], "TA", "AA")
-	}
-	for range counts {
-		fmt.Fprintf(&b, " | %8s", "")
-	}
-	b.WriteString("\n")
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n%s\n%s\n", title, strings.TrimRight(names.String(), " "), strings.TrimRight(units.String(), " "))
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-*s", setting, r)
 		for i, a := range arms {
