@@ -2,7 +2,9 @@
 // listener, for load-testing the aggregation server at population scales
 // no real per-process clients could reach. Each client is an
 // fl.SyntheticClient — a deterministic pseudo-update generator a few
-// words wide — served at /c/<id>/v1/{update,ranks,votes} by a
+// words wide, whose deltas and reports are read off a counter-based
+// stream with no generator state, so generating an update costs a small
+// share of serving it — served at /c/<id>/v1/{update,ranks,votes} by a
 // transport.Fleet, so fedserve drives the whole protocol, defense
 // reports included, through ordinary RemoteClients:
 //

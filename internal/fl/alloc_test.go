@@ -37,6 +37,23 @@ func TestTrainerWarmAllocFree(t *testing.T) {
 	}
 }
 
+// TestSyntheticUpdateAllocFree: a warm synthetic update — the delta drawn
+// over a recycled vector and handed back, as a fleet handler does — performs
+// zero heap allocations, so load generation adds no garbage to the server's
+// heap it measures.
+func TestSyntheticUpdateAllocFree(t *testing.T) {
+	c := &SyntheticClient{Id: 7, Seed: 98}
+	global := make([]float64, 18346)
+	wire.PutFloat64s(c.LocalUpdate(global, 0)) // warm: the free list
+	round := 0
+	if allocs := testing.AllocsPerRun(20, func() {
+		round++
+		wire.PutFloat64s(c.LocalUpdate(global, round))
+	}); allocs != 0 {
+		t.Errorf("warm SyntheticClient.LocalUpdate: %v allocs/op, want 0", allocs)
+	}
+}
+
 // roundAllocVectors is what one warm 64-client round over synthetic
 // participants allocates, in parameter vectors, on a server that set, when
 // non-nil, adjusts. applied is whether every round must apply. The

@@ -214,11 +214,12 @@ func TestLocalUpdateWritesModelMinusGlobal(t *testing.T) {
 	}
 }
 
-// TestSyntheticReseedMatchesFreshSource: a recycled, re-seeded generator
-// yields the stream a fresh source did, so synthetic deltas and reports are
-// the values they were before generators were pooled — also when calls to
-// one client overlap.
-func TestSyntheticReseedMatchesFreshSource(t *testing.T) {
+// TestParticipantRNGReseedMatchesFreshSource: a recycled, re-seeded
+// generator yields the stream a fresh source over the FNV-1a hash of the
+// call's key opens, so pooling generators changes none of the deltas, drops
+// and cohorts drawn from participantRNG — also when calls overlap and hand
+// generators back out of order.
+func TestParticipantRNGReseedMatchesFreshSource(t *testing.T) {
 	fresh := func(vals ...uint64) *rand.Rand {
 		h := fnv.New64a()
 		for _, v := range vals {
@@ -230,27 +231,27 @@ func TestSyntheticReseedMatchesFreshSource(t *testing.T) {
 		}
 		return rand.New(rand.NewSource(int64(h.Sum64())))
 	}
-	c := &SyntheticClient{Id: 7, Seed: 98}
-	global := make([]float64, 1000)
 	var wg sync.WaitGroup
 	for round := 0; round < 8; round++ {
 		wg.Add(1)
-		go func(round int) {
+		go func(round uint64) {
 			defer wg.Done()
-			rng := fresh(98, 7, uint64(round))
-			for i, v := range c.LocalUpdate(global, round) {
-				if want := 1e-3 * (float64(2*float64(rng.Float64())) - 1); v != want {
-					t.Errorf("round %d: delta[%d] = %v, want %v", round, i, v, want)
-					return
+			for call := uint64(0); call < 4; call++ {
+				key := []uint64{98, 7 + call, round}
+				if call%2 == 1 {
+					key = append([]uint64{selectDomain}, key...)
 				}
+				want := fresh(key...)
+				rng := participantRNG(key...)
+				for i := 0; i < 1000; i++ {
+					if v, w := rng.Float64(), want.Float64(); v != w {
+						t.Errorf("key %v: draw %d = %v, want %v", key, i, v, w)
+						break
+					}
+				}
+				participantRNGs.Put(rng)
 			}
-		}(round)
+		}(uint64(round))
 	}
 	wg.Wait()
-	rng := fresh(syntheticDomainActs, 98, 7, 3)
-	for i, v := range c.activations(3) {
-		if want := rng.Float64(); v != want {
-			t.Fatalf("activation[%d] = %v, want %v", i, v, want)
-		}
-	}
 }

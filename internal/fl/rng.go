@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"hash/fnv"
 	"math/rand"
 	"sync"
 )
@@ -17,15 +16,20 @@ var participantRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource
 // (DESIGN.md §5) — for the caller to hold alone until it hands it back to
 // participantRNGs.
 func participantRNG(vals ...uint64) *rand.Rand {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range vals {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		_, _ = h.Write(buf[:])
-	}
 	rng := participantRNGs.Get().(*rand.Rand)
-	rng.Seed(int64(h.Sum64()))
+	rng.Seed(int64(streamKey(vals...)))
 	return rng
+}
+
+// streamKey hashes the values into one key: 64-bit FNV-1a over each
+// value's eight little-endian bytes, in order.
+func streamKey(vals ...uint64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range vals {
+		for i := 0; i < 8; i++ {
+			h ^= uint64(byte(v >> (8 * i)))
+			h *= 1099511628211
+		}
+	}
+	return h
 }

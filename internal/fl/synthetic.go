@@ -1,6 +1,8 @@
 package fl
 
 import (
+	"math/bits"
+
 	"github.com/fedcleanse/fedcleanse/internal/core"
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/wire"
@@ -9,11 +11,15 @@ import (
 // SyntheticClient is a load-generation participant: it returns a
 // deterministic pseudo-update without training a model, so tens of
 // thousands of them fit in one process (a real Client carries a model
-// clone and an optimizer; a SyntheticClient carries three words). The
+// clone and an optimizer; a SyntheticClient carries four words). The
 // delta for (Seed, id, round) is a pure function of those values and the
 // global vector's length, which makes load runs reproducible and lets
 // tests compare an in-process federation bit-for-bit against the same
-// fleet served over the wire.
+// fleet served over the wire. Its values come from a counter-based stream
+// (syntheticCoord): coordinate i is a fixed mix of the call's key and i, so
+// a call holds no state and costs one to two nanoseconds per coordinate,
+// and a load run measures the server and the wire rather than its own
+// participants.
 type SyntheticClient struct {
 	// Id is the client's participant ID.
 	Id int
@@ -35,26 +41,34 @@ var (
 // ID implements Participant.
 func (c *SyntheticClient) ID() int { return c.Id }
 
-// LocalUpdate implements Participant: a seeded pseudo-random delta sized
-// to the incoming global vector, written over a recycled vector. It is safe
-// for concurrent use — each call holds its own RNG for as long as it runs —
-// so one synthetic client can serve overlapping requests in a load test.
+// LocalUpdate implements Participant: a pseudo-random delta sized to the
+// incoming global vector, coordinate i being Scale·syntheticCoord(key, i)
+// for key = streamKey(Seed, Id, round), written over a recycled vector. It
+// holds no state, so one synthetic client can serve overlapping requests in
+// a load test.
 func (c *SyntheticClient) LocalUpdate(global []float64, round int) []float64 {
 	scale := c.Scale
 	if scale == 0 {
 		scale = 1e-3
 	}
-	rng := participantRNG(uint64(c.Seed), uint64(c.Id), uint64(round))
-	defer participantRNGs.Put(rng)
+	key := streamKey(uint64(c.Seed), uint64(c.Id), uint64(round))
 	d := wire.GetFloat64s(len(global))
 	for i := range d {
-		// No fused multiply-add on arm64 (make fusion-check): the inner
-		// conversion keeps Float64's inlined scaling multiply out of 2·r,
-		// which the compiler writes r+r, and the outer one keeps 2·r out of
-		// the subtraction. 2·r is exact, so neither changes a bit.
-		d[i] = scale * (float64(2*float64(rng.Float64())) - 1)
+		d[i] = scale * syntheticCoord(key, i)
 	}
 	return d
+}
+
+// syntheticCoord is coordinate i of the stream keyed by key: wyrand's mix of
+// the counter z = key + (i+1)·γ — the high and low words of the 128-bit
+// product z·(z ⊕ c), xored — with its top 53 bits read as a signed integer
+// and scaled by 2⁻⁵², which maps them exactly onto [-1, 1). Every step is
+// integer arithmetic or an exact product, so the value has the same bits
+// on every platform.
+func syntheticCoord(key uint64, i int) float64 {
+	z := key + uint64(i+1)*0xa0761d6478bd642f
+	hi, lo := bits.Mul64(z, z^0xe7037ed1a0b428db)
+	return float64(int64(hi^lo)>>11) * 0x1p-52
 }
 
 // syntheticDomainActs separates the report stream from the update stream,
@@ -71,14 +85,14 @@ func (c *SyntheticClient) units() int {
 }
 
 // activations is the client's canned activation vector, a pure function
-// of (Seed, Id, layerIdx), so a fleet of synthetic clients exercises the
-// defense's report path without models.
+// of (Seed, Id, layerIdx) drawn from the update's stream under its own
+// domain, so a fleet of synthetic clients exercises the defense's report
+// path without models.
 func (c *SyntheticClient) activations(layerIdx int) []float64 {
-	rng := participantRNG(syntheticDomainActs, uint64(c.Seed), uint64(c.Id), uint64(layerIdx))
-	defer participantRNGs.Put(rng)
+	key := streamKey(syntheticDomainActs, uint64(c.Seed), uint64(c.Id), uint64(layerIdx))
 	acts := make([]float64, c.units())
 	for i := range acts {
-		acts[i] = rng.Float64()
+		acts[i] = syntheticCoord(key, i)
 	}
 	return acts
 }
