@@ -63,14 +63,16 @@ load-smoke:
 ## (Recycle, and Fold's own contract: a vector released too early is a race
 ## and a NaN here), the
 ## shared request bodies and handler globals (Broadcast), the round loop
-## against its reference round and a panicking participant, and cohort
-## selection as a pure function of (seed, round) (CohortSelection).
+## against its reference round and a panicking participant, cohort
+## selection as a pure function of (seed, round) (CohortSelection), and
+## fedserve's -checkpoint-dir resume (TestCheckpointDirResumes) beside the
+## checkpoint writer it runs.
 ## Short mode skips the slowest full-pipeline chaos run; the plain `test`
 ## target covers it.
 chaos-test:
 	FEDCLEANSE_WORKERS=4 $(GO) test -race -short -count=1 \
 		-run 'Chaos|Fault|Quorum|FineTune|Serve|Shutdown|RemoteClient|RoundTimeout|Fuzz|Drop|Checkpoint|Resume|KillRestart|Torn|CrossVersion|Versioned|Rejections|EncodingsAgree|Recycle|Fold|Broadcast|Reference|Panic|CohortSelection' \
-		./internal/transport ./internal/fl ./internal/nn ./internal/wire
+		./internal/transport ./internal/fl ./internal/nn ./internal/wire ./cmd/fedserve
 
 ## example-check: the examples print what the documents say they print —
 ## examples/quickstart's output is README.md's quick-start block byte for

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"github.com/fedcleanse/fedcleanse/internal/nn"
 	"github.com/fedcleanse/fedcleanse/internal/obs"
@@ -286,6 +285,12 @@ const keepBoundaries = 2
 // Checkpointer writes a server's checkpoints on a cadence. Zero values
 // mean: boundary checkpoint after every round, no mid-round partials. The
 // last two boundaries are kept (keepBoundaries).
+//
+// Every checkpoint is encoded on the goroutine that cuts it, into one of
+// the checkpointer's two buffers, and written by one in-order writer
+// goroutine (DESIGN.md §7). A round hands its partials over and folds on
+// while they are created, fsynced and renamed; WriteBoundary and
+// WritePartial return once their own file is durable.
 type Checkpointer struct {
 	// Dir is the checkpoint directory (must exist).
 	Dir string
@@ -296,32 +301,68 @@ type Checkpointer struct {
 	// inside every round that folds (MeanAggregator's, Streaming or not)
 	// after every n-th folded update (plus one before the first fold, so a
 	// pre-fold crash still resumes into the round with its drawn cohort).
+	// The round folds on while they are written, and skips the one after
+	// its last fold when its boundary checkpoint is due: the boundary
+	// replaces it.
 	EveryFolds int
 	// WriteFile is the write seam, nil meaning AtomicWriteFile. Tests
-	// inject torn writes here to prove resume never loads a torn file. data
-	// is only valid during the call: it sits in a buffer the checkpointer
-	// recycles as soon as WriteFile has returned.
+	// inject torn writes here to prove resume never loads a torn file. It
+	// runs on the writer goroutine, one call at a time, in the order the
+	// checkpoints were cut. data is only valid during the call: it sits in a
+	// buffer the checkpointer encodes a later checkpoint into as soon as
+	// WriteFile has returned.
 	WriteFile func(path string, data []byte) error
 
-	// lastMu guards lastPath, the most recent successfully written
-	// checkpoint file (see LastPath).
-	lastMu   sync.Mutex
+	// mu guards lastPath, queue, writing and each slot's busy flag; the rest
+	// of a busy slot belongs to whoever holds it, its encoder and then the
+	// writer. freed is signalled whenever the writer has finished with a
+	// buffer.
+	mu    sync.Mutex
+	freed sync.Cond
+	// lastPath is the most recent successfully written checkpoint file (see
+	// LastPath).
 	lastPath string
+	// slots are the two encode buffers with the checkpoints they hold: one
+	// being written, one encoded behind it. They are the checkpointer's own
+	// rather than the wire.Buffer pool's: sync.Pool keeps a Put in the
+	// putting P's private slot, so a write on another P would find it empty
+	// and grow a checkpoint-sized buffer again.
+	slots [2]ckptSlot
+	// queue holds the encoded checkpoints in write order; writing is set
+	// while a writer goroutine drains it.
+	queue   []*ckptSlot
+	writing bool
+}
 
-	// buf is the buffer the last write encoded into, kept for the next one.
-	// The wire.Buffer pool would hand a write on another P than the last
-	// one's an empty buffer (sync.Pool keeps a Put in that P's private
-	// slot), to grow to a checkpoint's size again. A write that finds it
-	// taken — two servers sharing one checkpointer — uses the pool.
-	buf atomic.Pointer[wire.Buffer]
+// ckptSlot is one of a Checkpointer's encode buffers and the checkpoint it
+// holds on its way to disk.
+type ckptSlot struct {
+	b []byte
+	// busy runs from encode until the writer is done with b.
+	busy      bool
+	name      string
+	nextRound int
+	partial   bool
+	// For a partial a round queued: its fl.checkpoint span, which the writer
+	// ends once the file is durable, and the fold count a failure logs.
+	sp    obs.Span
+	folds int
+	// done, for a write whose caller waits, receives the outcome; a round's
+	// partial has none, and the writer logs its failure.
+	done *writeResult
+}
+
+type writeResult struct {
+	finished bool
+	err      error
 }
 
 // LastPath returns the path of the most recent successfully written
 // checkpoint ("" before the first write). The round audit trail records
 // it, so each RoundAudit names the checkpoint that covers it.
 func (c *Checkpointer) LastPath() string {
-	c.lastMu.Lock()
-	defer c.lastMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.lastPath
 }
 
@@ -337,43 +378,136 @@ func (c *Checkpointer) partialDue(folds int) bool {
 	return c.EveryFolds > 0 && folds%c.EveryFolds == 0
 }
 
-// write encodes and durably writes one checkpoint under the given name,
-// feeding the fl_checkpoint_* counters (the round's fl.checkpoint span times
-// it). The bytes are assembled once, in the checkpointer's buffer, which
-// this call owns from encode to the return of WriteFile.
-func (c *Checkpointer) write(name string, ck *Checkpoint) error {
-	buf := c.buf.Swap(nil)
-	if buf == nil {
-		buf = wire.GetBuffer()
+// lock takes mu; a Checkpointer is a plain struct literal, so freed gets
+// its locker here, on first use.
+func (c *Checkpointer) lock() {
+	c.mu.Lock()
+	if c.freed.L == nil {
+		c.freed.L = &c.mu
 	}
-	defer func() {
-		if !c.buf.CompareAndSwap(nil, buf) {
-			buf.Release()
+}
+
+// encode waits for a free buffer — both are taken only when the caller is
+// more than one write ahead of the writer — and encodes ck into it under the
+// given name. Of two free buffers it takes the larger, so a checkpointer
+// whose writes never overlap grows one buffer only.
+func (c *Checkpointer) encode(name string, ck *Checkpoint) *ckptSlot {
+	c.lock()
+	for c.slots[0].busy && c.slots[1].busy {
+		c.freed.Wait()
+	}
+	s := &c.slots[0]
+	if s.busy || (!c.slots[1].busy && cap(c.slots[1].b) > cap(s.b)) {
+		s = &c.slots[1]
+	}
+	s.busy = true
+	c.mu.Unlock()
+	s.b = appendCheckpoint(s.b[:0], ck)
+	s.name, s.nextRound, s.partial = name, ck.NextRound, ck.Partial != nil
+	s.sp, s.folds, s.done = obs.Span{}, 0, nil
+	return s
+}
+
+// enqueue hands an encoded checkpoint to the writer, starting one if none
+// is running.
+func (c *Checkpointer) enqueue(s *ckptSlot) {
+	c.lock()
+	c.queue = append(c.queue, s)
+	if !c.writing {
+		c.writing = true
+		go c.writeQueued()
+	}
+	c.mu.Unlock()
+}
+
+// writeQueued is the writer: it writes the queue in order and exits once
+// the queue is empty, so a checkpointer holds no goroutine between bursts;
+// drain waits for the writes, not for the goroutine.
+func (c *Checkpointer) writeQueued() {
+	c.lock()
+	for len(c.queue) > 0 {
+		s := c.queue[0]
+		c.mu.Unlock()
+		path, err := c.write(s)
+		c.lock()
+		c.queue = c.queue[:copy(c.queue, c.queue[1:])]
+		if err == nil {
+			c.lastPath = path
 		}
-	}()
-	buf.B = appendCheckpoint(buf.B[:0], ck)
+		if s.done != nil {
+			s.done.finished, s.done.err = true, err
+		}
+		s.busy = false
+		c.freed.Broadcast()
+	}
+	c.writing = false
+	c.mu.Unlock()
+}
+
+// write durably writes one encoded checkpoint, feeding the fl_checkpoint_*
+// counters, and ends a round's span on it.
+func (c *Checkpointer) write(s *ckptSlot) (string, error) {
 	wf := c.WriteFile
 	if wf == nil {
 		wf = AtomicWriteFile
 	}
-	path := filepath.Join(c.Dir, name)
-	if err := wf(path, buf.B); err != nil {
+	path := filepath.Join(c.Dir, s.name)
+	err := wf(path, s.b)
+	if err != nil {
 		obs.M.FLCheckpointWriteErrors.Inc()
-		return fmt.Errorf("fl: checkpoint %s: %w", name, err)
+		err = fmt.Errorf("fl: checkpoint %s: %w", s.name, err)
+		if s.done == nil {
+			obs.L().Warn("fl: partial checkpoint failed", "round", s.nextRound, "folds", s.folds, "err", err)
+		}
+	} else {
+		obs.M.FLCheckpointWrites.Inc()
+		obs.M.FLCheckpointBytes.Add(uint64(len(s.b)))
+		obs.L().Debug("fl: checkpoint written", "file", s.name, "bytes", len(s.b),
+			"next_round", s.nextRound, "partial", s.partial)
 	}
-	c.lastMu.Lock()
-	c.lastPath = path
-	c.lastMu.Unlock()
-	obs.M.FLCheckpointWrites.Inc()
-	obs.M.FLCheckpointBytes.Add(uint64(len(buf.B)))
-	obs.L().Debug("fl: checkpoint written", "file", name, "bytes", len(buf.B),
-		"next_round", ck.NextRound, "partial", ck.Partial != nil)
-	return nil
+	s.sp.End()
+	return path, err
+}
+
+// drain returns once every checkpoint handed to the writer is durable (or
+// has failed).
+func (c *Checkpointer) drain() {
+	c.lock()
+	for c.slots[0].busy || c.slots[1].busy {
+		c.freed.Wait()
+	}
+	c.mu.Unlock()
+}
+
+// writeNow writes ck behind everything queued and returns its own
+// outcome. It drains first, so its encode takes the warm buffer.
+func (c *Checkpointer) writeNow(name string, ck *Checkpoint) error {
+	c.drain()
+	var res writeResult
+	s := c.encode(name, ck)
+	s.done = &res
+	c.enqueue(s)
+	c.lock()
+	for !res.finished {
+		c.freed.Wait()
+	}
+	c.mu.Unlock()
+	return res.err
+}
+
+// queuePartial encodes a round's partial checkpoint and hands it to the
+// writer without waiting; sp is the round's fl.checkpoint span, ended once
+// the file is durable.
+func (c *Checkpointer) queuePartial(ck *Checkpoint, folds int, sp obs.Span) {
+	obs.M.FLCheckpointPartials.Inc()
+	s := c.encode(partialName(ck.Partial.Round, folds), ck)
+	s.sp, s.folds = sp, folds
+	c.enqueue(s)
 }
 
 // WriteBoundary persists a round-boundary checkpoint and prunes old files.
 func (c *Checkpointer) WriteBoundary(ck *Checkpoint) error {
-	if err := c.write(boundaryName(ck.NextRound), ck); err != nil {
+	if err := c.writeNow(boundaryName(ck.NextRound), ck); err != nil {
 		return err
 	}
 	c.prune()
@@ -386,7 +520,7 @@ func (c *Checkpointer) WritePartial(ck *Checkpoint, folds int) error {
 		return fmt.Errorf("fl: WritePartial without partial state")
 	}
 	obs.M.FLCheckpointPartials.Inc()
-	return c.write(partialName(ck.Partial.Round, folds), ck)
+	return c.writeNow(partialName(ck.Partial.Round, folds), ck)
 }
 
 // prune removes checkpoint files older than the keepBoundaries-th newest

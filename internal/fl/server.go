@@ -144,17 +144,26 @@ const (
 	// before collection folds anything (folds carries a resumed prefix).
 	CrashPreFold CrashPoint = iota + 1
 	// CrashMidCollection fires after each folded update (folds carries
-	// the count), after any due partial checkpoint.
+	// the count), once any due partial checkpoint is durable.
 	CrashMidCollection
 	// CrashPostQuorumPreApply fires once quorum is met, immediately
 	// before the aggregate is applied to the model.
 	CrashPostQuorumPreApply
 )
 
-// crash invokes the scripted kill hook, if any.
+// crash invokes the scripted kill hook, if any, once every checkpoint
+// queued so far is durable: a kill point names what is on disk.
 func (s *Server) crash(p CrashPoint, round, folds int) {
 	if s.CrashHook != nil {
+		s.drainCheckpoints()
 		s.CrashHook(p, round, folds)
+	}
+}
+
+// drainCheckpoints waits for the checkpoint writer, if there is one.
+func (s *Server) drainCheckpoints() {
+	if s.ckpt != nil {
+		s.ckpt.drain()
 	}
 }
 
@@ -256,9 +265,10 @@ func (e *NonFiniteUpdateError) Error() string {
 //
 // On a server with a checkpointer installed it also persists round state: a
 // boundary checkpoint after each due round, and partial checkpoints
-// mid-fold when the round's fold can be checkpointed. After ResumeFrom
-// restored a partial checkpoint, the next call re-enters the interrupted
-// round: t must equal the checkpointed round.
+// mid-fold when the round's fold can be checkpointed, written behind the
+// fold; every file the round cuts is durable before it returns. After
+// ResumeFrom restored a partial checkpoint, the next call re-enters the
+// interrupted round: t must equal the checkpointed round.
 //
 // The whole round is one trace (DESIGN.md §10): RoundDetail roots the
 // "fl.round" span (feeding fl_round_seconds), every remote call, retry
@@ -293,12 +303,17 @@ func (s *Server) roundUnder(parent obs.SpanContext, t int) (RoundResult, time.Du
 		cohort = s.selectClients(selectDomain, t)
 	}
 	res := s.runRound(s.Model, cohort, pp, t, true, sc)
-	if s.ckpt != nil && s.ckpt.boundaryDue(t) {
-		csp := obs.StartChildOf(sc, "fl.checkpoint", obs.M.FLCheckpointWriteSeconds).WithRound(t)
-		if err := s.ckpt.WriteBoundary(s.liveCheckpoint(t + 1)); err != nil {
-			obs.L().Warn("fl: boundary checkpoint failed", "round", t, "err", err)
+	if s.ckpt != nil {
+		// Every checkpoint the round queued is durable before it returns: a
+		// round below quorum applied nothing, so nothing drained it yet.
+		s.ckpt.drain()
+		if s.ckpt.boundaryDue(t) {
+			csp := obs.StartChildOf(sc, "fl.checkpoint", obs.M.FLCheckpointWriteSeconds).WithRound(t)
+			if err := s.ckpt.WriteBoundary(s.liveCheckpoint(t + 1)); err != nil {
+				obs.L().Warn("fl: boundary checkpoint failed", "round", t, "err", err)
+			}
+			csp.End()
 		}
-		csp.End()
 	}
 	dur := sp.End()
 	s.recordAudit(&res, sc.Trace, dur, pp,
@@ -320,9 +335,10 @@ func (s *Server) CheckpointAt(nextRound int) *Checkpoint {
 }
 
 // liveCheckpoint is CheckpointAt without the model payload: the encoder
-// reads s.Model itself, so the checkpoint must be written before the model
-// next changes — which the round loop guarantees, the writes being
-// synchronous on the goroutine that applies the aggregate.
+// reads s.Model itself, so the checkpoint must be encoded before the model
+// next changes — which the round loop guarantees: it encodes every
+// checkpoint on the goroutine that applies the aggregate, and only the
+// writing happens behind it.
 func (s *Server) liveCheckpoint(nextRound int) *Checkpoint {
 	return &Checkpoint{
 		NextRound:  nextRound,
@@ -533,6 +549,8 @@ func (s *Server) runRound(m *nn.Sequential, selected []Participant, pp *PartialR
 			"round", t, "arrived", arrived, "need", need, "selected", len(selected))
 		return res
 	}
+	// The round's partials are durable before its aggregate lands.
+	s.drainCheckpoints()
 	s.crash(CrashPostQuorumPreApply, t, arrived)
 	m.AddDeltaVector(1, agg)
 	res.Applied = true
@@ -679,9 +697,12 @@ type outcome struct {
 // client is admitted once fewer than hold are admitted but not yet folded,
 // so at most hold deltas exist at any instant whatever the cohort size, and
 // a slow early client throttles admission rather than growing the working
-// set. It returns the most trained-but-unfolded deltas it saw, and the
-// first panic of a participant in participant order: the siblings drain,
-// nothing more is folded, the lost round's vectors go to the collector.
+// set. A due partial checkpoint is encoded here, after the fold, and
+// written behind it while collection goes on; the one after the last
+// client is skipped when the round's boundary checkpoint replaces it. It
+// returns the most trained-but-unfolded deltas it saw, and the first panic
+// of a participant in participant order: the siblings drain, nothing more
+// is folded, the lost round's vectors go to the collector.
 func (s *Server) collectAndFold(ctx context.Context, m *nn.Sequential, fold Fold, active []Participant,
 	global []float64, t int, res *RoundResult, durable bool, workers, hold int) (peak int, panicked any) {
 	n := len(active)
@@ -741,19 +762,22 @@ func (s *Server) collectAndFold(ctx context.Context, m *nn.Sequential, fold Fold
 			peak = max(peak, int(held.Add(-1))+1)
 			// Admit the next client only now that this delta is handed to
 			// the fold and uncounted — earlier lets hold+1 deltas be alive —
-			// but before the checkpoint, so its write overlaps collection.
+			// but before the checkpoint is encoded.
 			admit(i + 1)
-			s.partialCheckpoint(m, res, fold, t, durable, obs.SpanContextFrom(ctx))
+			if i < n-1 || s.ckpt == nil || !s.ckpt.boundaryDue(t) {
+				s.partialCheckpoint(m, res, fold, t, durable, obs.SpanContextFrom(ctx))
+			}
 			s.crash(CrashMidCollection, t, len(res.Completed))
 		}
 	}
 	return peak, panicked
 }
 
-// partialCheckpoint writes a mid-round checkpoint when one is due after
+// partialCheckpoint queues a mid-round checkpoint when one is due after
 // the folds so far: it seals the fold's accumulator — read in place,
-// nothing folds while this goroutine encodes — with the round's bookkeeping.
-// Only MeanAggregator's fold can be checkpointed; any other writes none. A
+// nothing folds while this goroutine encodes — with the round's
+// bookkeeping, and leaves the write to the checkpointer's writer. Only
+// MeanAggregator's fold can be checkpointed; any other writes none. A
 // failed write logs and counts — the round itself carries on; durability
 // degrades to the previous checkpoint.
 func (s *Server) partialCheckpoint(m *nn.Sequential, res *RoundResult, fold Fold, t int, durable bool, sc obs.SpanContext) {
@@ -763,7 +787,6 @@ func (s *Server) partialCheckpoint(m *nn.Sequential, res *RoundResult, fold Fold
 		return
 	}
 	csp := obs.StartChildOf(sc, "fl.checkpoint", obs.M.FLCheckpointWriteSeconds).WithRound(t)
-	defer csp.End()
 	ck := s.liveCheckpoint(t)
 	ck.Partial = &PartialRound{
 		Round:     t,
@@ -773,9 +796,7 @@ func (s *Server) partialCheckpoint(m *nn.Sequential, res *RoundResult, fold Fold
 		FoldN:     mf.n,
 		Acc:       mf.acc,
 	}
-	if err := s.ckpt.WritePartial(ck, folds); err != nil {
-		obs.L().Warn("fl: partial checkpoint failed", "round", t, "folds", folds, "err", err)
-	}
+	s.ckpt.queuePartial(ck, folds, csp)
 }
 
 // windowSize resolves cfg.StreamWindow for a cohort of n (0 = twice the

@@ -31,6 +31,7 @@ var keptMethods = map[string]string{
 	"tensor.Of.Set":                  "the tests' write of one element by its coordinates",
 	"transport.RemoteClient.LastErr": "the retry tests' only view of the error behind a dropout",
 	"obs.SpanRing.Reset":             "isolates the tests that read the process-wide span ring",
+	"fl.Checkpointer.WritePartial":   "the durability tests' partial write that returns its own error; a round queues its partials to the writer instead",
 }
 
 // stdInterfaces are the standard-library interfaces through which code the
